@@ -424,7 +424,18 @@ class SimulatedCluster(ExecutionEnvironment):
         self.trace.record()
 
     def recover_server(self, store=None) -> BioOperaServer:
-        """Rebuild the server from its durable store and re-attach it.
+        """The failover routine: rebuild the server from its durable
+        store and re-attach it.
+
+        Scenario scripts, chaos campaigns, shard failover and standby
+        promotion all fail over through here, so a failover is assembled
+        in exactly one place: the predecessor's hub hands over to a
+        successor of the same configuration
+        (:meth:`~repro.obs.ObservabilityHub.successor`), or to none if
+        the predecessor ran without;
+        :meth:`BioOperaServer.recover` re-derives identity, epoch and
+        policies from the store — the only state a recovery on another
+        host can rely on; the cumulative run counters carry over.
 
         ``store`` overrides the store to recover from — the chaos harness
         passes ``old.store.simulate_crash()`` so records appended but never
@@ -433,14 +444,12 @@ class SimulatedCluster(ExecutionEnvironment):
         if self.server is None:
             raise ClusterError("no server attached")
         old = self.server
-        # Lease and quarantine policy are NOT inherited from the dead
-        # process's in-memory object: recover() re-derives both from the
-        # durable store, which is the only state a shard-local recovery
-        # (or a recovery on another host) can rely on.
         self.server = BioOperaServer.recover(
             store if store is not None else old.store,
             old.registry, environment=self,
             policy=old.dispatcher.policy, seed=old.seed,
+            observability=(old.obs.successor() if old.obs is not None
+                           else False),
         )
         # Cumulative counters survive the crash (they describe the run,
         # not the server process).

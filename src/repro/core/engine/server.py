@@ -62,6 +62,16 @@ class StepClock:
 class BioOperaServer:
     """The process-support server."""
 
+    #: the durable policies: configuration-space setting -> the method
+    #: that installs it. Each setting holds that method's argument list,
+    #: and :meth:`recover` re-derives all four from the store.
+    POLICY_SETTINGS = (
+        ("lease_config", "enable_leases"),
+        ("quarantine_config", "enable_quarantine"),
+        ("memo_config", "enable_memoization"),
+        ("migration_config", "enable_migration"),
+    )
+
     def __init__(
         self,
         store: Optional[OperaStore] = None,
@@ -127,12 +137,8 @@ class BioOperaServer:
         self.migration = None  # (min_rate, improvement) when enabled
         self.quarantine = None  # (threshold, window, probe_after) when on
         self.leases = None  # (base, factor) when enabled
-        #: content-keyed result memoization (smart-rerun support). Like
-        #: the lease policy, the switch itself is durable (``memo_config``
-        #: setting) so recovery re-derives it from the store.
-        self.memoize = bool(
-            self.store.configuration.setting("memo_config")
-        )
+        #: content-keyed result memoization (smart-rerun support).
+        self.memoize = False
         #: (instance_id, path, attempt) -> memo content key, bridging
         #: queue_job's cache consult to lineage recording (the record's
         #: ``memo_key`` field) and result storage on completion.
@@ -858,12 +864,6 @@ class BioOperaServer:
         self.leases = (base, factor)
         self.store.configuration.set_setting("lease_config", [base, factor])
 
-    def disable_leases(self) -> None:
-        self.leases = None
-        self.store.configuration.set_setting("lease_config", None)
-        for job_id in list(self._leases):
-            self._release_lease(job_id)
-
     def enable_memoization(self) -> None:
         """Cache task results by content key; replay hits dispatch-free.
 
@@ -875,13 +875,7 @@ class BioOperaServer:
         recovered server keeps memoizing.
         """
         self.memoize = True
-        self.store.configuration.set_setting("memo_config", True)
-
-    def disable_memoization(self) -> None:
-        """Stop consulting and feeding the memo cache (entries remain)."""
-        self.memoize = False
-        self.store.configuration.set_setting("memo_config", None)
-        self._memo_pending.clear()
+        self.store.configuration.set_setting("memo_config", [])
 
     def _grant_lease(self, job: JobRequest, node: str) -> None:
         schedule = getattr(self.environment, "schedule", None)
@@ -972,15 +966,6 @@ class BioOperaServer:
             "quarantine_config", [threshold, window, probe_after]
         )
 
-    def disable_quarantine(self) -> None:
-        self.quarantine = None
-        self.store.configuration.set_setting("quarantine_config", None)
-        self._node_failures.clear()
-        for view in self.awareness.nodes():
-            if view.quarantined:
-                self.awareness.release_quarantine(view.name)
-        self.dispatcher.pump()
-
     def _note_node_failure(self, node: str, now: float) -> None:
         if not self.awareness.has_node(node):
             return
@@ -1034,11 +1019,13 @@ class BioOperaServer:
         ``max_attempts`` bounds the total dispatches a task may accumulate
         before migration leaves it alone (each restart discards progress,
         so unbounded chasing of a moving load pattern would livelock).
+        Persisted like the other three policies, so a recovered server
+        keeps balancing.
         """
         self.migration = (min_rate, improvement, max_attempts)
-
-    def disable_migration(self) -> None:
-        self.migration = None
+        self.store.configuration.set_setting(
+            "migration_config", [min_rate, improvement, max_attempts]
+        )
 
     def _estimated_rate(self, view, extra_jobs: int = 0) -> float:
         jobs = view.assigned_count + extra_jobs
@@ -1174,7 +1161,6 @@ class BioOperaServer:
         clock: Optional[Callable[[], float]] = None,
         seed: int = 0,
         observability: Any = None,
-        leases: Optional[Tuple[float, float]] = None,
     ) -> "BioOperaServer":
         """Rebuild a server from the durable store after a crash.
 
@@ -1185,10 +1171,9 @@ class BioOperaServer:
         resumed."
 
         Everything recovery needs is re-derived from the durable store —
-        shard identity, the lease and quarantine policies, and (for
-        environment-less recoveries) a clock seeded past the newest
-        logged timestamp. Explicit ``clock``/``leases`` arguments still
-        win, for callers that manage those themselves.
+        shard identity, the four policies in :attr:`POLICY_SETTINGS`,
+        and (for environment-less recoveries) a clock seeded past the
+        newest logged timestamp. An explicit ``clock`` still wins.
         """
         if clock is None and environment is None:
             # The fallback StepClock must resume *after* the newest event
@@ -1208,13 +1193,10 @@ class BioOperaServer:
                      clock=clock, seed=seed, observability=observability)
         if environment is not None:
             server.attach_environment(environment)
-        if leases is None:
-            leases = store.configuration.setting("lease_config")
-        if leases is not None:
-            server.enable_leases(*leases)
-        durable_quarantine = store.configuration.setting("quarantine_config")
-        if durable_quarantine is not None:
-            server.enable_quarantine(*durable_quarantine)
+        for setting, enable in cls.POLICY_SETTINGS:
+            config = store.configuration.setting(setting)
+            if config is not None:
+                getattr(server, enable)(*config)
         for node, config in store.configuration.nodes().items():
             if not server.awareness.has_node(node):
                 server.awareness.register(

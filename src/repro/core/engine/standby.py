@@ -12,8 +12,9 @@ recovery machinery:
   primary and standby silences them exactly like a dead primary would;
 * a :class:`StandbyMonitor` watches them; after ``takeover_after``
   seconds of silence it **promotes** a standby: a fresh server is rebuilt
-  from the shared durable store (same code path as cold recovery) and
-  attached to the environment;
+  from the shared durable store and attached to the cluster by
+  :meth:`~repro.cluster.SimulatedCluster.recover_server`, the same
+  failover routine as cold recovery;
 * promotion is decided on *silence alone* — the monitor cannot peek at
   the primary's ``up`` flag, because across a partition nobody can. A
   split brain (healthy primary behind a cut, promoted standby in front
@@ -27,65 +28,48 @@ recovery machinery:
   completed work — the downtime shrinks from "until an operator restarts
   the server" to the detection window.
 
-The monitor is transport-agnostic: in the simulated cluster it runs on
-the simulation kernel; in inline setups it can be driven manually with
-:meth:`StandbyMonitor.check`.
+The monitor runs on the cluster's simulation kernel (see
+:func:`attach_standby`); tests can also drive :meth:`StandbyMonitor.check`
+by hand.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
-from ...errors import EngineError
 from .server import BioOperaServer
 
 
 class StandbyMonitor:
-    """Watches a primary server and promotes a standby on silence.
+    """Watches a cluster's primary server and promotes a standby on
+    silence.
 
     Parameters
     ----------
-    get_primary / set_primary:
-        Accessors for the currently active server (e.g. reading/writing
-        ``cluster.server``).
-    clock:
-        Time source shared with the primary.
+    cluster:
+        The :class:`~repro.cluster.SimulatedCluster` whose ``server`` is
+        the primary; its kernel is the time source, and its
+        ``recover_server`` is the failover a promotion runs.
     takeover_after:
         Seconds of primary silence before promotion.
     """
 
-    def __init__(
-        self,
-        get_primary: Callable[[], BioOperaServer],
-        set_primary: Callable[[BioOperaServer], None],
-        clock: Callable[[], float],
-        environment=None,
-        takeover_after: float = 60.0,
-    ):
-        self._get_primary = get_primary
-        self._set_primary = set_primary
-        self._clock = clock
-        self._environment = environment
+    def __init__(self, cluster, takeover_after: float = 60.0):
+        self._cluster = cluster
         self.takeover_after = takeover_after
-        self.last_heartbeat = clock()
+        self.last_heartbeat = cluster.kernel.now
         self.takeovers = 0
         self.enabled = True
 
     # ------------------------------------------------------------------
 
-    def heartbeat(self) -> None:
-        """The primary signals liveness (called on its activity)."""
-        primary = self._get_primary()
-        if primary is not None and primary.up:
-            self.last_heartbeat = self._clock()
-
     def receive_heartbeat(self) -> None:
         """A heartbeat message arrived over the network. Unconditional:
         the monitor knows only what reaches it, not the primary's state."""
-        self.last_heartbeat = self._clock()
+        self.last_heartbeat = self._cluster.kernel.now
 
     def silence(self) -> float:
-        return self._clock() - self.last_heartbeat
+        return self._cluster.kernel.now - self.last_heartbeat
 
     def check(self) -> Optional[BioOperaServer]:
         """Promote the standby if the primary has been silent too long.
@@ -102,40 +86,20 @@ class StandbyMonitor:
         return self.promote()
 
     def promote(self) -> BioOperaServer:
-        """Unconditionally rebuild a server from the durable store.
+        """Unconditionally fail the cluster over to a fresh server.
 
-        Recovery's constructor durably bumps the server epoch in the
-        shared store before the replacement dispatches anything, which is
-        what fences a still-live old primary out of the cluster.
+        The failover is :meth:`SimulatedCluster.recover_server` on the
+        shared store — the same routine as cold recovery. Its server
+        constructor durably bumps the epoch in the store before the
+        replacement dispatches anything, which is what fences a
+        still-live old primary out of the cluster.
         """
-        old = self._get_primary()
-        if old is None:
-            raise EngineError("standby has no primary to take over from")
-        if old.obs is not None:
-            # Two hubs checkpointing views into one store would corrupt
-            # each other; the deposed primary's hub stops following.
-            old.obs.detach()
-        # Lease and quarantine policy come from the durable store, not
-        # the deposed primary's in-memory object — a standby on another
-        # host only shares the store with the primary, so anything the
-        # replacement needs must be re-derivable from it.
-        replacement = BioOperaServer.recover(
-            old.store, old.registry,
-            environment=self._environment,
-            policy=old.dispatcher.policy,
-            seed=old.seed,
-        )
-        # Cumulative run counters survive the failover.
-        for key, value in old.metrics.items():
-            replacement.metrics[key] = (
-                replacement.metrics.get(key, 0) + value
-            )
+        replacement = self._cluster.recover_server()
         replacement.metrics["standby_takeovers"] = (
             replacement.metrics.get("standby_takeovers", 0) + 1
         )
-        self._set_primary(replacement)
         self.takeovers += 1
-        self.last_heartbeat = self._clock()
+        self.last_heartbeat = self._cluster.kernel.now
         return replacement
 
 
@@ -152,13 +116,7 @@ def attach_standby(cluster, takeover_after: float = 60.0,
     """
     from ...cluster.network import SERVER, STANDBY
 
-    monitor = StandbyMonitor(
-        get_primary=lambda: cluster.server,
-        set_primary=lambda server: setattr(cluster, "server", server),
-        clock=lambda: cluster.kernel.now,
-        environment=cluster,
-        takeover_after=takeover_after,
-    )
+    monitor = StandbyMonitor(cluster, takeover_after=takeover_after)
 
     def poll():
         if not monitor.enabled:

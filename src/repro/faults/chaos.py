@@ -33,7 +33,6 @@ from ..cluster.failures import ScenarioScript
 from ..core.engine import BioOperaServer
 from ..obs import ObservabilityHub
 from ..processes import install_all_vs_all
-from ..store.kvstore import MEMORY
 from ..store.spaces import OperaStore
 from . import invariants
 from .plan import FaultPlan
@@ -129,23 +128,6 @@ class CampaignConfig:
         return cls(**kwargs)
 
 
-def _resolve_config(config: Optional[CampaignConfig] = None,
-                    nodes: Optional[int] = None,
-                    cpus: Optional[int] = None,
-                    granularity: Optional[int] = None,
-                    profile: Optional[str] = None) -> CampaignConfig:
-    """Fold legacy keyword overrides into a CampaignConfig."""
-    config = config or CampaignConfig()
-    overrides = {
-        key: value
-        for key, value in (("nodes", nodes), ("cpus", cpus),
-                           ("granularity", granularity),
-                           ("profile", profile))
-        if value is not None
-    }
-    return config.replace(**overrides) if overrides else config
-
-
 def default_darwin(size: int = 120) -> DarwinEngine:
     """The workload generator campaigns run (small modeled all-vs-all)."""
     profile = DatabaseProfile.synthetic("chaos", size, seed=5)
@@ -183,12 +165,7 @@ class CampaignResult:
         return sorted(names)
 
 
-def _build(darwin: DarwinEngine, kernel_seed: int,
-           config: Optional[CampaignConfig] = None,
-           nodes: Optional[int] = None, cpus: Optional[int] = None,
-           granularity: Optional[int] = None):
-    config = _resolve_config(config, nodes=nodes, cpus=cpus,
-                             granularity=granularity)
+def _build(darwin: DarwinEngine, kernel_seed: int, config: CampaignConfig):
     kernel = SimKernel(seed=kernel_seed)
     cluster = SimulatedCluster(kernel, uniform(config.nodes,
                                                cpus=config.cpus),
@@ -222,13 +199,10 @@ def _build(darwin: DarwinEngine, kernel_seed: int,
     return kernel, cluster, server, instance_id
 
 
-def fault_free_baseline(darwin: DarwinEngine, nodes: Optional[int] = None,
-                        cpus: Optional[int] = None,
-                        granularity: Optional[int] = None,
+def fault_free_baseline(darwin: DarwinEngine,
                         config: Optional[CampaignConfig] = None) -> Dict:
     """Run the workload undisturbed; campaigns must match its outputs."""
-    config = _resolve_config(config, nodes=nodes, cpus=cpus,
-                             granularity=granularity)
+    config = config or CampaignConfig()
     if config.profile in ("shard", "rebalance"):
         # Imported lazily: shard_campaign imports this module's config
         # and result types.
@@ -392,9 +366,6 @@ def _schedule_plan(plan: FaultPlan, cluster: SimulatedCluster,
 def run_campaign(seed: int, darwin: DarwinEngine,
                  baseline: Optional[Dict] = None,
                  plan: Optional[FaultPlan] = None,
-                 nodes: Optional[int] = None, cpus: Optional[int] = None,
-                 granularity: Optional[int] = None,
-                 profile: Optional[str] = None,
                  config: Optional[CampaignConfig] = None,
                  trace: Optional[Callable[[str], None]] = None,
                  ) -> CampaignResult:
@@ -403,8 +374,7 @@ def run_campaign(seed: int, darwin: DarwinEngine,
     ``trace`` (the ``--rerun`` repro mode) receives a line per injected
     crash, per recovery, and per invariant-catalog entry (pass/fail).
     """
-    config = _resolve_config(config, nodes=nodes, cpus=cpus,
-                             granularity=granularity, profile=profile)
+    config = config or CampaignConfig()
     if config.profile in ("shard", "rebalance"):
         from .shard_campaign import run_shard_campaign
 
@@ -446,21 +416,12 @@ def run_campaign(seed: int, darwin: DarwinEngine,
 
     def ensure_recovered():
         """Restart the server from durable state if it is down."""
-        current = cluster.server
-        if current.up:
+        if cluster.server.up:
             return
-        store = current.store
-        if store.kv.path == MEMORY:
-            # Records appended but never synced die with the process.
-            store = store.simulate_crash()
         try:
-            recovered = BioOperaServer.recover(
-                store, current.registry, environment=cluster,
-                policy=current.dispatcher.policy, seed=current.seed,
-                observability=ObservabilityHub(
-                    checkpoint_interval=config.checkpoint_interval),
-                leases=current.leases,
-            )
+            # Records appended but never synced die with the process.
+            recovered = cluster.recover_server(
+                store=cluster.server.store.simulate_crash())
         except InjectedCrash as exc:
             # Recovery itself was killed; whatever half-recovered server
             # attach() left behind is down too. Try again from its store
@@ -473,9 +434,11 @@ def run_campaign(seed: int, darwin: DarwinEngine,
             kernel.schedule(recovery_rng.uniform(30.0, 300.0),
                             ensure_recovered, label="chaos: re-recover")
             return
-        for key, value in current.metrics.items():
-            recovered.metrics[key] = recovered.metrics.get(key, 0) + value
         if config.quarantine is not None:
+            # recover() already restored the policy; this re-persists it.
+            # Fault actions fire on hit counts, so the commit is part of
+            # every seeded campaign's schedule: dropping it changes which
+            # windows the crashes land in.
             recovered.enable_quarantine(*config.quarantine)
         result.recoveries += 1
         if down["since"] is not None:
@@ -538,19 +501,3 @@ def run_campaign(seed: int, darwin: DarwinEngine,
     result.wall = kernel.now
     result.events = kernel.events_processed
     return result
-
-
-def run_campaigns(seeds, darwin: Optional[DarwinEngine] = None,
-                  baseline: Optional[Dict] = None,
-                  profile: Optional[str] = None,
-                  config: Optional[CampaignConfig] = None,
-                  **build_kw) -> List[CampaignResult]:
-    """Run many seeded campaigns against one shared baseline."""
-    darwin = darwin or default_darwin()
-    config = _resolve_config(config, profile=profile, **build_kw)
-    if baseline is None:
-        baseline = fault_free_baseline(darwin, config=config)
-    return [
-        run_campaign(seed, darwin, baseline=baseline, config=config)
-        for seed in seeds
-    ]

@@ -77,6 +77,18 @@ class ObservabilityHub:
                 self._store.observability = None
             self._store = None
 
+    def successor(self) -> "ObservabilityHub":
+        """Hand over at a failover: stop following the store (two hubs
+        checkpointing views into one store would corrupt each other) and
+        return a fresh hub of the same configuration for the replacement
+        server to attach."""
+        self.detach()
+        return ObservabilityHub(
+            checkpoint_interval=self.checkpoint_interval,
+            trace_capacity=self.tracing.capacity,
+            compact_store=self.compact_store,
+        )
+
     # -- event stream (called after each durable append) ---------------------
 
     def _on_event(self, instance_id: str, seq: int,

@@ -38,7 +38,6 @@ from ..core.engine.library import ProgramRegistry
 from ..core.model.process import ProcessTemplate
 from ..errors import EngineError, UnknownShardError
 from ..obs import ObservabilityHub
-from ..store.kvstore import MEMORY
 from ..store.spaces import OperaStore
 from .broker import Forwarded, Request, ShardBroker
 from .migrate import ShardMigrator
@@ -59,7 +58,6 @@ class Shard:
                  dispatch_overhead: float = 2.0):
         self.index = index
         self.kernel = kernel
-        self.checkpoint_interval = checkpoint_interval
         #: set by the plane when the shard is drained and removed from
         #: service; a retired shard keeps its store (forwarding records
         #: live there) but never executes another request.
@@ -157,19 +155,10 @@ class Shard:
         quarantine config, the fencing epoch — is re-derived from the
         surviving store. Nothing is inherited from any sibling shard.
         """
-        old = self.server
-        store = old.store
-        if store.kv.path == MEMORY:
-            store = store.simulate_crash()
-        if old.obs is not None:
-            old.obs.detach()
-        # Fresh hub for the replacement (recover() builds one by
-        # default); the cluster re-derives policy from the store.
-        self.cluster.server = old  # recover_server recovers *from* this
-        server = self.cluster.recover_server(store=store)
-        self.store = server.store
-        self.server = server
-        return server
+        self.server = self.cluster.recover_server(
+            store=self.server.store.simulate_crash())
+        self.store = self.server.store
+        return self.server
 
 
 class ShardedControlPlane:

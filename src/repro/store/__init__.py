@@ -2,8 +2,8 @@
 
 Public surface: :class:`KVStore` (checkpoint-bounded recovery over a
 segmented WAL), the BioOpera data spaces (:class:`OperaStore` and the four
-space classes), WAL backends (:class:`FileWAL`, :class:`SegmentedWAL`,
-:class:`MemoryWAL`), and the lineage graph.
+space classes), WAL backends (:class:`SegmentedWAL`, :class:`MemoryWAL`),
+and the lineage graph.
 """
 
 from .kvstore import KVStore, MEMORY, Transaction
@@ -15,13 +15,12 @@ from .spaces import (
     OperaStore,
     TemplateSpace,
 )
-from .wal import FileWAL, MemoryWAL, SegmentedWAL
+from .wal import MemoryWAL, SegmentedWAL
 
 __all__ = [
     "KVStore",
     "MEMORY",
     "Transaction",
-    "FileWAL",
     "MemoryWAL",
     "SegmentedWAL",
     "OperaStore",

@@ -2,17 +2,20 @@
 
 This is the "database" under BioOpera's data spaces. Guarantees:
 
-* **Durability** — every mutation is appended to the WAL and synced before
-  :meth:`KVStore.put` returns (unless batched in a transaction, which syncs
-  once at commit).
+* **Durability** — a commit is *acked* (guaranteed to survive a crash)
+  per the store's sync policy: ``"per-commit"`` appends and fsyncs before
+  :meth:`KVStore.put` returns; ``"group"`` buffers commits and acks the
+  whole batch with one write plus one fsync at :meth:`KVStore.flush`.
 * **Atomicity** — a transaction's operations are framed as one WAL record
   and applied all-or-nothing on replay.
-* **Recovery** — :meth:`KVStore.recover` (or construction over existing
-  files) rebuilds state as the latest checkpoint snapshot plus replay of
-  only the log *suffix* past the snapshot's position. :meth:`checkpoint`
-  cuts a snapshot and truncates every WAL segment it covers, so recovery
-  time and disk footprint stay flat in run length instead of growing with
-  it (ARIES-style log truncation).
+* **Recovery** — opening a store rebuilds state as the latest checkpoint
+  snapshot plus replay of only the log *suffix* past the snapshot's
+  position. There is one snapshot format (the positioned checkpoint
+  :meth:`KVStore.checkpoint` writes); a snapshot file of any other shape
+  is a :class:`~repro.errors.CorruptLogError`. :meth:`checkpoint` cuts a
+  snapshot and truncates every WAL segment it covers, so recovery time
+  and disk footprint stay flat in run length instead of growing with it
+  (ARIES-style log truncation).
 
 Keys are strings; prefix scans (``items(prefix=...)``) give the namespace
 mechanism the data spaces are built on.
@@ -21,36 +24,23 @@ mechanism the data spaces are built on.
 from __future__ import annotations
 
 import os
-import time
 from typing import Any, Dict, Iterator, List, Tuple
 
-from ..errors import ReproError, StoreError
+from ..errors import CorruptLogError, ReproError, StoreError
 from ..faults.points import fire
 from . import codec
 from .snapshot import FileSnapshot, MemorySnapshot
-from .wal import (
-    DEFAULT_SEGMENT_BYTES,
-    DEFAULT_SEGMENT_RECORDS,
-    MemoryWAL,
-    SegmentedWAL,
-)
+from .wal import DEFAULT_SEGMENT_RECORDS, MemoryWAL, SegmentedWAL
 
 MEMORY = ":memory:"
 
-#: marker key distinguishing a positioned checkpoint snapshot from a
-#: legacy raw-state snapshot (which implies position zero).
+#: marker key of the one snapshot format: a positioned checkpoint.
 _CHECKPOINT_MAGIC = "__kv_checkpoint__"
 
 
 def _is_positioned_snapshot(snapshot: Any) -> bool:
-    """True only for the exact shape :meth:`KVStore.checkpoint` writes.
-
-    The magic key alone is not enough: a legacy raw-state snapshot whose
-    user data happens to contain :data:`_CHECKPOINT_MAGIC` must not be
-    misparsed as a positioned checkpoint, so the full shape is required —
-    exactly the three expected top-level keys, an integer position, and a
-    dict state.
-    """
+    """True only for the exact shape :meth:`KVStore.checkpoint` writes:
+    the three expected top-level keys, an integer position, a dict state."""
     return (
         isinstance(snapshot, dict)
         and set(snapshot) == {_CHECKPOINT_MAGIC, "position", "state"}
@@ -113,11 +103,12 @@ class KVStore:
     path:
         Directory for the segmented WAL (``wal/``) and ``store.snapshot``,
         or :data:`MEMORY` for an in-process store with simulated
-        durability. A legacy single-file ``store.wal`` found in the
-        directory is adopted as the first segment on open.
-    segment_records, segment_bytes:
-        Rotation thresholds for the segmented WAL (records and bytes per
-        segment; whichever trips first seals the segment).
+        durability.
+    segment_records:
+        Rotation threshold for the segmented WAL: a segment is sealed
+        once it holds this many records (or
+        :data:`~repro.store.wal.DEFAULT_SEGMENT_BYTES` bytes, for stores
+        of unusually large records).
     retain_history:
         Keep truncated segments on disk (retired in the manifest) so
         :meth:`audit` can verify that checkpoint+suffix recovery is
@@ -133,55 +124,39 @@ class KVStore:
           buffered; :meth:`flush` (explicit, or automatic once
           ``group_max_pending`` commits are buffered) writes the whole
           batch as one WAL write plus one fsync. A commit is acked only
-          once a flush covers it;
-        * ``"interval"`` — like ``"group"``, but a commit also triggers
-          a flush when at least ``sync_interval`` seconds (``clock``
-          time) have passed since the last one.
+          once a flush covers it.
 
-        Under ``"group"``/``"interval"`` a crash loses at most the
-        unflushed suffix — never anything a completed :meth:`flush`
-        covered. :meth:`checkpoint` and :meth:`close` flush first, so
-        checkpoints and graceful shutdowns never lose buffered commits.
+        Under ``"group"`` a crash loses at most the unflushed suffix —
+        never anything a completed :meth:`flush` covered.
+        :meth:`checkpoint` and :meth:`close` flush first, so checkpoints
+        and graceful shutdowns never lose buffered commits.
     group_max_pending:
-        Buffered-commit cap for the batching policies; the cap bounds
-        the crash-loss window for ``"interval"`` too.
-    sync_interval:
-        Seconds between automatic flushes under ``"interval"``.
-    clock:
-        Injectable monotonic clock for ``"interval"`` (tests pass a fake;
-        defaults to :func:`time.monotonic`).
+        Buffered-commit cap under ``"group"``; it bounds the crash-loss
+        window.
     """
 
-    SYNC_POLICIES = ("per-commit", "group", "interval")
+    SYNC_POLICIES = ("per-commit", "group")
 
     def __init__(self, path: str = MEMORY, *,
                  segment_records: int = DEFAULT_SEGMENT_RECORDS,
-                 segment_bytes: int = DEFAULT_SEGMENT_BYTES,
                  retain_history: bool = False,
                  sync_policy: str = "per-commit",
-                 group_max_pending: int = 64,
-                 sync_interval: float = 0.05,
-                 clock=None):
+                 group_max_pending: int = 64):
         if sync_policy not in self.SYNC_POLICIES:
             raise StoreError(f"unknown sync policy {sync_policy!r}")
         self.path = path
         self._options = {
             "segment_records": segment_records,
-            "segment_bytes": segment_bytes,
             "retain_history": retain_history,
             "sync_policy": sync_policy,
             "group_max_pending": group_max_pending,
-            "sync_interval": sync_interval,
         }
         self._sync_policy = sync_policy
         self._group_max_pending = max(1, int(group_max_pending))
-        self._sync_interval = float(sync_interval)
-        self._clock = clock if clock is not None else time.monotonic
-        #: encoded-but-unflushed commit records (group/interval policies):
-        #: applied to the live state, not yet in the WAL. A crash loses
-        #: exactly this buffer.
+        #: encoded-but-unflushed commit records (group policy): applied
+        #: to the live state, not yet in the WAL. A crash loses exactly
+        #: this buffer.
         self._pending: List[bytes] = []
-        self._last_sync = self._clock()
         #: commit/sync accounting for profiling (see bench_observe).
         self.stats: Dict[str, int] = {
             "commits": 0, "syncs": 0, "group_flushes": 0,
@@ -198,9 +173,7 @@ class KVStore:
             self._wal = SegmentedWAL(
                 os.path.join(path, "wal"),
                 max_segment_records=segment_records,
-                max_segment_bytes=segment_bytes,
                 retain_truncated=retain_history,
-                adopt_file=os.path.join(path, "store.wal"),
             )
             self._snapshot = FileSnapshot(os.path.join(path, "store.snapshot"))
         self._state: Dict[str, Any] = {}
@@ -212,22 +185,22 @@ class KVStore:
     # -- recovery -------------------------------------------------------------
 
     def _load_snapshot_state(self) -> Tuple[Dict[str, Any], int]:
-        """Return ``(state, position)`` from the snapshot (legacy aware)."""
+        """Return ``(state, position)`` from the checkpoint snapshot."""
         snapshot = self._snapshot.load()
-        if not snapshot:
+        if snapshot is None:
             return {}, 0
-        if _is_positioned_snapshot(snapshot):
-            return dict(snapshot["state"]), int(snapshot["position"])
-        # Legacy raw-state snapshot from the reset()-based scheme: it was
-        # only ever written with an empty log, so its position is zero.
-        return dict(snapshot), 0
+        if not _is_positioned_snapshot(snapshot):
+            raise CorruptLogError(
+                f"{self.path}: snapshot is not a positioned checkpoint"
+            )
+        return dict(snapshot["state"]), int(snapshot["position"])
 
     def _replay(self) -> None:
         state, position = self._load_snapshot_state()
         self._state = state
         replayed = 0
         for record in self._wal.records_from(position):
-            self._apply_batch(codec.decode(record))
+            self._apply_ops(state, codec.decode(record))
             replayed += 1
         self.last_recovery = {
             "checkpoint_position": position,
@@ -237,24 +210,17 @@ class KVStore:
             "repairs": list(self._wal.repairs),
         }
 
-    def _apply_batch(self, ops: List[List[Any]]) -> None:
+    @staticmethod
+    def _apply_ops(state: Dict[str, Any], ops: List[List[Any]]) -> None:
+        """Apply one WAL record to ``state`` — the only interpreter of
+        the record format, shared by commit, replay and :meth:`audit`."""
         for op, key, value in ops:
             if op == "put":
-                self._state[key] = value
+                state[key] = value
             elif op == "del":
-                self._state.pop(key, None)
+                state.pop(key, None)
             else:
                 raise StoreError(f"unknown WAL op {op!r}")
-
-    def recover(self) -> "KVStore":
-        """Re-open the store from durable state (no-op for a live store)."""
-        if self.path == MEMORY:
-            raise StoreError(
-                "recover() reopens on-disk stores; use simulate_crash() "
-                "for in-memory stores"
-            )
-        self.close()
-        return KVStore(self.path, **self._options)
 
     def simulate_crash(self) -> "KVStore":
         """Return a new store holding only what a crash would preserve.
@@ -269,11 +235,8 @@ class KVStore:
         survivor._options = dict(self._options)
         survivor._sync_policy = self._sync_policy
         survivor._group_max_pending = self._group_max_pending
-        survivor._sync_interval = self._sync_interval
-        survivor._clock = self._clock
         # Buffered commits never reached the WAL: the crash loses them.
         survivor._pending = []
-        survivor._last_sync = survivor._clock()
         survivor.stats = {key: 0 for key in self.stats}
         survivor._wal = self._wal.simulate_crash()
         survivor._snapshot = self._snapshot
@@ -300,24 +263,21 @@ class KVStore:
             # Crash here: the record is durable but was never applied to
             # the in-memory state — recovery must replay it.
             fire("kvstore.commit.post-sync", ops=len(record))
-            self._apply_batch(record)
+            self._apply_ops(self._state, record)
             return
-        # Group/interval: the commit is applied to the live state and
-        # buffered; it reaches the WAL only when flush() writes the whole
-        # batch. Until then it is unacked — a crash loses it.
+        # Group: the commit is applied to the live state and buffered; it
+        # reaches the WAL only when flush() writes the whole batch. Until
+        # then it is unacked — a crash loses it.
         self._pending.append(codec.encode(record))
-        self._apply_batch(record)
+        self._apply_ops(self._state, record)
         if len(self._pending) >= self._group_max_pending:
-            self.flush()
-        elif (self._sync_policy == "interval"
-              and self._clock() - self._last_sync >= self._sync_interval):
             self.flush()
 
     def flush(self) -> int:
         """Write and fsync every buffered commit as one group (no-op when
         nothing is pending). Returns the number of commits acked.
 
-        This is the durability boundary of the batching policies: every
+        This is the durability boundary of the group policy: every
         commit buffered before the flush is acked once it returns — and
         nothing is acked before. The ``store.group_commit.pre_sync`` /
         ``post_sync`` fault points bracket the group write+fsync, so chaos
@@ -332,7 +292,6 @@ class KVStore:
         self._wal.append_many(self._pending)
         self._wal.sync()
         self._pending = []
-        self._last_sync = self._clock()
         self.stats["syncs"] += 1
         self.stats["group_flushes"] += 1
         self.stats["flushed_commits"] += count
@@ -410,9 +369,9 @@ class KVStore:
         try:
             replayed, position = self._load_snapshot_state()
             for record in self._wal.records_from(position):
-                self._apply_ops_into(replayed, codec.decode(record), problems)
+                self._apply_ops(replayed, codec.decode(record))
             for record in pending:
-                self._apply_ops_into(replayed, record, problems)
+                self._apply_ops(replayed, record)
         except ReproError as exc:
             return [f"WAL replay failed: {type(exc).__name__}: {exc}"]
         if replayed != self._state:
@@ -426,18 +385,13 @@ class KVStore:
                 "replayed state diverges from live state "
                 f"(missing={missing} extra={extra} changed={changed})"
             )
-        # The full-replay equivalence only holds for positioned checkpoint
-        # snapshots: a legacy raw-state snapshot came from the reset-based
-        # scheme, where the state at log position zero was not empty.
-        snapshot = self._snapshot.load()
-        positioned = not snapshot or _is_positioned_snapshot(snapshot)
-        if positioned and self._wal.history_complete():
+        if self._wal.history_complete():
             try:
                 full: Dict[str, Any] = {}
                 for record in self._wal.full_records():
-                    self._apply_ops_into(full, codec.decode(record), problems)
+                    self._apply_ops(full, codec.decode(record))
                 for record in pending:
-                    self._apply_ops_into(full, record, problems)
+                    self._apply_ops(full, record)
             except ReproError as exc:
                 problems.append(
                     f"full-log replay failed: {type(exc).__name__}: {exc}"
@@ -451,17 +405,6 @@ class KVStore:
                         f"full-log replay (missing={missing} extra={extra})"
                     )
         return problems
-
-    @staticmethod
-    def _apply_ops_into(state: Dict[str, Any], ops: List[List[Any]],
-                        problems: List[str]) -> None:
-        for op, key, value in ops:
-            if op == "put":
-                state[key] = value
-            elif op == "del":
-                state.pop(key, None)
-            else:
-                problems.append(f"unknown WAL op {op!r}")
 
     # -- reads ----------------------------------------------------------------
 

@@ -412,9 +412,8 @@ class DataSpace:
 class OperaStore:
     """All four spaces over one KV store (one WAL, one recovery unit).
 
-    Keyword options (``segment_records``, ``segment_bytes``,
-    ``retain_history``, ``sync_policy``, ``group_max_pending``,
-    ``sync_interval``) are forwarded to the underlying
+    Keyword options (``segment_records``, ``retain_history``,
+    ``sync_policy``, ``group_max_pending``) are forwarded to the underlying
     :class:`~repro.store.kvstore.KVStore` and survive
     :meth:`simulate_crash`/:meth:`reopen`, so a chaos campaign configured
     for retained history or group commit keeps both across every

@@ -1,18 +1,19 @@
-"""Write-ahead log backends: single-file, segmented, and in-memory.
+"""Write-ahead log backends: segmented on disk, and in memory.
 
-A WAL is an ordered sequence of byte records. Three implementations share
-one core interface (``append``/``sync``/``records``/``reset``/``close``):
+A WAL is an ordered sequence of byte records, each framed on disk as
+``length(4) | crc32(4) | payload``. Two implementations share one
+interface (``append``/``append_many``/``sync``/``records_from``/
+``truncate_through``/``reset``/``close``):
 
-* :class:`FileWAL` — records framed as ``length(4) | crc32(4) | payload``
-  in one append-only file. Replay stops at a torn tail (truncated final
-  record) and repairs it; a checksum mismatch *before* the tail raises
-  :class:`~repro.errors.CorruptLogError`. This is the segment file format.
-* :class:`SegmentedWAL` — a directory of :class:`FileWAL`-format segment
-  files plus a durable ``MANIFEST``. The log rotates to a fresh segment at
-  a size/record threshold (crash-safe via the same tmp+rename+dir-fsync
-  discipline as :class:`~repro.store.snapshot.FileSnapshot`), and
-  checkpoints truncate every segment wholly covered by a snapshot so both
-  disk footprint and replay cost stay bounded in run length.
+* :class:`SegmentedWAL` — a directory of segment files plus a durable
+  ``MANIFEST``. The log rotates to a fresh segment at a size/record
+  threshold (crash-safe via the same tmp+rename+dir-fsync discipline as
+  :class:`~repro.store.snapshot.FileSnapshot`), and checkpoints truncate
+  every segment wholly covered by a snapshot so both disk footprint and
+  replay cost stay bounded in run length. On open, a torn tail in the
+  newest segment (truncated header or payload, or a bad checksum on the
+  final record) is cut off; a checksum mismatch in a sealed segment
+  raises :class:`~repro.errors.CorruptLogError`.
 * :class:`MemoryWAL` — in-process list with the same durability semantics,
   including crash simulation: records appended after the last ``sync()``
   are lost by :meth:`MemoryWAL.simulate_crash`, exactly like an OS losing
@@ -35,7 +36,7 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List
 
 from ..errors import CorruptLogError
 from . import codec
@@ -88,130 +89,6 @@ def _fsync_dir(directory: str) -> None:
         os.close(fd)
 
 
-class FileWAL:
-    """Append-only log file with CRC framing and torn-write repair.
-
-    This is the single-file primitive: :class:`SegmentedWAL` uses the same
-    on-disk record format for each of its segments.
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-        self._file = None
-        self._valid_size = self._scan_and_repair()
-        self._file = open(self.path, "ab")
-
-    # -- recovery -------------------------------------------------------------
-
-    def _scan_and_repair(self) -> int:
-        """Find the end of the valid prefix; truncate any torn tail."""
-        if not os.path.exists(self.path):
-            with open(self.path, "wb"):
-                pass
-            return 0
-        with open(self.path, "rb") as fh:
-            data = fh.read()
-        _, valid_end, corrupt = _scan(data)
-        if corrupt:
-            raise CorruptLogError(
-                f"{self.path}: checksum mismatch at offset {valid_end}"
-            )
-        if valid_end != len(data):
-            with open(self.path, "r+b") as fh:
-                fh.truncate(valid_end)
-        return valid_end
-
-    # -- interface ------------------------------------------------------------
-
-    def append(self, payload: bytes) -> None:
-        """Append one record (header and payload in a single write).
-
-        One combined write: issuing header and payload separately widens
-        the torn-write window to everything the OS may split between the
-        two calls; a single buffer can only tear inside one record.
-        """
-        record = _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
-        try:
-            fire("wal.append", nbytes=len(payload))
-        except InjectedCrash as crash:
-            if crash.torn_fraction is not None:
-                # A torn write: the "process" died mid-write, leaving a
-                # prefix of the record on disk for repair to truncate.
-                cut = max(1, int(len(record) * crash.torn_fraction))
-                self._file.write(record[:cut])
-                self._file.flush()
-            raise
-        self._file.write(record)
-
-    def append_many(self, payloads: List[bytes]) -> None:
-        """Append a batch of records in one combined write (group commit).
-
-        The whole batch goes to the OS as a single buffer, so a crash can
-        only tear inside one record of the batch — earlier records of the
-        batch are complete prefixes, exactly as if appended one by one.
-        """
-        frames: List[bytes] = []
-        for payload in payloads:
-            record = _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
-            try:
-                fire("wal.append", nbytes=len(payload))
-            except InjectedCrash as crash:
-                if crash.torn_fraction is not None:
-                    cut = max(1, int(len(record) * crash.torn_fraction))
-                    self._file.write(b"".join(frames) + record[:cut])
-                    self._file.flush()
-                raise
-            frames.append(record)
-        if frames:
-            self._file.write(b"".join(frames))
-
-    def sync(self) -> None:
-        """Flush and fsync appended records to stable storage."""
-        self._file.flush()
-        os.fsync(self._file.fileno())
-
-    def records(self) -> Iterator[bytes]:
-        """Iterate all records in the valid prefix (excluding unflushed)."""
-        self._file.flush()
-        with open(self.path, "rb") as fh:
-            data = fh.read()
-        offset = 0
-        total = len(data)
-        while offset + _HEADER.size <= total:
-            length, crc = _HEADER.unpack_from(data, offset)
-            start = offset + _HEADER.size
-            end = start + length
-            if end > total:
-                break
-            payload = data[start:end]
-            if zlib.crc32(payload) != crc:
-                break
-            yield payload
-            offset = end
-
-    def reset(self) -> None:
-        """Discard all records (used after a snapshot subsumes the log).
-
-        The truncation is fsynced: without it, a crash shortly after reset
-        could leave the old file contents on disk and resurrect records the
-        snapshot already subsumed.
-        """
-        self._file.close()
-        with open(self.path, "wb") as fh:
-            fh.flush()
-            os.fsync(fh.fileno())
-        self._file = open(self.path, "ab")
-
-    def close(self) -> None:
-        """Close the backing file handle."""
-        if self._file is not None:
-            self._file.close()
-            self._file = None
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.records())
-
-
 class SegmentedWAL:
     """A rotating, truncatable write-ahead log over a segment directory.
 
@@ -219,7 +96,7 @@ class SegmentedWAL:
 
         <directory>/
             MANIFEST          # codec JSON: segment list + next serial
-            seg-00000001.wal  # FileWAL record format
+            seg-00000001.wal  # length | crc32 | payload records
             seg-00000002.wal
             ...
 
@@ -249,8 +126,7 @@ class SegmentedWAL:
     def __init__(self, directory: str, *,
                  max_segment_records: int = DEFAULT_SEGMENT_RECORDS,
                  max_segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-                 retain_truncated: bool = False,
-                 adopt_file: Optional[str] = None):
+                 retain_truncated: bool = False):
         self.directory = directory
         self.max_segment_records = max(1, int(max_segment_records))
         self.max_segment_bytes = max(1, int(max_segment_bytes))
@@ -265,7 +141,7 @@ class SegmentedWAL:
         self._active_records = 0
         self._active_bytes = 0
         self._file = None
-        self._load_manifest(adopt_file)
+        self._load_manifest()
         self._open_segments()
         self._cleanup_orphans()
         self._file = open(self._segment_path(self._entries[-1]), "ab")
@@ -301,33 +177,13 @@ class SegmentedWAL:
         os.replace(tmp, self._manifest_path)
         _fsync_dir(self.directory)
 
-    def _load_manifest(self, adopt_file: Optional[str]) -> None:
+    def _load_manifest(self) -> None:
         if not os.path.exists(self._manifest_path):
+            # Fresh init. A crash during a previous one (segment created,
+            # manifest never written) left the same empty first segment.
             first = self._new_entry(0)
-            first_path = self._segment_path(first)
-            if os.path.exists(first_path):
-                # No manifest, yet the first segment file exists: a crash
-                # hit a previous fresh init (or legacy adoption) after the
-                # segment was created/renamed but before the manifest was
-                # written. Its contents may be adopted legacy records —
-                # keep them; never truncate an existing first segment.
-                if adopt_file and os.path.exists(adopt_file):
-                    self.repairs.append(
-                        f"{first['file']}: exists alongside legacy "
-                        f"{os.path.basename(adopt_file)}; adopted the "
-                        "segment and left the legacy file untouched"
-                    )
-            elif adopt_file and os.path.exists(adopt_file):
-                # Legacy migration: adopt an existing single-file WAL as
-                # the first segment of the new layout. A crash after this
-                # rename and before the manifest write is recovered by the
-                # branch above on the next open.
-                os.replace(adopt_file, first_path)
-                _fsync_dir(os.path.dirname(os.path.abspath(adopt_file))
-                           or ".")
-            else:
-                with open(first_path, "wb"):
-                    pass
+            with open(self._segment_path(first), "ab"):
+                pass
             self._entries = [first]
             _fsync_dir(self.directory)
             self._write_manifest()
@@ -357,15 +213,9 @@ class SegmentedWAL:
             else:
                 self._entries.append(record)
         if not self._entries:
-            self._entries = [self._new_entry(
-                self._retired[-1]["base"] + self._retired[-1]["count"]
-                if self._retired else 0)]
-            path = self._segment_path(self._entries[0])
-            if not os.path.exists(path):
-                with open(path, "wb"):
-                    pass
-            _fsync_dir(self.directory)
-            self._write_manifest()
+            raise CorruptLogError(
+                f"{self._manifest_path}: no live segment listed"
+            )
         expected = self._entries[0]["base"]
         for entry in self._entries[:-1]:
             if entry["base"] != expected or entry["count"] is None:

@@ -96,6 +96,17 @@ class TestMigration:
         # only the final attempt's job may have run on the idle node
         assert kernel.now < 1100.0
 
+    def test_policy_survives_a_server_crash(self):
+        """The migration policy is durable like leases, quarantine and
+        memoisation: the recovered server still moves a starving job."""
+        kernel, cluster, server = build(migration=True)
+        cluster.crash_server()
+        recovered = cluster.recover_server()
+        assert recovered.migration == server.migration
+        iid = starve_then_free(kernel, cluster, recovered)
+        assert cluster.run_until_instance_done(iid) == "completed"
+        assert recovered.metrics["jobs_migrated"] >= 1
+
     def test_migrated_reason_is_infrastructure(self):
         from repro.core.engine.events import INFRASTRUCTURE_REASONS
 

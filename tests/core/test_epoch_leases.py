@@ -168,6 +168,5 @@ class TestLeases:
         server = BioOperaServer(registry=_registry(), observability=False)
         server.enable_leases(123.0, 5.0)
         recovered = BioOperaServer.recover(server.store, server.registry,
-                                           observability=False,
-                                           leases=server.leases)
+                                           observability=False)
         assert recovered.leases == (123.0, 5.0)

@@ -94,14 +94,6 @@ class TestProbeReadmission:
         server._note_node_failure("node001", 12.0)
         assert not server.awareness.node("node001").quarantined
 
-    def test_disable_quarantine_releases_benched_nodes(self):
-        kernel, cluster, server = _cluster(threshold=1)
-        server._note_node_failure("node001", 5.0)
-        assert server.awareness.node("node001").quarantined
-        server.disable_quarantine()
-        assert not server.awareness.node("node001").quarantined
-        assert server.quarantine is None
-
 
 class TestEndToEnd:
     def test_flaky_node_is_benched_probed_and_work_completes(self):

@@ -57,15 +57,21 @@ class TestDurableRederivation:
             old.store, make_registry(), environment=InlineEnvironment())
         assert recovered.leases == (120.0, 2.0)
 
-    def test_disabled_leases_stay_disabled_after_recovery(self):
+    def test_all_four_policies_rederived_and_absent_ones_stay_off(self):
+        """recover() reads every durable policy from the configuration
+        space: the ones that were enabled come back with their exact
+        arguments, the ones that never were stay off."""
         def configure(server):
-            server.enable_leases(120.0, 2.0)
-            server.disable_leases()
+            server.enable_memoization()
+            server.enable_migration(0.5, 3.0, 4)
 
         old = self.crashed_server(configure)
         recovered = BioOperaServer.recover(
             old.store, make_registry(), environment=InlineEnvironment())
+        assert recovered.memoize is True
+        assert recovered.migration == (0.5, 3.0, 4)
         assert recovered.leases is None
+        assert recovered.quarantine is None
 
     def test_quarantine_config_rederived_from_store(self):
         old = self.crashed_server(

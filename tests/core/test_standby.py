@@ -10,7 +10,7 @@ from repro.core.engine import (
     StandbyMonitor,
     attach_standby,
 )
-from repro.errors import EngineError
+from repro.errors import ClusterError
 
 FAN = """
 PROCESS Fan
@@ -108,43 +108,36 @@ class TestFailover:
         assert cluster.server is server  # still the dead primary
 
 
+def _bare_cluster(with_server=True):
+    kernel = SimKernel(seed=1)
+    cluster = SimulatedCluster(kernel, uniform(1))
+    if with_server:
+        BioOperaServer().attach_environment(cluster)
+    return kernel, cluster
+
+
 class TestMonitorUnit:
     def test_promote_without_primary_raises(self):
-        monitor = StandbyMonitor(
-            get_primary=lambda: None,
-            set_primary=lambda s: None,
-            clock=lambda: 0.0,
-        )
-        with pytest.raises(EngineError):
-            monitor.promote()
+        _kernel, cluster = _bare_cluster(with_server=False)
+        with pytest.raises(ClusterError):
+            StandbyMonitor(cluster).promote()
 
     def test_check_respects_window(self):
-        clock = {"t": 0.0}
-        primary = BioOperaServer()
-        holder = {"server": primary}
-        monitor = StandbyMonitor(
-            get_primary=lambda: holder["server"],
-            set_primary=lambda s: holder.__setitem__("server", s),
-            clock=lambda: clock["t"],
-            takeover_after=30.0,
-        )
+        kernel, cluster = _bare_cluster()
+        primary = cluster.server
+        monitor = StandbyMonitor(cluster, takeover_after=30.0)
         primary.crash()
-        clock["t"] = 10.0
+        kernel.run(until=10.0)
         assert monitor.check() is None      # still within the window
-        clock["t"] = 31.0
+        kernel.run(until=31.0)
         replacement = monitor.check()
-        assert replacement is not None
-        assert holder["server"] is replacement
+        assert replacement is not None and replacement is not primary
+        assert cluster.server is replacement
 
     def test_heartbeat_resets_silence(self):
-        clock = {"t": 0.0}
-        primary = BioOperaServer()
-        monitor = StandbyMonitor(
-            get_primary=lambda: primary,
-            set_primary=lambda s: None,
-            clock=lambda: clock["t"],
-            takeover_after=30.0,
-        )
-        clock["t"] = 25.0
-        monitor.heartbeat()
+        kernel, cluster = _bare_cluster()
+        monitor = StandbyMonitor(cluster, takeover_after=30.0)
+        kernel.run(until=25.0)
+        assert monitor.silence() == 25.0
+        monitor.receive_heartbeat()
         assert monitor.silence() == 0.0

@@ -112,7 +112,8 @@ class TestCampaigns:
         assert replayed.violations == original.violations
 
     def test_batch_survives_all_invariants(self, darwin, baseline):
-        results = chaos.run_campaigns(range(12), darwin, baseline=baseline)
+        results = [chaos.run_campaign(seed, darwin, baseline=baseline)
+                   for seed in range(12)]
         bad = [r for r in results if not r.ok]
         assert not bad, [(r.seed, r.status, r.violations[:2]) for r in bad]
         # the batch exercised real faults, not a quiet walk-through
@@ -124,8 +125,10 @@ class TestCampaigns:
         """A small partition-profile batch: directed cuts, sampled loss,
         duplication, and reordering must not break any invariant, and the
         outputs must still match the fault-free baseline byte-for-byte."""
-        results = chaos.run_campaigns(range(4), darwin, baseline=baseline,
-                                      profile="partition")
+        config = chaos.CampaignConfig(profile="partition")
+        results = [chaos.run_campaign(seed, darwin, baseline=baseline,
+                                      config=config)
+                   for seed in range(4)]
         bad = [r for r in results if not r.ok]
         assert not bad, [(r.seed, r.status, r.violations[:2]) for r in bad]
         covered = set()

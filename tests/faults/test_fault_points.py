@@ -23,7 +23,7 @@ from repro.faults.points import (
     CATALOG, FaultInjector, InjectedCrash, active, fire, installed,
 )
 from repro.store.kvstore import KVStore
-from repro.store.wal import FileWAL, MemoryWAL
+from repro.store.wal import MemoryWAL, SegmentedWAL
 
 OCR = "PROCESS P\n  ACTIVITY A\n    PROGRAM w.u\n  END\nEND"
 
@@ -214,9 +214,9 @@ class TestCrashWindows:
                                        environment=cluster)
         assert err.value.point == "recovery.replay"
 
-    def test_file_wal_torn_write_is_repaired_on_reopen(self, tmp_path):
-        path = str(tmp_path / "torn.wal")
-        wal = FileWAL(path)
+    def test_segment_torn_write_is_repaired_on_reopen(self, tmp_path):
+        directory = str(tmp_path / "wal")
+        wal = SegmentedWAL(directory)
         wal.append(b"first-record")
         wal.sync()
         action = FaultAction("wal.append", "torn", torn_fraction=0.5)
@@ -227,9 +227,10 @@ class TestCrashWindows:
         wal.close()
         # the partial record is on disk...
         import os
-        assert os.path.getsize(path) > 8 + len(b"first-record")
+        segment = os.path.join(directory, "seg-00000001.wal")
+        assert os.path.getsize(segment) > 8 + len(b"first-record")
         # ...and reopen repairs it away, keeping the valid prefix
-        reopened = FileWAL(path)
+        reopened = SegmentedWAL(directory)
         assert list(reopened.records()) == [b"first-record"]
         reopened.append(b"third")
         reopened.sync()

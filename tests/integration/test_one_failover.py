@@ -1,0 +1,122 @@
+"""There is one failover routine: ``SimulatedCluster.recover_server``.
+
+Scenario scripts, the chaos campaign driver, shard failover and standby
+promotion must all go through it, so what a failover carries over (hub
+configuration, cumulative counters) and what it re-derives from the
+store (identity, epoch, policies) cannot drift apart between them.
+"""
+
+
+import pytest
+
+from repro.cluster import SimKernel, SimulatedCluster, uniform
+from repro.core.engine import BioOperaServer, attach_standby
+from repro.core.ocr.parser import parse_ocr
+from repro.faults import chaos
+from repro.faults.plan import FaultAction, FaultPlan, ScheduledFault
+from repro.faults.points import FaultInjector, InjectedCrash, installed
+from repro.obs import ObservabilityHub
+
+from ..shard.conftest import JOB_OCR, job_registry, make_plane
+
+
+def _cluster(observability):
+    kernel = SimKernel(seed=5)
+    cluster = SimulatedCluster(kernel, uniform(2))
+    server = BioOperaServer(observability=observability)
+    server.attach_environment(cluster)
+    return kernel, cluster, server
+
+
+class TestHubCarriedAcrossFailover:
+    def test_recover_server_keeps_the_hub_configuration(self):
+        _kernel, cluster, server = _cluster(ObservabilityHub(
+            checkpoint_interval=7, trace_capacity=11, compact_store=False))
+        cluster.crash_server()
+        recovered = cluster.recover_server()
+        assert recovered.obs is not server.obs
+        assert recovered.obs.checkpoint_interval == 7
+        assert recovered.obs.tracing.capacity == 11
+        assert recovered.obs.compact_store is False
+        # the predecessor's hub no longer follows the store
+        assert recovered.store.observability is recovered.obs
+        assert server.obs._store is None
+
+    def test_server_without_observability_recovers_without(self):
+        _kernel, cluster, _server = _cluster(False)
+        cluster.crash_server()
+        assert cluster.recover_server().obs is None
+
+    def test_shard_failover_keeps_the_view_checkpoint_interval(self):
+        _kernel, plane = make_plane(2, checkpoint_interval=7)
+        plane.crash_shard(1)
+        recovered = plane.recover_shard(1)
+        assert recovered.obs.checkpoint_interval == 7
+        assert plane.shards[0].server.obs.checkpoint_interval == 7
+
+    def test_standby_promotion_keeps_the_hub_configuration(self):
+        kernel, cluster, _server = _cluster(
+            ObservabilityHub(checkpoint_interval=7))
+        attach_standby(cluster, takeover_after=20.0, check_interval=5.0)
+        cluster.crash_server()
+        kernel.run(until=60.0)
+        assert cluster.server.metrics["standby_takeovers"] == 1
+        assert cluster.server.obs.checkpoint_interval == 7
+
+
+    def test_recovery_killed_midway_still_carries_on_the_retry(self):
+        """A crash inside recovery leaves a half-built server attached;
+        the retry fails over from *that* one and must keep the chain."""
+        _kernel, cluster, server = _cluster(
+            ObservabilityHub(checkpoint_interval=7))
+        server.define_template(parse_ocr(JOB_OCR))
+        server.registry = job_registry()
+        server.launch("job")
+        cluster.crash_server()
+        injector = FaultInjector([FaultAction("recovery.replay", "crash")])
+        with installed(injector):
+            with pytest.raises(InjectedCrash):
+                cluster.recover_server()
+        half_built = cluster.server
+        assert half_built is not server
+        half_built.up = False
+        recovered = cluster.recover_server()
+        assert recovered.obs.checkpoint_interval == 7
+        assert recovered.store.observability is recovered.obs
+        assert half_built.obs._store is None
+
+
+def test_every_failover_reaches_recover_server(monkeypatch):
+    """Standby promotion, shard failover and the campaign driver call
+    ``SimulatedCluster.recover_server`` instead of re-implementing it."""
+    calls = []
+    original = SimulatedCluster.recover_server
+
+    def counting(self, store=None):
+        calls.append(self)
+        return original(self, store=store)
+
+    monkeypatch.setattr(SimulatedCluster, "recover_server", counting)
+
+    kernel, cluster, _server = _cluster(None)
+    monitor = attach_standby(cluster)
+    cluster.crash_server()
+    monitor.promote()
+    assert calls == [cluster]
+
+    del calls[:]
+    _kernel, plane = make_plane(2)
+    plane.crash_shard(0)
+    plane.shards[0].recover()
+    assert calls == [plane.shards[0].cluster]
+
+    del calls[:]
+    darwin = chaos.default_darwin()
+    plan = FaultPlan(seed=0, scheduled=[ScheduledFault(
+        "server-crash", 30.0, {"recovery_after": 40.0})], actions=[])
+    result = chaos.run_campaign(0, darwin, plan=plan)
+    assert result.ok, result.violations[:3]
+    assert result.recoveries == 1 and len(calls) == 1
+    # ...and the campaign server keeps its tight view-checkpoint interval
+    assert (calls[0].server.obs.checkpoint_interval
+            == chaos.CHECKPOINT_INTERVAL)

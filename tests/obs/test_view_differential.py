@@ -55,7 +55,8 @@ def _instance_ids(server):
 class TestCleanRunDifferential:
     def test_fault_free_run_views_equal_rescan(self, darwin):
         kernel, cluster, server, instance_id = chaos._build(
-            darwin, kernel_seed=7, nodes=3, cpus=2, granularity=6)
+            darwin, kernel_seed=7, config=chaos.CampaignConfig(
+                nodes=3, cpus=2, granularity=6))
         assert cluster.run_until_instance_done(instance_id) == "completed"
         assert server.obs.views.in_sync(server.store, instance_id)
         _assert_views_match_rescan(server.store, instance_id)
@@ -98,7 +99,8 @@ class TestChaosDifferential:
 class TestRecoveryDifferential:
     def test_views_equal_rescan_immediately_after_recovery(self, darwin):
         kernel, cluster, server, instance_id = chaos._build(
-            darwin, kernel_seed=11, nodes=3, cpus=2, granularity=6)
+            darwin, kernel_seed=11, config=chaos.CampaignConfig(
+                nodes=3, cpus=2, granularity=6))
         assert cluster.run_until_instance_done(instance_id) == "completed"
         server.obs.checkpoint()
         server.up = False

@@ -2,8 +2,8 @@
 
 The durability contract under a grouped sync policy is deliberately
 weaker per commit and is pinned here: a commit is *acked* once a flush
-covering it completes (explicit :meth:`KVStore.flush`, a full buffer, an
-interval expiry, a checkpoint, or a clean close). A crash loses exactly
+covering it completes (explicit :meth:`KVStore.flush`, a full buffer, a
+checkpoint, or a clean close). A crash loses exactly
 the unacked buffer — never an acked commit, and never a *prefix-torn*
 batch: the ``store.group_commit.pre_sync`` window fires before the
 coalesced append, so a crash there leaves nothing of the batch behind.
@@ -24,9 +24,10 @@ def _group_store(**kwargs):
 
 
 class TestSyncPolicies:
-    def test_unknown_policy_rejected(self):
+    @pytest.mark.parametrize("policy", ["eventually", "interval"])
+    def test_unknown_policy_rejected(self, policy):
         with pytest.raises(StoreError):
-            KVStore(sync_policy="eventually")
+            KVStore(sync_policy=policy)
 
     def test_per_commit_syncs_every_commit(self):
         kv = KVStore()  # default policy
@@ -66,25 +67,6 @@ class TestSyncPolicies:
         assert kv.pending_commits == 0
         assert kv.wal_records == 3
 
-    def test_interval_policy_flushes_when_clock_advances(self):
-        clock = {"now": 0.0}
-        kv = KVStore(sync_policy="interval", sync_interval=1.0,
-                     clock=lambda: clock["now"])
-        kv.put("a", 1)
-        kv.put("b", 2)
-        assert kv.pending_commits == 2  # interval not reached
-        clock["now"] = 1.5
-        kv.put("c", 3)  # commit notices the expired interval
-        assert kv.pending_commits == 0
-        assert kv.wal_records == 3
-
-    def test_interval_policy_still_caps_buffer_size(self):
-        kv = KVStore(sync_policy="interval", sync_interval=1e9,
-                     group_max_pending=2, clock=lambda: 0.0)
-        kv.put("a", 1)
-        kv.put("b", 2)
-        assert kv.pending_commits == 0  # cap, not clock, forced the flush
-
 
 class TestDurabilityBoundary:
     def test_unacked_commits_lost_acked_survive(self):
@@ -122,16 +104,6 @@ class TestDurabilityBoundary:
         kv.close()
         reopened = KVStore(path)
         assert reopened.get("a") == 1
-        reopened.close()
-
-    def test_recover_preserves_sync_policy(self, tmp_path):
-        path = str(tmp_path / "store")
-        kv = KVStore(path, sync_policy="group", group_max_pending=7)
-        kv.put("a", 1)
-        reopened = kv.recover()  # close() flushes, then reopen
-        assert reopened.get("a") == 1
-        reopened.put("b", 2)
-        assert reopened.pending_commits == 1  # still grouped
         reopened.close()
 
     def test_transaction_is_one_buffered_commit(self):

@@ -5,12 +5,13 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import StoreError
+from repro.errors import CorruptLogError, StoreError
 from repro.faults.plan import FaultAction
 from repro.faults.points import FaultInjector, InjectedCrash, installed
-from repro.store import KVStore, MEMORY
+from repro.store import KVStore
 from repro.store import codec
-from repro.store.wal import MANIFEST_NAME, FileWAL
+from repro.store.snapshot import FileSnapshot
+from repro.store.wal import MANIFEST_NAME
 
 
 class TestBasicOps:
@@ -113,17 +114,6 @@ class TestDurability:
         store.close()
         recovered = KVStore(path)
         assert recovered.get("k") == [1, 2, 3]
-
-    def test_recover_method(self, tmp_path):
-        path = str(tmp_path / "db")
-        store = KVStore(path)
-        store.put("k", "v")
-        recovered = store.recover()
-        assert recovered.get("k") == "v"
-
-    def test_recover_on_memory_store_rejected(self):
-        with pytest.raises(StoreError):
-            KVStore(MEMORY).recover()
 
     def test_simulate_crash_on_disk_store_rejected(self, tmp_path):
         with pytest.raises(StoreError):
@@ -288,77 +278,58 @@ class TestBoundedRecovery:
         assert recovered.audit() == []
         recovered.close()
 
-    def test_legacy_single_file_layout_migrates(self, tmp_path):
-        """A pre-segmentation store directory (flat ``store.wal`` plus a
-        raw-state snapshot) opens cleanly: the log is adopted as the
-        first segment and the snapshot reads as position zero."""
+    @pytest.mark.parametrize("snapshot", [
+        {"from-snap": 2},                                  # raw state
+        {},                                                # empty raw state
+        {"__kv_checkpoint__": "user data", "other": 7},    # magic key only
+        {"__kv_checkpoint__": 1, "position": "3", "state": {}},
+        {"__kv_checkpoint__": 1, "position": 0, "state": []},
+    ])
+    def test_snapshot_that_is_not_a_checkpoint_is_a_typed_error(
+            self, tmp_path, snapshot):
+        """There is one snapshot format. A snapshot file of any other
+        shape is corruption — never "raw state at position zero", which
+        would silently replay the whole log over foreign data."""
         path = str(tmp_path / "db")
         os.makedirs(path)
-        legacy_wal = FileWAL(os.path.join(path, "store.wal"))
-        legacy_wal.append(codec.encode([["put", "from-wal", 1]]))
-        legacy_wal.sync()
-        legacy_wal.close()
-        from repro.store.snapshot import FileSnapshot
-        FileSnapshot(os.path.join(path, "store.snapshot")).save(
-            {"from-snap": 2})
-        store = KVStore(path)
-        assert store.get("from-wal") == 1
-        assert store.get("from-snap") == 2
-        assert not os.path.exists(os.path.join(path, "store.wal"))
-        assert os.path.exists(os.path.join(path, "wal", MANIFEST_NAME))
-        assert store.audit() == []
-        store.close()
+        FileSnapshot(os.path.join(path, "store.snapshot")).save(snapshot)
+        with pytest.raises(CorruptLogError, match="positioned checkpoint"):
+            KVStore(path)
 
-    def test_crash_mid_adoption_reopens_with_all_records(self, tmp_path):
-        """Crash between the legacy-WAL rename and the first manifest
-        write: the directory has ``wal/seg-00000001.wal`` but no MANIFEST
-        and no ``store.wal``. Every acked record must survive reopen."""
-        path = str(tmp_path / "db")
-        os.makedirs(path)
-        legacy_wal = FileWAL(os.path.join(path, "store.wal"))
-        for i in range(5):
-            legacy_wal.append(codec.encode([["put", f"k{i}", i]]))
-        legacy_wal.sync()
-        legacy_wal.close()
-        os.makedirs(os.path.join(path, "wal"))
-        os.replace(os.path.join(path, "store.wal"),
-                   os.path.join(path, "wal", "seg-00000001.wal"))
-        store = KVStore(path)
-        assert dict(store.items()) == {f"k{i}": i for i in range(5)}
-        assert store.audit() == []
-        store.close()
-        reopened = KVStore(path)
-        assert dict(reopened.items()) == {f"k{i}": i for i in range(5)}
-        reopened.close()
+    @pytest.mark.parametrize("option", [
+        {"sync_interval": 0.05}, {"clock": lambda: 0.0},
+        {"segment_bytes": 1 << 20},
+    ])
+    def test_removed_options_are_rejected_not_ignored(self, option):
+        """``OperaStore`` forwards ``**kv_options``: a configuration that
+        still names a removed knob must fail loudly."""
+        with pytest.raises(TypeError):
+            KVStore(**option)
 
-    def test_legacy_snapshot_containing_magic_key_not_misparsed(
+    def test_audit_reports_an_uninterpretable_record_as_replay_failure(
+            self):
+        """audit() replays with the same interpreter recovery uses, so a
+        record recovery would refuse is a reported failure, not a skip."""
+        store = KVStore()
+        store.put("a", 1)
+        store._wal.append(codec.encode([["frobnicate", "a", None]]))
+        store._wal.sync()
+        problems = store.audit()
+        assert len(problems) == 1
+        assert "unknown WAL op 'frobnicate'" in problems[0]
+        with pytest.raises(StoreError, match="frobnicate"):
+            store.simulate_crash()
+
+    def test_audit_reports_a_snapshot_damaged_under_a_live_store(
             self, tmp_path):
-        """A legacy raw-state snapshot whose user data happens to contain
-        the checkpoint marker key is still read as raw state at position
-        zero — a positioned checkpoint requires the full expected shape."""
         path = str(tmp_path / "db")
-        os.makedirs(path)
-        from repro.store.snapshot import FileSnapshot
-        FileSnapshot(os.path.join(path, "store.snapshot")).save({
-            "__kv_checkpoint__": "user data",
-            "other": 7,
-        })
         store = KVStore(path)
-        assert store.get("__kv_checkpoint__") == "user data"
-        assert store.get("other") == 7
-        assert store.last_recovery["checkpoint_position"] == 0
-        assert store.audit() == []
+        store.put("a", 1)
+        store.checkpoint()
+        FileSnapshot(os.path.join(path, "store.snapshot")).save({"a": 1})
+        problems = store.audit()
+        assert any("CorruptLogError" in problem for problem in problems)
         store.close()
-
-    def test_recover_preserves_store_options(self, tmp_path):
-        path = str(tmp_path / "db")
-        store = KVStore(path, segment_records=2, retain_history=True)
-        for i in range(5):
-            store.put(f"k{i}", i)
-        recovered = store.recover()
-        assert recovered._wal.max_segment_records == 2
-        assert recovered._wal.retain_truncated is True
-        recovered.close()
 
     def test_retained_history_audit_checks_byte_equivalence(self):
         store = KVStore(retain_history=True)

@@ -249,6 +249,19 @@ class TestCrashRecovery:
         assert reopened.templates.load("t") == {"x": 1}
         reopened.close()
 
+    def test_disk_reopen_keeps_the_store_options(self, tmp_path):
+        store = OperaStore(str(tmp_path / "opera"), segment_records=2,
+                           retain_history=True, sync_policy="group",
+                           group_max_pending=7)
+        store.templates.save("t", {"x": 1})
+        reopened = store.reopen()  # close() flushes, then reopen
+        assert reopened.templates.load("t") == {"x": 1}
+        assert reopened.kv._wal.max_segment_records == 2
+        assert reopened.kv._wal.retain_truncated is True
+        reopened.templates.save("u", {"x": 2})
+        assert reopened.kv.pending_commits == 1  # still grouped
+        reopened.close()
+
     def test_checkpoint_then_crash(self, store):
         store.templates.save("t", {"x": 1})
         store.checkpoint()

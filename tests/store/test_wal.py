@@ -10,168 +10,8 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import CorruptLogError
 from repro.faults.plan import FaultAction
 from repro.faults.points import FaultInjector, InjectedCrash, installed
-from repro.store.wal import MANIFEST_NAME, FileWAL, MemoryWAL, SegmentedWAL
-
-
-@pytest.fixture()
-def wal_path(tmp_path):
-    return str(tmp_path / "test.wal")
-
-
-class TestFileWAL:
-    def test_empty_log(self, wal_path):
-        wal = FileWAL(wal_path)
-        assert list(wal.records()) == []
-        assert len(wal) == 0
-
-    def test_append_and_read(self, wal_path):
-        wal = FileWAL(wal_path)
-        wal.append(b"one")
-        wal.append(b"two")
-        wal.sync()
-        assert list(wal.records()) == [b"one", b"two"]
-
-    def test_survives_reopen(self, wal_path):
-        wal = FileWAL(wal_path)
-        wal.append(b"alpha")
-        wal.sync()
-        wal.close()
-        reopened = FileWAL(wal_path)
-        assert list(reopened.records()) == [b"alpha"]
-
-    def test_empty_payload_record(self, wal_path):
-        wal = FileWAL(wal_path)
-        wal.append(b"")
-        wal.append(b"x")
-        assert list(wal.records()) == [b"", b"x"]
-
-    def test_torn_header_repaired(self, wal_path):
-        wal = FileWAL(wal_path)
-        wal.append(b"good")
-        wal.sync()
-        wal.close()
-        with open(wal_path, "ab") as fh:
-            fh.write(b"\x05\x00")  # half a header
-        reopened = FileWAL(wal_path)
-        assert list(reopened.records()) == [b"good"]
-        # the torn tail was truncated away
-        assert os.path.getsize(wal_path) == 8 + 4
-
-    def test_torn_payload_repaired(self, wal_path):
-        wal = FileWAL(wal_path)
-        wal.append(b"good")
-        wal.sync()
-        wal.close()
-        with open(wal_path, "ab") as fh:
-            fh.write(struct.pack("<II", 100, 0))
-            fh.write(b"short")
-        reopened = FileWAL(wal_path)
-        assert list(reopened.records()) == [b"good"]
-
-    def test_corrupt_final_record_treated_as_torn(self, wal_path):
-        wal = FileWAL(wal_path)
-        wal.append(b"good")
-        wal.append(b"bad-crc")
-        wal.sync()
-        wal.close()
-        # flip a byte in the final record's payload
-        size = os.path.getsize(wal_path)
-        with open(wal_path, "r+b") as fh:
-            fh.seek(size - 1)
-            fh.write(b"\x00")
-        reopened = FileWAL(wal_path)
-        assert list(reopened.records()) == [b"good"]
-
-    def test_corruption_before_tail_raises(self, wal_path):
-        wal = FileWAL(wal_path)
-        wal.append(b"first")
-        wal.append(b"second")
-        wal.sync()
-        wal.close()
-        # corrupt the FIRST record's payload (not the tail)
-        with open(wal_path, "r+b") as fh:
-            fh.seek(8)  # into record 1's payload
-            fh.write(b"X")
-        with pytest.raises(CorruptLogError):
-            FileWAL(wal_path)
-
-    def test_reset_discards_records(self, wal_path):
-        wal = FileWAL(wal_path)
-        wal.append(b"x")
-        wal.reset()
-        assert list(wal.records()) == []
-        wal.append(b"y")
-        assert list(wal.records()) == [b"y"]
-
-    def test_append_after_reopen_continues(self, wal_path):
-        wal = FileWAL(wal_path)
-        wal.append(b"a")
-        wal.sync()
-        wal.close()
-        wal2 = FileWAL(wal_path)
-        wal2.append(b"b")
-        assert list(wal2.records()) == [b"a", b"b"]
-
-    def test_crash_between_header_and_payload_recovers(self, wal_path):
-        """Regression: a record whose payload never hit the disk (the old
-        two-write append could crash between the writes) must be repaired
-        away on reopen, and appending must continue cleanly."""
-        wal = FileWAL(wal_path)
-        wal.append(b"durable")
-        wal.sync()
-        wal.close()
-        with open(wal_path, "ab") as fh:
-            # header promising a 7-byte payload, then the "crash"
-            fh.write(struct.pack("<II", 7, 0xDEADBEEF))
-        reopened = FileWAL(wal_path)
-        assert list(reopened.records()) == [b"durable"]
-        reopened.append(b"after-crash")
-        reopened.sync()
-        assert list(reopened.records()) == [b"durable", b"after-crash"]
-
-    def test_append_issues_single_write(self, wal_path):
-        """The header+payload must leave as one buffer, so the OS cannot
-        interleave a crash between them."""
-        wal = FileWAL(wal_path)
-        writes = []
-        original = wal._file.write
-        wal._file.write = lambda data: writes.append(bytes(data)) or \
-            original(data)
-        wal.append(b"payload")
-        assert len(writes) == 1
-        assert writes[0].endswith(b"payload")
-
-    def test_reset_fsyncs_truncation(self, wal_path, monkeypatch):
-        """Regression: a crash after reset() must not resurrect records —
-        the truncation has to reach the disk before reset returns."""
-        wal = FileWAL(wal_path)
-        wal.append(b"old")
-        wal.sync()
-        synced = []
-        monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd))
-        wal.reset()
-        assert synced, "reset() must fsync the truncated file"
-        assert list(wal.records()) == []
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        records=st.lists(st.binary(max_size=64), min_size=1, max_size=10),
-        cut=st.integers(min_value=1, max_value=50),
-    )
-    def test_random_truncation_keeps_valid_prefix(self, tmp_path_factory,
-                                                  records, cut):
-        """Chopping N bytes off the end never corrupts the valid prefix."""
-        path = str(tmp_path_factory.mktemp("wal") / "t.wal")
-        wal = FileWAL(path)
-        for record in records:
-            wal.append(record)
-        wal.sync()
-        wal.close()
-        size = os.path.getsize(path)
-        with open(path, "r+b") as fh:
-            fh.truncate(max(0, size - cut))
-        recovered = list(FileWAL(path).records())
-        assert recovered == records[: len(recovered)]
+from repro.store import codec
+from repro.store.wal import MANIFEST_NAME, MemoryWAL, SegmentedWAL
 
 
 @pytest.fixture()
@@ -185,6 +25,133 @@ def _fill(wal, count, start=0):
         wal.append(record)
     wal.sync()
     return records
+
+
+def _active_path(wal):
+    return os.path.join(wal.directory, wal._entries[-1]["file"])
+
+
+class TestActiveSegmentFraming:
+    """Record framing and torn-tail repair, checked on the segment a
+    crash can actually tear: the active (newest) one."""
+
+    def test_empty_payload_record(self, seg_dir):
+        wal = SegmentedWAL(seg_dir)
+        wal.append(b"")
+        wal.append(b"x")
+        assert list(wal.records()) == [b"", b"x"]
+
+    def test_torn_header_repaired(self, seg_dir):
+        wal = SegmentedWAL(seg_dir)
+        wal.append(b"good")
+        wal.sync()
+        path = _active_path(wal)
+        wal.close()
+        with open(path, "ab") as fh:
+            fh.write(b"\x05\x00")  # half a header
+        reopened = SegmentedWAL(seg_dir)
+        assert list(reopened.records()) == [b"good"]
+        assert not reopened.repairs  # a torn tail is not damage
+        # the torn tail was truncated away
+        assert os.path.getsize(path) == 8 + 4
+
+    def test_torn_payload_repaired(self, seg_dir):
+        wal = SegmentedWAL(seg_dir)
+        wal.append(b"good")
+        wal.sync()
+        path = _active_path(wal)
+        wal.close()
+        with open(path, "ab") as fh:
+            fh.write(struct.pack("<II", 100, 0))
+            fh.write(b"short")
+        reopened = SegmentedWAL(seg_dir)
+        assert list(reopened.records()) == [b"good"]
+        assert os.path.getsize(path) == 8 + 4
+
+    def test_corrupt_final_record_treated_as_torn(self, seg_dir):
+        wal = SegmentedWAL(seg_dir)
+        wal.append(b"good")
+        wal.append(b"bad-crc")
+        wal.sync()
+        path = _active_path(wal)
+        wal.close()
+        # flip a byte in the final record's payload
+        size = os.path.getsize(path)
+        with open(path, "r+b") as fh:
+            fh.seek(size - 1)
+            fh.write(b"\x00")
+        reopened = SegmentedWAL(seg_dir)
+        assert list(reopened.records()) == [b"good"]
+        assert not reopened.repairs
+
+    def test_crash_between_header_and_payload_recovers(self, seg_dir):
+        """A record whose payload never hit the disk must be repaired
+        away on reopen, and appending must continue cleanly."""
+        wal = SegmentedWAL(seg_dir)
+        wal.append(b"durable")
+        wal.sync()
+        path = _active_path(wal)
+        wal.close()
+        with open(path, "ab") as fh:
+            # header promising a 7-byte payload, then the "crash"
+            fh.write(struct.pack("<II", 7, 0xDEADBEEF))
+        reopened = SegmentedWAL(seg_dir)
+        assert list(reopened.records()) == [b"durable"]
+        reopened.append(b"after-crash")
+        reopened.sync()
+        assert list(reopened.records()) == [b"durable", b"after-crash"]
+        assert reopened.position() == 2
+
+    def test_append_issues_single_write(self, seg_dir):
+        """The header+payload must leave as one buffer, so the OS cannot
+        interleave a crash between them."""
+        wal = SegmentedWAL(seg_dir)
+        writes = []
+        original = wal._file.write
+        wal._file.write = lambda data: writes.append(bytes(data)) or \
+            original(data)
+        wal.append(b"payload")
+        assert len(writes) == 1
+        assert writes[0].endswith(b"payload")
+
+    def test_reset_is_durable_before_it_returns(self, seg_dir, monkeypatch):
+        """A crash after reset() must not resurrect records: the new
+        manifest and the directory entries reach the disk first."""
+        wal = SegmentedWAL(seg_dir)
+        wal.append(b"old")
+        wal.sync()
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: synced.append(fd) or real_fsync(fd))
+        wal.reset()
+        assert synced, "reset() must fsync the manifest and directory"
+        assert list(wal.records()) == []
+        wal.append(b"new")
+        wal.sync()
+        wal.close()
+        assert list(SegmentedWAL(seg_dir).records()) == [b"new"]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        records=st.lists(st.binary(max_size=64), min_size=1, max_size=10),
+        cut=st.integers(min_value=1, max_value=50),
+    )
+    def test_random_truncation_keeps_valid_prefix(self, tmp_path_factory,
+                                                  records, cut):
+        """Chopping N bytes off the end never corrupts the valid prefix."""
+        directory = str(tmp_path_factory.mktemp("wal") / "wal")
+        wal = SegmentedWAL(directory)
+        for record in records:
+            wal.append(record)
+        wal.sync()
+        path = _active_path(wal)
+        wal.close()
+        size = os.path.getsize(path)
+        with open(path, "r+b") as fh:
+            fh.truncate(max(0, size - cut))
+        recovered = list(SegmentedWAL(directory).records())
+        assert recovered == records[: len(recovered)]
 
 
 class TestSegmentedWAL:
@@ -381,59 +348,38 @@ class TestSegmentedWAL:
         with pytest.raises(CorruptLogError):
             SegmentedWAL(seg_dir, max_segment_records=3)
 
-    def test_adopts_legacy_single_file_wal(self, tmp_path):
-        legacy_path = str(tmp_path / "store.wal")
-        legacy = FileWAL(legacy_path)
-        legacy.append(b"old-1")
-        legacy.append(b"old-2")
-        legacy.sync()
-        legacy.close()
-        wal = SegmentedWAL(str(tmp_path / "wal"), adopt_file=legacy_path)
-        assert list(wal.records()) == [b"old-1", b"old-2"]
-        assert wal.position() == 2
-        assert not os.path.exists(legacy_path)
-
-    def test_crash_mid_adoption_does_not_lose_records(self, tmp_path):
-        """A crash between renaming the legacy file into the segment
-        directory and writing the first manifest leaves a manifest-less
-        directory holding ``seg-00000001.wal``; the next open must adopt
-        that segment's contents, never truncate or orphan-delete them."""
-        legacy_path = str(tmp_path / "store.wal")
-        legacy = FileWAL(legacy_path)
-        records = [f"old-{i}".encode() for i in range(5)]
-        for payload in records:
-            legacy.append(payload)
-        legacy.sync()
-        legacy.close()
-        seg_dir = str(tmp_path / "wal")
+    def test_crash_during_fresh_init_reopens_empty(self, seg_dir):
+        """A crash between creating the first segment and writing the
+        first manifest leaves a manifest-less directory holding an empty
+        ``seg-00000001.wal``; the next open finishes the init."""
         os.makedirs(seg_dir)
-        # the crash state: rename done, manifest never written
-        os.replace(legacy_path, os.path.join(seg_dir, "seg-00000001.wal"))
-        wal = SegmentedWAL(seg_dir, adopt_file=legacy_path)
-        assert list(wal.records()) == records
-        assert wal.position() == 5
+        with open(os.path.join(seg_dir, "seg-00000001.wal"), "wb"):
+            pass
+        wal = SegmentedWAL(seg_dir)
+        assert wal.position() == 0 and not wal.repairs
         assert os.path.exists(os.path.join(seg_dir, MANIFEST_NAME))
-        wal.append(b"new")
-        wal.sync()
+        records = _fill(wal, 2)
         wal.close()
-        reopened = SegmentedWAL(seg_dir, adopt_file=legacy_path)
-        assert list(reopened.records()) == records + [b"new"]
-        reopened.close()
+        assert list(SegmentedWAL(seg_dir).records()) == records
 
-    def test_crash_before_adoption_rename_readopts_legacy(self, tmp_path):
-        """A crash *before* the rename (directory created, nothing else)
-        leaves ``store.wal`` in place; the next open adopts it normally."""
-        legacy_path = str(tmp_path / "store.wal")
-        legacy = FileWAL(legacy_path)
-        legacy.append(b"old")
-        legacy.sync()
-        legacy.close()
-        seg_dir = str(tmp_path / "wal")
-        os.makedirs(seg_dir)  # the crash state: empty segment directory
-        wal = SegmentedWAL(seg_dir, adopt_file=legacy_path)
-        assert list(wal.records()) == [b"old"]
-        assert not os.path.exists(legacy_path)
+    def test_manifest_without_a_live_segment_is_a_typed_error(self, seg_dir):
+        """Every manifest this WAL writes lists an active segment; one
+        that does not is damage, not something to paper over."""
+        wal = SegmentedWAL(seg_dir, max_segment_records=2,
+                           retain_truncated=True)
+        _fill(wal, 4)
+        wal.truncate_through(4)
         wal.close()
+        path = os.path.join(seg_dir, MANIFEST_NAME)
+        with open(path, "rb") as fh:
+            manifest = codec.decode(fh.read())
+        manifest["segments"] = [entry for entry in manifest["segments"]
+                                if entry.get("retired")]
+        assert manifest["segments"]
+        with open(path, "wb") as fh:
+            fh.write(codec.encode(manifest))
+        with pytest.raises(CorruptLogError, match="no live segment"):
+            SegmentedWAL(seg_dir, retain_truncated=True)
 
     def test_reset_keeps_positions_monotonic(self, seg_dir):
         wal = SegmentedWAL(seg_dir, max_segment_records=2)
