@@ -105,6 +105,11 @@ class Dispatcher:
         #: optional fn(job_id) invoked whenever an in-flight job is
         #: released — the single choke point the lease table hangs off.
         self.on_release = None
+        #: optional fn(instance_id, task_path) invoked whenever a task
+        #: occurrence stops being pending other than by being placed — a
+        #: vetoed or dropped queued job, a released in-flight one — since
+        #: no instance event need follow to tell the navigator.
+        self.on_key_released = None
         #: optional fn() invoked once per pump, after the last dispatch
         #: record and before any job reaches the environment — the server
         #: wires a store flush here so grouped commits become durable
@@ -135,6 +140,10 @@ class Dispatcher:
         key = f"{instance_id}:{task_path}"
         return key in self._queued or key in self._inflight_keys
 
+    def _key_released(self, instance_id: str, task_path: str) -> None:
+        if self.on_key_released is not None:
+            self.on_key_released(instance_id, task_path)
+
     def _forget_queued(self, job: JobRequest) -> None:
         """Remove a queued job from the live indexes (placed/vetoed)."""
         self._queued.pop(job.key, None)
@@ -154,6 +163,7 @@ class Dispatcher:
         for key in self._queued_by_instance.pop(instance_id, ()):
             if self._queued.pop(key, None) is not None:
                 removed += 1
+                self._key_released(instance_id, key[len(instance_id) + 1:])
         for job_id in sorted(self._inflight_by_instance.get(instance_id, ())):
             if self.job_finished(job_id) is not None:
                 removed += 1
@@ -212,6 +222,7 @@ class Dispatcher:
                 if not self._record_dispatch(job, node):
                     # The server vetoed (instance gone / task not current).
                     self._forget_queued(job)
+                    self._key_released(job.instance_id, job.task_path)
                 else:
                     self._forget_queued(job)
                     # Crash between the durable task_dispatched record and
@@ -259,6 +270,7 @@ class Dispatcher:
             job, node = entry
             if self._inflight_keys.get(job.key) == job_id:
                 del self._inflight_keys[job.key]
+                self._key_released(job.instance_id, job.task_path)
             jobs = self._inflight_by_instance.get(job.instance_id)
             if jobs is not None:
                 jobs.discard(job_id)

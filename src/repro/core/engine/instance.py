@@ -18,7 +18,8 @@ frame; a subprocess task owns a frame with its own whiteboard.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional
+import heapq
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ...errors import EngineError, InvalidStateError
 from ..model.data import Binding, UNDEFINED, Whiteboard
@@ -43,6 +44,14 @@ SUSPENDED = "suspended"
 INSTANCE_COMPLETED = "completed"
 ABORTED = "aborted"
 
+#: Events outside the per-task lifecycle: rare, and free to invalidate any
+#: parked task's reason for waiting, so they put the whole instance back
+#: on the navigation agenda instead of naming what they touched.
+_REOPENING = frozenset({
+    ev.TASK_RESET, ev.WHITEBOARD_SET, ev.SPHERE_COMPENSATING,
+    ev.INSTANCE_SUSPENDED, ev.INSTANCE_RESUMED,
+})
+
 #: Resolves (template_name, version) -> ProcessTemplate; version None = latest.
 TemplateResolver = Callable[[str, Optional[int]], ProcessTemplate]
 
@@ -53,12 +62,14 @@ class TaskState:
     __slots__ = (
         "name", "path", "status", "attempts", "program_failures",
         "outputs", "node", "program", "failure_reason", "alternative",
-        "dispatched_at", "finished_at", "cost", "element",
+        "dispatched_at", "finished_at", "cost", "element", "index",
     )
 
-    def __init__(self, name: str, path: str, element: Any = None):
+    def __init__(self, name: str, path: str, element: Any = None,
+                 index: int = 0):
         self.name = name
         self.path = path
+        self.index = index           # position in its frame's task order
         self.status = INACTIVE
         self.attempts = 0            # total dispatches
         self.program_failures = 0    # failures that count against retries
@@ -85,7 +96,7 @@ class Frame:
 
     __slots__ = (
         "path", "kind", "owner_path", "graph", "whiteboard_path",
-        "template", "states", "elements", "parallel_task",
+        "template", "states", "elements", "parallel_task", "serial", "open",
     )
 
     def __init__(self, path: str, kind: str, owner_path: str,
@@ -102,15 +113,21 @@ class Frame:
         self.elements = elements
         self.parallel_task = parallel_task
         self.states: Dict[str, TaskState] = {
-            name: TaskState(name, f"{path}{name}")
-            for name in graph.tasks
+            name: TaskState(name, f"{path}{name}", index=index)
+            for index, name in enumerate(graph.tasks)
         }
         if elements is not None and parallel_task is not None:
             for index, element in enumerate(elements):
                 body_name = f"{parallel_task.body.name}[{index}]"
                 state = TaskState(body_name, f"{path}{body_name}",
-                                  element=element)
+                                  element=element, index=len(self.states))
                 self.states[body_name] = state
+        #: creation order within the instance, stamped when the instance
+        #: adopts the frame.
+        self.serial = 0
+        #: states not yet COMPLETED or SKIPPED, kept exact by
+        #: :meth:`ProcessInstance._set_status`.
+        self.open = len(self.states)
 
     def task_model(self, name: str) -> Task:
         """The template task behind a runtime task name."""
@@ -122,7 +139,7 @@ class Frame:
         return task
 
     def complete(self) -> bool:
-        return all(state.terminal for state in self.states.values())
+        return not self.open
 
     def __repr__(self):
         return f"<Frame {self.path!r} ({self.kind})>"
@@ -175,6 +192,21 @@ class ProcessInstance:
         #: on task completion or injected from outside).
         self.signals: set = set()
         self.event_count = 0
+        #: Navigation agenda: the tasks an event may have made actionable,
+        #: as a heap of ``(frame.serial, state.index, frame, task name)`` —
+        #: the order a scan of every frame would reach them in. Only
+        #: :meth:`apply` and :meth:`wake_path` put tasks on; only
+        #: :meth:`agenda_pass` takes them off. Derived state: replay
+        #: rebuilds it, nothing of it is persisted.
+        self.agenda: List[tuple] = []
+        self._on_agenda: set = set()   # (serial, index) of every entry
+        #: task path, or ``"signal <name>"`` -> the (frame, state) pairs
+        #: parked until that task finishes / that signal is raised.
+        self.watchers: Dict[str, List[Tuple[Frame, TaskState]]] = {}
+        #: heap of ``(-len(frame.path), frame.serial, frame)``: frames whose
+        #: last open task finished and whose owner may now complete.
+        self.drained: List[tuple] = []
+        self._frames_created = 0
 
     # ------------------------------------------------------------------
     # Event application (the ONLY state mutator)
@@ -186,6 +218,8 @@ class ProcessInstance:
             raise EngineError(f"unknown event type {event['type']!r}")
         handler(event)
         self.event_count += 1
+        if event["type"] in _REOPENING:
+            self.reopen()
 
     def replay(self, events: Iterator[Dict[str, Any]]) -> "ProcessInstance":
         for event in events:
@@ -210,10 +244,10 @@ class ProcessInstance:
                     f"instance {self.id}: required input {param.name!r} missing"
                 )
         self.whiteboards[""] = board
-        self.frames[""] = Frame(
+        self._open_frame(Frame(
             path="", kind="root", owner_path="", graph=template.graph,
             whiteboard_path="", template=template,
-        )
+        ))
         self.status = CREATED
 
     def _on_instance_started(self, event):
@@ -237,11 +271,31 @@ class ProcessInstance:
 
     # -- task lifecycle -------------------------------------------------------
 
-    def _state(self, path: str) -> TaskState:
-        state = self.find_state(path)
+    def _locate(self, path: str) -> Tuple[Frame, TaskState]:
+        head, sep, name = path.rpartition("/")
+        frame = self.frames.get(head + sep)
+        state = frame.states.get(name) if frame is not None else None
         if state is None:
             raise EngineError(f"instance {self.id}: unknown task path {path!r}")
-        return state
+        return frame, state
+
+    def _set_status(self, frame: Frame, state: TaskState,
+                    status: str) -> None:
+        """The one place a task status changes.
+
+        Keeps ``frame.open`` exact, and records what the change can have
+        made actionable: a failed task needs its handler run; a finished
+        one releases whoever watched it and, if it was the frame's last
+        open task, puts the frame up for completion.
+        """
+        frame.open += (status not in TERMINAL) - (state.status not in TERMINAL)
+        state.status = status
+        if status == FAILED:
+            self.wake(frame, state)
+        elif status in TERMINAL:
+            self._notify(state.path)
+            if not frame.open:
+                self._drain(frame)
 
     def _on_task_dispatched(self, event):
         if event["path"].endswith("#comp"):
@@ -249,8 +303,8 @@ class ProcessInstance:
                 if entry["task"] == event["path"][: -len("#comp")]:
                     entry["status"] = "dispatched"
             return
-        state = self._state(event["path"])
-        state.status = DISPATCHED
+        frame, state = self._locate(event["path"])
+        self._set_status(frame, state, DISPATCHED)
         state.attempts = event["attempt"]
         state.node = event["node"]
         state.program = event["program"]
@@ -261,12 +315,11 @@ class ProcessInstance:
         if path.endswith("#comp"):
             self._comp_done(path, success=True)
             return
-        state = self._state(path)
-        state.status = COMPLETED
+        frame, state = self._locate(path)
+        self._set_status(frame, state, COMPLETED)
         state.outputs = event["outputs"]
         state.finished_at = event["time"]
         state.cost += event.get("cost", 0.0)
-        frame = self.frame_of(path)
         task = frame.task_model(state.name)
         board = self.whiteboard_for(frame)
         for field, wb_name in task.output_mappings:
@@ -279,20 +332,19 @@ class ProcessInstance:
         if path.endswith("#comp"):
             self._comp_done(path, success=False)
             return
-        state = self._state(path)
-        state.status = FAILED
+        frame, state = self._locate(path)
+        self._set_status(frame, state, FAILED)
         state.failure_reason = event["reason"]
         state.finished_at = event["time"]
         if event["reason"] not in ev.INFRASTRUCTURE_REASONS:
             state.program_failures += 1
 
     def _on_task_skipped(self, event):
-        state = self._state(event["path"])
-        state.status = SKIPPED
+        self._set_status(*self._locate(event["path"]), SKIPPED)
 
     def _on_task_reset(self, event):
         path = event["path"]
-        state = self._state(path)
+        frame, state = self._locate(path)
         # Resetting a task in a finished instance reopens the instance
         # (the paper's "the process was re-started and BioOpera immediately
         # re-scheduled the TEUs").
@@ -307,48 +359,58 @@ class ProcessInstance:
                            or p == prefix]:
             del self.frames[frame_path]
             self.whiteboards.pop(frame_path, None)
-        fresh = TaskState(state.name, state.path, element=state.element)
+        fresh = TaskState(state.name, state.path, element=state.element,
+                          index=state.index)
         # Accounting and failure budgets survive the reset so structured-task
         # retries cannot loop forever on a deterministic failure.
         fresh.cost = state.cost
         fresh.attempts = state.attempts
         fresh.program_failures = state.program_failures
-        self.frame_of(path).states[state.name] = fresh
+        frame.states[state.name] = fresh
+        frame.open += state.terminal
 
     # -- structure expansion -----------------------------------------------------
 
+    def _open_frame(self, frame: Frame) -> None:
+        """Adopt a new frame: every task in it is up for consideration."""
+        self._frames_created += 1
+        frame.serial = self._frames_created
+        self.frames[frame.path] = frame
+        for state in frame.states.values():
+            self.wake(frame, state)
+        if not frame.open:
+            self._drain(frame)
+
     def _on_block_started(self, event):
         path = event["path"]
-        state = self._state(path)
-        state.status = EXPANDED
-        frame = self.frame_of(path)
+        frame, state = self._locate(path)
+        self._set_status(frame, state, EXPANDED)
         task = frame.task_model(state.name)
         if not isinstance(task, Block):
             raise EngineError(f"{path!r} is not a block")
-        self.frames[f"{path}/"] = Frame(
+        self._open_frame(Frame(
             path=f"{path}/", kind="block", owner_path=path,
             graph=task.graph, whiteboard_path=frame.whiteboard_path,
-        )
+        ))
 
     def _on_parallel_expanded(self, event):
         path = event["path"]
-        state = self._state(path)
-        state.status = EXPANDED
-        frame = self.frame_of(path)
+        frame, state = self._locate(path)
+        self._set_status(frame, state, EXPANDED)
         task = frame.task_model(state.name)
         if not isinstance(task, ParallelTask):
             raise EngineError(f"{path!r} is not a parallel task")
-        self.frames[f"{path}/"] = Frame(
+        self._open_frame(Frame(
             path=f"{path}/", kind="parallel", owner_path=path,
             graph=TaskGraph(tasks=[], connectors=[]),
             whiteboard_path=frame.whiteboard_path,
             elements=event["elements"], parallel_task=task,
-        )
+        ))
 
     def _on_subprocess_started(self, event):
         path = event["path"]
-        state = self._state(path)
-        state.status = EXPANDED
+        frame, state = self._locate(path)
+        self._set_status(frame, state, EXPANDED)
         template = self.resolver(event["template_name"], event["version"])
         board = Whiteboard()
         for param in template.parameters:
@@ -363,11 +425,11 @@ class ProcessInstance:
                 )
         frame_path = f"{path}/"
         self.whiteboards[frame_path] = board
-        self.frames[frame_path] = Frame(
+        self._open_frame(Frame(
             path=frame_path, kind="subprocess", owner_path=path,
             graph=template.graph, whiteboard_path=frame_path,
             template=template,
-        )
+        ))
 
     # -- data & compensation --------------------------------------------------------
 
@@ -399,6 +461,7 @@ class ProcessInstance:
 
     def _on_signal_raised(self, event):
         self.signals.add(event["name"])
+        self._notify(f"signal {event['name']}")
 
     def _comp_done(self, comp_path: str, success: bool) -> None:
         task_path = comp_path[: -len("#comp")]
@@ -407,6 +470,86 @@ class ProcessInstance:
                 entry["status"] = "done" if success else "failed"
                 return
         raise EngineError(f"no pending compensation for {task_path!r}")
+
+    # ------------------------------------------------------------------
+    # Navigation agenda (DESIGN.md section 5, "Navigation cost")
+    # ------------------------------------------------------------------
+
+    def wake(self, frame: Frame, state: TaskState) -> None:
+        """Put a task up for the navigator's consideration."""
+        key = (frame.serial, state.index)
+        if key not in self._on_agenda:
+            self._on_agenda.add(key)
+            heapq.heappush(self.agenda, key + (frame, state.name))
+
+    def wake_path(self, task_path: str) -> None:
+        """:meth:`wake` by path; a path not (or no longer) in the instance
+        is a no-op."""
+        try:
+            self.wake(*self._locate(task_path))
+        except EngineError:
+            pass
+
+    def watch(self, frame: Frame, state: TaskState, key: str) -> None:
+        """Park a task until ``key`` — the path of a task it waits to see
+        finished, or ``"signal <name>"`` — comes about."""
+        self.watchers.setdefault(key, []).append((frame, state))
+
+    def _notify(self, key: str) -> None:
+        for frame, state in self.watchers.pop(key, ()):
+            self.wake(frame, state)
+
+    def _drain(self, frame: Frame) -> None:
+        # A frame's path extends its owner's, so longest-first is bottom-up.
+        heapq.heappush(self.drained, (-len(frame.path), frame.serial, frame))
+
+    def reopen(self) -> None:
+        """Forget every parking reason: all startable and failed tasks go
+        back on the agenda."""
+        self.watchers.clear()
+        for frame in self.frames.values():
+            for state in frame.states.values():
+                if state.status in (INACTIVE, FAILED):
+                    self.wake(frame, state)
+
+    def agenda_pass(self) -> Iterator[Tuple[Frame, TaskState]]:
+        """Take tasks off the agenda in the order one scan over every
+        frame (in creation order) and every task in it (in task order)
+        would reach them.
+
+        A task woken while the pass runs is yielded by this pass only if
+        such a scan would still have reached it: it lies ahead of the last
+        task yielded, in a frame that existed when the pass began.
+        Anything else stays on the agenda for the next pass.
+        """
+        newest = self._frames_created
+        cursor = (0, -1)
+        behind = []
+        agenda = self.agenda
+        try:
+            while agenda and agenda[0][0] <= newest:
+                entry = heapq.heappop(agenda)
+                key = entry[:2]
+                if key <= cursor:
+                    behind.append(entry)
+                    continue
+                cursor = key
+                self._on_agenda.discard(key)
+                frame = entry[2]
+                if self.frames.get(frame.path) is frame:
+                    yield frame, frame.states[entry[3]]
+        finally:
+            for entry in behind:
+                heapq.heappush(agenda, entry)
+
+    def drained_frames(self) -> Iterator[Frame]:
+        """Take the complete frames up for completion, deepest first and
+        in creation order within a depth; a frame that drains while the
+        caller completes a deeper one is yielded in its turn."""
+        while self.drained:
+            frame = heapq.heappop(self.drained)[2]
+            if self.frames.get(frame.path) is frame and frame.complete():
+                yield frame
 
     # ------------------------------------------------------------------
     # Queries

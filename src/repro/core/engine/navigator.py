@@ -17,11 +17,19 @@ instance to a fixpoint:
 The navigator *decides*; every state change flows through the server's
 durable event emitter, so navigation after recovery resumes exactly where
 the persisted state says.
+
+Steps 1-3 consider only the instance's *agenda* — the tasks an event can
+have made actionable since they were last considered — and step 4 only the
+frames whose last open task just finished; both in the order a scan of the
+whole instance would have reached them. A considered task that cannot act
+yet leaves the agenda only when something exact will bring it back: the
+source or signal it is parked on (:meth:`ProcessInstance.watch`), or the
+release of its dispatcher key. DESIGN.md section 5 has the contract.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ...errors import ConditionError, EngineError
 from ...faults.points import fire
@@ -72,12 +80,16 @@ class Navigator:
             changed |= self._finalize_compensation(instance)
             if instance.terminal:
                 return
-            for frame in list(instance.frames.values()):
-                for state in list(frame.states.values()):
-                    if state.status == INACTIVE:
-                        changed |= self._consider_start(instance, frame, state)
-                    elif state.status == FAILED:
-                        changed |= self._handle_failure(instance, frame, state)
+            considered = 0
+            for frame, state in instance.agenda_pass():
+                if state.status == INACTIVE:
+                    considered += 1
+                    changed |= self._consider_start(instance, frame, state)
+                elif state.status == FAILED:
+                    considered += 1
+                    changed |= self._handle_failure(instance, frame, state)
+            if obs is not None and considered:
+                obs.metrics.inc("navigator_considered", considered)
             changed |= self._complete_frames(instance)
             changed |= self._maybe_complete_instance(instance)
 
@@ -86,48 +98,70 @@ class Navigator:
     # ------------------------------------------------------------------
 
     def _readiness(self, instance: ProcessInstance, frame: Frame,
-                   state: TaskState) -> str:
-        task = frame.task_model(state.name)
-        if frame.kind == "parallel":
-            # body instances start unconditionally (modulo AWAIT clauses)
-            return (_READY if self._signals_ready(instance, task)
-                    else _WAIT)
-        incoming = frame.graph.incoming(state.name)
-        if not incoming:
-            return (_READY if self._signals_ready(instance, task)
-                    else _WAIT)
-        scope = instance.scope(frame)
-        fired = 0
-        for connector in incoming:
-            source = frame.states[connector.source]
-            if not source.terminal:
-                return _WAIT
-            if source.status != COMPLETED:
-                continue
-            try:
-                if connector.condition.evaluate(scope):
-                    fired += 1
-            except ConditionError:
-                return _ERROR
-        if task.join == "and":
-            decision = _READY if fired == len(incoming) else _SKIP
-        else:
-            decision = _READY if fired else _SKIP
-        if decision == _READY and not self._signals_ready(instance, task):
-            return _WAIT
-        return decision
+                   state: TaskState) -> Tuple[str, Optional[str], bool]:
+        """Decide whether an inactive task may start.
 
-    @staticmethod
-    def _signals_ready(instance: ProcessInstance, task) -> bool:
-        """AWAIT clauses: the task waits until every signal has been
-        raised (by a sibling task, a nested task, or injected externally)."""
-        return all(signal in instance.signals for signal in task.awaits)
+        Returns ``(decision, watch, volatile)``. For ``_WAIT``, ``watch``
+        is the one thing whose coming about can end the wait: the path of
+        the first unfinished source, or ``"signal <name>"`` for the first
+        missing AWAIT signal. ``volatile`` says the decision evaluated a
+        condition over whiteboard items or task outputs, which any later
+        completion may change without touching this task or its sources.
+        """
+        task = frame.task_model(state.name)
+        decision, volatile = _READY, False
+        # Parallel frames have no connectors: body instances start
+        # unconditionally (modulo AWAIT clauses).
+        incoming = frame.graph.incoming(state.name)
+        if incoming:
+            scope = instance.scope(frame)
+            fired = 0
+            for connector in incoming:
+                source = frame.states[connector.source]
+                if not source.terminal:
+                    return _WAIT, source.path, volatile
+                if source.status != COMPLETED:
+                    continue
+                volatile = volatile or any(
+                    True for _ in connector.condition.references()
+                )
+                try:
+                    if connector.condition.evaluate(scope):
+                        fired += 1
+                except ConditionError:
+                    return _ERROR, None, volatile
+            if task.join == "and":
+                decision = _READY if fired == len(incoming) else _SKIP
+            else:
+                decision = _READY if fired else _SKIP
+        if decision == _READY:
+            # AWAIT clauses: the task waits until every signal has been
+            # raised (by a sibling task, a nested task, or injected
+            # externally).
+            for signal in task.awaits:
+                if signal not in instance.signals:
+                    return _WAIT, f"signal {signal}", volatile
+        return decision, None, volatile
 
     def _consider_start(self, instance: ProcessInstance, frame: Frame,
                         state: TaskState) -> bool:
-        decision = self._readiness(instance, frame, state)
-        if decision == _WAIT:
-            return False
+        decision, watch, volatile = self._readiness(instance, frame, state)
+        changed = decision != _WAIT and self._start(
+            instance, frame, state, decision
+        )
+        if state.status == INACTIVE:
+            # Waiting, or queued and not yet dispatched (the dispatcher
+            # reports a key released without an event). A volatile
+            # decision has no exact wake-up, so the task stays on the
+            # agenda and is decided again on every pass.
+            if volatile:
+                instance.wake(frame, state)
+            elif decision == _WAIT:
+                instance.watch(frame, state, watch)
+        return changed
+
+    def _start(self, instance: ProcessInstance, frame: Frame,
+               state: TaskState, decision: str) -> bool:
         now = self.server.clock()
         if decision == _SKIP:
             self.server.emit(instance, ev.task_skipped(state.path, now))
@@ -158,6 +192,7 @@ class Navigator:
                         program: Optional[str] = None,
                         extra_inputs: Optional[Dict[str, Any]] = None) -> bool:
         if self.server.is_pending(instance.id, state.path):
+            # Off the agenda until the dispatcher reports the key released.
             return False
         inputs = instance.resolve_inputs(frame, task, state)
         if extra_inputs:
@@ -210,6 +245,7 @@ class Navigator:
     def _handle_failure(self, instance: ProcessInstance, frame: Frame,
                         state: TaskState) -> bool:
         if self.server.is_pending(instance.id, state.path):
+            # Off the agenda until the dispatcher reports the key released.
             return False
         task = frame.task_model(state.name)
         handler = task.failure or DEFAULT_HANDLER
@@ -281,6 +317,9 @@ class Navigator:
                     now, detail=f"{state.path}: {state.failure_reason}",
                 ))
                 return True
+            # The owner already failed or finished, and cannot expand again
+            # while this frame exists: only a reset, which re-opens the
+            # whole instance, makes this task actionable again.
             return False
         sphere = self._sphere_of(instance, state.name)
         if sphere is not None and not instance.compensations:
@@ -397,11 +436,8 @@ class Navigator:
 
     def _complete_frames(self, instance: ProcessInstance) -> bool:
         changed = False
-        frames = sorted(
-            instance.frames.values(), key=lambda f: -len(f.path)
-        )
-        for frame in frames:
-            if frame.kind == "root" or not frame.complete():
+        for frame in instance.drained_frames():
+            if frame.kind == "root":
                 continue
             owner = instance.find_state(frame.owner_path)
             if owner is None or owner.status != EXPANDED:

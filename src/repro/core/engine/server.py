@@ -175,6 +175,7 @@ class BioOperaServer:
             is_dispatchable=self._is_dispatchable,
         )
         self.dispatcher.on_release = self._release_lease
+        self.dispatcher.on_key_released = self._key_released
         self.dispatcher.pre_submit = self._sync_barrier
 
     # ------------------------------------------------------------------
@@ -569,6 +570,13 @@ class BioOperaServer:
 
     def is_pending(self, instance_id: str, task_path: str) -> bool:
         return self.dispatcher.is_pending(instance_id, task_path)
+
+    def _key_released(self, instance_id: str, task_path: str) -> None:
+        """A task stopped being pending without an event to say so: the
+        navigator parked it on its dispatcher key and must look again."""
+        instance = self.instances.get(instance_id)
+        if instance is not None:
+            instance.wake_path(task_path)
 
     def _is_dispatchable(self, instance_id: str) -> bool:
         if not self.up:
@@ -1138,6 +1146,15 @@ class BioOperaServer:
         if state is None:
             raise InvalidStateError(f"no task at path {task_path!r}")
         self.metrics["manual_interventions"] += 1
+        # Kill what is running at or under the path first: a reset task
+        # whose old dispatcher key were still live would not be re-queued,
+        # and the old job's result, stale by then, would re-queue nothing.
+        for job_id in self.dispatcher.inflight_for_instance(instance_id):
+            path = self.dispatcher.in_flight[job_id][0].task_path
+            if path == task_path or path.startswith(f"{task_path}/"):
+                self.dispatcher.job_finished(job_id)
+                if self.environment is not None:
+                    self.environment.cancel(job_id)
         self.emit(instance, ev.task_reset(task_path, self.clock(), reason))
         self.navigator.navigate(instance)
         self.dispatcher.pump()

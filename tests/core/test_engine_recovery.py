@@ -266,6 +266,22 @@ class TestOperatorRestart:
         assert instance.find_state("B").status == "completed"
         assert log.count("b") == 2
 
+    def test_restart_of_a_running_task_reruns_it(self):
+        """The in-flight job is killed with the reset: left alone, its
+        live dispatcher key blocked the re-queue and its stale result
+        re-queued nothing, so the instance hung with nothing to run."""
+        log = []
+        server, env = make_inline_server(chain_programs(log))
+        server.define_template_ocr(CHAIN)
+        iid = server.launch("Chain")
+        server.restart_task(iid, "A")  # A is dispatched, not yet run
+        env.run_until_idle()
+        instance = server.instance(iid)
+        assert instance.status == "completed"
+        assert log == ["a", "b", "c"]  # the killed attempt never ran
+        assert instance.find_state("A").attempts == 2
+        assert server.metrics["stale_results_ignored"] == 0
+
     def test_abort_cancels_queued_work(self):
         server, env = make_inline_server(chain_programs())
         server.define_template_ocr(CHAIN)

@@ -15,6 +15,10 @@ here a smaller batch keeps the tier-1 suite fast while still spanning
 every category across the generated plans.
 """
 
+import importlib.util
+import json
+import pathlib
+
 import pytest
 
 from repro.faults import chaos
@@ -157,3 +161,35 @@ class TestCampaigns:
         )
         assert replay.violations == result.violations
         assert replay.status == result.status
+
+
+class TestCampaignDigestsTool:
+    """``tools/campaign_digests.py``: the byte-identical-campaigns check a
+    refactor runs on its parent and on itself."""
+
+    @pytest.fixture(scope="class")
+    def tool(self):
+        path = (pathlib.Path(__file__).resolve().parents[2]
+                / "tools" / "campaign_digests.py")
+        spec = importlib.util.spec_from_file_location("campaign_digests",
+                                                      path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_out_then_compare(self, tool, tmp_path, capsys):
+        first, second = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+        assert tool.main(["--out", first, "--seeds", "1"]) == 0
+        assert tool.main(["--out", second, "--seeds", "1"]) == 0
+        report = json.loads(pathlib.Path(first).read_text())
+        assert sorted(report["cells"]) == [
+            "mixed/0", "partition/0", "rebalance/0", "shard/0"]
+        assert report["not_ok"] == 0
+        assert tool.main(["--compare", first, second]) == 0
+        assert "4 of 4 cells identical" in capsys.readouterr().out
+
+        report["cells"]["shard/0"] = "0" * 64
+        pathlib.Path(second).write_text(json.dumps(report))
+        assert tool.main(["--compare", first, second]) == 1
+        out = capsys.readouterr().out
+        assert "DIFFERS shard/0" in out and "3 of 4 cells" in out

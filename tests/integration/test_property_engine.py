@@ -9,8 +9,14 @@ from repro.core.engine import (
     ProgramResult,
     replay_instance,
 )
-from repro.core.model import Activity, ProcessTemplate, TaskGraph
+from repro.core.model import (
+    Activity, Binding, Block, FailureHandler, ParallelTask, ProcessTemplate,
+    SubprocessTask, TaskGraph,
+)
 from repro.core.model.data import ProcessParameter
+from repro.errors import ActivityFailure, InvalidStateError
+
+from ..navigation_oracle import navigation_oracle
 
 
 @st.composite
@@ -144,3 +150,177 @@ class TestRandomCrashPoints:
         # at most: the in-flight victim)
         for index in range(self.CHAIN_LENGTH):
             assert calls.count(f"S{index}") <= 3
+
+
+# ---------------------------------------------------------------------------
+# The navigator's agenda against the whole-instance scan it replaced
+# ---------------------------------------------------------------------------
+
+#: Connector conditions over the whiteboard item ``x`` (written by MAP, with
+#: values of changing type, so a condition that held can turn false or
+#: start to raise while its target still waits) and over the source task's
+#: own output; None is the unannotated connector.
+_CONDITIONS = (
+    None, None, "DEFINED(wb.x)", "NOT DEFINED(wb.x)",
+    "NOT DEFINED(wb.x) OR wb.x > 0", "NOT DEFINED(wb.x) OR wb.x > 0",
+    "{source}.n != 1",
+)
+
+_HANDLERS = (
+    None,
+    FailureHandler(strategy="retry", max_retries=1, then="abort"),
+    FailureHandler(strategy="retry", max_retries=2, then="ignore"),
+    FailureHandler(strategy="retry", max_retries=1, then="alternative",
+                   alternative_program="prop.ok"),
+    FailureHandler(strategy="alternative", alternative_program="prop.ok"),
+    FailureHandler(strategy="ignore"),
+    FailureHandler(strategy="abort"),
+)
+
+
+def _programs():
+    def ok(inputs, ctx):
+        # n varies in value and type with the task and attempt.
+        n = (len(ctx.task_path) + ctx.attempt) % 3
+        return ProgramResult({"n": "two" if n == 2 else n}, 0.1)
+
+    def flaky(inputs, ctx):
+        if ctx.attempt <= 2:
+            raise ActivityFailure("program-error", "flaky")
+        return ok(inputs, ctx)
+
+    def bad(inputs, ctx):
+        raise ActivityFailure("program-error", "always")
+
+    return {"prop.ok": ok, "prop.flaky": flaky, "prop.bad": bad}
+
+
+@st.composite
+def _activity(draw, name):
+    return Activity(
+        name,
+        program=draw(st.sampled_from(
+            ("prop.ok", "prop.ok", "prop.ok", "prop.flaky", "prop.bad"))),
+        failure=draw(st.sampled_from(_HANDLERS)),
+        output_mappings=[("n", "x")] if draw(st.booleans()) else [],
+        raises=["sig"] if draw(st.integers(0, 4)) == 0 else [],
+        awaits=draw(st.sampled_from(([], [], [], ["sig"], ["ext"]))),
+    )
+
+
+@st.composite
+def _graph(draw, prefix, size, structured):
+    graph = TaskGraph()
+    names = [f"{prefix}{i}" for i in range(size)]
+    for name in names:
+        kind = draw(st.sampled_from(
+            ("activity", "activity", "block", "parallel", "subprocess")
+            if structured else ("activity",)))
+        failure = draw(st.sampled_from(_HANDLERS[:3] + _HANDLERS[5:]))
+        if kind == "block":
+            inner = draw(_graph(f"{name}b", draw(st.integers(1, 3)), False))
+            graph.add_task(Block(name, inner, failure=failure))
+        elif kind == "parallel":
+            body = (SubprocessTask("Sub", "Child")
+                    if draw(st.booleans())
+                    else draw(_activity("Body")))
+            graph.add_task(ParallelTask(
+                name, Binding.whiteboard("items"), body, failure=failure))
+        elif kind == "subprocess":
+            graph.add_task(SubprocessTask(name, "Child", failure=failure))
+        else:
+            graph.add_task(draw(_activity(name)))
+        graph.tasks[name].join = draw(st.sampled_from(("or", "or", "and")))
+    for i in range(size):
+        for j in range(i + 1, size):
+            if draw(st.booleans()):
+                condition = draw(st.sampled_from(_CONDITIONS))
+                if condition is not None:
+                    condition = condition.format(source=names[i])
+                graph.connect(names[i], names[j], condition)
+    return graph
+
+
+@st.composite
+def structured_process(draw):
+    """A random process over every construct the navigator interprets,
+    its ``Child`` subprocess, and operator actions to interleave."""
+    child = ProcessTemplate("Child", graph=draw(_graph("C", 2, False)),
+                            parameters=[ProcessParameter("x", optional=True)])
+    size = draw(st.integers(1, 5))
+    root = ProcessTemplate(
+        "Random", graph=draw(_graph("T", size, True)),
+        parameters=[
+            ProcessParameter("x", optional=True),
+            ProcessParameter("items", optional=True, default=draw(
+                st.lists(st.integers(0, 9), max_size=4))),
+        ],
+    )
+    actions = draw(st.lists(st.one_of(
+        st.tuples(st.just("step"), st.integers(1, 4)),
+        st.tuples(st.sampled_from(
+            ("suspend", "resume", "signal", "crash", "migrate"))),
+        st.tuples(st.just("change"), st.sampled_from((0, 5, "five"))),
+        st.tuples(st.just("restart"), st.integers(0, size - 1)),
+    ), max_size=10))
+    return child, root, actions
+
+
+class TestAgendaMatchesScan:
+    """After every navigation, one more pass of the old whole-instance
+    scan finds nothing left to do (tests/navigation_oracle.py)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(structured_process())
+    def test_scan_finds_nothing_the_agenda_skipped(self, built):
+        child, root, actions = built
+        registry = ProgramRegistry()
+        for name, program in _programs().items():
+            registry.register(name, program)
+        with navigation_oracle() as checked:
+            server = BioOperaServer(registry=registry)
+            # two slots, so ready tasks queue behind running ones
+            environment = InlineEnvironment(nodes={"local": 2})
+            server.attach_environment(environment)
+            server.define_template(child)
+            server.define_template(root)
+            instance_id = server.launch("Random")
+            for action, *argument in actions + [("resume",), ("signal",)]:
+                try:
+                    if action == "step":
+                        for _ in range(argument[0]):
+                            environment.step()
+                    elif action == "suspend":
+                        server.suspend(instance_id)
+                    elif action == "resume":
+                        server.resume(instance_id)
+                    elif action == "signal":
+                        server.raise_signal(instance_id, "ext")
+                    elif action == "change":
+                        server.change_parameter(instance_id, "x", argument[0])
+                    elif action == "restart":
+                        server.restart_task(instance_id, f"T{argument[0]}")
+                    elif action == "migrate":  # begun, then rolled back
+                        server.quiesce_for_migration(instance_id)
+                        server.abandon_migration(instance_id)
+                    elif action == "crash":
+                        server.crash()
+                        environment = InlineEnvironment(nodes={"local": 2})
+                        server = BioOperaServer.recover(
+                            server.store, registry, environment=environment)
+                except InvalidStateError:
+                    pass  # e.g. resume of a running instance
+            environment.run_until_idle()
+            assert checked["navigations"] > 0
+        # Nothing runnable is left behind in an instance that has not
+        # finished: whatever is still open waits for a signal nobody
+        # raised or sits under a failed owner. (An abort in mid-pass can
+        # strand queued jobs, as it could under the scan.)
+        instance = server.instance(instance_id)
+        assert not server.dispatcher.in_flight
+        assert instance.terminal or server.dispatcher.queue_length() == 0
+        twin = replay_instance(server.store, instance_id, server._resolver)
+        assert twin.progress() == instance.progress()
+        for frame in instance.frames.values():
+            assert frame.complete() == all(
+                state.terminal for state in frame.states.values())
