@@ -19,18 +19,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from ..errors import SimulationError
-
-
-@dataclass(order=True)
-class _HeapEntry:
-    time: float
-    priority: int
-    seq: int
-    event: "Event" = field(compare=False)
 
 
 class Event:
@@ -71,7 +62,9 @@ class SimKernel:
     def __init__(self, seed=0):
         self.seed = seed
         self._now = 0.0
-        self._heap: list[_HeapEntry] = []
+        #: (time, priority, seq, event); seq is unique, so the tuple order
+        #: never reaches the event.
+        self._heap: list[tuple] = []
         self._seq = itertools.count()
         self._rngs: dict[str, random.Random] = {}
         self._running = False
@@ -121,7 +114,7 @@ class SimKernel:
             )
         event = Event(time, fn, args, label=label, kernel=self)
         heapq.heappush(
-            self._heap, _HeapEntry(time, priority, next(self._seq), event)
+            self._heap, (time, priority, next(self._seq), event)
         )
         return event
 
@@ -134,7 +127,7 @@ class SimKernel:
 
     def _compact(self) -> None:
         """Drop cancelled entries in bulk and restore the heap invariant."""
-        self._heap = [e for e in self._heap if not e.event.cancelled]
+        self._heap = [e for e in self._heap if not e[3].cancelled]
         heapq.heapify(self._heap)
         self._stale = 0
 
@@ -149,13 +142,13 @@ class SimKernel:
     def step(self) -> bool:
         """Run the next pending event. Returns False if none remain."""
         while self._heap:
-            entry = heapq.heappop(self._heap)
-            self._release(entry.event)
-            if entry.event.cancelled:
+            time, _priority, _seq, event = heapq.heappop(self._heap)
+            self._release(event)
+            if event.cancelled:
                 continue
-            self._now = entry.time
+            self._now = time
             self._events_processed += 1
-            entry.event.fn(*entry.event.args)
+            event.fn(*event.args)
             return True
         return False
 
@@ -172,21 +165,21 @@ class SimKernel:
         processed = 0
         try:
             while self._heap:
-                entry = self._heap[0]
-                if entry.event.cancelled:
+                time, _priority, _seq, event = self._heap[0]
+                if event.cancelled:
                     heapq.heappop(self._heap)
-                    self._release(entry.event)
+                    self._release(event)
                     continue
-                if until is not None and entry.time > until:
+                if until is not None and time > until:
                     break
                 if max_events is not None and processed >= max_events:
                     break
                 heapq.heappop(self._heap)
-                self._release(entry.event)
-                self._now = entry.time
+                self._release(event)
+                self._now = time
                 self._events_processed += 1
                 processed += 1
-                entry.event.fn(*entry.event.args)
+                event.fn(*event.args)
         finally:
             self._running = False
         if until is not None and self._now < until and not self._pending_before(until):
@@ -209,8 +202,8 @@ class SimKernel:
 
     def _pending_before(self, time: float) -> bool:
         return any(
-            not entry.event.cancelled and entry.time <= time
-            for entry in self._heap
+            not event.cancelled and at <= time
+            for at, _priority, _seq, event in self._heap
         )
 
     @property

@@ -6,7 +6,7 @@ associates it with a processing node in the cluster and a particular
 application" (paper, Section 3.2).
 
 Jobs wait in FIFO order until a node with a free slot (and a matching
-placement tag) exists; :meth:`Dispatcher.pump` drains the queue whenever
+placement tag) exists; :meth:`Dispatcher.pump` places them whenever
 capacity appears (job completion, node recovery, upgrades). Placement emits
 the durable ``task_dispatched`` event through the server *before* the job
 is handed to the execution environment.
@@ -17,19 +17,39 @@ Hot-path data structures
 The dispatcher is built to stay fast at thousands of nodes and tens of
 thousands of queued jobs:
 
-* the queue is a family of per-placement-tag deques ordered by a global
-  FIFO sequence number; queued and in-flight jobs are indexed by queue
-  key, by instance, and by node, so ``enqueue``/``is_pending`` are O(1)
-  and ``jobs_on_node``/``inflight_for_instance`` touch only their answer;
-* ``pump`` is incremental: once a placement tag runs out of capacity its
-  queue segment is parked in ``_blocked_tags`` and skipped until the
-  awareness model reports a capacity gain for that tag (a release, node
-  recovery, upgrade, or registration) — a pump with nothing placeable is
-  O(#tags), not O(#queued jobs);
+* queued and in-flight jobs are indexed by queue key, by instance, and by
+  node, so ``enqueue``/``is_pending`` are O(1) and ``jobs_on_node``/
+  ``inflight_for_instance`` touch only their answer;
 * policies that declare a ``heap_metric`` (the capacity-aware default and
   least-loaded) select through the awareness model's lazy free-capacity
   heap in O(log n); other policies fall back to the list-based
   ``candidates``/``select`` contract. Both paths make identical choices.
+
+Dispatch cost
+-------------
+
+A queued job waits in exactly one place, and ``pump`` only ever looks at
+the head of a queue, so a pump costs O(placed + #tags + #held instances)
+whatever the number of queued jobs it cannot place:
+
+* **its tag's heap** of ``(seq, job)``, ``seq`` being the global FIFO
+  number ``enqueue`` stamps. When the head is dispatchable but no node has
+  capacity for the tag, the tag joins ``_blocked_tags`` and its heap is
+  left untouched (the head is peeked, never popped) until the awareness
+  model reports a capacity gain for that tag — a release, node recovery,
+  upgrade, or registration;
+* **its instance's list in** ``_held``, when a pump reached it at the head
+  of its tag and found the instance not dispatchable (suspended,
+  migrating, server down). Nothing tells the dispatcher that an instance
+  became dispatchable again, so every pump asks once per held *instance*
+  and pushes a released instance's jobs back into their tag heaps, where
+  the heap puts them at their ``seq`` position whichever instance is
+  released first.
+
+Placement order is a contract: among the jobs that are dispatchable and
+whose tag has capacity, the lowest ``seq`` is placed first, as one FIFO
+list scanned from the front would place them (held against the seed's
+scan by ``tests/core/test_dispatch_equivalence.py``).
 
 Queued jobs removed out of FIFO order (``drop_instance``) are tombstoned —
 their key no longer maps to their sequence number — and physically
@@ -40,9 +60,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ...errors import DispatchError
 from ...faults.points import fire
@@ -82,13 +101,16 @@ class Dispatcher:
                  policy: Optional[SchedulingPolicy] = None):
         self.awareness = awareness
         self.policy = policy or CapacityAwarePolicy()
-        #: placement tag -> FIFO deque (may hold tombstoned entries).
-        self._queues: Dict[str, Deque[JobRequest]] = {}
+        #: placement tag -> heap of (seq, job); may hold tombstoned entries.
+        self._queues: Dict[str, List[Tuple[int, JobRequest]]] = {}
+        #: instance -> its jobs taken off their tag heaps because the
+        #: instance was not dispatchable when a pump reached them.
+        self._held: Dict[str, List[JobRequest]] = {}
         #: live queued jobs: key -> seq of the one live request per key.
         self._queued: Dict[str, int] = {}
         #: instance -> keys of its live queued jobs (abort path).
         self._queued_by_instance: Dict[str, Set[str]] = {}
-        #: tags whose whole queue segment is waiting for capacity.
+        #: tags whose head job is waiting for capacity.
         self._blocked_tags: Set[str] = set()
         self._seq = itertools.count(1)
         #: job_id -> (JobRequest, node) for everything submitted and live.
@@ -129,12 +151,19 @@ class Dispatcher:
         if job.key in self._queued or job.key in self._inflight_keys:
             return False
         job.seq = next(self._seq)
-        self._queues.setdefault(job.placement, deque()).append(job)
+        self._push(job)
         self._queued[job.key] = job.seq
         self._queued_by_instance.setdefault(
             job.instance_id, set()
         ).add(job.key)
         return True
+
+    def _push(self, job: JobRequest) -> None:
+        """Put a job at its seq position in its tag's heap: O(1) for a
+        fresh enqueue (seq only rises), O(log q) for a re-entry."""
+        heapq.heappush(
+            self._queues.setdefault(job.placement, []), (job.seq, job)
+        )
 
     def is_pending(self, instance_id: str, task_path: str) -> bool:
         key = f"{instance_id}:{task_path}"
@@ -160,6 +189,7 @@ class Dispatcher:
         instead of lingering until a completion that may never arrive.
         Returns the total number of jobs removed."""
         removed = 0
+        self._held.pop(instance_id, None)
         for key in self._queued_by_instance.pop(instance_id, ()):
             if self._queued.pop(key, None) is not None:
                 removed += 1
@@ -178,31 +208,36 @@ class Dispatcher:
         """Place as many queued jobs as capacity allows; returns the count."""
         if self._submit is None:
             raise DispatchError("dispatcher not wired to an environment")
+        # Dispatchability is re-tested on every pump: a released
+        # instance's jobs re-enter their tag heaps at their seq position.
+        for instance_id in [held for held in self._held
+                            if self._is_dispatchable(held)]:
+            for job in self._held.pop(instance_id):
+                self._push(job)
         # Capacity appeared somewhere since the last pump: those tags'
-        # parked queue segments must be re-examined.
+        # parked heads must be re-examined.
         self._blocked_tags -= self.awareness.drain_capacity_events()
-        active = [tag for tag, q in self._queues.items()
-                  if q and tag not in self._blocked_tags]
-        if not active:
-            return 0
-        placed = 0
+        placed = examined = 0
         fast_metric = self.policy.heap_metric
-        survivors: Dict[str, List[JobRequest]] = {tag: [] for tag in active}
         #: (job, node) pairs recorded this pump; handed to the environment
         #: only after the pre_submit durability barrier runs.
         to_submit: List[tuple] = []
-        # Merge the active tags' deques by sequence number so jobs are
-        # considered in global FIFO order, exactly like a single queue.
-        heads = [(self._queues[tag][0].seq, tag) for tag in active]
+        # Merge the active tags' heaps by sequence number so jobs are
+        # considered in global FIFO order, exactly like a single queue. (An
+        # injected crash escaping mid-pump can leave an empty heap behind.)
+        heads = [(queue[0][0], tag) for tag, queue in self._queues.items()
+                 if queue and tag not in self._blocked_tags]
         heapq.heapify(heads)
         while heads:
             _seq, tag = heapq.heappop(heads)
             queue = self._queues[tag]
-            job = queue.popleft()
+            job = queue[0][1]
+            examined += 1
             if self._queued.get(job.key) != job.seq:
-                pass  # tombstoned by drop_instance: discard silently
+                heapq.heappop(queue)  # tombstoned by drop_instance
             elif not self._is_dispatchable(job.instance_id):
-                survivors[tag].append(job)
+                heapq.heappop(queue)
+                self._held.setdefault(job.instance_id, []).append(job)
             else:
                 if fast_metric is not None:
                     node = self.awareness.best_node(tag, fast_metric)
@@ -210,21 +245,17 @@ class Dispatcher:
                     node = self.policy.select(self.awareness.candidates(tag))
                 if node is None:
                     # The tag is out of capacity, and nothing later in this
-                    # pump can add any: park the whole segment until the
+                    # pump can add any: leave its heap as it is until the
                     # awareness model reports a gain for the tag.
-                    survivors[tag].append(job)
-                    while queue:
-                        waiter = queue.popleft()
-                        if self._queued.get(waiter.key) == waiter.seq:
-                            survivors[tag].append(waiter)
                     self._blocked_tags.add(tag)
                     continue
-                if not self._record_dispatch(job, node):
+                heapq.heappop(queue)
+                recorded = self._record_dispatch(job, node)
+                self._forget_queued(job)
+                if not recorded:
                     # The server vetoed (instance gone / task not current).
-                    self._forget_queued(job)
                     self._key_released(job.instance_id, job.task_path)
                 else:
-                    self._forget_queued(job)
                     # Crash between the durable task_dispatched record and
                     # the hand-off to the environment: recovery finds a
                     # DISPATCHED task with no job anywhere and re-runs it.
@@ -241,15 +272,9 @@ class Dispatcher:
                     to_submit.append((job, node))
                     placed += 1
             if queue:
-                heapq.heappush(heads, (queue[0].seq, tag))
-        for tag in active:
-            queue = self._queues[tag]
-            kept = survivors[tag]
-            if kept:
-                queue.extendleft(reversed(kept))
-            if not queue:
+                heapq.heappush(heads, (queue[0][0], tag))
+            else:
                 del self._queues[tag]
-                self._blocked_tags.discard(tag)
         if to_submit:
             if self.pre_submit is not None:
                 self.pre_submit()
@@ -258,6 +283,8 @@ class Dispatcher:
         if self.metrics is not None:
             if placed:
                 self.metrics.inc("placements", placed)
+            if examined:
+                self.metrics.inc("dispatch_examined", examined)
             self.metrics.set_gauge("queue_depth", float(len(self._queued)))
         return placed
 

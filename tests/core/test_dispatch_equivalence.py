@@ -8,7 +8,10 @@ replays randomized operation scripts — enqueues (tagged and untagged),
 pumps, completions, node failures/recoveries, load reports, upgrades,
 aborts, suspended instances, vetoes — through both, asserting that every
 observable (submission order, chosen nodes, rejections, queue lengths,
-in-flight sets) matches exactly.
+in-flight sets) matches exactly. A second generator drives the saturated
+regime: a queue hundreds deep on seven slots, one completion per pump,
+with suspends, resumes and aborts landing on jobs that are queued, parked
+or held.
 """
 
 import random
@@ -242,6 +245,45 @@ def _script(seed, n_ops=400):
     return specs, ops
 
 
+DEEP_ROUNDS = 500
+
+
+def _deep_script(seed):
+    """A queue hundreds deep on seven slots, drained one completion per
+    pump while instances are suspended, resumed, aborted and re-enqueued."""
+    rng = random.Random(f"dispatch-equivalence/deep/{seed}")
+    specs = [("a", 2, 1.0, ()), ("b", 2, 2.0, ()),
+             ("g", 2, 1.0, ("gpu",)), ("r", 1, 0.5, ("refine", "gpu"))]
+    instances = [f"pi-{k}" for k in range(60)]
+    attempts = {}
+
+    def enqueue():
+        instance = rng.choice(instances)
+        task = f"T{rng.randrange(40)}"
+        attempts[instance, task] = attempts.get((instance, task), 0) + 1
+        return ("enqueue", instance, task, attempts[instance, task],
+                rng.choice(["", "", "", "gpu", "refine"]))
+
+    ops = [enqueue() for _ in range(520)]
+    ops.append(("pump",))
+    for _ in range(DEEP_ROUNDS):
+        roll = rng.random()
+        if roll < 0.10:
+            ops.append(("suspend", rng.choice(instances)))
+        elif roll < 0.20:
+            ops.append(("resume", rng.choice(instances)))
+        elif roll < 0.23:
+            ops.append(("abort", rng.choice(instances)))
+        ops.append(enqueue())
+        ops.append(("finish", rng.randrange(1000)))
+        ops.append(("pump",))
+    ops.extend(("resume", instance) for instance in instances)
+    for _ in range(780):
+        ops.append(("pump",))
+        ops.append(("finish", rng.randrange(1000)))
+    return specs, ops
+
+
 POLICIES = ["capacity-aware", "least-loaded", "round-robin", "random"]
 
 
@@ -277,3 +319,21 @@ def test_heavy_queue_with_scarce_capacity(policy_name):
         new_side.apply(op)
     assert new_side.log == seed_side.log
     assert new_side.snapshot() == seed_side.snapshot()
+
+
+@pytest.mark.parametrize("policy_name", POLICIES)
+@pytest.mark.parametrize("script_seed", [0, 1])
+def test_deep_queue_one_completion_per_pump(policy_name, script_seed):
+    specs, ops = _deep_script(script_seed)
+    seed_side = _Side(policy_name, 5, specs, "seed")
+    new_side = _Side(policy_name, 5, specs, "indexed")
+    depths = []
+    for op in ops:
+        seed_side.apply(op)
+        new_side.apply(op)
+        if op[0] == "pump":
+            depths.append(seed_side.dispatcher.queue_length())
+    assert new_side.log == seed_side.log
+    assert new_side.snapshot() == seed_side.snapshot()
+    assert min(depths[:DEEP_ROUNDS]) >= 200  # the regime the script claims
+    assert depths[-1] == 0

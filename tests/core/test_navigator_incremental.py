@@ -83,6 +83,7 @@ class TestEvaluationCounts:
         env.run_instance(server.launch("Fan", {"items": [1, 2]}))
         counters = OperatorConsole(server).metrics_snapshot()["counters"]
         assert counters["navigator_considered"] == considered(server) > 0
+        assert counters["dispatch_examined"] >= counters["placements"] > 0
 
         registry = ProgramRegistry()
         registry.register("t.ok", constant_program({"v": 1}))
@@ -98,6 +99,7 @@ class TestEvaluationCounts:
         totals = ShardedConsole(plane).metrics_snapshot()["total_counters"]
         assert totals["navigator_considered"] > 0
         assert totals["navigator_considered"] >= totals["navigations"]
+        assert totals["dispatch_examined"] >= totals["placements"] > 0
 
 
 GRAPH = """

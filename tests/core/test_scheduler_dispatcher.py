@@ -12,6 +12,7 @@ from repro.core.engine.scheduler import (
 )
 from repro.core.monitor.awareness import AwarenessModel
 from repro.errors import EngineError
+from repro.obs.metrics import MetricsRegistry
 
 
 def make_awareness(*specs):
@@ -358,6 +359,22 @@ class TestIncrementalPump:
         harness.dispatchable = True
         # no capacity event happened, but dispatchability is re-tested
         assert harness.dispatcher.pump() == 1
+
+    def test_queue_depth_gauge_set_while_every_tag_is_parked(self):
+        """The gauge is "jobs queued after the last pump", also after a
+        pump that found every tag parked and placed nothing."""
+        model = make_awareness(("a", 2, 1.0))
+        harness = _DispatchHarness(model)
+        metrics = harness.dispatcher.metrics = MetricsRegistry()
+        for k in range(10):
+            harness.dispatcher.enqueue(job(f"T{k}"))
+        assert harness.dispatcher.pump() == 2
+        assert metrics.gauge("queue_depth") == 8
+        for k in range(10, 15):
+            harness.dispatcher.enqueue(job(f"T{k}"))
+        assert harness.dispatcher.pump() == 0
+        assert harness.dispatcher.queue_length() == 13
+        assert metrics.gauge("queue_depth") == 13
 
 
 class TestBestNodeHeap:
