@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Optional, Sequence as Seq
 
 from ..errors import BioError
 from .costmodel import CostModel, DatabaseProfile
-from .matrices import MatrixFamily, default_family
+from .matrices import default_family
 from .pam import refine_distance
 from .sequence import SequenceDatabase
 from .align import sw_score
@@ -78,7 +78,6 @@ class DarwinEngine:
         database: Optional[SequenceDatabase] = None,
         mode: str = "modeled",
         cost_model: Optional[CostModel] = None,
-        matrix_family: Optional[MatrixFamily] = None,
         match_threshold: float = MATCH_THRESHOLD,
         random_match_rate: float = 0.002,
         sample_cap: int = SAMPLE_CAP,
@@ -94,17 +93,10 @@ class DarwinEngine:
         self.database = database
         self.mode = mode
         self.cost_model = cost_model or CostModel()
-        self._family = matrix_family
         self.match_threshold = match_threshold
         self.random_match_rate = random_match_rate
         self.sample_cap = sample_cap
         self.seed = seed
-
-    @property
-    def matrix_family(self) -> MatrixFamily:
-        if self._family is None:
-            self._family = default_family()
-        return self._family
 
     def _rng(self, *key: Any) -> random.Random:
         return random.Random(f"{self.seed}/{self.profile.name}/{key!r}")
@@ -139,7 +131,7 @@ class DarwinEngine:
         return {"match_set": match_set, "cost": cost, "pairs": pairs}
 
     def _align_real(self, partition, queue):
-        matrix = self.matrix_family.matrix(100.0)
+        matrix = default_family().matrix(100.0)
         matches: List[Dict[str, Any]] = []
         cells = 0
         pairs = 0
@@ -234,7 +226,7 @@ class DarwinEngine:
             seq_i = self.database.entry(match["i"])
             seq_j = self.database.entry(match["j"])
             estimate = refine_distance(
-                seq_i.residues, seq_j.residues, self.matrix_family
+                seq_i.residues, seq_j.residues, default_family()
             )
             cells += len(seq_i) * len(seq_j) * estimate.evaluations
             entry = dict(match)

@@ -24,7 +24,6 @@ from typing import Any, Dict, List, Optional, Sequence
 from ..core.engine.dispatcher import JobRequest
 from ..core.engine.environment import ExecutionEnvironment
 from ..core.engine.server import BioOperaServer
-from ..core.monitor.adaptive import MonitorConfig
 from ..errors import ClusterError
 from .network import Network, SERVER
 from .node import NodeSpec, SimNode
@@ -45,7 +44,6 @@ class SimulatedCluster(ExecutionEnvironment):
         dispatch_overhead: float = 2.0,
         detection_delay: float = 120.0,
         execution_noise: float = 0.15,
-        monitor_config: Optional[MonitorConfig] = None,
         report_retries: Optional[int] = None,
         report_retry_base: Optional[float] = None,
         report_retry_cap: Optional[float] = None,
@@ -80,7 +78,7 @@ class SimulatedCluster(ExecutionEnvironment):
             node = SimNode(kernel, spec, self._node_job_done)
             self.nodes[spec.name] = node
             self.pecs[spec.name] = PEC(
-                node, self.network, self, monitor_config,
+                node, self.network, self,
                 report_retries=report_retries,
                 retry_base=report_retry_base,
                 retry_cap=report_retry_cap,

@@ -102,9 +102,6 @@ class Network:
     def heal(self, partition_id: int) -> None:
         self._partitions.pop(partition_id, None)
 
-    def heal_all(self) -> None:
-        self._partitions.clear()
-
     def is_cut(self, src: str, dst: str) -> bool:
         """Is the directed link ``src -> dst`` unusable right now?"""
         if self.outage:

@@ -120,10 +120,6 @@ class SimNode:
                 label=f"{self.name}:{job.job_id}",
             )
 
-    def _change(self) -> None:
-        self._integrate()
-        self._reschedule()
-
     # ------------------------------------------------------------------
     # Job lifecycle
     # ------------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import Any, Dict, Optional
 
 from ..core.engine.dispatcher import JobRequest
 from ..core.engine.library import ProgramContext
-from ..core.monitor.adaptive import AdaptiveMonitor, MonitorConfig
+from ..core.monitor.adaptive import AdaptiveMonitor
 from ..errors import ActivityFailure
 from ..faults.points import fire
 from .network import Network, SERVER
@@ -45,7 +45,6 @@ class PEC:
     RETRY_JITTER = 0.25
 
     def __init__(self, node: SimNode, network: Network, cluster,
-                 monitor_config: Optional[MonitorConfig] = None,
                  report_retries: Optional[int] = None,
                  retry_base: Optional[float] = None,
                  retry_cap: Optional[float] = None,
@@ -53,7 +52,7 @@ class PEC:
         self.node = node
         self.network = network
         self.cluster = cluster  # SimulatedCluster (owner)
-        self.monitor = AdaptiveMonitor(monitor_config)
+        self.monitor = AdaptiveMonitor()
         self.report_retries = (self.REPORT_RETRIES if report_retries is None
                                else report_retries)
         self.retry_base = self.RETRY_BASE if retry_base is None else retry_base

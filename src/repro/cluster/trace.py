@@ -89,6 +89,3 @@ class ClusterTrace:
 
     def max_busy(self) -> float:
         return max((b for _t, _a, b in self.samples), default=0.0)
-
-    def daily_series(self) -> List[Tuple[float, float, float]]:
-        return self.series(step=86400.0)

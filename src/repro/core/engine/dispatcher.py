@@ -14,16 +14,14 @@ is handed to the execution environment.
 Hot-path data structures
 ------------------------
 
-The dispatcher is built to stay fast at thousands of nodes and tens of
-thousands of queued jobs:
+The dispatcher is built to stay fast at tens of thousands of queued jobs:
 
 * queued and in-flight jobs are indexed by queue key, by instance, and by
   node, so ``enqueue``/``is_pending`` are O(1) and ``jobs_on_node``/
   ``inflight_for_instance`` touch only their answer;
-* policies that declare a ``heap_metric`` (the capacity-aware default and
-  least-loaded) select through the awareness model's lazy free-capacity
-  heap in O(log n); other policies fall back to the list-based
-  ``candidates``/``select`` contract. Both paths make identical choices.
+* a placement is ``policy.select(awareness.candidates(tag))``: one scan of
+  the nodes carrying the tag (the paper's clusters have 5-17), the same
+  contract for built-in and custom policies.
 
 Dispatch cost
 -------------
@@ -218,7 +216,6 @@ class Dispatcher:
         # parked heads must be re-examined.
         self._blocked_tags -= self.awareness.drain_capacity_events()
         placed = examined = 0
-        fast_metric = self.policy.heap_metric
         #: (job, node) pairs recorded this pump; handed to the environment
         #: only after the pre_submit durability barrier runs.
         to_submit: List[tuple] = []
@@ -239,10 +236,7 @@ class Dispatcher:
                 heapq.heappop(queue)
                 self._held.setdefault(job.instance_id, []).append(job)
             else:
-                if fast_metric is not None:
-                    node = self.awareness.best_node(tag, fast_metric)
-                else:
-                    node = self.policy.select(self.awareness.candidates(tag))
+                node = self.policy.select(self.awareness.candidates(tag))
                 if node is None:
                     # The tag is out of capacity, and nothing later in this
                     # pump can add any: leave its heap as it is until the

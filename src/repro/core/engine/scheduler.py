@@ -6,13 +6,6 @@ choose among candidate :class:`~repro.core.monitor.awareness.NodeView`\\ s
 (already filtered to up nodes with a free slot and a matching placement
 tag). The scheduler ablation benchmark compares these policies on a
 heterogeneous cluster.
-
-Policies whose choice is "the candidate maximising a score" additionally
-name a ``heap_metric``: the dispatcher then asks the awareness model's
-lazy free-capacity heap for the winner in O(log n) instead of materialising
-the candidate list. The list-based :meth:`SchedulingPolicy.select` remains
-the contract for custom policies (and for round-robin/random, whose choice
-is not a max over a static score); both paths pick identical nodes.
 """
 
 from __future__ import annotations
@@ -20,24 +13,13 @@ from __future__ import annotations
 import random
 from typing import List, Optional
 
-from ..monitor.awareness import (
-    NodeView,
-    capacity_rate_score,
-    effective_free_score,
-)
+from ..monitor.awareness import NodeView
 
 
 class SchedulingPolicy:
-    """Strategy interface: pick a node name, or None to keep the job queued.
-
-    ``heap_metric`` is the optional name of an
-    :data:`~repro.core.monitor.awareness.HEAP_METRICS` entry that
-    reproduces this policy's choice; None means only the list-based
-    ``select`` path applies.
-    """
+    """Strategy interface: pick a node name, or None to keep the job queued."""
 
     name = "abstract"
-    heap_metric: Optional[str] = None
 
     def select(self, candidates: List[NodeView]) -> Optional[str]:
         raise NotImplementedError
@@ -69,27 +51,29 @@ class LeastLoadedPolicy(SchedulingPolicy):
     """Prefer the node with the most estimated free capacity."""
 
     name = "least-loaded"
-    heap_metric = "effective-free"
 
     def select(self, candidates: List[NodeView]) -> Optional[str]:
         if not candidates:
             return None
-        best = max(candidates, key=lambda v: (effective_free_score(v), v.name))
+        best = max(candidates, key=lambda v: (v.effective_free(), v.name))
         return best.name
 
 
 class CapacityAwarePolicy(SchedulingPolicy):
     """Prefer the node offering the highest effective *rate*:
-    estimated free CPUs times per-CPU speed. This is the default — on
+    estimated free CPUs times per-CPU speed, floored so a saturated fast
+    node still beats an idle crawler. This is the default — on
     heterogeneous clusters it routes work to fast idle machines first."""
 
     name = "capacity-aware"
-    heap_metric = "capacity-rate"
 
     def select(self, candidates: List[NodeView]) -> Optional[str]:
         if not candidates:
             return None
-        best = max(candidates, key=lambda v: (capacity_rate_score(v), v.name))
+        best = max(
+            candidates,
+            key=lambda v: (max(0.25, v.effective_free()) * v.speed, v.name),
+        )
         return best.name
 
 

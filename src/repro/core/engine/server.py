@@ -250,25 +250,9 @@ class BioOperaServer:
         prefix their ids (``s03-pi-000042``), so no two shards' counters
         can collide either.
         """
-        serial = self.store.configuration.setting("instance_serial")
-        if serial is None:
-            serial = self._seed_instance_serial()
-        serial = int(serial) + 1
+        serial = self.store.configuration.setting("instance_serial", 0) + 1
         self.store.configuration.set_setting("instance_serial", serial)
         return f"{self.id_prefix}pi-{serial:06d}"
-
-    def _seed_instance_serial(self) -> int:
-        """One-time adoption scan for stores that predate the counter:
-        the highest trailing serial of any ``pi-``-style id."""
-        serial = 0
-        for instance_id in self.store.instances.instance_ids():
-            _head, sep, tail = instance_id.rpartition("pi-")
-            if sep:
-                try:
-                    serial = max(serial, int(tail))
-                except ValueError:
-                    continue
-        return serial
 
     def launch(self, template_name: str,
                inputs: Optional[Dict[str, Any]] = None,

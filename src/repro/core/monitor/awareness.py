@@ -11,20 +11,14 @@ whatever the adaptive monitors last reported, which may be stale — exactly
 the situation behind the paper's scheduling-limitation discussion (Section
 5.4) and our migration ablation.
 
-Placement at scale
-------------------
+Placement indexes
+-----------------
 
-Beyond the per-node registry, the model maintains three indexes that keep
-the dispatch hot path sublinear in cluster size:
+Beyond the per-node registry, the model maintains two indexes for the
+dispatch hot path:
 
 * **per-placement-tag member sets** — ``candidates(tag)`` touches only the
   nodes carrying the tag instead of scanning the whole cluster;
-* **lazy free-capacity heaps** — one max-heap per ``(tag, metric)`` pair,
-  so the built-in scheduling policies can pick the best node in O(log n)
-  via :meth:`best_node` without rebuilding candidate lists. Heap entries
-  are invalidated lazily through per-node version counters: every mutation
-  bumps the node's version and pushes a fresh entry, and stale entries are
-  discarded when they surface at the top;
 * **capacity-event (dirty-tag) tracking** — every event that can *create*
   placement capacity (job release, node recovery, upgrade, registration)
   records the affected placement tags. The dispatcher drains this set to
@@ -34,7 +28,6 @@ the dispatch hot path sublinear in cluster size:
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -81,49 +74,6 @@ class NodeView:
         }
 
 
-def effective_free_score(view: NodeView) -> float:
-    """Scorer behind the least-loaded policy (and its heap metric)."""
-    return view.effective_free()
-
-
-def capacity_rate_score(view: NodeView) -> float:
-    """Scorer behind the capacity-aware policy (and its heap metric):
-    estimated free CPUs times per-CPU speed, floored so a saturated fast
-    node still beats an idle crawler."""
-    return max(0.25, view.effective_free()) * view.speed
-
-
-#: heap metrics available to :meth:`AwarenessModel.best_node`. Policies
-#: reference these by name so the heap fast path and the list-based
-#: fallback share one scoring function (exact float equality matters for
-#: the placement-equivalence guarantee).
-HEAP_METRICS = {
-    "effective-free": effective_free_score,
-    "capacity-rate": capacity_rate_score,
-}
-
-
-class _RevName(str):
-    """A node name whose ordering is reversed. A min-heap keyed on
-    ``(-score, _RevName(name))`` therefore pops the maximum of
-    ``(score, name)`` first — the same node that
-    ``max(candidates, key=lambda v: (score(v), v.name))`` selects."""
-
-    __slots__ = ()
-
-    def __lt__(self, other):
-        return str.__gt__(self, other)
-
-    def __gt__(self, other):
-        return str.__lt__(self, other)
-
-    def __le__(self, other):
-        return str.__ge__(self, other)
-
-    def __ge__(self, other):
-        return str.__le__(self, other)
-
-
 class AwarenessModel:
     """Mutable registry of node views, fed by PEC reports."""
 
@@ -131,11 +81,6 @@ class AwarenessModel:
         self._nodes: Dict[str, NodeView] = {}
         #: placement tag -> node names carrying it ("" = every node).
         self._members: Dict[str, Set[str]] = {"": set()}
-        #: per-node version counters; a heap entry is valid only while its
-        #: recorded version matches (lazy invalidation).
-        self._versions: Dict[str, int] = {}
-        #: (tag, metric) -> lazy max-heap of (-score, _RevName, version).
-        self._heaps: Dict[Tuple[str, str], List[tuple]] = {}
         #: tags whose capacity may have grown since the last drain.
         self._dirty_tags: Set[str] = set()
         #: optional MetricsRegistry (set by the server's observability
@@ -148,11 +93,10 @@ class AwarenessModel:
             self._drop_membership(self._nodes[name])
         view = NodeView(name=name, cpus=cpus, speed=speed, tags=tuple(tags))
         self._nodes[name] = view
-        self._versions[name] = self._versions.get(name, 0)
         self._members[""].add(name)
         for tag in view.tags:
             self._members.setdefault(tag, set()).add(name)
-        self._touch(view, capacity_gain=True)
+        self._capacity_gained(view)
         return view
 
     def forget(self, name: str) -> None:
@@ -160,7 +104,6 @@ class AwarenessModel:
         if view is None:
             return
         self._drop_membership(view)
-        self._versions.pop(name, None)
 
     def _drop_membership(self, view: NodeView) -> None:
         self._members[""].discard(view.name)
@@ -183,26 +126,11 @@ class AwarenessModel:
 
     # -- index maintenance ------------------------------------------------------
 
-    def _touch(self, view: NodeView, capacity_gain: bool = False) -> None:
-        """Record a state change on ``view``: bump its version, refresh its
-        heap entries, and (for events that can create capacity) mark its
-        placement tags dirty for the dispatcher."""
-        version = self._versions[view.name] + 1
-        self._versions[view.name] = version
-        if self._heaps:
-            name = _RevName(view.name)
-            scores = {
-                metric: -scorer(view)
-                for metric, scorer in HEAP_METRICS.items()
-            }
-            for tag in ("",) + view.tags:
-                for metric, neg_score in scores.items():
-                    heap = self._heaps.get((tag, metric))
-                    if heap is not None:
-                        heapq.heappush(heap, (neg_score, name, version))
-        if capacity_gain:
-            self._dirty_tags.add("")
-            self._dirty_tags.update(view.tags)
+    def _capacity_gained(self, view: NodeView) -> None:
+        """Mark ``view``'s placement tags dirty: an event that can create
+        capacity (release, recovery, upgrade, registration) happened."""
+        self._dirty_tags.add("")
+        self._dirty_tags.update(view.tags)
 
     def drain_capacity_events(self) -> Set[str]:
         """Return (and clear) the placement tags that gained capacity since
@@ -217,7 +145,7 @@ class AwarenessModel:
         view.up = True
         view.quarantined = False  # a rejoining node gets a clean slate
         view.last_report = time
-        self._touch(view, capacity_gain=True)
+        self._capacity_gained(view)
 
     def node_down(self, name: str, time: float = 0.0) -> List[str]:
         """Mark a node down; returns the job ids that were assigned to it."""
@@ -226,7 +154,6 @@ class AwarenessModel:
         view.last_report = time
         orphans = sorted(view.assigned)
         view.assigned.clear()
-        self._touch(view)
         return orphans
 
     def load_report(self, name: str, external_load: float,
@@ -234,7 +161,6 @@ class AwarenessModel:
         view = self.node(name)
         view.external_load = max(0.0, float(external_load))
         view.last_report = time
-        self._touch(view)
 
     def reconfigure(self, name: str, cpus: Optional[int] = None,
                     speed: Optional[float] = None) -> None:
@@ -244,7 +170,7 @@ class AwarenessModel:
             view.cpus = cpus
         if speed is not None:
             view.speed = speed
-        self._touch(view, capacity_gain=True)
+        self._capacity_gained(view)
 
     # -- quarantine -------------------------------------------------------------
 
@@ -253,27 +179,25 @@ class AwarenessModel:
         whatever it already holds)."""
         view = self.node(name)
         view.quarantined = True
-        self._touch(view)
 
     def release_quarantine(self, name: str) -> None:
         view = self._nodes.get(name)
         if view is not None and view.quarantined:
             view.quarantined = False
-            self._touch(view, capacity_gain=True)
+            self._capacity_gained(view)
 
     # -- placement bookkeeping -----------------------------------------------------
 
     def assign(self, name: str, job_id: str) -> None:
         view = self.node(name)
         view.assigned.add(job_id)
-        self._touch(view)
         self._publish_utilization(view)
 
     def release(self, name: str, job_id: str) -> None:
         view = self._nodes.get(name)
         if view is not None:
             view.assigned.discard(job_id)
-            self._touch(view, capacity_gain=True)
+            self._capacity_gained(view)
             self._publish_utilization(view)
 
     def _publish_utilization(self, view: NodeView) -> None:
@@ -294,40 +218,7 @@ class AwarenessModel:
                 result.append(view)
         return result
 
-    def best_node(self, placement: str = "",
-                  metric: str = "capacity-rate") -> Optional[str]:
-        """O(log n) equivalent of ``max(candidates(placement), key=metric)``
-        (ties broken by the larger name, matching the list-based policies).
-        Returns None when no up node with a free slot carries the tag."""
-        scorer = HEAP_METRICS.get(metric)
-        if scorer is None:
-            raise EngineError(f"unknown placement metric {metric!r}")
-        key = (placement, metric)
-        heap = self._heaps.get(key)
-        members = self._members.get(placement, ())
-        if heap is None or len(heap) > max(64, 4 * len(members)):
-            heap = [
-                (-scorer(self._nodes[name]), _RevName(name),
-                 self._versions[name])
-                for name in members
-            ]
-            heapq.heapify(heap)
-            self._heaps[key] = heap
-        while heap:
-            _neg_score, name, version = heap[0]
-            view = self._nodes.get(name)
-            if (view is None or version != self._versions.get(name)
-                    or not view.up or view.quarantined
-                    or view.free_slots() < 1):
-                heapq.heappop(heap)
-                continue
-            return str(name)
-        return None
-
     def total_cpus(self, only_up: bool = True) -> int:
         return sum(
             v.cpus for v in self._nodes.values() if v.up or not only_up
         )
-
-    def assigned_jobs(self, name: str) -> List[str]:
-        return sorted(self.node(name).assigned)

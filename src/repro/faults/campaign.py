@@ -172,8 +172,7 @@ def _make_record(spec_dict: Dict, config: CampaignConfig, baseline: Dict,
     return record
 
 
-def _worker_main(worker_id: int, task_queue, result_queue,
-                 darwin_size: int) -> None:
+def _worker_main(worker_id: int, task_queue, result_queue) -> None:
     """Worker loop: pull (index, spec), run the campaign, push the record.
 
     Each worker builds the workload engine once and caches one fault-free
@@ -185,7 +184,7 @@ def _worker_main(worker_id: int, task_queue, result_queue,
         run_campaign
     from ..cluster import uniform
 
-    darwin = default_darwin(darwin_size)
+    darwin = default_darwin()
     baselines: Dict[str, Dict] = {}
     while True:
         item = task_queue.get()
@@ -230,12 +229,12 @@ def _worker_main(worker_id: int, task_queue, result_queue,
 class _Worker:
     """One pool slot: a process, its private task queue, and its lease."""
 
-    def __init__(self, ctx, worker_id: int, result_queue, darwin_size: int):
+    def __init__(self, ctx, worker_id: int, result_queue):
         self.id = worker_id
         self.task_queue = ctx.Queue()
         self.process = ctx.Process(
             target=_worker_main,
-            args=(worker_id, self.task_queue, result_queue, darwin_size),
+            args=(worker_id, self.task_queue, result_queue),
             daemon=True,
         )
         self.process.start()
@@ -300,11 +299,9 @@ class CampaignEngine:
                  journal_path: Optional[str] = None,
                  journal_meta: Optional[Dict] = None,
                  failing_dir: Optional[str] = None,
-                 darwin_size: int = 120,
                  log: Optional[Callable[[str], None]] = None):
         self.workers = max(1, int(workers))
         self.timeout = timeout
-        self.darwin_size = darwin_size
         self.failing_dir = failing_dir
         self.log = log or (lambda line: None)
         self.journal = (Journal(journal_path, journal_meta)
@@ -322,7 +319,7 @@ class CampaignEngine:
 
     def _spawn_worker(self) -> _Worker:
         worker = _Worker(self._ctx, self._next_worker_id,
-                         self._result_queue, self.darwin_size)
+                         self._result_queue)
         self._next_worker_id += 1
         return worker
 

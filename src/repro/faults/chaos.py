@@ -128,9 +128,9 @@ class CampaignConfig:
         return cls(**kwargs)
 
 
-def default_darwin(size: int = 120) -> DarwinEngine:
+def default_darwin() -> DarwinEngine:
     """The workload generator campaigns run (small modeled all-vs-all)."""
-    profile = DatabaseProfile.synthetic("chaos", size, seed=5)
+    profile = DatabaseProfile.synthetic("chaos", 120, seed=5)
     return DarwinEngine(profile, mode="modeled", random_match_rate=2e-3,
                         sample_cap=200, seed=2)
 

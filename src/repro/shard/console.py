@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.engine.operator_console import OperatorConsole
-from ..obs.merge import merge_counter_snapshots
+from ..obs.merge import merge_counter_snapshots, merge_trace_summaries
 from ..prov import merge_prov_documents, provenance_graph, require_instance
 from .plane import ShardedControlPlane
 
@@ -289,9 +289,5 @@ class ShardedConsole:
         if instance_id is not None:
             console, final_id = self._locate(instance_id)
             return console.trace_summary(final_id)
-        merged: Dict[str, Any] = {}
-        for console in self._consoles():
-            for key, value in console.trace_summary().items():
-                if isinstance(value, (int, float)):
-                    merged[key] = merged.get(key, 0) + value
-        return merged
+        return merge_trace_summaries(
+            console.trace_summary() for console in self._consoles())

@@ -169,7 +169,6 @@ class ShardedControlPlane:
                  registry: Optional[ProgramRegistry] = None,
                  templates: Sequence[ProcessTemplate] = (),
                  service_time: float = 0.004,
-                 control_latency: float = 0.002,
                  redeliver_after: float = 30.0,
                  store_options: Optional[Dict[str, Any]] = None,
                  checkpoint_interval: int = 50,
@@ -180,10 +179,11 @@ class ShardedControlPlane:
         self.registry = registry or ProgramRegistry()
         self.router = ShardRouter(shards)
         # The control fabric (tenants↔broker↔shards) is separate from
-        # every shard's node fabric, with zero jitter and its own RNG
-        # namespace: deterministic transport, so a fault in one shard
-        # cannot shift another shard's message timing.
-        self.control = Network(kernel, base_latency=control_latency,
+        # every shard's node fabric, with a fixed 2 ms latency, zero
+        # jitter and its own RNG namespace: deterministic transport, so
+        # a fault in one shard cannot shift another shard's message
+        # timing.
+        self.control = Network(kernel, base_latency=0.002,
                                jitter=0.0, rng_namespace="control/")
         self.broker = ShardBroker(kernel, self.control, shards,
                                   service_time=service_time,

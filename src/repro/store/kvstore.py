@@ -157,7 +157,7 @@ class KVStore:
         #: to the live state, not yet in the WAL. A crash loses exactly
         #: this buffer.
         self._pending: List[bytes] = []
-        #: commit/sync accounting for profiling (see bench_observe).
+        #: commit/sync accounting (tests/store/test_group_commit.py reads it).
         self.stats: Dict[str, int] = {
             "commits": 0, "syncs": 0, "group_flushes": 0,
             "flushed_commits": 0, "max_group": 0,

@@ -403,11 +403,6 @@ class DataSpace:
         """Invalidate one memo entry (no-op if absent)."""
         self._kv.delete(f"{self.PREFIX}memo/{key}")
 
-    def memo_keys(self) -> List[str]:
-        """Sorted content keys currently cached."""
-        prefix = f"{self.PREFIX}memo/"
-        return sorted(key[len(prefix):] for key in self._kv.keys(prefix))
-
 
 class OperaStore:
     """All four spaces over one KV store (one WAL, one recovery unit).

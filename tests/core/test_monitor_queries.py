@@ -256,3 +256,46 @@ class TestQueryBugfixes:
         # program failures rank ahead of infrastructure-driven retries
         assert hotspots[0][0] == "P/Buggy"
         assert hotspots == queries.retry_hotspots_rescan(store, "syn", 2)
+
+
+class TestViewPathReadsNoLog:
+    """With the hub attached and in sync, every monitor query is served
+    from the views: zero event-log reads, whatever the log's length. A
+    detached hub sends the same queries back to the rescans."""
+
+    def test_six_queries_never_scan_the_event_log(self, monkeypatch):
+        import repro.store.spaces as spaces
+        from repro.core.engine import events as ev
+
+        store = _synthetic_store([
+            ev.instance_started(0.0),
+            ev.task_dispatched("P/A", "node001", "w.u", 1, 1.0),
+            ev.task_failed("P/A", "node-crash", "node001", 1, 2.0),
+            ev.task_dispatched("P/A", "node002", "w.u", 2, 3.0),
+            ev.task_completed("P/A", {}, 2.0, "node002", 5.0),
+            ev.instance_completed({}, 6.0),
+        ])
+        scans = {"count": 0}
+        original = spaces.InstanceSpace.events
+
+        def counting(self, *args, **kwargs):
+            scans["count"] += 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(spaces.InstanceSpace, "events", counting)
+
+        def ask_all():
+            return [
+                queries.node_usage(store, "syn"),
+                queries.event_histogram(store, "syn"),
+                queries.completions_over_time(store, "syn", 10.0),
+                queries.slowest_activities(store, "syn"),
+                queries.retry_hotspots(store, "syn"),
+                queries.wall_time_breakdown(store, "syn"),
+            ]
+
+        from_views = ask_all()
+        assert scans["count"] == 0
+        store.observability.detach()
+        assert ask_all() == from_views
+        assert scans["count"] >= 6

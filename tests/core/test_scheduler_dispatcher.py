@@ -378,53 +378,45 @@ class TestIncrementalPump:
 
 
 class TestBestNodeHeap:
-    """The lazy-heap fast path must agree with the list-based policies."""
+    """Which node a placement picks, asked of the one placement path
+    ``policy.select(model.candidates(tag))`` (class name kept so the test
+    ids stay stable)."""
 
-    def test_matches_capacity_aware_select(self):
-        model = make_awareness(("slow", 4, 0.5), ("fast", 2, 2.0))
-        assert model.best_node("", "capacity-rate") == \
-            CapacityAwarePolicy().select(model.candidates())
-
-    def test_matches_least_loaded_select(self):
-        model = make_awareness(("a", 4, 1.0), ("b", 4, 1.0))
-        model.load_report("a", 3.0)
-        assert model.best_node("", "effective-free") == \
-            LeastLoadedPolicy().select(model.candidates())
+    @staticmethod
+    def pick(model, policy, tag=""):
+        return policy.select(model.candidates(tag))
 
     def test_tie_broken_by_larger_name(self):
         model = make_awareness(("a", 2, 1.0), ("b", 2, 1.0))
-        assert model.best_node("", "capacity-rate") == "b"
-        assert model.best_node("", "effective-free") == "b"
+        assert self.pick(model, CapacityAwarePolicy()) == "b"
+        assert self.pick(model, LeastLoadedPolicy()) == "b"
 
     def test_tracks_mutations(self):
         model = make_awareness(("a", 3, 1.0), ("b", 3, 1.0))
+        policy = LeastLoadedPolicy()
         model.assign("b", "j1")
-        assert model.best_node("", "effective-free") == "a"
+        assert self.pick(model, policy) == "a"
         model.release("b", "j1")
         model.assign("a", "j1")
         model.assign("a", "j2")
-        assert model.best_node("", "effective-free") == "b"
+        assert self.pick(model, policy) == "b"
         model.node_down("b")
-        assert model.best_node("", "effective-free") == "a"
+        assert self.pick(model, policy) == "a"
 
     def test_returns_none_when_no_capacity(self):
         model = make_awareness(("a", 1, 1.0))
         model.assign("a", "j1")
-        assert model.best_node("", "capacity-rate") is None
+        assert self.pick(model, CapacityAwarePolicy()) is None
         model.release("a", "j1")
-        assert model.best_node("", "capacity-rate") == "a"
+        assert self.pick(model, CapacityAwarePolicy()) == "a"
 
     def test_respects_placement_tag(self):
         model = make_awareness(("a", 8, 9.0), ("g", 1, 0.1, ("gpu",)))
-        assert model.best_node("gpu", "capacity-rate") == "g"
-        assert model.best_node("nosuch", "capacity-rate") is None
-
-    def test_unknown_metric_raises(self):
-        with pytest.raises(EngineError):
-            make_awareness(("a", 1, 1.0)).best_node("", "oracle")
+        assert self.pick(model, CapacityAwarePolicy(), "gpu") == "g"
+        assert self.pick(model, CapacityAwarePolicy(), "nosuch") is None
 
     def test_forgotten_node_never_selected(self):
         model = make_awareness(("a", 2, 1.0), ("b", 2, 2.0))
-        assert model.best_node("", "capacity-rate") == "b"
+        assert self.pick(model, CapacityAwarePolicy()) == "b"
         model.forget("b")
-        assert model.best_node("", "capacity-rate") == "a"
+        assert self.pick(model, CapacityAwarePolicy()) == "a"

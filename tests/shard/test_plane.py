@@ -2,6 +2,8 @@
 
 import re
 
+import pytest
+
 import repro.store.spaces as spaces
 from repro.shard import ShardedConsole
 
@@ -31,7 +33,7 @@ class TestIdMinting:
             for i in range(10)
         ]
         plane.drain_requests(horizon=1e6)
-        # setup scans: hub catch-up + one-time serial seeding per shard
+        # setup scans: hub catch-up per shard
         after_warmup = scans["count"]
         requests += [
             plane.launch(f"tenant{i % 4}", "job", {"cost": 0.1})
@@ -49,8 +51,8 @@ class TestIdMinting:
         for shard, serials in per_shard.items():
             assert serials, f"shard {shard} minted nothing"
             assert sorted(serials) == list(range(1, len(serials) + 1))
-        # the serial counter is durable: after the one-time seeding no
-        # launch ever rescans the instance space — launch cost is O(1)
+        # the serial counter is durable: no launch ever rescans the
+        # instance space — launch cost is O(1)
         assert scans["count"] == after_warmup, (
             f"{scans['count'] - after_warmup} rescans across 990 launches")
 
@@ -118,3 +120,54 @@ class TestMergedConsole:
         assert all(count > 0 for count in per_shard)
         assert (snapshot["total_counters"]["events_appended"]
                 == sum(per_shard))
+
+    def test_plane_wide_trace_summary_keeps_the_timing_stats(self):
+        """Regression: the merged summary summed only top-level numbers,
+        so queue_wait/run_time/report_delay vanished plane-wide."""
+        kernel, plane = make_plane(shards=2, seed=21)
+        requests = [plane.launch(f"tenant{i % 2}", "job",
+                                 {"cost": 0.1 * (i + 1)})
+                    for i in range(6)]
+        plane.drain_requests(horizon=1e6)
+        plane.run_until(
+            lambda: all(plane.instance(r.result).terminal
+                        for r in requests),
+            horizon=1e6,
+        )
+        console = ShardedConsole(plane)
+        per_instance = [console.trace_summary(r.result) for r in requests]
+        merged = console.trace_summary()
+        assert set(merged) == set(per_instance[0])
+        assert merged["spans"] == merged["completed"] == 6
+        for stat in ("queue_wait", "run_time", "report_delay"):
+            parts = [summary[stat] for summary in per_instance]
+            assert merged[stat]["count"] == 6
+            assert merged[stat]["max"] == max(p["max"] for p in parts)
+            assert merged[stat]["mean"] == pytest.approx(
+                sum(p["mean"] for p in parts) / 6)
+
+
+class TestScaling:
+    @staticmethod
+    def burst_makespan(shards: int, launches: int = 200) -> float:
+        """Simulated time at which the last of ``launches`` one-activity
+        instances finishes, on a 32-node pool split across ``shards``."""
+        kernel, plane = make_plane(shards=shards, seed=11,
+                                   nodes_per_shard=32 // shards, cpus=4)
+        requests = [plane.launch(f"tenant{i % 8}", "job", {"cost": 0.02})
+                    for i in range(launches)]
+        plane.drain_requests(horizon=1e9)
+        plane.run_until(
+            lambda: all(plane.instance(r.result).terminal
+                        for r in requests),
+            horizon=1e9,
+        )
+        assert all(plane.instance(r.result).status == "completed"
+                   for r in requests)
+        return max(plane.instance(r.result).finished_at for r in requests)
+
+    def test_four_shards_halve_the_burst_makespan(self):
+        """The same burst on the same total node pool: each shard's
+        broker lane models one server process, so 4 shards must finish
+        in at most half the simulated makespan of 1."""
+        assert self.burst_makespan(4) <= self.burst_makespan(1) / 2
