@@ -101,8 +101,6 @@ class SimulatedCluster(ExecutionEnvironment):
     def attach(self, server: BioOperaServer) -> None:
         self.server = server
         server.clock = lambda: self.kernel.now
-        obs = getattr(server, "obs", None)
-        self.network.metrics = obs.metrics if obs is not None else None
         for node in self.nodes.values():
             if not server.awareness.has_node(node.name):
                 server.register_node(
@@ -429,8 +427,7 @@ class SimulatedCluster(ExecutionEnvironment):
         promotion all fail over through here, so a failover is assembled
         in exactly one place: the predecessor's hub hands over to a
         successor of the same configuration
-        (:meth:`~repro.obs.ObservabilityHub.successor`), or to none if
-        the predecessor ran without;
+        (:meth:`~repro.obs.ObservabilityHub.successor`);
         :meth:`BioOperaServer.recover` re-derives identity, epoch and
         policies from the store — the only state a recovery on another
         host can rely on; the cumulative run counters carry over.
@@ -446,13 +443,12 @@ class SimulatedCluster(ExecutionEnvironment):
             store if store is not None else old.store,
             old.registry, environment=self,
             policy=old.dispatcher.policy, seed=old.seed,
-            observability=(old.obs.successor() if old.obs is not None
-                           else False),
+            observability=old.obs.successor(),
         )
         # Cumulative counters survive the crash (they describe the run,
         # not the server process).
-        for key, value in old.metrics.items():
-            self.server.metrics[key] = self.server.metrics.get(key, 0) + value
+        for name, value in old.metrics.items():
+            self.server.obs.metrics.inc(name, value)
         self.trace.record()
         return self.server
 
@@ -471,9 +467,6 @@ class SimulatedCluster(ExecutionEnvironment):
 
     def busy_cpus(self) -> float:
         return sum(node.utilization() for node in self.nodes.values())
-
-    def total_cpus(self) -> int:
-        return sum(node.cpus for node in self.nodes.values())
 
     def lost_compute_seconds(self) -> float:
         """CPU-seconds of partial progress discarded by crashes and kills."""

@@ -72,8 +72,6 @@ class Network:
         self.reorder_rate = 0.0
         #: extra in-flight seconds a reordered message dawdles (uniform).
         self.reorder_extra = 1.0
-        #: optional MetricsRegistry mirror for the counters below.
-        self.metrics = None
         self.messages_sent = 0
         self.messages_dropped = 0
         self.messages_duplicated = 0
@@ -144,11 +142,6 @@ class Network:
     def latency(self) -> float:
         return self.base_latency + self._rng.random() * self.jitter
 
-    def _count(self, counter: str, metric: str) -> None:
-        setattr(self, counter, getattr(self, counter) + 1)
-        if self.metrics is not None:
-            self.metrics.inc(metric)
-
     def send(self, fn: Callable, *args: Any, label: str = "",
              src: str = SERVER, dst: str = SERVER,
              on_dropped: Optional[Callable[[], None]] = None) -> bool:
@@ -160,15 +153,15 @@ class Network:
         returns True; ``on_dropped`` is the only signal for those, so
         callers needing reliability must pass it.
         """
-        self._count("messages_sent", "net_messages_sent")
+        self.messages_sent += 1
         directive = fire("network.deliver", label=label, src=src, dst=dst)
         if self.is_cut(src, dst):
-            self._count("messages_dropped", "net_messages_dropped")
+            self.messages_dropped += 1
             return False
         if self._loss and (
                 self.kernel.rng(self.rng_namespace + "network-loss").random()
                 < self.loss_probability(src, dst)):
-            self._count("messages_dropped", "net_messages_dropped")
+            self.messages_dropped += 1
             return False
         delay = self.latency()
         if directive is not None and directive.kind == "delay":
@@ -177,7 +170,7 @@ class Network:
                 self.duplicate_rate > 0.0
                 and self.kernel.rng(self.rng_namespace + "network-dup")
                 .random() < self.duplicate_rate):
-            self._count("messages_duplicated", "net_messages_duplicated")
+            self.messages_duplicated += 1
             self.kernel.schedule(
                 self.latency(), self._deliver, fn, args, src, dst,
                 on_dropped, False, label=f"{label or 'msg'}#dup",
@@ -185,7 +178,7 @@ class Network:
         reorder_rng = self.kernel.rng(self.rng_namespace + "network-reorder")
         if (self.reorder_rate > 0.0
                 and reorder_rng.random() < self.reorder_rate):
-            self._count("messages_reordered", "net_messages_reordered")
+            self.messages_reordered += 1
             delay += reorder_rng.random() * self.reorder_extra
         forced_drop = directive is not None and directive.kind == "drop"
         self.kernel.schedule(
@@ -200,8 +193,8 @@ class Network:
         # Link state is re-checked at delivery time: a message in flight
         # when the cut starts dies inside the fabric.
         if forced_drop or self.is_cut(src, dst):
-            self._count("messages_dropped", "net_messages_dropped")
-            self._count("inflight_killed", "net_inflight_killed")
+            self.messages_dropped += 1
+            self.inflight_killed += 1
             if on_dropped is not None:
                 on_dropped()
             return

@@ -138,9 +138,7 @@ class PEC:
         if retries_left <= 0 or not self.node.up:
             self.reports_lost += 1
             self.pending_reports.discard(job_id)
-            obs = getattr(self.cluster.server, "obs", None)
-            if obs is not None:
-                obs.metrics.inc("pec_reports_lost")
+            self.cluster.server.obs.metrics.inc("pec_reports_lost")
             return
         if job_id:
             self.pending_reports.add(job_id)
@@ -165,15 +163,13 @@ class PEC:
             # the server this node is gone.
             return
         server = self.cluster.server
-        obs = getattr(server, "obs", None)
-        if obs is not None:
-            obs.metrics.inc("pec_jobs_received")
+        metrics = server.obs.metrics
+        metrics.inc("pec_jobs_received")
         if job.epoch and job.epoch < self.highest_epoch_seen:
             # Fencing: a dispatch issued by a deposed server (stale epoch)
             # must not run — the new server owns this task occurrence.
             self.stale_dispatches_rejected += 1
-            if obs is not None:
-                obs.metrics.inc("pec_stale_dispatches_rejected")
+            metrics.inc("pec_stale_dispatches_rejected")
             return
         if job.epoch:
             self.highest_epoch_seen = max(self.highest_epoch_seen, job.epoch)
@@ -181,8 +177,7 @@ class PEC:
             # A duplicated delivery of a dispatch already running here (or
             # already finished and waiting to report) must not double-run.
             self.duplicate_dispatches_ignored += 1
-            if obs is not None:
-                obs.metrics.inc("pec_duplicate_dispatches")
+            metrics.inc("pec_duplicate_dispatches")
             return
         ctx = ProgramContext(
             instance_id=job.instance_id,

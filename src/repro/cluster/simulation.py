@@ -186,20 +186,6 @@ class SimKernel:
             self._now = until
         return self._now
 
-    def run_until_idle(self, idle_check: Callable[[], bool],
-                       check_every: float, horizon: float) -> float:
-        """Run until ``idle_check()`` returns True, polling the condition.
-
-        The condition is evaluated after every event; ``horizon`` bounds the
-        run so a wedged system cannot loop forever.
-        """
-        while self._now <= horizon:
-            if idle_check():
-                return self._now
-            if not self.step():
-                return self._now
-        raise SimulationError(f"horizon {horizon} reached before idle")
-
     def _pending_before(self, time: float) -> bool:
         return any(
             not event.cancelled and at <= time

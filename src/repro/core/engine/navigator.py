@@ -68,9 +68,8 @@ class Navigator:
         # Crash while interpreting: navigation decisions not yet persisted
         # as events must be re-derived identically after recovery.
         fire("navigator.navigate", instance=instance.id)
-        obs = self.server.obs
-        if obs is not None:
-            obs.metrics.inc("navigations")
+        metrics = self.server.obs.metrics
+        metrics.inc("navigations")
         changed = True
         while changed and not instance.terminal:
             changed = False
@@ -88,8 +87,8 @@ class Navigator:
                 elif state.status == FAILED:
                     considered += 1
                     changed |= self._handle_failure(instance, frame, state)
-            if obs is not None and considered:
-                obs.metrics.inc("navigator_considered", considered)
+            if considered:
+                metrics.inc("navigator_considered", considered)
             changed |= self._complete_frames(instance)
             changed |= self._maybe_complete_instance(instance)
 

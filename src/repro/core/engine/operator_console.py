@@ -151,28 +151,19 @@ class OperatorConsole:
     # ------------------------------------------------------------------
 
     def metrics_snapshot(self) -> Dict[str, Any]:
-        """Live counters/gauges/histograms; empty when observability off."""
-        obs = self.server.obs
-        if obs is None:
-            return {"counters": {}, "gauges": {}, "histograms": {}}
-        return obs.metrics.snapshot()
+        """Live counters/gauges/histograms of the server's one registry."""
+        return self.server.obs.metrics.snapshot()
 
     def trace_summary(self, instance_id: Optional[str] = None
                       ) -> Dict[str, Any]:
         """Aggregate span timings (queue wait, run time, report delay)."""
-        obs = self.server.obs
-        if obs is None:
-            return {"spans": 0, "open": 0, "completed": 0, "failed": 0}
-        return obs.tracing.summary(instance_id)
+        return self.server.obs.tracing.summary(instance_id)
 
     def export_trace(self, path: str,
                      instance_id: Optional[str] = None) -> str:
         """Write the collected task spans as Chrome-trace JSON (load it in
         ``chrome://tracing`` or Perfetto); returns the path written."""
-        obs = self.server.obs
-        if obs is None:
-            raise ValueError("observability is disabled on this server")
-        return obs.tracing.export_chrome_trace(path, instance_id)
+        return self.server.obs.tracing.export_chrome_trace(path, instance_id)
 
     # ------------------------------------------------------------------
     # Provenance (lineage graph queries; see docs/provenance.md)

@@ -22,7 +22,7 @@ The server is clock- and transport-agnostic: an
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING, Tuple
 
 from ...errors import (
     EngineError,
@@ -46,6 +46,20 @@ from .instance import (
 from .library import ProgramRegistry
 from .navigator import Navigator
 from .scheduler import SchedulingPolicy
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ...obs import ObservabilityHub
+
+#: the run counters the server itself books, pre-seeded to 0 in the hub's
+#: registry so ``server.metrics["jobs_failed"]`` can be indexed before the
+#: first failure.
+RUN_COUNTERS = (
+    "jobs_dispatched", "jobs_completed", "jobs_failed",
+    "stale_results_ignored", "nodes_failed", "manual_interventions",
+    "stale_epoch_reports", "epoch_fenced", "leases_granted",
+    "leases_renewed", "leases_expired", "lease_double_grants",
+    "memo_hits", "memo_misses",
+)
 
 
 class StepClock:
@@ -79,7 +93,7 @@ class BioOperaServer:
         policy: Optional[SchedulingPolicy] = None,
         clock: Optional[Callable[[], float]] = None,
         seed: int = 0,
-        observability: Any = None,
+        observability: Optional["ObservabilityHub"] = None,
         shard_index: Optional[int] = None,
     ):
         self.store = store or OperaStore()
@@ -87,19 +101,24 @@ class BioOperaServer:
         self.awareness = AwarenessModel()
         self.dispatcher = Dispatcher(self.awareness, policy)
         self.navigator = Navigator(self)
-        # observability: None -> a fresh default hub; False -> disabled;
-        # an ObservabilityHub instance -> use it. Imported lazily: obs
+        # Every server has a hub (None -> a fresh default one): its
+        # checkpoint is what compacts the store. Imported lazily: obs
         # imports engine event constants, so a module-level import here
         # would be circular.
         if observability is None:
             from ...obs import ObservabilityHub
 
             observability = ObservabilityHub()
-        self.obs = observability or None
-        if self.obs is not None:
-            self.obs.attach(self.store)
-            self.dispatcher.metrics = self.obs.metrics
-            self.awareness.metrics = self.obs.metrics
+        self.obs = observability
+        self.obs.attach(self.store)
+        self.dispatcher.metrics = self.obs.metrics
+        self.awareness.metrics = self.obs.metrics
+        #: run-cumulative counters — the hub registry's own counter dict,
+        #: so this mapping and the console's ``metrics_snapshot`` are one
+        #: booking. Carried across a failover by ``recover_server``.
+        self.metrics: Dict[str, int] = self.obs.metrics.counters
+        for name in RUN_COUNTERS:
+            self.metrics.setdefault(name, 0)
         self.clock = clock or StepClock()
         self.seed = seed
         self.up = True
@@ -153,22 +172,6 @@ class BioOperaServer:
         #: redelivery retries them) until the move commits or rolls back.
         self.migrating: set = set()
         self._template_cache: Dict[Tuple[str, int], ProcessTemplate] = {}
-        self.metrics: Dict[str, int] = {
-            "jobs_dispatched": 0,
-            "jobs_completed": 0,
-            "jobs_failed": 0,
-            "stale_results_ignored": 0,
-            "nodes_failed": 0,
-            "manual_interventions": 0,
-            "stale_epoch_reports": 0,
-            "epoch_fenced": 0,
-            "leases_granted": 0,
-            "leases_renewed": 0,
-            "leases_expired": 0,
-            "lease_double_grants": 0,
-            "memo_hits": 0,
-            "memo_misses": 0,
-        }
         self.dispatcher.wire(
             submit=self._submit_job,
             record_dispatch=self._record_dispatch,
@@ -185,10 +188,9 @@ class BioOperaServer:
     def attach_environment(self, environment) -> None:
         self.environment = environment
         environment.attach(self)
-        if self.obs is not None:
-            lookup = getattr(environment, "job_finish_time", None)
-            if lookup is not None:
-                self.obs.tracing.finish_time_lookup = lookup
+        lookup = getattr(environment, "job_finish_time", None)
+        if lookup is not None:
+            self.obs.tracing.finish_time_lookup = lookup
 
     def register_node(self, name: str, cpus: int, speed: float = 1.0,
                       tags: Tuple[str, ...] = (),
@@ -590,17 +592,16 @@ class BioOperaServer:
         # task_dispatched event exists, so recovery simply re-queues.
         fire("server.dispatch.record", job=job.job_id, node=node)
         now = self.clock()
-        if self.obs is not None:
-            # Open before the emit so the event subscription sees an open
-            # span to enrich rather than synthesizing one without the
-            # enqueue time.
-            self.obs.tracing.open_span(
-                job.instance_id, job.task_path, node, job.program,
-                job.attempt, job.enqueued_at, now,
-            )
-            self.obs.metrics.observe(
-                "dispatch_latency", max(0.0, now - job.enqueued_at)
-            )
+        # Open before the emit so the event subscription sees an open
+        # span to enrich rather than synthesizing one without the
+        # enqueue time.
+        self.obs.tracing.open_span(
+            job.instance_id, job.task_path, node, job.program,
+            job.attempt, job.enqueued_at, now,
+        )
+        self.obs.metrics.observe(
+            "dispatch_latency", max(0.0, now - job.enqueued_at)
+        )
         self.emit(instance, ev.task_dispatched(
             job.task_path, node, job.program, job.attempt, now
         ))
@@ -695,11 +696,10 @@ class BioOperaServer:
             (job.instance_id, job.task_path, job.attempt), None
         )
         now = self.clock()
-        if self.obs is not None:
-            if reason in ev.INFRASTRUCTURE_REASONS:
-                self.obs.metrics.inc("retries_infrastructure")
-            else:
-                self.obs.metrics.inc("retries_program")
+        if reason in ev.INFRASTRUCTURE_REASONS:
+            self.obs.metrics.inc("retries_infrastructure")
+        else:
+            self.obs.metrics.inc("retries_program")
         self.emit(instance, ev.task_failed(
             job.task_path, reason, node, job.attempt, now,
             detail=detail,
@@ -818,8 +818,6 @@ class BioOperaServer:
             return False
         self.up = False
         self.metrics["epoch_fenced"] += 1
-        if self.obs is not None:
-            self.obs.metrics.inc("fencing_rejections")
         return True
 
     def _stale_epoch(self, epoch: Optional[int], job_id: str,
@@ -832,8 +830,6 @@ class BioOperaServer:
         if not epoch or epoch == self.epoch:
             return False
         self.metrics["stale_epoch_reports"] += 1
-        if self.obs is not None:
-            self.obs.metrics.inc("fencing_rejections")
         self.dispatcher.pump()
         return True
 
@@ -926,8 +922,6 @@ class BioOperaServer:
         # lease it can no longer renew), so re-dispatching is safe even if
         # the old node is still alive behind a partition.
         self.metrics["leases_expired"] += 1
-        if self.obs is not None:
-            self.obs.metrics.inc("leases_expired")
         if self.environment is not None:
             self.environment.cancel(job_id)
         self.on_job_failed(job_id, "lease-expired", node,
@@ -976,9 +970,7 @@ class BioOperaServer:
             return
         history.clear()
         self.awareness.quarantine(node)
-        self.metrics["nodes_quarantined"] = (
-            self.metrics.get("nodes_quarantined", 0) + 1
-        )
+        self.obs.metrics.inc("nodes_quarantined")
         probe(node, probe_after)
 
     def on_probe_result(self, node: str, ok: bool = True) -> None:
@@ -1062,9 +1054,7 @@ class BioOperaServer:
             self.dispatcher.job_finished(job_id)
             if self.environment is not None:
                 self.environment.cancel(job_id)
-            self.metrics["jobs_migrated"] = (
-                self.metrics.get("jobs_migrated", 0) + 1
-            )
+            self.obs.metrics.inc("jobs_migrated")
             self.emit(instance, ev.task_failed(
                 job.task_path, "migrated", node, job.attempt, self.clock(),
                 detail="kill-and-restart load balancing",
@@ -1161,7 +1151,7 @@ class BioOperaServer:
         policy: Optional[SchedulingPolicy] = None,
         clock: Optional[Callable[[], float]] = None,
         seed: int = 0,
-        observability: Any = None,
+        observability: Optional["ObservabilityHub"] = None,
     ) -> "BioOperaServer":
         """Rebuild a server from the durable store after a crash.
 

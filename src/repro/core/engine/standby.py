@@ -95,9 +95,7 @@ class StandbyMonitor:
         still-live old primary out of the cluster.
         """
         replacement = self._cluster.recover_server()
-        replacement.metrics["standby_takeovers"] = (
-            replacement.metrics.get("standby_takeovers", 0) + 1
-        )
+        replacement.obs.metrics.inc("standby_takeovers")
         self.takeovers += 1
         self.last_heartbeat = self._cluster.kernel.now
         return replacement

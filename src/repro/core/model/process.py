@@ -265,12 +265,6 @@ class ProcessTemplate:
     def required_parameters(self) -> List[str]:
         return [p.name for p in self.parameters if not p.optional]
 
-    def parameter(self, name: str) -> Optional[ProcessParameter]:
-        for param in self.parameters:
-            if param.name == name:
-                return param
-        return None
-
     def activity_programs(self) -> Set[str]:
         """All external program bindings the template references."""
         programs: Set[str] = set()

@@ -63,16 +63,6 @@ class NodeView:
         minus our own assignments."""
         return max(0.0, self.cpus - self.external_load) - self.assigned_count
 
-    def to_dict(self) -> Dict:
-        return {
-            "name": self.name,
-            "cpus": self.cpus,
-            "speed": self.speed,
-            "tags": list(self.tags),
-            "up": self.up,
-            "external_load": self.external_load,
-        }
-
 
 class AwarenessModel:
     """Mutable registry of node views, fed by PEC reports."""

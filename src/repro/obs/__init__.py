@@ -1,9 +1,9 @@
 """Live observability: metrics, materialized views, task-span tracing.
 
 The :class:`ObservabilityHub` is the single attachment point. The server
-creates one (unless handed ``observability=False``), attaches it to its
-store, and from then on every durably appended event flows — in append
-order, after the commit — into:
+creates one unless handed one, attaches it to its store, and from then
+on every durably appended event flows — in append order, after the
+commit — into:
 
 * the :class:`~repro.obs.views.ViewCatalog` (incremental materialized
   views behind ``monitor.queries``),
@@ -18,7 +18,7 @@ after a crash :meth:`ViewCatalog.bind` replays only the suffix.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from ..prov.view import ProvenanceView
 from .metrics import BoundedHistogram, MetricsRegistry
@@ -132,11 +132,3 @@ class ObservabilityHub:
         if self.compact_store:
             self._store.kv.checkpoint()
             self.metrics.inc("store_checkpoints")
-
-    # -- convenience reads ---------------------------------------------------
-
-    def snapshot(self) -> Dict[str, Any]:
-        return self.metrics.snapshot()
-
-    def trace_summary(self, instance_id: Optional[str] = None) -> Dict[str, Any]:
-        return self.tracing.summary(instance_id)

@@ -67,26 +67,6 @@ class TaskSpan:
             return None
         return max(0.0, self.closed_at - self.finished_at)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "span_id": self.span_id,
-            "instance_id": self.instance_id,
-            "path": self.path,
-            "node": self.node,
-            "program": self.program,
-            "attempt": self.attempt,
-            "enqueued_at": self.enqueued_at,
-            "dispatched_at": self.dispatched_at,
-            "finished_at": self.finished_at,
-            "closed_at": self.closed_at,
-            "status": self.status,
-            "reason": self.reason,
-            "cost": self.cost,
-            "queue_wait": self.queue_wait,
-            "run_time": self.run_time,
-            "report_delay": self.report_delay,
-        }
-
 
 class TraceCollector:
     """Bounded in-memory span store fed by the event stream.

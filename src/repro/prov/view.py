@@ -126,23 +126,13 @@ class ProvenanceView:
                 "state": self.graph.dump(),
             })
 
-    # -- reads ---------------------------------------------------------------
-
-    def rebuilt(self, store=None) -> ProvenanceGraph:
-        """A from-scratch rebuild off the durable log (the oracle)."""
-        store = store if store is not None else self._store
-        if store is None:
-            raise StoreError("provenance view is not bound to a store")
-        return ProvenanceGraph.from_records(store.data.lineage_records())
-
 
 def live_graph(store) -> Optional[ProvenanceGraph]:
     """The hub's in-sync provenance graph, or ``None`` to force a rescan.
 
     Mirrors ``queries._live_views``: the incremental graph answers only
     when it is attached *and* caught up with the durable lineage log;
-    otherwise the caller falls back to :meth:`ProvenanceView.rebuilt`
-    semantics (build from the records directly).
+    otherwise the caller builds the graph from the records directly.
     """
     hub = getattr(store, "observability", None)
     view = getattr(hub, "provenance", None)

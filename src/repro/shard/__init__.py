@@ -27,7 +27,14 @@ forwarding), which is what makes drain/shrink (:meth:`drain_shard`) and
 grow first-class topology operations.
 """
 
-from .broker import BROKER, Forwarded, Request, ShardBroker, shard_endpoint
+from .broker import (
+    BROKER,
+    Forwarded,
+    Rejected,
+    Request,
+    ShardBroker,
+    shard_endpoint,
+)
 from .console import ShardedConsole
 from .migrate import ShardMigrator, migration_invariants
 from .plane import Shard, ShardedControlPlane
@@ -36,6 +43,7 @@ from .router import ShardRouter
 __all__ = [
     "BROKER",
     "Forwarded",
+    "Rejected",
     "Request",
     "Shard",
     "ShardBroker",

@@ -26,6 +26,7 @@ Reliability is broker-side redelivery over idempotent shard operations:
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from ..cluster.network import Network
@@ -41,6 +42,7 @@ def shard_endpoint(index: int) -> str:
     return f"shard{index:02d}"
 
 
+@dataclass(frozen=True)
 class Forwarded:
     """A shard's answer to a request for an instance it migrated away.
 
@@ -50,13 +52,20 @@ class Forwarded:
     across a drain: the request route-chases, it never errors.
     """
 
-    __slots__ = ("to",)
+    to: str
 
-    def __init__(self, to: str):
-        self.to = to
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Forwarded(to={self.to!r})"
+@dataclass(frozen=True)
+class Rejected:
+    """A shard's answer to a request naming an instance it neither owns
+    nor ever forwarded (a tenant's typo, say).
+
+    Acked like any other result — the request ends ``done`` carrying
+    this, and the broker counts it ``unroutable`` — because raising
+    instead would unwind the kernel loop every tenant shares.
+    """
+
+    reason: str
 
 
 class Request:
@@ -256,33 +265,28 @@ class ShardBroker:
             src=shard_endpoint(request.shard), dst=BROKER,
         )
 
-    def _ack(self, request: Request, epoch: int, result: Any) -> None:
+    def _answer_is_current(self, request: Request, epoch: int) -> bool:
+        """The guard every shard answer (ack or forward) passes first."""
         shard = request.shard
         if epoch < self.highest_epoch_seen[shard]:
-            # Ack from a deposed incarnation of the shard server.
+            # Answer from a deposed incarnation of the shard server.
             self.stale_acks_rejected += 1
-            return
+            return False
         self.highest_epoch_seen[shard] = epoch
         if request.status == "done":
-            # A redelivered request acked twice; idempotent shard ops
+            # A redelivered request answered twice; idempotent shard ops
             # make the extra execution harmless, and this the dedup.
             self.duplicate_acks_ignored += 1
+            return False
+        return True
+
+    def _ack(self, request: Request, epoch: int, result: Any) -> None:
+        if not self._answer_is_current(request, epoch):
             return
-        request.status = "done"
-        request.result = result
-        request.completed_at = self.kernel.now
-        self.completed += 1
-        self.tenant_completed[request.tenant] = (
-            self.tenant_completed.get(request.tenant, 0) + 1
-        )
-        self.tenant_latencies.setdefault(request.tenant, []).append(
-            request.latency
-        )
-        if self._in_flight[shard] is request:
-            self._in_flight[shard] = None
-        if self.on_complete is not None:
-            self.on_complete(request)
-        self._maybe_dispatch(shard)
+        if isinstance(result, Rejected):
+            self.unroutable += 1
+        self.complete_local(request, result)
+        self._maybe_dispatch(request.shard)
 
     def _forward_ack(self, request: Request, epoch: int,
                      forwarded: Forwarded) -> None:
@@ -293,14 +297,9 @@ class ShardBroker:
         and the request re-enters that shard's queue (same submission,
         not a new one).
         """
+        if not self._answer_is_current(request, epoch):
+            return
         shard = request.shard
-        if epoch < self.highest_epoch_seen[shard]:
-            self.stale_acks_rejected += 1
-            return
-        self.highest_epoch_seen[shard] = epoch
-        if request.status == "done":
-            self.duplicate_acks_ignored += 1
-            return
         self.forwarded += 1
         if self._in_flight[shard] is request:
             self._in_flight[shard] = None
@@ -317,11 +316,11 @@ class ShardBroker:
         self._maybe_dispatch(shard)
 
     def complete_local(self, request: Request, result: Any) -> None:
-        """Administratively complete a request outside the ack path.
-
-        Used when resettling a retired shard's queue: the work is
-        provably already done (a durable dedup marker exists) or has
-        nowhere left to go, so no shard will ever ack it.
+        """Mark a request done and account for it: the tail of
+        :meth:`_ack`, and the administrative completion of a request no
+        shard will ever ack — resettling a retired shard's queue finds
+        work provably already done (a durable dedup marker exists) or
+        with nowhere left to go.
         """
         if request.status == "done":
             return

@@ -20,6 +20,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..core.engine.operator_console import OperatorConsole
 from ..obs.merge import merge_counter_snapshots, merge_trace_summaries
 from ..prov import merge_prov_documents, provenance_graph, require_instance
+from .broker import shard_endpoint
 from .plane import ShardedControlPlane
 
 
@@ -247,6 +248,14 @@ class ShardedConsole:
         depths["broker"] = self.plane.broker.pending()
         return depths
 
+    def _broker_queues(self) -> Dict[str, Dict[str, Any]]:
+        """Per-shard broker backlog rows, keyed ``shardNN``."""
+        return {
+            shard_endpoint(index): stats
+            for index, stats in
+            self.plane.broker.shard_queue_stats().items()
+        }
+
     def network_health(self) -> Dict[str, Any]:
         """Control-fabric counters, per-shard broker backlog (depth and
         oldest-pending age — the drain-target picker), and each live
@@ -254,11 +263,7 @@ class ShardedConsole:
         return {
             "control": dict(self.plane.control.health()),
             "broker": self.plane.broker.health(),
-            "broker_queues": {
-                f"shard{index:02d}": stats
-                for index, stats in
-                self.plane.broker.shard_queue_stats().items()
-            },
+            "broker_queues": self._broker_queues(),
             "shards": {
                 f"shard{shard.index:02d}":
                     OperatorConsole(shard.server).network_health()
@@ -279,7 +284,7 @@ class ShardedConsole:
                 for snapshot in per_shard.values()
             ),
             "broker": self.plane.broker.health(),
-            "broker_queues": self.plane.broker.shard_queue_stats(),
+            "broker_queues": self._broker_queues(),
             "shards": per_shard,
         }
 

@@ -93,6 +93,11 @@ def _rewrite_lineage(record: Dict[str, Any], old_id: str,
     return rewritten
 
 
+def _lineage_key(seq: int) -> str:
+    """KV key of lineage record ``seq`` (for cross-space transactions)."""
+    return _seq_key(f"{DataSpace.PREFIX}lineage/", seq)
+
+
 def _prov_rebase(store, added=(), excluded=frozenset(),
                  cursor=None) -> Dict[str, Any]:
     """Provenance checkpoint payload for a bulk lineage rewrite.
@@ -101,13 +106,13 @@ def _prov_rebase(store, added=(), excluded=frozenset(),
     ``append_lineage`` (and so the provenance view's subscription). The
     enclosing transaction writes this payload — the graph folded from
     the log *as that transaction will leave it* (current records minus
-    ``excluded`` keys plus ``added``) — under the view's checkpoint key,
+    ``excluded`` sequence numbers plus ``added``) — under the view's checkpoint key,
     so a crash on either side of the move recovers a checkpoint that
     matches the log instead of one from before the rewrite."""
     records = [
         record
-        for key, record in store.kv.items(f"{DataSpace.PREFIX}lineage/")
-        if key not in excluded
+        for seq, record in store.data.lineage_records_from(0)
+        if seq not in excluded
     ]
     records.extend(added)
     graph = ProvenanceGraph.from_records(records)
@@ -230,9 +235,8 @@ class ShardMigrator:
         meta = dict(space.meta(instance_id))
         events = [dict(event) for event in space.events(instance_id)]
         lineage_items = [
-            (key, record)
-            for key, record in source.store.kv.items(
-                f"{DataSpace.PREFIX}lineage/")
+            (seq, record)
+            for seq, record in source.store.data.lineage_records_from(0)
             if isinstance(record, dict)
             and record.get("instance_id") == instance_id
         ]
@@ -244,8 +248,8 @@ class ShardMigrator:
             "meta": meta,
             "events": events,
             "next_seq": space.event_count(instance_id),
-            "lineage_keys": [key for key, _record in lineage_items],
-            "lineage": [record for _key, record in lineage_items],
+            "lineage_seqs": [seq for seq, _record in lineage_items],
+            "lineage": [record for _seq, record in lineage_items],
             "max_epoch": max(epochs, default=0),
             "request_key": meta.get("request_key"),
             "template": (name, version,
@@ -273,8 +277,7 @@ class ShardMigrator:
         meta = dict(export["meta"])
         meta["migrated_from"] = old_id
         instance_prefix = f"{InstanceSpace.PREFIX}{new_id}/"
-        lineage_base = int(target.store.kv.get(
-            f"{DataSpace.PREFIX}lineage_seq", 0))
+        lineage_base = target.store.data.lineage_count()
         rewritten = [_rewrite_lineage(record, old_id, new_id)
                      for record in export["lineage"]]
         journal = {
@@ -294,8 +297,7 @@ class ShardMigrator:
             for seq, event in enumerate(export["events"]):
                 txn.put(_seq_key(f"{instance_prefix}event/", seq), event)
             for offset, record in enumerate(rewritten):
-                txn.put(_seq_key(f"{DataSpace.PREFIX}lineage/",
-                                 lineage_base + offset), record)
+                txn.put(_lineage_key(lineage_base + offset), record)
             if rewritten:
                 txn.put(f"{DataSpace.PREFIX}lineage_seq",
                         lineage_base + len(rewritten))
@@ -329,9 +331,9 @@ class ShardMigrator:
         configuration = source.store.configuration
         instance_prefix = f"{InstanceSpace.PREFIX}{old_id}/"
         prov_payload = None
-        if export["lineage_keys"]:
+        if export["lineage_seqs"]:
             prov_payload = _prov_rebase(
-                source.store, excluded=set(export["lineage_keys"]))
+                source.store, excluded=set(export["lineage_seqs"]))
         with source.store.kv.transaction() as txn:
             txn.put(configuration.setting_key(f"forward/{old_id}"),
                     {"to": new_id, "shard": target_index})
@@ -344,13 +346,13 @@ class ShardMigrator:
             txn.delete(f"{instance_prefix}next_seq")
             for seq in range(export["next_seq"]):
                 txn.delete(_seq_key(f"{instance_prefix}event/", seq))
-            for key in export["lineage_keys"]:
-                txn.delete(key)
+            for seq in export["lineage_seqs"]:
+                txn.delete(_lineage_key(seq))
             if prov_payload is not None:
                 txn.put(PROV_CHECKPOINT_KEY, prov_payload)
             txn.delete(configuration.setting_key(f"migrate_out/{old_id}"))
         source.store.flush()
-        if export["lineage_keys"]:
+        if export["lineage_seqs"]:
             _resync_provenance(source.store)
         source.server.complete_migration(old_id)
 
@@ -362,24 +364,20 @@ class ShardMigrator:
         with target.store.kv.transaction() as txn:
             txn.delete(configuration.setting_key(f"migrate_in/{new_id}"))
         target.store.flush()
-        max_epoch = max(
-            (event["epoch"]
-             for event in target.store.instances.events(new_id)
+        events = list(target.store.instances.events(new_id))
+        target.server.adopt_epoch(max(
+            (event["epoch"] for event in events
              if isinstance(event.get("epoch"), int)),
             default=0,
-        )
-        target.server.adopt_epoch(max_epoch)
-        hub = target.store.observability
-        if hub is not None:
-            # Imported events bypassed the append subscription; fold them
-            # into the views BEFORE adoption emits (apply requires
-            # seq == cursor). apply_events — not catch_up — because
-            # catch_up trusts per-view checkpoint cursors, which lag the
-            # live cursors and would double-fold the other instances'
-            # recent events; apply_events is idempotent when a target
-            # recovery already caught this instance up.
-            hub.views.apply_events(
-                new_id, 0, list(target.store.instances.events(new_id)))
+        ))
+        # Imported events bypassed the append subscription; fold them
+        # into the views BEFORE adoption emits (apply requires
+        # seq == cursor). apply_events — not catch_up — because
+        # catch_up trusts per-view checkpoint cursors, which lag the
+        # live cursors and would double-fold the other instances'
+        # recent events; apply_events is idempotent when a target
+        # recovery already caught this instance up.
+        target.server.obs.views.apply_events(new_id, 0, events)
         target.server.adopt_instance(new_id)
         target.store.flush()
 
@@ -457,20 +455,17 @@ class ShardMigrator:
         base = int(journal.get("lineage_base", 0))
         lineage_count = int(journal.get("lineage_count", 0))
         request_key = journal.get("request_key")
-        staged_keys = {
-            _seq_key(f"{DataSpace.PREFIX}lineage/", seq)
-            for seq in range(base, base + lineage_count)
-        }
+        staged = range(base, base + lineage_count)
         prov_payload = None
         if lineage_count:
-            prov_payload = _prov_rebase(target.store, excluded=staged_keys)
+            prov_payload = _prov_rebase(target.store, excluded=staged)
         with target.store.kv.transaction() as txn:
             txn.delete(f"{instance_prefix}meta")
             txn.delete(f"{instance_prefix}next_seq")
             for seq in range(count):
                 txn.delete(_seq_key(f"{instance_prefix}event/", seq))
-            for seq in range(base, base + lineage_count):
-                txn.delete(_seq_key(f"{DataSpace.PREFIX}lineage/", seq))
+            for seq in staged:
+                txn.delete(_lineage_key(seq))
             if prov_payload is not None:
                 txn.put(PROV_CHECKPOINT_KEY, prov_payload)
             if (request_key and configuration.setting(

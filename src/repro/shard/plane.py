@@ -39,7 +39,7 @@ from ..core.model.process import ProcessTemplate
 from ..errors import EngineError, UnknownShardError
 from ..obs import ObservabilityHub
 from ..store.spaces import OperaStore
-from .broker import Forwarded, Request, ShardBroker
+from .broker import Forwarded, Rejected, Request, ShardBroker
 from .migrate import ShardMigrator
 from .router import ShardRouter
 
@@ -128,10 +128,14 @@ class Shard:
                 if isinstance(forward, dict) and forward.get("to"):
                     # Migrated away: tell the broker where to chase.
                     return server.epoch, Forwarded(forward["to"])
-            result = server.deliver_signal(
-                instance_id, payload["name"],
-                payload.get("origin", "operator"),
-            )
+                # Neither live nor forwarded: outside input naming
+                # nothing. Ack a no-op carrying the rejection.
+                result = Rejected(f"unknown instance {instance_id!r}")
+            else:
+                result = server.deliver_signal(
+                    instance_id, payload["name"],
+                    payload.get("origin", "operator"),
+                )
         elif request.kind == "broadcast":
             server._broadcast_local(payload["name"],
                                     payload.get("origin", "broadcast"))

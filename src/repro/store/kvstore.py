@@ -433,11 +433,6 @@ class KVStore:
         return len(self._wal)
 
     @property
-    def wal_segments(self) -> int:
-        """Number of live WAL segments (1 for the in-memory backend)."""
-        return self._wal.segment_count()
-
-    @property
     def wal_position(self) -> int:
         """Global log position: total records ever appended."""
         return self._wal.position()

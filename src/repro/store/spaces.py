@@ -223,9 +223,9 @@ class InstanceSpace:
             raise failure
 
     def events(self, instance_id: str) -> Iterator[Dict[str, Any]]:
-        """Yield the instance's events in append order."""
-        prefix = f"{self.PREFIX}{instance_id}/event/"
-        for _, event in self._kv.items(prefix):
+        """Yield the instance's events in append order (the whole log,
+        through :meth:`events_from` — the one log reader)."""
+        for _seq, event in self.events_from(instance_id, 0):
             yield event
 
     def events_from(self, instance_id: str,
@@ -369,7 +369,7 @@ class DataSpace:
 
     def lineage_records(self) -> List[Dict[str, Any]]:
         """Every lineage record, in append order."""
-        return [rec for _, rec in self._kv.items(f"{self.PREFIX}lineage/")]
+        return [record for _seq, record in self.lineage_records_from(0)]
 
     def lineage_count(self) -> int:
         """Number of lineage records durably appended."""

@@ -38,13 +38,11 @@ def _cluster_server(seed=31, nodes=1, cost=50.0, **cluster_kw):
 
 class TestEpochs:
     def test_epoch_bumps_durably_on_every_restart(self):
-        first = BioOperaServer(registry=_registry(), observability=False)
+        first = BioOperaServer(registry=_registry())
         assert first.epoch == 1
         assert first.store.configuration.setting("server_epoch") == 1
-        second = BioOperaServer.recover(first.store, first.registry,
-                                        observability=False)
-        third = BioOperaServer.recover(first.store, first.registry,
-                                       observability=False)
+        second = BioOperaServer.recover(first.store, first.registry)
+        third = BioOperaServer.recover(first.store, first.registry)
         assert (second.epoch, third.epoch) == (2, 3)
         assert first.store.configuration.setting("server_epoch") == 3
 
@@ -165,8 +163,7 @@ class TestLeases:
         assert state.attempts >= 2
 
     def test_recover_carries_lease_policy(self):
-        server = BioOperaServer(registry=_registry(), observability=False)
+        server = BioOperaServer(registry=_registry())
         server.enable_leases(123.0, 5.0)
-        recovered = BioOperaServer.recover(server.store, server.registry,
-                                           observability=False)
+        recovered = BioOperaServer.recover(server.store, server.registry)
         assert recovered.leases == (123.0, 5.0)

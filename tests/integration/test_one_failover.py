@@ -11,6 +11,7 @@ import pytest
 
 from repro.cluster import SimKernel, SimulatedCluster, uniform
 from repro.core.engine import BioOperaServer, attach_standby
+from repro.core.engine.operator_console import OperatorConsole
 from repro.core.ocr.parser import parse_ocr
 from repro.faults import chaos
 from repro.faults.plan import FaultAction, FaultPlan, ScheduledFault
@@ -41,11 +42,6 @@ class TestHubCarriedAcrossFailover:
         # the predecessor's hub no longer follows the store
         assert recovered.store.observability is recovered.obs
         assert server.obs._store is None
-
-    def test_server_without_observability_recovers_without(self):
-        _kernel, cluster, _server = _cluster(False)
-        cluster.crash_server()
-        assert cluster.recover_server().obs is None
 
     def test_shard_failover_keeps_the_view_checkpoint_interval(self):
         _kernel, plane = make_plane(2, checkpoint_interval=7)
@@ -84,6 +80,32 @@ class TestHubCarriedAcrossFailover:
         assert recovered.obs.checkpoint_interval == 7
         assert recovered.store.observability is recovered.obs
         assert half_built.obs._store is None
+
+
+def test_counters_are_one_booking_carried_across_the_failover():
+    """What the server counts and what the console's snapshot reports
+    are one dict; ``recover_server`` carries the counters (they describe
+    the run), while histograms restart with the server process."""
+    kernel, cluster, server, instance_id = chaos._build(
+        chaos.default_darwin(), 101, chaos.CampaignConfig())
+    kernel.run(until=kernel.now + 40)
+    dispatched = server.metrics["jobs_dispatched"]
+    assert dispatched > 0
+    cluster.crash_server()
+    recovered = cluster.recover_server(server.store.simulate_crash())
+    assert recovered.metrics is recovered.obs.metrics.counters
+    assert (recovered.obs.metrics.histogram("dispatch_latency").count
+            == recovered.metrics["jobs_dispatched"] - dispatched > 0)
+    cluster.run_until_instance_done(instance_id)
+    console = OperatorConsole(recovered)
+    counters = console.metrics_snapshot()["counters"]
+    assert counters["jobs_completed"] == 22
+    assert counters == recovered.metrics
+    assert not [name for name in counters
+                if name.startswith("net_") or name == "fencing_rejections"]
+    # messages are counted by the fabric, which outlives the failover
+    assert (console.network_health()["messages_sent"]
+            == cluster.network.messages_sent > counters["jobs_dispatched"])
 
 
 def test_every_failover_reaches_recover_server(monkeypatch):

@@ -157,14 +157,3 @@ class TestConsoleSurface:
         server, instance_id = traced_run
         summary = OperatorConsole(server).trace_summary(instance_id)
         assert summary["completed"] == 2
-
-    def test_disabled_observability_degrades_gracefully(self, tmp_path):
-        server = BioOperaServer(observability=False)
-        assert server.obs is None
-        console = OperatorConsole(server)
-        assert console.metrics_snapshot() == {
-            "counters": {}, "gauges": {}, "histograms": {},
-        }
-        assert console.trace_summary()["spans"] == 0
-        with pytest.raises(ValueError):
-            console.export_trace(str(tmp_path / "t.json"))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.engine import events as ev
+from repro.core.engine import BioOperaServer, events as ev
 from repro.errors import StoreError
 from repro.faults.plan import FaultAction
 from repro.faults.points import FaultInjector, InjectedCrash, installed
@@ -260,6 +260,18 @@ class TestStoreCompaction:
         # append is 1 event record + the view-checkpoint records)
         assert store.kv.wal_records < 40 * 2 + 20
         assert store.kv.wal_position > store.kv.wal_records
+
+
+    def test_a_server_built_with_defaults_bounds_its_log(self):
+        """Every server has a hub, so every server's store is compacted:
+        ``ObservabilityHub(compact_store=False)`` is the only opt-out."""
+        server = BioOperaServer()
+        store = server.store
+        store.instances.create("pi-1", {})
+        for event in _event_stream(300):  # > the default 500 appends
+            store.instances.append_event("pi-1", event)
+        assert server.metrics["store_checkpoints"] == 1
+        assert store.kv.wal_records < store.kv.wal_position
 
 
 class TestStateHygiene:

@@ -15,13 +15,21 @@ The contract under test (docs/sharding.md runbook):
 
 import pytest
 
-from repro.errors import EngineError, UnknownShardError
+from repro.cluster import SimKernel
+from repro.core.ocr.parser import parse_ocr
+from repro.errors import ActivityFailure, EngineError, UnknownShardError
 from repro.faults import invariants
 from repro.faults.plan import FaultAction
 from repro.faults.points import FaultInjector, InjectedCrash, installed
-from repro.shard import ShardedConsole, migration_invariants
+from repro.shard import (
+    BROKER,
+    ShardedConsole,
+    ShardedControlPlane,
+    migration_invariants,
+    shard_endpoint,
+)
 
-from .conftest import make_plane
+from .conftest import JOB_OCR, job_registry, make_plane
 
 
 def _launch(plane, count, cost, tenant="t0"):
@@ -309,3 +317,180 @@ class TestBrokerTopology:
         rows = console.list_instances()
         assert len(rows) == len(requests)
         assert {row["shard"] for row in rows} <= {1, 2}
+
+
+class TestSignalRacesTheMove:
+    def test_signal_in_flight_while_its_instance_moves_is_forwarded(self):
+        """The request left the broker aimed at the old owner; the move
+        commits before it is serviced. The old owner answers with a
+        forward, the broker chases it, and the signal is raised exactly
+        once — on the new copy."""
+        kernel, plane = make_plane(shards=2, seed=11)
+        requests = _launch(plane, 4, cost=200.0)
+        plane.drain_requests()
+        old_id = _ids_on(requests, 0)[0]
+        signal = plane.signal("t0", old_id, "checkpoint-please")
+        new_id = plane.migrator.migrate_instance(old_id, 1)
+        kernel.run()
+        assert signal.status == "done" and signal.result is True
+        assert signal.payload["instance_id"] == new_id
+        assert plane.broker.forwarded == 1
+        raised = [
+            event for event in _events(plane, new_id)
+            if event["type"] == "signal_raised"
+            and event.get("name") == "checkpoint-please"
+        ]
+        assert len(raised) == 1
+        assert migration_invariants(plane) == []
+
+
+DOOMED_OCR = """
+PROCESS doomed
+  ACTIVITY Work
+    PROGRAM t.fail
+    ON_FAILURE ABORT
+  END
+END
+"""
+
+
+class TestStaleIdOnTheConsole:
+    """Every routed console call accepts the id the operator was given
+    at launch, however often the instance has moved since."""
+
+    @pytest.fixture()
+    def drained(self):
+        registry = job_registry()
+
+        def fail(inputs, ctx):
+            raise ActivityFailure("program-error", "doomed by design")
+
+        registry.register("t.fail", fail)
+        kernel = SimKernel(seed=11)
+        plane = ShardedControlPlane(
+            kernel, shards=2, registry=registry, dispatch_overhead=0.05,
+            templates=[parse_ocr(JOB_OCR), parse_ocr(DOOMED_OCR)])
+        jobs = _launch(plane, 6, cost=200.0)
+        doomed = [plane.launch("t0", "doomed") for _ in range(4)]
+        kernel.run(until=kernel.now + 20.0)
+        moved = plane.drain_shard(0)
+        kernel.run(until=kernel.now + 20.0)
+        live, dead = _ids_on(jobs, 0), _ids_on(doomed, 0)
+        assert len(live) >= 2 and dead
+        return kernel, plane, ShardedConsole(plane), moved, live, dead
+
+    def test_control_calls_act_on_the_moved_copy(self, drained):
+        kernel, plane, console, moved, live, _dead = drained
+        old_id = live[0]
+        copy = plane.shards[1].server.instances[moved[old_id]]
+        console.stop(old_id)
+        assert copy.status == "suspended"
+        console.resume(old_id)
+        assert copy.status == "running"
+        console.change_parameter(old_id, "cost", 3.0)
+        assert copy.whiteboards[""].as_dict()["cost"] == 3.0
+        console.restart_task(old_id, "Work")
+        assert "task_reset" in [
+            event["type"] for event in _events(plane, moved[old_id])]
+        console.abort(live[1])
+        assert plane.instance(live[1]).status == "aborted"
+        kernel.run()
+        assert copy.status == "completed"
+        _assert_plane_clean(plane)
+
+    def test_queries_answer_from_the_moved_copy(self, drained):
+        kernel, plane, console, moved, live, dead = drained
+        old_id = live[0]
+        running = console.running_tasks(old_id)
+        assert [row["path"] for row in running] == ["Work"]
+        assert running[0]["node"].startswith("s01-")
+        assert running[0]["attempt"] == 2  # re-driven after the move
+        failed = console.failed_tasks(dead[0])
+        assert [(row["path"], row["reason"]) for row in failed] == [
+            ("Work", "program-error")]
+        assert console.intermediate_results(old_id) == {}
+        kernel.run()
+        assert console.intermediate_results(old_id) == {
+            "Work": {"receipt": "ok"}}
+        assert console.intermediate_results(old_id, prefix="Nope") == {}
+
+
+JOB_V2_OCR = JOB_OCR.replace("One unit of tenant work", "Second edition")
+JOB_V2_OTHER_OCR = JOB_OCR.replace("One unit of tenant work", "A fork")
+
+
+class TestPinnedTemplateVersion:
+    def _pinned_to_v2_on_shard0(self):
+        kernel, plane = make_plane(shards=2, seed=11)
+        assert plane.shards[0].server.define_template(
+            parse_ocr(JOB_V2_OCR)) == 2
+        requests = _launch(plane, 4, cost=200.0)
+        plane.drain_requests()
+        old_id = _ids_on(requests, 0)[0]
+        assert plane.shards[0].store.instances.meta(old_id)["version"] == 2
+        return kernel, plane, old_id
+
+    def test_missing_version_is_replicated_exactly(self):
+        kernel, plane, old_id = self._pinned_to_v2_on_shard0()
+        source, target = plane.shards[0].store, plane.shards[1].store
+        assert target.templates.latest_version("job") == 1
+        new_id = plane.migrator.migrate_instance(old_id, 1)
+        assert target.templates.latest_version("job") == 2
+        assert (target.templates.load("job", 2)
+                == source.templates.load("job", 2))
+        assert target.instances.meta(new_id)["version"] == 2
+        kernel.run()
+        assert plane.instance(old_id).status == "completed"
+        _assert_plane_clean(plane)
+
+    def test_conflicting_content_at_that_version_refuses_the_move(self):
+        kernel, plane, old_id = self._pinned_to_v2_on_shard0()
+        assert plane.shards[1].server.define_template(
+            parse_ocr(JOB_V2_OTHER_OCR)) == 2
+        with pytest.raises(EngineError, match="differs between shards"):
+            plane.migrator.migrate_instance(old_id, 1)
+        source = plane.shards[0]
+        assert source.store.instances.meta(old_id) is not None
+        assert source.store.configuration.setting(
+            f"forward/{old_id}") is None
+        # The refused move is undone like any interrupted one.
+        plane.migrator.resume()
+        assert old_id not in source.server.migrating
+        kernel.run()
+        assert source.server.instances[old_id].status == "completed"
+        _assert_plane_clean(plane)
+
+
+class TestRetirementResettlesTheQueue:
+    def test_executed_launch_and_queued_broadcast_complete_locally(self):
+        """Shard 0 executed a launch but its ack never left (acks cut);
+        a broadcast queues up behind it. Retiring the shard completes
+        the launch from its durable dedup marker — no second instance —
+        and the broadcast vacuously."""
+        kernel, plane = make_plane(shards=2, seed=11)
+        plane.control.partition({shard_endpoint(0)}, {BROKER},
+                                symmetric=False)
+        launches = _launch(plane, 6, cost=5.0)
+        kernel.run(until=kernel.now + 1.0)
+        held = [r for r in launches if r.shard == 0]
+        executed, never_sent = held[0], held[1:]
+        assert never_sent and executed.status == "in-flight"
+        marker = plane.shards[0].store.configuration.setting(
+            f"request/{executed.request_id}")
+        assert marker is not None
+        broadcasts = plane.broadcast_signal("audit")
+        kernel.run(until=kernel.now + 1.0)
+        assert [r.status for r in broadcasts] == ["queued", "done"]
+
+        moved = plane.drain_shard(0)
+        kernel.run()
+        assert executed.status == "done"
+        assert executed.result == moved[marker]
+        assert broadcasts[0].status == "done"
+        assert broadcasts[0].result is True
+        assert all(r.status == "done" for r in launches)
+        assert plane.broker.pending() == 0
+        # one instance per launch: the executed one was not re-run
+        assert sorted(plane.all_instances()) == sorted(
+            plane.resolve_instance(r.result)[1] for r in launches)
+        _assert_plane_clean(plane)

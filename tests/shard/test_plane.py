@@ -5,7 +5,7 @@ import re
 import pytest
 
 import repro.store.spaces as spaces
-from repro.shard import ShardedConsole
+from repro.shard import Rejected, ShardedConsole
 
 from .conftest import make_plane
 
@@ -88,6 +88,23 @@ class TestBroadcast:
         assert signalled == 9
 
 
+class TestRejectedSignal:
+    def test_signal_for_an_unknown_id_is_rejected_not_raised(self):
+        """A well-formed id naming no instance (and no forwarding
+        record) is outside input: it is acked with a typed rejection
+        instead of raising out of the kernel loop every tenant shares."""
+        kernel, plane = make_plane(shards=2, seed=11)
+        bad = plane.signal("t1", "s00-pi-009999", "poke")
+        launch = plane.launch("t2", "job", {"cost": 1.0})
+        kernel.run()
+        assert bad.status == "done"
+        assert isinstance(bad.result, Rejected)
+        assert "s00-pi-009999" in bad.result.reason
+        assert plane.broker.health()["unroutable"] == 1
+        assert launch.status == "done"
+        assert plane.instance(launch.result).status == "completed"
+
+
 class TestMergedConsole:
     def test_console_routes_and_merges(self):
         kernel, plane = make_plane(shards=2, seed=21)
@@ -120,6 +137,13 @@ class TestMergedConsole:
         assert all(count > 0 for count in per_shard)
         assert (snapshot["total_counters"]["events_appended"]
                 == sum(per_shard))
+        # the servers' run counters are in the same registry
+        assert snapshot["total_counters"]["jobs_completed"] == sum(
+            shard.server.metrics["jobs_completed"]
+            for shard in plane.shards) == 8
+        # one spelling of the per-shard broker rows in both answers
+        assert (set(snapshot["broker_queues"])
+                == set(health["broker_queues"]) == {"shard00", "shard01"})
 
     def test_plane_wide_trace_summary_keeps_the_timing_stats(self):
         """Regression: the merged summary summed only top-level numbers,

@@ -228,6 +228,42 @@ class TestDataSpace:
         assert [r["n"] for r in store.data.lineage_records()] == [0, 1, 2]
 
 
+class TestOneLogReader:
+    """``events``/``lineage_records`` read by sequence key through
+    ``events_from``/``lineage_records_from``: no whole-store prefix scan
+    per call, and a hole is an error on every read."""
+
+    @pytest.fixture()
+    def populated(self, store):
+        for index in range(50):
+            instance_id = f"pi-{index:03d}"
+            store.instances.create(instance_id, {"status": "running"})
+            store.instances.append_events(
+                instance_id, [{"type": "a"}, {"type": "b"}, {"type": "c"}])
+            store.data.append_lineage({"instance_id": instance_id})
+        return store
+
+    def test_full_reads_make_no_prefix_scan(self, populated, monkeypatch):
+        scans = []
+        real_keys = type(populated.kv).keys
+
+        def counting_keys(kv, prefix=""):
+            scans.append(prefix)
+            return real_keys(kv, prefix)
+
+        monkeypatch.setattr(type(populated.kv), "keys", counting_keys)
+        events = list(populated.instances.events("pi-025"))
+        records = populated.data.lineage_records()
+        assert [event["type"] for event in events] == ["a", "b", "c"]
+        assert len(records) == 50
+        assert scans == []
+
+    def test_hole_in_an_event_log_raises_on_a_full_read(self, populated):
+        populated.kv.delete("instance/pi-025/event/0000000001")
+        with pytest.raises(StoreError, match="hole at seq 1"):
+            list(populated.instances.events("pi-025"))
+
+
 class TestCrashRecovery:
     def test_all_spaces_survive_crash(self, store):
         store.templates.save("t", {"x": 1})
