@@ -12,8 +12,8 @@ against a live :class:`~repro.core.engine.server.BioOperaServer`:
   live in-memory instance;
 * **exactly-once accounting** — per task occurrence, each attempt is
   dispatched at most once and completes on a node at most once;
-* **monotonic, contiguous log** — the persisted ``next_seq`` matches the
-  number of events (no holes, no phantoms);
+* **monotonic, contiguous log** — the event keys a scan of the store finds
+  are exactly sequences ``0 .. next_seq - 1`` (no holes, no phantoms);
 * **no leaked slots** — the awareness model's per-node assignments and the
   dispatcher's in-flight table are the same set, seen from both sides;
 * **single-epoch acceptance** — event epochs are monotone per log (checked
@@ -44,6 +44,7 @@ from typing import Dict, List, Optional
 
 from ..core.engine import events as ev
 from ..core.engine.recovery import replay_instance, verify_log
+from ..errors import StoreError
 from ..store import codec
 
 
@@ -70,18 +71,24 @@ def run_catalog(server, baseline_outputs: Optional[Dict] = None,
     ]
 
     def each(check):
-        """Apply a per-instance check across every persisted instance."""
-        return [p for iid in instance_ids for p in check(server, iid)]
+        """Apply a per-instance check across every persisted instance; a
+        log that does not read back fails the check that tried to read it."""
+        problems = []
+        for iid in instance_ids:
+            try:
+                problems.extend(check(server, iid))
+            except StoreError as exc:
+                problems.append(f"{iid}: log unreadable: {exc}")
+        return problems
 
     named = [
-        ("log-replayable/epoch-monotone", [
+        ("log-replayable/epoch-monotone", each(lambda server, iid: [
             f"{iid}: {anomaly}"
-            for iid in instance_ids
             for anomaly in verify_log(server.store, iid, server._resolver)
-        ]),
+        ])),
         ("replay-equivalence", each(_check_replay_equivalence)),
         ("exactly-once", each(_check_exactly_once)),
-        ("contiguous-log", each(_check_log_contiguity)),
+        ("contiguous-log", _check_log_contiguity(server, instance_ids)),
         ("view-equivalence", each(_check_view_equivalence)),
         ("prov-equivalence", _check_prov_equivalence(server)),
         ("slot-consistency", _check_slot_consistency(server)),
@@ -206,15 +213,29 @@ def _check_exactly_once(server, instance_id: str) -> List[str]:
     return problems
 
 
-def _check_log_contiguity(server, instance_id: str) -> List[str]:
-    recorded = server.store.instances.event_count(instance_id)
-    actual = sum(1 for _ in server.store.instances.events(instance_id))
-    if recorded != actual:
-        return [
-            f"{instance_id}: next_seq says {recorded} events, log holds "
-            f"{actual} (hole or phantom)"
-        ]
-    return []
+def _check_log_contiguity(server, instance_ids: List[str]) -> List[str]:
+    """The event keys the store holds must be exactly ``0 .. next_seq - 1``.
+
+    One scan of the instance space's keys, deliberately not ``events_from``:
+    that reader's range ends at ``next_seq``, so it cannot see a phantom
+    beyond the counter, and it raises on a hole instead of naming it.
+    """
+    space = server.store.instances
+    held: Dict[str, List[int]] = {iid: [] for iid in instance_ids}
+    for key in server.store.kv.keys(space.PREFIX):
+        instance_id, _, rest = key[len(space.PREFIX):].partition("/")
+        if rest.startswith("event/") and instance_id in held:
+            held[instance_id].append(int(rest[len("event/"):]))
+    problems = []
+    for instance_id, seqs in held.items():
+        recorded = space.event_count(instance_id)
+        odd = sorted(set(seqs) ^ set(range(recorded)))
+        if odd:
+            problems.append(
+                f"{instance_id}: next_seq says {recorded} events, log holds "
+                f"{len(seqs)} (hole or phantom at seq {odd[:5]})"
+            )
+    return problems
 
 
 def _check_view_equivalence(server, instance_id: str) -> List[str]:

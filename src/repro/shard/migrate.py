@@ -47,7 +47,7 @@ from ..errors import EngineError, UnknownInstanceError, UnknownShardError
 from ..faults.points import fire
 from ..prov.graph import ProvenanceGraph
 from ..prov.view import CHECKPOINT_KEY as PROV_CHECKPOINT_KEY
-from ..store.spaces import DataSpace, InstanceSpace, TemplateSpace, _seq_key
+from ..store.spaces import InstanceSpace, TemplateSpace, _seq_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .plane import Shard, ShardedControlPlane
@@ -91,11 +91,6 @@ def _rewrite_lineage(record: Dict[str, Any], old_id: str,
                 for value in values
             ]
     return rewritten
-
-
-def _lineage_key(seq: int) -> str:
-    """KV key of lineage record ``seq`` (for cross-space transactions)."""
-    return _seq_key(f"{DataSpace.PREFIX}lineage/", seq)
 
 
 def _prov_rebase(store, added=(), excluded=frozenset(),
@@ -297,9 +292,10 @@ class ShardMigrator:
             for seq, event in enumerate(export["events"]):
                 txn.put(_seq_key(f"{instance_prefix}event/", seq), event)
             for offset, record in enumerate(rewritten):
-                txn.put(_lineage_key(lineage_base + offset), record)
+                txn.put(target.store.data.lineage_key(lineage_base + offset),
+                        record)
             if rewritten:
-                txn.put(f"{DataSpace.PREFIX}lineage_seq",
+                txn.put(target.store.data.LINEAGE_SEQ_KEY,
                         lineage_base + len(rewritten))
                 txn.put(PROV_CHECKPOINT_KEY, prov_payload)
             if export["request_key"]:
@@ -347,7 +343,7 @@ class ShardMigrator:
             for seq in range(export["next_seq"]):
                 txn.delete(_seq_key(f"{instance_prefix}event/", seq))
             for seq in export["lineage_seqs"]:
-                txn.delete(_lineage_key(seq))
+                txn.delete(source.store.data.lineage_key(seq))
             if prov_payload is not None:
                 txn.put(PROV_CHECKPOINT_KEY, prov_payload)
             txn.delete(configuration.setting_key(f"migrate_out/{old_id}"))
@@ -465,7 +461,7 @@ class ShardMigrator:
             for seq in range(count):
                 txn.delete(_seq_key(f"{instance_prefix}event/", seq))
             for seq in staged:
-                txn.delete(_lineage_key(seq))
+                txn.delete(target.store.data.lineage_key(seq))
             if prov_payload is not None:
                 txn.put(PROV_CHECKPOINT_KEY, prov_payload)
             if (request_key and configuration.setting(

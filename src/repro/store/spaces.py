@@ -308,6 +308,7 @@ class DataSpace:
     """Historical run records, lineage entries, and the memo cache."""
 
     PREFIX = "data/"
+    LINEAGE_SEQ_KEY = "data/lineage_seq"
 
     def __init__(self, kv: KVStore):
         self._kv = kv
@@ -352,10 +353,10 @@ class DataSpace:
         first failure is re-raised once, after delivery — the record is
         already durable, so a raising subscriber must not starve the
         others or trick the caller into a double-append)."""
-        seq = int(self._kv.get(f"{self.PREFIX}lineage_seq", 0))
+        seq = int(self._kv.get(self.LINEAGE_SEQ_KEY, 0))
         with self._kv.transaction() as txn:
-            txn.put(_seq_key(f"{self.PREFIX}lineage/", seq), record)
-            txn.put(f"{self.PREFIX}lineage_seq", seq + 1)
+            txn.put(self.lineage_key(seq), record)
+            txn.put(self.LINEAGE_SEQ_KEY, seq + 1)
         failure = None
         for callback in self._subscribers:
             try:
@@ -373,7 +374,11 @@ class DataSpace:
 
     def lineage_count(self) -> int:
         """Number of lineage records durably appended."""
-        return int(self._kv.get(f"{self.PREFIX}lineage_seq", 0))
+        return int(self._kv.get(self.LINEAGE_SEQ_KEY, 0))
+
+    def lineage_key(self, seq: int) -> str:
+        """Full KV key of lineage record ``seq`` (cross-space transactions)."""
+        return _seq_key(f"{self.PREFIX}lineage/", seq)
 
     def lineage_records_from(self, start: int) -> Iterator[Any]:
         """Yield ``(seq, record)`` for the lineage suffix from ``start``.

@@ -90,3 +90,33 @@ class TestPlantedViolations:
         problems = invariants.check_server(
             server, baseline_outputs=baseline, final=True)
         assert any("fault-free baseline" in p for p in problems)
+
+    def _contiguity(self, server):
+        return dict(invariants.run_catalog(server))["contiguous-log"]
+
+    def test_phantom_event_key_is_caught(self):
+        """An event key beyond ``next_seq`` is invisible to the engine's
+        log reader (its range ends at the counter); the oracle's key scan
+        must name it."""
+        server, instance_id = _completed_server()
+        count = server.store.instances.event_count(instance_id)
+        events = list(server.store.instances.events(instance_id))
+        server.store.kv.put(
+            f"instance/{instance_id}/event/{count + 2:010d}", events[-1])
+        assert len(list(server.store.instances.events(instance_id))) == count
+        problems = self._contiguity(server)
+        assert len(problems) == 1
+        assert instance_id in problems[0]
+        assert f"phantom at seq [{count + 2}]" in problems[0]
+
+    def test_hole_is_named_not_raised(self):
+        """A deleted middle event makes every log read raise StoreError;
+        the catalog reports it — by sequence under contiguous-log, as an
+        unreadable log under the checks that read it — and does not raise."""
+        server, instance_id = _completed_server()
+        server.store.kv.delete(f"instance/{instance_id}/event/{2:010d}")
+        named = dict(invariants.run_catalog(server))
+        assert any(instance_id in p and "hole or phantom at seq [2]" in p
+                   for p in named["contiguous-log"])
+        assert any("log unreadable" in p and "seq 2" in p
+                   for p in named["log-replayable/epoch-monotone"])
