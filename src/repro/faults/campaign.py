@@ -180,9 +180,8 @@ def _worker_main(worker_id: int, task_queue, result_queue) -> None:
     of the spec, which is what makes pool-size-independent results (and
     byte-identical journals) possible.
     """
-    from .chaos import FaultPlan, default_darwin, fault_free_baseline, \
+    from .chaos import default_darwin, fault_free_baseline, plan_for, \
         run_campaign
-    from ..cluster import uniform
 
     darwin = default_darwin()
     baselines: Dict[str, Dict] = {}
@@ -197,14 +196,7 @@ def _worker_main(worker_id: int, task_queue, result_queue) -> None:
         if baseline is None:
             baseline = fault_free_baseline(darwin, config=config)
             baselines[cache_key] = baseline
-        node_names = sorted(
-            node.name for node in uniform(config.nodes, cpus=config.cpus)
-        )
-        plan = FaultPlan.generate(
-            spec_dict["seed"], node_names,
-            horizon=max(120.0, baseline["wall"] * 1.5),
-            profile=config.profile,
-        )
+        plan = plan_for(spec_dict["seed"], config, baseline)
         # Announce the run before executing it: if this run hangs and is
         # reaped, the parent still knows its categories and plan, so the
         # hung record is attributable and reproducible.

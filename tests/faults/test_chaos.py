@@ -21,9 +21,9 @@ import pathlib
 
 import pytest
 
-from repro.faults import chaos
+from repro.faults import chaos, invariants
 from repro.faults.plan import (PROFILES, SCHEDULED_CATEGORIES, FaultAction,
-                               FaultPlan)
+                               FaultPlan, ScheduledFault)
 from repro.faults.points import CATALOG
 
 
@@ -161,6 +161,62 @@ class TestCampaigns:
         )
         assert replay.violations == result.violations
         assert replay.status == result.status
+
+
+class TestOneDriver:
+    """What the single campaign loop owes every profile alike."""
+
+    @pytest.fixture(scope="class", params=PROFILES)
+    def cell(self, request, darwin):
+        config = chaos.CampaignConfig(profile=request.param,
+                                      granularity=4, nodes=2)
+        return config, chaos.fault_free_baseline(darwin, config=config)
+
+    def test_plan_for_is_the_plan_a_campaign_runs(self, darwin, cell):
+        config, baseline = cell
+        result = chaos.run_campaign(2, darwin, baseline=baseline,
+                                    config=config)
+        assert result.ok, result.violations[:3]
+        assert chaos.plan_for(2, config, baseline).to_dict() == result.plan
+
+    def test_category_of_the_other_topology_is_a_typed_violation(
+            self, darwin, cell):
+        config, baseline = cell
+        stranger = ("server-crash" if config.profile in chaos.PLANE_PROFILES
+                    else "shard-drain")
+        plan = FaultPlan(seed=0, scheduled=[ScheduledFault(
+            stranger, 10.0, {"victim": 0.5, "recovery_after": 10.0})])
+        result = chaos.run_campaign(0, darwin, baseline=baseline,
+                                    plan=plan, config=config)
+        assert result.violations == [
+            f"plan contains unknown category {stranger!r}"]
+        assert result.status == "completed" and result.executed == []
+
+    def test_trace_has_a_verdict_per_invariant_per_check(self, darwin, cell):
+        """``--rerun`` prints one ok/FAIL line per catalog entry after
+        every recovery and for every server's final check."""
+        config, baseline = cell
+        plane = config.profile in chaos.PLANE_PROFILES
+        horizon = max(120.0, baseline["wall"] * 1.5)
+        plan = FaultPlan(seed=0, scheduled=[ScheduledFault(
+            "shard-crash" if plane else "server-crash",
+            round(0.3 * horizon, 3),
+            {"victim": 0.3, "recovery_after": round(0.1 * horizon, 3)})])
+        lines = []
+        result = chaos.run_campaign(0, darwin, baseline=baseline, plan=plan,
+                                    config=config, trace=lines.append)
+        assert result.ok and result.recoveries == 1
+        verdicts = [line.split(None, 1)[1] for line in lines
+                    if line.split(None, 1)[0] in ("ok", "FAIL")]
+        names = [name for name, _found in invariants.run_catalog(
+            chaos._build(darwin, 1, chaos.CampaignConfig())[2], final=True)]
+        after = "shard 1: after recovery 1" if plane else "after recovery 1"
+        assert [v for v in verdicts if v.startswith(after)] \
+            == [f"{after}: {name}" for name in names[:-1]]
+        servers = ([f"shard {i}: " for i in range(chaos.SHARDS)]
+                   if plane else [""])
+        assert [v for v in verdicts if "final: " in v] == [
+            f"{server}final: {name}" for server in servers for name in names]
 
 
 class TestCampaignDigestsTool:

@@ -7,7 +7,7 @@ Small batch for tier 1; the statistical acceptance run lives in
 import pytest
 
 from repro.faults import chaos
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultAction, FaultPlan, ScheduledFault
 
 
 @pytest.fixture(scope="module")
@@ -72,3 +72,40 @@ class TestShardCampaigns:
         bad = [r for r in results if not r.ok]
         assert not bad, [(r.seed, r.status, r.violations[:2])
                         for r in bad]
+
+    def test_node_crash_inside_the_victim_shard(self, darwin, config,
+                                                baseline):
+        """``shard-node-crash`` is drawn by CLI seeds only; pin it with a
+        hand-built plan: the victim's node goes down mid-run, comes back,
+        and nothing else notices."""
+        wall = baseline["wall"]
+        plan = FaultPlan(seed=0, scheduled=[ScheduledFault(
+            "shard-node-crash", round(0.2 * wall, 3),
+            {"victim": 0.3, "node": 0.7, "duration": round(0.3 * wall, 3)},
+        )])
+        result = chaos.run_campaign(0, darwin, baseline=baseline,
+                                    plan=plan, config=config)
+        assert result.ok, result.violations[:3]
+        assert "shard-node-crash" in result.executed
+
+    def test_killed_recovery_is_recovered_again(self, darwin, config,
+                                                baseline):
+        """A ``recovery.replay`` crash kills the shard's failover; the
+        driver must count it, re-schedule the recovery and finish — not
+        book its own confusion as a wedged system."""
+        horizon = max(120.0, baseline["wall"] * 1.5)
+        plan = FaultPlan(
+            seed=0,
+            scheduled=[ScheduledFault(
+                "shard-crash", round(0.3 * horizon, 3),
+                {"victim": 0.3, "recovery_after": round(0.1 * horizon, 3)},
+            )],
+            actions=[FaultAction("recovery.replay", "crash", at_hit=1)],
+        )
+        result = chaos.run_campaign(0, darwin, baseline=baseline,
+                                    plan=plan, config=config)
+        assert result.violations == []
+        assert result.status == "completed"
+        assert [entry["point"] for entry in result.fired] \
+            == ["recovery.replay"]
+        assert (result.crashes, result.recoveries) == (2, 1)
