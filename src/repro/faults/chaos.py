@@ -188,8 +188,9 @@ class CampaignResult:
     recoveries: int = 0
     wall: float = 0.0
     events: int = 0
-    #: total simulated seconds the server spent down (crash → recovered),
-    #: summed across every outage; the sweep's "recovery time" metric.
+    #: total simulated seconds servers spent down (crash → recovered),
+    #: summed per server across every outage, so two shards down at once
+    #: count twice; the sweep's "recovery time" metric.
     recovery_time: float = 0.0
 
     @property
@@ -756,8 +757,8 @@ def run_campaign(seed: int, darwin: DarwinEngine,
     kernel = topo.kernel
     result = CampaignResult(seed=seed, plan=plan.to_dict())
     recovery_rng = kernel.rng("chaos-recovery")
-    #: when the current outage began (absent while everything is up).
-    down: Dict[Optional[int], float] = {}
+    #: when each server that is down went down: one clock per server.
+    down: Dict[int, float] = {}
 
     def say(line: str) -> None:
         """One timestamped ``trace`` line."""
@@ -785,7 +786,7 @@ def run_campaign(seed: int, darwin: DarwinEngine,
             return False
         if scheduled:
             result.crashes += 1
-        down.setdefault(None, kernel.now)
+        down.setdefault(index, kernel.now)
         return True
 
     def ensure_recovered(index: int) -> None:
@@ -807,8 +808,7 @@ def run_campaign(seed: int, darwin: DarwinEngine,
                             label="chaos: re-recover")
             return
         result.recoveries += 1
-        if down:
-            result.recovery_time += kernel.now - down.pop(None)
+        result.recovery_time += kernel.now - down.pop(index, kernel.now)
         where = f"{topo.prefix(index)}after recovery {result.recoveries}"
         say(f"{where}: epoch {recovered.epoch}; checking invariants")
         result.violations.extend(

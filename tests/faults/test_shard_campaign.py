@@ -109,3 +109,21 @@ class TestShardCampaigns:
         assert [entry["point"] for entry in result.fired] \
             == ["recovery.replay"]
         assert (result.crashes, result.recoveries) == (2, 1)
+
+    def test_overlapping_outages_are_both_counted(self, darwin, config,
+                                                  baseline):
+        """``recovery_time`` is summed per server: a second shard going
+        down while the first is still out adds its whole outage."""
+        horizon = max(120.0, baseline["wall"] * 1.5)
+        first, second = round(0.3 * horizon, 3), round(0.25 * horizon, 3)
+        plan = FaultPlan(seed=0, scheduled=[
+            ScheduledFault("shard-crash", round(0.2 * horizon, 3),
+                           {"victim": 0.0, "recovery_after": first}),
+            ScheduledFault("shard-crash", round(0.3 * horizon, 3),
+                           {"victim": 0.5, "recovery_after": second}),
+        ])
+        result = chaos.run_campaign(0, darwin, baseline=baseline,
+                                    plan=plan, config=config)
+        assert result.ok, result.violations[:3]
+        assert (result.crashes, result.recoveries) == (2, 2)
+        assert result.recovery_time == pytest.approx(first + second)
