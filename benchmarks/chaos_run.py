@@ -35,7 +35,6 @@ import argparse
 import json
 import os
 import sys
-import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -110,10 +109,6 @@ def parse_args(argv):
     parser.add_argument("--bench-out", default=None,
                         help="also write the JSON artifact (e.g. "
                              "BENCH_chaos.json) to this path")
-    parser.add_argument("--measure-speedup", type=int, default=0,
-                        metavar="RUNS",
-                        help="measure 1-vs-N-worker wall-clock over RUNS "
-                             "campaigns and record it in the artifact")
     parser.add_argument("--rerun", default=None, metavar="PLAN_JSON",
                         help="replay one dumped plan with verbose "
                              "per-invariant tracing, then exit")
@@ -156,28 +151,6 @@ def rerun(path: str, args) -> int:
         return 1
     print("all invariants held.")
     return 0
-
-
-def measure_speedup(config: CampaignConfig, runs: int, workers: int,
-                    timeout: float) -> dict:
-    """Same seed set with 1 worker and with N: wall-clock + equality."""
-    specs = [RunSpec(seed, config) for seed in range(runs)]
-    timings = {}
-    outputs = {}
-    for pool in (1, workers):
-        start = time.monotonic()
-        with CampaignEngine(workers=pool, timeout=timeout) as engine:
-            outputs[pool] = engine.run(specs)
-        timings[pool] = time.monotonic() - start
-    return {
-        "runs": runs,
-        "workers": workers,
-        "serial_s": round(timings[1], 3),
-        "parallel_s": round(timings[workers], 3),
-        "speedup": round(timings[1] / timings[workers], 3),
-        "cpu_count": os.cpu_count(),
-        "results_identical": outputs[1] == outputs[workers],
-    }
 
 
 def main(argv=None):
@@ -249,13 +222,6 @@ def main(argv=None):
                 outcomes, SWEEP_AXES, seeds)
             for outcome in outcomes:
                 all_records.extend(outcome.records)
-
-    if args.measure_speedup:
-        print(f"measuring 1-vs-{args.workers}-worker wall-clock over "
-              f"{args.measure_speedup} runs...")
-        payload["parallel"] = measure_speedup(
-            base, args.measure_speedup, max(2, args.workers),
-            args.timeout)
 
     payload["failures"] = report.failure_roster(all_records)
     report_path = os.path.join(OUTPUT_DIR, args.output + ".md")

@@ -1,10 +1,10 @@
 """Dependability reports: ``BENCH_chaos.json`` + markdown campaign report.
 
 Pulls the statistical survival table (rate ± Wilson CI per fault
-category), the sweep ranking (Pareto front + weighted scores), the
-parallel-speedup measurement, and the failure roster into one JSON
-artifact and one human-readable markdown report. Pure formatting — no
-engine imports — so it is cheap to unit-test.
+category), the sweep ranking (Pareto front + weighted scores) and the
+failure roster into one JSON artifact and one human-readable markdown
+report. Pure formatting — no engine imports — so it is cheap to
+unit-test.
 """
 
 from __future__ import annotations
@@ -158,20 +158,6 @@ def markdown_report(payload: Dict) -> str:
             ),
             "",
             "Pareto front: " + ", ".join(sweep["pareto_front"]) + ".",
-            "",
-        ]
-
-    parallel = payload.get("parallel")
-    if parallel:
-        parts += [
-            "## Parallel execution",
-            "",
-            f"{parallel['runs']} runs: {parallel['serial_s']:.1f}s with 1 "
-            f"worker vs {parallel['parallel_s']:.1f}s with "
-            f"{parallel['workers']} workers — "
-            f"{parallel['speedup']:.2f}× on a {parallel['cpu_count']}-core "
-            f"host. (Speedup tracks physical cores; a 1-core host can only "
-            f"show pool overhead.)",
             "",
         ]
 

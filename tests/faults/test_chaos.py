@@ -249,3 +249,20 @@ class TestCampaignDigestsTool:
         assert tool.main(["--compare", first, second]) == 1
         out = capsys.readouterr().out
         assert "DIFFERS shard/0" in out and "3 of 4 cells" in out
+
+    def test_out_fails_on_a_run_that_did_not_survive(self, tool, tmp_path,
+                                                     monkeypatch, capsys):
+        """Two equal hashes say nothing about either run surviving, so
+        ``--out`` itself exits non-zero on a violation (the count still
+        goes in the file)."""
+        def planted(seed, darwin, config=None):
+            bad = config.profile == "shard"
+            return chaos.CampaignResult(
+                seed=seed, status="completed",
+                violations=["planted"] if bad else [])
+
+        monkeypatch.setattr(chaos, "run_campaign", planted)
+        out = tmp_path / "planted.json"
+        assert tool.main(["--out", str(out), "--seeds", "2"]) == 1
+        assert "8 cells, 2 not ok" in capsys.readouterr().out
+        assert json.loads(out.read_text())["not_ok"] == 2

@@ -8,9 +8,9 @@ the sha256 of ``json.dumps(dataclasses.asdict(run_campaign(seed, darwin,
 config=CampaignConfig(profile=p))), sort_keys=True)``; ``--out`` writes
 the cells for seeds 0..N-1 of the ``mixed``, ``partition``, ``shard`` and
 ``rebalance`` profiles, plus how many runs did not complete or violated an
-invariant (about 45 s for the default 30 seeds). Run it on the parent and
-on the change, then ``--compare`` the two files: differing cells are
-listed and the exit code is non-zero.
+invariant (about 45 s for the default 30 seeds), and exits non-zero if any
+did. Run it on the parent and on the change, then ``--compare`` the two
+files: differing cells are listed and the exit code is non-zero.
 
 Usage::
 
@@ -81,7 +81,7 @@ def main(argv=None):
         json.dump(report, handle, indent=1, sort_keys=True)
     print(f"{len(report['cells'])} cells, {report['not_ok']} not ok "
           f"-> {args.out}")
-    return 0
+    return 1 if report["not_ok"] else 0
 
 
 if __name__ == "__main__":
