@@ -245,10 +245,10 @@ def _build(darwin: DarwinEngine, kernel_seed: int, config: CampaignConfig):
 # ----------------------------------------------------------------------
 # Scheduled disturbances on one cluster: category -> params -> (start,
 # stop). The vocabulary is ScenarioScript's, but its wrappers schedule
-# both halves themselves and a campaign must book a category as executed
-# when the first half fires (a third kernel event would change every
-# run's event count), so the loop schedules the halves through
-# ``ScenarioScript.at`` and these entries supply them. A plan's
+# both halves themselves and a campaign books a category as executed
+# when the first half fires (a booking event of its own would change
+# every run's event count), so these entries supply the halves and the
+# loop schedules them through ``ScenarioScript.at``. A plan's
 # disturbances may overlap, hence the checks before a node or the
 # network is taken down or brought back.
 
@@ -588,6 +588,7 @@ class _Plane:
 
             return crash_shard, partial(recover, index)
         if category == "shard-partition":
+            node = None
             start, stop = _partition(
                 partial(self.plane.partition_shard, index,
                         symmetric=bool(params.get("symmetric", True))),
@@ -595,13 +596,13 @@ class _Plane:
         else:
             cluster = self.plane.shards[index].cluster
             names = sorted(cluster.nodes)
-            node = names[min(len(names) - 1,
-                             int(params["node"] * len(names)))]
-            start, stop = _node_outage(cluster, [node])
+            node = cluster.nodes[names[min(
+                len(names) - 1, int(params["node"] * len(names)))]]
+            start, stop = _node_outage(cluster, [node.name])
 
         def disturb():
             """Cut the victim's broker link, or crash its node if up."""
-            if category == "shard-partition" or cluster.nodes[node].up:
+            if node is None or node.up:
                 self.executed.add(category)
                 self.participants.add(index)
                 start()
@@ -621,15 +622,11 @@ class _Plane:
     def outputs(self) -> Dict:
         """The output oracles a baseline carries: by instance id, and by
         request id — the handle that survives migration re-prefixing."""
-        outputs = [self.plane.instance(request.result).outputs
-                   for request in self.requests]
-        return {
-            "outputs": {request.result: found for request, found
-                        in zip(self.requests, outputs)},
-            "outputs_by_request": {request.request_id: found
-                                   for request, found
-                                   in zip(self.requests, outputs)},
-        }
+        found = [(request, self.plane.instance(request.result).outputs)
+                 for request in self.requests]
+        return {"outputs": {r.result: out for r, out in found},
+                "outputs_by_request": {r.request_id: out
+                                       for r, out in found}}
 
     def logs(self, index: int) -> Dict[str, str]:
         """One shard's durable event logs, canonically serialized."""
@@ -704,11 +701,8 @@ def _fault_free(darwin: DarwinEngine, kernel_seed: int,
     """
     topo = _topology(config)(darwin, kernel_seed, config)
     while not topo.done():
-        problem = _wedged(topo.kernel)
-        if problem is None and not topo.kernel.step():
-            problem = "wedged: event queue drained before completion"
-        if problem is not None:
-            raise EngineError(f"fault-free run {problem}")
+        if _wedged(topo.kernel) or not topo.kernel.step():
+            raise EngineError("fault-free run wedged before completion")
     return topo
 
 
@@ -821,13 +815,13 @@ def run_campaign(seed: int, darwin: DarwinEngine,
             result.violations.append(
                 f"plan contains unknown category {fault.category!r}")
             continue
-
-        topo.at(fault.time, f"chaos: {fault.category}", halves[0])
-        if halves[1] is not None:
+        start, stop = halves
+        topo.at(fault.time, f"chaos: {fault.category}", start)
+        if stop is not None:
             span = fault.params.get("duration",
                                     fault.params.get("recovery_after"))
             topo.at(fault.time + span, f"chaos: {fault.category} over",
-                    halves[1])
+                    stop)
 
     injector = FaultInjector(plan.actions)
     with installed(injector):
@@ -854,14 +848,11 @@ def run_campaign(seed: int, darwin: DarwinEngine,
                                     label="chaos: resume after recovery")
                 continue
             if not progressed:
-                waiting = [index for index, server
-                           in topo.servers().items() if not server.up]
-                if not waiting:
-                    result.violations.append(
-                        "wedged: event queue drained before completion")
-                    break
-                for index in waiting:
-                    ensure_recovered(index)
+                # Every kill above and in the plan has its failover
+                # queued, so a drained queue is the system's doing.
+                result.violations.append(
+                    "wedged: event queue drained before completion")
+                break
         result.status = topo.status()
         say(f"campaign over (status={result.status}); "
             f"final invariant catalog")
