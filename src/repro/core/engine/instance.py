@@ -207,6 +207,10 @@ class ProcessInstance:
         #: last open task finished and whose owner may now complete.
         self.drained: List[tuple] = []
         self._frames_created = 0
+        #: task status -> how many states of the live frames have it
+        #: (never 0); kept by :meth:`_recount` where statuses are created,
+        #: changed and dropped, read by :meth:`progress`.
+        self._status_counts: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Event application (the ONLY state mutator)
@@ -289,6 +293,8 @@ class ProcessInstance:
         open task, puts the frame up for completion.
         """
         frame.open += (status not in TERMINAL) - (state.status not in TERMINAL)
+        self._recount(state.status, -1)
+        self._recount(status, 1)
         state.status = status
         if status == FAILED:
             self.wake(frame, state)
@@ -296,6 +302,15 @@ class ProcessInstance:
             self._notify(state.path)
             if not frame.open:
                 self._drain(frame)
+
+    def _recount(self, status: str, delta: int) -> None:
+        """Move the histogram by ``delta`` tasks of ``status``; a status
+        nobody has leaves it, so :meth:`progress` is a plain copy."""
+        count = self._status_counts.get(status, 0) + delta
+        if count:
+            self._status_counts[status] = count
+        else:
+            self._status_counts.pop(status, None)
 
     def _on_task_dispatched(self, event):
         if event["path"].endswith("#comp"):
@@ -357,7 +372,8 @@ class ProcessInstance:
         prefix = f"{path}/"
         for frame_path in [p for p in self.frames if p.startswith(prefix)
                            or p == prefix]:
-            del self.frames[frame_path]
+            for dropped in self.frames.pop(frame_path).states.values():
+                self._recount(dropped.status, -1)
             self.whiteboards.pop(frame_path, None)
         fresh = TaskState(state.name, state.path, element=state.element,
                           index=state.index)
@@ -368,6 +384,8 @@ class ProcessInstance:
         fresh.program_failures = state.program_failures
         frame.states[state.name] = fresh
         frame.open += state.terminal
+        self._recount(state.status, -1)
+        self._recount(INACTIVE, 1)
 
     # -- structure expansion -----------------------------------------------------
 
@@ -376,6 +394,7 @@ class ProcessInstance:
         self._frames_created += 1
         frame.serial = self._frames_created
         self.frames[frame.path] = frame
+        self._recount(INACTIVE, len(frame.states))
         for state in frame.states.values():
             self.wake(frame, state)
         if not frame.open:
@@ -633,10 +652,7 @@ class ProcessInstance:
 
     def progress(self) -> Dict[str, int]:
         """Task-status histogram over all frames (monitoring view)."""
-        histogram: Dict[str, int] = {}
-        for state in self.iter_states():
-            histogram[state.status] = histogram.get(state.status, 0) + 1
-        return histogram
+        return dict(self._status_counts)
 
     @property
     def terminal(self) -> bool:

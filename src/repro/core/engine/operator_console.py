@@ -220,7 +220,13 @@ class OperatorConsole:
 
     def export_prov(self, instance_id: Optional[str] = None
                     ) -> Dict[str, Any]:
-        """W3C PROV-JSON document for one instance (or the whole store)."""
+        """W3C PROV-JSON document for one instance (or the whole store).
+
+        The store-wide document is served from the one the provenance
+        graph keeps, extended by the lineage records added since the
+        last export. Edit the returned document and its sections freely,
+        but treat the attribute dicts inside the sections as read-only:
+        they are shared with every other export."""
         from ...prov import provenance_graph
         if instance_id is not None:
             return self._provenance(instance_id).to_prov_json(instance_id)

@@ -289,7 +289,8 @@ def _check_prov_equivalence(server) -> List[str]:
     """The incrementally maintained provenance graph must equal — byte for
     byte under the canonical codec — a graph rebuilt from scratch off the
     durable lineage log (the provenance tentpole's contract, checked
-    after every crash + recovery)."""
+    after every crash + recovery), and the PROV-JSON document it serves
+    must equal the one the rebuilt graph builds."""
     hub = getattr(server.store, "observability", None)
     if hub is None or getattr(hub, "provenance", None) is None:
         return []
@@ -305,6 +306,9 @@ def _check_prov_equivalence(server) -> List[str]:
         server.store.data.lineage_records())
     if codec.encode(view.graph.dump()) != codec.encode(rebuilt.dump()):
         return ["provenance graph diverges from full lineage rebuild"]
+    if (codec.encode(view.graph.to_prov_json())
+            != codec.encode(rebuilt.to_prov_json())):
+        return ["served PROV document diverges from a rebuilt one"]
     return []
 
 

@@ -81,6 +81,13 @@ class TraceCollector:
         self.capacity = capacity
         self.spans: Deque[TaskSpan] = deque(maxlen=capacity)
         self._open: Dict[Tuple[str, str], TaskSpan] = {}
+        #: bumped whenever a span opens or closes, i.e. whenever any
+        #: :meth:`summary` can change.
+        self.generation = 0
+        #: instance_id (``None`` = all) -> its summary as of
+        #: ``_summaries_at``; dropped whole when the generation moves on.
+        self._summaries: Dict[Optional[str], Dict[str, Any]] = {}
+        self._summaries_at = 0
         #: optional hook (job_id -> node-local finish time), wired to the
         #: simulated environment when one is attached.
         self.finish_time_lookup: Optional[Callable[[str], Optional[float]]] = None
@@ -102,6 +109,7 @@ class TraceCollector:
         )
         self._open[(instance_id, path)] = span
         self.spans.append(span)
+        self.generation += 1
         return span
 
     def on_event(self, instance_id: str, event: Dict[str, Any]) -> None:
@@ -121,6 +129,7 @@ class TraceCollector:
         span = self._open.pop((instance_id, event.get("path", "")), None)
         if span is None:
             return
+        self.generation += 1
         span.closed_at = event["time"]
         if kind == TASK_COMPLETED:
             span.status = "completed"
@@ -148,6 +157,25 @@ class TraceCollector:
         return [s for s in self.spans if s.instance_id == instance_id]
 
     def summary(self, instance_id: Optional[str] = None) -> Dict[str, Any]:
+        """Span counts and timing statistics, of one instance or of all.
+
+        Recomputed only after a span opened or closed; every call
+        returns dicts of its own."""
+        if self._summaries_at != self.generation:
+            self._summaries.clear()
+            self._summaries_at = self.generation
+        summary = self._summaries.get(instance_id)
+        if summary is None:
+            summary = self._summarize(instance_id)
+            # Kept only for ids with spans in the buffer, so the ids
+            # callers make up cannot grow the table past ``capacity``.
+            if summary["spans"] or instance_id is None:
+                self._summaries[instance_id] = summary
+        return {key: dict(value) if isinstance(value, dict) else value
+                for key, value in summary.items()}
+
+    def _summarize(self, instance_id: Optional[str]) -> Dict[str, Any]:
+        """One walk over the span deque (what :meth:`summary` keeps)."""
         spans = self.spans_for(instance_id)
         closed = [s for s in spans if s.closed_at is not None]
         waits = [s.queue_wait for s in closed if s.queue_wait is not None]

@@ -37,6 +37,24 @@ def _qual(local: str) -> str:
     return f"{PROV_PREFIX}:{local}"
 
 
+def _empty_document() -> Dict[str, Any]:
+    """A PROV-JSON document with every section present and empty."""
+    return {
+        "prefix": {PROV_PREFIX: PROV_URI},
+        "entity": {},
+        "activity": {},
+        "used": {},
+        "wasGeneratedBy": {},
+        "wasDerivedFrom": {},
+    }
+
+
+def fresh_sections(document: Dict[str, Any]) -> Dict[str, Any]:
+    """A kept document as handed to a caller: the top level and each
+    section are new dicts, the attribute dicts inside them are shared."""
+    return {name: dict(section) for name, section in document.items()}
+
+
 def relative_dataset(dataset: str, instance_id: str) -> str:
     """Strip ``instance_id``'s prefix off a dataset name.
 
@@ -65,6 +83,16 @@ class ProvenanceGraph:
         self.activities: Dict[Tuple[str, str], LineageRecord] = {}
         #: instance_id -> task paths recorded, in first-recorded order.
         self._runs: Dict[str, List[str]] = {}
+        #: bumped by every :meth:`add`: with the graph object itself it
+        #: names one state of the graph (the plane's merged export is
+        #: kept per such state).
+        self.mutations = 0
+        #: the store-wide PROV-JSON document as of the first
+        #: ``_exported`` lineage records; derived, never persisted.
+        #: ``None`` until first asked for and after a re-derivation took
+        #: a record out of the middle.
+        self._document: Optional[Dict[str, Any]] = None
+        self._exported = 0
         for record in records:
             self.add(record)
 
@@ -76,7 +104,12 @@ class ProvenanceGraph:
 
     def add(self, record: LineageRecord) -> None:
         """Fold one derivation; a re-derivation replaces the old one."""
+        before = len(self.lineage)
         self.lineage.add(record)
+        self.mutations += 1
+        if len(self.lineage) != before + 1:
+            # A replaced record shifts the index of every later one.
+            self._document = None
         key = (record.instance_id, record.task)
         if key not in self.activities:
             self._runs.setdefault(record.instance_id, []).append(record.task)
@@ -266,56 +299,74 @@ class ProvenanceGraph:
         ``instance_id`` restricts the export to one run's records.
         Edge identifiers are indexed so :meth:`from_prov_json` can
         reconstruct the original record order exactly.
+
+        The store-wide document is served from the one kept beside the
+        graph: an export folds in only the records added since the last
+        one. The returned document and its sections are the caller's to
+        edit; the attribute dicts inside the sections are shared with
+        every other export and must be treated as read-only.
         """
-        document: Dict[str, Any] = {
-            "prefix": {PROV_PREFIX: PROV_URI},
-            "entity": {},
-            "activity": {},
-            "used": {},
-            "wasGeneratedBy": {},
-            "wasDerivedFrom": {},
+        if instance_id is not None:
+            document = _empty_document()
+            for index, record in enumerate(
+                    r for r in self.lineage.records
+                    if r.instance_id == instance_id):
+                self._export_record(document, index, record)
+            return document
+        records = self.lineage.records
+        if self._document is None:
+            self._document = _empty_document()
+            self._exported = 0
+        for index in range(self._exported, len(records)):
+            self._export_record(self._document, index, records[index])
+        self._exported = len(records)
+        return fresh_sections(self._document)
+
+    @staticmethod
+    def _export_record(document: Dict[str, Any], index: int,
+                       record: LineageRecord) -> None:
+        """Fold the ``index``-th exported record into ``document``.
+
+        Never edits an attribute dict already in the document (an earlier
+        export may have handed it out): a changed one is replaced.
+        """
+        entities = document["entity"]
+        activity = _qual(record.span or f"{record.instance_id}:"
+                         f"{record.task}")
+        document["activity"][activity] = {
+            f"{PROV_PREFIX}:index": index,
+            f"{PROV_PREFIX}:instance": record.instance_id,
+            f"{PROV_PREFIX}:task": record.task,
+            f"{PROV_PREFIX}:program": record.program,
+            f"{PROV_PREFIX}:program_version": record.program_version,
+            f"{PROV_PREFIX}:parameters": [
+                [k, v] for k, v in record.parameters
+            ],
+            f"{PROV_PREFIX}:timestamp": record.timestamp,
+            f"{PROV_PREFIX}:memo_key": record.memo_key,
         }
-        records = [
-            r for r in self.lineage.records
-            if instance_id is None or r.instance_id == instance_id
-        ]
-        for index, record in enumerate(records):
-            activity = _qual(record.span or f"{record.instance_id}:"
-                             f"{record.task}")
-            document["activity"][activity] = {
-                f"{PROV_PREFIX}:index": index,
-                f"{PROV_PREFIX}:instance": record.instance_id,
-                f"{PROV_PREFIX}:task": record.task,
-                f"{PROV_PREFIX}:program": record.program,
-                f"{PROV_PREFIX}:program_version": record.program_version,
-                f"{PROV_PREFIX}:parameters": [
-                    [k, v] for k, v in record.parameters
-                ],
-                f"{PROV_PREFIX}:timestamp": record.timestamp,
-                f"{PROV_PREFIX}:memo_key": record.memo_key,
+        for pos, dataset in enumerate(record.inputs):
+            entity = _qual(dataset)
+            entities.setdefault(entity, {})
+            document["used"][f"_:u{index}.{pos}"] = {
+                "prov:activity": activity,
+                "prov:entity": entity,
             }
-            for pos, dataset in enumerate(record.inputs):
-                entity = _qual(dataset)
-                document["entity"].setdefault(entity, {})
-                document["used"][f"_:u{index}.{pos}"] = {
-                    "prov:activity": activity,
-                    "prov:entity": entity,
+        for pos, dataset in enumerate(record.outputs):
+            entity = _qual(dataset)
+            entities[entity] = {
+                **entities.get(entity, {}),
+                f"{PROV_PREFIX}:instance": record.instance_id,
+            }
+            document["wasGeneratedBy"][f"_:g{index}.{pos}"] = {
+                "prov:entity": entity,
+                "prov:activity": activity,
+            }
+            for ipos, source in enumerate(record.inputs):
+                document["wasDerivedFrom"][f"_:d{index}.{pos}.{ipos}"] = {
+                    "prov:generatedEntity": entity,
+                    "prov:usedEntity": _qual(source),
                 }
-            for pos, dataset in enumerate(record.outputs):
-                entity = _qual(dataset)
-                document["entity"].setdefault(
-                    entity, {})[f"{PROV_PREFIX}:instance"] = (
-                        record.instance_id)
-                document["wasGeneratedBy"][f"_:g{index}.{pos}"] = {
-                    "prov:entity": entity,
-                    "prov:activity": activity,
-                }
-                for ipos, source in enumerate(record.inputs):
-                    document["wasDerivedFrom"][f"_:d{index}.{pos}.{ipos}"] = {
-                        "prov:generatedEntity": entity,
-                        "prov:usedEntity": _qual(source),
-                    }
-        return document
 
     @classmethod
     def from_prov_json(cls, document: Dict[str, Any]) -> "ProvenanceGraph":
@@ -371,28 +422,23 @@ def merge_prov_documents(documents: Iterable[Dict[str, Any]]
     the union is a plain key merge — but edge indices must be re-spaced
     so activity record order stays reconstructable after the merge.
     """
-    merged: Dict[str, Any] = {
-        "prefix": {PROV_PREFIX: PROV_URI},
-        "entity": {},
-        "activity": {},
-        "used": {},
-        "wasGeneratedBy": {},
-        "wasDerivedFrom": {},
-    }
+    merged = _empty_document()
+    activities, entities = merged["activity"], merged["entity"]
+    index_key = f"{PROV_PREFIX}:index"
     base = 0
     for document in documents:
         highest = -1
         for name, attrs in (document.get("activity") or {}).items():
-            attrs = dict(attrs)
-            index = int(attrs.get(f"{PROV_PREFIX}:index", 0))
-            highest = max(highest, index)
-            attrs[f"{PROV_PREFIX}:index"] = base + index
-            merged["activity"][name] = attrs
-        for section in ("entity",):
-            for name, attrs in (document.get(section) or {}).items():
-                merged[section].setdefault(name, {}).update(attrs)
+            index = int(attrs.get(index_key, 0))
+            if index > highest:
+                highest = index
+            activities[name] = {**attrs, index_key: base + index}
+        for name, attrs in (document.get("entity") or {}).items():
+            entities.setdefault(name, {}).update(attrs)
+        suffix = f"@{base}"
         for section in ("used", "wasGeneratedBy", "wasDerivedFrom"):
+            edges = merged[section]
             for edge_id, edge in (document.get(section) or {}).items():
-                merged[section][f"{edge_id}@{base}"] = dict(edge)
+                edges[edge_id + suffix] = dict(edge)
         base += highest + 1
     return merged

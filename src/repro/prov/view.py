@@ -98,7 +98,9 @@ class ProvenanceView:
         Shard migration copies lineage records into (and tombstones them
         out of) the log in bulk transactions that bypass
         ``append_lineage``'s subscription; the migrator calls this so the
-        incremental graph and cursor describe the log again."""
+        incremental graph and cursor describe the log again. The new
+        graph has no kept PROV document, so the next export builds one
+        and the plane, seeing a graph it has not merged, merges again."""
         self.graph = ProvenanceGraph.from_records(
             store.data.lineage_records())
         self.cursor = store.data.lineage_count()

@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.engine.operator_console import OperatorConsole
 from ..obs.merge import merge_counter_snapshots, merge_trace_summaries
-from ..prov import merge_prov_documents, provenance_graph, require_instance
+from ..prov import provenance_graph, require_instance
 from .broker import shard_endpoint
 from .plane import ShardedControlPlane
 
@@ -169,13 +169,17 @@ class ShardedConsole:
     def export_prov(self, instance_id: Optional[str] = None
                     ) -> Dict[str, Any]:
         """PROV-JSON: one instance's document (routed), or every live
-        shard's documents merged into one plane-wide export."""
+        shard's documents merged into one plane-wide export.
+
+        The plane-wide document is served from the merge the plane
+        keeps (:meth:`ShardedControlPlane.export_prov`): edit the
+        returned document and its sections freely, but treat the
+        attribute dicts inside the sections as read-only — they are
+        shared with every other export."""
         if instance_id is not None:
             console, final_id = self._locate(instance_id)
             return console.export_prov(final_id)
-        return merge_prov_documents(
-            console.export_prov() for console in self._consoles()
-        )
+        return self.plane.export_prov()
 
     def rerun(self, instance_id: str,
               changed_inputs: Optional[Dict[str, Any]] = None,

@@ -38,6 +38,8 @@ from ..core.engine.library import ProgramRegistry
 from ..core.model.process import ProcessTemplate
 from ..errors import EngineError, UnknownShardError
 from ..obs import ObservabilityHub
+from ..prov import merge_prov_documents, provenance_graph
+from ..prov.graph import fresh_sections
 from ..store.spaces import OperaStore
 from .broker import Forwarded, Rejected, Request, ShardBroker
 from .migrate import ShardMigrator
@@ -204,6 +206,12 @@ class ShardedControlPlane:
         for index in range(shards):
             self._add_shard(index)
         self._request_seq = 0
+        #: the merged plane-wide PROV document and the state of every
+        #: live shard's graph it was merged from, as ``(graph, its
+        #: mutation count)`` pairs. Holding the graphs themselves keeps
+        #: a dead one's ``id()`` from being reused by its successor.
+        self._prov_merged: Dict[str, Any] = {}
+        self._prov_sources: Optional[List[Tuple[Any, int]]] = None
         self.migrator = ShardMigrator(self)
         self.broker.reroute = self._reroute
 
@@ -328,6 +336,24 @@ class ShardedControlPlane:
         for shard in self.shards:
             merged.update(shard.server.instances)
         return dict(sorted(merged.items()))
+
+    def export_prov(self) -> Dict[str, Any]:
+        """Every live shard's PROV-JSON document, merged into one.
+
+        The merge is redone only when some live shard's provenance graph
+        is a different object (failover, migration re-sync, grow, drain)
+        or has folded records since. The returned document and its
+        sections are the caller's to edit; the attribute dicts inside
+        the sections are shared between exports and are read-only.
+        """
+        graphs = [provenance_graph(shard.server.store)
+                  for shard in self.shards if not shard.retired]
+        sources = [(graph, graph.mutations) for graph in graphs]
+        if sources != self._prov_sources:
+            self._prov_merged = merge_prov_documents(
+                graph.to_prov_json() for graph in graphs)
+            self._prov_sources = sources
+        return fresh_sections(self._prov_merged)
 
     # ------------------------------------------------------------------
     # Failure & failover (one shard at a time, others undisturbed)

@@ -25,6 +25,7 @@ from repro.shard import ShardedConsole, ShardedControlPlane
 
 from ..conftest import constant_program, make_inline_server
 from ..navigation_oracle import navigation_oracle, walk_complete
+from ..progress_oracle import walk_progress
 
 FLAT_FAN = """
 PROCESS Fan
@@ -265,6 +266,8 @@ class TestFrameCompleteCounter:
                     f"{frame!r} after {event}")
                 assert frame.open == sum(
                     not state.terminal for state in frame.states.values())
+            assert instance.progress() == walk_progress(instance), (
+                f"after {event}")
 
         server, env = make_inline_server({
             "t.ok": constant_program({"v": 1}), "t.flaky": flaky,

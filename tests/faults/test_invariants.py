@@ -91,6 +91,18 @@ class TestPlantedViolations:
             server, baseline_outputs=baseline, final=True)
         assert any("fault-free baseline" in p for p in problems)
 
+    def test_stale_served_prov_document_is_caught(self):
+        """The graph itself still equals a rebuild; only the document
+        kept beside it has fallen behind (it lost an activity)."""
+        server, _ = _completed_server()
+        graph = server.store.observability.provenance.graph
+        graph.to_prov_json()
+        assert invariants.check_server(server) == []
+        graph._document["activity"].popitem()
+        problems = dict(invariants.run_catalog(server))["prov-equivalence"]
+        assert problems == ["served PROV document diverges from a rebuilt "
+                            "one"]
+
     def _contiguity(self, server):
         return dict(invariants.run_catalog(server))["contiguous-log"]
 

@@ -1,6 +1,7 @@
 """Task-span tracing: lifecycle, lineage join, Chrome-trace export."""
 
 import json
+from unittest import mock
 
 import pytest
 
@@ -9,6 +10,7 @@ from repro.core.engine import BioOperaServer, ProgramRegistry, ProgramResult
 from repro.core.engine import events as ev
 from repro.core.engine.operator_console import OperatorConsole
 from repro.obs import TraceCollector
+from repro.store import codec
 
 OCR = """
 PROCESS P
@@ -114,6 +116,76 @@ class TestCollectorStandalone:
         for i in range(50):
             collector.open_span("i", f"P/T{i}", "n", "w.u", 1, 0.0, 1.0)
         assert len(collector.spans_for()) == 10
+
+
+class TestServedSummary:
+    """``summary()`` is kept per instance id until a span opens or
+    closes; ``_summarize`` is the walk it was, and the reference."""
+
+    def assert_served_equals_recomputed(self, collector):
+        for instance_id in (None, "i", "j", "nobody"):
+            assert codec.encode(collector.summary(instance_id)) == \
+                codec.encode(collector._summarize(instance_id))
+
+    def test_agrees_with_a_recomputation_across_open_close_eviction(self):
+        collector = TraceCollector(capacity=6)
+        self.assert_served_equals_recomputed(collector)
+        for n in range(10):  # the last four opens each evict a span
+            instance_id = "ij"[n % 2]
+            collector.open_span(instance_id, f"P/T{n}", "n", "w.u", 1,
+                                float(n), n + 1.0)
+            self.assert_served_equals_recomputed(collector)
+            if n % 3 == 0:
+                collector.on_event(instance_id, ev.task_failed(
+                    f"P/T{n}", "node-crash", "n", 1, n + 2.0))
+            else:
+                collector.on_event(instance_id, ev.task_completed(
+                    f"P/T{n}", {}, 1.5, "n", n + 4.0))
+            self.assert_served_equals_recomputed(collector)
+        assert collector.summary()["spans"] == 6
+        assert collector.summary("i")["failed"] == 1
+
+    def test_two_calls_without_a_span_event_walk_the_deque_once(self):
+        collector = TraceCollector()
+        for n in range(5):
+            collector.open_span("i", f"P/T{n}", "n", "w.u", 1, 0.0, 1.0)
+        with mock.patch.object(collector, "spans_for",
+                               wraps=collector.spans_for) as walk:
+            first = collector.summary()
+            assert collector.summary() == first
+            assert walk.call_count == 1
+            collector.summary("i")
+            collector.summary("i")
+            assert walk.call_count == 2
+            # Events that touch no span leave the summaries standing.
+            collector.on_event("i", ev.whiteboard_set("", "x", 1, 2.0))
+            collector.on_event("i", ev.task_completed("P/ghost", {}, 1.0,
+                                                      "n", 2.0))
+            collector.summary()
+            assert walk.call_count == 2
+            collector.on_event("i", ev.task_completed("P/T0", {}, 1.0,
+                                                      "n", 2.0))
+            assert collector.summary()["completed"] == 1
+            assert walk.call_count == 3
+
+    def test_every_call_returns_dicts_of_its_own(self):
+        collector = TraceCollector()
+        collector.open_span("i", "P/A", "n", "w.u", 1, 0.0, 1.0)
+        collector.on_event("i", ev.task_completed("P/A", {}, 1.0, "n", 3.0))
+        reference = codec.encode(collector._summarize(None))
+        summary = collector.summary()
+        summary["run_time"]["max"] = -1.0
+        del summary["queue_wait"]
+        summary["spans"] = 0
+        assert codec.encode(collector.summary()) == reference
+
+    def test_made_up_ids_are_not_kept(self):
+        collector = TraceCollector()
+        collector.open_span("i", "P/A", "n", "w.u", 1, 0.0, 1.0)
+        for n in range(50):
+            assert collector.summary(f"nobody{n}")["spans"] == 0
+        collector.summary("i")
+        assert set(collector._summaries) == {"i"}
 
 
 class TestChromeExport:

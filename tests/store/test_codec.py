@@ -1,5 +1,7 @@
 """Serialization: determinism, round trips, rejection of bad values."""
 
+import collections
+import json
 
 import pytest
 from hypothesis import given, strategies as st
@@ -60,6 +62,43 @@ class TestEncode:
         with pytest.raises(CodecError) as excinfo:
             codec.encode({"a": [1, {"b": set()}]})
         assert "$.a[1].b" in str(excinfo.value)
+
+    def test_rejections_keep_their_exact_messages(self):
+        """The path-free validity walk only decides; the path-building
+        one still words every rejection."""
+        deep = {"a": [0, {"b": ({"c": None},)}]}
+        cases = [
+            ({"a": [0, {"b": {2: "x"}}]},
+             "non-string dict key 2 at $.a[1].b"),
+            ({"a": [0, {"b": ({"c": {1, 2}},)}]},
+             "value of type set at $.a[1].b[0].c is not serializable"),
+            ({"a": {"b": [object()]}},
+             "value of type object at $.a.b[0] is not serializable"),
+            ({"a": b"raw"},
+             "value of type bytes at $.a is not serializable"),
+        ]
+        assert codec.encode(deep) == b'{"a":[0,{"b":[{"c":null}]}]}'
+        for value, message in cases:
+            with pytest.raises(CodecError) as excinfo:
+                codec.encode(value)
+            assert str(excinfo.value) == message
+
+    def test_nan_at_depth_is_rejected_by_the_encoder(self):
+        nan = float("nan")
+        with pytest.raises(ValueError) as expected:
+            json.dumps(nan, allow_nan=False)
+        with pytest.raises(CodecError) as excinfo:
+            codec.encode({"a": [1.0, {"b": nan}]})
+        assert str(excinfo.value) == str(expected.value)
+
+    def test_subclasses_of_allowed_types_still_encode(self):
+        """The exact-type walk turns them down; the ``isinstance`` one
+        it falls back on accepts them, as it always did."""
+        class Name(str):
+            pass
+
+        value = collections.OrderedDict(b=Name("x"), a=True)
+        assert codec.encode(value) == b'{"a":true,"b":"x"}'
 
 
 class TestDecode:
