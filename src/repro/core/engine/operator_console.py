@@ -223,10 +223,10 @@ class OperatorConsole:
         """W3C PROV-JSON document for one instance (or the whole store).
 
         The store-wide document is served from the one the provenance
-        graph keeps, extended by the lineage records added since the
-        last export. Edit the returned document and its sections freely,
-        but treat the attribute dicts inside the sections as read-only:
-        they are shared with every other export."""
+        graph keeps until its next lineage record. Edit the returned
+        document and its sections freely, but treat the attribute dicts
+        inside the sections as read-only: they are shared with every
+        other export of the same graph state."""
         from ...prov import provenance_graph
         if instance_id is not None:
             return self._provenance(instance_id).to_prov_json(instance_id)

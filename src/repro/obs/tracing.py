@@ -81,13 +81,9 @@ class TraceCollector:
         self.capacity = capacity
         self.spans: Deque[TaskSpan] = deque(maxlen=capacity)
         self._open: Dict[Tuple[str, str], TaskSpan] = {}
-        #: bumped whenever a span opens or closes, i.e. whenever any
-        #: :meth:`summary` can change.
-        self.generation = 0
-        #: instance_id (``None`` = all) -> its summary as of
-        #: ``_summaries_at``; dropped whole when the generation moves on.
-        self._summaries: Dict[Optional[str], Dict[str, Any]] = {}
-        self._summaries_at = 0
+        #: the all-instances :meth:`summary`; dropped whenever a span
+        #: opens or closes, i.e. whenever it can change.
+        self._summary_all: Optional[Dict[str, Any]] = None
         #: optional hook (job_id -> node-local finish time), wired to the
         #: simulated environment when one is attached.
         self.finish_time_lookup: Optional[Callable[[str], Optional[float]]] = None
@@ -109,7 +105,7 @@ class TraceCollector:
         )
         self._open[(instance_id, path)] = span
         self.spans.append(span)
-        self.generation += 1
+        self._summary_all = None
         return span
 
     def on_event(self, instance_id: str, event: Dict[str, Any]) -> None:
@@ -129,7 +125,7 @@ class TraceCollector:
         span = self._open.pop((instance_id, event.get("path", "")), None)
         if span is None:
             return
-        self.generation += 1
+        self._summary_all = None
         span.closed_at = event["time"]
         if kind == TASK_COMPLETED:
             span.status = "completed"
@@ -159,18 +155,13 @@ class TraceCollector:
     def summary(self, instance_id: Optional[str] = None) -> Dict[str, Any]:
         """Span counts and timing statistics, of one instance or of all.
 
-        Recomputed only after a span opened or closed; every call
-        returns dicts of its own."""
-        if self._summaries_at != self.generation:
-            self._summaries.clear()
-            self._summaries_at = self.generation
-        summary = self._summaries.get(instance_id)
-        if summary is None:
-            summary = self._summarize(instance_id)
-            # Kept only for ids with spans in the buffer, so the ids
-            # callers make up cannot grow the table past ``capacity``.
-            if summary["spans"] or instance_id is None:
-                self._summaries[instance_id] = summary
+        The all-instances summary is recomputed only after a span
+        opened or closed; every call returns dicts of its own."""
+        if instance_id is not None:
+            return self._summarize(instance_id)
+        if self._summary_all is None:
+            self._summary_all = self._summarize(None)
+        summary = self._summary_all
         return {key: dict(value) if isinstance(value, dict) else value
                 for key, value in summary.items()}
 

@@ -87,12 +87,9 @@ class ProvenanceGraph:
         #: names one state of the graph (the plane's merged export is
         #: kept per such state).
         self.mutations = 0
-        #: the store-wide PROV-JSON document as of the first
-        #: ``_exported`` lineage records; derived, never persisted.
-        #: ``None`` until first asked for and after a re-derivation took
-        #: a record out of the middle.
+        #: the store-wide PROV-JSON document; derived, never persisted.
+        #: ``None`` until first asked for and after every :meth:`add`.
         self._document: Optional[Dict[str, Any]] = None
-        self._exported = 0
         for record in records:
             self.add(record)
 
@@ -104,12 +101,9 @@ class ProvenanceGraph:
 
     def add(self, record: LineageRecord) -> None:
         """Fold one derivation; a re-derivation replaces the old one."""
-        before = len(self.lineage)
         self.lineage.add(record)
         self.mutations += 1
-        if len(self.lineage) != before + 1:
-            # A replaced record shifts the index of every later one.
-            self._document = None
+        self._document = None
         key = (record.instance_id, record.task)
         if key not in self.activities:
             self._runs.setdefault(record.instance_id, []).append(record.task)
@@ -300,73 +294,62 @@ class ProvenanceGraph:
         Edge identifiers are indexed so :meth:`from_prov_json` can
         reconstruct the original record order exactly.
 
-        The store-wide document is served from the one kept beside the
-        graph: an export folds in only the records added since the last
-        one. The returned document and its sections are the caller's to
-        edit; the attribute dicts inside the sections are shared with
-        every other export and must be treated as read-only.
+        The store-wide document is kept beside the graph and served
+        until the next :meth:`add`, which drops it. The returned
+        document and its sections are the caller's to edit; the
+        attribute dicts inside the sections are shared with every other
+        export of the same graph state and must be treated as read-only.
         """
-        if instance_id is not None:
-            document = _empty_document()
-            for index, record in enumerate(
-                    r for r in self.lineage.records
-                    if r.instance_id == instance_id):
-                self._export_record(document, index, record)
-            return document
         records = self.lineage.records
+        if instance_id is not None:
+            return self._build_document(
+                r for r in records if r.instance_id == instance_id)
         if self._document is None:
-            self._document = _empty_document()
-            self._exported = 0
-        for index in range(self._exported, len(records)):
-            self._export_record(self._document, index, records[index])
-        self._exported = len(records)
+            self._document = self._build_document(records)
         return fresh_sections(self._document)
 
     @staticmethod
-    def _export_record(document: Dict[str, Any], index: int,
-                       record: LineageRecord) -> None:
-        """Fold the ``index``-th exported record into ``document``.
-
-        Never edits an attribute dict already in the document (an earlier
-        export may have handed it out): a changed one is replaced.
-        """
-        entities = document["entity"]
-        activity = _qual(record.span or f"{record.instance_id}:"
-                         f"{record.task}")
-        document["activity"][activity] = {
-            f"{PROV_PREFIX}:index": index,
-            f"{PROV_PREFIX}:instance": record.instance_id,
-            f"{PROV_PREFIX}:task": record.task,
-            f"{PROV_PREFIX}:program": record.program,
-            f"{PROV_PREFIX}:program_version": record.program_version,
-            f"{PROV_PREFIX}:parameters": [
-                [k, v] for k, v in record.parameters
-            ],
-            f"{PROV_PREFIX}:timestamp": record.timestamp,
-            f"{PROV_PREFIX}:memo_key": record.memo_key,
-        }
-        for pos, dataset in enumerate(record.inputs):
-            entity = _qual(dataset)
-            entities.setdefault(entity, {})
-            document["used"][f"_:u{index}.{pos}"] = {
-                "prov:activity": activity,
-                "prov:entity": entity,
-            }
-        for pos, dataset in enumerate(record.outputs):
-            entity = _qual(dataset)
-            entities[entity] = {
-                **entities.get(entity, {}),
+    def _build_document(records: Iterable[LineageRecord]
+                        ) -> Dict[str, Any]:
+        """One pass over ``records`` into a new PROV-JSON document."""
+        document = _empty_document()
+        for index, record in enumerate(records):
+            activity = _qual(record.span or f"{record.instance_id}:"
+                             f"{record.task}")
+            document["activity"][activity] = {
+                f"{PROV_PREFIX}:index": index,
                 f"{PROV_PREFIX}:instance": record.instance_id,
+                f"{PROV_PREFIX}:task": record.task,
+                f"{PROV_PREFIX}:program": record.program,
+                f"{PROV_PREFIX}:program_version": record.program_version,
+                f"{PROV_PREFIX}:parameters": [
+                    [k, v] for k, v in record.parameters
+                ],
+                f"{PROV_PREFIX}:timestamp": record.timestamp,
+                f"{PROV_PREFIX}:memo_key": record.memo_key,
             }
-            document["wasGeneratedBy"][f"_:g{index}.{pos}"] = {
-                "prov:entity": entity,
-                "prov:activity": activity,
-            }
-            for ipos, source in enumerate(record.inputs):
-                document["wasDerivedFrom"][f"_:d{index}.{pos}.{ipos}"] = {
-                    "prov:generatedEntity": entity,
-                    "prov:usedEntity": _qual(source),
+            for pos, dataset in enumerate(record.inputs):
+                entity = _qual(dataset)
+                document["entity"].setdefault(entity, {})
+                document["used"][f"_:u{index}.{pos}"] = {
+                    "prov:activity": activity,
+                    "prov:entity": entity,
                 }
+            for pos, dataset in enumerate(record.outputs):
+                entity = _qual(dataset)
+                document["entity"].setdefault(
+                    entity, {})[f"{PROV_PREFIX}:instance"] = (
+                        record.instance_id)
+                document["wasGeneratedBy"][f"_:g{index}.{pos}"] = {
+                    "prov:entity": entity,
+                    "prov:activity": activity,
+                }
+                for ipos, source in enumerate(record.inputs):
+                    document["wasDerivedFrom"][f"_:d{index}.{pos}.{ipos}"] = {
+                        "prov:generatedEntity": entity,
+                        "prov:usedEntity": _qual(source),
+                    }
+        return document
 
     @classmethod
     def from_prov_json(cls, document: Dict[str, Any]) -> "ProvenanceGraph":

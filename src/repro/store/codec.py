@@ -36,31 +36,9 @@ def _check(value: Any, path: str) -> None:
     )
 
 
-def _valid(value: Any) -> bool:
-    """:func:`_check`'s rules by exact type and without the path: a
-    ``False`` (also for a subclass of an allowed type) sends the value
-    through :func:`_check`, which decides and words the error."""
-    kind = type(value)
-    if (kind is str or kind is int or kind is float or kind is bool
-            or value is None):
-        return True
-    if kind is list or kind is tuple:
-        for item in value:
-            if not _valid(item):
-                return False
-        return True
-    if kind is dict:
-        for key, item in value.items():
-            if type(key) is not str or not _valid(item):
-                return False
-        return True
-    return False
-
-
 def encode(value: Any) -> bytes:
     """Serialize ``value`` to canonical UTF-8 JSON bytes."""
-    if not _valid(value):
-        _check(value, "$")
+    _check(value, "$")
     try:
         text = json.dumps(
             value, sort_keys=True, separators=(",", ":"), allow_nan=False

@@ -119,7 +119,7 @@ class TestCollectorStandalone:
 
 
 class TestServedSummary:
-    """``summary()`` is kept per instance id until a span opens or
+    """The all-instances ``summary()`` is kept until a span opens or
     closes; ``_summarize`` is the walk it was, and the reference."""
 
     def assert_served_equals_recomputed(self, collector):
@@ -154,19 +154,16 @@ class TestServedSummary:
             first = collector.summary()
             assert collector.summary() == first
             assert walk.call_count == 1
-            collector.summary("i")
-            collector.summary("i")
-            assert walk.call_count == 2
-            # Events that touch no span leave the summaries standing.
+            # Events that touch no span leave the summary standing.
             collector.on_event("i", ev.whiteboard_set("", "x", 1, 2.0))
             collector.on_event("i", ev.task_completed("P/ghost", {}, 1.0,
                                                       "n", 2.0))
             collector.summary()
-            assert walk.call_count == 2
+            assert walk.call_count == 1
             collector.on_event("i", ev.task_completed("P/T0", {}, 1.0,
                                                       "n", 2.0))
             assert collector.summary()["completed"] == 1
-            assert walk.call_count == 3
+            assert walk.call_count == 2
 
     def test_every_call_returns_dicts_of_its_own(self):
         collector = TraceCollector()
@@ -178,14 +175,6 @@ class TestServedSummary:
         del summary["queue_wait"]
         summary["spans"] = 0
         assert codec.encode(collector.summary()) == reference
-
-    def test_made_up_ids_are_not_kept(self):
-        collector = TraceCollector()
-        collector.open_span("i", "P/A", "n", "w.u", 1, 0.0, 1.0)
-        for n in range(50):
-            assert collector.summary(f"nobody{n}")["spans"] == 0
-        collector.summary("i")
-        assert set(collector._summaries) == {"i"}
 
 
 class TestChromeExport:

@@ -64,8 +64,7 @@ class TestEncode:
         assert "$.a[1].b" in str(excinfo.value)
 
     def test_rejections_keep_their_exact_messages(self):
-        """The path-free validity walk only decides; the path-building
-        one still words every rejection."""
+        """Each rejection names the offending value's path."""
         deep = {"a": [0, {"b": ({"c": None},)}]}
         cases = [
             ({"a": [0, {"b": {2: "x"}}]},
@@ -92,8 +91,7 @@ class TestEncode:
         assert str(excinfo.value) == str(expected.value)
 
     def test_subclasses_of_allowed_types_still_encode(self):
-        """The exact-type walk turns them down; the ``isinstance`` one
-        it falls back on accepts them, as it always did."""
+        """Validity is decided by ``isinstance``, not by exact type."""
         class Name(str):
             pass
 
