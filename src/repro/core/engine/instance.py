@@ -43,6 +43,8 @@ RUNNING = "running"
 SUSPENDED = "suspended"
 INSTANCE_COMPLETED = "completed"
 ABORTED = "aborted"
+#: the instance statuses nothing leads out of.
+ENDED = (INSTANCE_COMPLETED, ABORTED)
 
 #: Events outside the per-task lifecycle: rare, and free to invalidate any
 #: parked task's reason for waiting, so they put the whole instance back
@@ -656,7 +658,7 @@ class ProcessInstance:
 
     @property
     def terminal(self) -> bool:
-        return self.status in (INSTANCE_COMPLETED, ABORTED)
+        return self.status in ENDED
 
     def __repr__(self):
         return f"<ProcessInstance {self.id!r} {self.status}>"

@@ -54,6 +54,8 @@ class OperatorConsole:
     # ------------------------------------------------------------------
 
     def list_instances(self) -> List[Dict[str, Any]]:
+        """One row per instance, ended ones included: the first listing
+        after a failover replays the instances the recovery deferred."""
         rows = []
         for instance_id in sorted(self.server.instances):
             instance = self.server.instances[instance_id]

@@ -16,7 +16,21 @@ from typing import Dict, List
 from ...errors import StoreError
 from ...store.spaces import OperaStore
 from . import events as ev
-from .instance import ProcessInstance
+from .instance import ENDED, ProcessInstance
+
+
+def ended(store: OperaStore, instance_id: str) -> bool:
+    """Does the durable meta say the instance completed or aborted?
+
+    The meta's status is written *after* the terminal event, so ``True``
+    means that event is durable and no failover has work left in the
+    instance: :meth:`BioOperaServer.recover` and the view catalog's
+    ``bind`` leave such an instance to its first reader. ``False`` may be
+    stale (a crash between the event and the meta) and only costs the
+    replay a recovery would have made anyway.
+    """
+    meta = store.instances.meta(instance_id)
+    return meta is not None and meta.get("status") in ENDED
 
 
 def replay_instance(store: OperaStore, instance_id: str,

@@ -22,6 +22,7 @@ The server is clock- and transport-agnostic: an
 from __future__ import annotations
 
 import hashlib
+from itertools import chain
 from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING, Tuple
 
 from ...errors import (
@@ -45,6 +46,7 @@ from .instance import (
 )
 from .library import ProgramRegistry
 from .navigator import Navigator
+from .recovery import ended, replay_instance
 from .scheduler import SchedulingPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -71,6 +73,80 @@ class StepClock:
     def __call__(self) -> float:
         self.t += 1.0
         return self.t
+
+
+class InstanceMap(dict):
+    """``instance id -> ProcessInstance`` of one server.
+
+    A recovery replays live work only. An id whose durable meta says the
+    instance has ended is :meth:`defer`-red: known by id, and replayed
+    from its event log by the first ``[]``, ``get``, ``values``,
+    ``items`` or ``pop`` that would hand the instance out — once, for as
+    long as the server lives. ``in``, ``len``, ``del`` and iteration
+    over ids (instances in memory first, then deferred ids) replay
+    nothing; :meth:`loaded` is the instances in memory, which every live
+    one is. A hit on an instance in memory is the plain ``dict``'s.
+    """
+
+    def __init__(self, replay: Callable[[str], ProcessInstance]):
+        super().__init__()
+        #: enters the replayed instance under its id and returns it.
+        self._replay = replay
+        #: ended instances not replayed yet (ids only, in entry order).
+        self._deferred: Dict[str, None] = {}
+
+    def defer(self, instance_id: str) -> None:
+        """Enter an ended instance by id only; its first reader replays."""
+        self._deferred[instance_id] = None
+
+    def loaded(self) -> List[ProcessInstance]:
+        """The instances in memory, in order of entry; replays none."""
+        return list(dict.values(self))
+
+    def __missing__(self, instance_id: str) -> ProcessInstance:
+        if instance_id not in self._deferred:
+            raise KeyError(instance_id)
+        instance = self._replay(instance_id)
+        del self._deferred[instance_id]
+        return instance
+
+    def get(self, instance_id: str, default=None):
+        try:
+            return self[instance_id]
+        except KeyError:
+            return default
+
+    def __contains__(self, instance_id) -> bool:
+        return (dict.__contains__(self, instance_id)
+                or instance_id in self._deferred)
+
+    def __len__(self) -> int:
+        return dict.__len__(self) + len(self._deferred)
+
+    def __iter__(self):
+        return chain(dict.__iter__(self), self._deferred)
+
+    def __delitem__(self, instance_id: str) -> None:
+        if instance_id in self._deferred:
+            del self._deferred[instance_id]
+        else:
+            dict.__delitem__(self, instance_id)
+
+    def _replay_deferred(self) -> None:
+        for instance_id in list(self._deferred):
+            self[instance_id]
+
+    def values(self):
+        self._replay_deferred()
+        return dict.values(self)
+
+    def items(self):
+        self._replay_deferred()
+        return dict.items(self)
+
+    def pop(self, instance_id: str, *default):
+        self.get(instance_id)
+        return dict.pop(self, instance_id, *default)
 
 
 class BioOperaServer:
@@ -166,7 +242,7 @@ class BioOperaServer:
         self._leases: Dict[str, Dict[str, Any]] = {}
         self._lease_keys: Dict[str, str] = {}  # job key -> holder job_id
         self._node_failures: Dict[str, List[float]] = {}
-        self.instances: Dict[str, ProcessInstance] = {}
+        self.instances = InstanceMap(self._replay)
         #: instance ids quiesced for shard migration: dispatch is gated
         #: off and instance-scoped requests are deferred (the broker's
         #: redelivery retries them) until the move commits or rolls back.
@@ -311,7 +387,18 @@ class BioOperaServer:
         self.dispatcher.pump()
         return instance_id
 
+    def _replay(self, instance_id: str) -> ProcessInstance:
+        """Rebuild an instance from its durable log into :attr:`instances`.
+
+        Fires no fault point and writes nothing: a recovery, an adoption
+        and the first read of a deferred instance all replay here.
+        """
+        instance = replay_instance(self.store, instance_id, self._resolver)
+        self.instances[instance_id] = instance
+        return instance
+
     def instance(self, instance_id: str) -> ProcessInstance:
+        """The instance by id; replays it if recovery deferred it."""
         instance = self.instances.get(instance_id)
         if instance is None:
             raise UnknownInstanceError(f"unknown instance {instance_id!r}")
@@ -440,10 +527,11 @@ class BioOperaServer:
 
         Idempotent: instances already carrying the signal (a broker
         redelivery after failover, or an earlier partial broadcast) are
-        skipped, so redelivery can never double-raise.
+        skipped, so redelivery can never double-raise. Replays nothing:
+        an instance recovery deferred has ended and would be skipped.
         """
-        for instance_id in sorted(self.instances):
-            instance = self.instances[instance_id]
+        for instance in sorted(self.instances.loaded(),
+                               key=lambda instance: instance.id):
             if not instance.terminal and name not in instance.signals:
                 self.emit(instance, ev.signal_raised(
                     name, f"external:{origin}", self.clock()
@@ -1155,28 +1243,20 @@ class BioOperaServer:
     ) -> "BioOperaServer":
         """Rebuild a server from the durable store after a crash.
 
-        Replays every instance's event log; in-flight tasks (dispatched but
-        with no recorded outcome) are marked failed with reason
-        ``server-recovery`` and re-scheduled, exactly as in the paper's
-        event 2: "when the server recovers, [processes] are automatically
-        resumed."
+        Replays the event log of every instance that may have work left;
+        in-flight tasks (dispatched but with no recorded outcome) are
+        marked failed with reason ``server-recovery`` and re-scheduled,
+        exactly as in the paper's event 2: "when the server recovers,
+        [processes] are automatically resumed." An instance whose durable
+        meta says it :func:`~repro.core.engine.recovery.ended` is only
+        entered in :attr:`instances`; whoever reads it first replays it.
 
         Everything recovery needs is re-derived from the durable store —
         shard identity, the four policies in :attr:`POLICY_SETTINGS`,
-        and (for environment-less recoveries) a clock seeded past the
-        newest logged timestamp. An explicit ``clock`` still wins.
+        and (when neither the caller nor the environment brings a clock)
+        the fallback clock seeded past the newest logged timestamp. An
+        explicit ``clock`` still wins.
         """
-        if clock is None and environment is None:
-            # The fallback StepClock must resume *after* the newest event
-            # time in the durable log, or the recovery emissions below
-            # would be stamped before events that precede them.
-            newest = 0.0
-            for instance_id in store.instances.instance_ids():
-                for event in store.instances.events(instance_id):
-                    time = event.get("time")
-                    if isinstance(time, (int, float)):
-                        newest = max(newest, float(time))
-            clock = StepClock(newest)
         # The hub attaches (and its views catch up from the durable log)
         # inside __init__, BEFORE the recovery emissions below — so the
         # views stay in lock-step with everything recovery appends.
@@ -1184,6 +1264,19 @@ class BioOperaServer:
                      clock=clock, seed=seed, observability=observability)
         if environment is not None:
             server.attach_environment(environment)
+        if clock is None and isinstance(server.clock, StepClock):
+            # No environment, or one that keeps no time (the inline one):
+            # the fallback clock must resume *after* the newest event
+            # time in the durable log, or the recovery emissions below
+            # would be stamped before events that precede them. Times
+            # never decrease within a log, so its last event has it.
+            for instance_id in store.instances.instance_ids():
+                count = store.instances.event_count(instance_id)
+                for _seq, event in store.instances.events_from(
+                        instance_id, max(0, count - 1)):
+                    time = event.get("time")
+                    if isinstance(time, (int, float)):
+                        server.clock.t = max(server.clock.t, float(time))
         for setting, enable in cls.POLICY_SETTINGS:
             config = store.configuration.setting(setting)
             if config is not None:
@@ -1211,11 +1304,12 @@ class BioOperaServer:
             # Crash during recovery replay itself: the next recovery must
             # start over from the same durable log and still succeed.
             fire("recovery.replay", instance=instance_id)
-            instance = ProcessInstance(instance_id, server._resolver)
-            instance.replay(store.instances.events(instance_id))
-            server.instances[instance_id] = instance
-            if instance.terminal:
+            if ended(store, instance_id):
+                server.instances.defer(instance_id)
                 continue
+            instance = server._replay(instance_id)
+            if instance.terminal:
+                continue  # stale meta: the terminal event made it, alone
             server.emit_batch(instance, [
                 ev.task_failed(
                     state.path, "server-recovery", state.node,
@@ -1223,7 +1317,11 @@ class BioOperaServer:
                 )
                 for state in instance.dispatched_states()
             ])
-        for instance in server.instances.values():
+        live = server.instances.loaded()
+        server.obs.metrics.inc("recovery.instances_replayed", len(live))
+        server.obs.metrics.inc("recovery.instances_deferred",
+                               len(server.instances) - len(live))
+        for instance in live:
             if not instance.terminal:
                 server.navigator.navigate(instance)
         server.dispatcher.pump()
@@ -1250,9 +1348,13 @@ class BioOperaServer:
         self.dispatcher.drop_instance(instance_id)
 
     def complete_migration(self, instance_id: str) -> None:
-        """Forget an instance whose migration committed (log tombstoned)."""
+        """Forget an instance whose migration committed (log tombstoned).
+
+        Replays nothing: a deferred instance leaves as it came.
+        """
         self.migrating.discard(instance_id)
-        self.instances.pop(instance_id, None)
+        if instance_id in self.instances:
+            del self.instances[instance_id]
 
     def abandon_migration(self, instance_id: str) -> None:
         """Roll back a quiesce: the instance stays on this shard.
@@ -1290,11 +1392,14 @@ class BioOperaServer:
         The imported copy's dispatched-but-unreported tasks (quiesced on
         the source shard) are failed with the infrastructure reason
         ``shard-migration`` and re-scheduled here — the PEC
-        retransmission path, applied across shards.
+        retransmission path, applied across shards. An instance that
+        ended before the move has no work to re-drive and, as in
+        :meth:`recover`, is replayed by its first reader instead.
         """
-        instance = ProcessInstance(instance_id, self._resolver)
-        instance.replay(self.store.instances.events(instance_id))
-        self.instances[instance_id] = instance
+        if ended(self.store, instance_id):
+            self.instances.defer(instance_id)
+            return instance_id
+        instance = self._replay(instance_id)
         if not instance.terminal:
             self.emit_batch(instance, [
                 ev.task_failed(state.path, "shard-migration", state.node,

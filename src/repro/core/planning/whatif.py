@@ -70,7 +70,11 @@ class OutagePlan:
 
 def outage_impact(server: BioOperaServer,
                   nodes: Sequence[str]) -> OutagePlan:
-    """Evaluate taking ``nodes`` off-line, without changing anything."""
+    """Evaluate taking ``nodes`` off-line, without changing anything.
+
+    Looks at the instances in memory only: one a recovery deferred has
+    ended, and an outage displaces nothing of it.
+    """
     node_set = set(nodes)
     for name in node_set:
         if not server.awareness.has_node(name):
@@ -91,8 +95,9 @@ def outage_impact(server: BioOperaServer,
     affected: List[InstanceImpact] = []
     unaffected: List[str] = []
     stopped: List[str] = []
-    for instance_id in sorted(server.instances):
-        instance = server.instances[instance_id]
+    for instance in sorted(server.instances.loaded(),
+                           key=lambda instance: instance.id):
+        instance_id = instance.id
         if instance.terminal:
             continue
         displaced = [

@@ -523,10 +523,6 @@ class _Plane:
     def crash(self, index: int) -> bool:
         """Kill one shard's server; False if it is down or retired."""
         shard = self.plane.shards[index]
-        # A killed recovery leaves its half-built successor attached to
-        # the shard's cluster, holding what the failed replay persisted:
-        # that is the process to kill and the store to fail over from.
-        shard.server = shard.cluster.server
         if shard.retired or not shard.up:
             return False
         self.participants.add(index)

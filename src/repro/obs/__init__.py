@@ -13,7 +13,12 @@ commit — into:
 
 View checkpoints are written every ``checkpoint_interval`` appends;
 between checkpoints the views are ahead of their durable cursors, and
-after a crash :meth:`ViewCatalog.bind` replays only the suffix.
+after a crash :meth:`ViewCatalog.bind` replays only the suffix — of the
+instances that may still run. Ended instances and the provenance graph
+are brought up to their logs by whoever reads them first; the registry
+counts those reads (``views.deferred_catch_ups``,
+``prov.deferred_catch_ups``) beside what the recovery itself replayed
+and left (``recovery.instances_replayed``, ``recovery.instances_deferred``).
 """
 
 from __future__ import annotations
@@ -46,7 +51,9 @@ class ObservabilityHub:
                  compact_store: bool = True):
         self.metrics = MetricsRegistry()
         self.views = ViewCatalog()
+        self.views.metrics = self.metrics
         self.provenance = ProvenanceView()
+        self.provenance.metrics = self.metrics
         self.tracing = TraceCollector(capacity=trace_capacity)
         self.checkpoint_interval = checkpoint_interval
         self.compact_store = compact_store
@@ -56,9 +63,9 @@ class ObservabilityHub:
     # -- wiring --------------------------------------------------------------
 
     def attach(self, store) -> None:
-        """Bind to ``store``: load view checkpoints, catch up to the log
-        tail, and subscribe to future appends. Replaces any hub already
-        attached to the store."""
+        """Bind to ``store``: load view checkpoints, catch up with the
+        instances that may still run, and subscribe to future appends.
+        Replaces any hub already attached to the store."""
         previous = getattr(store, "observability", None)
         if previous is not None and previous is not self:
             store.instances.unsubscribe(previous._on_event)

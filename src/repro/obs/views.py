@@ -15,9 +15,13 @@ Recovery safety mirrors the engine's own event sourcing:
   cursors in one KV transaction per view (``obs/view/<name>``), with the
   ``obs.view.checkpoint`` fault point fired between views — a crash there
   leaves views checkpointed at *different* cursors on purpose;
-* :meth:`ViewCatalog.bind` loads each view's checkpoint and catches it up
-  independently by replaying only its own event suffix, then resumes live
-  application. A view with no checkpoint replays from sequence 0.
+* :meth:`ViewCatalog.bind` loads each view's checkpoint, checks every
+  cursor against its log, and catches up the instances that may still
+  run — each view over its own event suffix, a view with no checkpoint
+  from sequence 0 — then resumes live application. An instance whose
+  durable meta says it has ended waits: the first ``in_sync``, query or
+  append that names it folds its suffix, so a failover does not pay for
+  finished work and an operator's first read of it does.
 
 Every fold is written to be *bit-identical* to the legacy full-rescan
 implementation (kept in ``queries.py`` as the differential-test oracle):
@@ -36,6 +40,7 @@ from ..core.engine.events import (
     TASK_DISPATCHED,
     TASK_FAILED,
 )
+from ..core.engine.recovery import ended
 from ..errors import StoreError
 from ..faults.points import fire
 
@@ -57,8 +62,10 @@ class View:
 
     ``interests`` is the tuple of event types the view folds (``None`` =
     every event); the catalog uses it to skip uninterested views on the
-    hot path. ``loaded_cursors`` holds the cursors read from the durable
-    checkpoint until :meth:`ViewCatalog.bind` has caught the view up.
+    hot path. ``loaded_cursors`` holds the cursors of the last durable
+    checkpoint read or written, advanced per instance as the catalog
+    catches the view up: for an instance still deferred it is the
+    cursor this view's state stands at.
     """
 
     name = ""
@@ -399,6 +406,12 @@ class ViewCatalog:
         self.by_name: Dict[str, View] = {v.name: v for v in self.views}
         #: instance -> next sequence number to apply (live, all views).
         self.cursors: Dict[str, int] = {}
+        #: instances that had ended when the catalog was bound: each
+        #: view's state stands at its loaded cursor until the first
+        #: reader folds the rest (ids only, in id order).
+        self._deferred: Dict[str, None] = {}
+        #: the owning hub's registry, if a hub owns the catalog.
+        self.metrics = None
         self._store = None
         self._handlers: Dict[str, List] = {}
 
@@ -431,7 +444,7 @@ class ViewCatalog:
     # -- binding & recovery -------------------------------------------------
 
     def bind(self, store) -> None:
-        """Load durable checkpoints and catch up to the store's log tail.
+        """Load durable checkpoints and catch up with the live instances.
 
         Each view replays only its own suffix ``[checkpoint cursor,
         event_count)`` — views left at different cursors by a crash
@@ -445,8 +458,12 @@ class ViewCatalog:
         self.catch_up(store)
 
     def catch_up(self, store) -> None:
+        """Check every loaded cursor against its log; fold the suffix of
+        each instance that may still run, defer the ones that ended."""
+        self._deferred = {}
         for instance_id in store.instances.instance_ids():
             count = store.instances.event_count(instance_id)
+            behind = False
             for view in self.views:
                 start = view.loaded_cursors.get(instance_id, 0)
                 if start > count:
@@ -455,20 +472,54 @@ class ViewCatalog:
                         f"ahead of the durable log ({count} events) for "
                         f"instance {instance_id!r}"
                     )
-                if start == count:
-                    continue
-                interests = view.interests
-                for _seq, event in store.instances.events_from(
-                        instance_id, start):
-                    if interests is None or event["type"] in interests:
-                        view.apply(instance_id, event)
+                behind = behind or start < count
+            if behind and ended(store, instance_id):
+                self._deferred[instance_id] = None
+                self.cursors.pop(instance_id, None)
+            else:
+                self._fold_suffix(store, instance_id, count)
+
+    def _fold_suffix(self, store, instance_id: str, count: int) -> None:
+        """Bring every view to the log head: one walk of the log for all
+        the views that start at the same cursor (all of them, unless a
+        crash split the last checkpoint)."""
+        starts: Dict[int, List[View]] = {}
+        for view in self.views:
+            start = view.loaded_cursors.get(instance_id, 0)
+            if start < count:
+                starts.setdefault(start, []).append(view)
+        for start, views in starts.items():
+            handlers: Dict[str, List] = {}
+            for _seq, event in store.instances.events_from(
+                    instance_id, start):
+                kind = event["type"]
+                applies = handlers.get(kind)
+                if applies is None:
+                    applies = handlers[kind] = [
+                        view.apply for view in views
+                        if view.interests is None or kind in view.interests
+                    ]
+                for apply in applies:
+                    apply(instance_id, event)
+            for view in views:
                 view.loaded_cursors[instance_id] = count
-            self.cursors[instance_id] = count
+        self.cursors[instance_id] = count
+
+    def _catch_up_deferred(self, instance_id: str) -> None:
+        """First use of an instance :meth:`catch_up` deferred."""
+        del self._deferred[instance_id]
+        self._fold_suffix(self._store, instance_id,
+                          self._store.instances.event_count(instance_id))
+        if self.metrics is not None:
+            self.metrics.inc("views.deferred_catch_ups")
 
     # -- live application (hot path) ----------------------------------------
 
     def apply_event(self, instance_id: str, seq: int,
                     event: Dict[str, Any]) -> None:
+        if instance_id in self._deferred:
+            # The event is durable already: the catch-up folds it too.
+            self._catch_up_deferred(instance_id)
         cursor = self.cursors.get(instance_id, 0)
         if seq < cursor:
             return  # already folded (idempotent re-delivery)
@@ -499,6 +550,8 @@ class ViewCatalog:
         last event actually folded even if a view raises mid-slice, so a
         retried delivery never double-folds.
         """
+        if instance_id in self._deferred:
+            self._catch_up_deferred(instance_id)
         cursor = self.cursors.get(instance_id, 0)
         end = start_seq + len(events)
         if end <= cursor:
@@ -528,6 +581,10 @@ class ViewCatalog:
                 self.cursors[instance_id] = applied
 
     def in_sync(self, store, instance_id: str) -> bool:
+        """Are the views at the instance's log head? Asked before every
+        view read, so it is also what catches a deferred instance up."""
+        if instance_id in self._deferred:
+            self._catch_up_deferred(instance_id)
         return (self.cursors.get(instance_id, 0)
                 == store.instances.event_count(instance_id))
 
@@ -538,20 +595,24 @@ class ViewCatalog:
 
         The ``obs.view.checkpoint`` fault point fires before each view's
         transaction: an injected crash leaves the views checkpointed at
-        different cursors, which :meth:`bind` must absorb.
+        different cursors, which :meth:`bind` must absorb. A deferred
+        instance is not folded for the occasion: each view's state for
+        it stands at that view's loaded cursor and is persisted with it.
         """
         store = store if store is not None else self._store
         if store is None:
             raise StoreError("view catalog is not bound to a store")
-        cursors = dict(self.cursors)
         for view in self.views:
+            cursors = dict(self.cursors)
+            for instance_id in self._deferred:
+                cursors[instance_id] = view.loaded_cursors.get(instance_id, 0)
             fire("obs.view.checkpoint", view=view.name)
             with store.kv.transaction() as txn:
                 txn.put(CHECKPOINT_PREFIX + view.name, {
                     "cursors": dict(cursors),
                     "state": view.dump_state(),
                 })
-            view.loaded_cursors = dict(cursors)
+            view.loaded_cursors = cursors
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,13 @@ the *data space's lineage log* instead of the instance-space event logs:
   transaction under ``obs/view/provenance``, with the ``prov.checkpoint``
   fault point fired first — a crash there leaves the view recoverable
   from its previous checkpoint;
-* :meth:`bind` loads the durable checkpoint and catches up by replaying
-  only the lineage suffix, then resumes live application.
+* :meth:`bind` loads the durable checkpoint, checks its cursor against
+  the log and subscribes, but folds nothing. Provenance is derived from
+  the execution record, so a view bound behind its log stays *behind* —
+  appends are left in the log — until somebody asks for the graph; the
+  asking (:attr:`graph`, :meth:`in_sync`) replays the lineage suffix
+  once and live application resumes. A failover therefore pays nothing
+  for lineage, and the first provenance read after it pays the suffix.
 
 The chaos invariant (``prov-equivalence`` in
 :mod:`repro.faults.invariants`) holds the view's graph byte-identical,
@@ -38,24 +43,43 @@ class ProvenanceView:
     name = "provenance"
 
     def __init__(self):
-        self.graph = ProvenanceGraph()
+        self._graph = ProvenanceGraph()
         #: next lineage sequence number to fold.
         self.cursor = 0
+        #: bound with the cursor short of the log head and not read since.
+        self._behind = False
+        #: the owning hub's registry, if a hub owns the view.
+        self.metrics = None
         self._store = None
+
+    @property
+    def graph(self) -> ProvenanceGraph:
+        """The graph, brought up to the lineage log head if it is behind."""
+        if self._behind:
+            self._first_use()
+        return self._graph
+
+    def _first_use(self) -> None:
+        """Catch up a view that was bound behind its log (a detached one
+        has no log to catch up from and serves what it has)."""
+        if self._store is not None:
+            self.catch_up(self._store)
+            if self.metrics is not None:
+                self.metrics.inc("prov.deferred_catch_ups")
 
     # -- binding & recovery -------------------------------------------------
 
     def bind(self, store) -> None:
-        """Load the durable checkpoint, catch up, subscribe to appends."""
+        """Load the durable checkpoint, check it, subscribe to appends."""
         self._store = store
         data = store.kv.get(CHECKPOINT_KEY)
         if data is not None:
             self.cursor = int(data.get("cursor", 0))
-            self.graph = ProvenanceGraph.load(data.get("state"))
+            self._graph = ProvenanceGraph.load(data.get("state"))
         else:
             self.cursor = 0
-            self.graph = ProvenanceGraph()
-        self.catch_up(store)
+            self._graph = ProvenanceGraph()
+        self._behind = self.cursor < self._log_head(store)
         store.data.subscribe(self.on_lineage)
 
     def unbind(self, store) -> None:
@@ -64,32 +88,38 @@ class ProvenanceView:
         if self._store is store:
             self._store = None
 
-    def catch_up(self, store) -> None:
-        """Fold the lineage suffix ``[cursor, count)`` from the log."""
+    def _log_head(self, store) -> int:
+        """The durable lineage count, which the cursor may not exceed."""
         count = store.data.lineage_count()
         if self.cursor > count:
             raise StoreError(
                 f"provenance checkpoint cursor {self.cursor} is ahead of "
                 f"the durable lineage log ({count} records)"
             )
+        return count
+
+    def catch_up(self, store) -> None:
+        """Fold the lineage suffix ``[cursor, count)`` from the log."""
+        count = self._log_head(store)
         for _seq, record in store.data.lineage_records_from(self.cursor):
-            self.graph.add_raw(record)
+            self._graph.add_raw(record)
         # Sequences tombstoned by shard migration yield nothing but still
         # count: the cursor lands on the log head, not the last record.
         self.cursor = count
+        self._behind = False
 
     # -- live application (hot path) ----------------------------------------
 
     def on_lineage(self, seq: int, record: Dict[str, Any]) -> None:
         """Fold one durable lineage append (idempotent re-delivery)."""
-        if seq < self.cursor:
-            return
+        if self._behind or seq < self.cursor:
+            return  # in the log the catch-up reads, or folded already
         if seq > self.cursor:
             raise StoreError(
                 f"provenance view missed lineage records: got seq {seq}, "
                 f"expected {self.cursor}"
             )
-        self.graph.add_raw(record)
+        self._graph.add_raw(record)
         self.cursor = seq + 1
 
     def resync(self, store) -> None:
@@ -101,12 +131,16 @@ class ProvenanceView:
         incremental graph and cursor describe the log again. The new
         graph has no kept PROV document, so the next export builds one
         and the plane, seeing a graph it has not merged, merges again."""
-        self.graph = ProvenanceGraph.from_records(
+        self._graph = ProvenanceGraph.from_records(
             store.data.lineage_records())
         self.cursor = store.data.lineage_count()
+        self._behind = False
 
     def in_sync(self, store) -> bool:
-        """True when the cursor matches the durable lineage count."""
+        """True when the graph, caught up if it was behind, stands at the
+        durable lineage count."""
+        if self._behind:
+            self._first_use()
         return self.cursor == store.data.lineage_count()
 
     # -- durability ----------------------------------------------------------
@@ -116,7 +150,8 @@ class ProvenanceView:
 
         The ``prov.checkpoint`` fault point fires before the
         transaction: an injected crash loses nothing (the previous
-        checkpoint plus the lineage suffix reconstructs the graph).
+        checkpoint plus the lineage suffix reconstructs the graph). A
+        view still behind persists the cursor and graph it loaded.
         """
         store = store if store is not None else self._store
         if store is None:
@@ -125,7 +160,7 @@ class ProvenanceView:
         with store.kv.transaction() as txn:
             txn.put(CHECKPOINT_KEY, {
                 "cursor": self.cursor,
-                "state": self.graph.dump(),
+                "state": self._graph.dump(),
             })
 
 
@@ -133,7 +168,8 @@ def live_graph(store) -> Optional[ProvenanceGraph]:
     """The hub's in-sync provenance graph, or ``None`` to force a rescan.
 
     Mirrors ``queries._live_views``: the incremental graph answers only
-    when it is attached *and* caught up with the durable lineage log;
+    when it is attached *and* — after the catch-up a view bound behind
+    its log owes its first reader — level with the durable lineage log;
     otherwise the caller builds the graph from the records directly.
     """
     hub = getattr(store, "observability", None)

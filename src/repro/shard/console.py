@@ -219,7 +219,9 @@ class ShardedConsole:
     # ------------------------------------------------------------------
 
     def list_instances(self) -> List[Dict[str, Any]]:
-        """Every live shard's instances, tagged with their shard index."""
+        """Every live shard's instances, tagged with their shard index
+        (replays what a shard's recovery deferred, as the shard's own
+        console's listing does)."""
         rows: List[Dict[str, Any]] = []
         for shard in self.plane.shards:
             if shard.retired:

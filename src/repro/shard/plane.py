@@ -160,10 +160,20 @@ class Shard:
         everything else — shard identity, instance logs, lease and
         quarantine config, the fencing epoch — is re-derived from the
         surviving store. Nothing is inherited from any sibling shard.
+
+        The store failed over from is that of the process attached to
+        the cluster, and so is the server this shard names afterwards,
+        whether or not the recovery came through: one killed part-way
+        leaves its half-built successor attached, holding what the
+        failed replay persisted — that is the process to kill and the
+        store to fail over from next time.
         """
-        self.server = self.cluster.recover_server(
-            store=self.server.store.simulate_crash())
-        self.store = self.server.store
+        try:
+            self.cluster.recover_server(
+                store=self.cluster.server.store.simulate_crash())
+        finally:
+            self.server = self.cluster.server
+            self.store = self.server.store
         return self.server
 
 
@@ -331,10 +341,11 @@ class ShardedControlPlane:
         return self.shards[owner].server.instance(final_id)
 
     def all_instances(self) -> Dict[str, Any]:
-        """instance_id -> instance across every shard (sorted ids)."""
+        """instance_id -> instance across every shard (sorted ids);
+        replays every instance a shard's recovery deferred."""
         merged: Dict[str, Any] = {}
         for shard in self.shards:
-            merged.update(shard.server.instances)
+            merged.update(shard.server.instances.items())
         return dict(sorted(merged.items()))
 
     def export_prov(self) -> Dict[str, Any]:
@@ -409,6 +420,8 @@ class ShardedControlPlane:
         Returns ``{old_id: new_id}``. Safe to re-run after a crash mid-
         drain: interrupted moves are resumed or rolled back first, and
         already-moved instances are simply no longer on the source.
+        Walks the source's instance ids only: an instance its recovery
+        deferred moves as a log and is never replayed there.
         """
         shard = self.shards[index]
         if shard.retired:

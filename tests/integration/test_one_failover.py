@@ -108,6 +108,35 @@ def test_counters_are_one_booking_carried_across_the_failover():
             == cluster.network.messages_sent > counters["jobs_dispatched"])
 
 
+def test_shard_names_the_half_built_server_a_killed_recovery_leaves():
+    """``Shard.recover`` fails over from the store of whatever process
+    is attached to the shard's cluster, and names that process
+    afterwards even when the recovery was killed — so the next crash
+    kills the half-built successor and the next recovery starts from
+    what its failed replay persisted, not from the dead predecessor."""
+    kernel, plane = make_plane(2)
+    requests = [plane.launch("t0", "job", {"cost": 30.0}) for _ in range(4)]
+    plane.drain_requests()
+    assert any(r.result.startswith("s00-") for r in requests)
+    shard = plane.shards[0]
+    predecessor = shard.server
+    plane.crash_shard(0)
+    with installed(FaultInjector([FaultAction("recovery.replay", "crash")])):
+        with pytest.raises(InjectedCrash):
+            shard.recover()
+    half_built = shard.cluster.server
+    assert half_built is not predecessor and half_built.up
+    assert shard.server is half_built and shard.store is half_built.store
+    plane.crash_shard(0)
+    assert not half_built.up
+    recovered = plane.recover_shard(0)
+    assert recovered is shard.server is shard.cluster.server
+    assert recovered.epoch == half_built.epoch + 1 == predecessor.epoch + 2
+    kernel.run()
+    assert all(plane.instance(r.result).status == "completed"
+               for r in requests)
+
+
 def test_every_failover_reaches_recover_server(monkeypatch):
     """Standby promotion, shard failover and the campaign driver call
     ``SimulatedCluster.recover_server`` instead of re-implementing it."""
