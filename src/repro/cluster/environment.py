@@ -44,10 +44,6 @@ class SimulatedCluster(ExecutionEnvironment):
         dispatch_overhead: float = 2.0,
         detection_delay: float = 120.0,
         execution_noise: float = 0.15,
-        report_retries: Optional[int] = None,
-        report_retry_base: Optional[float] = None,
-        report_retry_cap: Optional[float] = None,
-        report_retry_jitter: Optional[float] = None,
         rng_namespace: str = "",
     ):
         self.kernel = kernel
@@ -77,13 +73,7 @@ class SimulatedCluster(ExecutionEnvironment):
         for spec in specs:
             node = SimNode(kernel, spec, self._node_job_done)
             self.nodes[spec.name] = node
-            self.pecs[spec.name] = PEC(
-                node, self.network, self,
-                report_retries=report_retries,
-                retry_base=report_retry_base,
-                retry_cap=report_retry_cap,
-                retry_jitter=report_retry_jitter,
-            )
+            self.pecs[spec.name] = PEC(node, self.network, self)
         self.trace = ClusterTrace(self)
         self._outage_detection = None
         #: partition id -> (node names, direction) for cluster-level cuts.
@@ -439,16 +429,19 @@ class SimulatedCluster(ExecutionEnvironment):
         if self.server is None:
             raise ClusterError("no server attached")
         old = self.server
+        hub = old.obs.successor()
+        # Cumulative counters survive the crash (they describe the run,
+        # not the server process). Carried before the recovery runs: one
+        # killed midway leaves its half-built server attached, and the
+        # retry fails over from that one.
+        for name, value in old.metrics.items():
+            hub.metrics.inc(name, value)
         self.server = BioOperaServer.recover(
             store if store is not None else old.store,
             old.registry, environment=self,
             policy=old.dispatcher.policy, seed=old.seed,
-            observability=old.obs.successor(),
+            observability=hub,
         )
-        # Cumulative counters survive the crash (they describe the run,
-        # not the server process).
-        for name, value in old.metrics.items():
-            self.server.obs.metrics.inc(name, value)
         self.trace.record()
         return self.server
 

@@ -44,21 +44,15 @@ class PEC:
     RETRY_CAP = 960.0
     RETRY_JITTER = 0.25
 
-    def __init__(self, node: SimNode, network: Network, cluster,
-                 report_retries: Optional[int] = None,
-                 retry_base: Optional[float] = None,
-                 retry_cap: Optional[float] = None,
-                 retry_jitter: Optional[float] = None):
+    def __init__(self, node: SimNode, network: Network, cluster):
         self.node = node
         self.network = network
         self.cluster = cluster  # SimulatedCluster (owner)
         self.monitor = AdaptiveMonitor()
-        self.report_retries = (self.REPORT_RETRIES if report_retries is None
-                               else report_retries)
-        self.retry_base = self.RETRY_BASE if retry_base is None else retry_base
-        self.retry_cap = self.RETRY_CAP if retry_cap is None else retry_cap
-        self.retry_jitter = (self.RETRY_JITTER if retry_jitter is None
-                             else retry_jitter)
+        self.report_retries = self.REPORT_RETRIES
+        self.retry_base = self.RETRY_BASE
+        self.retry_cap = self.RETRY_CAP
+        self.retry_jitter = self.RETRY_JITTER
         self.jobs_run = 0
         self.jobs_failed = 0
         self.reports_lost = 0

@@ -409,42 +409,35 @@ class BioOperaServer:
     # ------------------------------------------------------------------
 
     def emit(self, instance: ProcessInstance, event: Dict[str, Any]) -> None:
-        # Crash before the append: the transition is lost entirely (the
-        # engine never acted on it, so nothing to repair). Crash after: the
-        # event is durable but the in-memory state never saw it — recovery
-        # must pick it up from the log.
-        event.setdefault("epoch", self.epoch)
-        fire("server.emit.pre-persist",
-             instance=instance.id, type=event["type"])
-        self.store.instances.append_event(instance.id, event)
-        fire("server.emit.post-persist",
-             instance=instance.id, type=event["type"])
-        self._apply_emitted(instance, event)
+        """Persist one event, then apply it: a slice of one."""
+        self._emit(instance, (event,))
 
     def emit_batch(self, instance: ProcessInstance,
                    events: List[Dict[str, Any]]) -> None:
-        """Persist ``events`` as one multi-event transaction, then apply.
+        """Persist ``events`` as one transaction, then apply them."""
+        self._emit(instance, events)
 
-        Same crash semantics as :meth:`emit`, at batch granularity: a crash
-        before the append loses the whole batch (the engine never acted on
-        any of it), a crash after leaves every event durable for recovery
-        to replay. The single transaction means the log can never hold a
-        prefix of the batch.
+    def _emit(self, instance: ProcessInstance, events) -> None:
+        """The one emit body: record the slice durably, then act on it.
+
+        Crash before the append: the slice is lost entirely (the engine
+        never acted on any of it, so nothing to repair). Crash after:
+        every event is durable but the in-memory state never saw them —
+        recovery must pick them up from the log. The single transaction
+        means the log can never hold a prefix of the slice.
         """
         if not events:
             return
-        if len(events) == 1:
-            self.emit(instance, events[0])
-            return
         for event in events:
             event.setdefault("epoch", self.epoch)
-        fire("server.emit.pre-persist",
-             instance=instance.id, type=events[0]["type"],
-             batch=len(events))
+        # What a fired action records of its hit, so part of a campaign's
+        # digest: a slice of one has no ``batch``.
+        context = {"instance": instance.id, "type": events[0]["type"]}
+        if len(events) > 1:
+            context["batch"] = len(events)
+        fire("server.emit.pre-persist", **context)
         self.store.instances.append_events(instance.id, events)
-        fire("server.emit.post-persist",
-             instance=instance.id, type=events[0]["type"],
-             batch=len(events))
+        fire("server.emit.post-persist", **context)
         for event in events:
             self._apply_emitted(instance, event)
 
@@ -680,7 +673,7 @@ class BioOperaServer:
         # task_dispatched event exists, so recovery simply re-queues.
         fire("server.dispatch.record", job=job.job_id, node=node)
         now = self.clock()
-        # Open before the emit so the event subscription sees an open
+        # Open before the emit so the hub's event stream sees an open
         # span to enrich rather than synthesizing one without the
         # enqueue time.
         self.obs.tracing.open_span(

@@ -23,8 +23,6 @@ and left (``recovery.instances_replayed``, ``recovery.instances_deferred``).
 
 from __future__ import annotations
 
-from typing import Any, Dict
-
 from ..prov.view import ProvenanceView
 from .metrics import BoundedHistogram, MetricsRegistry
 from .tracing import TaskSpan, TraceCollector
@@ -46,17 +44,14 @@ __all__ = [
 class ObservabilityHub:
     """Metrics + views + tracing, bound to one store's event stream."""
 
-    def __init__(self, checkpoint_interval: int = 500,
-                 trace_capacity: int = 10000,
-                 compact_store: bool = True):
+    def __init__(self, checkpoint_interval: int = 500):
         self.metrics = MetricsRegistry()
         self.views = ViewCatalog()
         self.views.metrics = self.metrics
         self.provenance = ProvenanceView()
         self.provenance.metrics = self.metrics
-        self.tracing = TraceCollector(capacity=trace_capacity)
+        self.tracing = TraceCollector()
         self.checkpoint_interval = checkpoint_interval
-        self.compact_store = compact_store
         self._since_checkpoint = 0
         self._store = None
 
@@ -64,24 +59,26 @@ class ObservabilityHub:
 
     def attach(self, store) -> None:
         """Bind to ``store``: load view checkpoints, catch up with the
-        instances that may still run, and subscribe to future appends.
-        Replaces any hub already attached to the store."""
+        instances that may still run, and become the one observer of its
+        event and lineage appends. A hub already attached to the store
+        is detached first."""
         previous = getattr(store, "observability", None)
         if previous is not None and previous is not self:
-            store.instances.unsubscribe(previous._on_event)
-            store.data.unsubscribe(previous.provenance.on_lineage)
+            previous.detach()
         self._store = store
         store.observability = self
         self.views.bind(store)
         self.provenance.bind(store)
-        store.instances.subscribe(self._on_event, batch=self._on_events)
+        store.instances.observer = self._on_events
+        store.data.observer = self.provenance.on_lineage
 
     def detach(self) -> None:
         if self._store is not None:
-            self._store.instances.unsubscribe(self._on_event)
-            self.provenance.unbind(self._store)
-            if getattr(self._store, "observability", None) is self:
-                self._store.observability = None
+            self._store.instances.observer = None
+            self._store.data.observer = None
+            self._store.observability = None
+            # A view left behind its log has no log to catch up from now.
+            self.provenance._store = None
             self._store = None
 
     def successor(self) -> "ObservabilityHub":
@@ -90,26 +87,12 @@ class ObservabilityHub:
         return a fresh hub of the same configuration for the replacement
         server to attach."""
         self.detach()
-        return ObservabilityHub(
-            checkpoint_interval=self.checkpoint_interval,
-            trace_capacity=self.tracing.capacity,
-            compact_store=self.compact_store,
-        )
+        return ObservabilityHub(checkpoint_interval=self.checkpoint_interval)
 
     # -- event stream (called after each durable append) ---------------------
 
-    def _on_event(self, instance_id: str, seq: int,
-                  event: Dict[str, Any]) -> None:
-        self.views.apply_event(instance_id, seq, event)
-        self.tracing.on_event(instance_id, event)
-        self.metrics.inc("events_appended")
-        self._since_checkpoint += 1
-        if self._since_checkpoint >= self.checkpoint_interval:
-            self.checkpoint()
-
     def _on_events(self, instance_id: str, start_seq: int, events) -> None:
-        """Batched delivery: one view fold + one checkpoint check per
-        contiguous event slice (the group-commit hot path)."""
+        """One view fold and one checkpoint check per committed slice."""
         self.views.apply_events(instance_id, start_seq, events)
         on_event = self.tracing.on_event
         for event in events:
@@ -126,16 +109,16 @@ class ObservabilityHub:
         invariant: the view cursors are written *into* the KV store first,
         so the KV checkpoint that follows embeds them — a recovered store
         can never see a view cursor pointing past the event log it
-        recovered. With ``compact_store`` (the default) the KV checkpoint
-        also truncates every WAL segment it covers, which is what keeps
-        recovery time flat in run length. Also called on demand, e.g.
-        before a planned shutdown."""
+        recovered. The KV checkpoint also truncates every WAL segment it
+        covers, which is what keeps recovery time flat in run length
+        (``KVStore(retain_history=True)`` keeps the truncated segments
+        for an audit). Also called on demand, e.g. before a planned
+        shutdown."""
         if self._store is None:
             return
         self.views.checkpoint(self._store)
         self.provenance.checkpoint(self._store)
         self._since_checkpoint = 0
         self.metrics.inc("view_checkpoints")
-        if self.compact_store:
-            self._store.kv.checkpoint()
-            self.metrics.inc("store_checkpoints")
+        self._store.kv.checkpoint()
+        self.metrics.inc("store_checkpoints")

@@ -72,7 +72,7 @@ class TraceCollector:
     """Bounded in-memory span store fed by the event stream.
 
     The server opens spans explicitly (it knows the enqueue time); the
-    event subscription closes them, so spans close correctly even when
+    hub's event stream closes them, so spans close correctly even when
     the outcome is recorded by a different code path (PEC report,
     recovery abort). Capacity-bounded: oldest closed spans fall off.
     """

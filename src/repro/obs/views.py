@@ -517,40 +517,20 @@ class ViewCatalog:
 
     def apply_event(self, instance_id: str, seq: int,
                     event: Dict[str, Any]) -> None:
-        if instance_id in self._deferred:
-            # The event is durable already: the catch-up folds it too.
-            self._catch_up_deferred(instance_id)
-        cursor = self.cursors.get(instance_id, 0)
-        if seq < cursor:
-            return  # already folded (idempotent re-delivery)
-        if seq > cursor:
-            raise StoreError(
-                f"view catalog missed events for {instance_id!r}: "
-                f"got seq {seq}, expected {cursor}"
-            )
-        kind = event["type"]
-        handlers = self._handlers.get(kind)
-        if handlers is None:
-            handlers = self._handlers[kind] = [
-                view.apply for view in self.views
-                if view.interests is None or kind in view.interests
-            ]
-        for apply in handlers:
-            apply(instance_id, event)
-        self.cursors[instance_id] = seq + 1
+        """Fold one event: a slice of one."""
+        self.apply_events(instance_id, seq, (event,))
 
     def apply_events(self, instance_id: str, start_seq: int,
                      events) -> None:
-        """Fold a contiguous event slice with ONE cursor advance per event
-        batch instead of one guarded :meth:`apply_event` call per event.
+        """Fold a contiguous event slice, exactly once per event.
 
-        The same idempotence contract as :meth:`apply_event`: an
-        already-folded prefix (re-delivery) is skipped, a gap between the
-        cursor and the slice start raises. The cursor is committed to the
-        last event actually folded even if a view raises mid-slice, so a
-        retried delivery never double-folds.
+        An already-folded prefix (re-delivery) is skipped, a gap between
+        the cursor and the slice start raises. The cursor is committed
+        to the last event actually folded even if a view raises
+        mid-slice, so a retried delivery never double-folds.
         """
         if instance_id in self._deferred:
+            # The slice is durable already: the catch-up folds it too.
             self._catch_up_deferred(instance_id)
         cursor = self.cursors.get(instance_id, 0)
         end = start_seq + len(events)

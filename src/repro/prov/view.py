@@ -11,7 +11,7 @@ the *data space's lineage log* instead of the instance-space event logs:
   fault point fired first — a crash there leaves the view recoverable
   from its previous checkpoint;
 * :meth:`bind` loads the durable checkpoint, checks its cursor against
-  the log and subscribes, but folds nothing. Provenance is derived from
+  the log, but folds nothing. Provenance is derived from
   the execution record, so a view bound behind its log stays *behind* —
   appends are left in the log — until somebody asks for the graph; the
   asking (:attr:`graph`, :meth:`in_sync`) replays the lineage suffix
@@ -70,7 +70,8 @@ class ProvenanceView:
     # -- binding & recovery -------------------------------------------------
 
     def bind(self, store) -> None:
-        """Load the durable checkpoint, check it, subscribe to appends."""
+        """Load the durable checkpoint and check it against the log (the
+        hub that owns the view is the observer of the lineage appends)."""
         self._store = store
         data = store.kv.get(CHECKPOINT_KEY)
         if data is not None:
@@ -80,13 +81,6 @@ class ProvenanceView:
             self.cursor = 0
             self._graph = ProvenanceGraph()
         self._behind = self.cursor < self._log_head(store)
-        store.data.subscribe(self.on_lineage)
-
-    def unbind(self, store) -> None:
-        """Stop receiving lineage appends from ``store``."""
-        store.data.unsubscribe(self.on_lineage)
-        if self._store is store:
-            self._store = None
 
     def _log_head(self, store) -> int:
         """The durable lineage count, which the cursor may not exceed."""
@@ -127,7 +121,7 @@ class ProvenanceView:
 
         Shard migration copies lineage records into (and tombstones them
         out of) the log in bulk transactions that bypass
-        ``append_lineage``'s subscription; the migrator calls this so the
+        ``append_lineage`` and its observer; the migrator calls this so the
         incremental graph and cursor describe the log again. The new
         graph has no kept PROV document, so the next export builds one
         and the plane, seeing a graph it has not merged, merges again."""

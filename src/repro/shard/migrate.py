@@ -98,7 +98,7 @@ def _prov_rebase(store, added=(), excluded=frozenset(),
     """Provenance checkpoint payload for a bulk lineage rewrite.
 
     Migration moves lineage records in transactions that bypass
-    ``append_lineage`` (and so the provenance view's subscription). The
+    ``append_lineage`` (and so the data space's observer). The
     enclosing transaction writes this payload — the graph folded from
     the log *as that transaction will leave it* (current records minus
     ``excluded`` sequence numbers plus ``added``) — under the view's checkpoint key,
@@ -366,7 +366,7 @@ class ShardMigrator:
              if isinstance(event.get("epoch"), int)),
             default=0,
         ))
-        # Imported events bypassed the append subscription; fold them
+        # Imported events bypassed the instance space's observer; fold them
         # into the views BEFORE adoption emits (apply requires
         # seq == cursor). apply_events — not catch_up — because
         # catch_up trusts per-view checkpoint cursors, which lag the

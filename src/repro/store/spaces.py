@@ -89,34 +89,10 @@ class InstanceSpace:
 
     def __init__(self, kv: KVStore):
         self._kv = kv
-        #: append subscribers as ``(callback, batch)`` pairs. ``callback``
-        #: is called ``fn(instance_id, seq, event)`` after each durable
-        #: append (post-commit, in append order); a subscriber may also
-        #: register a ``batch`` form ``fn(instance_id, start_seq, events)``
-        #: that receives a contiguous slice per :meth:`append_events`
-        #: commit. Observability hooks live here; subscribers must not
-        #: append events themselves.
-        self._subscribers: List[Any] = []
-
-    # -- subscriptions -----------------------------------------------------
-
-    def subscribe(self, callback, batch=None) -> None:
-        """Register a post-commit append callback (idempotent).
-
-        ``batch``, if given, is preferred for multi-event commits: one
-        call per contiguous event slice instead of one per event.
-        """
-        for index, (existing, _batch) in enumerate(self._subscribers):
-            if existing == callback:
-                self._subscribers[index] = (callback, batch)
-                return
-        self._subscribers.append((callback, batch))
-
-    def unsubscribe(self, callback) -> None:
-        """Remove a previously registered append callback."""
-        self._subscribers = [
-            entry for entry in self._subscribers if entry[0] != callback
-        ]
+        #: the post-commit observer, ``fn(instance_id, start_seq, events)``
+        #: or ``None``: called once per committed slice, in append order.
+        #: The attached hub sets it; it must not append events itself.
+        self.observer = None
 
     # -- metadata ---------------------------------------------------------
 
@@ -162,27 +138,21 @@ class InstanceSpace:
 
     def append_event(self, instance_id: str, event: Dict[str, Any]) -> int:
         """Durably append one engine event; returns its sequence number."""
-        seq_key = f"{self.PREFIX}{instance_id}/next_seq"
-        seq = self._kv.get(seq_key)
-        if seq is None:
-            raise StoreError(f"unknown instance {instance_id!r}")
-        with self._kv.transaction() as txn:
-            txn.put(_seq_key(f"{self.PREFIX}{instance_id}/event/", seq), event)
-            txn.put(seq_key, seq + 1)
-        self._notify(instance_id, seq, (event,))
-        return seq
+        return self._append(instance_id, (event,))
 
     def append_events(self, instance_id: str,
                       events: List[Dict[str, Any]]) -> int:
-        """Append a batch of events in ONE transaction (one WAL record).
+        """Append a slice of events in ONE transaction (one WAL record);
+        returns the first sequence number of the slice."""
+        return self._append(instance_id, events)
 
-        The whole slice commits atomically at consecutive sequence
-        numbers, then subscribers are notified once per contiguous slice
-        (batch subscribers get a single call; per-event subscribers get
-        one call per event, in order). Returns the first sequence number
-        of the slice.
+    def _append(self, instance_id: str, events) -> int:
+        """Commit ``events`` atomically at consecutive sequence numbers,
+        then hand the slice to the observer.
+
+        The slice is durable when the observer runs: what it raises
+        reaches the caller, who must not take it for a failed append.
         """
-        events = list(events)
         seq_key = f"{self.PREFIX}{instance_id}/next_seq"
         start = self._kv.get(seq_key)
         if start is None:
@@ -194,33 +164,9 @@ class InstanceSpace:
             for offset, event in enumerate(events):
                 txn.put(_seq_key(prefix, start + offset), event)
             txn.put(seq_key, start + len(events))
-        self._notify(instance_id, start, events)
+        if self.observer is not None:
+            self.observer(instance_id, start, events)
         return start
-
-    def _notify(self, instance_id: str, start_seq: int, events) -> None:
-        """Deliver a committed slice to every subscriber, isolated.
-
-        The events are already durable when this runs, so one raising
-        subscriber must not starve the others (their views would silently
-        diverge from the log) nor make the caller believe the append
-        failed and retry a double-append. Every subscriber gets the
-        slice; the first failure is re-raised once, after delivery.
-        """
-        failure = None
-        for callback, batch in self._subscribers:
-            try:
-                if batch is not None and len(events) > 1:
-                    batch(instance_id, start_seq, events)
-                else:
-                    seq = start_seq
-                    for event in events:
-                        callback(instance_id, seq, event)
-                        seq += 1
-            except Exception as exc:  # deliver to all, re-raise the first
-                if failure is None:
-                    failure = exc
-        if failure is not None:
-            raise failure
 
     def events(self, instance_id: str) -> Iterator[Dict[str, Any]]:
         """Yield the instance's events in append order (the whole log,
@@ -312,24 +258,10 @@ class DataSpace:
 
     def __init__(self, kv: KVStore):
         self._kv = kv
-        #: post-commit lineage subscribers ``fn(seq, record)``, mirroring
-        #: :class:`InstanceSpace`'s event subscribers: the provenance view
-        #: folds each durable lineage append incrementally. Subscribers
-        #: must not append lineage themselves.
-        self._subscribers: List[Any] = []
-
-    # -- subscriptions ------------------------------------------------------
-
-    def subscribe(self, callback) -> None:
-        """Register a post-commit lineage-append callback (idempotent)."""
-        if callback not in self._subscribers:
-            self._subscribers.append(callback)
-
-    def unsubscribe(self, callback) -> None:
-        """Remove a previously registered lineage callback."""
-        self._subscribers = [
-            fn for fn in self._subscribers if fn != callback
-        ]
+        #: the post-commit observer ``fn(seq, record)`` or ``None``,
+        #: mirroring :attr:`InstanceSpace.observer`: the attached hub's
+        #: provenance view folds each durable lineage append.
+        self.observer = None
 
     def record_run(self, run_id: str, summary: Dict[str, Any]) -> None:
         """Store the summary of a completed run."""
@@ -347,25 +279,14 @@ class DataSpace:
         }
 
     def append_lineage(self, record: Dict[str, Any]) -> int:
-        """Durably append one lineage record; returns its sequence.
-
-        Subscribers are notified after the commit (deliver-to-all; the
-        first failure is re-raised once, after delivery — the record is
-        already durable, so a raising subscriber must not starve the
-        others or trick the caller into a double-append)."""
+        """Durably append one lineage record; returns its sequence. The
+        observer runs after the commit (the record is already durable)."""
         seq = int(self._kv.get(self.LINEAGE_SEQ_KEY, 0))
         with self._kv.transaction() as txn:
             txn.put(self.lineage_key(seq), record)
             txn.put(self.LINEAGE_SEQ_KEY, seq + 1)
-        failure = None
-        for callback in self._subscribers:
-            try:
-                callback(seq, record)
-            except Exception as exc:  # deliver to all, re-raise the first
-                if failure is None:
-                    failure = exc
-        if failure is not None:
-            raise failure
+        if self.observer is not None:
+            self.observer(seq, record)
         return seq
 
     def lineage_records(self) -> List[Dict[str, Any]]:

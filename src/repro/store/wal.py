@@ -320,38 +320,21 @@ class SegmentedWAL:
 
     def append(self, payload: bytes) -> None:
         """Append one record, rotating to a fresh segment at the threshold."""
-        record = _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
-        try:
-            fire("wal.append", nbytes=len(payload))
-        except InjectedCrash as crash:
-            if crash.torn_fraction is not None:
-                cut = max(1, int(len(record) * crash.torn_fraction))
-                self._file.write(record[:cut])
-                self._file.flush()
-            raise
-        self._file.write(record)
-        self._active_records += 1
-        self._active_bytes += len(record)
-        if (self._active_records >= self.max_segment_records
-                or self._active_bytes >= self.max_segment_bytes):
-            self._rotate()
+        self._write_frames((payload,))
 
     def append_many(self, payloads: List[bytes]) -> None:
-        """Append a batch of records, one combined write per segment.
+        """Append a batch of records, one combined write per segment."""
+        self._write_frames(payloads)
+
+    def _write_frames(self, payloads) -> None:
+        """Frame and write ``payloads``: the one writer of segment bytes.
 
         Frames are buffered and handed to the OS in a single ``write()``
-        per segment; a rotation threshold crossed mid-batch flushes the
+        per segment; a rotation threshold crossed mid-slice flushes the
         buffered frames into the sealing segment first, so the on-disk
-        layout is identical to appending the records one at a time.
+        layout does not depend on how the records were sliced.
         """
         frames: List[bytes] = []
-
-        def flush_frames() -> None:
-            """Write the buffered frames as one combined buffer."""
-            if frames:
-                self._file.write(b"".join(frames))
-                del frames[:]
-
         for payload in payloads:
             record = (_HEADER.pack(len(payload), zlib.crc32(payload))
                       + payload)
@@ -368,9 +351,11 @@ class SegmentedWAL:
             self._active_bytes += len(record)
             if (self._active_records >= self.max_segment_records
                     or self._active_bytes >= self.max_segment_bytes):
-                flush_frames()
+                self._file.write(b"".join(frames))
+                frames.clear()
                 self._rotate()
-        flush_frames()
+        if frames:
+            self._file.write(b"".join(frames))
 
     def _rotate(self) -> None:
         """Seal the active segment and start a new one (crash-safe).

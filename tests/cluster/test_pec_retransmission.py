@@ -105,9 +105,9 @@ class TestInFlightDrops:
 class TestBackoffSchedule:
     def test_delays_grow_exponentially_and_cap(self):
         kernel = SimKernel(seed=7)
-        cluster = SimulatedCluster(kernel, uniform(1, cpus=1),
-                                   report_retries=8)
+        cluster = SimulatedCluster(kernel, uniform(1, cpus=1))
         pec = cluster.pecs["node001"]
+        pec.report_retries = 8
         delays = [pec.retry_delay(k) for k in range(8)]
         for k, delay in enumerate(delays):
             base = min(pec.retry_cap, pec.retry_base * 2.0 ** k)
@@ -131,13 +131,12 @@ class TestBackoffSchedule:
 
     def test_cluster_environment_configures_backoff(self):
         kernel = SimKernel(seed=5)
-        cluster = SimulatedCluster(
-            kernel, uniform(2, cpus=1),
-            report_retries=5, report_retry_base=10.0,
-            report_retry_cap=40.0, report_retry_jitter=0.0,
-        )
+        cluster = SimulatedCluster(kernel, uniform(2, cpus=1))
         for pec in cluster.pecs.values():
-            assert pec.report_retries == 5
+            assert (pec.report_retries, pec.retry_base, pec.retry_cap,
+                    pec.retry_jitter) == (3, 60.0, 960.0, 0.25)
+            pec.report_retries, pec.retry_base = 5, 10.0
+            pec.retry_cap, pec.retry_jitter = 40.0, 0.0
             assert pec.retry_delay(0) == 10.0
             assert pec.retry_delay(1) == 20.0
             assert pec.retry_delay(2) == 40.0

@@ -12,6 +12,7 @@ import pytest
 from repro.cluster import SimKernel, SimulatedCluster, uniform
 from repro.core.engine import BioOperaServer, attach_standby
 from repro.core.engine.operator_console import OperatorConsole
+from repro.core.engine.server import RUN_COUNTERS
 from repro.core.ocr.parser import parse_ocr
 from repro.faults import chaos
 from repro.faults.plan import FaultAction, FaultPlan, ScheduledFault
@@ -31,14 +32,12 @@ def _cluster(observability):
 
 class TestHubCarriedAcrossFailover:
     def test_recover_server_keeps_the_hub_configuration(self):
-        _kernel, cluster, server = _cluster(ObservabilityHub(
-            checkpoint_interval=7, trace_capacity=11, compact_store=False))
+        _kernel, cluster, server = _cluster(
+            ObservabilityHub(checkpoint_interval=7))
         cluster.crash_server()
         recovered = cluster.recover_server()
         assert recovered.obs is not server.obs
         assert recovered.obs.checkpoint_interval == 7
-        assert recovered.obs.tracing.capacity == 11
-        assert recovered.obs.compact_store is False
         # the predecessor's hub no longer follows the store
         assert recovered.store.observability is recovered.obs
         assert server.obs._store is None
@@ -106,6 +105,38 @@ def test_counters_are_one_booking_carried_across_the_failover():
     # messages are counted by the fabric, which outlives the failover
     assert (console.network_health()["messages_sent"]
             == cluster.network.messages_sent > counters["jobs_dispatched"])
+
+
+def test_recovery_killed_midway_keeps_the_run_counters():
+    """The counters are carried before the recovery runs, so the
+    half-built server a killed recovery leaves attached holds the
+    pre-crash values and the retry counts on from them — as one
+    unkilled recovery of the same run does."""
+    def crashed_run():
+        kernel, cluster, server, _instance_id = chaos._build(
+            chaos.default_darwin(), 101, chaos.CampaignConfig())
+        kernel.run(until=kernel.now + 40)
+        cluster.crash_server()
+        return cluster, server
+
+    def run_counters(server):
+        return {name: server.metrics[name] for name in RUN_COUNTERS}
+
+    cluster, server = crashed_run()
+    before = run_counters(server)
+    assert before["jobs_dispatched"] > before["jobs_completed"] > 0
+    with installed(FaultInjector([FaultAction("recovery.replay", "crash")])):
+        with pytest.raises(InjectedCrash):
+            cluster.recover_server()
+    half_built = cluster.server
+    assert half_built is not server
+    assert run_counters(half_built) == before
+    half_built.up = False
+    recovered = cluster.recover_server()
+    twin_cluster, _twin_server = crashed_run()
+    assert run_counters(recovered) \
+        == run_counters(twin_cluster.recover_server())
+    assert recovered.metrics["jobs_dispatched"] > before["jobs_dispatched"]
 
 
 def test_shard_names_the_half_built_server_a_killed_recovery_leaves():

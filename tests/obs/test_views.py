@@ -1,6 +1,7 @@
 """Materialized views: cursor discipline, checkpoints, crash recovery."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.engine import BioOperaServer, events as ev
 from repro.errors import StoreError
@@ -34,6 +35,33 @@ def _event_stream(n=60):
         if i == 30:
             events.append(ev.instance_resumed(t))
     events.append(ev.instance_completed({}, t + 1.0))
+    return events
+
+
+@st.composite
+def _event_lists(draw):
+    """Any mix of the event kinds the six views fold, times rising."""
+    events, t = [], 0.0
+    for kind in draw(st.lists(st.sampled_from(
+            ("dispatched", "completed", "frame", "failed", "suspended",
+             "resumed")), max_size=30)):
+        t += draw(st.sampled_from((0.0, 0.5, 3.0)))
+        path = f"P/T{draw(st.integers(0, 2))}"
+        node = f"node{draw(st.integers(0, 1)):03d}"
+        if kind == "dispatched":
+            events.append(ev.task_dispatched(path, node, "w.u", 1, t))
+        elif kind == "completed":
+            cost = draw(st.sampled_from((0.0, 0.1, 7.0)))
+            events.append(ev.task_completed(path, {}, cost, node, t))
+        elif kind == "frame":
+            events.append(ev.task_completed(path, {}, 0.0, "", t))
+        elif kind == "failed":
+            reason = draw(st.sampled_from(("node-crash", "program-error")))
+            events.append(ev.task_failed(path, reason, node, 1, t))
+        elif kind == "suspended":
+            events.append(ev.instance_suspended("op", t))
+        else:
+            events.append(ev.instance_resumed(t))
     return events
 
 
@@ -77,21 +105,75 @@ class TestCursorDiscipline:
 
 
 class TestBatchApplication:
-    def test_batched_appends_build_identical_views(self):
-        """Folding a contiguous slice per commit (the group-commit hot
-        path) must produce byte-identical view state to one-at-a-time."""
-        events = _event_stream()
-        per_event_hub = ObservabilityHub()
-        _store_with(events, hub=per_event_hub)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_batched_appends_build_identical_views(self, data):
+        """However one event list is cut into committed slices — slices of
+        one through ``append_event``, longer ones through
+        ``append_events`` — the store, the six views and their cursors
+        end up byte-identical, and the observer is handed exactly the
+        committed slices, in order."""
+        events = data.draw(_event_lists())
+        cuts = sorted(data.draw(st.sets(
+            st.integers(1, max(1, len(events) - 1)))))
+        bounds = [0] + [c for c in cuts if c < len(events)] + [len(events)]
+        slices = [events[lo:hi] for lo, hi in zip(bounds, bounds[1:])
+                  if lo < hi]
 
-        batch_hub = ObservabilityHub()
-        store = OperaStore()
-        batch_hub.attach(store)
-        store.instances.create("pi-1", {})
-        for i in range(0, len(events), 7):
-            store.instances.append_events("pi-1", events[i:i + 7])
-        assert _view_dumps(batch_hub) == _view_dumps(per_event_hub)
-        assert batch_hub.views.in_sync(store, "pi-1")
+        reference_hub = ObservabilityHub()
+        reference = _store_with([], hub=reference_hub)
+        reference.instances.append_events("pi-1", events)
+
+        hub = ObservabilityHub()
+        store = _store_with([], hub=hub)
+        seen, fold = [], store.instances.observer
+
+        def recording(instance_id, start_seq, committed):
+            seen.append((start_seq, list(committed)))
+            fold(instance_id, start_seq, committed)
+
+        store.instances.observer = recording
+        for part in slices:
+            if len(part) == 1:
+                store.instances.append_event("pi-1", part[0])
+            else:
+                store.instances.append_events("pi-1", part)
+
+        assert [part for _start, part in seen] == slices
+        assert [start for start, _part in seen] == bounds[:len(slices)]
+        assert _view_dumps(hub) == _view_dumps(reference_hub)
+        assert hub.views.cursors == reference_hub.views.cursors
+        # the checkpoints carry each view's state and cursors into the KV
+        hub.checkpoint()
+        reference_hub.checkpoint()
+        assert encode(dict(store.kv.items())) \
+            == encode(dict(reference.kv.items()))
+
+    def test_observer_raising_after_the_commit_loses_nothing(self):
+        """The hub runs after the commit: what it raises reaches the
+        caller once, the slice is durable and folded all the same, and
+        the caller's retry of the delivery is a no-op."""
+        hub = ObservabilityHub()
+        store = _store_with([], hub=hub)
+        calls = []
+
+        def broken_span_fold(instance_id, event):
+            calls.append(event["time"])
+            raise RuntimeError("observer bug")
+
+        hub.tracing.on_event = broken_span_fold     # after the view fold
+        events = [ev.instance_started(0.0),
+                  ev.task_dispatched("P/T", "node001", "w.u", 1, 1.0)]
+        with pytest.raises(RuntimeError, match="observer bug"):
+            store.instances.append_events("pi-1", events)
+        assert calls == [0.0]                       # once, not per event
+        assert store.instances.event_count("pi-1") == 2
+        assert list(store.simulate_crash().instances.events("pi-1")) \
+            == events
+        folded = _view_dumps(hub)
+        hub.views.apply_events("pi-1", 0, events)
+        assert hub.views.cursors["pi-1"] == 2
+        assert _view_dumps(hub) == folded
 
     def test_redelivered_slice_is_skipped(self):
         hub = ObservabilityHub()
@@ -241,15 +323,6 @@ class TestStoreCompaction:
         assert _view_dumps(hub2) == _view_dumps(hub)
         assert survivor.kv.audit() == []
 
-    def test_compaction_can_be_disabled(self):
-        hub = ObservabilityHub(checkpoint_interval=10_000,
-                               compact_store=False)
-        store = _store_with(_event_stream(10), hub=hub)
-        records = store.kv.wal_records
-        hub.checkpoint()
-        # view states were persisted (more records), nothing truncated
-        assert store.kv.wal_records > records
-
     def test_interval_checkpoints_bound_the_log(self):
         """Streaming events through an attached hub keeps the live WAL
         bounded by the checkpoint interval, not the run length."""
@@ -263,8 +336,8 @@ class TestStoreCompaction:
 
 
     def test_a_server_built_with_defaults_bounds_its_log(self):
-        """Every server has a hub, so every server's store is compacted:
-        ``ObservabilityHub(compact_store=False)`` is the only opt-out."""
+        """Every server has a hub, so every server's store is compacted
+        (``KVStore(retain_history=True)`` keeps what was truncated)."""
         server = BioOperaServer()
         store = server.store
         store.instances.create("pi-1", {})

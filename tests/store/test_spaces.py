@@ -120,83 +120,18 @@ class TestAppendEvents:
         with pytest.raises(StoreError):
             store.instances.append_events("nope", [{}])
 
-    def test_batch_subscriber_gets_one_call_per_slice(self, store):
+    def test_observer_gets_one_call_per_committed_slice(self, store):
         store.instances.create("i", {})
-        singles, batches = [], []
-        store.instances.subscribe(
-            lambda iid, seq, ev: singles.append((seq, ev["n"])),
-            batch=lambda iid, start, evs: batches.append(
-                (start, [e["n"] for e in evs])
-            ),
-        )
+        seen = []
+        store.instances.observer = lambda iid, start, evs: seen.append(
+            (iid, start, [e["n"] for e in evs]))
         store.instances.append_events("i", [{"n": 0}, {"n": 1}])
         store.instances.append_event("i", {"n": 2})
-        assert batches == [(0, [0, 1])]   # multi-event slice: batch form
-        assert singles == [(2, 2)]        # single event: per-event form
-
-    def test_subscriber_without_batch_form_gets_per_event_calls(self, store):
-        store.instances.create("i", {})
-        seen = []
-        store.instances.subscribe(
-            lambda iid, seq, ev: seen.append((seq, ev["n"]))
-        )
-        store.instances.append_events("i", [{"n": 0}, {"n": 1}])
-        assert seen == [(0, 0), (1, 1)]
-
-
-class TestSubscriberIsolation:
-    def test_failing_subscriber_does_not_starve_others(self, store):
-        """Regression: one raising subscriber must not prevent delivery
-        to the rest — their views would silently diverge from the log."""
-        store.instances.create("i", {})
-        seen_a, seen_c = [], []
-
-        def bad(iid, seq, event):
-            raise RuntimeError("subscriber bug")
-
-        store.instances.subscribe(lambda iid, seq, ev: seen_a.append(seq))
-        store.instances.subscribe(bad)
-        store.instances.subscribe(lambda iid, seq, ev: seen_c.append(seq))
-        with pytest.raises(RuntimeError, match="subscriber bug"):
-            store.instances.append_event("i", {"n": 0})
-        # every healthy subscriber saw the event, before the re-raise
-        assert seen_a == [0]
-        assert seen_c == [0]
-        # and the append itself committed — no double-append on retry
-        assert store.instances.event_count("i") == 1
-
-    def test_first_failure_wins_when_several_fail(self, store):
-        store.instances.create("i", {})
-
-        def first(iid, seq, event):
-            raise RuntimeError("first")
-
-        def second(iid, seq, event):
-            raise RuntimeError("second")
-
-        store.instances.subscribe(first)
-        store.instances.subscribe(second)
-        with pytest.raises(RuntimeError, match="first"):
-            store.instances.append_event("i", {"n": 0})
-
-    def test_resubscribe_replaces_in_place(self, store):
-        store.instances.create("i", {})
-        seen = []
-        callback = lambda iid, seq, ev: seen.append(seq)  # noqa: E731
-        store.instances.subscribe(callback)
-        store.instances.subscribe(callback)  # idempotent
-        store.instances.append_event("i", {"n": 0})
-        assert seen == [0]
-
-    def test_unsubscribe_stops_delivery(self, store):
-        store.instances.create("i", {})
-        seen = []
-        callback = lambda iid, seq, ev: seen.append(seq)  # noqa: E731
-        store.instances.subscribe(callback,
-                                  batch=lambda iid, s, evs: seen.append(s))
-        store.instances.unsubscribe(callback)
-        store.instances.append_events("i", [{"n": 0}, {"n": 1}])
-        assert seen == []
+        store.instances.append_events("i", [])       # nothing committed
+        assert seen == [("i", 0, [0, 1]), ("i", 2, [2])]
+        store.instances.observer = None
+        store.instances.append_event("i", {"n": 3})
+        assert len(seen) == 2
 
 
 class TestConfigurationSpace:
@@ -226,6 +161,18 @@ class TestDataSpace:
         for index in range(3):
             store.data.append_lineage({"n": index})
         assert [r["n"] for r in store.data.lineage_records()] == [0, 1, 2]
+
+    def test_lineage_observer_runs_after_the_commit(self, store):
+        """What the observer raises reaches the caller; the record is
+        durable all the same."""
+        def broken(seq, record):
+            assert store.data.lineage_count() == seq + 1
+            raise RuntimeError("observer bug")
+
+        store.data.observer = broken
+        with pytest.raises(RuntimeError, match="observer bug"):
+            store.data.append_lineage({"n": 0})
+        assert store.simulate_crash().data.lineage_records() == [{"n": 0}]
 
 
 class TestOneLogReader:

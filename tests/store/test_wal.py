@@ -413,6 +413,45 @@ class TestSegmentedWAL:
         assert list(reopened.records()) == records[base:]
 
 
+class TestOneFrameWriter:
+    """``append(p)``, ``append_many([p])`` and one ``append_many`` of the
+    whole list are one writer: the same segment files and manifests,
+    across rotations and when a record is torn at the same fraction."""
+
+    @pytest.mark.parametrize("torn_at", [None, 2, 5])
+    def test_every_slicing_leaves_identical_files(self, tmp_path, torn_at):
+        payloads = [f"record-{i}".encode() * (i + 1) for i in range(7)]
+        actions = [] if torn_at is None else [FaultAction(
+            "wal.append", "torn", at_hit=torn_at, torn_fraction=0.4)]
+        writers = {
+            "append": lambda wal: [wal.append(p) for p in payloads],
+            "slices_of_one":
+                lambda wal: [wal.append_many([p]) for p in payloads],
+            "one_slice": lambda wal: wal.append_many(payloads),
+        }
+        left = {}
+        for form, write in writers.items():
+            directory = str(tmp_path / form)
+            wal = SegmentedWAL(directory, max_segment_records=3)
+            with installed(FaultInjector(actions)):
+                try:
+                    write(wal)
+                    wal.sync()
+                except InjectedCrash:
+                    assert torn_at is not None
+            wal.close()
+            left[form] = {
+                name: open(os.path.join(directory, name), "rb").read()
+                for name in sorted(os.listdir(directory))}
+            survived = len(payloads) if torn_at is None else torn_at - 1
+            reopened = SegmentedWAL(directory)
+            assert list(reopened.records()) == payloads[:survived]
+            reopened.close()
+        assert left["append"] == left["slices_of_one"] == left["one_slice"]
+        # a rotation was crossed unless the tear came first
+        assert len(left["append"]) == {None: 4, 2: 2, 5: 3}[torn_at]
+
+
 class TestMemoryWAL:
     def test_append_and_read(self):
         wal = MemoryWAL()
