@@ -54,3 +54,18 @@ def decode(data: bytes) -> Any:
         return json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CodecError(f"undecodable record: {exc}") from exc
+
+
+_PREFIX_DECODER = json.JSONDecoder()
+
+
+def decode_head(data: bytes) -> Any:
+    """Deserialize only the first element of the array ``data`` encodes,
+    leaving the rest unparsed (the WAL record shape puts keys first)."""
+    try:
+        text = data.decode("utf-8")
+        if text[:1] != "[":
+            raise ValueError("not an array")
+        return _PREFIX_DECODER.raw_decode(text, 1)[0]
+    except ValueError as exc:
+        raise CodecError(f"undecodable record head: {exc}") from exc

@@ -17,6 +17,13 @@ This is the "database" under BioOpera's data spaces. Guarantees:
   and disk footprint stay flat in run length instead of growing with it
   (ARIES-style log truncation).
 
+A WAL record encodes ``[heads, values]``: ``heads`` is the flat list
+``[op1, key1, op2, key2, ...]`` (``"put"``/``"del"``), ``values`` one
+value per op. Replay parses the heads only and leaves each put key
+holding the record's payload bytes (the codec rejects ``bytes`` values,
+so they mean "not decoded yet"); the first read of any of its keys
+decodes the record's values once, for all of them.
+
 Keys are strings; prefix scans (``items(prefix=...)``) give the namespace
 mechanism the data spaces are built on.
 """
@@ -24,9 +31,9 @@ mechanism the data spaces are built on.
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Tuple
 
-from ..errors import CorruptLogError, ReproError, StoreError
+from ..errors import CodecError, CorruptLogError, ReproError, StoreError
 from ..faults.points import fire
 from . import codec
 from .snapshot import FileSnapshot, MemorySnapshot
@@ -55,16 +62,19 @@ class Transaction:
 
     def __init__(self, store: "KVStore"):
         self._store = store
-        self._ops: List[Tuple[str, str, Any]] = []
+        self._heads: List[str] = []
+        self._values: List[Any] = []
         self._done = False
 
     def put(self, key: str, value: Any) -> None:
         """Queue setting ``key`` to ``value`` at commit."""
-        self._ops.append(("put", key, value))
+        self._heads += ("put", key)
+        self._values.append(value)
 
     def delete(self, key: str) -> None:
         """Queue removing ``key`` at commit."""
-        self._ops.append(("del", key, None))
+        self._heads += ("del", key)
+        self._values.append(None)
 
     def commit(self) -> None:
         """Apply all queued operations as one durable WAL record.
@@ -77,13 +87,13 @@ class Transaction:
         """
         if self._done:
             raise StoreError("transaction already finished")
-        self._store._commit_batch(self._ops)
+        self._store._commit_batch(self._heads, self._values)
         self._done = True
 
     def abort(self) -> None:
         """Discard the queued operations without touching the store."""
         self._done = True
-        self._ops = []
+        self._heads, self._values = [], []
 
     def __enter__(self) -> "Transaction":
         return self
@@ -198,10 +208,7 @@ class KVStore:
     def _replay(self) -> None:
         state, position = self._load_snapshot_state()
         self._state = state
-        replayed = 0
-        for record in self._wal.records_from(position):
-            self._apply_ops(state, codec.decode(record))
-            replayed += 1
+        replayed = self._replay_into(state, self._wal.records_from(position))
         self.last_recovery = {
             "checkpoint_position": position,
             "records_replayed": replayed,
@@ -211,16 +218,54 @@ class KVStore:
         }
 
     @staticmethod
-    def _apply_ops(state: Dict[str, Any], ops: List[List[Any]]) -> None:
-        """Apply one WAL record to ``state`` — the only interpreter of
-        the record format, shared by commit, replay and :meth:`audit`."""
-        for op, key, value in ops:
-            if op == "put":
-                state[key] = value
-            elif op == "del":
-                state.pop(key, None)
-            else:
-                raise StoreError(f"unknown WAL op {op!r}")
+    def _replay_into(state: Dict[str, Any], payloads: Iterable[bytes]) -> int:
+        """Apply WAL records to ``state`` from their heads alone — the one
+        replay, shared by open, :meth:`simulate_crash` and :meth:`audit`.
+        Returns the number of records applied."""
+        replayed = 0
+        for payload in payloads:
+            heads = codec.decode_head(payload)
+            if heads.__class__ is not list or len(heads) % 2:
+                raise CodecError(
+                    "WAL record head is not a list of op,key pairs")
+            pairs = iter(heads)
+            for op, key in zip(pairs, pairs):
+                if key.__class__ is not str:
+                    raise CodecError(
+                        f"WAL record key {key!r} is not a string")
+                if op == "put":
+                    state[key] = payload
+                elif op == "del":
+                    state.pop(key, None)
+                else:
+                    raise StoreError(f"unknown WAL op {op!r}")
+            replayed += 1
+        return replayed
+
+    @staticmethod
+    def _resolve(state: Dict[str, Any], key: str, payload: bytes) -> Any:
+        """Decode the record ``payload`` that ``key`` is waiting in, hand
+        every key still waiting in it its value, and return ``key``'s."""
+        try:
+            heads, values = codec.decode(payload)
+            if values.__class__ is not list or 2 * len(values) != len(heads):
+                raise ValueError("not one value per op")
+        except (CodecError, ValueError) as exc:
+            raise CodecError(f"WAL record holding {key!r}: {exc}") from exc
+        # Last op first: a key put twice in one record keeps the later
+        # value, and a key deleted by its last op is no longer waiting.
+        for index in range(len(values) - 1, -1, -1):
+            name = heads[2 * index + 1]
+            if state.get(name) is payload:
+                state[name] = values[index]
+        return state[key]
+
+    @classmethod
+    def _resolve_all(cls, state: Dict[str, Any]) -> None:
+        """Decode every record a key of ``state`` is still waiting in."""
+        for key in [k for k, v in state.items() if v.__class__ is bytes]:
+            if state[key].__class__ is bytes:   # not done with an earlier key
+                cls._resolve(state, key, state[key])
 
     def simulate_crash(self) -> "KVStore":
         """Return a new store holding only what a crash would preserve.
@@ -247,31 +292,41 @@ class KVStore:
 
     # -- mutations ------------------------------------------------------------
 
-    def _commit_batch(self, ops: List[Tuple[str, str, Any]]) -> None:
-        if not ops:
+    def _commit_batch(self, heads: List[str], values: List[Any]) -> None:
+        if not values:
             return
-        record = [[op, key, value] for op, key, value in ops]
+        payload = codec.encode([heads, values])
         self.stats["commits"] += 1
         if self._sync_policy == "per-commit":
-            self._wal.append(codec.encode(record))
+            self._wal.append(payload)
             # Crash here: the record is appended but unsynced — a real
             # crash loses it (MemoryWAL.simulate_crash drops the unsynced
             # suffix).
-            fire("kvstore.commit.pre-sync", ops=len(record))
+            fire("kvstore.commit.pre-sync", ops=len(values))
             self._wal.sync()
             self.stats["syncs"] += 1
             # Crash here: the record is durable but was never applied to
             # the in-memory state — recovery must replay it.
-            fire("kvstore.commit.post-sync", ops=len(record))
-            self._apply_ops(self._state, record)
+            fire("kvstore.commit.post-sync", ops=len(values))
+            self._apply(heads, values)
             return
         # Group: the commit is applied to the live state and buffered; it
         # reaches the WAL only when flush() writes the whole batch. Until
         # then it is unacked — a crash loses it.
-        self._pending.append(codec.encode(record))
-        self._apply_ops(self._state, record)
+        self._pending.append(payload)
+        self._apply(heads, values)
         if len(self._pending) >= self._group_max_pending:
             self.flush()
+
+    def _apply(self, heads: List[str], values: List[Any]) -> None:
+        """Apply a committed batch to the live state: the caller's value
+        objects themselves, so reads return them as they were put."""
+        state = self._state
+        for index, value in enumerate(values):
+            if heads[2 * index] == "put":
+                state[heads[2 * index + 1]] = value
+            else:
+                state.pop(heads[2 * index + 1], None)
 
     def flush(self) -> int:
         """Write and fsync every buffered commit as one group (no-op when
@@ -308,11 +363,11 @@ class KVStore:
 
     def put(self, key: str, value: Any) -> None:
         """Set ``key`` to ``value`` (acked per the store's sync policy)."""
-        self._commit_batch([("put", key, value)])
+        self._commit_batch(["put", key], [value])
 
     def delete(self, key: str) -> None:
         """Remove ``key`` if present (acked per the store's sync policy)."""
-        self._commit_batch([("del", key, None)])
+        self._commit_batch(["del", key], [None])
 
     def transaction(self) -> Transaction:
         """Open an atomic mutation batch (context manager)."""
@@ -337,6 +392,7 @@ class KVStore:
         self.flush()
         self._wal.sync()
         position = self._wal.position()
+        self._resolve_all(self._state)
         self._snapshot.save({
             _CHECKPOINT_MAGIC: 1,
             "position": position,
@@ -357,7 +413,8 @@ class KVStore:
         replays the entire log from position zero and requires the result
         to be byte-identical (canonical encoding) to the bounded
         reconstruction — the checkpoint invariant the chaos campaigns
-        assert. Returns problem descriptions (ideally []). Only meaningful
+        assert. Every value is decoded first, the live state's included.
+        Returns problem descriptions (ideally []). Only meaningful
         while the store is quiescent — a batch appended but not yet
         applied would show as a false diff.
         """
@@ -365,13 +422,12 @@ class KVStore:
         # Buffered group commits are folded into the live state but not in
         # the WAL yet; both reconstructions must append them or a pending
         # buffer would read as divergence.
-        pending = [codec.decode(record) for record in self._pending]
         try:
             replayed, position = self._load_snapshot_state()
-            for record in self._wal.records_from(position):
-                self._apply_ops(replayed, codec.decode(record))
-            for record in pending:
-                self._apply_ops(replayed, record)
+            self._replay_into(replayed, self._wal.records_from(position))
+            self._replay_into(replayed, self._pending)
+            self._resolve_all(replayed)
+            self._resolve_all(self._state)
         except ReproError as exc:
             return [f"WAL replay failed: {type(exc).__name__}: {exc}"]
         if replayed != self._state:
@@ -388,10 +444,9 @@ class KVStore:
         if self._wal.history_complete():
             try:
                 full: Dict[str, Any] = {}
-                for record in self._wal.full_records():
-                    self._apply_ops(full, codec.decode(record))
-                for record in pending:
-                    self._apply_ops(full, record)
+                self._replay_into(full, self._wal.full_records())
+                self._replay_into(full, self._pending)
+                self._resolve_all(full)
             except ReproError as exc:
                 problems.append(
                     f"full-log replay failed: {type(exc).__name__}: {exc}"
@@ -410,7 +465,10 @@ class KVStore:
 
     def get(self, key: str, default: Any = None) -> Any:
         """Return the value for ``key``, or ``default`` if absent."""
-        return self._state.get(key, default)
+        value = self._state.get(key, default)
+        if value.__class__ is bytes and value is not default:
+            return self._resolve(self._state, key, value)
+        return value
 
     def __contains__(self, key: str) -> bool:
         return key in self._state
@@ -421,8 +479,12 @@ class KVStore:
 
     def items(self, prefix: str = "") -> Iterator[Tuple[str, Any]]:
         """Iterate ``(key, value)`` pairs for keys starting with ``prefix``."""
+        state = self._state
         for key in self.keys(prefix):
-            yield key, self._state[key]
+            value = state[key]
+            if value.__class__ is bytes:
+                value = self._resolve(state, key, value)
+            yield key, value
 
     def __len__(self) -> int:
         return len(self._state)

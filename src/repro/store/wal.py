@@ -13,7 +13,8 @@ interface (``append``/``append_many``/``sync``/``records_from``/
   replay cost stay bounded in run length. On open, a torn tail in the
   newest segment (truncated header or payload, or a bad checksum on the
   final record) is cut off; a checksum mismatch in a sealed segment
-  raises :class:`~repro.errors.CorruptLogError`.
+  raises :class:`~repro.errors.CorruptLogError`. Each live segment is
+  read and scanned once per open; the replay is served from that scan.
 * :class:`MemoryWAL` — in-process list with the same durability semantics,
   including crash simulation: records appended after the last ``sync()``
   are lost by :meth:`MemoryWAL.simulate_crash`, exactly like an OS losing
@@ -141,6 +142,9 @@ class SegmentedWAL:
         self._active_records = 0
         self._active_bytes = 0
         self._file = None
+        #: payloads of the scan made at open, by segment file: the first
+        #: :meth:`records_from` serves them and drops them.
+        self._opened: Dict[str, List[bytes]] = {}
         self._load_manifest()
         self._open_segments()
         self._cleanup_orphans()
@@ -229,6 +233,8 @@ class SegmentedWAL:
             )
 
     def _open_segments(self) -> None:
+        """Read and CRC-scan each live segment once: validate the sealed
+        ones, repair the active one, keep the payloads for the replay."""
         for entry in self._entries[:-1]:
             path = self._segment_path(entry)
             if not os.path.exists(path):
@@ -242,6 +248,7 @@ class SegmentedWAL:
                     f"{path}: sealed segment damaged "
                     f"({len(records)} valid of {entry['count']} records)"
                 )
+            self._opened[entry["file"]] = records
         active = self._entries[-1]
         path = self._segment_path(active)
         if not os.path.exists(path):
@@ -265,6 +272,7 @@ class SegmentedWAL:
         if valid_end != len(data):
             with open(path, "r+b") as fh:
                 fh.truncate(valid_end)
+        self._opened[active["file"]] = records
         self._active_records = len(records)
         self._active_bytes = valid_end
 
@@ -411,17 +419,21 @@ class SegmentedWAL:
 
         This is the bounded-recovery read path: a snapshot taken at
         position ``P`` pairs with ``records_from(P)`` to reconstruct the
-        present state without touching truncated history.
+        present state without touching truncated history. The first call
+        serves what the open scanned; later calls read the disk.
         """
         if self._file is not None:
             self._file.flush()
+        opened, self._opened = self._opened, {}
         for index, entry in enumerate(self._entries):
             sealed = index < len(self._entries) - 1
             count = entry["count"] if sealed else self._active_records
             seg_end = entry["base"] + count
             if seg_end <= position:
                 continue
-            records = self._segment_records(entry, sealed)
+            records = opened.pop(entry["file"], None)
+            if records is None or len(records) != count:
+                records = self._segment_records(entry, sealed)
             skip = max(0, position - entry["base"])
             for payload in records[skip:]:
                 yield payload

@@ -37,7 +37,7 @@ from repro.obs.views import CHECKPOINT_PREFIX, EventHistogramView, ViewCatalog
 from repro.prov import plan_rerun
 from repro.prov.graph import ProvenanceGraph
 from repro.prov.view import CHECKPOINT_KEY, ProvenanceView
-from repro.store import codec
+from repro.store import OperaStore, codec
 from repro.store.spaces import InstanceSpace
 
 from ..shard.conftest import make_plane
@@ -399,6 +399,63 @@ class TestCostShape:
         for view in catalog.views:
             assert codec.encode(view.dump_state()) == codec.encode(
                 rebuilt.by_name[view.name].dump_state()), view.name
+
+    def test_an_on_disk_failover_decodes_two_records_per_ended_instance(
+            self, tmp_path, monkeypatch):
+        """Opening the store decodes keys only; recovery then decodes
+        what it reads. Of an ended instance that is its meta and its
+        ``next_seq`` (every view cursor is checked against the log), so
+        two records, whatever the length of its log: the only events
+        decoded are the last slice, which shares its record with
+        ``next_seq``. Its log is decoded by its first reader."""
+        path = str(tmp_path / "db")
+        kernel = SimKernel(seed=5)
+        cluster = SimulatedCluster(kernel, uniform(2, cpus=2))
+        server = BioOperaServer(store=OperaStore(path), registry=_registry())
+        server.attach_environment(cluster)
+        server.define_template_ocr(OCR)
+        ended = [server.launch("diamond", {"a": a, "b": b})
+                 for a, b in ENDED]
+        for iid in ended:
+            cluster.run_until_instance_done(iid)
+        live = [server.launch("diamond", {"a": a, "b": b})
+                for a, b in LIVE]
+        kernel.run(until=kernel.now + 1.0)
+        assert not any(server.instances[iid].terminal for iid in live)
+        cluster.crash_server()
+        decoded = []   # the heads of every WAL record decoded
+        decode = codec.decode
+
+        def counted(data):
+            value = decode(data)
+            if isinstance(value, list):
+                decoded.append(value[0])
+            return value
+
+        monkeypatch.setattr(codec, "decode", counted)
+        store = OperaStore(path)
+        assert decoded == [] and store.kv.last_recovery["records_replayed"]
+        recovered = cluster.recover_server(store=store)
+
+        def records_of(iid):
+            prefix = f"instance/{iid}/"
+            return [heads[1::2] for heads in decoded
+                    if any(key.startswith(prefix) for key in heads[1::2])]
+
+        for iid in ended:
+            meta, last = sorted(records_of(iid), key=len)
+            assert meta == [f"instance/{iid}/meta"]
+            assert last[-1] == f"instance/{iid}/next_seq"
+            assert store.instances.event_count(iid) > 2 * len(last)
+        for iid in live:   # replayed: every record of its log
+            assert len(records_of(iid)) > 2
+        before = len(decoded)
+        assert recovered.instance(ended[0]).status == "completed"
+        assert len(records_of(ended[0])) > 2 and len(decoded) > before
+        for iid in live:
+            cluster.run_until_instance_done(iid)
+        assert store.kv.audit() == []
+        _assert_oracles(recovered)
 
 
 class TestInstanceMap:

@@ -5,7 +5,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import CorruptLogError, StoreError
+from repro.errors import CodecError, CorruptLogError, StoreError
 from repro.faults.plan import FaultAction
 from repro.faults.points import FaultInjector, InjectedCrash, installed
 from repro.store import KVStore
@@ -312,7 +312,7 @@ class TestBoundedRecovery:
         record recovery would refuse is a reported failure, not a skip."""
         store = KVStore()
         store.put("a", 1)
-        store._wal.append(codec.encode([["frobnicate", "a", None]]))
+        store._wal.append(codec.encode([["frobnicate", "a"], [None]]))
         store._wal.sync()
         problems = store.audit()
         assert len(problems) == 1
@@ -339,9 +339,191 @@ class TestBoundedRecovery:
         assert store.audit() == []
         # tamper with retained history: the full-log replay now disagrees
         # with the snapshot+suffix reconstruction
-        store._wal._truncated[0] = codec.encode([["put", "evil", 9]])
+        store._wal._truncated[0] = codec.encode([["put", "evil"], [9]])
         problems = store.audit()
         assert any("byte-identical" in problem for problem in problems)
+
+
+class _Decodes:
+    """Counts ``codec.decode`` calls and keeps the heads of every WAL
+    record it decoded (a record decodes to ``[heads, values]``)."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        self.records = []
+        decode = codec.decode
+
+        def counted(data):
+            self.calls += 1
+            value = decode(data)
+            if isinstance(value, list):
+                self.records.append(value[0])
+            return value
+
+        monkeypatch.setattr(codec, "decode", counted)
+
+
+def _crashed_with(*payloads):
+    """A memory store holding ``a`` and then the hand-written records."""
+    store = KVStore()
+    store.put("a", 1)
+    for payload in payloads:
+        store._wal.append(payload)
+    store._wal.sync()
+    return store
+
+
+class TestRecordShape:
+    def test_a_record_is_heads_then_values(self):
+        store = KVStore()
+        with store.transaction() as txn:
+            txn.put("a", {"x": 1})
+            txn.delete("b")
+            txn.put("c", [2])
+        store.put("d", 3)
+        assert list(store._wal.records()) == [
+            b'[["put","a","del","b","put","c"],[{"x":1},null,[2]]]',
+            b'[["put","d"],[3]]',
+        ]
+
+    def test_reopen_decodes_no_value(self, tmp_path, monkeypatch):
+        """Opening a store of N commits decodes its manifest and nothing
+        else, whatever N; a crashed memory store decodes nothing."""
+        for commits in (10, 60):
+            path = str(tmp_path / f"db{commits}")
+            store = KVStore(path, segment_records=16)
+            for i in range(commits):
+                with store.transaction() as txn:
+                    txn.put(f"k{i}", [i])
+                    txn.put("count", i)
+            store.close()
+            decodes = _Decodes(monkeypatch)
+            reopened = KVStore(path, segment_records=16)
+            assert (decodes.calls, decodes.records) == (1, [])  # MANIFEST
+            assert len(reopened) == reopened.last_recovery[
+                "records_replayed"] + 1
+            assert "k3" in reopened and reopened.keys("k9") == ["k9"]
+            assert decodes.calls == 1
+            reopened.close()
+            monkeypatch.undo()
+        memory = KVStore()
+        for i in range(20):
+            memory.put(f"k{i}", i)
+        decodes = _Decodes(monkeypatch)
+        survivor = memory.simulate_crash()
+        assert len(survivor) == 20 and decodes.calls == 0
+
+    def test_two_keys_of_one_record_decode_it_once(self, monkeypatch):
+        store = KVStore()
+        with store.transaction() as txn:
+            txn.put("a", {"v": 1})
+            txn.put("b", [2])
+            txn.put("c", 3)
+        store.put("c", 4)
+        survivor = store.simulate_crash()
+        decodes = _Decodes(monkeypatch)
+        first = survivor.get("a")
+        assert first == {"v": 1} and decodes.calls == 1
+        assert dict(survivor.items()) == {"a": {"v": 1}, "b": [2], "c": 4}
+        assert survivor.get("a") is first and survivor.get("b") == [2]
+        assert decodes.records == [["put", "a", "put", "b", "put", "c"],
+                                   ["put", "c"]]
+
+    def test_a_key_written_over_while_waiting_keeps_its_new_value(self):
+        store = KVStore()
+        with store.transaction() as txn:
+            txn.put("a", 1)
+            txn.put("b", 2)
+            txn.put("a", 3)
+        survivor = store.simulate_crash()
+        survivor.put("b", "new")
+        survivor.delete("a")
+        assert (survivor.get("a"), survivor.get("b")) == (None, "new")
+        again = survivor.simulate_crash()
+        assert dict(again.items()) == {"b": "new"}
+        assert again.audit() == []
+
+    def test_a_bytes_default_is_returned_not_decoded(self):
+        assert KVStore().get("missing", b"raw") == b"raw"
+
+    def test_each_live_segment_is_read_and_scanned_once_per_open(
+            self, tmp_path, monkeypatch):
+        from repro.store import wal as wal_module
+        path = str(tmp_path / "db")
+        store = KVStore(path, segment_records=4)
+        for i in range(18):
+            store.put(f"k{i}", i)
+        store.close()
+        scans, reads = [], []
+        scan = wal_module._scan
+
+        def counted_scan(data):
+            scans.append(len(data))
+            return scan(data)
+
+        def counted_open(file, mode="r", *args, **kwargs):
+            if mode == "rb" and str(file).endswith(".wal"):
+                reads.append(os.path.basename(file))
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(wal_module, "_scan", counted_scan)
+        monkeypatch.setattr(wal_module, "open", counted_open, raising=False)
+        reopened = KVStore(path, segment_records=4)
+        segments = reopened.last_recovery["segments"]
+        assert segments == 5
+        assert len(scans) == segments
+        assert sorted(reads) == sorted(set(reads)) and len(reads) == segments
+        assert dict(reopened.items()) == {f"k{i}": i for i in range(18)}
+        # nothing is kept after the replay: a second read goes to disk
+        assert reopened._wal._opened == {}
+        assert len(list(reopened._wal.records_from(0))) == 18
+        assert len(scans) == 2 * segments
+        reopened.close()
+
+
+class TestTypedRecordErrors:
+    """A record the store cannot interpret is a typed error: at open
+    when its head is wrong, on first read of one of its keys when its
+    values are — and ``audit()`` reports either as a replay failure."""
+
+    @pytest.mark.parametrize("payload, message", [
+        (b'{"put":"b"}', "undecodable record head"),
+        (b'[["put","b"', "undecodable record head"),
+        (b"\xff", "undecodable record head"),
+        (codec.encode([{"put": "b"}, [1]]), "not a list of op,key pairs"),
+        (codec.encode([["put", "b", "put"], [1, 2]]),
+         "not a list of op,key pairs"),
+        (codec.encode([["put", 7], [1]]), "key 7 is not a string"),
+        (codec.encode([["put", ["b"]], [1]]), "is not a string"),
+    ])
+    def test_a_bad_head_fails_the_open(self, payload, message):
+        store = _crashed_with(payload)
+        with pytest.raises(CodecError, match=message):
+            store.simulate_crash()
+        problems = store.audit()
+        assert len(problems) == 1
+        assert problems[0].startswith("WAL replay failed: CodecError")
+
+    @pytest.mark.parametrize("payload, message", [
+        (b'[["put","b","put","c"],[1,oops]]', "undecodable record"),
+        (codec.encode([["put", "b"], [1], [2]]), "too many values"),
+        (codec.encode([["put", "b"]]), "not enough values"),
+        (codec.encode([["put", "b", "put", "c"], [1]]), "not one value per"),
+        (codec.encode([["put", "b"], 5]), "not one value per op"),
+    ])
+    def test_bad_values_fail_the_first_read_naming_the_key(self, payload,
+                                                           message):
+        survivor = _crashed_with(payload).simulate_crash()
+        assert "b" in survivor and survivor.get("a") == 1
+        with pytest.raises(CodecError, match=f"holding 'b': {message}"):
+            survivor.get("b")
+        with pytest.raises(CodecError, match="holding 'b'"):
+            dict(survivor.items("b"))
+        problems = survivor.audit()
+        assert len(problems) == 1
+        assert problems[0].startswith("WAL replay failed: CodecError")
+        with pytest.raises(CodecError):
+            survivor.checkpoint()
 
 
 class TestProperties:
