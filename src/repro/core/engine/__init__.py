@@ -17,6 +17,7 @@ from .instance import (
 from .library import ProgramContext, ProgramFn, ProgramRegistry, ProgramResult
 from .navigator import Navigator
 from .recovery import (
+    StepClock,
     failure_timeline,
     recovery_report,
     replay_instance,
@@ -31,7 +32,7 @@ from .scheduler import (
     SchedulingPolicy,
     make_policy,
 )
-from .server import BioOperaServer, StepClock
+from .server import BioOperaServer
 from .standby import StandbyMonitor, attach_standby
 
 __all__ = [

@@ -1,22 +1,63 @@
-"""Recovery utilities: replay, audit, and work-loss accounting.
+"""Recovery utilities: replay, deferral, audit, and work-loss accounting.
 
 The server's crash-recovery entry point is
 :meth:`~repro.core.engine.server.BioOperaServer.recover`; this module holds
-the standalone pieces: replaying a single instance from the instance space,
-verifying that a log replays cleanly, and quantifying how much work a
-failure cost — the measurement behind the checkpoint-granularity ablation
-("since checkpointing is done for complete activities, smaller activities
-result in less work lost when failures occur", paper Section 3.3).
+the pieces it is built from — whether an instance has :func:`ended`,
+replaying a single instance from the instance space, the
+:class:`InstanceMap` a recovery fills, the :class:`StepClock` a server
+without a timed environment runs on — and beside them: verifying that a
+log replays cleanly, and quantifying how much work a failure cost — the
+measurement behind the checkpoint-granularity ablation ("since
+checkpointing is done for complete activities, smaller activities result
+in less work lost when failures occur", paper Section 3.3).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from itertools import chain
+from typing import Callable, Dict, List, Set
 
 from ...errors import StoreError
 from ...store.spaces import OperaStore
 from . import events as ev
 from .instance import ENDED, ProcessInstance
+
+
+class StepClock:
+    """Deterministic fallback clock: advances one second per reading."""
+
+    def __init__(self, start: float = 0.0):
+        self.t = start
+
+    def __call__(self) -> float:
+        self.t += 1.0
+        return self.t
+
+
+def newest_event_time(store: OperaStore) -> float:
+    """The newest timestamp in any log (each log's last event has it:
+    times never decrease within a log), at least 0.0."""
+    newest = 0.0
+    for instance_id in store.instances.instance_ids():
+        count = store.instances.event_count(instance_id)
+        for _seq, event in store.instances.events_from(
+                instance_id, max(0, count - 1)):
+            time = event.get("time")
+            if isinstance(time, (int, float)):
+                newest = max(newest, float(time))
+    return newest
+
+
+def staged_imports(store: OperaStore) -> Set[str]:
+    """Instances an interrupted shard-migration import left staged: not
+    this shard's to run until the migrator's resume activates or deletes
+    them, so a recovery and the per-server invariant catalog skip them."""
+    return {
+        name.split("/", 1)[1]
+        for name, record in
+        store.configuration.settings("migrate_in/").items()
+        if isinstance(record, dict) and record.get("phase") == "staged"
+    }
 
 
 def ended(store: OperaStore, instance_id: str) -> bool:
@@ -42,6 +83,80 @@ def replay_instance(store: OperaStore, instance_id: str,
     instance = ProcessInstance(instance_id, resolver)
     instance.replay(store.instances.events(instance_id))
     return instance
+
+
+class InstanceMap(dict):
+    """``instance id -> ProcessInstance`` of one server.
+
+    A recovery replays live work only. An id whose durable meta says the
+    instance has ended is :meth:`defer`-red: known by id, and replayed
+    from its event log by the first ``[]``, ``get``, ``values``,
+    ``items`` or ``pop`` that would hand the instance out — once, for as
+    long as the server lives. ``in``, ``len``, ``del`` and iteration
+    over ids (instances in memory first, then deferred ids) replay
+    nothing; :meth:`loaded` is the instances in memory, which every live
+    one is. A hit on an instance in memory is the plain ``dict``'s.
+    """
+
+    def __init__(self, replay: Callable[[str], ProcessInstance]):
+        super().__init__()
+        #: enters the replayed instance under its id and returns it.
+        self._replay = replay
+        #: ended instances not replayed yet (ids only, in entry order).
+        self._deferred: Dict[str, None] = {}
+
+    def defer(self, instance_id: str) -> None:
+        """Enter an ended instance by id only; its first reader replays."""
+        self._deferred[instance_id] = None
+
+    def loaded(self) -> List[ProcessInstance]:
+        """The instances in memory, in order of entry; replays none."""
+        return list(dict.values(self))
+
+    def __missing__(self, instance_id: str) -> ProcessInstance:
+        if instance_id not in self._deferred:
+            raise KeyError(instance_id)
+        instance = self._replay(instance_id)
+        del self._deferred[instance_id]
+        return instance
+
+    def get(self, instance_id: str, default=None):
+        try:
+            return self[instance_id]
+        except KeyError:
+            return default
+
+    def __contains__(self, instance_id) -> bool:
+        return (dict.__contains__(self, instance_id)
+                or instance_id in self._deferred)
+
+    def __len__(self) -> int:
+        return dict.__len__(self) + len(self._deferred)
+
+    def __iter__(self):
+        return chain(dict.__iter__(self), self._deferred)
+
+    def __delitem__(self, instance_id: str) -> None:
+        if instance_id in self._deferred:
+            del self._deferred[instance_id]
+        else:
+            dict.__delitem__(self, instance_id)
+
+    def _replay_deferred(self) -> None:
+        for instance_id in list(self._deferred):
+            self[instance_id]
+
+    def values(self):
+        self._replay_deferred()
+        return dict.values(self)
+
+    def items(self):
+        self._replay_deferred()
+        return dict.items(self)
+
+    def pop(self, instance_id: str, *default):
+        self.get(instance_id)
+        return dict.pop(self, instance_id, *default)
 
 
 def verify_log(store: OperaStore, instance_id: str, resolver) -> List[str]:

@@ -15,14 +15,14 @@ cluster" (paper, Section 3.2). The server
 * supports operator control (suspend/resume/abort/parameter changes/task
   restarts) and full crash recovery via :meth:`BioOperaServer.recover`.
 
-The server is clock- and transport-agnostic: an
+It is an event-applying core that calls four optional durable policies
+(:mod:`~repro.core.engine.policies`) at fixed points. It is clock- and
+transport-agnostic: an
 :class:`~repro.core.engine.environment.ExecutionEnvironment` supplies both.
 """
 
 from __future__ import annotations
 
-import hashlib
-from itertools import chain
 from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING, Tuple
 
 from ...errors import (
@@ -32,7 +32,6 @@ from ...errors import (
     UnknownTemplateError,
 )
 from ...faults.points import fire
-from ...store import codec
 from ...store.spaces import OperaStore
 from ..model.process import ProcessTemplate
 from ..monitor.awareness import AwarenessModel
@@ -46,7 +45,13 @@ from .instance import (
 )
 from .library import ProgramRegistry
 from .navigator import Navigator
-from .recovery import ended, replay_instance
+from .policies import (
+    LeasePolicy, MemoPolicy, QuarantinePolicy, RebalancePolicy,
+)
+from .recovery import (
+    InstanceMap, StepClock, ended, newest_event_time, replay_instance,
+    staged_imports,
+)
 from .scheduler import SchedulingPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -64,103 +69,13 @@ RUN_COUNTERS = (
 )
 
 
-class StepClock:
-    """Deterministic fallback clock: advances one second per reading."""
-
-    def __init__(self, start: float = 0.0):
-        self.t = start
-
-    def __call__(self) -> float:
-        self.t += 1.0
-        return self.t
-
-
-class InstanceMap(dict):
-    """``instance id -> ProcessInstance`` of one server.
-
-    A recovery replays live work only. An id whose durable meta says the
-    instance has ended is :meth:`defer`-red: known by id, and replayed
-    from its event log by the first ``[]``, ``get``, ``values``,
-    ``items`` or ``pop`` that would hand the instance out — once, for as
-    long as the server lives. ``in``, ``len``, ``del`` and iteration
-    over ids (instances in memory first, then deferred ids) replay
-    nothing; :meth:`loaded` is the instances in memory, which every live
-    one is. A hit on an instance in memory is the plain ``dict``'s.
-    """
-
-    def __init__(self, replay: Callable[[str], ProcessInstance]):
-        super().__init__()
-        #: enters the replayed instance under its id and returns it.
-        self._replay = replay
-        #: ended instances not replayed yet (ids only, in entry order).
-        self._deferred: Dict[str, None] = {}
-
-    def defer(self, instance_id: str) -> None:
-        """Enter an ended instance by id only; its first reader replays."""
-        self._deferred[instance_id] = None
-
-    def loaded(self) -> List[ProcessInstance]:
-        """The instances in memory, in order of entry; replays none."""
-        return list(dict.values(self))
-
-    def __missing__(self, instance_id: str) -> ProcessInstance:
-        if instance_id not in self._deferred:
-            raise KeyError(instance_id)
-        instance = self._replay(instance_id)
-        del self._deferred[instance_id]
-        return instance
-
-    def get(self, instance_id: str, default=None):
-        try:
-            return self[instance_id]
-        except KeyError:
-            return default
-
-    def __contains__(self, instance_id) -> bool:
-        return (dict.__contains__(self, instance_id)
-                or instance_id in self._deferred)
-
-    def __len__(self) -> int:
-        return dict.__len__(self) + len(self._deferred)
-
-    def __iter__(self):
-        return chain(dict.__iter__(self), self._deferred)
-
-    def __delitem__(self, instance_id: str) -> None:
-        if instance_id in self._deferred:
-            del self._deferred[instance_id]
-        else:
-            dict.__delitem__(self, instance_id)
-
-    def _replay_deferred(self) -> None:
-        for instance_id in list(self._deferred):
-            self[instance_id]
-
-    def values(self):
-        self._replay_deferred()
-        return dict.values(self)
-
-    def items(self):
-        self._replay_deferred()
-        return dict.items(self)
-
-    def pop(self, instance_id: str, *default):
-        self.get(instance_id)
-        return dict.pop(self, instance_id, *default)
-
-
 class BioOperaServer:
     """The process-support server."""
 
-    #: the durable policies: configuration-space setting -> the method
-    #: that installs it. Each setting holds that method's argument list,
-    #: and :meth:`recover` re-derives all four from the store.
-    POLICY_SETTINGS = (
-        ("lease_config", "enable_leases"),
-        ("quarantine_config", "enable_quarantine"),
-        ("memo_config", "enable_memoization"),
-        ("migration_config", "enable_migration"),
-    )
+    #: the durable policies, in install order; each names its setting
+    #: (``SETTING``) and attribute (``ATTRIBUTE``, None while off).
+    POLICY_SETTINGS = (LeasePolicy, QuarantinePolicy, MemoPolicy,
+                       RebalancePolicy)
 
     def __init__(
         self,
@@ -229,19 +144,11 @@ class BioOperaServer:
         #: sharded deployments install a hook here so broadcast_signal
         #: reaches every shard instead of only locally-owned instances.
         self.broadcast_fanout: Optional[Callable[[str, str], None]] = None
-        self.migration = None  # (min_rate, improvement) when enabled
-        self.quarantine = None  # (threshold, window, probe_after) when on
-        self.leases = None  # (base, factor) when enabled
-        #: content-keyed result memoization (smart-rerun support).
-        self.memoize = False
-        #: (instance_id, path, attempt) -> memo content key, bridging
-        #: queue_job's cache consult to lineage recording (the record's
-        #: ``memo_key`` field) and result storage on completion.
-        self._memo_pending: Dict[Tuple[str, str, int], str] = {}
-        #: job_id -> live lease record (key, attempt, node, duration, event).
-        self._leases: Dict[str, Dict[str, Any]] = {}
-        self._lease_keys: Dict[str, str] = {}  # job key -> holder job_id
-        self._node_failures: Dict[str, List[float]] = {}
+        #: the installed policies (:attr:`POLICY_SETTINGS`); None while off.
+        self.leases: Optional[LeasePolicy] = None
+        self.quarantine: Optional[QuarantinePolicy] = None
+        self.memo: Optional[MemoPolicy] = None
+        self.migration: Optional[RebalancePolicy] = None
         self.instances = InstanceMap(self._replay)
         #: instance ids quiesced for shard migration: dispatch is gated
         #: off and instance-scoped requests are deferred (the broker's
@@ -253,7 +160,6 @@ class BioOperaServer:
             record_dispatch=self._record_dispatch,
             is_dispatchable=self._is_dispatchable,
         )
-        self.dispatcher.on_release = self._release_lease
         self.dispatcher.on_key_released = self._key_released
         self.dispatcher.pre_submit = self._sync_barrier
 
@@ -570,58 +476,21 @@ class BioOperaServer:
             "span": f"{instance.id}:{path}:{state.attempts}",
             # Content key of this execution in the memo cache (empty when
             # memoization is off) — smart rerun invalidates through it.
-            "memo_key": self._memo_pending.get(
-                (instance.id, path, state.attempts), ""
-            ),
+            "memo_key": ("" if self.memo is None else self.memo.pending.get(
+                (instance.id, path, state.attempts), "")),
         })
 
     # ------------------------------------------------------------------
     # Dispatcher wiring
     # ------------------------------------------------------------------
 
-    def _memo_content_key(self, program: str,
-                          inputs: Dict[str, Any]) -> str:
-        """Content key of one execution: program + canonical inputs."""
-        payload = codec.encode({
-            "program": program,
-            "inputs": {name: inputs[name] for name in sorted(inputs)},
-        })
-        return hashlib.sha256(payload).hexdigest()
-
-    def _replay_memoized(self, instance: ProcessInstance, task_path: str,
-                         program: str, attempt: int,
-                         outputs: Dict[str, Any]) -> None:
-        """Complete a task from the memo cache without dispatching.
-
-        Emitted as a normal dispatched→completed pair on the virtual node
-        ``"memo"`` so replay, views, lineage, and the exactly-once checks
-        see an ordinary (zero-cost) execution. No dispatcher slot is
-        taken and no lease granted — there is nothing to expire.
-        """
-        now = self.clock()
-        self.emit_batch(instance, [
-            ev.task_dispatched(task_path, "memo", program, attempt, now),
-            ev.task_completed(task_path, outputs, 0.0, "memo", now),
-        ])
-
     def queue_job(self, instance_id: str, task_path: str, program: str,
                   inputs: Dict[str, Any], attempt: int,
                   placement: str = "", cost_hint: float = 0.0) -> None:
-        if self.memoize and not task_path.endswith("#comp"):
-            key = self._memo_content_key(program, inputs)
-            self._memo_pending[(instance_id, task_path, attempt)] = key
-            cached = self.store.data.memo_get(key)
-            instance = self.instances.get(instance_id)
-            if cached is not None and instance is not None:
-                self.metrics["memo_hits"] += 1
-                self._replay_memoized(
-                    instance, task_path, program, attempt, cached
-                )
-                self._memo_pending.pop(
-                    (instance_id, task_path, attempt), None
-                )
-                return
-            self.metrics["memo_misses"] += 1
+        if (self.memo is not None and not task_path.endswith("#comp")
+                and self.memo.consult(instance_id, task_path, program,
+                                      inputs, attempt)):
+            return
         job = JobRequest(
             instance_id=instance_id,
             task_path=task_path,
@@ -646,16 +515,10 @@ class BioOperaServer:
             instance.wake_path(task_path)
 
     def _is_dispatchable(self, instance_id: str) -> bool:
-        if not self.up:
-            return False
-        instance = self.instances.get(instance_id)
-        if instance is None:
-            return False
-        if instance.terminal:
-            return False
-        if instance_id in self.migrating:
-            return False
-        return instance.status == RUNNING
+        instance = self.instances.get(instance_id) if self.up else None
+        return (instance is not None and not instance.terminal
+                and instance_id not in self.migrating
+                and instance.status == RUNNING)
 
     def _record_dispatch(self, job: JobRequest, node: str) -> bool:
         if not self.up or self._fenced():
@@ -688,7 +551,7 @@ class BioOperaServer:
         ))
         self.metrics["jobs_dispatched"] += 1
         if self.leases is not None:
-            self._grant_lease(job, node)
+            self.leases.grant(job, node)
         return True
 
     def _submit_job(self, job: JobRequest, node: str) -> None:
@@ -703,91 +566,101 @@ class BioOperaServer:
         # be lost. No-op when the store syncs per commit.
         self.store.kv.flush()
 
+    @staticmethod
+    def _is_current(instance: ProcessInstance, job: JobRequest) -> bool:
+        """Is ``job`` its task's current attempt? (An undo job always is.)"""
+        if job.task_path.endswith("#comp"):
+            return True
+        state = instance.find_state(job.task_path)
+        return (state is not None and state.status == DISPATCHED
+                and state.attempts == job.attempt)
+
+    def _kill(self, job_id: str) -> None:
+        """Stop an in-flight job: release it here, cancel it on its node."""
+        entry = self.dispatcher.job_finished(job_id)
+        if self.environment is not None:
+            self.environment.cancel(job_id)
+        if entry is not None and self.memo is not None:
+            self.memo.forget(entry[0])
+
+    def _drop_jobs(self, instance_id: str) -> None:
+        """Kill an instance's in-flight jobs and drop its queued ones."""
+        for job_id in self.dispatcher.inflight_for_instance(instance_id):
+            self._kill(job_id)
+        self.dispatcher.drop_instance(instance_id)
+        if self.memo is not None:
+            self.memo.forget_instance(instance_id)
+
     # ------------------------------------------------------------------
     # Activity queue (results inbound from PECs) — the recovery module path
     # ------------------------------------------------------------------
 
-    def on_job_completed(self, job_id: str, outputs: Dict[str, Any],
-                         cost: float, node: str,
-                         epoch: Optional[int] = None) -> None:
+    def _accept_report(self, job_id: str, epoch: Optional[int]
+                       ) -> Optional[Tuple[JobRequest, ProcessInstance]]:
+        """The job and instance a PEC report settles, or None: a dead or
+        fenced server drops it; a report from another epoch (``None``/0 is
+        an unfenced transport), for a job not in flight, or for an attempt
+        no longer its task's current one books its counter and pumps."""
         if not self.up or self._fenced():
-            return
-        if self._stale_epoch(epoch, job_id, "completion"):
-            return
+            return None
+        if epoch and epoch != self.epoch:
+            self.metrics["stale_epoch_reports"] += 1
+            self.dispatcher.pump()
+            return None
         entry = self.dispatcher.job_finished(job_id)
         if entry is None:
             self.metrics["stale_results_ignored"] += 1
             self.dispatcher.pump()
-            return
+            return None
         job, _node = entry
         instance = self.instances.get(job.instance_id)
         if instance is None or instance.terminal:
             self.dispatcher.pump()
+            return None
+        if not self._is_current(instance, job):
+            self.metrics["stale_results_ignored"] += 1
+            self.dispatcher.pump()
+            return None
+        return job, instance
+
+    def on_job_completed(self, job_id: str, outputs: Dict[str, Any],
+                         cost: float, node: str,
+                         epoch: Optional[int] = None) -> None:
+        accepted = self._accept_report(job_id, epoch)
+        if accepted is None:
             return
-        if not job.task_path.endswith("#comp"):
-            state = instance.find_state(job.task_path)
-            if (state is None or state.status != DISPATCHED
-                    or state.attempts != job.attempt):
-                self.metrics["stale_results_ignored"] += 1
-                self.dispatcher.pump()
-                return
+        job, instance = accepted
         self.metrics["jobs_completed"] += 1
         self.emit(instance, ev.task_completed(
             job.task_path, outputs, cost, node, self.clock()
         ))
-        # The stash entry outlives the emit above so _record_lineage can
-        # stamp the record's memo_key; the cache write happens only after
-        # the completion is durable in the log (the cache is a cache).
-        memo_key = self._memo_pending.pop(
-            (job.instance_id, job.task_path, job.attempt), None
-        )
-        if memo_key is not None and self.memoize:
-            self.store.data.memo_put(memo_key, outputs)
+        if self.memo is not None:  # after the emit: lineage reads the key
+            self.memo.complete(job, outputs)
         self.navigator.navigate(instance)
-        self._migration_review()  # a slot just freed up
+        if self.migration is not None:
+            self.migration.review()  # a slot just freed up
         self.dispatcher.pump()
 
     def on_job_failed(self, job_id: str, reason: str, node: str,
                       detail: str = "", epoch: Optional[int] = None) -> None:
-        if not self.up or self._fenced():
+        accepted = self._accept_report(job_id, epoch)
+        if accepted is None:
             return
-        if self._stale_epoch(epoch, job_id, "failure"):
-            return
-        entry = self.dispatcher.job_finished(job_id)
-        if entry is None:
-            self.metrics["stale_results_ignored"] += 1
-            self.dispatcher.pump()
-            return
-        job, _node = entry
-        instance = self.instances.get(job.instance_id)
-        if instance is None or instance.terminal:
-            self.dispatcher.pump()
-            return
-        if not job.task_path.endswith("#comp"):
-            state = instance.find_state(job.task_path)
-            if (state is None or state.status != DISPATCHED
-                    or state.attempts != job.attempt):
-                self.metrics["stale_results_ignored"] += 1
-                self.dispatcher.pump()
-                return
+        job, instance = accepted
         self.metrics["jobs_failed"] += 1
-        # A failed attempt never reaches the memo cache; the retry's
-        # queue_job re-derives the (identical) content key.
-        self._memo_pending.pop(
-            (job.instance_id, job.task_path, job.attempt), None
-        )
+        if self.memo is not None:
+            self.memo.forget(job)
         now = self.clock()
-        if reason in ev.INFRASTRUCTURE_REASONS:
-            self.obs.metrics.inc("retries_infrastructure")
-        else:
-            self.obs.metrics.inc("retries_program")
+        self.obs.metrics.inc("retries_infrastructure"
+                             if reason in ev.INFRASTRUCTURE_REASONS
+                             else "retries_program")
         self.emit(instance, ev.task_failed(
             job.task_path, reason, node, job.attempt, now,
             detail=detail,
         ))
         if (self.quarantine is not None
                 and reason in ev.NODE_ATTRIBUTED_REASONS):
-            self._note_node_failure(node, now)
+            self.quarantine.strike(node, now)
         self.navigator.navigate(instance)
         self.dispatcher.pump()
 
@@ -799,25 +672,7 @@ class BioOperaServer:
         if not self.up or self._fenced() or not self.awareness.has_node(node):
             return
         self.metrics["nodes_failed"] += 1
-        orphan_ids = self.awareness.node_down(node, self.clock())
-        # The dispatcher still tracks them; fail each orphaned job.
-        for job_id in orphan_ids:
-            entry = self.dispatcher.job_finished(job_id)
-            if entry is None:
-                continue
-            job, _node = entry
-            instance = self.instances.get(job.instance_id)
-            if instance is None or instance.terminal:
-                continue
-            state = instance.find_state(job.task_path)
-            if (job.task_path.endswith("#comp")
-                    or (state is not None and state.status == DISPATCHED
-                        and state.attempts == job.attempt)):
-                self.emit(instance, ev.task_failed(
-                    job.task_path, "node-crash", node, job.attempt,
-                    self.clock(),
-                ))
-                self.navigator.navigate(instance)
+        self._fail_lost(node, self.awareness.node_down(node, self.clock()))
         self.dispatcher.pump()
 
     def on_node_up(self, node: str, running=None) -> None:
@@ -826,29 +681,36 @@ class BioOperaServer:
         this covers a crash+restore that beat the failure detector."""
         if not self.up or self._fenced() or not self.awareness.has_node(node):
             return
-        self._node_failures.pop(node, None)  # a fresh join resets strikes
+        if self.quarantine is not None:
+            self.quarantine.forget(node)  # a fresh join resets strikes
         self.awareness.node_up(node, self.clock())
         if running is not None:
-            for job_id in self.dispatcher.jobs_on_node(node):
-                if job_id in running:
-                    continue
-                entry = self.dispatcher.job_finished(job_id)
-                if entry is None:
-                    continue
-                job, _node = entry
-                instance = self.instances.get(job.instance_id)
-                if instance is None or instance.terminal:
-                    continue
-                state = instance.find_state(job.task_path)
-                if (job.task_path.endswith("#comp")
-                        or (state is not None and state.status == DISPATCHED
-                            and state.attempts == job.attempt)):
-                    self.emit(instance, ev.task_failed(
-                        job.task_path, "node-crash", node, job.attempt,
-                        self.clock(),
-                    ))
-                    self.navigator.navigate(instance)
+            self._fail_lost(node, [
+                job_id for job_id in self.dispatcher.jobs_on_node(node)
+                if job_id not in running
+            ])
         self.dispatcher.pump()
+
+    def _fail_lost(self, node: str, job_ids) -> None:
+        """Fail the jobs ``node`` lost (``node-crash``). Unlike a failure
+        report this books neither ``jobs_failed``, the retry counters nor
+        a quarantine strike: the node did not fail the job, it went away."""
+        for job_id in job_ids:
+            entry = self.dispatcher.job_finished(job_id)
+            if entry is None:
+                continue
+            job, _node = entry
+            if self.memo is not None:
+                self.memo.forget(job)
+            instance = self.instances.get(job.instance_id)
+            if (instance is None or instance.terminal
+                    or not self._is_current(instance, job)):
+                continue
+            self.emit(instance, ev.task_failed(
+                job.task_path, "node-crash", node, job.attempt,
+                self.clock(),
+            ))
+            self.navigator.navigate(instance)
 
     def on_node_reconfigured(self, node: str, cpus: Optional[int] = None,
                              speed: Optional[float] = None) -> None:
@@ -866,23 +728,22 @@ class BioOperaServer:
         if not self.up or self._fenced() or not self.awareness.has_node(node):
             return
         self.awareness.load_report(node, external_load, self.clock())
-        self._migration_review()
+        if self.migration is not None:
+            self.migration.review()
         self.dispatcher.pump()
 
-    def _migration_review(self) -> None:
-        """Re-evaluate running jobs' placement. Any change — a load
-        report, a completion freeing a slot, a node rejoining — can make a
-        starving job migratable. At most ONE job migrates per review:
-        several starving jobs chasing the same freed slot would push the
-        overflow onto nodes as bad as the ones they left."""
-        if self.migration is None:
+    def on_probe_result(self, node: str, ok: bool = True) -> None:
+        """A quarantine probe reported back; success re-admits the node."""
+        if not self.up or not self.awareness.has_node(node):
             return
-        for view in self.awareness.nodes():
-            if view.assigned and self._consider_migration(view.name):
-                return
+        if self.quarantine is not None:
+            self.quarantine.probed(node, ok)
+        if ok:
+            self.awareness.release_quarantine(node)
+            self.dispatcher.pump()
 
     # ------------------------------------------------------------------
-    # Epoch fencing & dispatch leases (partition safety)
+    # Epoch fencing & the durable policies (policies.py)
     # ------------------------------------------------------------------
 
     def _fenced(self) -> bool:
@@ -901,248 +762,35 @@ class BioOperaServer:
         self.metrics["epoch_fenced"] += 1
         return True
 
-    def _stale_epoch(self, epoch: Optional[int], job_id: str,
-                     what: str) -> bool:
-        """Reject a report stamped by a different epoch than ours.
-
-        ``None``/0 means the transport is unfenced (inline environments,
-        direct calls) and is accepted for compatibility.
-        """
-        if not epoch or epoch == self.epoch:
-            return False
-        self.metrics["stale_epoch_reports"] += 1
-        self.dispatcher.pump()
-        return True
+    def _install(self, policy, *args) -> None:
+        """Install ``policy``, or re-argue the installed one in place (its
+        live state kept); persist ``args`` for recovery to re-derive it."""
+        installed = getattr(self, policy.ATTRIBUTE)
+        if installed is None:
+            setattr(self, policy.ATTRIBUTE, policy(self, *args))
+        else:
+            installed.args = args
+        self.store.configuration.set_setting(policy.SETTING, list(args))
 
     def enable_leases(self, base: float = 900.0, factor: float = 4.0) -> None:
-        """Grant every dispatch a lease; expiry triggers safe re-dispatch.
-
-        A dispatched job's lease lasts ``base + factor * cost_hint``
-        seconds. On expiry the server probes the environment
-        (``job_alive``): a job still running (or whose report is pending
-        retransmission) renews; one that is gone or unreachable is
-        cancelled and failed with reason ``lease-expired`` — so work lost
-        to an asymmetric partition is re-dispatched even if no failure
-        report ever arrives. Environments without a ``schedule`` hook
-        never grant leases (nothing could ever expire them).
-
-        The policy is persisted in the configuration space so a recovery
-        (or a standby promotion) re-derives it from the durable store —
-        it must not depend on the dead server's in-memory object.
-        """
-        self.leases = (base, factor)
-        self.store.configuration.set_setting("lease_config", [base, factor])
-
-    def enable_memoization(self) -> None:
-        """Cache task results by content key; replay hits dispatch-free.
-
-        Every queued (non-composite) task derives a content key from its
-        program and resolved inputs. A cache hit completes the task
-        immediately on the virtual node ``"memo"`` at zero cost; a miss
-        dispatches normally and stores the result when it completes. Like
-        the lease policy, the switch is persisted (``memo_config``) so a
-        recovered server keeps memoizing.
-        """
-        self.memoize = True
-        self.store.configuration.set_setting("memo_config", [])
-
-    def _grant_lease(self, job: JobRequest, node: str) -> None:
-        schedule = getattr(self.environment, "schedule", None)
-        if schedule is None:
-            return
-        holder = self._lease_keys.get(job.key)
-        if holder is not None and holder in self._leases:
-            # Two live leases for one task occurrence would mean two
-            # concurrent legitimate executions — the invariant chaos checks.
-            self.metrics["lease_double_grants"] += 1
-        base, factor = self.leases
-        duration = base + factor * max(0.0, job.cost_hint)
-        event = schedule(duration, self._lease_expired, job.job_id,
-                         job.attempt, label=f"lease:{job.job_id}")
-        self._leases[job.job_id] = {
-            "key": job.key, "attempt": job.attempt, "node": node,
-            "duration": duration, "event": event,
-        }
-        self._lease_keys[job.key] = job.job_id
-        self.metrics["leases_granted"] += 1
-
-    def _release_lease(self, job_id: str) -> None:
-        lease = self._leases.pop(job_id, None)
-        if lease is None:
-            return
-        if self._lease_keys.get(lease["key"]) == job_id:
-            del self._lease_keys[lease["key"]]
-        event = lease.get("event")
-        if event is not None and hasattr(event, "cancel"):
-            event.cancel()
-
-    def _lease_expired(self, job_id: str, attempt: int) -> None:
-        lease = self._leases.get(job_id)
-        if lease is None or lease["attempt"] != attempt:
-            return
-        if not self.up or self._fenced():
-            return
-        entry = self.dispatcher.in_flight.get(job_id)
-        if entry is None:
-            self._release_lease(job_id)
-            return
-        job, node = entry
-        alive_fn = getattr(self.environment, "job_alive", None)
-        if alive_fn is not None and alive_fn(node, job_id):
-            # Still making progress (or waiting out a report retry):
-            # renew for another term.
-            self.metrics["leases_renewed"] += 1
-            schedule = getattr(self.environment, "schedule", None)
-            lease["event"] = schedule(
-                lease["duration"], self._lease_expired, job_id, attempt,
-                label=f"lease:{job_id}",
-            )
-            return
-        # The holder is gone or unreachable. The environment-side kill
-        # models lease-based self-termination (the PEC abandons work whose
-        # lease it can no longer renew), so re-dispatching is safe even if
-        # the old node is still alive behind a partition.
-        self.metrics["leases_expired"] += 1
-        if self.environment is not None:
-            self.environment.cancel(job_id)
-        self.on_job_failed(job_id, "lease-expired", node,
-                           detail="dispatch lease expired without renewal",
-                           epoch=self.epoch)
-
-    # ------------------------------------------------------------------
-    # Node quarantine (graceful degradation / failure masking)
-    # ------------------------------------------------------------------
+        """Lease every dispatch (:class:`~.policies.LeasePolicy`)."""
+        self._install(LeasePolicy, base, factor)
 
     def enable_quarantine(self, threshold: int = 3, window: float = 900.0,
                           probe_after: float = 600.0) -> None:
-        """Blacklist misbehaving nodes instead of feeding them work.
+        """Bench failing nodes (:class:`~.policies.QuarantinePolicy`)."""
+        self._install(QuarantinePolicy, threshold, window, probe_after)
 
-        A node that accumulates ``threshold`` node-attributed job failures
-        (see :data:`~repro.core.engine.events.NODE_ATTRIBUTED_REASONS`)
-        within ``window`` seconds is excluded from placement until a probe
-        — scheduled ``probe_after`` seconds later through the environment's
-        ``schedule_probe`` — reports it healthy. Environments without probe
-        support never quarantine: excluding a node with no way back would
-        shrink the cluster permanently.
-
-        Like the lease policy, the configuration is persisted so recovery
-        re-derives it from the durable store.
-        """
-        self.quarantine = (threshold, window, probe_after)
-        self.store.configuration.set_setting(
-            "quarantine_config", [threshold, window, probe_after]
-        )
-
-    def _note_node_failure(self, node: str, now: float) -> None:
-        if not self.awareness.has_node(node):
-            return
-        view = self.awareness.node(node)
-        if not view.up or view.quarantined:
-            return
-        probe = getattr(self.environment, "schedule_probe", None)
-        if probe is None:
-            return
-        threshold, window, probe_after = self.quarantine
-        history = self._node_failures.setdefault(node, [])
-        history.append(now)
-        while history and history[0] <= now - window:
-            history.pop(0)
-        if len(history) < threshold:
-            return
-        history.clear()
-        self.awareness.quarantine(node)
-        self.obs.metrics.inc("nodes_quarantined")
-        probe(node, probe_after)
-
-    def on_probe_result(self, node: str, ok: bool = True) -> None:
-        """A quarantine probe reported back; success re-admits the node."""
-        if not self.up or not self.awareness.has_node(node):
-            return
-        if not ok:
-            probe = getattr(self.environment, "schedule_probe", None)
-            if probe is not None and self.quarantine is not None:
-                probe(node, self.quarantine[2])
-            return
-        self._node_failures.pop(node, None)
-        self.awareness.release_quarantine(node)
-        self.dispatcher.pump()
-
-    # ------------------------------------------------------------------
-    # Kill-and-restart load balancing (Section 5.4 discussion / ablation)
-    # ------------------------------------------------------------------
+    def enable_memoization(self) -> None:
+        """Cache results by content key (:class:`~.policies.MemoPolicy`)."""
+        self._install(MemoPolicy)
 
     def enable_migration(self, min_rate: float = 0.25,
                          improvement: float = 2.0,
                          max_attempts: int = 6) -> None:
-        """Enable the kill-and-restart strategy the paper discusses:
-        "one strategy would be to have BioOpera abort the affected TEU and
-        re-schedule it elsewhere". A job whose estimated progress rate
-        drops below ``min_rate`` is aborted and re-queued if some other
-        node offers at least ``improvement`` times its current rate.
-        Whether this helps depends on the external users' utilization
-        pattern — which is exactly what the migration ablation measures.
-        ``max_attempts`` bounds the total dispatches a task may accumulate
-        before migration leaves it alone (each restart discards progress,
-        so unbounded chasing of a moving load pattern would livelock).
-        Persisted like the other three policies, so a recovered server
-        keeps balancing.
-        """
-        self.migration = (min_rate, improvement, max_attempts)
-        self.store.configuration.set_setting(
-            "migration_config", [min_rate, improvement, max_attempts]
-        )
-
-    def _estimated_rate(self, view, extra_jobs: int = 0) -> float:
-        jobs = view.assigned_count + extra_jobs
-        if jobs <= 0:
-            jobs = 1
-        free = max(0.0, view.cpus - view.external_load)
-        return view.speed * min(1.0, free / jobs)
-
-    def _consider_migration(self, node: str) -> bool:
-        """Migrate at most one starving job off ``node``; True if it did."""
-        min_rate, improvement, max_attempts = self.migration
-        view = self.awareness.node(node)
-        if not view.up or view.assigned_count == 0:
-            return False
-        current_rate = self._estimated_rate(view)
-        if current_rate >= min_rate:
-            return False
-        for job_id in self.dispatcher.jobs_on_node(node):
-            entry = self.dispatcher.in_flight.get(job_id)
-            if entry is None:
-                continue
-            job, _node = entry
-            candidates = [
-                c for c in self.awareness.candidates(job.placement)
-                if c.name != node
-            ]
-            best = max(
-                (self._estimated_rate(c, extra_jobs=1) for c in candidates),
-                default=0.0,
-            )
-            if best < improvement * max(current_rate, 1e-9):
-                continue
-            instance = self.instances.get(job.instance_id)
-            if instance is None or instance.terminal:
-                continue
-            state = instance.find_state(job.task_path)
-            if (state is None or state.status != DISPATCHED
-                    or state.attempts != job.attempt):
-                continue
-            if state.attempts >= max_attempts:
-                continue  # stop chasing a moving load pattern
-            self.dispatcher.job_finished(job_id)
-            if self.environment is not None:
-                self.environment.cancel(job_id)
-            self.obs.metrics.inc("jobs_migrated")
-            self.emit(instance, ev.task_failed(
-                job.task_path, "migrated", node, job.attempt, self.clock(),
-                detail="kill-and-restart load balancing",
-            ))
-            self.navigator.navigate(instance)
-            return True
-        return False
+        """Kill and restart starving jobs elsewhere
+        (:class:`~.policies.RebalancePolicy`)."""
+        self._install(RebalancePolicy, min_rate, improvement, max_attempts)
 
     # ------------------------------------------------------------------
     # Operator controls
@@ -1176,11 +824,7 @@ class BioOperaServer:
         self.finalize_abort(instance, reason)
 
     def finalize_abort(self, instance: ProcessInstance, reason: str) -> None:
-        if self.environment is not None:
-            for job_id in self.dispatcher.inflight_for_instance(instance.id):
-                self.environment.cancel(job_id)
-        # Releases both queued jobs and the in-flight jobs' node slots.
-        self.dispatcher.drop_instance(instance.id)
+        self._drop_jobs(instance.id)
         self.emit(instance, ev.instance_aborted(reason, self.clock()))
         self.dispatcher.pump()
 
@@ -1207,9 +851,7 @@ class BioOperaServer:
         for job_id in self.dispatcher.inflight_for_instance(instance_id):
             path = self.dispatcher.in_flight[job_id][0].task_path
             if path == task_path or path.startswith(f"{task_path}/"):
-                self.dispatcher.job_finished(job_id)
-                if self.environment is not None:
-                    self.environment.cancel(job_id)
+                self._kill(job_id)
         self.emit(instance, ev.task_reset(task_path, self.clock(), reason))
         self.navigator.navigate(instance)
         self.dispatcher.pump()
@@ -1261,36 +903,19 @@ class BioOperaServer:
             # No environment, or one that keeps no time (the inline one):
             # the fallback clock must resume *after* the newest event
             # time in the durable log, or the recovery emissions below
-            # would be stamped before events that precede them. Times
-            # never decrease within a log, so its last event has it.
-            for instance_id in store.instances.instance_ids():
-                count = store.instances.event_count(instance_id)
-                for _seq, event in store.instances.events_from(
-                        instance_id, max(0, count - 1)):
-                    time = event.get("time")
-                    if isinstance(time, (int, float)):
-                        server.clock.t = max(server.clock.t, float(time))
-        for setting, enable in cls.POLICY_SETTINGS:
-            config = store.configuration.setting(setting)
+            # would be stamped before events that precede them.
+            server.clock.t = max(server.clock.t, newest_event_time(store))
+        for policy_class in cls.POLICY_SETTINGS:
+            config = store.configuration.setting(policy_class.SETTING)
             if config is not None:
-                getattr(server, enable)(*config)
+                server._install(policy_class, *config)
         for node, config in store.configuration.nodes().items():
             if not server.awareness.has_node(node):
                 server.awareness.register(
                     node, config["cpus"], config.get("speed", 1.0),
                     tuple(config.get("tags", ())),
                 )
-        # Instances staged by an interrupted shard migration import are
-        # NOT this shard's to run yet: the migrator's resume either
-        # activates them (source committed) or deletes them (source
-        # still owns the instance). Replaying them here would double-run
-        # their in-flight work.
-        staged = {
-            name.split("/", 1)[1]
-            for name, record in
-            store.configuration.settings("migrate_in/").items()
-            if isinstance(record, dict) and record.get("phase") == "staged"
-        }
+        staged = staged_imports(store)
         for instance_id in store.instances.instance_ids():
             if instance_id in staged:
                 continue
@@ -1301,15 +926,8 @@ class BioOperaServer:
                 server.instances.defer(instance_id)
                 continue
             instance = server._replay(instance_id)
-            if instance.terminal:
-                continue  # stale meta: the terminal event made it, alone
-            server.emit_batch(instance, [
-                ev.task_failed(
-                    state.path, "server-recovery", state.node,
-                    state.attempts, server.clock(),
-                )
-                for state in instance.dispatched_states()
-            ])
+            if not instance.terminal:  # else stale meta: the event made it
+                server._redrive(instance, "server-recovery")
         live = server.instances.loaded()
         server.obs.metrics.inc("recovery.instances_replayed", len(live))
         server.obs.metrics.inc("recovery.instances_deferred",
@@ -1319,6 +937,15 @@ class BioOperaServer:
                 server.navigator.navigate(instance)
         server.dispatcher.pump()
         return server
+
+    def _redrive(self, instance: ProcessInstance, reason: str) -> None:
+        """Fail, in one batch, every dispatched task whose job will never
+        report here (a failover, a shard move), so navigation re-queues it."""
+        self.emit_batch(instance, [
+            ev.task_failed(state.path, reason, state.node, state.attempts,
+                           self.clock())
+            for state in instance.dispatched_states()
+        ])
 
     # ------------------------------------------------------------------
     # Shard migration support (driven by repro.shard.migrate)
@@ -1335,10 +962,7 @@ class BioOperaServer:
         adoption.
         """
         self.migrating.add(instance_id)
-        if self.environment is not None:
-            for job_id in self.dispatcher.inflight_for_instance(instance_id):
-                self.environment.cancel(job_id)
-        self.dispatcher.drop_instance(instance_id)
+        self._drop_jobs(instance_id)
 
     def complete_migration(self, instance_id: str) -> None:
         """Forget an instance whose migration committed (log tombstoned).
@@ -1360,11 +984,7 @@ class BioOperaServer:
         instance = self.instances.get(instance_id)
         if instance is None or instance.terminal:
             return
-        self.emit_batch(instance, [
-            ev.task_failed(state.path, "shard-migration", state.node,
-                           state.attempts, self.clock())
-            for state in instance.dispatched_states()
-        ])
+        self._redrive(instance, "shard-migration")
         self.navigator.navigate(instance)
         self.dispatcher.pump()
 
@@ -1394,11 +1014,7 @@ class BioOperaServer:
             return instance_id
         instance = self._replay(instance_id)
         if not instance.terminal:
-            self.emit_batch(instance, [
-                ev.task_failed(state.path, "shard-migration", state.node,
-                               state.attempts, self.clock())
-                for state in instance.dispatched_states()
-            ])
+            self._redrive(instance, "shard-migration")
             self.navigator.navigate(instance)
             self.dispatcher.pump()
         return instance_id

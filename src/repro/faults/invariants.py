@@ -43,7 +43,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..core.engine import events as ev
-from ..core.engine.recovery import replay_instance, verify_log
+from ..core.engine.recovery import (
+    replay_instance, staged_imports, verify_log,
+)
 from ..errors import StoreError
 from ..store import codec
 
@@ -56,15 +58,7 @@ def run_catalog(server, baseline_outputs: Optional[Dict] = None,
     mode prints as a pass/fail trace; :func:`check_server` flattens the
     same pairs into the single violation list campaigns record.
     """
-    staged = {
-        name.split("/", 1)[1]
-        for name, record in
-        server.store.configuration.settings("migrate_in/").items()
-        if isinstance(record, dict) and record.get("phase") == "staged"
-    }
-    # Staged migration imports are durable but deliberately not adopted
-    # (recovery skips them the same way); they are judged by
-    # migration_invariants, not the per-server catalog.
+    staged = staged_imports(server.store)
     instance_ids = [
         iid for iid in server.store.instances.instance_ids()
         if iid not in staged
@@ -345,7 +339,8 @@ def _check_leases(server) -> List[str]:
     if doubles:
         problems.append(f"lease double-granted {doubles} time(s)")
     holders: Dict[str, str] = {}
-    for job_id, lease in server._leases.items():
+    held = {} if server.leases is None else server.leases.held
+    for job_id, lease in held.items():
         if job_id not in server.dispatcher.in_flight:
             problems.append(f"lease held for {job_id} with no in-flight job")
         other = holders.get(lease["key"])

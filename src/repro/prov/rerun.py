@@ -181,7 +181,7 @@ def execute_rerun(server, instance_id: str,
     plan = plan_rerun(store, instance_id,
                       changed_inputs=changed_inputs, task_ids=task_ids,
                       graph=provenance_graph(store))
-    if not server.memoize:
+    if server.memo is None:
         server.enable_memoization()
     graph = provenance_graph(store)
     for task in plan.stale_tasks:

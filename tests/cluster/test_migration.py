@@ -102,7 +102,7 @@ class TestMigration:
         kernel, cluster, server = build(migration=True)
         cluster.crash_server()
         recovered = cluster.recover_server()
-        assert recovered.migration == server.migration
+        assert recovered.migration.args == server.migration.args
         iid = starve_then_free(kernel, cluster, recovered)
         assert cluster.run_until_instance_done(iid) == "completed"
         assert recovered.metrics["jobs_migrated"] >= 1

@@ -131,7 +131,7 @@ class TestLeases:
         assert server.metrics["leases_renewed"] >= 1
         assert server.metrics["leases_expired"] == 0
         assert server.metrics["lease_double_grants"] == 0
-        assert server._leases == {}
+        assert server.leases.held == {}
 
     def test_lease_released_on_completion(self):
         kernel, cluster, server = _cluster_server(cost=50.0)
@@ -141,7 +141,7 @@ class TestLeases:
         assert status == "completed"
         assert server.metrics["leases_granted"] == 1
         assert server.metrics["leases_expired"] == 0
-        assert server._leases == {}
+        assert server.leases.held == {}
 
     def test_lease_expiry_redispatches_across_half_open_partition(self):
         """A 'to-server' cut eats the completion report but the failure
@@ -166,4 +166,4 @@ class TestLeases:
         server = BioOperaServer(registry=_registry())
         server.enable_leases(123.0, 5.0)
         recovered = BioOperaServer.recover(server.store, server.registry)
-        assert recovered.leases == (123.0, 5.0)
+        assert recovered.leases.args == (123.0, 5.0)

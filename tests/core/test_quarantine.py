@@ -20,7 +20,7 @@ OCR = "PROCESS P\n  ACTIVITY A\n    PROGRAM w.u\n  END\nEND"
 
 
 def _cluster(seed=51, nodes=2, threshold=2, window=100.0, probe_after=40.0,
-             program=None):
+             program=None, quarantine=True):
     kernel = SimKernel(seed=seed)
     cluster = SimulatedCluster(kernel, uniform(nodes, cpus=1))
     registry = ProgramRegistry()
@@ -28,7 +28,8 @@ def _cluster(seed=51, nodes=2, threshold=2, window=100.0, probe_after=40.0,
         "w.u", program or (lambda inputs, ctx: ProgramResult({}, 5.0)))
     server = BioOperaServer(registry=registry)
     server.attach_environment(cluster)
-    server.enable_quarantine(threshold, window, probe_after)
+    if quarantine:
+        server.enable_quarantine(threshold, window, probe_after)
     server.define_template_ocr(OCR)
     return kernel, cluster, server
 
@@ -36,9 +37,9 @@ def _cluster(seed=51, nodes=2, threshold=2, window=100.0, probe_after=40.0,
 class TestStrikeAccounting:
     def test_strikes_within_window_quarantine_the_node(self):
         kernel, cluster, server = _cluster(threshold=2, window=100.0)
-        server._note_node_failure("node001", 10.0)
+        server.quarantine.strike("node001", 10.0)
         assert not server.awareness.node("node001").quarantined
-        server._note_node_failure("node001", 20.0)
+        server.quarantine.strike("node001", 20.0)
         assert server.awareness.node("node001").quarantined
         assert server.metrics["nodes_quarantined"] == 1
         names = [v.name for v in server.awareness.candidates()]
@@ -46,8 +47,8 @@ class TestStrikeAccounting:
 
     def test_strikes_outside_window_do_not_accumulate(self):
         kernel, cluster, server = _cluster(threshold=2, window=100.0)
-        server._note_node_failure("node001", 10.0)
-        server._note_node_failure("node001", 200.0)  # first strike expired
+        server.quarantine.strike("node001", 10.0)
+        server.quarantine.strike("node001", 200.0)  # first strike expired
         assert not server.awareness.node("node001").quarantined
 
     def test_shared_cause_reasons_are_not_node_attributed(self):
@@ -59,23 +60,24 @@ class TestStrikeAccounting:
         assert "node-down" not in ev.NODE_ATTRIBUTED_REASONS
 
     def test_environment_without_probe_support_never_quarantines(self):
-        kernel, cluster, server = _cluster(threshold=1)
+        kernel, cluster, server = _cluster(quarantine=False)
         server.environment = object()  # no schedule_probe: no way back
-        server._note_node_failure("node001", 10.0)
+        server.enable_quarantine(1, 100.0, 40.0)
+        server.quarantine.strike("node001", 10.0)
         assert not server.awareness.node("node001").quarantined
 
 
 class TestProbeReadmission:
     def test_probe_success_readmits_the_node(self):
         kernel, cluster, server = _cluster(threshold=1, probe_after=40.0)
-        server._note_node_failure("node001", kernel.now)
+        server.quarantine.strike("node001", kernel.now)
         assert server.awareness.node("node001").quarantined
         kernel.run(until=kernel.now + 45.0)  # the scheduled probe fires
         assert not server.awareness.node("node001").quarantined
 
     def test_failed_probe_keeps_the_node_benched(self):
         kernel, cluster, server = _cluster(threshold=1)
-        server._note_node_failure("node001", 5.0)
+        server.quarantine.strike("node001", 5.0)
         server.on_probe_result("node001", ok=False)
         assert server.awareness.node("node001").quarantined
         server.on_probe_result("node001", ok=True)
@@ -83,15 +85,15 @@ class TestProbeReadmission:
 
     def test_node_restart_clears_quarantine_and_history(self):
         kernel, cluster, server = _cluster(threshold=2)
-        server._note_node_failure("node001", 10.0)
-        server._note_node_failure("node001", 11.0)
+        server.quarantine.strike("node001", 10.0)
+        server.quarantine.strike("node001", 11.0)
         assert server.awareness.node("node001").quarantined
         cluster.crash_node("node001")
         cluster.restore_node("node001")
         kernel.run(until=kernel.now + 10.0)  # deliver the node-up report
         assert not server.awareness.node("node001").quarantined
         # history was wiped too: one fresh strike must not re-quarantine
-        server._note_node_failure("node001", 12.0)
+        server.quarantine.strike("node001", 12.0)
         assert not server.awareness.node("node001").quarantined
 
 
@@ -127,6 +129,6 @@ class TestEndToEnd:
         cluster.crash_server()
         cluster.recover_server()
         assert cluster.server is not server
-        assert cluster.server.quarantine == (4, 77.0, 33.0)
+        assert cluster.server.quarantine.args == (4, 77.0, 33.0)
         status = cluster.run_until_instance_done(instance_id)
         assert status == "completed"

@@ -55,7 +55,7 @@ class TestDurableRederivation:
             lambda server: server.enable_leases(120.0, 2.0))
         recovered = BioOperaServer.recover(
             old.store, make_registry(), environment=InlineEnvironment())
-        assert recovered.leases == (120.0, 2.0)
+        assert recovered.leases.args == (120.0, 2.0)
 
     def test_all_four_policies_rederived_and_absent_ones_stay_off(self):
         """recover() reads every durable policy from the configuration
@@ -68,8 +68,8 @@ class TestDurableRederivation:
         old = self.crashed_server(configure)
         recovered = BioOperaServer.recover(
             old.store, make_registry(), environment=InlineEnvironment())
-        assert recovered.memoize is True
-        assert recovered.migration == (0.5, 3.0, 4)
+        assert recovered.memo is not None
+        assert recovered.migration.args == (0.5, 3.0, 4)
         assert recovered.leases is None
         assert recovered.quarantine is None
 
@@ -78,7 +78,7 @@ class TestDurableRederivation:
             lambda server: server.enable_quarantine(2, 50.0, 10.0))
         recovered = BioOperaServer.recover(
             old.store, make_registry(), environment=InlineEnvironment())
-        assert recovered.quarantine == (2, 50.0, 10.0)
+        assert recovered.quarantine.args == (2, 50.0, 10.0)
 
     def test_storeonly_recovery_clock_resumes_past_newest_event(self):
         """With no environment and no explicit clock, recovery seeds a

@@ -29,6 +29,23 @@ def _completed_server(seed=41):
     return server, instance_id
 
 
+def _leased_server(seed=43):
+    """Leases on, and the one job in flight under its lease."""
+    kernel = SimKernel(seed=seed)
+    cluster = SimulatedCluster(kernel, uniform(2, cpus=1))
+    registry = ProgramRegistry()
+    registry.register(
+        "w.u", lambda inputs, ctx: ProgramResult({"x": 1}, 50.0))
+    server = BioOperaServer(registry=registry)
+    server.attach_environment(cluster)
+    server.enable_leases(900.0, 4.0)
+    server.define_template_ocr(OCR)
+    server.launch("P")
+    kernel.run(until=5.0)
+    assert len(server.leases.held) == 1
+    return server
+
+
 class TestHealthyServer:
     def test_clean_run_has_no_violations(self):
         server, instance_id = _completed_server()
@@ -132,3 +149,27 @@ class TestPlantedViolations:
                    for p in named["contiguous-log"])
         assert any("log unreadable" in p and "seq 2" in p
                    for p in named["log-replayable/epoch-monotone"])
+
+    def _leases(self, server):
+        return dict(invariants.run_catalog(server))["leases"]
+
+    def test_counted_lease_double_grant_is_caught(self):
+        server = _leased_server()
+        assert self._leases(server) == []
+        (job, node), = server.dispatcher.in_flight.values()
+        server.leases.grant(job, node)  # a second lease for a live one
+        assert self._leases(server) == ["lease double-granted 1 time(s)"]
+
+    def test_lease_without_in_flight_job_is_caught(self):
+        server = _leased_server()
+        (lease,) = server.leases.held.values()
+        server.leases.held["job-ghost"] = dict(lease, key="P:ghost")
+        assert self._leases(server) == [
+            "lease held for job-ghost with no in-flight job"]
+
+    def test_two_live_leases_for_one_task_are_caught(self):
+        server = _leased_server()
+        (job_id, lease), = server.leases.held.items()
+        server.leases.held["job-twin"] = dict(lease)
+        assert (f"two live leases for task {lease['key']}: {job_id} and "
+                f"job-twin") in self._leases(server)

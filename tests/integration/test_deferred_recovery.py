@@ -26,7 +26,7 @@ from repro.core.engine import (
 )
 from repro.core.engine.instance import ProcessInstance
 from repro.core.engine.operator_console import OperatorConsole
-from repro.core.engine.server import InstanceMap
+from repro.core.engine.recovery import InstanceMap
 from repro.core.monitor import queries
 from repro.core.planning.whatif import outage_impact
 from repro.errors import ActivityFailure, StoreError

@@ -124,7 +124,7 @@ class TestDurability:
         recovered = BioOperaServer.recover(
             store, diamond_registry(calls),
             environment=InlineEnvironment())
-        assert recovered.memoize is True
+        assert recovered.memo is not None
 
     def test_rerun_on_recovered_server_replays_from_durable_cache(self):
         calls = []

@@ -10,7 +10,10 @@ the cells for seeds 0..N-1 of the ``mixed``, ``partition``, ``shard`` and
 ``rebalance`` profiles, plus how many runs did not complete or violated an
 invariant (about 45 s for the default 30 seeds), and exits non-zero if any
 did. Run it on the parent and on the change, then ``--compare`` the two
-files: differing cells are listed and the exit code is non-zero.
+files: differing cells are listed and the exit code is non-zero. A report
+names the interpreter that wrote it. ``tools/campaign_digests.json`` is
+the committed baseline CI compares against; a change that moves a digest
+commits the file it regenerates.
 
 Usage::
 
@@ -22,6 +25,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import platform
 
 PROFILES = ("mixed", "partition", "shard", "rebalance")
 
@@ -43,7 +47,8 @@ def digests(seeds):
             cells[f"{profile}/{seed}"] = hashlib.sha256(
                 payload.encode()
             ).hexdigest()
-    return {"cells": cells, "not_ok": not_ok}
+    return {"cells": cells, "not_ok": not_ok,
+            "python": platform.python_version()}
 
 
 def compare(before_path, after_path):
