@@ -2,10 +2,11 @@
 
 Public surface: :class:`KVStore` (checkpoint-bounded recovery over a
 segmented WAL), the BioOpera data spaces (:class:`OperaStore` and the four
-space classes), WAL backends (:class:`SegmentedWAL`, :class:`MemoryWAL`),
-and the lineage graph.
+space classes), the WAL (:class:`SegmentedWAL`) and the :class:`MemoryDisk`
+an in-memory store runs it on, and the lineage graph.
 """
 
+from .disk import MemoryDisk
 from .kvstore import KVStore, MEMORY, Transaction
 from .lineage import LineageGraph, LineageRecord
 from .spaces import (
@@ -15,13 +16,13 @@ from .spaces import (
     OperaStore,
     TemplateSpace,
 )
-from .wal import MemoryWAL, SegmentedWAL
+from .wal import SegmentedWAL
 
 __all__ = [
     "KVStore",
     "MEMORY",
     "Transaction",
-    "MemoryWAL",
+    "MemoryDisk",
     "SegmentedWAL",
     "OperaStore",
     "TemplateSpace",

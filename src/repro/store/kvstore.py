@@ -30,14 +30,16 @@ mechanism the data spaces are built on.
 
 from __future__ import annotations
 
+import copy
 import os
 from typing import Any, Dict, Iterable, Iterator, List, Tuple
 
 from ..errors import CodecError, CorruptLogError, ReproError, StoreError
 from ..faults.points import fire
 from . import codec
-from .snapshot import FileSnapshot, MemorySnapshot
-from .wal import DEFAULT_SEGMENT_RECORDS, MemoryWAL, SegmentedWAL
+from .disk import OS_DISK, Disk, MemoryDisk
+from .snapshot import FileSnapshot
+from .wal import DEFAULT_SEGMENT_RECORDS, SegmentedWAL
 
 MEMORY = ":memory:"
 
@@ -112,8 +114,9 @@ class KVStore:
     ----------
     path:
         Directory for the segmented WAL (``wal/``) and ``store.snapshot``,
-        or :data:`MEMORY` for an in-process store with simulated
-        durability.
+        or :data:`MEMORY` for the same files on a private
+        :class:`~repro.store.disk.MemoryDisk` (durability simulated by
+        its crash model).
     segment_records:
         Rotation threshold for the segmented WAL: a segment is sealed
         once it holds this many records (or
@@ -163,6 +166,12 @@ class KVStore:
         }
         self._sync_policy = sync_policy
         self._group_max_pending = max(1, int(group_max_pending))
+        self._open(MemoryDisk() if path == MEMORY else OS_DISK)
+
+    def _open(self, disk: Disk) -> None:
+        """Open the WAL and the snapshot on ``disk`` and recover from
+        them: the one open, of a new store and of a crash survivor."""
+        self._disk = disk
         #: encoded-but-unflushed commit records (group policy): applied
         #: to the live state, not yet in the WAL. A crash loses exactly
         #: this buffer.
@@ -172,20 +181,13 @@ class KVStore:
             "commits": 0, "syncs": 0, "group_flushes": 0,
             "flushed_commits": 0, "max_group": 0,
         }
-        if path == MEMORY:
-            self._wal = MemoryWAL(
-                max_segment_records=segment_records,
-                retain_truncated=retain_history,
-            )
-            self._snapshot = MemorySnapshot()
-        else:
-            os.makedirs(path, exist_ok=True)
-            self._wal = SegmentedWAL(
-                os.path.join(path, "wal"),
-                max_segment_records=segment_records,
-                retain_truncated=retain_history,
-            )
-            self._snapshot = FileSnapshot(os.path.join(path, "store.snapshot"))
+        self._wal = SegmentedWAL(
+            os.path.join(self.path, "wal"), disk=disk,
+            max_segment_records=self._options["segment_records"],
+            retain_truncated=self._options["retain_history"],
+        )
+        self._snapshot = FileSnapshot(
+            os.path.join(self.path, "store.snapshot"), disk=disk)
         self._state: Dict[str, Any] = {}
         #: summary of the last recovery (set by every open/replay):
         #: checkpoint position, records replayed, live segments, repairs.
@@ -268,26 +270,16 @@ class KVStore:
                 cls._resolve(state, key, state[key])
 
     def simulate_crash(self) -> "KVStore":
-        """Return a new store holding only what a crash would preserve.
+        """Return a new store holding only what a crash would preserve:
+        this store reopened on its memory disk's ``crashed()`` copy.
 
         Only meaningful for in-memory stores; on-disk stores are recovered
         by re-opening the directory.
         """
         if self.path != MEMORY:
             raise StoreError("simulate_crash() applies to in-memory stores")
-        survivor = KVStore.__new__(KVStore)
-        survivor.path = MEMORY
-        survivor._options = dict(self._options)
-        survivor._sync_policy = self._sync_policy
-        survivor._group_max_pending = self._group_max_pending
-        # Buffered commits never reached the WAL: the crash loses them.
-        survivor._pending = []
-        survivor.stats = {key: 0 for key in self.stats}
-        survivor._wal = self._wal.simulate_crash()
-        survivor._snapshot = self._snapshot
-        survivor._state = {}
-        survivor.last_recovery = {}
-        survivor._replay()
+        survivor = copy.copy(self)
+        survivor._open(self._disk.crashed())
         return survivor
 
     # -- mutations ------------------------------------------------------------
@@ -300,8 +292,8 @@ class KVStore:
         if self._sync_policy == "per-commit":
             self._wal.append(payload)
             # Crash here: the record is appended but unsynced — a real
-            # crash loses it (MemoryWAL.simulate_crash drops the unsynced
-            # suffix).
+            # crash loses it (a crashed MemoryDisk keeps fsynced bytes
+            # only).
             fire("kvstore.commit.pre-sync", ops=len(values))
             self._wal.sync()
             self.stats["syncs"] += 1

@@ -23,7 +23,8 @@ from repro.faults.points import (
     CATALOG, FaultInjector, InjectedCrash, active, fire, installed,
 )
 from repro.store.kvstore import KVStore
-from repro.store.wal import MemoryWAL, SegmentedWAL
+from repro.store.disk import MemoryDisk
+from repro.store.wal import SegmentedWAL
 
 OCR = "PROCESS P\n  ACTIVITY A\n    PROGRAM w.u\n  END\nEND"
 
@@ -238,13 +239,15 @@ class TestCrashWindows:
         reopened.close()
 
     def test_memory_wal_crash_loses_the_record(self):
-        wal = MemoryWAL()
+        disk = MemoryDisk()
+        wal = SegmentedWAL("wal", disk=disk)
         wal.append(b"kept")
         wal.sync()
         with installed(FaultInjector([FaultAction("wal.append", "crash")])):
             with pytest.raises(InjectedCrash):
                 wal.append(b"lost")
-        assert list(wal.records()) == [b"kept"]
+        survivor = SegmentedWAL("wal", disk=disk.crashed())
+        assert list(survivor.records()) == [b"kept"]
 
     def test_kvstore_pre_sync_crash_loses_commit(self):
         kv = KVStore()

@@ -1,6 +1,8 @@
 """KV store: durability, transactions, snapshots, bounded recovery."""
 
 import os
+import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from repro.faults.plan import FaultAction
 from repro.faults.points import FaultInjector, InjectedCrash, installed
 from repro.store import KVStore
 from repro.store import codec
+from repro.store.disk import OSDisk
 from repro.store.snapshot import FileSnapshot
 from repro.store.wal import MANIFEST_NAME
 
@@ -339,7 +342,14 @@ class TestBoundedRecovery:
         assert store.audit() == []
         # tamper with retained history: the full-log replay now disagrees
         # with the snapshot+suffix reconstruction
-        store._wal._truncated[0] = codec.encode([["put", "evil"], [9]])
+        retired = os.path.join(store._wal.directory,
+                               store._wal._retired[0]["file"])
+        frames = b"".join(
+            struct.pack("<II", len(p), zlib.crc32(p)) + p
+            for p in (codec.encode([["put", "evil"], [9]]),
+                      codec.encode([["put", "b"], [2]])))
+        with store._disk.open(retired, "wb") as fh:
+            fh.write(frames)
         problems = store.audit()
         assert any("byte-identical" in problem for problem in problems)
 
@@ -388,7 +398,7 @@ class TestRecordShape:
 
     def test_reopen_decodes_no_value(self, tmp_path, monkeypatch):
         """Opening a store of N commits decodes its manifest and nothing
-        else, whatever N; a crashed memory store decodes nothing."""
+        else, whatever N; so does opening a crashed memory store."""
         for commits in (10, 60):
             path = str(tmp_path / f"db{commits}")
             store = KVStore(path, segment_records=16)
@@ -411,7 +421,8 @@ class TestRecordShape:
             memory.put(f"k{i}", i)
         decodes = _Decodes(monkeypatch)
         survivor = memory.simulate_crash()
-        assert len(survivor) == 20 and decodes.calls == 0
+        assert len(survivor) == 20
+        assert (decodes.calls, decodes.records) == (1, [])  # MANIFEST
 
     def test_two_keys_of_one_record_decode_it_once(self, monkeypatch):
         store = KVStore()
@@ -461,13 +472,15 @@ class TestRecordShape:
             scans.append(len(data))
             return scan(data)
 
-        def counted_open(file, mode="r", *args, **kwargs):
-            if mode == "rb" and str(file).endswith(".wal"):
+        read = OSDisk.read
+
+        def counted_read(disk, file):
+            if file.endswith(".wal"):
                 reads.append(os.path.basename(file))
-            return open(file, mode, *args, **kwargs)
+            return read(disk, file)
 
         monkeypatch.setattr(wal_module, "_scan", counted_scan)
-        monkeypatch.setattr(wal_module, "open", counted_open, raising=False)
+        monkeypatch.setattr(OSDisk, "read", counted_read)
         reopened = KVStore(path, segment_records=4)
         segments = reopened.last_recovery["segments"]
         assert segments == 5

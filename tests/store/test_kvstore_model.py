@@ -130,11 +130,7 @@ class KVStoreMachine(RuleBasedStateMachine):
         assert self._snapshot_bytes() == expected
 
     def _snapshot_bytes(self):
-        snapshot = self.store._snapshot
-        if self.directory is None:
-            return snapshot._payload
-        with open(snapshot.path, "rb") as fh:
-            return fh.read()
+        return self.store._disk.read(self.store._snapshot.path)
 
     # -- recovery --------------------------------------------------------------
 

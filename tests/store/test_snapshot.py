@@ -5,45 +5,58 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.store.snapshot import FileSnapshot, MemorySnapshot
+from repro.store.disk import MemoryDisk, OSDisk
+from repro.store.snapshot import FileSnapshot
+
+
+@pytest.fixture()
+def disk(request, tmp_path):
+    """A fresh disk of the kind the test class runs on, holding
+    ``tmp_path`` as a directory."""
+    disk = request.cls.make_disk()
+    disk.makedirs(str(tmp_path))
+    return disk
 
 
 class TestFileSnapshot:
-    def test_round_trip(self, tmp_path):
-        snapshot = FileSnapshot(str(tmp_path / "snap"))
+    make_disk = OSDisk
+
+    def test_round_trip(self, tmp_path, disk):
+        snapshot = FileSnapshot(str(tmp_path / "snap"), disk=disk)
         snapshot.save({"a": 1, "b": [2, 3]})
         assert snapshot.load() == {"a": 1, "b": [2, 3]}
 
-    def test_missing_file_loads_none(self, tmp_path):
-        assert FileSnapshot(str(tmp_path / "nope")).load() is None
+    def test_missing_file_loads_none(self, tmp_path, disk):
+        assert FileSnapshot(str(tmp_path / "nope"), disk=disk).load() is None
 
-    def test_overwrite_is_atomic_rename(self, tmp_path):
+    def test_overwrite_is_atomic_rename(self, tmp_path, disk):
         path = str(tmp_path / "snap")
-        snapshot = FileSnapshot(path)
+        snapshot = FileSnapshot(path, disk=disk)
         snapshot.save({"v": 1})
         snapshot.save({"v": 2})
         assert snapshot.load() == {"v": 2}
         # no stray temp file left behind
-        assert os.listdir(tmp_path) == ["snap"]
+        assert disk.listdir(str(tmp_path)) == ["snap"]
 
-    def test_interrupted_write_leaves_old_snapshot(self, tmp_path):
+    def test_interrupted_write_leaves_old_snapshot(self, tmp_path, disk):
         """A crash mid-write (temp file exists, rename never happened)
         must not corrupt the last good snapshot."""
         path = str(tmp_path / "snap")
-        snapshot = FileSnapshot(path)
+        snapshot = FileSnapshot(path, disk=disk)
         snapshot.save({"good": True})
-        with open(path + ".tmp", "wb") as fh:
+        with disk.open(path + ".tmp", "wb") as fh:
             fh.write(b'{"half-writ')   # simulated torn temp file
         assert snapshot.load() == {"good": True}
 
-    def test_save_fsyncs_directory_after_rename(self, tmp_path, monkeypatch):
+    def test_save_fsyncs_directory_after_rename(self, tmp_path, disk,
+                                                monkeypatch):
         """Regression: the rename itself must be made durable by fsyncing
         the containing directory — without it a power loss shortly after
         save() can roll the directory entry back to the old snapshot."""
         import stat
 
         path = str(tmp_path / "snap")
-        snapshot = FileSnapshot(path)
+        snapshot = FileSnapshot(path, disk=disk)
         synced_modes = []
         real_fsync = os.fsync
 
@@ -57,15 +70,43 @@ class TestFileSnapshot:
             "save() must fsync the containing directory after os.replace"
 
 
+class TestFileSnapshotOnMemoryDisk(TestFileSnapshot):
+    """The same cases on a memory disk, where the directory fsync is
+    what a crash is checked against."""
+
+    make_disk = MemoryDisk
+
+    def test_save_fsyncs_directory_after_rename(self, tmp_path, disk,
+                                                monkeypatch):
+        path = str(tmp_path / "snap")
+        FileSnapshot(path, disk=disk).save({"v": 1})
+        FileSnapshot(path, disk=disk).save({"v": 2})
+        survivor = FileSnapshot(path, disk=disk.crashed())
+        assert survivor.load() == {"v": 2}
+        monkeypatch.setattr(disk, "fsync_dir", lambda directory: None)
+        FileSnapshot(path, disk=disk).save({"v": 3})
+        # without the directory fsync the rename is lost in a crash
+        assert FileSnapshot(path, disk=disk.crashed()).load() == {"v": 2}
+
+
 class TestMemorySnapshot:
+    """The snapshot of an in-memory store: a :class:`FileSnapshot` on a
+    :class:`MemoryDisk`."""
+
     def test_round_trip(self):
-        snapshot = MemorySnapshot()
+        disk = MemoryDisk()
+        disk.makedirs("db")
+        snapshot = FileSnapshot("db/snap", disk=disk)
         assert snapshot.load() is None
         snapshot.save({"x": [1]})
         assert snapshot.load() == {"x": [1]}
+        survivor = FileSnapshot("db/snap", disk=disk.crashed())
+        assert survivor.load() == {"x": [1]}
 
     def test_load_returns_fresh_copy(self):
-        snapshot = MemorySnapshot()
+        disk = MemoryDisk()
+        disk.makedirs("db")
+        snapshot = FileSnapshot("db/snap", disk=disk)
         snapshot.save({"x": [1]})
         first = snapshot.load()
         first["x"].append(99)

@@ -21,18 +21,41 @@ def _ledger():
     return module
 
 
-def test_every_repro_entry_point_resolves_the_way_the_tracer_installs_it():
-    rows = [row for row in _ledger().ENTRY_POINTS
+def _repro_rows():
+    return [row for row in _ledger().ENTRY_POINTS
             if row[0].startswith("repro.")]
+
+
+def _owner(owner_path):
+    module_name, _, class_name = owner_path.partition(":")
+    module = importlib.import_module(module_name)
+    return getattr(module, class_name) if class_name else module
+
+
+def test_every_repro_entry_point_resolves_the_way_the_tracer_installs_it():
+    rows = _repro_rows()
     assert len(rows) > 100
     missing = []
     for owner_path, attr, _span, _value in rows:
-        module_name, _, class_name = owner_path.partition(":")
-        module = importlib.import_module(module_name)
-        if class_name:
-            found = attr in getattr(module, class_name).__dict__
+        owner = _owner(owner_path)
+        if ":" in owner_path:
+            found = attr in owner.__dict__
         else:
-            found = callable(getattr(module, attr, None))
+            found = callable(getattr(owner, attr, None))
         if not found:
             missing.append(f"{owner_path}.{attr}")
     assert missing == []
+
+
+def test_no_two_entry_points_wrap_the_same_attribute():
+    """Two rows naming one (owner, attribute) — a class reachable under
+    two names, say — would install a wrapper around a wrapper and count
+    every call twice."""
+    seen = {}
+    twice = []
+    for owner_path, attr, _span, _value in _repro_rows():
+        key = (id(_owner(owner_path)), attr)
+        if key in seen:
+            twice.append(f"{owner_path}.{attr} is {seen[key]}.{attr}")
+        seen.setdefault(key, owner_path)
+    assert twice == []
