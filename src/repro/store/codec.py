@@ -1,15 +1,31 @@
 """Deterministic serialization for the persistent store.
 
 Values are restricted to the JSON data model (plus tuples, which encode as
-lists). Encoding is canonical — sorted keys, no whitespace — so identical
-values always produce identical bytes, which the WAL checksums and the
-round-trip property tests rely on.
+lists). Encoding is canonical — sorted keys, no whitespace, ASCII-escaped
+text — so identical values always produce identical bytes, which the WAL
+checksums and the round-trip property tests rely on.
+
+The encoder decides validity; :func:`_check` only words a rejection. A
+successful :func:`encode` is one call of a C encoder built once at import,
+plus one regex search of its output. That encoder raises on every value
+outside the model but one: it turns int, float, bool and ``None`` dict keys
+into strings, which the store forbids. Such a key is written as ``"K":``
+with ``K`` an int or float repr, ``true``, ``false`` or ``null``, and the
+key screen matches every string of that form, so it misses no coerced key.
+Inside a JSON string every quote is escaped, so a match always ends an
+object key; a string key such as ``"1"`` or ``"true"`` matches too, so a
+hit only sends the value to :func:`_check`, which decides. When the
+encoder raises, :func:`_check` walks the value to name the offending path;
+if it finds nothing (a NaN or an infinity), the encoder's own message
+stands.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+import re
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from typing import Any, NoReturn
 
 from ..errors import CodecError
 
@@ -36,15 +52,39 @@ def _check(value: Any, path: str) -> None:
     )
 
 
+class _Unencodable(TypeError):
+    """Raised by the encoder for a value outside the JSON data model."""
+
+
+def _reject(value: Any) -> NoReturn:
+    raise _Unencodable(f"value of type {type(value).__name__} is not "
+                       "serializable")
+
+
+# What json.dumps(sort_keys=True, separators=(",", ":"), allow_nan=False)
+# builds afresh on every call. No markers dict: a shared one would keep
+# the ids of an aborted encode and report false cycles later; a cycle is
+# caught as a RecursionError instead.
+_ENCODER = c_make_encoder(None, _reject, encode_basestring_ascii, None,
+                          ":", ",", True, False, False)
+# A quoted key spelt only in the characters of a number, ``true``, ``false``
+# or ``null``: a superset of the coerced keys that scans ~4x faster than
+# their exact grammar.
+_COERCED_KEY = re.compile(r'"[-0-9fnt][-+.0-9aeflnrstu]*":')
+
+
 def encode(value: Any) -> bytes:
     """Serialize ``value`` to canonical UTF-8 JSON bytes."""
-    _check(value, "$")
     try:
-        text = json.dumps(
-            value, sort_keys=True, separators=(",", ":"), allow_nan=False
-        )
-    except (TypeError, ValueError) as exc:
-        raise CodecError(str(exc)) from exc
+        try:
+            text = "".join(_ENCODER(value, 0))
+        except (TypeError, ValueError) as exc:
+            _check(value, "$")
+            raise CodecError(str(exc)) from exc
+        if _COERCED_KEY.search(text) is not None:
+            _check(value, "$")
+    except RecursionError as exc:
+        raise CodecError("value is circular or nested too deeply") from exc
     return text.encode("utf-8")
 
 

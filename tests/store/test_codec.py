@@ -1,13 +1,16 @@
 """Serialization: determinism, round trips, rejection of bad values."""
 
 import collections
+import enum
 import json
+import math
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.engine import events as ev
 from repro.errors import CodecError
-from repro.store import codec
+from repro.store import KVStore, codec
 
 json_scalars = st.one_of(
     st.none(),
@@ -25,6 +28,125 @@ json_values = st.recursive(
     ),
     max_leaves=25,
 )
+
+
+# The encoder before the prebuilt one, kept verbatim (walk first, then
+# ``json.dumps``) as the reference the differential tests compare with.
+_ALLOWED_SCALARS = (str, int, float, bool, type(None))
+
+
+def _check(value, path):
+    if isinstance(value, _ALLOWED_SCALARS):
+        return
+    if isinstance(value, (list, tuple)):
+        for index, item in enumerate(value):
+            _check(item, f"{path}[{index}]")
+        return
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise CodecError(
+                    f"non-string dict key {key!r} at {path}"
+                )
+            _check(item, f"{path}.{key}")
+        return
+    raise CodecError(
+        f"value of type {type(value).__name__} at {path} is not serializable"
+    )
+
+
+def reference_encode(value):
+    """Serialize ``value`` to canonical UTF-8 JSON bytes."""
+    _check(value, "$")
+    try:
+        text = json.dumps(
+            value, sort_keys=True, separators=(",", ":"), allow_nan=False
+        )
+    except (TypeError, ValueError) as exc:
+        raise CodecError(str(exc)) from exc
+    return text.encode("utf-8")
+
+
+def outcome(encoder, value):
+    """The bytes ``encoder`` gives for ``value``, or its rejection message."""
+    try:
+        return encoder(value)
+    except CodecError as exc:
+        return f"CodecError: {exc}"
+
+
+class Name(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+class Record(dict):
+    pass
+
+
+class Pair(tuple):
+    pass
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+# Every kind of key and leaf the C encoder treats apart: keys it coerces
+# (int, float, bool, None, inf, NaN), string keys that look coerced, text
+# that looks like a key, values outside the model, and subclasses.
+any_keys = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(["1", "true", "false", "null", "-2.5e3", '","1":',
+                     Name("k")]),
+    st.integers(min_value=-5, max_value=5),
+    st.floats(width=32),
+    st.booleans(),
+    st.none(),
+)
+any_leaves = st.one_of(
+    json_scalars,
+    st.floats(),
+    st.sampled_from(['","1":', Name("x"), Count(3), Level.HIGH,
+                     True, math.inf, -math.inf]),
+    st.frozensets(st.integers(), max_size=2),
+    st.binary(max_size=2),
+    st.builds(object),
+)
+any_values = st.recursive(
+    any_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(children, max_size=3).map(Pair),
+        st.dictionaries(any_keys, children, max_size=4),
+        st.dictionaries(st.text(max_size=4), children, max_size=3)
+        .map(Record),
+        st.dictionaries(st.text(max_size=4), children, max_size=3)
+        .map(collections.OrderedDict),
+    ),
+    max_leaves=20,
+)
+
+DIFFERENTIAL_CORPUS = [
+    {1: 0}, {1.5: 0}, {True: 0}, {False: 0}, {None: 0},
+    {math.inf: 0}, {-math.inf: 0}, {math.nan: 0},
+    {1: 0, "a": 1}, {"a": 1, None: 0}, {"a": {2: "x", "b": 1}},
+    {"1": 0}, {"true": 0}, {"false": 1}, {"null": 2}, {"-2.5e3": 3},
+    {'","1":': '","1":'}, ['","1":', {"k": '","1":'}],
+    {"a": [0, {"b": ({"c": {1, 2}},)}]}, {"a": {"b": [b"raw"]}},
+    [{"x": [object()]}], {"a": [1.0, {"b": math.nan}]},
+    math.nan, math.inf, -math.inf, [math.inf], {"a": -math.inf},
+    {"b": math.nan, "a": {1: 0}}, {"a": math.nan, "b": set()},
+    Name("s"), Count(7), {"n": Count(-1)}, Record(b=1, a=Name("x")),
+    Pair((1, Pair((2,)))), Level.LOW, {"lvl": Level.HIGH, 3: Level.LOW},
+    collections.OrderedDict(b=1, a=[2]), {Name("k"): Pair((1,))},
+    {Level.LOW: "x"}, {Count(2): 0}, {(1, 2): 0}, {frozenset(): 0},
+]
 
 
 class TestEncode:
@@ -97,6 +219,92 @@ class TestEncode:
 
         value = collections.OrderedDict(b=Name("x"), a=True)
         assert codec.encode(value) == b'{"a":true,"b":"x"}'
+
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: _cycle([]), id="list"),
+        pytest.param(lambda: _cycle({}), id="dict"),
+        pytest.param(lambda: _nest(5000), id="5000-deep"),
+    ])
+    def test_circular_or_too_deep_is_a_codec_error(self, make):
+        with pytest.raises(CodecError) as excinfo:
+            codec.encode(make())
+        assert str(excinfo.value).startswith(
+            "value is circular or nested too deeply")
+
+
+def _cycle(container):
+    if isinstance(container, list):
+        container.append(container)
+    else:
+        container["self"] = container
+    return container
+
+
+def _nest(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+class TestDifferential:
+    """The prebuilt encoder against the walk-then-dumps one it replaced:
+    equal bytes, or a ``CodecError`` with an equal message from both."""
+
+    @pytest.mark.parametrize("value", DIFFERENTIAL_CORPUS)
+    def test_corpus(self, value):
+        assert outcome(codec.encode, value) == outcome(reference_encode,
+                                                       value)
+
+    @given(json_values)
+    def test_json_values(self, value):
+        assert outcome(codec.encode, value) == outcome(reference_encode,
+                                                       value)
+
+    @given(any_values)
+    def test_any_values(self, value):
+        assert outcome(codec.encode, value) == outcome(reference_encode,
+                                                       value)
+
+
+class TestSuccessPath:
+    """A value the encoder accepts is not walked unless the key screen
+    hits."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        """The paths ``_check`` is called at, its recursion included."""
+        calls = []
+        real = codec._check
+
+        def counting(value, path):
+            calls.append(path)
+            return real(value, path)
+
+        monkeypatch.setattr(codec, "_check", counting)
+        return calls
+
+    def test_an_event_record_is_not_walked(self, checks):
+        event = ev.instance_created(
+            "all_vs_all", 3, {"db_name": "sp38", "granularity": 4,
+                              "cutoff": 80.5, "tags": ["a", "b"]}, 12.25)
+        store = KVStore()
+        with store.transaction() as txn:
+            txn.put("instances/i-1/events/0000000000", event)
+            txn.put("instances/i-1/next_seq", 1)
+        record = [["put", "instances/i-1/events/0000000000"], [event]]
+        assert codec.encode(record) == reference_encode(record)
+        assert checks == []
+
+    def test_a_numeric_string_key_is_walked_once(self, checks):
+        assert codec.encode({"1": 0}) == b'{"1":0}'
+        assert checks.count("$") == 1
+
+    def test_a_non_string_key_is_still_rejected(self, checks):
+        with pytest.raises(CodecError) as excinfo:
+            codec.encode({1: 0})
+        assert str(excinfo.value) == "non-string dict key 1 at $"
 
 
 class TestDecode:

@@ -396,6 +396,19 @@ class TestRecordShape:
             b'[["put","d"],[3]]',
         ]
 
+    def test_record_bytes_are_pinned(self):
+        """ASCII escapes, float repr and key order of a committed record."""
+        store = KVStore()
+        store.put("run/zürich", {
+            "site": "Zürich", "score": 3.7305166412960014, "big": 1e16,
+            "zero": -0.0, "pairs": ((1, 2), (3, (4.5,))),
+        })
+        assert list(store._wal.records()) == [
+            b'[["put","run/z\\u00fcrich"],[{"big":1e+16,'
+            b'"pairs":[[1,2],[3,[4.5]]],"score":3.7305166412960014,'
+            b'"site":"Z\\u00fcrich","zero":-0.0}]]',
+        ]
+
     def test_reopen_decodes_no_value(self, tmp_path, monkeypatch):
         """Opening a store of N commits decodes its manifest and nothing
         else, whatever N; so does opening a crashed memory store."""
