@@ -10,14 +10,16 @@ successful :func:`encode` is one call of a C encoder built once at import,
 plus one regex search of its output. That encoder raises on every value
 outside the model but one: it turns int, float, bool and ``None`` dict keys
 into strings, which the store forbids. Such a key is written as ``"K":``
-with ``K`` an int or float repr, ``true``, ``false`` or ``null``, and the
-key screen matches every string of that form, so it misses no coerced key.
-Inside a JSON string every quote is escaped, so a match always ends an
-object key; a string key such as ``"1"`` or ``"true"`` matches too, so a
-hit only sends the value to :func:`_check`, which decides. When the
-encoder raises, :func:`_check` walks the value to name the offending path;
-if it finds nothing (a NaN or an infinity), the encoder's own message
-stands.
+after a ``{`` or a ``,``, with ``K`` an int or float repr, ``true``,
+``false`` or ``null``; the key screen matches exactly that form, so it
+misses no coerced key. Inside a JSON string every quote is escaped, so a
+match is always a whole object key; a string key such as ``"1"`` or
+``"true"`` matches too, so a hit only sends the value to :func:`_check`,
+which decides. When the encoder raises, :func:`_check` walks the value to
+name the offending path; if it finds nothing (a NaN or an infinity), the
+encoder's own message stands. How deep a value may nest is the
+interpreter's C recursion limit, which the encoder and the decoder share:
+deeper, or circular, is a :class:`CodecError` from either.
 """
 
 from __future__ import annotations
@@ -52,13 +54,10 @@ def _check(value: Any, path: str) -> None:
     )
 
 
-class _Unencodable(TypeError):
-    """Raised by the encoder for a value outside the JSON data model."""
-
-
 def _reject(value: Any) -> NoReturn:
-    raise _Unencodable(f"value of type {type(value).__name__} is not "
-                       "serializable")
+    # Every type the encoder hands here is one _check rejects first, with
+    # the path, so this message is never shown.
+    raise TypeError(type(value).__name__)
 
 
 # What json.dumps(sort_keys=True, separators=(",", ":"), allow_nan=False)
@@ -67,10 +66,12 @@ def _reject(value: Any) -> NoReturn:
 # caught as a RecursionError instead.
 _ENCODER = c_make_encoder(None, _reject, encode_basestring_ascii, None,
                           ":", ",", True, False, False)
-# A quoted key spelt only in the characters of a number, ``true``, ``false``
-# or ``null``: a superset of the coerced keys that scans ~4x faster than
-# their exact grammar.
-_COERCED_KEY = re.compile(r'"[-0-9fnt][-+.0-9aeflnrstu]*":')
+# The key grammar ``[{,]"(?:-?[0-9][0-9.eE+\-]*|true|false|null)":``,
+# anchored on the quote: the lookahead and lookbehind turn most quotes
+# away before the alternation is tried, which scans ~3x faster than that
+# spelling and matches at the same places.
+_COERCED_KEY = re.compile(
+    r'"(?=[-0-9fnt])(?<=[{,]")(?:-?[0-9][0-9.eE+\-]*|true|false|null)":')
 
 
 def encode(value: Any) -> bytes:
@@ -92,7 +93,7 @@ def decode(data: bytes) -> Any:
     """Deserialize bytes produced by :func:`encode`."""
     try:
         return json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CodecError(f"undecodable record: {exc}") from exc
 
 
@@ -107,5 +108,5 @@ def decode_head(data: bytes) -> Any:
         if text[:1] != "[":
             raise ValueError("not an array")
         return _PREFIX_DECODER.raw_decode(text, 1)[0]
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise CodecError(f"undecodable record head: {exc}") from exc

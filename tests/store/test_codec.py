@@ -4,6 +4,7 @@ import collections
 import enum
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -224,7 +225,8 @@ class TestEncode:
     @pytest.mark.parametrize("make", [
         pytest.param(lambda: _cycle([]), id="list"),
         pytest.param(lambda: _cycle({}), id="dict"),
-        pytest.param(lambda: _nest(5000), id="5000-deep"),
+        # Deeper than the C recursion limit of any interpreter.
+        pytest.param(lambda: _nest(200_000), id="200000-deep"),
     ])
     def test_circular_or_too_deep_is_a_codec_error(self, make):
         with pytest.raises(CodecError) as excinfo:
@@ -301,6 +303,22 @@ class TestSuccessPath:
         assert codec.encode({"1": 0}) == b'{"1":0}'
         assert checks.count("$") == 1
 
+    def test_keys_outside_the_grammar_are_not_walked(self, checks):
+        value = {"tree": 1, "nest": "1", "1a": True, "nulls": None,
+                 "a": ['"1":', {"x": 'z","2":'}], "": -0.5}
+        assert codec.encode(value) == reference_encode(value)
+        assert checks == []
+
+    def test_the_screen_is_the_key_grammar(self):
+        grammar = re.compile(
+            r'[{,]"(?:-?[0-9][0-9.eE+\-]*|true|false|null)":')
+        texts = ['{"1":0}', '[{"a":0,"-2.5e3":1}]', '{"true":0}',
+                 '{"nullx":0}', '{"tree":0}', '["1":', '{"a\\"1":0}',
+                 '{"a":"x,\\"1\\":"}', '{"":0}', '{"e1":0}', '[0,"1"]']
+        for text in texts:
+            assert (codec._COERCED_KEY.search(text) is None) == (
+                grammar.search(text) is None), text
+
     def test_a_non_string_key_is_still_rejected(self, checks):
         with pytest.raises(CodecError) as excinfo:
             codec.encode({1: 0})
@@ -320,6 +338,15 @@ class TestDecode:
         payload = codec.encode({"a": 1})
         with pytest.raises(CodecError):
             codec.decode(payload[:-2])
+
+    def test_too_deep_is_a_codec_error(self):
+        """Past the C recursion limit of the reading interpreter, which
+        may be lower than the writing one's."""
+        payload = b"[" * 200_000 + b"]" * 200_000
+        with pytest.raises(CodecError):
+            codec.decode(payload)
+        with pytest.raises(CodecError):
+            codec.decode_head(b"[" + payload + b"]")
 
 
 class TestProperties:
