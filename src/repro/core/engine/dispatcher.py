@@ -200,6 +200,11 @@ class Dispatcher:
     def queue_length(self) -> int:
         return len(self._queued)
 
+    def instances_with_jobs(self) -> Set[str]:
+        """The instances with a job queued, held or in flight."""
+        return (set(self._queued_by_instance) | set(self._held)
+                | set(self._inflight_by_instance))
+
     # -- placement ---------------------------------------------------------------
 
     def pump(self) -> int:

@@ -87,6 +87,9 @@ class Navigator:
                 elif state.status == FAILED:
                     considered += 1
                     changed |= self._handle_failure(instance, frame, state)
+                    if instance.terminal:
+                        # Aborted: nothing else in this pass may act.
+                        break
             if considered:
                 metrics.inc("navigator_considered", considered)
             changed |= self._complete_frames(instance)

@@ -1,27 +1,22 @@
 """Chaos campaigns: run a real workload under a seeded FaultPlan.
 
-One campaign = one workload on a simulated topology, disturbed by a
-:class:`~repro.faults.plan.FaultPlan` (scheduled disturbances plus
-one-shot crash-point actions armed in the registry) and driven to
-completion through however many injected crashes and recoveries it
-takes. :func:`run_campaign` is the only campaign loop; the profile picks
-the topology under it. ``mixed`` and ``partition`` run one all-vs-all
-instance on one server and one cluster (``_SingleServer``); ``shard`` and
-``rebalance`` run multi-tenant all-vs-all launches on a broker-fronted
-plane of :data:`SHARDS` shards (``_Plane``). A topology hands the loop
-its servers, its done predicate, which server an :class:`InjectedCrash`
-killed, how to crash and fail over one server, its recovery-delay range,
-the disturbance categories it can enact and its end-state checks; the
-step loop and its wedge guards, crash counting, the seeded recovery
-delay, the downtime clocks and the invariant catalog are the loop's.
+One campaign = one workload on a broker-fronted plane of server shards,
+disturbed by a :class:`~repro.faults.plan.FaultPlan` (scheduled
+disturbances plus one-shot crash-point actions armed in the registry)
+and driven to completion through however many injected crashes and
+recoveries it takes. :func:`run_campaign` is the only campaign loop and
+``_Plane`` the only topology; a profile picks nothing but a row of
+:data:`SHAPES`. ``mixed`` and ``partition`` run one all-vs-all launch on
+a one-shard plane (a single server is a one-shard plane); ``shard`` and
+``rebalance`` spread multi-tenant all-vs-all launches over four shards.
 
 Crash protocol: an :class:`InjectedCrash` unwinding out of a kernel step
-means "a server process died in that window". The loop asks the topology
-which one, marks it down, waits a seeded delay, and fails it over from
-``store.simulate_crash()`` — so records appended but never synced are
-genuinely lost, exactly like a real crash. Recovery itself runs under the
-same injector, so a ``recovery.replay`` action can kill the recovering
-server and force a second recovery from the same durable log.
+means "a server process died in that window". The loop asks the plane
+which shard's, marks it down, waits a seeded delay, and fails it over
+from ``store.simulate_crash()`` — so records appended but never synced
+are genuinely lost, exactly like a real crash. Recovery itself runs
+under the same injector, so a ``recovery.replay`` action can kill the
+recovering server and force a second recovery from the same durable log.
 
 After every successful recovery, and once more at the end, the full
 invariant catalog (:mod:`repro.faults.invariants`) runs on the servers
@@ -30,16 +25,15 @@ byte-identical to a fault-free run. Every randomized choice derives from
 the campaign seed, so a failing campaign replays bit-for-bit from its
 recorded plan.
 
-The plane profiles answer one more question: **is the blast radius of a
-shard failure really one shard?** A ``shard`` plan crashes one victim
+A multi-shard plane answers one more question: **is the blast radius of
+a shard failure really one shard?** A ``shard`` plan crashes one victim
 shard (optionally also cutting its broker link and crashing one of its
-nodes); every *other* shard's durable event log must then be
-byte-identical — same events, same order, same timestamps — to a
+nodes); every shard nothing could have touched must then end with event
+logs byte-identical — same events, same order, same timestamps — to a
 fault-free *twin* run at the same kernel seed: a healthy shard is not
 allowed to even notice the failure. Per-shard RNG namespacing and the
-jitter-free control fabric are what make that falsifiable; without them
-a victim's redeliveries would shift healthy shards' timings. A plan
-names its victim as a fraction (``int(victim * SHARDS)``), not an index.
+jitter-free control fabric are what make that falsifiable. A plan names
+its victim as a fraction (``int(victim * shards)``), not an index.
 
 ``rebalance`` disturbs the *topology*: the plane may grow mid-campaign,
 one shard is always drained (its instances live-migrated to
@@ -48,8 +42,7 @@ the migration protocol's journaled windows (``shard.migrate.*``).
 Acceptance adds :func:`repro.shard.migration_invariants` (no half-moves,
 all forwards resolve, copied logs digest-identical) and a per-request
 output check against the baseline — exactly-once outcomes even when the
-instance changed its id mid-flight. The twin rule still applies, to
-shards that were neither drained, grown, crashed, nor party to a move.
+instance changed its id mid-flight.
 """
 
 from __future__ import annotations
@@ -58,21 +51,17 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..bio import DarwinEngine, DatabaseProfile
-from ..cluster import SimKernel, SimulatedCluster, uniform
-from ..cluster.failures import ScenarioScript
+from ..cluster import SimKernel, SimulatedCluster
 from ..core.engine import BioOperaServer
 from ..core.engine.library import ProgramRegistry
 from ..errors import EngineError
-from ..obs import ObservabilityHub
-from ..processes import install_all_vs_all
 from ..processes.activities import register_all_vs_all_programs
 from ..processes.all_vs_all import (build_align_chunk_template,
                                     build_all_vs_all_template)
 from ..shard import ShardedControlPlane, migration_invariants
-from ..store.spaces import OperaStore
 from . import invariants
 from .plan import FaultPlan
 from .points import FaultInjector, InjectedCrash, installed
@@ -102,12 +91,25 @@ SEGMENT_RECORDS = 24
 #: batches, so every campaign exercises the coalesced write+fsync windows.
 GROUP_MAX_PENDING = 8
 
-#: profiles that run on the sharded plane, its size, and the workload
-#: spread over it (tenants, instances per tenant).
-PLANE_PROFILES = ("shard", "rebalance")
-SHARDS = 4
-TENANTS = 4
-INSTANCES_PER_TENANT = 2
+
+class Shape(NamedTuple):
+    """The plane a profile runs on and the workload spread over it."""
+
+    shards: int
+    tenants: int
+    #: all-vs-all launches per tenant.
+    launches: int
+    #: seconds between an injected crash and the failover attempt.
+    recovery_delay: Tuple[float, float]
+
+
+#: one row per profile; the row is all a profile chooses.
+SHAPES: Dict[str, Shape] = {
+    "mixed": Shape(1, 1, 1, (30.0, 300.0)),
+    "partition": Shape(1, 1, 1, (30.0, 300.0)),
+    "shard": Shape(4, 4, 2, (20.0, 120.0)),
+    "rebalance": Shape(4, 4, 2, (20.0, 120.0)),
+}
 
 #: wedge guards: a campaign that exceeds either has lost an invariant in a
 #: way that stalls progress (the violation we report for it).
@@ -148,9 +150,8 @@ class CampaignConfig:
         cell = (f"sync={sync},ckpt={self.checkpoint_interval},"
                 f"seg={SEGMENT_RECORDS},leases={lease},quar=on,"
                 f"profile={self.profile}")
-        if self.profile in PLANE_PROFILES:
-            cell += f",shards={SHARDS}"
-        return cell
+        shards = SHAPES[self.profile].shards
+        return cell + (f",shards={shards}" if shards > 1 else "")
 
     def to_dict(self) -> Dict:
         """Serialize to a JSON-safe dict (tuples become lists)."""
@@ -206,7 +207,7 @@ class CampaignResult:
 
 
 def _store_options(config: CampaignConfig) -> Dict:
-    """Campaign store shape, shared by both topologies.
+    """Campaign store shape, every shard's.
 
     Retained history keeps truncated WAL segments around so the
     invariant catalog can check snapshot+suffix recovery against a
@@ -219,46 +220,24 @@ def _store_options(config: CampaignConfig) -> Dict:
                 group_max_pending=GROUP_MAX_PENDING)
 
 
-def _build(darwin: DarwinEngine, kernel_seed: int, config: CampaignConfig):
-    kernel = SimKernel(seed=kernel_seed)
-    cluster = SimulatedCluster(kernel, uniform(config.nodes,
-                                               cpus=config.cpus),
-                               execution_noise=0.0)
-    server = BioOperaServer(
-        seed=kernel_seed,
-        store=OperaStore(**_store_options(config)),
-        observability=ObservabilityHub(
-            checkpoint_interval=config.checkpoint_interval),
-    )
-    server.attach_environment(cluster)
-    server.enable_quarantine(*QUARANTINE)
-    if config.leases is not None:
-        server.enable_leases(*config.leases)
-    install_all_vs_all(server, darwin)
-    instance_id = server.launch("all_vs_all", {
-        "db_name": darwin.profile.name,
-        "granularity": config.granularity,
-    })
-    return kernel, cluster, server, instance_id
-
-
 # ----------------------------------------------------------------------
 # Scheduled disturbances on one cluster: category -> params -> (start,
 # stop). The vocabulary is ScenarioScript's, but its wrappers schedule
 # both halves themselves and a campaign books a category as executed
-# when the first half fires (a booking event of its own would change
-# every run's event count), so these entries supply the halves and the
-# loop schedules them through ``ScenarioScript.at``. A plan's
-# disturbances may overlap, hence the checks before a node or the
-# network is taken down or brought back.
+# when its start acts (a booking event of its own would change every
+# run's event count), so these entries supply the halves and the loop
+# schedules them. A plan's disturbances may overlap, hence the checks
+# before a node or the network is taken down or brought back; a start
+# that finds nothing to act on returns False.
 
 def _node_outage(cluster: SimulatedCluster, names: List[str]):
     """Crash ``names`` / restore them."""
     def start():
-        """Take down the nodes that are still up."""
-        for name in names:
-            if cluster.nodes[name].up:
-                cluster.crash_node(name)
+        """Take down the nodes that are still up; False if none is."""
+        up = [name for name in names if cluster.nodes[name].up]
+        for name in up:
+            cluster.crash_node(name)
+        return bool(up)
 
     def stop():
         """Bring back the nodes that are still down."""
@@ -272,9 +251,11 @@ def _node_outage(cluster: SimulatedCluster, names: List[str]):
 def _network_outage(cluster: SimulatedCluster):
     """Whole-fabric outage."""
     def start():
-        """Begin the outage unless one is under way."""
-        if not cluster.network.outage:
-            cluster.start_network_outage()
+        """Begin the outage; False if one is under way."""
+        if cluster.network.outage:
+            return False
+        cluster.start_network_outage()
+        return True
 
     def stop():
         """End the outage unless another disturbance's end already did."""
@@ -340,111 +321,22 @@ _CLUSTER_FAULTS: Dict[str, Callable] = {
 
 
 # ----------------------------------------------------------------------
-# The two topologies: what the campaign loop is handed.
-
-class _SingleServer:
-    """One server on one cluster running one all-vs-all instance."""
-
-    #: seconds between an injected crash and the failover attempt.
-    recovery_delay = (30.0, 300.0)
-    #: run 1 s after such a failover is due (the plane resumes its drain).
-    after_recovery = None
-
-    def __init__(self, darwin: DarwinEngine, kernel_seed: int,
-                 config: CampaignConfig):
-        self.kernel, self.cluster, _server, self.instance_id = _build(
-            darwin, kernel_seed, config)
-        self.at = ScenarioScript(self.cluster).at
-        #: disturbance categories that engaged.
-        self.executed: set = set()
-
-    def servers(self) -> Dict[int, BioOperaServer]:
-        """The servers in service, by index."""
-        return {0: self.cluster.server}
-
-    def prefix(self, index: int) -> str:
-        """What a violation on server ``index`` is prefixed with."""
-        return ""
-
-    def done(self) -> bool:
-        """Is the instance terminal on a live server?"""
-        server = self.cluster.server
-        live = server.instances.get(self.instance_id)
-        return server.up and live is not None and live.terminal
-
-    def victim(self, exc: InjectedCrash) -> int:
-        """Every crash window belongs to the one server."""
-        return 0
-
-    def crash(self, index: int) -> bool:
-        """Kill the server process; False if it is dead already."""
-        if not self.cluster.server.up:
-            return False
-        self.cluster.crash_server()
-        return True
-
-    def recover(self, index: int) -> BioOperaServer:
-        """Fail over from what a crash leaves of the attached server's
-        store — after a killed recovery, the half-recovered server's,
-        which holds everything the failed replay persisted."""
-        recovered = self.cluster.recover_server(
-            store=self.cluster.server.store.simulate_crash())
-        # recover() already restored the policy; this re-persists it.
-        # Fault actions fire on hit counts, so the commit is part of
-        # every seeded campaign's schedule: dropping it changes which
-        # windows the crashes land in.
-        recovered.enable_quarantine(*QUARANTINE)
-        return recovered
-
-    def disturbance(self, fault, crash, recover):
-        """``(start, stop)`` enacting ``fault``, or None if it cannot.
-
-        The category is booked as executed when its start fires, whether
-        or not the check inside let it act.
-        """
-        if fault.category == "server-crash":
-            start, stop = partial(crash, 0), partial(recover, 0)
-        elif fault.category in _CLUSTER_FAULTS:
-            start, stop = _CLUSTER_FAULTS[fault.category](
-                self.cluster, fault.params)
-        else:
-            return None
-
-        def noted():
-            """Book the category, then run the disturbance."""
-            self.executed.add(fault.category)
-            start()
-
-        return noted, stop
-
-    def status(self) -> str:
-        """The instance's status (``lost`` if the server forgot it)."""
-        live = self.cluster.server.instances.get(self.instance_id)
-        return live.status if live is not None else "lost"
-
-    def outputs(self) -> Dict:
-        """The output oracle a baseline carries."""
-        instance = self.cluster.server.instance(self.instance_id)
-        return {"outputs": {self.instance_id: instance.outputs}}
-
-    def end_checks(self, baseline: Dict, twin: Callable) -> List[str]:
-        """Nothing beyond the per-server catalog."""
-        return []
-
+# The topology: what the campaign loop is handed.
 
 class _Plane:
-    """:data:`SHARDS` shards behind a broker, multi-tenant launches."""
-
-    recovery_delay = (20.0, 120.0)
+    """A campaign's plane: the profile's shape of shards behind a
+    broker, multi-tenant all-vs-all launches."""
 
     def __init__(self, darwin: DarwinEngine, kernel_seed: int,
                  config: CampaignConfig):
+        self.shape = SHAPES[config.profile]
         registry = ProgramRegistry()
         register_all_vs_all_programs(registry, darwin)
         self.kernel = SimKernel(seed=kernel_seed)
         self.plane = ShardedControlPlane(
-            self.kernel, shards=SHARDS, nodes_per_shard=config.nodes,
-            cpus=config.cpus, seed=kernel_seed, registry=registry,
+            self.kernel, shards=self.shape.shards,
+            nodes_per_shard=config.nodes, cpus=config.cpus,
+            seed=kernel_seed, registry=registry,
             templates=[build_align_chunk_template(),
                        build_all_vs_all_template()],
             store_options=_store_options(config),
@@ -456,22 +348,16 @@ class _Plane:
                 "db_name": darwin.profile.name,
                 "granularity": config.granularity,
             })
-            for tenant in range(TENANTS)
-            for _ in range(INSTANCES_PER_TENANT)
+            for tenant in range(self.shape.tenants)
+            for _ in range(self.shape.launches)
         ]
+        #: disturbance categories that acted.
         self.executed: set = set()
         #: shards whose timeline the campaign itself perturbed (crashed,
-        #: partitioned, drained, grown, or party to a migration) — exempt
+        #: disturbed, drained, grown, or party to a migration) — exempt
         #: from the byte-identical twin comparison.
         self.participants: set = set()
         self.drain_victim: Optional[int] = None
-        # A drain interrupted by a crash is re-entered once the crashed
-        # party is back.
-        self.after_recovery = self._drain
-
-    def at(self, time: float, label: str, fn: Callable) -> None:
-        """Schedule one half of a disturbance at simulated ``time``."""
-        self.kernel.schedule_at(time, fn, label=label)
 
     def servers(self) -> Dict[int, BioOperaServer]:
         """The servers in service, by index: grown shards included, a
@@ -479,10 +365,6 @@ class _Plane:
         migration invariants instead)."""
         return {shard.index: shard.server
                 for shard in self.plane.shards if not shard.retired}
-
-    def prefix(self, index: int) -> str:
-        """What a violation on shard ``index`` is prefixed with."""
-        return f"shard {index}: "
 
     def _final(self, request) -> Optional[Tuple[int, object]]:
         """``(shard, instance)`` a launch ended up as, chasing forwarding
@@ -509,16 +391,20 @@ class _Plane:
         return True
 
     def victim(self, exc: InjectedCrash) -> Optional[int]:
-        """A ``shard.migrate.*`` window fired mid-drain: prepare, export
-        and commit kill the SOURCE shard, import and activate the TARGET
-        — whichever party's durable state the phase was mutating."""
+        """The shard an injected crash killed. A ``shard.migrate.*``
+        window fired mid-move: prepare, export and commit kill the
+        SOURCE, import and activate the TARGET — whichever party's
+        durable state the phase was mutating. Outside a move it is the
+        drained shard, or the one shard of a one-shard plane; on a
+        larger plane with no drain, None: the crash is only counted."""
         current = self.plane.migrator.current or {}
         self.participants.update(
             current[side] for side in ("source", "target")
             if current.get(side) is not None)
         side = ("target" if exc.point.rsplit(".", 1)[-1]
                 in ("import", "activate") else "source")
-        return current.get(side, self.drain_victim)
+        return current.get(side, 0 if self.shape.shards == 1
+                           else self.drain_victim)
 
     def crash(self, index: int) -> bool:
         """Kill one shard's server; False if it is down or retired."""
@@ -534,7 +420,7 @@ class _Plane:
         any migration it was party to)."""
         return self.plane.recover_shard(index)
 
-    def _drain(self) -> None:
+    def drain(self) -> None:
         """The scheduled drain; re-entered after every mid-drain crash.
 
         A drain interrupted by an injected ``shard.migrate.*`` crash
@@ -546,7 +432,7 @@ class _Plane:
         if index is None or self.plane.shards[index].retired:
             return
         if not self.plane.shards[index].up:
-            self.kernel.schedule(30.0, self._drain,
+            self.kernel.schedule(30.0, self.drain,
                                  label="chaos: drain awaits recovery")
             return
         self.executed.add("shard-drain")
@@ -554,12 +440,22 @@ class _Plane:
         self.plane.drain_shard(index)
 
     def disturbance(self, fault, crash, recover):
-        """``(start, stop)`` enacting ``fault``, or None if it cannot.
+        """``(start, stop)`` enacting ``fault``, or None if this plane
+        cannot: a category no profile knows, or a drain with no sibling
+        shard to drain into.
 
-        A category is booked as executed only if it acted: a crash aimed
-        at a shard or node that is down already, or retired, is not.
+        The cluster categories and ``server-crash`` act on shard 0, the
+        ``shard-*`` ones on the shard their ``victim`` fraction names.
+        One booking rule: a start books its category, and its shard as a
+        participant, when it acts. A crash aimed at a server that is
+        down or retired already, a node crash at nodes already down, an
+        outage already under way do not act.
         """
         category, params = fault.category, fault.params
+        shards = self.shape.shards
+        index = min(shards - 1, int(params.get("victim", 0.0) * shards))
+        cluster = self.plane.shards[index].cluster
+        stop = None
         if category == "shard-grow":
             def grow():
                 """Add shards. The campaign's launches are minted
@@ -569,41 +465,32 @@ class _Plane:
                     self.plane.grow(int(params.get("count", 1))))
 
             return grow, None
-        if category not in ("shard-crash", "shard-partition",
-                            "shard-node-crash", "shard-drain"):
-            return None
-        index = min(SHARDS - 1, int(params["victim"] * SHARDS))
-        if category == "shard-drain":
+        if category == "shard-drain" and shards > 1:
             self.drain_victim = index
-            return self._drain, None
-        if category == "shard-crash":
-            def crash_shard():
-                """Crash the victim shard if it is in service."""
-                if crash(index):
-                    self.executed.add(category)
-
-            return crash_shard, partial(recover, index)
-        if category == "shard-partition":
-            node = None
-            start, stop = _partition(
+            return self.drain, None
+        if category in _CLUSTER_FAULTS:
+            act, stop = _CLUSTER_FAULTS[category](cluster, params)
+        elif category in ("server-crash", "shard-crash"):
+            act, stop = partial(crash, index), partial(recover, index)
+        elif category == "shard-partition":
+            act, stop = _partition(
                 partial(self.plane.partition_shard, index,
                         symmetric=bool(params.get("symmetric", True))),
                 self.plane.heal)
-        else:
-            cluster = self.plane.shards[index].cluster
+        elif category == "shard-node-crash":
             names = sorted(cluster.nodes)
-            node = cluster.nodes[names[min(
-                len(names) - 1, int(params["node"] * len(names)))]]
-            start, stop = _node_outage(cluster, [node.name])
+            act, stop = _node_outage(cluster, [names[min(
+                len(names) - 1, int(params["node"] * len(names)))]])
+        else:
+            return None
 
-        def disturb():
-            """Cut the victim's broker link, or crash its node if up."""
-            if node is None or node.up:
+        def start():
+            """Enact the disturbance; book it if it acted."""
+            if act() is not False:
                 self.executed.add(category)
                 self.participants.add(index)
-                start()
 
-        return disturb, stop
+        return start, stop
 
     def status(self) -> str:
         """``completed`` if every launch's instance is, else the first
@@ -633,7 +520,8 @@ class _Plane:
             for instance_id in instances.instance_ids()
         }
 
-    def end_checks(self, baseline: Dict, twin: Callable) -> List[str]:
+    def end_checks(self, baseline: Dict, twin: Callable,
+                   actions) -> List[str]:
         """Migration end state, per-request outputs, twin logs."""
         # No half-moves, every forward resolves, every copied log
         # digest-identical to its source. A no-op for campaigns that
@@ -658,13 +546,16 @@ class _Plane:
                 problems.append(
                     f"{request.request_id}: outputs diverged from the "
                     f"fault-free baseline across the move")
-        # The blast-radius invariant: shards that were neither disturbed
-        # nor party to a migration must not have noticed anything — logs
-        # byte-identical to the twin run.
+        # The blast-radius invariant: shards nothing could have touched
+        # must not have noticed anything — logs byte-identical to the
+        # twin run. A store or message action can land on any shard, so
+        # arming one leaves no bystander; a migration window's crash
+        # lands on a party to the move.
         for move in self.plane.migrator.completed:
             self.participants.update((move["source"], move["target"]))
-        bystanders = set(range(SHARDS)) - self.participants
-        if bystanders:
+        bystanders = set(range(self.shape.shards)) - self.participants
+        if bystanders and all(action.point.startswith("shard.migrate.")
+                              for action in actions):
             fault_free = twin()
             problems.extend(
                 f"shard {index} (non-participant) diverged from its "
@@ -672,11 +563,6 @@ class _Plane:
                 for index in sorted(bystanders)
                 if self.logs(index) != fault_free.logs(index))
         return problems
-
-
-def _topology(config: CampaignConfig):
-    """The topology class ``config.profile`` runs on."""
-    return _Plane if config.profile in PLANE_PROFILES else _SingleServer
 
 
 def _wedged(kernel: SimKernel) -> Optional[str]:
@@ -689,13 +575,13 @@ def _wedged(kernel: SimKernel) -> Optional[str]:
 
 def _fault_free(darwin: DarwinEngine, kernel_seed: int,
                 config: CampaignConfig):
-    """Build the workload and run it undisturbed; returns the topology.
+    """Build the workload and run it undisturbed; returns its plane.
 
     At kernel seed 101 its outputs and wall time are the baseline every
     campaign of the cell is held to; at a campaign's own seed it is that
     campaign's twin.
     """
-    topo = _topology(config)(darwin, kernel_seed, config)
+    topo = _Plane(darwin, kernel_seed, config)
     while not topo.done():
         if _wedged(topo.kernel) or not topo.kernel.step():
             raise EngineError("fault-free run wedged before completion")
@@ -704,9 +590,11 @@ def _fault_free(darwin: DarwinEngine, kernel_seed: int,
 
 def fault_free_baseline(darwin: DarwinEngine,
                         config: Optional[CampaignConfig] = None) -> Dict:
-    """Run the workload undisturbed; campaigns must match its outputs."""
+    """Run the workload undisturbed; campaigns must match its outputs.
+    ``nodes`` names the nodes of its shard 0, which plans draw from."""
     topo = _fault_free(darwin, 101, config or CampaignConfig())
     return {"status": topo.status(), "wall": topo.kernel.now,
+            "nodes": sorted(topo.plane.shards[0].cluster.nodes),
             **topo.outputs()}
 
 
@@ -714,15 +602,13 @@ def plan_for(seed: int, config: CampaignConfig, baseline: Dict) -> FaultPlan:
     """The plan ``run_campaign(seed, config=config)`` generates.
 
     The horizon follows the cell's fault-free wall time, so disturbances
-    land while work is in flight. Node names matter to the single-server
-    profiles only; a plane plan names its victims as fractions.
+    land while work is in flight. The node names are the baseline
+    plane's shard 0's, which the cluster categories act on; a ``shard-*``
+    category names its victim as a fraction.
     """
-    return FaultPlan.generate(
-        seed,
-        sorted(node.name for node in uniform(config.nodes, cpus=config.cpus)),
-        horizon=max(120.0, baseline["wall"] * 1.5),
-        profile=config.profile,
-    )
+    return FaultPlan.generate(seed, baseline["nodes"],
+                              horizon=max(120.0, baseline["wall"] * 1.5),
+                              profile=config.profile)
 
 
 def run_campaign(seed: int, darwin: DarwinEngine,
@@ -743,7 +629,7 @@ def run_campaign(seed: int, darwin: DarwinEngine,
     if plan is None:
         plan = plan_for(seed, config, baseline)
     kernel_seed = 900 + seed * 13
-    topo = _topology(config)(darwin, kernel_seed, config)
+    topo = _Plane(darwin, kernel_seed, config)
     kernel = topo.kernel
     result = CampaignResult(seed=seed, plan=plan.to_dict())
     recovery_rng = kernel.rng("chaos-recovery")
@@ -769,7 +655,7 @@ def run_campaign(seed: int, darwin: DarwinEngine,
 
     def take_down(index: int, scheduled: bool = True) -> bool:
         """Kill server ``index`` and start the downtime clock; False if
-        the topology finds it down (or retired) already. A plan's own
+        the plane finds it down (or retired) already. A plan's own
         crash counts only if it took effect; an injected one has counted
         itself."""
         if not topo.crash(index):
@@ -791,15 +677,15 @@ def run_campaign(seed: int, darwin: DarwinEngine,
             # down too. Try again from what it left durable.
             result.crashes += 1
             take_down(index, scheduled=False)
-            say(f"{topo.prefix(index)}recovery killed at {exc.point} "
+            say(f"shard {index}: recovery killed at {exc.point} "
                 f"(crash {result.crashes})")
-            kernel.schedule(recovery_rng.uniform(*topo.recovery_delay),
-                            ensure_recovered, index,
+            delay = recovery_rng.uniform(*topo.shape.recovery_delay)
+            kernel.schedule(delay, ensure_recovered, index,
                             label="chaos: re-recover")
             return
         result.recoveries += 1
         result.recovery_time += kernel.now - down.pop(index, kernel.now)
-        where = f"{topo.prefix(index)}after recovery {result.recoveries}"
+        where = f"shard {index}: after recovery {result.recoveries}"
         say(f"{where}: epoch {recovered.epoch}; checking invariants")
         result.violations.extend(
             f"{where}: {problem}"
@@ -808,16 +694,17 @@ def run_campaign(seed: int, darwin: DarwinEngine,
     for fault in plan.scheduled:
         halves = topo.disturbance(fault, take_down, ensure_recovered)
         if halves is None:
-            result.violations.append(
-                f"plan contains unknown category {fault.category!r}")
+            result.violations.append(f"plan contains {fault.category!r}, "
+                                     f"which this plane cannot enact")
             continue
         start, stop = halves
-        topo.at(fault.time, f"chaos: {fault.category}", start)
+        kernel.schedule_at(fault.time, start,
+                           label=f"chaos: {fault.category}")
         if stop is not None:
             span = fault.params.get("duration",
                                     fault.params.get("recovery_after"))
-            topo.at(fault.time + span, f"chaos: {fault.category} over",
-                    stop)
+            kernel.schedule_at(fault.time + span, stop,
+                               label=f"chaos: {fault.category} over")
 
     injector = FaultInjector(plan.actions)
     with installed(injector):
@@ -836,11 +723,13 @@ def run_campaign(seed: int, darwin: DarwinEngine,
                 if index is None:
                     continue
                 take_down(index, scheduled=False)
-                delay = recovery_rng.uniform(*topo.recovery_delay)
+                delay = recovery_rng.uniform(*topo.shape.recovery_delay)
                 kernel.schedule(delay, ensure_recovered, index,
                                 label="chaos: recover")
-                if topo.after_recovery is not None:
-                    kernel.schedule(delay + 1.0, topo.after_recovery,
+                if topo.drain_victim is not None:
+                    # A drain this crash interrupted is re-entered once
+                    # the crashed party is back.
+                    kernel.schedule(delay + 1.0, topo.drain,
                                     label="chaos: resume after recovery")
                 continue
             if not progressed:
@@ -853,7 +742,7 @@ def run_campaign(seed: int, darwin: DarwinEngine,
         say(f"campaign over (status={result.status}); "
             f"final invariant catalog")
         for index, server in topo.servers().items():
-            prefix = topo.prefix(index)
+            prefix = f"shard {index}: "
             result.violations.extend(
                 f"{prefix}{problem}"
                 for problem in run_checks(
@@ -861,7 +750,8 @@ def run_campaign(seed: int, darwin: DarwinEngine,
                     baseline_outputs=baseline["outputs"], final=True))
     # Outside the injector: the twin must run fault-free.
     result.violations.extend(topo.end_checks(
-        baseline, partial(_fault_free, darwin, kernel_seed, config)))
+        baseline, partial(_fault_free, darwin, kernel_seed, config),
+        plan.actions))
     result.fired = list(injector.fired)
     result.executed = sorted(topo.executed)
     result.wall = kernel.now

@@ -32,6 +32,11 @@ against a live :class:`~repro.core.engine.server.BioOperaServer`:
   canonical codec, to replaying the entire log from record zero — proof
   that checkpoint-triggered truncation never changes recovery semantics
   (also inside :meth:`~repro.store.kvstore.KVStore.audit`).
+* **no work for an ended instance** — no job is queued, held or in
+  flight for an instance that has completed or aborted;
+* **one terminal event** — an instance log holds one terminal event per
+  run: none after it unless a task reset reopened the instance, and one
+  whenever the instance has ended.
 
 ``final=True`` adds end-of-campaign obligations: all instances completed,
 queue and in-flight tables empty, and (when ``baseline_outputs`` is given)
@@ -88,6 +93,8 @@ def run_catalog(server, baseline_outputs: Optional[Dict] = None,
         ("slot-consistency", _check_slot_consistency(server)),
         ("leases", _check_leases(server)),
         ("wal-integrity", [f"store: {p}" for p in server.store.kv.audit()]),
+        ("no-work-for-ended", _check_no_work_for_ended(server)),
+        ("one-terminal-event", each(_check_one_terminal_event)),
     ]
     if final:
         named.append(("final-outputs", _check_final(server,
@@ -350,6 +357,38 @@ def _check_leases(server) -> List[str]:
                 f"{other} and {job_id}"
             )
         holders[lease["key"]] = job_id
+    return problems
+
+
+def _check_no_work_for_ended(server) -> List[str]:
+    """No job is queued, held or in flight for an instance that ended."""
+    problems = []
+    for instance_id in sorted(server.dispatcher.instances_with_jobs()):
+        instance = server.instances.get(instance_id)
+        if instance is not None and instance.terminal:
+            problems.append(f"{instance_id}: {instance.status}, yet a "
+                            f"job of it is queued, held or in flight")
+    return problems
+
+
+def _check_one_terminal_event(server, instance_id: str) -> List[str]:
+    """One terminal event per run of an instance: a second one before a
+    task reset reopens it is a violation, and so is none on an ended
+    instance."""
+    problems = []
+    ended = False
+    for seq, event in enumerate(server.store.instances.events(instance_id)):
+        if event["type"] in (ev.INSTANCE_COMPLETED, ev.INSTANCE_ABORTED):
+            if ended:
+                problems.append(f"{instance_id}: second terminal event "
+                                f"{event['type']} at seq {seq}")
+            ended = True
+        elif event["type"] == ev.TASK_RESET:
+            ended = False
+    live = server.instances.get(instance_id)
+    if live is not None and live.terminal and not ended:
+        problems.append(f"{instance_id}: {live.status} with no terminal "
+                        f"event in its log")
     return problems
 
 

@@ -1,10 +1,11 @@
 """Failure handlers, spheres of atomicity, compensation."""
 
 
-from repro.core.engine import ProgramResult
+from repro.core.engine import ProgramResult, events as ev
 from repro.errors import ActivityFailure
+from repro.faults import invariants
 
-from ..conftest import constant_program, run_process
+from ..conftest import constant_program, make_inline_server, run_process
 
 
 def flaky_program(fail_times, reason="program-error"):
@@ -202,6 +203,47 @@ class TestAbort:
         instance = server.instance(iid)
         assert instance.status == "aborted"
         assert instance.find_state("A").attempts == 1
+
+    def test_an_abort_ends_its_navigation_pass(self):
+        """Three sibling tasks fail and one navigation pass takes them up
+        (as a recovery's first pass would): A's handler aborts the
+        instance, and the rest of the pass must neither abort it again
+        (B) nor queue a retry for it (C)."""
+        server, _env = make_inline_server({"t.bad": always_fail})
+        server.define_template_ocr(
+            """
+            PROCESS P
+              ACTIVITY A
+                PROGRAM t.bad
+                ON_FAILURE ABORT
+              END
+              ACTIVITY B
+                PROGRAM t.bad
+                ON_FAILURE ABORT
+              END
+              ACTIVITY C
+                PROGRAM t.bad
+                ON_FAILURE RETRY 3 THEN ABORT
+              END
+            END
+            """
+        )
+        iid = server.launch("P")
+        instance = server.instance(iid)
+        jobs = server.dispatcher.inflight_for_instance(iid)
+        assert len(jobs) == 3
+        for job_id in jobs:
+            job, node = server.dispatcher.job_finished(job_id)
+            server.emit(instance, ev.task_failed(
+                job.task_path, "program-error", node, job.attempt,
+                server.clock()))
+        server.navigator.navigate(instance)
+        assert instance.status == "aborted"
+        assert instance.abort_reason == "task A failed: program-error"
+        types = [e["type"] for e in server.store.instances.events(iid)]
+        assert types.count(ev.INSTANCE_ABORTED) == 1
+        assert server.dispatcher.instances_with_jobs() == set()
+        assert invariants.check_server(server) == []
 
     def test_subprocess_failure_propagates(self):
         child = """

@@ -21,10 +21,10 @@ from repro.store import codec
 def test_split_brain_promotion_is_safe():
     darwin = chaos.default_darwin()
     baseline = chaos.fault_free_baseline(darwin)
-    kernel, cluster, _server, instance_id = chaos._build(
-        darwin, kernel_seed=101,
-        config=chaos.CampaignConfig(nodes=4, cpus=2, granularity=8),
-    )
+    # the baseline's own plane: one shard, the instance id it keys by
+    topo = chaos._Plane(darwin, 101, chaos.CampaignConfig(
+        nodes=4, cpus=2, granularity=8))
+    kernel, cluster = topo.kernel, topo.plane.shards[0].cluster
     # fast monitor so promotion lands while the run is still in flight
     monitor = attach_standby(cluster, takeover_after=20.0,
                              check_interval=5.0)
@@ -32,6 +32,7 @@ def test_split_brain_promotion_is_safe():
     # partition primary <-> standby mid-run: heartbeats stop arriving even
     # though the primary is healthy and still driving the cluster
     kernel.run(until=baseline["wall"] * 0.25)
+    instance_id = topo.requests[0].result
     old = cluster.server
     assert not old.instances[instance_id].terminal, "cut must land mid-run"
     assert old.dispatcher.in_flight, "work must be in flight at the cut"
@@ -49,9 +50,9 @@ def test_split_brain_promotion_is_safe():
 
     # the deposed primary still holds in-flight work from its epoch; its
     # attempt to apply a completion must fence it, not reach the log
-    job_id = next(iter(old.dispatcher.in_flight))
+    job_id, (_job, node) = next(iter(old.dispatcher.in_flight.items()))
     events_before = old.store.instances.event_count(instance_id)
-    old.on_job_completed(job_id, {}, 1.0, "node001")
+    old.on_job_completed(job_id, {}, 1.0, node)
     assert old.up is False
     assert old.metrics["epoch_fenced"] >= 1
     assert old.store.instances.event_count(instance_id) == events_before

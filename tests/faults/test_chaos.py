@@ -179,28 +179,42 @@ class TestOneDriver:
         assert result.ok, result.violations[:3]
         assert chaos.plan_for(2, config, baseline).to_dict() == result.plan
 
-    def test_category_of_the_other_topology_is_a_typed_violation(
-            self, darwin, cell):
+    def test_unknown_category_is_a_typed_violation(self, darwin, cell):
         config, baseline = cell
-        stranger = ("server-crash" if config.profile in chaos.PLANE_PROFILES
-                    else "shard-drain")
         plan = FaultPlan(seed=0, scheduled=[ScheduledFault(
-            stranger, 10.0, {"victim": 0.5, "recovery_after": 10.0})])
+            "bogus", 10.0, {"recovery_after": 10.0})])
         result = chaos.run_campaign(0, darwin, baseline=baseline,
                                     plan=plan, config=config)
         assert result.violations == [
-            f"plan contains unknown category {stranger!r}"]
+            "plan contains 'bogus', which this plane cannot enact"]
         assert result.status == "completed" and result.executed == []
+
+    def test_a_drain_needs_a_sibling_shard(self, darwin, cell):
+        """Draining the only shard is a typed violation, not an
+        ``EngineError`` out of a kernel callback; with siblings to drain
+        into, the same plan drains."""
+        config, baseline = cell
+        plan = FaultPlan(seed=0, scheduled=[ScheduledFault(
+            "shard-drain", 10.0, {"victim": 0.5})])
+        result = chaos.run_campaign(0, darwin, baseline=baseline,
+                                    plan=plan, config=config)
+        if chaos.SHAPES[config.profile].shards == 1:
+            assert result.violations == [
+                "plan contains 'shard-drain', which this plane cannot "
+                "enact"]
+            assert result.status == "completed" and result.executed == []
+        else:
+            assert result.ok, result.violations[:3]
+            assert result.executed == ["shard-drain"]
 
     def test_trace_has_a_verdict_per_invariant_per_check(self, darwin, cell):
         """``--rerun`` prints one ok/FAIL line per catalog entry after
         every recovery and for every server's final check."""
         config, baseline = cell
-        plane = config.profile in chaos.PLANE_PROFILES
+        shards = chaos.SHAPES[config.profile].shards
         horizon = max(120.0, baseline["wall"] * 1.5)
         plan = FaultPlan(seed=0, scheduled=[ScheduledFault(
-            "shard-crash" if plane else "server-crash",
-            round(0.3 * horizon, 3),
+            "shard-crash", round(0.3 * horizon, 3),
             {"victim": 0.3, "recovery_after": round(0.1 * horizon, 3)})])
         lines = []
         result = chaos.run_campaign(0, darwin, baseline=baseline, plan=plan,
@@ -209,14 +223,16 @@ class TestOneDriver:
         verdicts = [line.split(None, 1)[1] for line in lines
                     if line.split(None, 1)[0] in ("ok", "FAIL")]
         names = [name for name, _found in invariants.run_catalog(
-            chaos._build(darwin, 1, chaos.CampaignConfig())[2], final=True)]
-        after = "shard 1: after recovery 1" if plane else "after recovery 1"
+            chaos._Plane(darwin, 1, config).plane.shards[0].server,
+            final=True)]
+        assert names[-3:] == [
+            "no-work-for-ended", "one-terminal-event", "final-outputs"]
+        after = f"shard {int(0.3 * shards)}: after recovery 1"
         assert [v for v in verdicts if v.startswith(after)] \
             == [f"{after}: {name}" for name in names[:-1]]
-        servers = ([f"shard {i}: " for i in range(chaos.SHARDS)]
-                   if plane else [""])
         assert [v for v in verdicts if "final: " in v] == [
-            f"{server}final: {name}" for server in servers for name in names]
+            f"shard {index}: final: {name}"
+            for index in range(shards) for name in names]
 
 
 class TestCampaignDigestsTool:
@@ -242,13 +258,17 @@ class TestCampaignDigestsTool:
             "mixed/0", "partition/0", "rebalance/0", "shard/0"]
         assert report["not_ok"] == 0
         assert tool.main(["--compare", first, second]) == 0
-        assert "4 of 4 cells identical" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "4 of 4 cells identical" in out
+        assert ("mixed 0/1 moved, partition 0/1 moved, rebalance 0/1 "
+                "moved, shard 0/1 moved") in out
 
         report["cells"]["shard/0"] = "0" * 64
         pathlib.Path(second).write_text(json.dumps(report))
         assert tool.main(["--compare", first, second]) == 1
         out = capsys.readouterr().out
         assert "DIFFERS shard/0" in out and "3 of 4 cells" in out
+        assert "rebalance 0/1 moved, shard 1/1 moved" in out
 
     def test_out_fails_on_a_run_that_did_not_survive(self, tool, tmp_path,
                                                      monkeypatch, capsys):

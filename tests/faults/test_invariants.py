@@ -173,3 +173,37 @@ class TestPlantedViolations:
         server.leases.held["job-twin"] = dict(lease)
         assert (f"two live leases for task {lease['key']}: {job_id} and "
                 f"job-twin") in self._leases(server)
+
+    def test_job_queued_for_an_ended_instance_is_caught(self):
+        server, instance_id = _completed_server()
+        assert dict(invariants.run_catalog(server))["no-work-for-ended"] \
+            == []
+        server.queue_job(instance_id, "P/A", "w.u", {}, attempt=2)
+        assert dict(invariants.run_catalog(server))["no-work-for-ended"] \
+            == [f"{instance_id}: completed, yet a job of it is queued, "
+                f"held or in flight"]
+
+    def test_second_terminal_event_is_caught(self):
+        server, instance_id = _completed_server()
+        count = server.store.instances.event_count(instance_id)
+        server.store.instances.append_event(
+            instance_id, ev.instance_aborted("late", 99.0))
+        assert dict(invariants.run_catalog(server))["one-terminal-event"] \
+            == [f"{instance_id}: second terminal event instance_aborted "
+                f"at seq {count}"]
+
+    def test_a_reset_reopens_the_run(self):
+        """A task reset reopens an ended instance, so the run it starts
+        ends with a terminal event of its own; an ended instance whose
+        log has none since the reset is named."""
+        server, instance_id = _completed_server()
+        server.restart_task(instance_id, "A")
+        instance = server.instance(instance_id)
+        status, instance.status = instance.status, "aborted"
+        assert dict(invariants.run_catalog(server))["one-terminal-event"] \
+            == [f"{instance_id}: aborted with no terminal event in its log"]
+        instance.status = status
+        server.environment.run_until_instance_done(instance_id)
+        assert [e["type"] for e in server.store.instances.events(
+            instance_id)].count(ev.INSTANCE_COMPLETED) == 2
+        assert invariants.check_server(server) == []

@@ -30,6 +30,15 @@ def _cluster(observability):
     return kernel, cluster, server
 
 
+def _campaign_server():
+    """The cluster and server of a one-shard campaign plane 40 s into its
+    run, and the id of the instance it runs."""
+    topo = chaos._Plane(chaos.default_darwin(), 101, chaos.CampaignConfig())
+    topo.kernel.run(until=40.0)
+    shard = topo.plane.shards[0]
+    return shard.cluster, shard.server, topo.requests[0].result
+
+
 class TestHubCarriedAcrossFailover:
     def test_recover_server_keeps_the_hub_configuration(self):
         _kernel, cluster, server = _cluster(
@@ -85,9 +94,7 @@ def test_counters_are_one_booking_carried_across_the_failover():
     """What the server counts and what the console's snapshot reports
     are one dict; ``recover_server`` carries the counters (they describe
     the run), while histograms restart with the server process."""
-    kernel, cluster, server, instance_id = chaos._build(
-        chaos.default_darwin(), 101, chaos.CampaignConfig())
-    kernel.run(until=kernel.now + 40)
+    cluster, server, instance_id = _campaign_server()
     dispatched = server.metrics["jobs_dispatched"]
     assert dispatched > 0
     cluster.crash_server()
@@ -113,9 +120,7 @@ def test_recovery_killed_midway_keeps_the_run_counters():
     pre-crash values and the retry counts on from them — as one
     unkilled recovery of the same run does."""
     def crashed_run():
-        kernel, cluster, server, _instance_id = chaos._build(
-            chaos.default_darwin(), 101, chaos.CampaignConfig())
-        kernel.run(until=kernel.now + 40)
+        cluster, server, _instance_id = _campaign_server()
         cluster.crash_server()
         return cluster, server
 

@@ -48,16 +48,22 @@ def _assert_views_match_rescan(store, instance_id):
         assert codec.encode(viewed) == codec.encode(rescanned)
 
 
+def _fault_free_server(darwin, kernel_seed):
+    """The server of a one-shard campaign plane run to completion, and
+    its instance's id."""
+    topo = chaos._fault_free(darwin, kernel_seed, chaos.CampaignConfig(
+        nodes=3, cpus=2, granularity=6))
+    assert topo.status() == "completed"
+    return topo.plane.shards[0].server, topo.requests[0].result
+
+
 def _instance_ids(server):
     return server.store.instances.instance_ids()
 
 
 class TestCleanRunDifferential:
     def test_fault_free_run_views_equal_rescan(self, darwin):
-        kernel, cluster, server, instance_id = chaos._build(
-            darwin, kernel_seed=7, config=chaos.CampaignConfig(
-                nodes=3, cpus=2, granularity=6))
-        assert cluster.run_until_instance_done(instance_id) == "completed"
+        server, instance_id = _fault_free_server(darwin, 7)
         assert server.obs.views.in_sync(server.store, instance_id)
         _assert_views_match_rescan(server.store, instance_id)
 
@@ -98,15 +104,12 @@ class TestChaosDifferential:
 
 class TestRecoveryDifferential:
     def test_views_equal_rescan_immediately_after_recovery(self, darwin):
-        kernel, cluster, server, instance_id = chaos._build(
-            darwin, kernel_seed=11, config=chaos.CampaignConfig(
-                nodes=3, cpus=2, granularity=6))
-        assert cluster.run_until_instance_done(instance_id) == "completed"
+        server, _instance_id = _fault_free_server(darwin, 11)
         server.obs.checkpoint()
         server.up = False
         survivor = server.store.simulate_crash()
         recovered = BioOperaServer.recover(
-            survivor, server.registry, environment=cluster,
+            survivor, server.registry, environment=server.environment,
             observability=ObservabilityHub(checkpoint_interval=120),
         )
         for iid in _instance_ids(recovered):

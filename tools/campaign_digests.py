@@ -10,10 +10,11 @@ the cells for seeds 0..N-1 of the ``mixed``, ``partition``, ``shard`` and
 ``rebalance`` profiles, plus how many runs did not complete or violated an
 invariant (about 45 s for the default 30 seeds), and exits non-zero if any
 did. Run it on the parent and on the change, then ``--compare`` the two
-files: differing cells are listed and the exit code is non-zero. A report
-names the interpreter that wrote it. ``tools/campaign_digests.json`` is
-the committed baseline CI compares against; a change that moves a digest
-commits the file it regenerates.
+files: differing cells are listed, then how many moved per profile (e.g.
+``mixed 30/30 moved, partition 0/30 moved``), and the exit code is
+non-zero. A report names the interpreter that wrote it.
+``tools/campaign_digests.json`` is the committed baseline CI compares
+against; a change that moves a digest commits the file it regenerates.
 
 Usage::
 
@@ -63,6 +64,13 @@ def compare(before_path, after_path):
     for name in differing:
         print(f"DIFFERS {name}: {before['cells'].get(name)} -> "
               f"{after['cells'].get(name)}")
+    per_profile = {}
+    for name in names:
+        profile = name.split("/")[0]
+        moved, total = per_profile.get(profile, (0, 0))
+        per_profile[profile] = (moved + (name in differing), total + 1)
+    print(", ".join(f"{profile} {moved}/{total} moved"
+                    for profile, (moved, total) in per_profile.items()))
     print(f"{len(names) - len(differing)} of {len(names)} cells identical; "
           f"not ok: {before['not_ok']} -> {after['not_ok']}")
     return differing
