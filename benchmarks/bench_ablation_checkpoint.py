@@ -11,8 +11,6 @@ activity level; the ablation compares:
   computed from the same event log.
 """
 
-import pytest
-
 from repro.bio import DarwinEngine, DatabaseProfile
 from repro.cluster import SimKernel, SimulatedCluster, uniform
 from repro.core.engine import BioOperaServer
@@ -63,10 +61,8 @@ def _compute():
     return [_run(granularity) for granularity in (4, 16, 64)]
 
 
-@pytest.mark.benchmark(group="ablation-checkpoint")
-def test_a1_checkpoint_granularity(benchmark, artifact):
-    rows = benchmark.pedantic(lambda: cached("a1", _compute),
-                              rounds=1, iterations=1)
+def test_a1_checkpoint_granularity(artifact):
+    rows = cached("a1", _compute)
     table = format_table(
         ("TEUs", "WALL (s)", "lost: activity ckpt (s)",
          "lost: process-level ckpt (s)"),

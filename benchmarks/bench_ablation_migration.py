@@ -14,8 +14,6 @@ Two external-load patterns, each with migration on and off:
   losing the progress it abandoned.
 """
 
-import pytest
-
 from repro.bio import DarwinEngine, DatabaseProfile
 from repro.cluster import SimKernel, SimulatedCluster, uniform
 from repro.core.engine import BioOperaServer
@@ -85,10 +83,8 @@ def _compute():
     ]
 
 
-@pytest.mark.benchmark(group="ablation-migration")
-def test_a2_migration_tradeoff(benchmark, artifact):
-    rows = benchmark.pedantic(lambda: cached("a2", _compute),
-                              rounds=1, iterations=1)
+def test_a2_migration_tradeoff(artifact):
+    rows = cached("a2", _compute)
     table = format_table(
         ("load pattern", "strategy", "WALL (s)", "migrations"),
         [

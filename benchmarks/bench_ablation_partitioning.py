@@ -7,8 +7,6 @@ three strategies of :mod:`repro.processes.partitioning` at the paper's
 optimal granularity.
 """
 
-import pytest
-
 from repro.cluster import SimKernel, SimulatedCluster, ik_sun
 from repro.core.engine import BioOperaServer
 from repro.processes import install_all_vs_all
@@ -44,10 +42,8 @@ def _compute():
     return [_run(s) for s in ("interleaved", "contiguous", "balanced")]
 
 
-@pytest.mark.benchmark(group="ablation-partitioning")
-def test_a4_partition_strategies(benchmark, artifact):
-    rows = benchmark.pedantic(lambda: cached("a4", _compute),
-                              rounds=1, iterations=1)
+def test_a4_partition_strategies(artifact):
+    rows = cached("a4", _compute)
     table = format_table(
         ("strategy", "WALL (s)", "matches"),
         [(r["strategy"], f"{r['wall']:.0f}", r["matches"]) for r in rows],

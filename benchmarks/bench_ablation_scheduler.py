@@ -6,8 +6,6 @@ plus a slower Sparc) with background load, the capacity-aware default is
 compared against least-loaded, round-robin, and random placement.
 """
 
-import pytest
-
 from repro.bio import DarwinEngine, DatabaseProfile
 from repro.cluster import NodeSpec, SimKernel, SimulatedCluster
 from repro.core.engine import BioOperaServer, make_policy
@@ -70,10 +68,8 @@ def _compute():
     return rows
 
 
-@pytest.mark.benchmark(group="ablation-scheduler")
-def test_a3_scheduling_policies(benchmark, artifact):
-    rows = benchmark.pedantic(lambda: cached("a3", _compute),
-                              rounds=1, iterations=1)
+def test_a3_scheduling_policies(artifact):
+    rows = cached("a3", _compute)
     best = min(r["wall"] for r in rows)
     table = format_table(
         ("policy", "WALL (s)", "CPU (s)", "vs best"),
@@ -93,9 +89,7 @@ def test_a3_scheduling_policies(benchmark, artifact):
     assert walls["capacity-aware"] <= best * 1.1
 
 
-@pytest.mark.benchmark(group="ablation-scheduler")
-def test_a3_policies_agree_on_results(benchmark):
-    rows = benchmark.pedantic(lambda: cached("a3", _compute),
-                              rounds=1, iterations=1)
+def test_a3_policies_agree_on_results():
+    rows = cached("a3", _compute)
     # placement policy must never change what is computed, only when
     assert len(rows) == 4

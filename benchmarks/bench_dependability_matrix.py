@@ -8,8 +8,6 @@ conclusion — "all other events can now be masked by BioOpera so that no
 manual intervention is necessary" — becomes a table.
 """
 
-import pytest
-
 from repro.bio import DarwinEngine, DatabaseProfile
 from repro.cluster import SimKernel, SimulatedCluster, uniform
 from repro.core.engine import BioOperaServer, work_lost_to_failures
@@ -106,10 +104,8 @@ def _compute():
     return baseline, rows
 
 
-@pytest.mark.benchmark(group="dependability")
-def test_d1_matrix(benchmark, artifact):
-    baseline, rows = benchmark.pedantic(lambda: cached("d1", _compute),
-                                        rounds=1, iterations=1)
+def test_d1_matrix(artifact):
+    baseline, rows = cached("d1", _compute)
     table = format_table(
         ("failure class", "status", "WALL overhead", "CPU-s lost",
          "manual actions"),
@@ -136,10 +132,8 @@ def test_d1_matrix(benchmark, artifact):
         assert result["interventions"] == expected_manual, label
 
 
-@pytest.mark.benchmark(group="dependability")
-def test_d1_failures_cost_wall_not_correctness(benchmark):
-    baseline, rows = benchmark.pedantic(lambda: cached("d1", _compute),
-                                        rounds=1, iterations=1)
+def test_d1_failures_cost_wall_not_correctness():
+    baseline, rows = cached("d1", _compute)
     disturbed = [r for label, r in rows if label != "baseline (no failure)"]
     # at least some scenarios must actually have slowed the run down —
     # otherwise the injection isn't biting and the matrix proves nothing

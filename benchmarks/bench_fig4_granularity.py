@@ -13,8 +13,6 @@ the prose fixes:
   (S2) — then rises again as overhead dominates (S3).
 """
 
-import pytest
-
 from repro.workloads import reporting, scenarios
 from repro.workloads.scenarios import PAPER_TEU_COUNTS
 
@@ -25,11 +23,8 @@ def _compute():
     return scenarios.granularity_study(teu_counts=PAPER_TEU_COUNTS, seed=0)
 
 
-@pytest.mark.benchmark(group="fig4")
-def test_fig4_granularity_sweep(benchmark, artifact):
-    points = benchmark.pedantic(
-        lambda: cached("fig4", _compute), rounds=1, iterations=1,
-    )
+def test_fig4_granularity_sweep(artifact):
+    points = cached("fig4", _compute)
     artifact("fig4_granularity", reporting.granularity_table(points))
     anchors = reporting.granularity_segments(points)
     artifact("fig4_anchors", "\n".join(
@@ -58,12 +53,9 @@ def test_fig4_granularity_sweep(benchmark, artifact):
     assert abs(pairs_per_teu_fraction - 0.02) < 1e-9
 
 
-@pytest.mark.benchmark(group="fig4")
-def test_fig4_cpu_monotone_over_segments(benchmark):
+def test_fig4_cpu_monotone_over_segments():
     """CPU grows with granularity segment means (robust to run noise)."""
-    points = benchmark.pedantic(
-        lambda: cached("fig4", _compute), rounds=1, iterations=1,
-    )
+    points = cached("fig4", _compute)
     def segment_mean(low, high):
         values = [p.cpu_seconds for p in points if low <= p.teus <= high]
         return sum(values) / len(values)

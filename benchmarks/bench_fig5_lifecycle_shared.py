@@ -8,8 +8,6 @@ with at most a handful of manual interventions; actual computing time is
 a small fraction of the total WALL time.
 """
 
-import pytest
-
 from repro.cluster import DAY
 from repro.workloads import reporting, scenarios
 
@@ -20,9 +18,8 @@ def shared():
     return cached("table1_shared", lambda: scenarios.shared_run(seed=0))
 
 
-@pytest.mark.benchmark(group="fig5")
-def test_fig5_lifecycle_chart(benchmark, artifact):
-    report = benchmark.pedantic(shared, rounds=1, iterations=1)
+def test_fig5_lifecycle_chart(artifact):
+    report = shared()
     artifact("fig5_lifecycle_shared", reporting.lifecycle_chart(report))
     artifact("fig5_events", "\n".join(
         f"day {t / DAY:5.1f}  {label}" for t, label in report.annotations
@@ -39,9 +36,8 @@ def test_fig5_lifecycle_chart(benchmark, artifact):
     assert 0.2 <= report.utilization_fraction <= 0.85
 
 
-@pytest.mark.benchmark(group="fig5")
-def test_fig5_event_coverage(benchmark):
-    report = benchmark.pedantic(shared, rounds=1, iterations=1)
+def test_fig5_event_coverage():
+    report = shared()
     labels = " | ".join(label for _t, label in report.annotations)
     # the ten reconstructed events all appear in the timeline
     for fragment in (
@@ -58,9 +54,8 @@ def test_fig5_event_coverage(benchmark):
         assert fragment in labels, f"missing event: {fragment}"
 
 
-@pytest.mark.benchmark(group="fig5")
-def test_fig5_failure_classes_survived(benchmark, artifact):
-    report = benchmark.pedantic(shared, rounds=1, iterations=1)
+def test_fig5_failure_classes_survived(artifact):
+    report = shared()
     artifact("fig5_failures", "\n".join(
         f"{reason:<18} {count}"
         for reason, count in sorted(report.failure_reasons.items())

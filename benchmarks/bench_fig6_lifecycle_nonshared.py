@@ -7,8 +7,6 @@ availability and utilization jump from 8 to 16 together; utilization
 otherwise tracks availability closely (dedicated cluster).
 """
 
-import pytest
-
 from repro.cluster import DAY
 from repro.workloads import reporting, scenarios
 
@@ -20,9 +18,8 @@ def nonshared():
                   lambda: scenarios.nonshared_run(seed=0))
 
 
-@pytest.mark.benchmark(group="fig6")
-def test_fig6_lifecycle_chart(benchmark, artifact):
-    report = benchmark.pedantic(nonshared, rounds=1, iterations=1)
+def test_fig6_lifecycle_chart(artifact):
+    report = nonshared()
     artifact("fig6_lifecycle_nonshared", reporting.lifecycle_chart(report))
 
     series = report.trace_daily
@@ -33,9 +30,8 @@ def test_fig6_lifecycle_chart(benchmark, artifact):
     assert after_upgrade and max(after_upgrade) == 16.0
 
 
-@pytest.mark.benchmark(group="fig6")
-def test_fig6_utilization_follows_upgrade_immediately(benchmark):
-    report = benchmark.pedantic(nonshared, rounds=1, iterations=1)
+def test_fig6_utilization_follows_upgrade_immediately():
+    report = nonshared()
     busy_before = [b for t, _a, b in report.trace_daily
                    if 20 * DAY < t < 24 * DAY]
     busy_after = [b for t, _a, b in report.trace_daily
@@ -44,9 +40,8 @@ def test_fig6_utilization_follows_upgrade_immediately(benchmark):
     assert busy_after and max(busy_after) > 12.0
 
 
-@pytest.mark.benchmark(group="fig6")
-def test_fig6_planned_outages_only(benchmark, artifact):
-    report = benchmark.pedantic(nonshared, rounds=1, iterations=1)
+def test_fig6_planned_outages_only(artifact):
+    report = nonshared()
     artifact("fig6_events", "\n".join(
         f"day {t / DAY:5.1f}  {label}" for t, label in report.annotations
     ))

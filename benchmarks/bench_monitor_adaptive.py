@@ -7,8 +7,6 @@ load curve." The benchmark replays the two-cut-off algorithm and two
 baselines over a week of synthetic per-node load, across several seeds.
 """
 
-import pytest
-
 from repro.core.monitor.adaptive import (
     MonitorConfig,
     simulate_monitoring,
@@ -35,10 +33,8 @@ def _mean(values):
     return sum(values) / len(values)
 
 
-@pytest.mark.benchmark(group="monitor")
-def test_m1_adaptive_monitoring_claim(benchmark, artifact):
-    runs = benchmark.pedantic(lambda: cached("m1", _compute),
-                              rounds=1, iterations=1)
+def test_m1_adaptive_monitoring_claim(artifact):
+    runs = cached("m1", _compute)
     flat = [run for batch in runs.values() for run in batch]
     artifact("m1_monitoring", monitoring_table(flat))
 
@@ -52,33 +48,27 @@ def test_m1_adaptive_monitoring_claim(benchmark, artifact):
     assert error <= 0.05
 
 
-@pytest.mark.benchmark(group="monitor")
-def test_m1_network_traffic_reduction(benchmark):
-    runs = benchmark.pedantic(lambda: cached("m1", _compute),
-                              rounds=1, iterations=1)
+def test_m1_network_traffic_reduction():
+    runs = cached("m1", _compute)
     adaptive_messages = _mean([r.network_messages for r in runs["adaptive"]])
     fixed_messages = _mean([r.network_messages for r in runs["fixed"]])
     # an order of magnitude fewer messages than fixed-rate reporting
     assert adaptive_messages < fixed_messages / 10
 
 
-@pytest.mark.benchmark(group="monitor")
-def test_m1_accuracy_close_to_fixed_rate(benchmark):
-    runs = benchmark.pedantic(lambda: cached("m1", _compute),
-                              rounds=1, iterations=1)
+def test_m1_accuracy_close_to_fixed_rate():
+    runs = cached("m1", _compute)
     adaptive_error = _mean([r.mean_error for r in runs["adaptive"]])
     fixed_error = _mean([r.mean_error for r in runs["fixed"]])
     # "preserving a highly accurate view of the load"
     assert adaptive_error <= fixed_error + 0.04
 
 
-@pytest.mark.benchmark(group="monitor")
-def test_m1_both_cutoffs_contribute(benchmark):
+def test_m1_both_cutoffs_contribute():
     """Ablation within the ablation: the sampling cut-off (interval
     adaptation) reduces samples taken; the reporting cut-off reduces
     messages. fixed-threshold isolates the latter."""
-    runs = benchmark.pedantic(lambda: cached("m1", _compute),
-                              rounds=1, iterations=1)
+    runs = cached("m1", _compute)
     adaptive_samples = _mean([r.samples_taken for r in runs["adaptive"]])
     fixed_samples = _mean([r.samples_taken for r in runs["fixed"]])
     threshold_messages = _mean(

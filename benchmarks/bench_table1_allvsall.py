@@ -7,8 +7,6 @@ took ~45 days; CPU(pi) is in the hundreds of days; previous *manual*
 efforts took months and computed less.
 """
 
-import pytest
-
 from repro.workloads import reporting, scenarios
 
 from .conftest import cached
@@ -23,9 +21,8 @@ def nonshared():
                   lambda: scenarios.nonshared_run(seed=0))
 
 
-@pytest.mark.benchmark(group="table1")
-def test_shared_cluster_run(benchmark, artifact):
-    report = benchmark.pedantic(shared, rounds=1, iterations=1)
+def test_shared_cluster_run(artifact):
+    report = shared()
     artifact("table1_shared_summary", "\n".join(
         f"{metric:<22} {value}"
         for metric, value in reporting.lifecycle_summary(report)
@@ -39,9 +36,8 @@ def test_shared_cluster_run(benchmark, artifact):
     assert report.manual_interventions <= 6
 
 
-@pytest.mark.benchmark(group="table1")
-def test_nonshared_cluster_run(benchmark, artifact):
-    report = benchmark.pedantic(nonshared, rounds=1, iterations=1)
+def test_nonshared_cluster_run(artifact):
+    report = nonshared()
     artifact("table1_nonshared_summary", "\n".join(
         f"{metric:<22} {value}"
         for metric, value in reporting.lifecycle_summary(report)
@@ -54,11 +50,8 @@ def test_nonshared_cluster_run(benchmark, artifact):
     assert report.utilization_fraction > 0.8
 
 
-@pytest.mark.benchmark(group="table1")
-def test_table1_cross_run_shape(benchmark, artifact):
-    shared_report, nonshared_report = benchmark.pedantic(
-        lambda: (shared(), nonshared()), rounds=1, iterations=1,
-    )
+def test_table1_cross_run_shape(artifact):
+    shared_report, nonshared_report = (shared(), nonshared())
     artifact("table1", reporting.table1(shared_report, nonshared_report))
     # who wins and by what factor: fewer CPUs but exclusive use means the
     # non-shared run is somewhat slower overall but not dramatically so.

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Event signals between processes + hot-standby server failover.
+"""Event signals between processes + a shard that fails over by itself.
 
 Two of OCR's "advanced programming constructs" in one scenario:
 
@@ -7,28 +7,30 @@ Two of OCR's "advanced programming constructs" in one scenario:
    and RAISEs ``db_published``; an analysis process AWAITs that signal
    before starting its alignment stage (inter-process coordination without
    polling).
-2. **Hot standby** (the paper's future-work backup architecture) — midway
-   through, the primary BioOpera server dies; the standby promotes itself
-   from the shared durable store and both processes finish with no
-   operator involvement.
+2. **Automatic failover** (the paper's future-work backup architecture) —
+   midway through, the shard's BioOpera server dies; the plane's broker
+   notices the heartbeat silence, promotes a new incarnation from the
+   shard's durable store, and both processes finish with no operator
+   involvement.
 
     python examples/coordination_and_failover.py
 """
 
 from repro import (
-    BioOperaServer,
     DarwinEngine,
     DatabaseProfile,
+    ProgramRegistry,
     ProgramResult,
     SimKernel,
-    SimulatedCluster,
     format_duration,
 )
-from repro.cluster import uniform
-from repro.core.engine import attach_standby
 from repro.core.monitor import queries
-from repro.processes import install_all_vs_all
+from repro.core.ocr.parser import parse_ocr
+from repro.processes.activities import register_all_vs_all_programs
+from repro.processes.all_vs_all import (build_align_chunk_template,
+                                        build_all_vs_all_template)
 from repro.processes.partitioning import list_queue
+from repro.shard import ShardedControlPlane
 
 CURATION = """
 PROCESS curation
@@ -77,11 +79,8 @@ def main():
                           random_match_rate=1e-3, seed=6)
 
     kernel = SimKernel(seed=17)
-    cluster = SimulatedCluster(kernel, uniform(4, cpus=2))
-    server = BioOperaServer(seed=6)
-    server.attach_environment(cluster)
-    install_all_vs_all(server, darwin)
-    monitor = attach_standby(cluster, takeover_after=60.0)
+    registry = ProgramRegistry()
+    register_all_vs_all_programs(registry, darwin)
 
     # a shared "message board": the curation run publishes its queue where
     # the analysis run's fetch program picks it up
@@ -100,39 +99,45 @@ def main():
     def fetch_queue(inputs, ctx):
         return ProgramResult({"queue_file": published["queue"]}, cost=0.5)
 
-    server.registry.register("curation.screen", screen)
-    server.registry.register("curation.publish", publish)
-    server.registry.register("analysis.fetch_queue", fetch_queue)
-    server.define_template_ocr(CURATION)
-    server.define_template_ocr(ANALYSIS)
+    registry.register("curation.screen", screen)
+    registry.register("curation.publish", publish)
+    registry.register("analysis.fetch_queue", fetch_queue)
+    # one shard behind the broker, which watches it for heartbeat silence
+    plane = ShardedControlPlane(
+        kernel, shards=1, nodes_per_shard=4, cpus=2, seed=6,
+        registry=registry, takeover_after=60.0,
+        templates=[build_align_chunk_template(), build_all_vs_all_template(),
+                   parse_ocr(CURATION), parse_ocr(ANALYSIS)])
 
-    analysis_id = server.launch("analysis", {"db_name": profile.name})
-    curation_id = server.launch("curation", {"db_name": profile.name})
+    analysis = plane.launch("lab", "analysis", {"db_name": profile.name})
+    curation = plane.launch("lab", "curation", {"db_name": profile.name})
+    plane.drain_requests()
+    analysis_id, curation_id = analysis.result, curation.result
 
     # the analysis instance is parked on its AWAIT until curation publishes
     kernel.run(until=10.0)
-    gated = server.instance(analysis_id).find_state("WaitForData")
+    gated = plane.instance(analysis_id).find_state("WaitForData")
     print(f"t=10s: analysis WaitForData is {gated.status} "
           f"(awaiting db_published)")
 
     # curation completes -> relay its signal to the analysis instance
     # (inter-process event delivery via the server's signal API)
-    while server.instance(curation_id).status != "completed":
-        kernel.step()
-    cluster.server.raise_signal(analysis_id, "db_published",
-                                origin=curation_id)
+    plane.run_until(
+        lambda: plane.instance(curation_id).status == "completed")
+    plane.signal("lab", analysis_id, "db_published", origin=curation_id)
     print(f"t={kernel.now:.0f}s: curation published its queue, "
           f"signal relayed to {analysis_id}")
 
-    # disaster: the primary server dies mid-analysis
+    # disaster: the shard's server dies mid-analysis
     kernel.run(until=kernel.now + 30.0)
-    cluster.crash_server()
-    print(f"t={kernel.now:.0f}s: PRIMARY SERVER DOWN")
+    plane.crash_shard(0)
+    print(f"t={kernel.now:.0f}s: SHARD SERVER DOWN")
 
-    status = cluster.run_until_instance_done(analysis_id)
-    server = cluster.server          # the promoted standby
-    print(f"t={kernel.now:.0f}s: analysis {status} on the standby "
-          f"(takeovers: {monitor.takeovers})")
+    plane.run_until(lambda: plane.instance(analysis_id).terminal)
+    server = plane.shards[0].server          # the promoted incarnation
+    status = server.instance(analysis_id).status
+    print(f"t={kernel.now:.0f}s: analysis {status} on the promoted "
+          f"incarnation (takeovers: {plane.broker.takeovers})")
     outputs = server.instance(analysis_id).outputs
     print(f"  matches found: {outputs['match_count']}")
     print(f"  manual interventions: "
@@ -145,7 +150,7 @@ def main():
               f"{usage.failures} failures")
 
     assert status == "completed"
-    assert monitor.takeovers == 1
+    assert plane.broker.takeovers == 1
     assert server.metrics["manual_interventions"] == 0
 
 

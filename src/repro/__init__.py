@@ -49,7 +49,6 @@ from .core.engine import (
     ProgramResult,
 )
 from .core.engine.operator_console import OperatorConsole
-from .core.engine.standby import StandbyMonitor, attach_standby
 from .core.model import (
     Activity,
     Binding,
@@ -89,8 +88,6 @@ __all__ = [
     "ProgramContext",
     "ProgramResult",
     "OperatorConsole",
-    "StandbyMonitor",
-    "attach_standby",
     # monitoring & planning
     "AdaptiveMonitor",
     "MonitorConfig",

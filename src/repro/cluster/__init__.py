@@ -2,7 +2,7 @@
 
 from .environment import SimulatedCluster
 from .failures import DAY, HOUR, ScenarioScript
-from .network import ANY, SERVER, STANDBY, Network
+from .network import ANY, SERVER, Network
 from .node import NodeSpec, SimNode
 from .pec import PEC
 from .simulation import Event, SimKernel, format_duration
@@ -18,7 +18,6 @@ __all__ = [
     "Network",
     "ANY",
     "SERVER",
-    "STANDBY",
     "PEC",
     "SimulatedCluster",
     "ClusterTrace",

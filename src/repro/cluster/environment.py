@@ -382,10 +382,6 @@ class SimulatedCluster(ExecutionEnvironment):
                 if self.nodes[name].up:
                     self._announce_node_up(name)
 
-    def heal_all_partitions(self) -> None:
-        for pid in list(self._partitions):
-            self.heal_partition(pid)
-
     def set_duplication(self, rate: float) -> None:
         self.network.set_duplication(rate)
 
@@ -413,10 +409,10 @@ class SimulatedCluster(ExecutionEnvironment):
         """The failover routine: rebuild the server from its durable
         store and re-attach it.
 
-        Scenario scripts, chaos campaigns, shard failover and standby
-        promotion all fail over through here, so a failover is assembled
-        in exactly one place: the predecessor's hub hands over to a
-        successor of the same configuration
+        Scenario scripts and shard failover (a test's, an operator's or
+        the broker's failure detector's) all fail over through here, so
+        a failover is assembled in exactly one place: the predecessor's
+        hub hands over to a successor of the same configuration
         (:meth:`~repro.obs.ObservabilityHub.successor`);
         :meth:`BioOperaServer.recover` re-derives identity, epoch and
         policies from the store — the only state a recovery on another

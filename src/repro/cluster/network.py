@@ -3,8 +3,8 @@
 The paper's clusters hang off "an ordinary Ethernet 10 Mbit network" that
 failed outright more than once (Figure 5 event 3, Figure 6's two planned
 outages). Messages here are kernel callbacks delivered after a sampled
-latency between two named **endpoints** — the server (:data:`SERVER`), the
-standby monitor (:data:`STANDBY`), and each node by name.
+latency between two named **endpoints** — the server (:data:`SERVER`) and
+each node by name, or the broker and the shards on a plane's control fabric.
 
 Failure modes the fabric can inject, per directed link:
 
@@ -39,8 +39,6 @@ from .simulation import SimKernel
 
 #: endpoint name of the BioOpera server.
 SERVER = "server"
-#: endpoint name of the hot-standby monitor.
-STANDBY = "standby"
 #: wildcard endpoint matching any source or destination.
 ANY = "*"
 
@@ -186,6 +184,22 @@ class Network:
             forced_drop, label=label or getattr(fn, "__name__", "msg"),
         )
         return True
+
+    def beat(self, fn: Callable, *args: Any, src: str, dst: str) -> None:
+        """Deliver the liveness beacon ``fn(*args)`` after the base latency
+        on ``src -> dst`` unless the link is cut at either end.
+
+        A beacon carries no payload, so it is no message: it hits no
+        fault point and no counter, and a fabric's traffic figures read
+        the same whether or not a failure detector listens on it.
+        """
+        def arrive():
+            if not self.is_cut(src, dst):
+                fn(*args)
+
+        if not self.is_cut(src, dst):
+            self.kernel.schedule(self.base_latency, arrive,
+                                 label="heartbeat")
 
     def _deliver(self, fn: Callable, args: tuple, src: str, dst: str,
                  on_dropped: Optional[Callable[[], None]],

@@ -86,6 +86,3 @@ class ClusterTrace:
 
     def max_available(self) -> float:
         return max((a for _t, a, _b in self.samples), default=0.0)
-
-    def max_busy(self) -> float:
-        return max((b for _t, _a, b in self.samples), default=0.0)

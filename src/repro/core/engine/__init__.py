@@ -33,14 +33,11 @@ from .scheduler import (
     make_policy,
 )
 from .server import BioOperaServer
-from .standby import StandbyMonitor, attach_standby
 
 __all__ = [
     "events",
     "BioOperaServer",
     "StepClock",
-    "StandbyMonitor",
-    "attach_standby",
     "Navigator",
     "Dispatcher",
     "JobRequest",

@@ -115,7 +115,7 @@ class BioOperaServer:
         self.up = True
         self.environment = None
         # Durable fencing epoch: bumped in the store on every (re)start and
-        # standby promotion, before any dispatch. Every dispatch and every
+        # promotion, before any dispatch. Every dispatch and every
         # emitted event carries it; a server that finds a newer epoch in
         # the shared store fences itself (see :meth:`_fenced`).
         self.epoch = int(
@@ -749,9 +749,10 @@ class BioOperaServer:
     def _fenced(self) -> bool:
         """Self-fence against a newer server sharing the durable store.
 
-        A standby promotion bumps the store's epoch; the moment the old
-        primary consults the store and sees a newer epoch it stands down
-        (``up = False``) instead of racing the new server's writes.
+        A promotion bumps the store's epoch; the moment an old
+        incarnation sharing that store consults it and sees a newer
+        epoch it stands down (``up = False``) instead of racing the new
+        server's writes.
         """
         durable = int(
             self.store.configuration.setting("server_epoch", self.epoch)
@@ -924,6 +925,16 @@ class BioOperaServer:
             fire("recovery.replay", instance=instance_id)
             if ended(store, instance_id):
                 server.instances.defer(instance_id)
+                continue
+            if not store.instances.event_count(instance_id):
+                # The launch died between its instance record and its
+                # first events, so it never ran: forget it, dedup marker
+                # included, and a redelivered launch runs afresh.
+                key = store.instances.meta(instance_id).get("request_key")
+                marker = f"request/{key}"
+                mine = store.configuration.setting(marker) == instance_id
+                store.instances.drop(instance_id, [
+                    store.configuration.setting_key(marker)] if mine else [])
                 continue
             instance = server._replay(instance_id)
             if not instance.terminal:  # else stale meta: the event made it

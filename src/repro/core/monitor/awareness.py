@@ -207,8 +207,3 @@ class AwarenessModel:
             if view.up and not view.quarantined and view.free_slots() >= 1:
                 result.append(view)
         return result
-
-    def total_cpus(self, only_up: bool = True) -> int:
-        return sum(
-            v.cpus for v in self._nodes.values() if v.up or not only_up
-        )

@@ -12,13 +12,17 @@ a one-shard plane (a single server is a one-shard plane); ``shard`` and
 
 Crash protocol: an :class:`InjectedCrash` unwinding out of a kernel step
 means "a server process died in that window". The loop asks the plane
-which shard's, marks it down, waits a seeded delay, and fails it over
-from ``store.simulate_crash()`` — so records appended but never synced
-are genuinely lost, exactly like a real crash. Recovery itself runs
-under the same injector, so a ``recovery.replay`` action can kill the
-recovering server and force a second recovery from the same durable log.
+which shard's and kills it; the campaign schedules no recovery. The
+broker's failure detector notices the silence and promotes the shard
+(:meth:`~repro.shard.ShardedControlPlane.recover_shard`), which fails it
+over from ``store.simulate_crash()`` — so records appended but never
+synced are genuinely lost, exactly like a real crash. Downtime, crash
+to promoted incarnation serving, is therefore measured, not drawn.
+Promotion runs under the same injector, so a ``recovery.replay`` action
+can kill the recovering server; the shard stays silent and the detector
+promotes it again from the same durable log.
 
-After every successful recovery, and once more at the end, the full
+After every successful promotion, and once more at the end, the full
 invariant catalog (:mod:`repro.faults.invariants`) runs on the servers
 concerned; the campaign additionally requires the final outputs to be
 byte-identical to a fault-free run. Every randomized choice derives from
@@ -99,16 +103,14 @@ class Shape(NamedTuple):
     tenants: int
     #: all-vs-all launches per tenant.
     launches: int
-    #: seconds between an injected crash and the failover attempt.
-    recovery_delay: Tuple[float, float]
 
 
 #: one row per profile; the row is all a profile chooses.
 SHAPES: Dict[str, Shape] = {
-    "mixed": Shape(1, 1, 1, (30.0, 300.0)),
-    "partition": Shape(1, 1, 1, (30.0, 300.0)),
-    "shard": Shape(4, 4, 2, (20.0, 120.0)),
-    "rebalance": Shape(4, 4, 2, (20.0, 120.0)),
+    "mixed": Shape(1, 1, 1),
+    "partition": Shape(1, 1, 1),
+    "shard": Shape(4, 4, 2),
+    "rebalance": Shape(4, 4, 2),
 }
 
 #: wedge guards: a campaign that exceeds either has lost an invariant in a
@@ -189,10 +191,15 @@ class CampaignResult:
     recoveries: int = 0
     wall: float = 0.0
     events: int = 0
-    #: total simulated seconds servers spent down (crash → recovered),
-    #: summed per server across every outage, so two shards down at once
-    #: count twice; the sweep's "recovery time" metric.
-    recovery_time: float = 0.0
+    #: simulated seconds from each crash to the promoted incarnation
+    #: serving (detection + replay), one entry per promotion.
+    downtimes: List[float] = field(default_factory=list)
+
+    @property
+    def recovery_time(self) -> float:
+        """Total downtime, summed per server across every outage, so two
+        shards down at once count twice; the sweep's "recovery time"."""
+        return sum(self.downtimes)
 
     @property
     def ok(self) -> bool:
@@ -415,11 +422,6 @@ class _Plane:
         self.plane.crash_shard(index)
         return True
 
-    def recover(self, index: int) -> BioOperaServer:
-        """Fail one shard over from its own store (which also resumes
-        any migration it was party to)."""
-        return self.plane.recover_shard(index)
-
     def drain(self) -> None:
         """The scheduled drain; re-entered after every mid-drain crash.
 
@@ -439,7 +441,7 @@ class _Plane:
         self.participants.add(index)
         self.plane.drain_shard(index)
 
-    def disturbance(self, fault, crash, recover):
+    def disturbance(self, fault, crash):
         """``(start, stop)`` enacting ``fault``, or None if this plane
         cannot: a category no profile knows, or a drain with no sibling
         shard to drain into.
@@ -471,7 +473,7 @@ class _Plane:
         if category in _CLUSTER_FAULTS:
             act, stop = _CLUSTER_FAULTS[category](cluster, params)
         elif category in ("server-crash", "shard-crash"):
-            act, stop = partial(crash, index), partial(recover, index)
+            act = partial(crash, index)
         elif category == "shard-partition":
             act, stop = _partition(
                 partial(self.plane.partition_shard, index,
@@ -632,7 +634,6 @@ def run_campaign(seed: int, darwin: DarwinEngine,
     topo = _Plane(darwin, kernel_seed, config)
     kernel = topo.kernel
     result = CampaignResult(seed=seed, plan=plan.to_dict())
-    recovery_rng = kernel.rng("chaos-recovery")
     #: when each server that is down went down: one clock per server.
     down: Dict[int, float] = {}
 
@@ -665,34 +666,41 @@ def run_campaign(seed: int, darwin: DarwinEngine,
         down.setdefault(index, kernel.now)
         return True
 
-    def ensure_recovered(index: int) -> None:
-        """Fail server ``index`` over from durable state if it is down."""
-        server = topo.servers().get(index)
-        if server is None or server.up:
-            return
+    take_over = topo.plane.broker.promote
+
+    def promote(index: int) -> None:
+        """The detector's promotion of shard ``index``, observed: its
+        downtime, then the invariant catalog on the new incarnation."""
+        live = topo.plane.shards[index].up
         try:
-            recovered = topo.recover(index)
+            recovered = take_over(index)
         except InjectedCrash as exc:
-            # Recovery itself was killed, and whatever it had built is
-            # down too. Try again from what it left durable.
+            # Promotion itself was killed, and whatever it had built is
+            # down too. The shard stays silent; the detector promotes it
+            # again from what this attempt left durable.
             result.crashes += 1
             take_down(index, scheduled=False)
-            say(f"shard {index}: recovery killed at {exc.point} "
+            say(f"shard {index}: promotion killed at {exc.point} "
                 f"(crash {result.crashes})")
-            delay = recovery_rng.uniform(*topo.shape.recovery_delay)
-            kernel.schedule(delay, ensure_recovered, index,
-                            label="chaos: re-recover")
             return
         result.recoveries += 1
-        result.recovery_time += kernel.now - down.pop(index, kernel.now)
-        where = f"shard {index}: after recovery {result.recoveries}"
-        say(f"{where}: epoch {recovered.epoch}; checking invariants")
+        result.downtimes.append(kernel.now - down.pop(index, kernel.now))
+        where = f"shard {index}: after promotion {result.recoveries}"
+        say(f"{where}: epoch {recovered.epoch}"
+            f"{' (deposed a live incarnation)' if live else ''}; "
+            f"checking invariants")
         result.violations.extend(
             f"{where}: {problem}"
             for problem in run_checks(recovered, where))
+        if topo.drain_victim is not None:
+            # A drain the crash interrupted is re-entered now.
+            kernel.schedule(1.0, topo.drain,
+                            label="chaos: resume after promotion")
+
+    topo.plane.broker.promote = promote
 
     for fault in plan.scheduled:
-        halves = topo.disturbance(fault, take_down, ensure_recovered)
+        halves = topo.disturbance(fault, take_down)
         if halves is None:
             result.violations.append(f"plan contains {fault.category!r}, "
                                      f"which this plane cannot enact")
@@ -701,9 +709,7 @@ def run_campaign(seed: int, darwin: DarwinEngine,
         kernel.schedule_at(fault.time, start,
                            label=f"chaos: {fault.category}")
         if stop is not None:
-            span = fault.params.get("duration",
-                                    fault.params.get("recovery_after"))
-            kernel.schedule_at(fault.time + span, stop,
+            kernel.schedule_at(fault.time + fault.params["duration"], stop,
                                label=f"chaos: {fault.category} over")
 
     injector = FaultInjector(plan.actions)
@@ -720,21 +726,12 @@ def run_campaign(seed: int, darwin: DarwinEngine,
                 index = topo.victim(exc)
                 say(f"injected crash at {exc.point} (crash "
                     f"{result.crashes}): server {index} down")
-                if index is None:
-                    continue
-                take_down(index, scheduled=False)
-                delay = recovery_rng.uniform(*topo.shape.recovery_delay)
-                kernel.schedule(delay, ensure_recovered, index,
-                                label="chaos: recover")
-                if topo.drain_victim is not None:
-                    # A drain this crash interrupted is re-entered once
-                    # the crashed party is back.
-                    kernel.schedule(delay + 1.0, topo.drain,
-                                    label="chaos: resume after recovery")
+                if index is not None:
+                    take_down(index, scheduled=False)
                 continue
             if not progressed:
-                # Every kill above and in the plan has its failover
-                # queued, so a drained queue is the system's doing.
+                # The detector watches while a shard is down, so a
+                # drained queue is the system's doing.
                 result.violations.append(
                     "wedged: event queue drained before completion")
                 break

@@ -45,13 +45,14 @@ SCHEDULED_CATEGORIES = (
 
 #: plan profiles: ``mixed`` draws from every category; ``partition``
 #: draws only the network-fabric disturbances (partitions, loss,
-#: duplication, reordering, outages) plus server crashes — the
-#: split-brain/fencing stress mix; ``shard`` targets one shard of a
-#: sharded control plane (crash, broker-link partition, node crash)
-#: and asserts the blast radius stays inside that shard; ``rebalance``
-#: drains one shard mid-campaign (optionally growing the plane first),
-#: arming crashes inside the migration protocol's journaled windows, and
-#: asserts no instance loses a byte across the move.
+#: duplication, reordering, outages, a broker↔shard cut) plus server
+#: crashes — the split-brain/fencing stress mix; ``shard`` targets one
+#: shard of a sharded control plane (crash, broker-link partition, node
+#: crash) and asserts the blast radius stays inside that shard;
+#: ``rebalance`` drains one shard mid-campaign (optionally growing the
+#: plane first), arming crashes inside the migration protocol's
+#: journaled windows, and asserts no instance loses a byte across the
+#: move.
 PROFILES = ("mixed", "partition", "shard", "rebalance")
 
 
@@ -185,8 +186,6 @@ class FaultPlan:
             victim = round(rng.random(), 6)
             scheduled.append(ScheduledFault("shard-crash", when(), {
                 "victim": victim,
-                "recovery_after": round(
-                    rng.uniform(0.1, 0.6) * horizon, 3),
             }))
             if rng.random() < 0.5:
                 scheduled.append(ScheduledFault("shard-partition", when(), {
@@ -220,11 +219,7 @@ class FaultPlan:
                 0.15, 0.6), {"victim": victim}))
             if rng.random() < 0.35:
                 scheduled.append(ScheduledFault("shard-crash", when(
-                    0.6, 0.85), {
-                    "victim": round(rng.random(), 6),
-                    "recovery_after": round(
-                        rng.uniform(0.05, 0.3) * horizon, 3),
-                }))
+                    0.6, 0.85), {"victim": round(rng.random(), 6)}))
             actions = []
             for point in ("shard.migrate.prepare", "shard.migrate.export",
                           "shard.migrate.import", "shard.migrate.commit",
@@ -266,8 +261,13 @@ class FaultPlan:
                 "duration": round(rng.uniform(0.3, 1.5) * horizon, 3),
             }))
         if rng.random() < (0.55 if mixed else 0.5):
-            scheduled.append(ScheduledFault("server-crash", when(), {
-                "recovery_after": round(rng.uniform(0.1, 0.6) * horizon, 3),
+            scheduled.append(ScheduledFault("server-crash", when()))
+        if not mixed and rng.random() < 0.6:
+            # A cut between the broker and the shard: one that outlasts
+            # the detector's takeover window promotes a live incarnation.
+            scheduled.append(ScheduledFault("shard-partition", when(), {
+                "symmetric": rng.random() < 0.7,
+                "duration": round(rng.uniform(0.15, 0.8) * horizon, 3),
             }))
         # Network-fabric disturbances: per-link partitions with a drawn
         # direction (symmetric, half-open toward the server, half-open

@@ -14,8 +14,9 @@ Each cell is then scored on three dependability axes:
   is better);
 * ``throughput`` — mean fault-free-wall / run-wall ratio (1.0 = the
   faults cost nothing; higher is better);
-* ``recovery`` — mean server downtime per run in simulated seconds
-  (lower is better).
+* ``recovery`` — mean server downtime per run in simulated seconds,
+  measured from each crash to the detector's promoted incarnation
+  serving (lower is better).
 
 Ranking uses both MCDM views DAVOS offers: the Pareto front (cells no
 other cell beats on every axis) and a weighted-sum score over min-max

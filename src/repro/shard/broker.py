@@ -21,6 +21,15 @@ Reliability is broker-side redelivery over idempotent shard operations:
   ``deliver_signal``, local broadcast) are idempotent, so a request the
   shard executed but whose ack was lost in the failover is harmless to
   redeliver.
+
+The broker is also each shard's failure detector. Shards send it
+heartbeats over the control fabric (:meth:`heartbeat`); :meth:`detect`
+promotes, through the plane's failover, every shard it has not heard for
+``takeover_after`` seconds. Silence is the only input: nobody can tell a
+dead shard from a healthy one behind a cut, so a promotion can depose a
+live incarnation. That is safe, not impossible: the new incarnation
+takes a higher epoch, and the PECs refuse the old one's dispatches, the
+new one its reports, and this broker its acks.
 """
 
 from __future__ import annotations
@@ -105,7 +114,8 @@ class ShardBroker:
 
     def __init__(self, kernel: SimKernel, network: Network, shards: int,
                  service_time: float = 0.004,
-                 redeliver_after: float = 30.0):
+                 redeliver_after: float = 30.0,
+                 takeover_after: float = 60.0):
         self.kernel = kernel
         self.network = network
         self.shards = shards
@@ -115,6 +125,16 @@ class ShardBroker:
         #: plane throughput scales with the shard count.
         self.service_time = service_time
         self.redeliver_after = redeliver_after
+        #: seconds of heartbeat silence after which a shard is promoted.
+        self.takeover_after = takeover_after
+        #: when each shard was last heard from (or came up, or the
+        #: watch began): silence is measured from here.
+        self._heard = [kernel.now] * shards
+        #: hook(shard) promoting a silent shard, installed by the plane:
+        #: its failover, ``recover_shard``.
+        self.promote: Optional[Callable[[int], Any]] = None
+        #: promotions the detector started.
+        self.takeovers = 0
         #: shard -> callable(Request) -> (epoch, result) | None.
         #: Installed by the control plane; returning None (shard down)
         #: suppresses the ack so redelivery takes over.
@@ -354,21 +374,52 @@ class ShardBroker:
     # Shard availability (driven by the control plane)
     # ------------------------------------------------------------------
 
-    def shard_down(self, shard: int) -> None:
-        """The shard crashed; hold its traffic until :meth:`shard_up`."""
-        self._up[shard] = False
-
-    def shard_up(self, shard: int) -> None:
-        """The shard recovered: redeliver in-flight work, resume intake."""
+    def shard_up(self, shard: int, epoch: int) -> None:
+        """Incarnation ``epoch`` of the shard serves: from now on answers
+        of older epochs are refused; redeliver in-flight work, resume
+        intake, and measure silence afresh."""
         if self._retired[shard]:
             raise EngineError(f"shard {shard} is retired")
         self._up[shard] = True
+        self._heard[shard] = self.kernel.now
+        self.highest_epoch_seen[shard] = max(
+            self.highest_epoch_seen[shard], epoch)
         request = self._in_flight[shard]
         if request is not None and request.status != "done":
             self.redeliveries += 1
             self._send(request)
         else:
             self._maybe_dispatch(shard)
+
+    # ------------------------------------------------------------------
+    # Failure detection (heartbeats over the control fabric)
+    # ------------------------------------------------------------------
+
+    def heartbeat(self, shard: int, epoch: int) -> None:
+        """A heartbeat from incarnation ``epoch`` of ``shard`` arrived;
+        one from a deposed incarnation proves nothing."""
+        if epoch >= self.highest_epoch_seen[shard]:
+            self._heard[shard] = self.kernel.now
+
+    def listen(self) -> None:
+        """Measure every shard's silence from now: the watch begins."""
+        self._heard = [self.kernel.now] * self.shards
+
+    def detect(self) -> None:
+        """Promote every shard silent for ``takeover_after`` seconds.
+
+        The shard is held down first, so a promotion that dies leaves it
+        down and silent, and the next check promotes it again.
+        """
+        now = self.kernel.now
+        for shard in range(self.shards):
+            if self._retired[shard] or (
+                    self._up[shard]
+                    and now - self._heard[shard] < self.takeover_after):
+                continue
+            self._up[shard] = False
+            self.takeovers += 1
+            self.promote(shard)
 
     # ------------------------------------------------------------------
     # Topology change (drain/grow, driven by the control plane)
@@ -385,6 +436,7 @@ class ShardBroker:
         self._up.append(True)
         self._retired.append(False)
         self.highest_epoch_seen.append(0)
+        self._heard.append(self.kernel.now)
         return index
 
     def retire_shard(self, shard: int) -> List[Request]:

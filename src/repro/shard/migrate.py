@@ -411,8 +411,11 @@ class ShardMigrator:
                         or not 0 <= source_index < len(plane.shards)):
                     continue
                 source = plane.shards[source_index]
-                if not source.server.up:
-                    continue  # undecidable until the source store is back
+                if not source.server.up and not source.retired:
+                    # Undecidable until the source store is back. A
+                    # retired source's store stays readable: a drain can
+                    # retire it while a committed move's target is down.
+                    continue
                 forward = source.store.configuration.setting(
                     f"forward/{old_id}")
                 if isinstance(forward, dict) and forward.get("to") == new_id:

@@ -22,6 +22,14 @@ Isolation is deliberate and total:
   (request-keyed launches, :meth:`deliver_signal`) make a mid-crash
   request safe to replay.
 
+Nobody tells the broker that a shard died. While anything else is
+scheduled on the kernel, or a shard is down, every live shard's server
+sends the broker a heartbeat each :data:`HEARTBEAT_INTERVAL` seconds,
+and the broker promotes a shard it has not heard for ``takeover_after``
+seconds through :meth:`ShardedControlPlane.recover_shard`, the failover
+a test or an operator calls too. An idle plane sends nothing, so its
+kernel queue drains.
+
 The chaos ``shard`` profile leans on all three: it crashes one shard
 mid-campaign and requires the surviving shards' event logs to be
 byte-identical to a fault-free twin run.
@@ -41,9 +49,14 @@ from ..obs import ObservabilityHub
 from ..prov import merge_prov_documents, provenance_graph
 from ..prov.graph import fresh_sections
 from ..store.spaces import OperaStore
-from .broker import Forwarded, Rejected, Request, ShardBroker
+from .broker import (BROKER, Forwarded, Rejected, Request, ShardBroker,
+                     shard_endpoint)
 from .migrate import ShardMigrator
 from .router import ShardRouter
+
+#: seconds between two heartbeats of a shard; the broker checks for
+#: silence as often.
+HEARTBEAT_INTERVAL = 15.0
 
 
 class Shard:
@@ -190,7 +203,8 @@ class ShardedControlPlane:
                  checkpoint_interval: int = 50,
                  leases: Optional[Tuple[float, float]] = None,
                  quarantine: Optional[Tuple[int, float, float]] = None,
-                 dispatch_overhead: float = 2.0):
+                 dispatch_overhead: float = 2.0,
+                 takeover_after: float = 60.0):
         self.kernel = kernel
         self.registry = registry or ProgramRegistry()
         self.router = ShardRouter(shards)
@@ -203,7 +217,10 @@ class ShardedControlPlane:
                                jitter=0.0, rng_namespace="control/")
         self.broker = ShardBroker(kernel, self.control, shards,
                                   service_time=service_time,
-                                  redeliver_after=redeliver_after)
+                                  redeliver_after=redeliver_after,
+                                  takeover_after=takeover_after)
+        self.broker.promote = self.recover_shard
+        self._watching = False
         self.shards: List[Shard] = []
         # Remembered so grow() builds new shards with the same shape.
         self._seed = seed
@@ -249,6 +266,11 @@ class ShardedControlPlane:
     # Tenant-facing API (everything goes through the broker)
     # ------------------------------------------------------------------
 
+    def _submit(self, request: Request) -> Request:
+        """Hand a request to the broker; the plane has work to watch."""
+        self._watch()
+        return self.broker.submit(request)
+
     def _next_request_id(self, tenant: str) -> str:
         self._request_seq += 1
         return f"{tenant}/r{self._request_seq:07d}"
@@ -261,7 +283,7 @@ class ShardedControlPlane:
         tenant's instances across the whole plane.
         """
         request_id = self._next_request_id(tenant)
-        return self.broker.submit(Request(
+        return self._submit(Request(
             request_id, tenant, "launch",
             {"template": template, "inputs": dict(inputs or {})},
             self.router.hash_route(request_id),
@@ -276,7 +298,7 @@ class ShardedControlPlane:
         shard itself, which answers with a forward the broker chases.
         """
         owner, final_id = self.resolve_instance(instance_id)
-        return self.broker.submit(Request(
+        return self._submit(Request(
             self._next_request_id(tenant), tenant, "signal",
             {"instance_id": final_id, "name": name, "origin": origin},
             owner,
@@ -291,7 +313,7 @@ class ShardedControlPlane:
         # Installed as every shard server's broadcast_fanout hook, so a
         # broadcast raised *on* one shard still reaches all of them.
         return [
-            self.broker.submit(Request(
+            self._submit(Request(
                 self._next_request_id("system"), "system", "broadcast",
                 {"name": name, "origin": origin}, index,
             ))
@@ -340,14 +362,6 @@ class ShardedControlPlane:
         owner, final_id = self.resolve_instance(instance_id)
         return self.shards[owner].server.instance(final_id)
 
-    def all_instances(self) -> Dict[str, Any]:
-        """instance_id -> instance across every shard (sorted ids);
-        replays every instance a shard's recovery deferred."""
-        merged: Dict[str, Any] = {}
-        for shard in self.shards:
-            merged.update(shard.server.instances.items())
-        return dict(sorted(merged.items()))
-
     def export_prov(self) -> Dict[str, Any]:
         """Every live shard's PROV-JSON document, merged into one.
 
@@ -371,14 +385,20 @@ class ShardedControlPlane:
     # ------------------------------------------------------------------
 
     def crash_shard(self, index: int) -> None:
-        """Crash one shard's server; the broker holds its traffic."""
+        """Crash one shard's server. Nobody is told: the broker finds
+        out from the silence."""
         if self.shards[index].retired:
             raise EngineError(f"shard {index} is retired")
         self.shards[index].crash()
-        self.broker.shard_down(index)
 
     def recover_shard(self, index: int) -> BioOperaServer:
-        """Fail one shard over from its own store and resume traffic."""
+        """Fail one shard over from its own store and resume traffic.
+
+        The one failover routine: the broker's detector calls it on a
+        silent shard, a test or an operator directly. The new
+        incarnation takes a higher epoch, which fences one that may
+        still be alive behind a cut.
+        """
         shard = self.shards[index]
         if shard.retired:
             raise EngineError(f"shard {index} is retired")
@@ -388,12 +408,41 @@ class ShardedControlPlane:
         # degrade to local-only (the bug broadcast routing fixes).
         server.broadcast_fanout = self._fanout_broadcast
         self.broker.executors[index] = shard.execute
-        self.broker.shard_up(index)
+        self.broker.shard_up(index, server.epoch)
+        self._watch()
         # Any migration this shard was source or target of when it died
         # is now decidable again: finish or undo it before new traffic
         # can observe a half-moved instance. No-op without journals.
         self.migrator.resume()
         return server
+
+    def _watch(self) -> None:
+        """Start the heartbeat clock unless it is running."""
+        if not self._watching:
+            self._watching = True
+            self.broker.listen()
+            self.kernel.schedule(HEARTBEAT_INTERVAL, self._pulse,
+                                 label="heartbeat")
+
+    def _pulse(self) -> None:
+        """One heartbeat interval: the broker promotes the shards it has
+        not heard for too long, then every live shard's server beats.
+        The clock stops once every shard in service is up and nothing
+        else is scheduled: a plane that cannot move has nothing to
+        watch, and its kernel queue drains."""
+        if self.kernel.pending == 0 and all(
+                shard.up for shard in self.shards if not shard.retired):
+            self._watching = False
+            return
+        self.kernel.schedule(HEARTBEAT_INTERVAL, self._pulse,
+                             label="heartbeat")
+        self.broker.detect()
+        for shard in self.shards:
+            if shard.up:  # a retired shard's server is down for good
+                self.control.beat(self.broker.heartbeat, shard.index,
+                                  shard.server.epoch,
+                                  src=shard_endpoint(shard.index),
+                                  dst=BROKER)
 
     # ------------------------------------------------------------------
     # Topology change: grow, drain, retire (in-place shrink)
@@ -516,8 +565,6 @@ class ShardedControlPlane:
 
     def partition_shard(self, index: int, symmetric: bool = True) -> int:
         """Cut the broker↔shard links; heal with :meth:`heal`."""
-        from .broker import BROKER, shard_endpoint
-
         return self.control.partition({BROKER},
                                       {shard_endpoint(index)},
                                       symmetric=symmetric)

@@ -16,7 +16,7 @@ and cross-space updates can share a transaction.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from ..errors import StoreError, UnknownTemplateError
 from .kvstore import KVStore, MEMORY
@@ -114,6 +114,15 @@ class InstanceSpace:
             txn.put(f"{self.PREFIX}{instance_id}/next_seq", 0)
             for extra_key, value in (extra or {}).items():
                 txn.put(extra_key, value)
+
+    def drop(self, instance_id: str, extra: Sequence[str] = ()) -> None:
+        """Delete an instance whose log is empty, and the ``extra`` keys
+        :meth:`create` wrote with it, in one transaction."""
+        with self._kv.transaction() as txn:
+            txn.delete(f"{self.PREFIX}{instance_id}/meta")
+            txn.delete(f"{self.PREFIX}{instance_id}/next_seq")
+            for key in extra:
+                txn.delete(key)
 
     def meta(self, instance_id: str) -> Optional[Dict[str, Any]]:
         """The instance's metadata dict, or ``None`` if unknown."""
@@ -213,10 +222,6 @@ class ConfigurationSpace:
     def node(self, name: str) -> Optional[Dict[str, Any]]:
         """One node's description, or ``None`` if unknown."""
         return self._kv.get(f"{self.PREFIX}node/{name}")
-
-    def remove_node(self, name: str) -> None:
-        """Delete a node description (no-op if absent)."""
-        self._kv.delete(f"{self.PREFIX}node/{name}")
 
     def nodes(self) -> Dict[str, Dict[str, Any]]:
         """All node descriptions keyed by node name."""

@@ -204,7 +204,6 @@ class TestUpgradeAndTrace:
         iid = server.launch("Fan", {"items": [1, 2, 3, 4]})
         cluster.run_until_instance_done(iid)
         assert cluster.trace.max_available() == 4.0
-        assert cluster.trace.max_busy() == 4.0
         available, busy = cluster.trace.integrals()
         assert 0 < busy <= available
 

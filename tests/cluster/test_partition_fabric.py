@@ -11,7 +11,6 @@ the failure detector and chaos harness drive.
 
 from repro.cluster import (
     ANY,
-    SERVER,
     SimKernel,
     SimulatedCluster,
     uniform,
@@ -201,13 +200,3 @@ class TestClusterPartitionAPI:
         assert cluster.available_cpus() == 2
         cluster.heal_partition(pid)
         assert cluster.available_cpus() == 6
-
-    def test_heal_all_partitions(self):
-        kernel = SimKernel(seed=4)
-        cluster = SimulatedCluster(kernel, uniform(2, cpus=1))
-        cluster.start_partition(["node001"], direction="both")
-        cluster.start_partition(["node002"], direction="to-server")
-        cluster.heal_all_partitions()
-        assert not cluster.network.is_cut(SERVER, "node001")
-        assert not cluster.network.is_cut("node002", SERVER)
-        assert cluster.network.health()["partitions_active"] == 0

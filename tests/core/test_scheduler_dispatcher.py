@@ -60,12 +60,6 @@ class TestAwareness:
         assert model.node("a").cpus == 2
         assert model.node("a").speed == 1.5
 
-    def test_total_cpus(self):
-        model = make_awareness(("a", 2, 1.0), ("b", 3, 1.0))
-        model.node_down("b")
-        assert model.total_cpus() == 2
-        assert model.total_cpus(only_up=False) == 5
-
     def test_unknown_node_raises(self):
         with pytest.raises(EngineError):
             make_awareness().node("ghost")

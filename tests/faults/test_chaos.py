@@ -71,12 +71,13 @@ class TestPlanGeneration:
 
     def test_partition_profile_draws_only_network_stress(self):
         """The ``partition`` profile is the split-brain/fencing mix: only
-        fabric disturbances (plus server crashes, which force epoch bumps)
-        and message-level point actions."""
+        fabric disturbances (plus server crashes, which force epoch bumps,
+        and broker↔shard cuts, which make the detector promote a live
+        incarnation) and message-level point actions."""
         nodes = ["node001", "node002", "node003", "node004"]
         allowed = {
             "partition", "net-loss", "net-duplicate", "net-reorder",
-            "network-outage", "server-crash",
+            "network-outage", "server-crash", "shard-partition",
             "point:pec.report", "point:network.deliver",
         }
         covered = set()
@@ -86,7 +87,7 @@ class TestPlanGeneration:
             covered.update(plan.categories())
         # ...and across seeds the whole fabric arsenal gets exercised
         assert {"partition", "net-loss", "net-duplicate",
-                "net-reorder"} <= covered
+                "net-reorder", "shard-partition"} <= covered
 
     def test_unknown_profile_is_rejected(self):
         with pytest.raises(ValueError):
@@ -182,7 +183,7 @@ class TestOneDriver:
     def test_unknown_category_is_a_typed_violation(self, darwin, cell):
         config, baseline = cell
         plan = FaultPlan(seed=0, scheduled=[ScheduledFault(
-            "bogus", 10.0, {"recovery_after": 10.0})])
+            "bogus", 10.0)])
         result = chaos.run_campaign(0, darwin, baseline=baseline,
                                     plan=plan, config=config)
         assert result.violations == [
@@ -209,13 +210,12 @@ class TestOneDriver:
 
     def test_trace_has_a_verdict_per_invariant_per_check(self, darwin, cell):
         """``--rerun`` prints one ok/FAIL line per catalog entry after
-        every recovery and for every server's final check."""
+        every promotion and for every server's final check."""
         config, baseline = cell
         shards = chaos.SHAPES[config.profile].shards
         horizon = max(120.0, baseline["wall"] * 1.5)
         plan = FaultPlan(seed=0, scheduled=[ScheduledFault(
-            "shard-crash", round(0.3 * horizon, 3),
-            {"victim": 0.3, "recovery_after": round(0.1 * horizon, 3)})])
+            "shard-crash", round(0.3 * horizon, 3), {"victim": 0.3})])
         lines = []
         result = chaos.run_campaign(0, darwin, baseline=baseline, plan=plan,
                                     config=config, trace=lines.append)
@@ -227,7 +227,7 @@ class TestOneDriver:
             final=True)]
         assert names[-3:] == [
             "no-work-for-ended", "one-terminal-event", "final-outputs"]
-        after = f"shard {int(0.3 * shards)}: after recovery 1"
+        after = f"shard {int(0.3 * shards)}: after promotion 1"
         assert [v for v in verdicts if v.startswith(after)] \
             == [f"{after}: {name}" for name in names[:-1]]
         assert [v for v in verdicts if "final: " in v] == [

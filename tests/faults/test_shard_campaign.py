@@ -8,6 +8,7 @@ import pytest
 
 from repro.faults import chaos
 from repro.faults.plan import FaultAction, FaultPlan, ScheduledFault
+from repro.shard.plane import HEARTBEAT_INTERVAL
 
 
 @pytest.fixture(scope="module")
@@ -90,15 +91,14 @@ class TestShardCampaigns:
 
     def test_killed_recovery_is_recovered_again(self, darwin, config,
                                                 baseline):
-        """A ``recovery.replay`` crash kills the shard's failover; the
-        driver must count it, re-schedule the recovery and finish — not
-        book its own confusion as a wedged system."""
+        """A ``recovery.replay`` crash kills the shard's promotion; the
+        driver counts it, the shard stays silent, and the detector
+        promotes it again — no timer re-armed, no wedge booked."""
         horizon = max(120.0, baseline["wall"] * 1.5)
         plan = FaultPlan(
             seed=0,
             scheduled=[ScheduledFault(
-                "shard-crash", round(0.3 * horizon, 3),
-                {"victim": 0.3, "recovery_after": round(0.1 * horizon, 3)},
+                "shard-crash", round(0.3 * horizon, 3), {"victim": 0.3},
             )],
             actions=[FaultAction("recovery.replay", "crash", at_hit=1)],
         )
@@ -113,17 +113,20 @@ class TestShardCampaigns:
     def test_overlapping_outages_are_both_counted(self, darwin, config,
                                                   baseline):
         """``recovery_time`` is summed per server: a second shard going
-        down while the first is still out adds its whole outage."""
+        down while the first is still out adds its whole outage, and each
+        outage is the detector's: at most ``takeover_after`` plus one
+        heartbeat interval, at least ``takeover_after`` less one."""
         horizon = max(120.0, baseline["wall"] * 1.5)
-        first, second = round(0.3 * horizon, 3), round(0.25 * horizon, 3)
         plan = FaultPlan(seed=0, scheduled=[
-            ScheduledFault("shard-crash", round(0.2 * horizon, 3),
-                           {"victim": 0.0, "recovery_after": first}),
-            ScheduledFault("shard-crash", round(0.3 * horizon, 3),
-                           {"victim": 0.5, "recovery_after": second}),
+            ScheduledFault("shard-crash", 50.0, {"victim": 0.0}),
+            ScheduledFault("shard-crash", 70.0, {"victim": 0.5}),
         ])
         result = chaos.run_campaign(0, darwin, baseline=baseline,
                                     plan=plan, config=config)
         assert result.ok, result.violations[:3]
         assert (result.crashes, result.recoveries) == (2, 2)
-        assert result.recovery_time == pytest.approx(first + second)
+        assert all(60.0 - HEARTBEAT_INTERVAL <= downtime
+                   <= 60.0 + HEARTBEAT_INTERVAL
+                   for downtime in result.downtimes)
+        assert result.recovery_time == pytest.approx(sum(result.downtimes))
+        assert result.recovery_time > 60.0

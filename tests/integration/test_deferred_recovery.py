@@ -751,7 +751,9 @@ class TestMigrationOfADeferredInstance:
             assert codec.encode(_view_queries(target.store, new_id)) \
                 == codec.encode(_view_queries(target.store, new_id,
                                               rescan=True))
-        merged = plane.all_instances()
+        merged = {}
+        for shard in plane.shards:
+            merged.update(shard.server.instances.items())
         assert set(moved.values()) <= set(merged)
         assert all(instance is not None for instance in merged.values())
         assert set(counts.replays.values()) == {1}
@@ -783,7 +785,7 @@ class TestEventTimesNeverDecreaseWithinALog:
         # no environment at all: nodes known, nothing to submit to
         store = server.store.simulate_crash()
         for node in list(store.configuration.nodes()):
-            store.configuration.remove_node(node)
+            store.kv.delete(f"{store.configuration.PREFIX}node/{node}")
         bare = BioOperaServer.recover(store, _registry())
         assert bare.clock.t >= newest
         assert self._assert_monotone(bare.store) >= newest

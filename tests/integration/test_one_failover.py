@@ -1,16 +1,17 @@
 """There is one failover routine: ``SimulatedCluster.recover_server``.
 
-Scenario scripts, the chaos campaign driver, shard failover and standby
-promotion must all go through it, so what a failover carries over (hub
-configuration, cumulative counters) and what it re-derives from the
-store (identity, epoch, policies) cannot drift apart between them.
+Scenario scripts, shard failover and the broker's promotion of a silent
+shard (which is how the chaos campaigns recover) must all go through
+it, so what a failover carries over (hub configuration, cumulative
+counters) and what it re-derives from the store (identity, epoch,
+policies) cannot drift apart between them.
 """
 
 
 import pytest
 
 from repro.cluster import SimKernel, SimulatedCluster, uniform
-from repro.core.engine import BioOperaServer, attach_standby
+from repro.core.engine import BioOperaServer
 from repro.core.engine.operator_console import OperatorConsole
 from repro.core.engine.server import RUN_COUNTERS
 from repro.core.ocr.parser import parse_ocr
@@ -59,13 +60,14 @@ class TestHubCarriedAcrossFailover:
         assert plane.shards[0].server.obs.checkpoint_interval == 7
 
     def test_standby_promotion_keeps_the_hub_configuration(self):
-        kernel, cluster, _server = _cluster(
-            ObservabilityHub(checkpoint_interval=7))
-        attach_standby(cluster, takeover_after=20.0, check_interval=5.0)
-        cluster.crash_server()
+        kernel, plane = make_plane(1, checkpoint_interval=7,
+                                   takeover_after=20.0)
+        plane.launch("t0", "job", {"cost": 300.0})
+        plane.drain_requests()
+        plane.crash_shard(0)
         kernel.run(until=60.0)
-        assert cluster.server.metrics["standby_takeovers"] == 1
-        assert cluster.server.obs.checkpoint_interval == 7
+        assert plane.broker.takeovers == 1
+        assert plane.shards[0].server.obs.checkpoint_interval == 7
 
 
     def test_recovery_killed_midway_still_carries_on_the_retry(self):
@@ -174,8 +176,9 @@ def test_shard_names_the_half_built_server_a_killed_recovery_leaves():
 
 
 def test_every_failover_reaches_recover_server(monkeypatch):
-    """Standby promotion, shard failover and the campaign driver call
-    ``SimulatedCluster.recover_server`` instead of re-implementing it."""
+    """Shard failover, the broker's promotion of a silent shard and the
+    campaign driver call ``SimulatedCluster.recover_server`` instead of
+    re-implementing it."""
     calls = []
     original = SimulatedCluster.recover_server
 
@@ -185,22 +188,24 @@ def test_every_failover_reaches_recover_server(monkeypatch):
 
     monkeypatch.setattr(SimulatedCluster, "recover_server", counting)
 
-    kernel, cluster, _server = _cluster(None)
-    monitor = attach_standby(cluster)
-    cluster.crash_server()
-    monitor.promote()
-    assert calls == [cluster]
-
-    del calls[:]
     _kernel, plane = make_plane(2)
     plane.crash_shard(0)
     plane.shards[0].recover()
     assert calls == [plane.shards[0].cluster]
 
     del calls[:]
+    kernel, plane = make_plane(1)
+    plane.launch("t0", "job", {"cost": 300.0})
+    plane.drain_requests()
+    plane.crash_shard(0)
+    kernel.run(until=100.0)
+    assert plane.broker.takeovers == 1
+    assert calls == [plane.shards[0].cluster]
+
+    del calls[:]
     darwin = chaos.default_darwin()
     plan = FaultPlan(seed=0, scheduled=[ScheduledFault(
-        "server-crash", 30.0, {"recovery_after": 40.0})], actions=[])
+        "server-crash", 30.0)], actions=[])
     result = chaos.run_campaign(0, darwin, plan=plan)
     assert result.ok, result.violations[:3]
     assert result.recoveries == 1 and len(calls) == 1

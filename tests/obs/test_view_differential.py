@@ -76,8 +76,7 @@ class TestChaosDifferential:
         invariant catalog checks after each recovery and at the end)."""
         horizon = baseline["wall"] * 1.2
         plan = FaultPlan(seed=4242, scheduled=[
-            ScheduledFault("server-crash", round(horizon * 0.3, 3),
-                           {"recovery_after": round(horizon * 0.2, 3)}),
+            ScheduledFault("server-crash", round(horizon * 0.3, 3)),
         ], actions=[
             FaultAction("obs.view.checkpoint", "crash", at_hit=4),
         ])

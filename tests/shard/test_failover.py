@@ -2,6 +2,12 @@
 
 import json
 
+import pytest
+
+from repro.faults import invariants
+from repro.faults.plan import FaultAction
+from repro.faults.points import FaultInjector, InjectedCrash, installed
+
 from .conftest import make_plane
 
 
@@ -39,14 +45,16 @@ class TestSignalAcrossFailover:
 
     def test_signal_during_crash_delivered_exactly_once(self):
         """A signal submitted while its shard is down is held by the
-        broker, delivered once after failover, and never doubled."""
+        broker, delivered once after the detector's failover, and never
+        doubled."""
         kernel, plane, victim, target = self.run_scenario()
+        dead = plane.shards[victim].server
         plane.crash_shard(victim)
         request = plane.signal("tenant0", target, "pause-please")
-        for _ in range(200):
+        while plane.shards[victim].server is dead:
             kernel.step()
-        assert request.status != "done"  # held while the shard is down
-        plane.recover_shard(victim)
+            assert request.status != "done"  # held while the shard is down
+        assert plane.broker.takeovers == 1
         plane.run_until(lambda: request.status == "done", horizon=1e6)
         assert request.result is True
         assert len(signal_events(plane, target)) == 1
@@ -118,6 +126,32 @@ class TestBlastRadius:
         assert faulted.shards[1].server.epoch == 2
         for index in (0, 2, 3):
             assert shard_logs(faulted, index) == shard_logs(twin, index)
-        statuses = {instance.status for instance
-                    in faulted.all_instances().values()}
+        statuses = {instance.status for shard in faulted.shards
+                    for instance in shard.server.instances.values()}
         assert statuses == {"completed"}
+
+
+class TestLaunchKilledBeforeItsFirstEvents:
+    def test_redelivered_launch_runs_afresh(self):
+        """A shard that dies between a launch's instance record and its
+        first events never ran that launch: the promotion forgets the
+        empty instance and its dedup marker, so the broker's redelivery
+        launches afresh, exactly once."""
+        kernel, plane = make_plane(shards=1, seed=5)
+        crash = FaultAction("server.emit.pre-persist", "crash")
+        with installed(FaultInjector([crash])):
+            request = plane.launch("t0", "job", {"cost": 5.0})
+            with pytest.raises(InjectedCrash):
+                plane.drain_requests()
+        shard = plane.shards[0]
+        [stranded] = shard.store.instances.instance_ids()
+        assert shard.store.instances.event_count(stranded) == 0
+        plane.crash_shard(0)
+        plane.run_until(lambda: request.status == "done"
+                        and plane.instance(request.result).terminal)
+        assert plane.broker.takeovers == 1
+        server = shard.server
+        assert server.store.instances.instance_ids() == [request.result]
+        assert request.result != stranded
+        assert plane.instance(request.result).status == "completed"
+        assert invariants.check_server(server) == []

@@ -233,6 +233,31 @@ class TestCrashWindows:
         _assert_plane_clean(plane)
 
 
+    def test_source_retired_while_the_target_is_down(self):
+        """A move that committed on the source but died activating on
+        the target: the re-drain retires the source while the target is
+        still down, and the target's recovery rolls the move forward
+        from the retired source's forwarding record."""
+        kernel, plane = make_plane(shards=3, seed=11)
+        requests = _launch(plane, 9, cost=30.0)
+        plane.drain_requests()
+        victims = _ids_on(requests, 0)
+        assert victims
+        injector = FaultInjector([FaultAction("shard.migrate.activate",
+                                              "crash")])
+        with installed(injector):
+            with pytest.raises(InjectedCrash):
+                plane.drain_shard(0, targets=[1])
+        plane.crash_shard(1)
+        plane.drain_shard(0)
+        assert plane.shards[0].retired
+        plane.recover_shard(1)
+        kernel.run()
+        for old_id in victims:
+            assert plane.instance(old_id).status == "completed"
+        _assert_plane_clean(plane)
+
+
 class TestRedeliveryRace:
     def test_signal_deferred_mid_migration_lands_exactly_once(self):
         """A signal dispatched while its instance is quiesced for
@@ -306,7 +331,7 @@ class TestBrokerTopology:
         stats = plane.broker.shard_queue_stats()
         assert stats[0]["retired"] and not stats[0]["up"]
         with pytest.raises(EngineError):
-            plane.broker.shard_up(0)
+            plane.broker.shard_up(0, 1)
         with pytest.raises(EngineError):
             plane.crash_shard(0)
         with pytest.raises(EngineError):
@@ -491,6 +516,7 @@ class TestRetirementResettlesTheQueue:
         assert all(r.status == "done" for r in launches)
         assert plane.broker.pending() == 0
         # one instance per launch: the executed one was not re-run
-        assert sorted(plane.all_instances()) == sorted(
+        assert sorted(iid for shard in plane.shards
+                      for iid in shard.server.instances) == sorted(
             plane.resolve_instance(r.result)[1] for r in launches)
         _assert_plane_clean(plane)

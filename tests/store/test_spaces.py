@@ -140,11 +140,6 @@ class TestConfigurationSpace:
         assert store.configuration.node("n1") == {"cpus": 2}
         assert store.configuration.nodes() == {"n1": {"cpus": 2}}
 
-    def test_remove_node(self, store):
-        store.configuration.save_node("n1", {"cpus": 2})
-        store.configuration.remove_node("n1")
-        assert store.configuration.node("n1") is None
-
     def test_settings(self, store):
         store.configuration.set_setting("policy", "capacity-aware")
         assert store.configuration.setting("policy") == "capacity-aware"
