@@ -19,10 +19,10 @@ Three modes, all driven through :mod:`repro.faults.campaign`:
   verbose per-crash / per-invariant tracing, for debugging a failing
   campaign.
 
-``--sweep`` additionally runs the committed factorial sweep (2 sync
-policies × 2 checkpoint intervals × 2 lease settings = 8 cells) under
-common random numbers and ranks the cells by survival × throughput ×
-recovery time (Pareto front + weighted sum).
+``--sweep`` additionally runs the committed factorial sweep (2 checkpoint
+intervals × 2 lease settings = 4 cells) under common random numbers and
+ranks the cells by survival × throughput × recovery time (Pareto front +
+weighted sum).
 
 Failing or hung runs are never fail-fast: each dumps its plan into
 ``benchmarks/output/failing_plans/`` and the roster is reported together
@@ -54,10 +54,9 @@ from repro.faults.plan import PROFILES, FaultPlan  # noqa: E402
 OUTPUT_DIR = os.path.join(os.path.dirname(__file__), "output")
 FAILING_DIR = os.path.join(OUTPUT_DIR, "failing_plans")
 
-#: the committed factorial design: 8 cells over the three axes the
+#: the committed factorial design: 4 cells over the two axes the
 #: operator handbook calls out as the main dependability trade-offs.
 SWEEP_AXES = (
-    sweep.SweepAxis("sync_policy", ("group", "per-commit")),
     sweep.SweepAxis("checkpoint_interval", (10, 40)),
     sweep.SweepAxis("leases", ((900.0, 4.0), None)),
 )

@@ -130,11 +130,6 @@ class Dispatcher:
         #: vetoed or dropped queued job, a released in-flight one — since
         #: no instance event need follow to tell the navigator.
         self.on_key_released = None
-        #: optional fn() invoked once per pump, after the last dispatch
-        #: record and before any job reaches the environment — the server
-        #: wires a store flush here so grouped commits become durable
-        #: before their jobs are externally visible.
-        self.pre_submit = None
 
     def wire(self, submit, record_dispatch, is_dispatchable) -> None:
         self._submit = submit
@@ -222,7 +217,8 @@ class Dispatcher:
         self._blocked_tags -= self.awareness.drain_capacity_events()
         placed = examined = 0
         #: (job, node) pairs recorded this pump; handed to the environment
-        #: only after the pre_submit durability barrier runs.
+        #: only after the last of them is recorded, so the kernel sees one
+        #: pump's hand-offs in placement order after its dispatch records.
         to_submit: List[tuple] = []
         # Merge the active tags' heaps by sequence number so jobs are
         # considered in global FIFO order, exactly like a single queue. (An
@@ -274,11 +270,8 @@ class Dispatcher:
                 heapq.heappush(heads, (queue[0][0], tag))
             else:
                 del self._queues[tag]
-        if to_submit:
-            if self.pre_submit is not None:
-                self.pre_submit()
-            for job, node in to_submit:
-                self._submit(job, node)
+        for job, node in to_submit:
+            self._submit(job, node)
         if self.metrics is not None:
             if placed:
                 self.metrics.inc("placements", placed)

@@ -161,7 +161,6 @@ class BioOperaServer:
             is_dispatchable=self._is_dispatchable,
         )
         self.dispatcher.on_key_released = self._key_released
-        self.dispatcher.pre_submit = self._sync_barrier
 
     # ------------------------------------------------------------------
     # Environment & cluster configuration
@@ -558,13 +557,6 @@ class BioOperaServer:
         if self.environment is None:
             raise EngineError("server has no execution environment")
         self.environment.submit(job, node)
-
-    def _sync_barrier(self) -> None:
-        # Durability barrier before externalization: under a grouped sync
-        # policy, flush any pending commits before jobs leave the server so
-        # a node can never observe work whose dispatch record could still
-        # be lost. No-op when the store syncs per commit.
-        self.store.kv.flush()
 
     @staticmethod
     def _is_current(instance: ProcessInstance, job: JobRequest) -> bool:
@@ -1004,11 +996,24 @@ class BioOperaServer:
 
         Imported events carry the source shard's epochs; the per-log
         epoch-monotonicity invariant requires everything this server
-        emits afterwards to be stamped no lower.
+        emits afterwards to be stamped no lower. A raise re-issues the
+        work this server has out: a job stamped with the old epoch would
+        report in it and be refused as stale, so every live instance's
+        queued and in-flight jobs are dropped and re-driven (reason
+        ``shard-migration``) in the new one.
         """
-        if int(epoch) > self.epoch:
-            self.epoch = int(epoch)
-            self.store.configuration.set_setting("server_epoch", self.epoch)
+        if int(epoch) <= self.epoch:
+            return
+        self.epoch = int(epoch)
+        self.store.configuration.set_setting("server_epoch", self.epoch)
+        for instance in self.instances.loaded():
+            if instance.terminal or instance.id in self.migrating:
+                continue
+            self._drop_jobs(instance.id)
+            if instance.dispatched_states():
+                self._redrive(instance, "shard-migration")
+            self.navigator.navigate(instance)
+        self.dispatcher.pump()
 
     def adopt_instance(self, instance_id: str) -> str:
         """Activate an imported instance: replay its log, re-drive work.

@@ -85,12 +85,12 @@ class Journal:
         meta = meta or {}
         if os.path.exists(path):
             self._load(meta)
-            self._fh = open(path, "a", encoding="utf-8")
+            self._fh = open(path, "a", encoding="utf-8", buffering=1)
         else:
             directory = os.path.dirname(path)
             if directory:
                 os.makedirs(directory, exist_ok=True)
-            self._fh = open(path, "w", encoding="utf-8")
+            self._fh = open(path, "w", encoding="utf-8", buffering=1)
             self._write_line({
                 "kind": JOURNAL_KIND,
                 "version": JOURNAL_VERSION,
@@ -128,8 +128,8 @@ class Journal:
                 break
 
     def _write_line(self, payload: Dict) -> None:
+        # Line-buffered: the newline hands the line to the OS.
         self._fh.write(json.dumps(payload, sort_keys=True) + "\n")
-        self._fh.flush()
         os.fsync(self._fh.fileno())
 
     def append(self, record: Dict) -> None:

@@ -91,10 +91,6 @@ CHECKPOINT_INTERVAL = 20
 #: crash window gets exercised.
 SEGMENT_RECORDS = 24
 
-#: group-commit buffer of campaign stores (``sync_policy="group"``): small
-#: batches, so every campaign exercises the coalesced write+fsync windows.
-GROUP_MAX_PENDING = 8
-
 
 class Shape(NamedTuple):
     """The plane a profile runs on and the workload spread over it."""
@@ -123,8 +119,8 @@ MAX_EVENTS = 2_000_000
 class CampaignConfig:
     """One configuration cell: every knob a campaign build can turn.
 
-    The defaults reproduce the classic campaign setup (group commit,
-    tight checkpoint threshold, leases on). Sweeps derive cells via
+    The defaults reproduce the classic campaign setup (tight checkpoint
+    threshold, leases on). Sweeps derive cells via
     :func:`dataclasses.replace`, and :meth:`label` gives each cell a
     stable human-readable key used in journals, reports, and
     ``BENCH_chaos.json``.
@@ -135,7 +131,6 @@ class CampaignConfig:
     granularity: int = 8
     profile: str = "mixed"
     checkpoint_interval: int = CHECKPOINT_INTERVAL
-    sync_policy: str = "group"
     leases: Optional[Tuple[float, float]] = LEASES
 
     def replace(self, **changes) -> "CampaignConfig":
@@ -143,13 +138,10 @@ class CampaignConfig:
         return dataclasses.replace(self, **changes)
 
     def label(self) -> str:
-        """Stable short cell key, e.g. ``sync=group/8,ckpt=20,leases=on``."""
-        sync = self.sync_policy
-        if sync == "group":
-            sync = f"group/{GROUP_MAX_PENDING}"
+        """Stable short cell key, e.g. ``ckpt=20,seg=24,leases=900x4,…``."""
         lease = ("off" if self.leases is None
                  else f"{self.leases[0]:g}x{self.leases[1]:g}")
-        cell = (f"sync={sync},ckpt={self.checkpoint_interval},"
+        cell = (f"ckpt={self.checkpoint_interval},"
                 f"seg={SEGMENT_RECORDS},leases={lease},quar=on,"
                 f"profile={self.profile}")
         shards = SHAPES[self.profile].shards
@@ -213,18 +205,11 @@ class CampaignResult:
         return sorted(names)
 
 
-def _store_options(config: CampaignConfig) -> Dict:
-    """Campaign store shape, every shard's.
-
-    Retained history keeps truncated WAL segments around so the
-    invariant catalog can check snapshot+suffix recovery against a
-    full-log replay, byte for byte, after every checkpoint. Group commit
-    by default; the dispatcher's pre-submit barrier keeps node-visible
-    work durable despite the buffering.
-    """
-    return dict(retain_history=True, segment_records=SEGMENT_RECORDS,
-                sync_policy=config.sync_policy,
-                group_max_pending=GROUP_MAX_PENDING)
+#: campaign store shape, every shard's. Retained history keeps truncated
+#: WAL segments around so the invariant catalog can check snapshot+suffix
+#: recovery against a full-log replay, byte for byte, after every
+#: checkpoint.
+STORE_OPTIONS = dict(retain_history=True, segment_records=SEGMENT_RECORDS)
 
 
 # ----------------------------------------------------------------------
@@ -346,7 +331,7 @@ class _Plane:
             seed=kernel_seed, registry=registry,
             templates=[build_align_chunk_template(),
                        build_all_vs_all_template()],
-            store_options=_store_options(config),
+            store_options=STORE_OPTIONS,
             checkpoint_interval=config.checkpoint_interval,
             leases=config.leases, quarantine=QUARANTINE,
         )

@@ -311,11 +311,6 @@ class FaultPlan:
                   torn_fraction=round(rng.uniform(0.1, 0.9), 3))
             maybe(0.25, "kvstore.commit.pre-sync", "crash", (1, 50))
             maybe(0.25, "kvstore.commit.post-sync", "crash", (1, 50))
-            # Group-commit windows: either side of the batched write+fsync
-            # (campaign stores run with sync_policy="group", so flushes
-            # happen every few commits).
-            maybe(0.25, "store.group_commit.pre_sync", "crash", (1, 25))
-            maybe(0.25, "store.group_commit.post_sync", "crash", (1, 25))
             maybe(0.25, "server.emit.pre-persist", "crash", (1, 40))
             maybe(0.25, "server.emit.post-persist", "crash", (1, 40))
             maybe(0.3, "server.dispatch.record", "crash", (1, 12))

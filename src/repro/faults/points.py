@@ -41,8 +41,6 @@ CATALOG: Dict[str, tuple] = {
     "wal.append": ("crash", "torn"),
     "kvstore.commit.pre-sync": ("crash",),
     "kvstore.commit.post-sync": ("crash",),
-    "store.group_commit.pre_sync": ("crash",),
-    "store.group_commit.post_sync": ("crash",),
     "store.rotate": ("crash",),
     "store.checkpoint.begin": ("crash",),
     "store.checkpoint.post-snapshot": ("crash",),

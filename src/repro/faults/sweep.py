@@ -1,12 +1,11 @@
 """Configuration sweeps: factorial cells, CRN, Pareto + weighted ranking.
 
 A sweep compares configuration cells — points in the cartesian product
-of a few :class:`~repro.faults.chaos.CampaignConfig` axes (sync policy,
-checkpoint interval, lease timing, quarantine, ...) — under *common
-random numbers*: every cell runs the exact same seed set, so two cells
-differ only in configuration, never in the drawn fault schedule. That is
-the classic variance-reduction trick for paired comparison of
-alternatives.
+of a few :class:`~repro.faults.chaos.CampaignConfig` axes (checkpoint
+interval, lease timing, ...) — under *common random numbers*: every cell
+runs the exact same seed set, so two cells differ only in configuration,
+never in the drawn fault schedule. That is the classic
+variance-reduction trick for paired comparison of alternatives.
 
 Each cell is then scored on three dependability axes:
 

@@ -12,7 +12,8 @@ tenant's backlog, and never even behind its next queued request.
 Reliability is broker-side redelivery over idempotent shard operations:
 
 * every request travels the epoch-stamped network fabric and is acked
-  by the shard only after the operation's effects are durably flushed;
+  by the shard after the operation returns, when every commit it made
+  is already durable;
 * an un-acked request is re-sent after ``redeliver_after`` seconds (and
   immediately when a crashed shard comes back);
 * acks carry the shard's fencing epoch; the broker tracks the highest

@@ -190,7 +190,6 @@ class ShardMigrator:
         source.store.configuration.set_setting(
             f"migrate_out/{instance_id}",
             {"new_id": new_id, "target": target_index, "phase": "exporting"})
-        source.store.flush()
         source.server.quiesce_for_migration(instance_id)
 
         self.current["phase"] = "export"
@@ -303,7 +302,6 @@ class ShardMigrator:
                     f"request/{export['request_key']}"), new_id)
             txn.put(configuration.setting_key(f"migrate_in/{new_id}"),
                     journal)
-        target.store.flush()
         if rewritten:
             _resync_provenance(target.store)
 
@@ -347,7 +345,6 @@ class ShardMigrator:
             if prov_payload is not None:
                 txn.put(PROV_CHECKPOINT_KEY, prov_payload)
             txn.delete(configuration.setting_key(f"migrate_out/{old_id}"))
-        source.store.flush()
         if export["lineage_seqs"]:
             _resync_provenance(source.store)
         source.server.complete_migration(old_id)
@@ -359,7 +356,6 @@ class ShardMigrator:
         configuration = target.store.configuration
         with target.store.kv.transaction() as txn:
             txn.delete(configuration.setting_key(f"migrate_in/{new_id}"))
-        target.store.flush()
         events = list(target.store.instances.events(new_id))
         target.server.adopt_epoch(max(
             (event["epoch"] for event in events
@@ -375,7 +371,6 @@ class ShardMigrator:
         # recovery already caught this instance up.
         target.server.obs.views.apply_events(new_id, 0, events)
         target.server.adopt_instance(new_id)
-        target.store.flush()
 
     # ------------------------------------------------------------------
     # Crash recovery
@@ -472,7 +467,6 @@ class ShardMigrator:
                 txn.delete(configuration.setting_key(
                     f"request/{request_key}"))
             txn.delete(configuration.setting_key(f"migrate_in/{new_id}"))
-        target.store.flush()
         if lineage_count:
             _resync_provenance(target.store)
 
@@ -486,7 +480,6 @@ class ShardMigrator:
         """
         key = source.store.configuration.setting_key(f"migrate_out/{old_id}")
         source.store.kv.delete(key)
-        source.store.flush()
         if old_id in source.server.migrating:
             source.server.abandon_migration(old_id)
 

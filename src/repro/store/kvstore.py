@@ -2,10 +2,9 @@
 
 This is the "database" under BioOpera's data spaces. Guarantees:
 
-* **Durability** — a commit is *acked* (guaranteed to survive a crash)
-  per the store's sync policy: ``"per-commit"`` appends and fsyncs before
-  :meth:`KVStore.put` returns; ``"group"`` buffers commits and acks the
-  whole batch with one write plus one fsync at :meth:`KVStore.flush`.
+* **Durability** — a commit is appended to the WAL and fsynced before
+  it is applied and before :meth:`KVStore.put` (or
+  :meth:`Transaction.commit`) returns: it is durable when it returns.
 * **Atomicity** — a transaction's operations are framed as one WAL record
   and applied all-or-nothing on replay.
 * **Recovery** — opening a store rebuilds state as the latest checkpoint
@@ -128,59 +127,22 @@ class KVStore:
         byte-identical to a full-log replay. Costs the disk the
         truncation would have reclaimed; meant for chaos campaigns and
         tests, not production stores.
-    sync_policy:
-        When a commit becomes *acked* (guaranteed to survive a crash):
-
-        * ``"per-commit"`` (default) — every commit is written and
-          fsynced before it returns: acked immediately;
-        * ``"group"`` — commits are applied to the in-memory state but
-          buffered; :meth:`flush` (explicit, or automatic once
-          ``group_max_pending`` commits are buffered) writes the whole
-          batch as one WAL write plus one fsync. A commit is acked only
-          once a flush covers it.
-
-        Under ``"group"`` a crash loses at most the unflushed suffix —
-        never anything a completed :meth:`flush` covered.
-        :meth:`checkpoint` and :meth:`close` flush first, so checkpoints
-        and graceful shutdowns never lose buffered commits.
-    group_max_pending:
-        Buffered-commit cap under ``"group"``; it bounds the crash-loss
-        window.
     """
-
-    SYNC_POLICIES = ("per-commit", "group")
 
     def __init__(self, path: str = MEMORY, *,
                  segment_records: int = DEFAULT_SEGMENT_RECORDS,
-                 retain_history: bool = False,
-                 sync_policy: str = "per-commit",
-                 group_max_pending: int = 64):
-        if sync_policy not in self.SYNC_POLICIES:
-            raise StoreError(f"unknown sync policy {sync_policy!r}")
+                 retain_history: bool = False):
         self.path = path
         self._options = {
             "segment_records": segment_records,
             "retain_history": retain_history,
-            "sync_policy": sync_policy,
-            "group_max_pending": group_max_pending,
         }
-        self._sync_policy = sync_policy
-        self._group_max_pending = max(1, int(group_max_pending))
         self._open(MemoryDisk() if path == MEMORY else OS_DISK)
 
     def _open(self, disk: Disk) -> None:
         """Open the WAL and the snapshot on ``disk`` and recover from
         them: the one open, of a new store and of a crash survivor."""
         self._disk = disk
-        #: encoded-but-unflushed commit records (group policy): applied
-        #: to the live state, not yet in the WAL. A crash loses exactly
-        #: this buffer.
-        self._pending: List[bytes] = []
-        #: commit/sync accounting (tests/store/test_group_commit.py reads it).
-        self.stats: Dict[str, int] = {
-            "commits": 0, "syncs": 0, "group_flushes": 0,
-            "flushed_commits": 0, "max_group": 0,
-        }
         self._wal = SegmentedWAL(
             os.path.join(self.path, "wal"), disk=disk,
             max_segment_records=self._options["segment_records"],
@@ -288,27 +250,15 @@ class KVStore:
         if not values:
             return
         payload = codec.encode([heads, values])
-        self.stats["commits"] += 1
-        if self._sync_policy == "per-commit":
-            self._wal.append(payload)
-            # Crash here: the record is appended but unsynced — a real
-            # crash loses it (a crashed MemoryDisk keeps fsynced bytes
-            # only).
-            fire("kvstore.commit.pre-sync", ops=len(values))
-            self._wal.sync()
-            self.stats["syncs"] += 1
-            # Crash here: the record is durable but was never applied to
-            # the in-memory state — recovery must replay it.
-            fire("kvstore.commit.post-sync", ops=len(values))
-            self._apply(heads, values)
-            return
-        # Group: the commit is applied to the live state and buffered; it
-        # reaches the WAL only when flush() writes the whole batch. Until
-        # then it is unacked — a crash loses it.
-        self._pending.append(payload)
+        self._wal.append(payload)
+        # Crash here: the record is appended but unsynced — a real crash
+        # loses it (a crashed MemoryDisk keeps fsynced bytes only).
+        fire("kvstore.commit.pre-sync", ops=len(values))
+        self._wal.sync()
+        # Crash here: the record is durable but was never applied to the
+        # in-memory state — recovery must replay it.
+        fire("kvstore.commit.post-sync", ops=len(values))
         self._apply(heads, values)
-        if len(self._pending) >= self._group_max_pending:
-            self.flush()
 
     def _apply(self, heads: List[str], values: List[Any]) -> None:
         """Apply a committed batch to the live state: the caller's value
@@ -321,44 +271,17 @@ class KVStore:
                 state.pop(heads[2 * index + 1], None)
 
     def flush(self) -> int:
-        """Write and fsync every buffered commit as one group (no-op when
-        nothing is pending). Returns the number of commits acked.
-
-        This is the durability boundary of the group policy: every
-        commit buffered before the flush is acked once it returns — and
-        nothing is acked before. The ``store.group_commit.pre_sync`` /
-        ``post_sync`` fault points bracket the group write+fsync, so chaos
-        campaigns can kill the process on either side of the boundary.
-        """
-        if not self._pending:
-            return 0
-        count = len(self._pending)
-        # Crash here: the batch never reached the WAL — every buffered
-        # commit is lost, everything previously flushed survives.
-        fire("store.group_commit.pre_sync", commits=count)
-        self._wal.append_many(self._pending)
-        self._wal.sync()
-        self._pending = []
-        self.stats["syncs"] += 1
-        self.stats["group_flushes"] += 1
-        self.stats["flushed_commits"] += count
-        if count > self.stats["max_group"]:
-            self.stats["max_group"] = count
-        # Crash here: the whole batch is durable — recovery replays it.
-        fire("store.group_commit.post_sync", commits=count)
-        return count
-
-    @property
-    def pending_commits(self) -> int:
-        """Number of buffered (applied but unacked) commits."""
-        return len(self._pending)
+        """Do nothing and return 0: every commit is durable when it
+        returns, so nothing is ever waiting. A name only, for the
+        benchmark ledger's patch table."""
+        return 0
 
     def put(self, key: str, value: Any) -> None:
-        """Set ``key`` to ``value`` (acked per the store's sync policy)."""
+        """Set ``key`` to ``value``, durably."""
         self._commit_batch(["put", key], [value])
 
     def delete(self, key: str) -> None:
-        """Remove ``key`` if present (acked per the store's sync policy)."""
+        """Remove ``key`` if present, durably."""
         self._commit_batch(["del", key], [None])
 
     def transaction(self) -> Transaction:
@@ -378,10 +301,6 @@ class KVStore:
         each window.
         """
         fire("store.checkpoint.begin")
-        # Buffered group commits are already folded into self._state; the
-        # snapshot is about to capture them, so they must be in the log at
-        # a position the snapshot covers.
-        self.flush()
         self._wal.sync()
         position = self._wal.position()
         self._resolve_all(self._state)
@@ -411,13 +330,9 @@ class KVStore:
         applied would show as a false diff.
         """
         problems: List[str] = []
-        # Buffered group commits are folded into the live state but not in
-        # the WAL yet; both reconstructions must append them or a pending
-        # buffer would read as divergence.
         try:
             replayed, position = self._load_snapshot_state()
             self._replay_into(replayed, self._wal.records_from(position))
-            self._replay_into(replayed, self._pending)
             self._resolve_all(replayed)
             self._resolve_all(self._state)
         except ReproError as exc:
@@ -437,7 +352,6 @@ class KVStore:
             try:
                 full: Dict[str, Any] = {}
                 self._replay_into(full, self._wal.full_records())
-                self._replay_into(full, self._pending)
                 self._resolve_all(full)
             except ReproError as exc:
                 problems.append(
@@ -492,11 +406,5 @@ class KVStore:
         return self._wal.position()
 
     def close(self) -> None:
-        """Flush buffered commits, then close the WAL's file handles.
-
-        A *graceful* shutdown acks everything; only crashes lose the
-        pending buffer (use :meth:`simulate_crash`, or simply never call
-        ``close()``, to model that).
-        """
-        self.flush()
+        """Close the WAL's file handles."""
         self._wal.close()

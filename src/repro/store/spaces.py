@@ -338,12 +338,11 @@ class DataSpace:
 class OperaStore:
     """All four spaces over one KV store (one WAL, one recovery unit).
 
-    Keyword options (``segment_records``, ``retain_history``,
-    ``sync_policy``, ``group_max_pending``) are forwarded to the underlying
-    :class:`~repro.store.kvstore.KVStore` and survive
-    :meth:`simulate_crash`/:meth:`reopen`, so a chaos campaign configured
-    for retained history or group commit keeps both across every
-    recovery generation.
+    Keyword options (``segment_records``, ``retain_history``) are
+    forwarded to the underlying :class:`~repro.store.kvstore.KVStore` and
+    survive :meth:`simulate_crash`/:meth:`reopen`, so a chaos campaign
+    configured for retained history keeps it across every recovery
+    generation.
     """
 
     def __init__(self, path: str = MEMORY, **kv_options: Any):
@@ -358,10 +357,6 @@ class OperaStore:
     def checkpoint(self) -> None:
         """Checkpoint the KV store: snapshot state, truncate covered log."""
         self.kv.checkpoint()
-
-    def flush(self) -> int:
-        """Ack buffered group commits (one write+fsync); see KVStore.flush."""
-        return self.kv.flush()
 
     def simulate_crash(self) -> "OperaStore":
         """Crash-and-recover an in-memory store (synced prefix survives)."""

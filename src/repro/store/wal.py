@@ -292,7 +292,10 @@ class SegmentedWAL:
         self._write_frames((payload,))
 
     def append_many(self, payloads: List[bytes]) -> None:
-        """Append a batch of records, one combined write per segment."""
+        """Append a batch of records, one combined write per segment.
+
+        The store appends one record per commit; this name is kept for
+        the benchmark ledger's patch table."""
         self._write_frames(payloads)
 
     def _write_frames(self, payloads) -> None:

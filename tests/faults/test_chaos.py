@@ -141,6 +141,19 @@ class TestCampaigns:
             covered.update(result.categories())
         assert "partition" in covered
 
+    @pytest.mark.parametrize("point", ["kvstore.commit.pre-sync",
+                                       "kvstore.commit.post-sync"])
+    def test_commit_sync_crash_is_survived(self, darwin, baseline, point):
+        """A crash on either side of a commit's fsync (the store's one
+        durability path) kills the shard; the detector promotes it and
+        the run still matches the fault-free outputs."""
+        plan = FaultPlan(seed=7, actions=[
+            FaultAction(point, "crash", at_hit=30)])
+        result = chaos.run_campaign(7, darwin, baseline=baseline, plan=plan)
+        assert [entry["point"] for entry in result.fired] == [point]
+        assert result.crashes == 1 and len(result.downtimes) == 1
+        assert result.ok, (result.status, result.violations[:2])
+
     def test_failing_campaign_reproduces_from_recorded_plan(
             self, darwin, baseline):
         """A hand-built hostile plan (every one of the first 60 job

@@ -83,10 +83,8 @@ class TestRegistry:
 #: crash points a plain single-activity run passes through. Excluded:
 #: recovery.replay (needs a recovery), obs.view.checkpoint and the
 #: store.checkpoint.* family (a tiny run never crosses the checkpoint
-#: interval), store.rotate (a tiny run never fills a segment), and the
-#: store.group_commit.* pair (only fire under grouped sync policies;
-#: covered in tests/store/test_group_commit.py) — all have dedicated
-#: tests.
+#: interval) and store.rotate (a tiny run never fills a segment) — all
+#: have dedicated tests.
 ENGINE_CRASH_POINTS = [
     point for point, kinds in CATALOG.items()
     if "crash" in kinds
@@ -99,8 +97,6 @@ ENGINE_CRASH_POINTS = [
                       "store.checkpoint.post-snapshot",
                       "store.checkpoint.truncate",
                       "store.checkpoint.post-truncate",
-                      "store.group_commit.pre_sync",
-                      "store.group_commit.post_sync",
                       # shard.migrate.* only fires inside a live
                       # migration; covered in tests/shard/test_migration
                       "shard.migrate.prepare",

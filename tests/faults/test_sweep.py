@@ -6,6 +6,10 @@ reuse, dominance, normalization — without paying for real campaigns;
 the end-to-end path is covered in ``test_campaign.py`` and the CLI.
 """
 
+import importlib.util
+import json
+import pathlib
+
 import pytest
 
 from repro.faults import sweep
@@ -22,7 +26,7 @@ from repro.faults.sweep import (
 )
 
 AXES = (
-    SweepAxis("sync_policy", ("group", "per-commit")),
+    SweepAxis("profile", ("mixed", "shard")),
     SweepAxis("checkpoint_interval", (10, 40)),
     SweepAxis("leases", ((900.0, 4.0), None)),
 )
@@ -49,13 +53,13 @@ class TestCells:
         first, second = cells(AXES), cells(AXES)
         assert [c.label() for c in first] == [c.label() for c in second]
         # first axis varies slowest
-        assert all(c.sync_policy == "group" for c in first[:4])
-        assert all(c.sync_policy == "per-commit" for c in first[4:])
+        assert all(c.profile == "mixed" for c in first[:4])
+        assert all(c.profile == "shard" for c in first[4:])
 
     def test_base_config_fields_survive(self):
-        base = CampaignConfig(profile="partition", granularity=4)
+        base = CampaignConfig(nodes=6, granularity=4)
         for config in cells(AXES, base):
-            assert config.profile == "partition"
+            assert config.nodes == 6
             assert config.granularity == 4
 
     def test_axis_values_are_applied(self):
@@ -63,6 +67,26 @@ class TestCells:
         assert intervals == {10, 40}
         leases = {c.leases for c in cells(AXES)}
         assert leases == {(900.0, 4.0), None}
+
+
+class TestCommittedSweep:
+    """The committed ``BENCH_chaos.json`` sweep is the one ``chaos_run``
+    declares: a stale artifact (axes or cells of an older design) fails
+    here instead of being quoted."""
+
+    def test_axes_and_cells_equal_the_declared_sweep(self):
+        root = pathlib.Path(__file__).resolve().parents[2]
+        spec = importlib.util.spec_from_file_location(
+            "chaos_run", root / "benchmarks" / "chaos_run.py")
+        chaos_run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(chaos_run)
+        sweep = json.loads((root / "benchmarks" / "output"
+                            / "BENCH_chaos.json").read_text())["sweep"]
+        assert sweep["axes"] == [
+            {"name": axis.name, "values": [repr(v) for v in axis.values]}
+            for axis in chaos_run.SWEEP_AXES]
+        assert sorted(cell["cell"] for cell in sweep["cells"]) == sorted(
+            config.label() for config in cells(chaos_run.SWEEP_AXES))
 
 
 class TestMetrics:

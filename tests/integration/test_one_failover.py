@@ -107,7 +107,9 @@ def test_counters_are_one_booking_carried_across_the_failover():
     cluster.run_until_instance_done(instance_id)
     console = OperatorConsole(recovered)
     counters = console.metrics_snapshot()["counters"]
-    assert counters["jobs_completed"] == 22
+    # 21 jobs, as fault-free: every completion was durable when accepted,
+    # so the crash lost none and no job ran twice.
+    assert counters["jobs_completed"] == 21
     assert counters == recovered.metrics
     assert not [name for name in counters
                 if name.startswith("net_") or name == "fencing_rejections"]

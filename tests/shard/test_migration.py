@@ -143,15 +143,11 @@ class TestDrain:
         _assert_plane_clean(plane)
 
     def test_grown_shard_crash_before_first_request_keeps_templates(self):
-        """Construction writes (templates, identity, policy) must be
-        durable before a shard serves anything: under a group sync
-        policy they sit in the commit buffer, and a fresh grown shard
-        crashed before its first request ack used to recover with an
-        empty template space — making it unable to adopt migrated
-        instances."""
-        kernel, plane = make_plane(
-            shards=2, seed=7,
-            store_options=dict(sync_policy="group", group_max_pending=8))
+        """Construction writes (templates, identity, policy) are
+        durable before a shard serves anything: a fresh grown shard
+        crashed before its first request ack recovers its templates and
+        can adopt migrated instances."""
+        kernel, plane = make_plane(shards=2, seed=7)
         requests = _launch(plane, 4, cost=30.0)
         plane.drain_requests()
         assert plane.grow(1) == [2]
@@ -208,7 +204,8 @@ class TestCrashWindows:
         requests = _launch(plane, 6, cost=30.0)
         plane.drain_requests()
         victims = _ids_on(requests, 0)
-        assert victims
+        natives = _ids_on(requests, 1)
+        assert victims and natives
         pre_logs = {old_id: _events(plane, old_id) for old_id in victims}
 
         injector = FaultInjector([FaultAction(point, "crash")])
@@ -230,8 +227,10 @@ class TestCrashWindows:
             # in-flight work only ever appends).
             assert _events(plane, final_id)[:len(pre)] == pre
             assert plane.instance(old_id).status == "completed"
+        # Importing the moved logs must not wedge the target's own work.
+        for native in natives:
+            assert plane.instance(native).status == "completed", native
         _assert_plane_clean(plane)
-
 
     def test_source_retired_while_the_target_is_down(self):
         """A move that committed on the source but died activating on

@@ -108,6 +108,33 @@ class TestTransactions:
         assert store.wal_records == 0
 
 
+class TestTransactionRetry:
+    def test_failing_commit_leaves_transaction_retryable(self):
+        """Regression: a commit that dies inside the store must NOT mark
+        the transaction done — the caller may retry it once the fault
+        clears, and only a *successful* commit finishes the transaction."""
+        kv = KVStore()
+        txn = kv.transaction()
+        txn.put("k", 42)
+        with installed(FaultInjector([FaultAction("wal.append", "crash")])):
+            with pytest.raises(InjectedCrash):
+                txn.commit()
+        # the fault cleared; the same transaction commits cleanly
+        txn.commit()
+        assert kv.get("k") == 42
+        with pytest.raises(StoreError):
+            txn.commit()  # now it IS done
+
+    def test_failing_commit_through_context_manager(self):
+        kv = KVStore()
+        with installed(FaultInjector([FaultAction("wal.append", "crash")])):
+            with pytest.raises(InjectedCrash):
+                with kv.transaction() as txn:
+                    txn.put("k", 1)
+        # the crash propagated and nothing was applied
+        assert kv.get("k") is None
+
+
 class TestDurability:
     def test_disk_recovery(self, tmp_path):
         path = str(tmp_path / "db")
@@ -135,6 +162,17 @@ class TestDurability:
         recovered = KVStore(path)
         assert recovered.get("k7") == 7
         assert recovered.get("after") == 1
+
+    def test_every_commit_syncs_once(self):
+        kv = KVStore()
+        syncs = []
+        wal_sync = kv._wal.sync
+        kv._wal.sync = lambda: (syncs.append(kv.wal_records), wal_sync())
+        kv.put("a", 1)
+        with kv.transaction() as txn:
+            txn.put("b", 2)
+            txn.delete("a")
+        assert syncs == [1, 2]
 
     def test_memory_crash_preserves_synced_state(self):
         store = KVStore()

@@ -4,9 +4,10 @@ Every rule mutates or recovers the store and the model alike; after every
 step each read the store offers (``get``, ``items(prefix)``, ``keys``,
 ``len``, ``in``) must equal the model, ``audit()`` must find nothing, and
 repeated ``get``s must hand out the same object. A checkpoint's snapshot
-must be the canonical encoding of the model state. Under the ``group``
-sync policy the model keeps two states: what the live store shows, and
-what a crash would leave (the last flush).
+must be the canonical encoding of the model state. Every commit is
+durable when it returns, so after every step the store a crash would
+leave (``simulate_crash`` in memory, a fresh open of the directory on
+disk) must equal the model too.
 """
 
 import os
@@ -35,30 +36,23 @@ VALUES = st.recursive(
 )
 OPS = st.lists(
     st.tuples(st.sampled_from(["put", "del"]), KEYS, VALUES), max_size=4)
-GROUP_MAX_PENDING = 3
 
 
 class KVStoreMachine(RuleBasedStateMachine):
-    """One store, memory or on disk, under either sync policy."""
+    """One store, memory or on disk."""
 
     def __init__(self):
         super().__init__()
         self.store = None
         self.directory = None
-        self.model = {}     # what the live store must show
-        self.durable = {}   # what survives a crash
-        self.unflushed = 0  # group commits since the last flush
+        self.model = {}     # what the store, live or crashed, must show
 
     @initialize(on_disk=st.booleans(),
-                sync_policy=st.sampled_from(KVStore.SYNC_POLICIES),
                 segment_records=st.integers(2, 4),
                 retain_history=st.booleans())
-    def open_store(self, on_disk, sync_policy, segment_records,
-                   retain_history):
+    def open_store(self, on_disk, segment_records, retain_history):
         self.options = dict(segment_records=segment_records,
-                            retain_history=retain_history,
-                            sync_policy=sync_policy,
-                            group_max_pending=GROUP_MAX_PENDING)
+                            retain_history=retain_history)
         if on_disk:
             self.directory = tempfile.mkdtemp(prefix="kvmodel-")
         self.store = KVStore(self._path(), **self.options)
@@ -70,21 +64,11 @@ class KVStoreMachine(RuleBasedStateMachine):
 
     def _committed(self, ops):
         """Apply one committed batch to the model."""
-        if not ops:
-            return
         for op, key, value in ops:
             if op == "put":
                 self.model[key] = value
             else:
                 self.model.pop(key, None)
-        self.unflushed += 1
-        if (self.options["sync_policy"] == "per-commit"
-                or self.unflushed >= GROUP_MAX_PENDING):
-            self._acked()
-
-    def _acked(self):
-        self.durable = dict(self.model)
-        self.unflushed = 0
 
     # -- mutations -------------------------------------------------------------
 
@@ -116,14 +100,8 @@ class KVStoreMachine(RuleBasedStateMachine):
         self.transaction(ops)
 
     @rule()
-    def flush(self):
-        self.store.flush()
-        self._acked()
-
-    @rule()
     def checkpoint(self):
         self.store.checkpoint()
-        self._acked()
         expected = codec.encode({"__kv_checkpoint__": 1,
                                  "position": self.store.wal_position,
                                  "state": self.model})
@@ -138,14 +116,11 @@ class KVStoreMachine(RuleBasedStateMachine):
     @rule()
     def crash(self):
         self.store = self.store.simulate_crash()
-        self.model = dict(self.durable)
-        self.unflushed = 0
 
     @precondition(lambda self: self.directory is not None)
     @rule()
     def reopen(self):
         self.store.close()
-        self._acked()
         self.store = KVStore(self._path(), **self.options)
 
     @rule(ops=OPS, then_checkpoint=st.booleans())
@@ -164,9 +139,26 @@ class KVStoreMachine(RuleBasedStateMachine):
 
     @invariant()
     def reads_equal_the_model(self):
-        store, model = self.store, self.model
-        if store is None:
+        if self.store is not None:
+            self._check_reads(self.store)
+
+    @invariant()
+    def crashed_store_equals_the_model(self):
+        """Nothing a commit returned from is lost: the store a crash
+        would leave right now shows the model too."""
+        if self.store is None:
             return
+        if self.directory is None:
+            self._check_reads(self.store.simulate_crash())
+            return
+        survivor = KVStore(self._path(), **self.options)
+        try:
+            self._check_reads(survivor)
+        finally:
+            survivor.close()
+
+    def _check_reads(self, store):
+        model = self.model
         # the reads that never decode first, while values still wait
         assert len(store) == len(model)
         for prefix in PREFIXES:
