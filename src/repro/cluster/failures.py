@@ -66,16 +66,11 @@ class ScenarioScript:
         self.at(time + duration, "disk space freed",
                 self.cluster.set_storage_full, False)
 
-    def server_maintenance(self, time: float, duration: float,
-                           label: str = "server maintenance") -> None:
-        self.at(time, label, self.cluster.crash_server)
-        self.at(time + duration, "server restarted",
-                self.cluster.recover_server)
-
     def server_crash(self, time: float, recovery_after: float,
-                     label: str = "server crash") -> None:
+                     label: str = "server crash",
+                     recovery_label: str = "server recovered") -> None:
         self.at(time, label, self.cluster.crash_server)
-        self.at(time + recovery_after, "server recovered",
+        self.at(time + recovery_after, recovery_label,
                 self.cluster.recover_server)
 
     def upgrade_all(self, time: float, cpus: Optional[int] = None,

@@ -49,10 +49,6 @@ class PEC:
         self.network = network
         self.cluster = cluster  # SimulatedCluster (owner)
         self.monitor = AdaptiveMonitor()
-        self.report_retries = self.REPORT_RETRIES
-        self.retry_base = self.RETRY_BASE
-        self.retry_cap = self.RETRY_CAP
-        self.retry_jitter = self.RETRY_JITTER
         self.jobs_run = 0
         self.jobs_failed = 0
         self.reports_lost = 0
@@ -67,23 +63,23 @@ class PEC:
 
     def retry_delay(self, attempt: int) -> float:
         """Backoff before retry ``attempt`` (0-based), jitter included."""
-        base = min(self.retry_cap, self.retry_base * (2.0 ** attempt))
+        base = min(self.RETRY_CAP, self.RETRY_BASE * (2.0 ** attempt))
         jitter = self.cluster.rng("pec-retry").random()
-        return base * (1.0 + self.retry_jitter * jitter)
+        return base * (1.0 + self.RETRY_JITTER * jitter)
 
     def max_retry_span(self) -> float:
         """Worst-case seconds between first send attempt and giving up."""
         return sum(
-            min(self.retry_cap, self.retry_base * (2.0 ** k))
-            * (1.0 + self.retry_jitter)
-            for k in range(self.report_retries)
+            min(self.RETRY_CAP, self.RETRY_BASE * (2.0 ** k))
+            * (1.0 + self.RETRY_JITTER)
+            for k in range(self.REPORT_RETRIES)
         )
 
     def _send_report(self, fn, *args, label: str = "",
                      retries_left: Optional[int] = None,
                      job_id: str = "") -> None:
         if retries_left is None:
-            retries_left = self.report_retries
+            retries_left = self.REPORT_RETRIES
         directive = fire("pec.report", label=label)
         if directive is not None:
             if directive.kind == "delay":
@@ -141,7 +137,7 @@ class PEC:
             self._send_report(fn, *args, label=label,
                               retries_left=retries_left - 1, job_id=job_id)
 
-        attempt = self.report_retries - retries_left
+        attempt = self.REPORT_RETRIES - retries_left
         self.cluster.kernel.schedule(
             self.retry_delay(attempt), retry, label=f"retry:{label}"
         )

@@ -80,10 +80,10 @@ QUARANTINE = (3, 900.0, 300.0)
 #: safely re-dispatched.
 LEASES = (900.0, 4.0)
 
-#: view-checkpoint interval for campaign servers: small enough that the
-#: campaign workload (tens of events fault-free, more under retries)
-#: crosses it several times, so the ``obs.view.checkpoint`` and
-#: ``store.checkpoint.*`` crash windows get exercised.
+#: store-checkpoint interval (appends) for campaign servers: small enough
+#: that the campaign workload (tens of events fault-free, more under
+#: retries) crosses it several times, so the ``store.checkpoint.*`` crash
+#: windows get exercised.
 CHECKPOINT_INTERVAL = 20
 
 #: WAL segment threshold for campaign stores: small enough that the

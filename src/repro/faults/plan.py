@@ -317,8 +317,6 @@ class FaultPlan:
             maybe(0.3, "dispatcher.submit", "crash", (1, 12))
             maybe(0.25, "navigator.navigate", "crash", (1, 30))
             maybe(0.3, "recovery.replay", "crash", (1, 2))
-            maybe(0.25, "obs.view.checkpoint", "crash", (1, 6))
-            maybe(0.25, "prov.checkpoint", "crash", (1, 6))
             # Log-lifecycle windows: rotation fires on segment-threshold
             # crossings, checkpoint points a handful of times per run (the
             # observability hub checkpoints every CHECKPOINT_INTERVAL

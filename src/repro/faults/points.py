@@ -53,9 +53,6 @@ CATALOG: Dict[str, tuple] = {
     "dispatcher.submit": ("crash",),
     "navigator.navigate": ("crash",),
     "recovery.replay": ("crash",),
-    # observability layer
-    "obs.view.checkpoint": ("crash",),
-    "prov.checkpoint": ("crash",),
     # shard migration windows (rebalance profile). prepare/export/commit
     # crash the SOURCE shard mid-move; import/activate crash the TARGET.
     "shard.migrate.prepare": ("crash",),

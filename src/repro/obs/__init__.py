@@ -11,14 +11,14 @@ commit — into:
   spans),
 * a couple of registry counters.
 
-View checkpoints are written every ``checkpoint_interval`` appends;
-between checkpoints the views are ahead of their durable cursors, and
-after a crash :meth:`ViewCatalog.bind` replays only the suffix — of the
-instances that may still run. Ended instances and the provenance graph
-are brought up to their logs by whoever reads them first; the registry
-counts those reads (``views.deferred_catch_ups``,
-``prov.deferred_catch_ups``) beside what the recovery itself replayed
-and left (``recovery.instances_replayed``, ``recovery.instances_deferred``).
+The views and the provenance graph are folds of the durable logs and
+are never stored: :meth:`ViewCatalog.bind` folds the instances that may
+still run, and ended instances and the provenance graph are brought up
+to their logs by whoever reads them first; the registry counts those
+reads (``views.deferred_catch_ups``, ``prov.deferred_catch_ups``) beside
+what the recovery itself replayed and left
+(``recovery.instances_replayed``, ``recovery.instances_deferred``).
+Every ``checkpoint_interval`` appends the hub compacts the store.
 """
 
 from __future__ import annotations
@@ -26,11 +26,10 @@ from __future__ import annotations
 from ..prov.view import ProvenanceView
 from .metrics import BoundedHistogram, MetricsRegistry
 from .tracing import TaskSpan, TraceCollector
-from .views import CHECKPOINT_PREFIX, View, ViewCatalog
+from .views import View, ViewCatalog
 
 __all__ = [
     "BoundedHistogram",
-    "CHECKPOINT_PREFIX",
     "MetricsRegistry",
     "ObservabilityHub",
     "ProvenanceView",
@@ -58,10 +57,9 @@ class ObservabilityHub:
     # -- wiring --------------------------------------------------------------
 
     def attach(self, store) -> None:
-        """Bind to ``store``: load view checkpoints, catch up with the
-        instances that may still run, and become the one observer of its
-        event and lineage appends. A hub already attached to the store
-        is detached first."""
+        """Bind to ``store``: fold the instances that may still run, and
+        become the one observer of its event and lineage appends. A hub
+        already attached to the store is detached first."""
         previous = getattr(store, "observability", None)
         if previous is not None and previous is not self:
             previous.detach()
@@ -82,10 +80,9 @@ class ObservabilityHub:
             self._store = None
 
     def successor(self) -> "ObservabilityHub":
-        """Hand over at a failover: stop following the store (two hubs
-        checkpointing views into one store would corrupt each other) and
-        return a fresh hub of the same configuration for the replacement
-        server to attach."""
+        """Hand over at a failover: stop following the store and return a
+        fresh hub of the same configuration for the replacement server to
+        attach."""
         self.detach()
         return ObservabilityHub(checkpoint_interval=self.checkpoint_interval)
 
@@ -103,22 +100,13 @@ class ObservabilityHub:
             self.checkpoint()
 
     def checkpoint(self) -> None:
-        """Persist all view states + cursors, then compact the store.
-
-        Order matters for the "views never lead the KV checkpoint"
-        invariant: the view cursors are written *into* the KV store first,
-        so the KV checkpoint that follows embeds them — a recovered store
-        can never see a view cursor pointing past the event log it
-        recovered. The KV checkpoint also truncates every WAL segment it
-        covers, which is what keeps recovery time flat in run length
+        """Checkpoint the KV store, which truncates every WAL segment it
+        covers and so keeps recovery time flat in run length
         (``KVStore(retain_history=True)`` keeps the truncated segments
         for an audit). Also called on demand, e.g. before a planned
         shutdown."""
         if self._store is None:
             return
-        self.views.checkpoint(self._store)
-        self.provenance.checkpoint(self._store)
         self._since_checkpoint = 0
-        self.metrics.inc("view_checkpoints")
         self._store.kv.checkpoint()
         self.metrics.inc("store_checkpoints")

@@ -6,22 +6,18 @@ per-path cost) folded incrementally as events are appended — so the
 queries in :mod:`repro.core.monitor.queries` become O(answer) reads
 instead of O(event log) rescans.
 
-Recovery safety mirrors the engine's own event sourcing:
+The views are derived state and are never stored: the durable record is
+the event log, and every view is a fold of it.
 
 * the live catalog applies each event exactly once, guarded by a
   per-instance sequence cursor (re-delivered events below the cursor are
   skipped — replay is idempotent);
-* :meth:`ViewCatalog.checkpoint` persists every view's state *and* its
-  cursors in one KV transaction per view (``obs/view/<name>``), with the
-  ``obs.view.checkpoint`` fault point fired between views — a crash there
-  leaves views checkpointed at *different* cursors on purpose;
-* :meth:`ViewCatalog.bind` loads each view's checkpoint, checks every
-  cursor against its log, and catches up the instances that may still
-  run — each view over its own event suffix, a view with no checkpoint
-  from sequence 0 — then resumes live application. An instance whose
-  durable meta says it has ended waits: the first ``in_sync``, query or
-  append that names it folds its suffix, so a failover does not pay for
-  finished work and an operator's first read of it does.
+* :meth:`ViewCatalog.bind` folds every instance that may still run from
+  sequence 0, in one walk of its log, then resumes live application. An
+  instance whose durable meta says it has ended waits: the first
+  ``in_sync``, query or append that names it folds its log, so a
+  failover does not pay for finished work and an operator's first read
+  of it does.
 
 Every fold is written to be *bit-identical* to the legacy full-rescan
 implementation (kept in ``queries.py`` as the differential-test oracle):
@@ -42,10 +38,6 @@ from ..core.engine.events import (
 )
 from ..core.engine.recovery import ended
 from ..errors import StoreError
-from ..faults.points import fire
-
-#: KV key prefix under which view checkpoints live (one key per view).
-CHECKPOINT_PREFIX = "obs/view/"
 
 
 def is_activity_completion(event: Dict[str, Any]) -> bool:
@@ -58,41 +50,19 @@ def is_activity_completion(event: Dict[str, Any]) -> bool:
 
 
 class View:
-    """Base class: per-instance answer state + serialization contract.
+    """Base class: one operator query's answer state, per instance.
 
     ``interests`` is the tuple of event types the view folds (``None`` =
     every event); the catalog uses it to skip uninterested views on the
-    hot path. ``loaded_cursors`` holds the cursors of the last durable
-    checkpoint read or written, advanced per instance as the catalog
-    catches the view up: for an instance still deferred it is the
-    cursor this view's state stands at.
+    hot path. The state lives in memory only: it is a fold of the
+    durable log, rebuilt from it after a restart.
     """
 
     name = ""
     interests: Optional[Tuple[str, ...]] = None
 
-    def __init__(self):
-        self.loaded_cursors: Dict[str, int] = {}
-
-    # hot path -------------------------------------------------------------
     def apply(self, instance_id: str, event: Dict[str, Any]) -> None:
         raise NotImplementedError
-
-    # checkpoint round-trip ------------------------------------------------
-    def dump_state(self) -> Any:
-        """Codec-safe snapshot of the state (fresh objects, no aliases)."""
-        raise NotImplementedError
-
-    def load_state(self, data: Any) -> None:
-        """Rebuild in-memory state from :meth:`dump_state` output."""
-        raise NotImplementedError
-
-    def load(self, data: Dict[str, Any]) -> None:
-        self.loaded_cursors = {
-            key: int(value)
-            for key, value in (data.get("cursors") or {}).items()
-        }
-        self.load_state(data.get("state"))
 
 
 class NodeUsageView(View):
@@ -102,7 +72,6 @@ class NodeUsageView(View):
     interests = (TASK_COMPLETED, TASK_FAILED)
 
     def __init__(self):
-        super().__init__()
         #: instance -> node -> [activities, cpu_seconds, failures]
         self.state: Dict[str, Dict[str, List]] = {}
 
@@ -127,16 +96,6 @@ class NodeUsageView(View):
         per = self.state.get(instance_id, {})
         return [[node, e[0], e[1], e[2]] for node, e in per.items()]
 
-    def dump_state(self) -> Any:
-        return {iid: self.chunk(iid) for iid in self.state}
-
-    def load_state(self, data: Any) -> None:
-        self.state = {
-            iid: {row[0]: [int(row[1]), float(row[2]), int(row[3])]
-                  for row in rows}
-            for iid, rows in (data or {}).items()
-        }
-
 
 class EventHistogramView(View):
     """Event counts by type, per instance."""
@@ -145,7 +104,6 @@ class EventHistogramView(View):
     interests = None  # every event
 
     def __init__(self):
-        super().__init__()
         self.state: Dict[str, Dict[str, int]] = {}
 
     def apply(self, instance_id: str, event: Dict[str, Any]) -> None:
@@ -157,18 +115,6 @@ class EventHistogramView(View):
 
     def read(self, instance_id: str) -> Dict[str, int]:
         return dict(self.state.get(instance_id, {}))
-
-    def dump_state(self) -> Any:
-        return {
-            iid: [[kind, count] for kind, count in per.items()]
-            for iid, per in self.state.items()
-        }
-
-    def load_state(self, data: Any) -> None:
-        self.state = {
-            iid: {row[0]: int(row[1]) for row in rows}
-            for iid, rows in (data or {}).items()
-        }
 
 
 class CompletionsView(View):
@@ -184,7 +130,6 @@ class CompletionsView(View):
     interests = (TASK_COMPLETED,)
 
     def __init__(self):
-        super().__init__()
         self.state: Dict[str, List[List]] = {}
 
     def apply(self, instance_id: str, event: Dict[str, Any]) -> None:
@@ -207,18 +152,6 @@ class CompletionsView(View):
         return [(index * bucket, count)
                 for index, count in sorted(buckets.items())]
 
-    def dump_state(self) -> Any:
-        return {
-            iid: [[time, count] for time, count in pairs]
-            for iid, pairs in self.state.items()
-        }
-
-    def load_state(self, data: Any) -> None:
-        self.state = {
-            iid: [[float(pair[0]), int(pair[1])] for pair in pairs]
-            for iid, pairs in (data or {}).items()
-        }
-
 
 class PathCostView(View):
     """Accumulated CPU cost per task path (``slowest_activities``)."""
@@ -227,7 +160,6 @@ class PathCostView(View):
     interests = (TASK_COMPLETED,)
 
     def __init__(self):
-        super().__init__()
         self.state: Dict[str, Dict[str, float]] = {}
 
     def apply(self, instance_id: str, event: Dict[str, Any]) -> None:
@@ -241,18 +173,6 @@ class PathCostView(View):
 
     def read(self, instance_id: str) -> Dict[str, float]:
         return dict(self.state.get(instance_id, {}))
-
-    def dump_state(self) -> Any:
-        return {
-            iid: [[path, cost] for path, cost in per.items()]
-            for iid, per in self.state.items()
-        }
-
-    def load_state(self, data: Any) -> None:
-        self.state = {
-            iid: {row[0]: float(row[1]) for row in rows}
-            for iid, rows in (data or {}).items()
-        }
 
 
 class RetryHotspotsView(View):
@@ -268,7 +188,6 @@ class RetryHotspotsView(View):
     interests = (TASK_DISPATCHED, TASK_FAILED)
 
     def __init__(self):
-        super().__init__()
         #: instance -> {"counts": {path: [disp, prog, infra]},
         #:              "reasons": {path: [reason, ...]}}
         self.state: Dict[str, Dict[str, Dict]] = {}
@@ -299,30 +218,6 @@ class RetryHotspotsView(View):
             return {}, {}
         return per["counts"], per["reasons"]
 
-    def dump_state(self) -> Any:
-        return {
-            iid: {
-                "counts": [[path, e[0], e[1], e[2]]
-                           for path, e in per["counts"].items()],
-                "reasons": [[path, list(reasons)]
-                            for path, reasons in per["reasons"].items()],
-            }
-            for iid, per in self.state.items()
-        }
-
-    def load_state(self, data: Any) -> None:
-        self.state = {}
-        for iid, per in (data or {}).items():
-            self.state[iid] = {
-                "counts": {
-                    row[0]: [int(row[1]), int(row[2]), int(row[3])]
-                    for row in per.get("counts", ())
-                },
-                "reasons": {
-                    row[0]: list(row[1]) for row in per.get("reasons", ())
-                },
-            }
-
 
 class WallTimeView(View):
     """First/last event time plus suspension accounting — O(1) state.
@@ -336,7 +231,6 @@ class WallTimeView(View):
     interests = None  # needs every event's time for first/last
 
     def __init__(self):
-        super().__init__()
         #: instance -> [start, end, suspended, suspend_start (None = not
         #: suspended)]
         self.state: Dict[str, List] = {}
@@ -371,16 +265,6 @@ class WallTimeView(View):
             "total": total,
         }
 
-    def dump_state(self) -> Any:
-        return {iid: list(per) for iid, per in self.state.items()}
-
-    def load_state(self, data: Any) -> None:
-        self.state = {
-            iid: [float(per[0]), float(per[1]), float(per[2]),
-                  None if per[3] is None else float(per[3])]
-            for iid, per in (data or {}).items()
-        }
-
 
 VIEW_CLASSES = (
     NodeUsageView,
@@ -395,20 +279,17 @@ VIEW_CLASSES = (
 class ViewCatalog:
     """All materialized views, bound to one store's event stream.
 
-    Live application is guarded by a single per-instance cursor (all
-    views advance in lock-step once caught up); durable checkpoints carry
-    per-view cursors so a crash between the per-view checkpoint
-    transactions recovers each view independently.
+    Application is guarded by a single per-instance cursor: all views
+    advance in lock-step, in memory only.
     """
 
     def __init__(self):
         self.views: List[View] = [cls() for cls in VIEW_CLASSES]
         self.by_name: Dict[str, View] = {v.name: v for v in self.views}
-        #: instance -> next sequence number to apply (live, all views).
+        #: instance -> next sequence number to apply (all views).
         self.cursors: Dict[str, int] = {}
-        #: instances that had ended when the catalog was bound: each
-        #: view's state stands at its loaded cursor until the first
-        #: reader folds the rest (ids only, in id order).
+        #: instances that had ended when the catalog was bound, folded
+        #: by their first reader (ids only, in id order).
         self._deferred: Dict[str, None] = {}
         #: the owning hub's registry, if a hub owns the catalog.
         self.metrics = None
@@ -444,65 +325,41 @@ class ViewCatalog:
     # -- binding & recovery -------------------------------------------------
 
     def bind(self, store) -> None:
-        """Load durable checkpoints and catch up with the live instances.
-
-        Each view replays only its own suffix ``[checkpoint cursor,
-        event_count)`` — views left at different cursors by a crash
-        mid-checkpoint each catch up independently.
-        """
+        """Follow ``store``: fold the instances that may still run, defer
+        the ones that ended."""
         self._store = store
-        for view in self.views:
-            data = store.kv.get(CHECKPOINT_PREFIX + view.name)
-            if data is not None:
-                view.load(data)
         self.catch_up(store)
 
     def catch_up(self, store) -> None:
-        """Check every loaded cursor against its log; fold the suffix of
-        each instance that may still run, defer the ones that ended."""
+        """Fold each instance that may still run up to its log head, in
+        one walk of its log; an instance that ended waits for its first
+        reader."""
         self._deferred = {}
         for instance_id in store.instances.instance_ids():
             count = store.instances.event_count(instance_id)
-            behind = False
-            for view in self.views:
-                start = view.loaded_cursors.get(instance_id, 0)
-                if start > count:
-                    raise StoreError(
-                        f"view {view.name!r} checkpoint cursor {start} is "
-                        f"ahead of the durable log ({count} events) for "
-                        f"instance {instance_id!r}"
-                    )
-                behind = behind or start < count
-            if behind and ended(store, instance_id):
+            if (self.cursors.get(instance_id, 0) < count
+                    and ended(store, instance_id)):
                 self._deferred[instance_id] = None
-                self.cursors.pop(instance_id, None)
             else:
                 self._fold_suffix(store, instance_id, count)
 
     def _fold_suffix(self, store, instance_id: str, count: int) -> None:
-        """Bring every view to the log head: one walk of the log for all
-        the views that start at the same cursor (all of them, unless a
-        crash split the last checkpoint)."""
-        starts: Dict[int, List[View]] = {}
-        for view in self.views:
-            start = view.loaded_cursors.get(instance_id, 0)
-            if start < count:
-                starts.setdefault(start, []).append(view)
-        for start, views in starts.items():
+        """Bring every view to the log head: one walk of the log from the
+        cursor for all of them."""
+        cursor = self.cursors.get(instance_id, 0)
+        if cursor < count:
             handlers: Dict[str, List] = {}
             for _seq, event in store.instances.events_from(
-                    instance_id, start):
+                    instance_id, cursor):
                 kind = event["type"]
                 applies = handlers.get(kind)
                 if applies is None:
                     applies = handlers[kind] = [
-                        view.apply for view in views
+                        view.apply for view in self.views
                         if view.interests is None or kind in view.interests
                     ]
                 for apply in applies:
                     apply(instance_id, event)
-            for view in views:
-                view.loaded_cursors[instance_id] = count
         self.cursors[instance_id] = count
 
     def _catch_up_deferred(self, instance_id: str) -> None:
@@ -568,31 +425,9 @@ class ViewCatalog:
         return (self.cursors.get(instance_id, 0)
                 == store.instances.event_count(instance_id))
 
-    # -- durability ----------------------------------------------------------
-
     def checkpoint(self, store=None) -> None:
-        """Persist every view's state + cursors, one transaction per view.
-
-        The ``obs.view.checkpoint`` fault point fires before each view's
-        transaction: an injected crash leaves the views checkpointed at
-        different cursors, which :meth:`bind` must absorb. A deferred
-        instance is not folded for the occasion: each view's state for
-        it stands at that view's loaded cursor and is persisted with it.
-        """
-        store = store if store is not None else self._store
-        if store is None:
-            raise StoreError("view catalog is not bound to a store")
-        for view in self.views:
-            cursors = dict(self.cursors)
-            for instance_id in self._deferred:
-                cursors[instance_id] = view.loaded_cursors.get(instance_id, 0)
-            fire("obs.view.checkpoint", view=view.name)
-            with store.kv.transaction() as txn:
-                txn.put(CHECKPOINT_PREFIX + view.name, {
-                    "cursors": dict(cursors),
-                    "state": view.dump_state(),
-                })
-            view.loaded_cursors = cursors
+        """Do nothing: views are folds of the durable log and are never
+        stored. A name only, for the benchmark ledger's patch table."""
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ dependencies are persistently recorded":
   descendants, derivation paths, run diffs, and W3C PROV-JSON
   import/export (plus cross-shard document merging);
 * :mod:`repro.prov.view` — :class:`ProvenanceView`: the graph
-  materialized incrementally off the lineage log with a durable
-  checkpoint, crash-equivalent to a from-scratch rebuild;
+  folded incrementally off the lineage log, never stored, equal to a
+  from-scratch rebuild;
 * :mod:`repro.prov.rerun` — smart re-execution: compute the minimal
   invalidated subgraph for changed inputs or forced task reruns, replay
   everything else from the content-keyed memo cache.
@@ -34,7 +34,6 @@ from .rerun import (
     require_instance,
 )
 from .view import (
-    CHECKPOINT_KEY,
     ProvenanceView,
     live_graph,
     provenance_graph,
@@ -52,7 +51,6 @@ __all__ = [
     "plan_rerun",
     "rerun_report",
     "require_instance",
-    "CHECKPOINT_KEY",
     "ProvenanceView",
     "live_graph",
     "provenance_graph",

@@ -116,16 +116,11 @@ class ProvenanceGraph:
     def __len__(self) -> int:
         return len(self.lineage)
 
-    # -- canonical serialization (checkpoint + equivalence anchor) ---------
+    # -- canonical serialization (the equivalence anchor) -----------------
 
     def dump(self) -> Dict[str, Any]:
         """Canonical codec-safe snapshot: the records in graph order."""
         return {"records": [r.to_dict() for r in self.lineage.records]}
-
-    @classmethod
-    def load(cls, data: Optional[Dict[str, Any]]) -> "ProvenanceGraph":
-        """Rebuild a graph from :meth:`dump` output."""
-        return cls.from_records((data or {}).get("records", ()))
 
     # -- queries ------------------------------------------------------------
 

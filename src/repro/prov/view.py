@@ -1,22 +1,19 @@
 """Incremental provenance view: the lineage stream, folded live.
 
-The :class:`ProvenanceView` mirrors PR 3's materialized views, but over
-the *data space's lineage log* instead of the instance-space event logs:
+The :class:`ProvenanceView` mirrors the materialized views of
+:mod:`repro.obs.views`, but over the *data space's lineage log* instead
+of the instance-space event logs. The graph is derived from the
+execution record and is never stored:
 
 * live application folds each durable lineage append exactly once,
   guarded by a single sequence cursor (re-delivered records below the
   cursor are skipped, a gap raises);
-* :meth:`checkpoint` persists the graph state *and* the cursor in one KV
-  transaction under ``obs/view/provenance``, with the ``prov.checkpoint``
-  fault point fired first — a crash there leaves the view recoverable
-  from its previous checkpoint;
-* :meth:`bind` loads the durable checkpoint, checks its cursor against
-  the log, but folds nothing. Provenance is derived from
-  the execution record, so a view bound behind its log stays *behind* —
-  appends are left in the log — until somebody asks for the graph; the
-  asking (:attr:`graph`, :meth:`in_sync`) replays the lineage suffix
-  once and live application resumes. A failover therefore pays nothing
-  for lineage, and the first provenance read after it pays the suffix.
+* :meth:`bind` folds nothing. A view bound behind its log stays
+  *behind* — appends are left in the log — until somebody asks for the
+  graph; the asking (:attr:`graph`, :meth:`in_sync`) folds the lineage
+  log once and live application resumes. A failover therefore pays
+  nothing for lineage, and the first provenance read after it pays the
+  log.
 
 The chaos invariant (``prov-equivalence`` in
 :mod:`repro.faults.invariants`) holds the view's graph byte-identical,
@@ -29,12 +26,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from ..errors import StoreError
-from ..faults.points import fire
 from .graph import ProvenanceGraph
-
-#: KV key under which the provenance view checkpoint lives (the
-#: ``obs/view/`` prefix keeps it alongside the event-log views').
-CHECKPOINT_KEY = "obs/view/provenance"
 
 
 class ProvenanceView:
@@ -70,31 +62,17 @@ class ProvenanceView:
     # -- binding & recovery -------------------------------------------------
 
     def bind(self, store) -> None:
-        """Load the durable checkpoint and check it against the log (the
-        hub that owns the view is the observer of the lineage appends)."""
+        """Follow ``store`` from an empty graph, behind its lineage log
+        if the log holds records (the hub that owns the view is the
+        observer of the lineage appends)."""
         self._store = store
-        data = store.kv.get(CHECKPOINT_KEY)
-        if data is not None:
-            self.cursor = int(data.get("cursor", 0))
-            self._graph = ProvenanceGraph.load(data.get("state"))
-        else:
-            self.cursor = 0
-            self._graph = ProvenanceGraph()
-        self._behind = self.cursor < self._log_head(store)
-
-    def _log_head(self, store) -> int:
-        """The durable lineage count, which the cursor may not exceed."""
-        count = store.data.lineage_count()
-        if self.cursor > count:
-            raise StoreError(
-                f"provenance checkpoint cursor {self.cursor} is ahead of "
-                f"the durable lineage log ({count} records)"
-            )
-        return count
+        self.cursor = 0
+        self._graph = ProvenanceGraph()
+        self._behind = store.data.lineage_count() > 0
 
     def catch_up(self, store) -> None:
         """Fold the lineage suffix ``[cursor, count)`` from the log."""
-        count = self._log_head(store)
+        count = store.data.lineage_count()
         for _seq, record in store.data.lineage_records_from(self.cursor):
             self._graph.add_raw(record)
         # Sequences tombstoned by shard migration yield nothing but still
@@ -137,25 +115,10 @@ class ProvenanceView:
             self._first_use()
         return self.cursor == store.data.lineage_count()
 
-    # -- durability ----------------------------------------------------------
-
     def checkpoint(self, store=None) -> None:
-        """Persist graph + cursor in one transaction.
-
-        The ``prov.checkpoint`` fault point fires before the
-        transaction: an injected crash loses nothing (the previous
-        checkpoint plus the lineage suffix reconstructs the graph). A
-        view still behind persists the cursor and graph it loaded.
-        """
-        store = store if store is not None else self._store
-        if store is None:
-            raise StoreError("provenance view is not bound to a store")
-        fire("prov.checkpoint", cursor=self.cursor)
-        with store.kv.transaction() as txn:
-            txn.put(CHECKPOINT_KEY, {
-                "cursor": self.cursor,
-                "state": self._graph.dump(),
-            })
+        """Do nothing: the graph is a fold of the durable lineage log and
+        is never stored. A name only, for the benchmark ledger's patch
+        table."""
 
 
 def live_graph(store) -> Optional[ProvenanceGraph]:

@@ -45,8 +45,6 @@ from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
 from ..errors import EngineError, UnknownInstanceError, UnknownShardError
 from ..faults.points import fire
-from ..prov.graph import ProvenanceGraph
-from ..prov.view import CHECKPOINT_KEY as PROV_CHECKPOINT_KEY
 from ..store.spaces import InstanceSpace, TemplateSpace, _seq_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -91,29 +89,6 @@ def _rewrite_lineage(record: Dict[str, Any], old_id: str,
                 for value in values
             ]
     return rewritten
-
-
-def _prov_rebase(store, added=(), excluded=frozenset(),
-                 cursor=None) -> Dict[str, Any]:
-    """Provenance checkpoint payload for a bulk lineage rewrite.
-
-    Migration moves lineage records in transactions that bypass
-    ``append_lineage`` (and so the data space's observer). The
-    enclosing transaction writes this payload — the graph folded from
-    the log *as that transaction will leave it* (current records minus
-    ``excluded`` sequence numbers plus ``added``) — under the view's checkpoint key,
-    so a crash on either side of the move recovers a checkpoint that
-    matches the log instead of one from before the rewrite."""
-    records = [
-        record
-        for seq, record in store.data.lineage_records_from(0)
-        if seq not in excluded
-    ]
-    records.extend(added)
-    graph = ProvenanceGraph.from_records(records)
-    if cursor is None:
-        cursor = store.data.lineage_count()
-    return {"cursor": cursor, "state": graph.dump()}
 
 
 def _resync_provenance(store) -> None:
@@ -280,11 +255,6 @@ class ShardMigrator:
             "lineage_base": lineage_base, "lineage_count": len(rewritten),
         }
         configuration = target.store.configuration
-        prov_payload = None
-        if rewritten:
-            prov_payload = _prov_rebase(
-                target.store, added=rewritten,
-                cursor=lineage_base + len(rewritten))
         with target.store.kv.transaction() as txn:
             txn.put(f"{instance_prefix}meta", meta)
             txn.put(f"{instance_prefix}next_seq", export["next_seq"])
@@ -296,7 +266,6 @@ class ShardMigrator:
             if rewritten:
                 txn.put(target.store.data.LINEAGE_SEQ_KEY,
                         lineage_base + len(rewritten))
-                txn.put(PROV_CHECKPOINT_KEY, prov_payload)
             if export["request_key"]:
                 txn.put(configuration.setting_key(
                     f"request/{export['request_key']}"), new_id)
@@ -324,10 +293,6 @@ class ShardMigrator:
         """
         configuration = source.store.configuration
         instance_prefix = f"{InstanceSpace.PREFIX}{old_id}/"
-        prov_payload = None
-        if export["lineage_seqs"]:
-            prov_payload = _prov_rebase(
-                source.store, excluded=set(export["lineage_seqs"]))
         with source.store.kv.transaction() as txn:
             txn.put(configuration.setting_key(f"forward/{old_id}"),
                     {"to": new_id, "shard": target_index})
@@ -342,8 +307,6 @@ class ShardMigrator:
                 txn.delete(_seq_key(f"{instance_prefix}event/", seq))
             for seq in export["lineage_seqs"]:
                 txn.delete(source.store.data.lineage_key(seq))
-            if prov_payload is not None:
-                txn.put(PROV_CHECKPOINT_KEY, prov_payload)
             txn.delete(configuration.setting_key(f"migrate_out/{old_id}"))
         if export["lineage_seqs"]:
             _resync_provenance(source.store)
@@ -364,11 +327,9 @@ class ShardMigrator:
         ))
         # Imported events bypassed the instance space's observer; fold them
         # into the views BEFORE adoption emits (apply requires
-        # seq == cursor). apply_events — not catch_up — because
-        # catch_up trusts per-view checkpoint cursors, which lag the
-        # live cursors and would double-fold the other instances'
-        # recent events; apply_events is idempotent when a target
-        # recovery already caught this instance up.
+        # seq == cursor). apply_events, not catch_up: catch_up walks
+        # every instance of the store, and apply_events is idempotent
+        # when a target recovery already caught this instance up.
         target.server.obs.views.apply_events(new_id, 0, events)
         target.server.adopt_instance(new_id)
 
@@ -450,9 +411,6 @@ class ShardMigrator:
         lineage_count = int(journal.get("lineage_count", 0))
         request_key = journal.get("request_key")
         staged = range(base, base + lineage_count)
-        prov_payload = None
-        if lineage_count:
-            prov_payload = _prov_rebase(target.store, excluded=staged)
         with target.store.kv.transaction() as txn:
             txn.delete(f"{instance_prefix}meta")
             txn.delete(f"{instance_prefix}next_seq")
@@ -460,8 +418,6 @@ class ShardMigrator:
                 txn.delete(_seq_key(f"{instance_prefix}event/", seq))
             for seq in staged:
                 txn.delete(target.store.data.lineage_key(seq))
-            if prov_payload is not None:
-                txn.put(PROV_CHECKPOINT_KEY, prov_payload)
             if (request_key and configuration.setting(
                     f"request/{request_key}") == new_id):
                 txn.delete(configuration.setting_key(

@@ -223,7 +223,9 @@ def shared_run(
                         duration=6 * (day / 24),
                         label="cluster failure (all nodes)")
     # 8+9: server host maintenance.
-    script.server_maintenance(24.0 * day, duration=8 * (day / 24))
+    script.server_crash(24.0 * day, recovery_after=8 * (day / 24),
+                        label="server maintenance",
+                        recovery_label="server restarted")
     # 10: file-system instability + a 30-minute outage that loses reports.
     script.at(29.0 * day, "file system instability",
               cluster.set_job_failure_rate, 0.10)

@@ -1,6 +1,6 @@
 """PEC report retransmission: short glitches recover, long outages lose.
 
-The PEC retries an unsendable report ``report_retries`` times with capped
+The PEC retries an unsendable report ``PEC.REPORT_RETRIES`` times with capped
 exponential backoff plus seeded jitter (paper: "TEUs failed to report"
 during network trouble). These tests pin the bookkeeping on both sides of
 that schedule:
@@ -10,10 +10,11 @@ that schedule:
 * a report dropped after the retry budget must increment ``reports_lost``
   and clear ``pending_reports``;
 * the backoff schedule itself must grow, cap, jitter deterministically
-  per seed, and be configurable through the cluster environment.
+  per seed, and follow ``PEC``'s four class constants.
 """
 
 from repro.cluster import SimKernel, SimulatedCluster, uniform
+from repro.cluster.pec import PEC
 from repro.core.engine import BioOperaServer, ProgramRegistry, ProgramResult
 
 
@@ -103,22 +104,22 @@ class TestInFlightDrops:
 
 
 class TestBackoffSchedule:
-    def test_delays_grow_exponentially_and_cap(self):
+    def test_delays_grow_exponentially_and_cap(self, monkeypatch):
+        monkeypatch.setattr(PEC, "REPORT_RETRIES", 8)
         kernel = SimKernel(seed=7)
         cluster = SimulatedCluster(kernel, uniform(1, cpus=1))
         pec = cluster.pecs["node001"]
-        pec.report_retries = 8
         delays = [pec.retry_delay(k) for k in range(8)]
         for k, delay in enumerate(delays):
-            base = min(pec.retry_cap, pec.retry_base * 2.0 ** k)
-            assert base <= delay <= base * (1.0 + pec.retry_jitter)
+            base = min(PEC.RETRY_CAP, PEC.RETRY_BASE * 2.0 ** k)
+            assert base <= delay <= base * (1.0 + PEC.RETRY_JITTER)
         # the cap bounds every delay, jitter included
-        assert max(delays) <= pec.retry_cap * (1.0 + pec.retry_jitter)
+        assert max(delays) <= PEC.RETRY_CAP * (1.0 + PEC.RETRY_JITTER)
         # ignoring jitter, the schedule is non-decreasing up to the cap
-        bases = [min(pec.retry_cap, pec.retry_base * 2.0 ** k)
+        bases = [min(PEC.RETRY_CAP, PEC.RETRY_BASE * 2.0 ** k)
                  for k in range(8)]
         assert bases == sorted(bases)
-        assert bases[-1] == pec.retry_cap
+        assert bases[-1] == PEC.RETRY_CAP
 
     def test_jitter_is_seeded_and_deterministic(self):
         def delays(seed):
@@ -129,14 +130,16 @@ class TestBackoffSchedule:
         assert delays(3) == delays(3)
         assert delays(3) != delays(4)
 
-    def test_cluster_environment_configures_backoff(self):
+    def test_schedule_follows_the_class_constants(self, monkeypatch):
+        assert (PEC.REPORT_RETRIES, PEC.RETRY_BASE, PEC.RETRY_CAP,
+                PEC.RETRY_JITTER) == (3, 60.0, 960.0, 0.25)
+        monkeypatch.setattr(PEC, "REPORT_RETRIES", 5)
+        monkeypatch.setattr(PEC, "RETRY_BASE", 10.0)
+        monkeypatch.setattr(PEC, "RETRY_CAP", 40.0)
+        monkeypatch.setattr(PEC, "RETRY_JITTER", 0.0)
         kernel = SimKernel(seed=5)
         cluster = SimulatedCluster(kernel, uniform(2, cpus=1))
         for pec in cluster.pecs.values():
-            assert (pec.report_retries, pec.retry_base, pec.retry_cap,
-                    pec.retry_jitter) == (3, 60.0, 960.0, 0.25)
-            pec.report_retries, pec.retry_base = 5, 10.0
-            pec.retry_cap, pec.retry_jitter = 40.0, 0.0
             assert pec.retry_delay(0) == 10.0
             assert pec.retry_delay(1) == 20.0
             assert pec.retry_delay(2) == 40.0

@@ -65,12 +65,16 @@ class TestScheduling:
     def test_server_maintenance(self):
         kernel, cluster, server = build()
         script = ScenarioScript(cluster)
-        script.server_maintenance(5.0, duration=10.0)
+        script.server_crash(5.0, recovery_after=10.0,
+                            label="server maintenance",
+                            recovery_label="server restarted")
         kernel.run(until=6.0)
         assert not cluster.server.up
         kernel.run(until=16.0)
         assert cluster.server.up
         assert cluster.server is not server  # recovered replacement
+        assert cluster.trace.annotations == [
+            (5.0, "server maintenance"), (15.0, "server restarted")]
 
     def test_upgrade_all(self):
         kernel, cluster, server = build(cpus=1)

@@ -11,6 +11,9 @@ firability these tests pin the *semantics* of the nastiest windows:
   reason ``injected-fault`` (and the task retries to completion).
 """
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.cluster import SimKernel, SimulatedCluster, uniform
@@ -58,6 +61,16 @@ class TestRegistry:
                 assert kind in ("crash", "torn", "error",
                                 "drop", "duplicate", "delay"), (point, kind)
 
+    def test_chaos_doc_table_is_the_catalog(self):
+        """docs/chaos.md's fault-point table names every catalog point
+        with its kinds, and nothing else."""
+        doc = Path(__file__).resolve().parents[2] / "docs" / "chaos.md"
+        rows = re.findall(r"^\| `([^`]+)` \| ([a-z, ]+) \|",
+                          doc.read_text(encoding="utf-8"), re.MULTILINE)
+        table = {point: tuple(kinds.split(", ")) for point, kinds in rows}
+        assert len(rows) == len(table)
+        assert table == CATALOG
+
     def test_action_fires_on_exact_hit_then_disarms(self):
         injector = FaultInjector([FaultAction("wal.append", "crash",
                                               at_hit=3)])
@@ -81,17 +94,13 @@ class TestRegistry:
 
 
 #: crash points a plain single-activity run passes through. Excluded:
-#: recovery.replay (needs a recovery), obs.view.checkpoint and the
-#: store.checkpoint.* family (a tiny run never crosses the checkpoint
-#: interval) and store.rotate (a tiny run never fills a segment) — all
-#: have dedicated tests.
+#: recovery.replay (needs a recovery), the store.checkpoint.* family (a
+#: tiny run never crosses the checkpoint interval) and store.rotate (a
+#: tiny run never fills a segment) — all have dedicated tests.
 ENGINE_CRASH_POINTS = [
     point for point, kinds in CATALOG.items()
     if "crash" in kinds
-    and point not in ("recovery.replay", "obs.view.checkpoint",
-                      # prov.checkpoint fires on the same interval-driven
-                      # hub checkpoint; dedicated test below.
-                      "prov.checkpoint",
+    and point not in ("recovery.replay",
                       "store.rotate",
                       "store.checkpoint.begin",
                       "store.checkpoint.post-snapshot",
@@ -169,35 +178,6 @@ class TestCrashWindows:
                 cluster.run_until_instance_done(instance_id)
         assert err.value.point == point
         assert injector.fired[0]["point"] == point
-
-    def test_obs_view_checkpoint_fires_during_checkpoint(self):
-        """The checkpoint crash window fires whenever the hub persists its
-        views — here forced explicitly after a completed run."""
-        kernel, cluster, server = _single_activity(seed=22)
-        instance_id = server.launch("P")
-        cluster.run_until_instance_done(instance_id)
-        action = FaultAction("obs.view.checkpoint", "crash", at_hit=2)
-        injector = FaultInjector([action])
-        with installed(injector):
-            with pytest.raises(InjectedCrash) as err:
-                server.obs.checkpoint()
-        assert err.value.point == "obs.view.checkpoint"
-        # the first view's transaction committed before the crash
-        assert injector.fired[0]["hit"] == 2
-
-    def test_prov_checkpoint_fires_during_checkpoint(self):
-        """The provenance view checkpoints in the same hub pass as the
-        event-log views; its crash window opens right before its state
-        transaction."""
-        kernel, cluster, server = _single_activity(seed=23)
-        instance_id = server.launch("P")
-        cluster.run_until_instance_done(instance_id)
-        injector = FaultInjector([FaultAction("prov.checkpoint", "crash")])
-        with installed(injector):
-            with pytest.raises(InjectedCrash) as err:
-                server.obs.checkpoint()
-        assert err.value.point == "prov.checkpoint"
-        assert injector.fired[0]["point"] == "prov.checkpoint"
 
     def test_recovery_replay_fires_during_recover(self):
         kernel, cluster, server = _single_activity()

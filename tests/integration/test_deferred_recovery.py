@@ -8,8 +8,9 @@ brought up to its log by whoever reads it first. Three contracts:
 * **differential**: a server left deferred and a twin recovered from the
   same crashed store with everything forced answer every read byte for
   byte alike, and like the rescan oracles;
-* the checks a recovery used to make on the way (both cursor-ahead
-  errors) are still made at ``bind``, for a deferred instance too.
+* **nothing derived is stored**: views and the provenance graph are
+  folds of the logs, so no ``obs/`` key reaches the store, however many
+  checkpoints a server runs past.
 """
 
 from collections import Counter
@@ -29,14 +30,13 @@ from repro.core.engine.operator_console import OperatorConsole
 from repro.core.engine.recovery import InstanceMap
 from repro.core.monitor import queries
 from repro.core.planning.whatif import outage_impact
-from repro.errors import ActivityFailure, StoreError
+from repro.errors import ActivityFailure
 from repro.faults.plan import FaultAction
 from repro.faults.points import FaultInjector, InjectedCrash, installed
 from repro.obs import ObservabilityHub
-from repro.obs.views import CHECKPOINT_PREFIX, EventHistogramView, ViewCatalog
+from repro.obs.views import EventHistogramView, ViewCatalog
 from repro.prov import plan_rerun
 from repro.prov.graph import ProvenanceGraph
-from repro.prov.view import CHECKPOINT_KEY, ProvenanceView
 from repro.store import OperaStore, codec
 from repro.store.spaces import InstanceSpace
 
@@ -98,10 +98,11 @@ ENDED = [(1, 2), (3, 4), (5, 6), (6, 9), (7, -1)]
 LIVE = [(10, 20), (12, 21)]
 
 
-def _populated(checkpoint_after: int = 2):
+def _populated(checkpoint_after: int = 2, observability=None):
     """A server with ``ENDED`` run to their end — a hub checkpoint after
     the first ``checkpoint_after`` of them — and ``LIVE`` part-way."""
-    server = BioOperaServer(registry=_registry(), seed=3)
+    server = BioOperaServer(registry=_registry(), seed=3,
+                            observability=observability)
     env = InlineEnvironment()
     server.attach_environment(env)
     server.define_template_ocr(OCR)
@@ -187,10 +188,15 @@ def _answers(server):
     out["trace_summary"] = console.trace_summary()
     out["export_prov"] = console.export_prov()
     for view in server.obs.views.views:
-        out[f"dump/{view.name}"] = view.dump_state()
+        out[f"state/{view.name}"] = _state(view)
     out["dump/provenance"] = server.obs.provenance.graph.dump()
     out["metrics"] = console.metrics_snapshot()
     return {name: codec.encode(value) for name, value in out.items()}
+
+
+def _state(view) -> str:
+    """A view's state: instances in id order, each in fold order."""
+    return repr(sorted(view.state.items()))
 
 
 def _rebuilt_catalog(store) -> ViewCatalog:
@@ -216,8 +222,7 @@ def _assert_oracles(server) -> None:
         assert codec.encode([twin.outputs, twin.progress()]) \
             == codec.encode([live.outputs, live.progress()])
     for view in server.obs.views.views:
-        assert codec.encode(view.dump_state()) == codec.encode(
-            rebuilt.by_name[view.name].dump_state()), view.name
+        assert _state(view) == _state(rebuilt.by_name[view.name]), view.name
     graph = ProvenanceGraph.from_records(store.data.lineage_records())
     assert server.obs.provenance.in_sync(store)
     assert codec.encode(server.obs.provenance.graph.dump()) \
@@ -298,9 +303,8 @@ class TestCostShape:
         assert set(counts.replays.values()) == {1}
         assert not any(counts.folded[iid] for iid in ended)
         assert counts.add_raw == 0
-        # the two ended before the checkpoint are level with their logs;
-        # the other three wait, and so does the lineage log
-        assert list(server.obs.views._deferred) == ended[2:]
+        # every ended instance waits, and so does the lineage log
+        assert list(server.obs.views._deferred) == ended
         assert server.obs.provenance._behind
         counters = server.obs.metrics.counters
         assert counters["recovery.instances_replayed"] == len(live)
@@ -335,8 +339,6 @@ class TestCostShape:
         make_store, ended, _live = crashed
         server = _recover(make_store())
         store = server.store
-        loaded = {iid: server.obs.views.event_histogram.loaded_cursors.get(
-            iid, 0) for iid in ended}
         lineage_behind = (store.data.lineage_count()
                           - server.obs.provenance.cursor)
         assert lineage_behind > 0
@@ -344,15 +346,14 @@ class TestCostShape:
         _force(server)
         assert dict(counts.replays) == {iid: 1 for iid in ended}
         assert {iid: counts.folded[iid] for iid in ended} == {
-            iid: store.instances.event_count(iid) - loaded[iid]
-            for iid in ended}
+            iid: store.instances.event_count(iid) for iid in ended}
         assert counts.add_raw == lineage_behind
         before = _snapshot(counts)
         _force(server)
         _answers(server)
         assert _snapshot(counts) == before
         counters = server.obs.metrics.counters
-        assert counters["views.deferred_catch_ups"] == 3
+        assert counters["views.deferred_catch_ups"] == len(ended)
         assert counters["prov.deferred_catch_ups"] == 1
 
     def test_catch_up_walks_a_log_once_not_once_per_view(self, crashed,
@@ -367,45 +368,14 @@ class TestCostShape:
         assert not any(counts.walks[iid] for iid in ended)
         for iid in ended:
             assert catalog.in_sync(store, iid)
-        # level with the checkpoint: nothing to walk; behind it: one walk
-        assert [counts.walks[iid] for iid in ended] == [0, 0, 1, 1, 1]
-
-    def test_views_split_by_a_torn_checkpoint_walk_once_per_cursor(
-            self, monkeypatch):
-        server, env, ended, live = _populated()
-        with installed(FaultInjector([
-                FaultAction("obs.view.checkpoint", "crash", at_hit=3)])):
-            with pytest.raises(InjectedCrash):
-                server.obs.checkpoint()
-        before = server.store.instances.event_count(live[1])
-        env.step()   # live[1] moves on: no view is at its head any more
-        assert server.store.instances.event_count(live[1]) > before
-        store = _crashed(server)
-        assert store.instances.meta(live[1])["status"] == "running"
-        counts = _Counts(monkeypatch)
-        catalog = ViewCatalog()
-        catalog.bind(store)
-        # two views were checkpointed before the step, four long before:
-        # two cursors, two walks — not one per view
-        starts = {store.kv.get(CHECKPOINT_PREFIX + view.name)["cursors"]
-                  .get(live[1], 0) for view in catalog.views}
-        assert len(starts) == 2
-        assert (counts.walks[live[0]], counts.walks[live[1]]) == (1, 2)
-        assert catalog.in_sync(store, ended[3])
-        assert counts.walks[ended[3]] == 1
-        for iid in store.instances.instance_ids():
-            assert catalog.in_sync(store, iid)
-        rebuilt = _rebuilt_catalog(store)
-        for view in catalog.views:
-            assert codec.encode(view.dump_state()) == codec.encode(
-                rebuilt.by_name[view.name].dump_state()), view.name
+        assert [counts.walks[iid] for iid in ended] == [1] * len(ended)
 
     def test_an_on_disk_failover_decodes_two_records_per_ended_instance(
             self, tmp_path, monkeypatch):
         """Opening the store decodes keys only; recovery then decodes
         what it reads. Of an ended instance that is its meta and its
-        ``next_seq`` (every view cursor is checked against the log), so
-        two records, whatever the length of its log: the only events
+        ``next_seq`` (the view catalog reads its event count), so two
+        records, whatever the length of its log: the only events
         decoded are the last slice, which shares its record with
         ``next_seq``. Its log is decoded by its first reader."""
         path = str(tmp_path / "db")
@@ -584,34 +554,23 @@ class TestDeferredVersusForced:
 
     def test_checkpoint_while_deferred_then_torn_checkpoint_then_recovery(
             self, crashed):
-        """A checkpoint persists a deferred instance at each view's
-        loaded cursor; a crash between two per-view transactions then
-        leaves the views at different cursors — each recovers alone."""
+        """A checkpoint compacts the store and folds nothing: deferred
+        instances stay deferred. A crash inside a later checkpoint then
+        leaves a store both twins recover from alike."""
         make_store, ended, live = crashed
         first = _recover(make_store())
         waiting = list(first.obs.views._deferred)
-        assert waiting == ended[2:]
+        assert waiting == ended
         first.obs.checkpoint()
         assert list(first.obs.views._deferred) == waiting
-        for name in first.obs.views.by_name:
-            cursors = first.store.kv.get(CHECKPOINT_PREFIX + name)["cursors"]
-            assert [cursors[iid] for iid in waiting] == [0, 0, 0]
-            assert cursors[live[0]] \
-                == first.store.instances.event_count(live[0])
-        assert first.store.kv.get(CHECKPOINT_KEY)["cursor"] \
-            == first.obs.provenance.cursor \
-            < first.store.data.lineage_count()
+        assert first.obs.provenance._behind
         # read one of the deferred, run a live one on, then tear
         assert first.obs.views.in_sync(first.store, waiting[0])
         first.environment.run_instance(live[0])
-        with installed(FaultInjector([
-                FaultAction("obs.view.checkpoint", "crash", at_hit=3)])):
+        with installed(FaultInjector([FaultAction(
+                "store.checkpoint.post-snapshot", "crash")])):
             with pytest.raises(InjectedCrash):
                 first.obs.checkpoint()
-        torn = {name: first.store.kv.get(CHECKPOINT_PREFIX + name)["cursors"]
-                for name in first.obs.views.by_name}
-        assert torn["node_usage"][waiting[0]] > 0
-        assert torn["wall_time_breakdown"][waiting[0]] == 0
         first.crash()
         forced = _recover(first.store.simulate_crash())
         _force(forced)
@@ -655,32 +614,6 @@ class TestDeferredVersusForced:
         _assert_twins_agree(deferred, forced)
 
 
-class TestCursorAheadStillRaisesAtBind:
-    def test_view_cursor_ahead_of_a_deferred_instances_log(self, crashed):
-        make_store, ended, _live = crashed
-        store = make_store()
-        assert store.instances.meta(ended[3])["status"] == "completed"
-        key = CHECKPOINT_PREFIX + "path_cost"
-        data = store.kv.get(key)
-        data["cursors"][ended[3]] = store.instances.event_count(ended[3]) + 1
-        store.kv.put(key, data)
-        with pytest.raises(StoreError, match="ahead of the durable log"):
-            ViewCatalog().bind(store)
-        with pytest.raises(StoreError, match="ahead of the durable log"):
-            _recover(store)
-
-    def test_provenance_cursor_ahead_of_the_lineage_log(self, crashed):
-        make_store, _ended, _live = crashed
-        store = make_store()
-        data = store.kv.get(CHECKPOINT_KEY)
-        data["cursor"] = store.data.lineage_count() + 1
-        store.kv.put(CHECKPOINT_KEY, data)
-        with pytest.raises(StoreError, match="ahead of the durable lineage"):
-            ProvenanceView().bind(store)
-        with pytest.raises(StoreError, match="ahead of the durable lineage"):
-            _recover(store)
-
-
 class TestBehindProvenanceView:
     def test_behind_view_folds_nothing_until_asked(self, crashed,
                                                    monkeypatch):
@@ -691,8 +624,8 @@ class TestBehindProvenanceView:
         counts = _Counts(monkeypatch)
         server.environment.run_instance(live[0])   # appends lineage
         assert counts.add_raw == 0 and view.cursor == loaded
-        server.obs.checkpoint()                    # persists it unchanged
-        assert server.store.kv.get(CHECKPOINT_KEY)["cursor"] == loaded
+        server.obs.checkpoint()                    # compacts, folds nothing
+        assert view.cursor == loaded and view._behind
         assert counts.add_raw == 0
         assert view.in_sync(server.store)
         assert counts.add_raw == server.store.data.lineage_count() - loaded
@@ -707,7 +640,8 @@ class TestBehindProvenanceView:
         server = _recover(make_store())
         view = server.obs.provenance
         server.obs.detach()
-        assert len(view.graph) > 0 and view._behind
+        # bound behind the log and never read: it has folded nothing
+        assert len(view.graph) == 0 and view._behind
 
     def test_fresh_store_is_in_sync_and_folds_live(self):
         server, _env, _ended, _live = _populated()
@@ -839,3 +773,22 @@ class TestEventTimesNeverDecreaseWithinALog:
         assert plane.shards[1].store.instances.event_count(new_id) > 0
         for shard in plane.shards:
             self._assert_monotone(shard.store)
+
+
+class TestNoDerivedStateIsStored:
+    def test_checkpointed_crashed_and_recovered_store_holds_no_obs_key(self):
+        """A server runs past several hub checkpoints and is crashed: the
+        store holds no view or graph state, and the recovered views and
+        graph, folded from the logs, equal the rescans."""
+        server, _env, _ended, live = _populated(
+            observability=ObservabilityHub(checkpoint_interval=10))
+        assert server.metrics["store_checkpoints"] >= 3
+        store = _crashed(server)
+        assert store.kv.keys("obs/") == []
+        recovered = _recover(store)
+        for iid in live:
+            recovered.environment.run_instance(iid)
+        recovered.obs.checkpoint()
+        assert recovered.store.kv.keys("obs/") == []
+        _force(recovered)
+        _assert_oracles(recovered)

@@ -71,14 +71,14 @@ class TestCleanRunDifferential:
 class TestChaosDifferential:
     def test_crash_heavy_campaign_keeps_views_equivalent(self, darwin,
                                                          baseline):
-        """A plan that crashes the server AND tears a view checkpoint:
+        """A plan that crashes the server AND tears a store checkpoint:
         recovery must leave every view byte-identical to a rescan (the
         invariant catalog checks after each recovery and at the end)."""
         horizon = baseline["wall"] * 1.2
         plan = FaultPlan(seed=4242, scheduled=[
             ScheduledFault("server-crash", round(horizon * 0.3, 3)),
         ], actions=[
-            FaultAction("obs.view.checkpoint", "crash", at_hit=4),
+            FaultAction("store.checkpoint.post-snapshot", "crash"),
         ])
         result = chaos.run_campaign(4242, darwin, baseline=baseline,
                                     plan=plan)
@@ -92,10 +92,10 @@ class TestChaosDifferential:
         nodes = ["node001", "node002", "node003", "node004"]
         seeds = [
             seed for seed in range(60)
-            if "point:obs.view.checkpoint"
+            if "point:store.checkpoint.post-snapshot"
             in FaultPlan.generate(seed, nodes).categories()
         ][:2]
-        assert seeds, "no generated plan arms obs.view.checkpoint"
+        assert seeds, "no generated plan arms a store checkpoint window"
         for seed in seeds:
             result = chaos.run_campaign(seed, darwin, baseline=baseline)
             assert result.ok, (seed, result.violations[:4])

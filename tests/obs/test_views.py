@@ -1,4 +1,4 @@
-"""Materialized views: cursor discipline, checkpoints, crash recovery."""
+"""Materialized views: cursor discipline, crash recovery, compaction."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +7,7 @@ from repro.core.engine import BioOperaServer, events as ev
 from repro.errors import StoreError
 from repro.faults.plan import FaultAction
 from repro.faults.points import FaultInjector, InjectedCrash, installed
-from repro.obs import CHECKPOINT_PREFIX, ObservabilityHub
+from repro.obs import ObservabilityHub
 from repro.store import OperaStore
 from repro.store.codec import encode
 
@@ -76,7 +76,8 @@ def _store_with(events, hub=None, instance_id="pi-1"):
 
 
 def _view_dumps(hub):
-    return {v.name: encode(v.dump_state()) for v in hub.views.views}
+    """Each view's state, in fold order (``repr`` keeps dict order)."""
+    return {v.name: repr(v.state) for v in hub.views.views}
 
 
 class TestCursorDiscipline:
@@ -143,9 +144,6 @@ class TestBatchApplication:
         assert [start for start, _part in seen] == bounds[:len(slices)]
         assert _view_dumps(hub) == _view_dumps(reference_hub)
         assert hub.views.cursors == reference_hub.views.cursors
-        # the checkpoints carry each view's state and cursors into the KV
-        hub.checkpoint()
-        reference_hub.checkpoint()
         assert encode(dict(store.kv.items())) \
             == encode(dict(reference.kv.items()))
 
@@ -210,94 +208,30 @@ class TestBatchApplication:
 
 class TestCheckpointRecovery:
     def test_bind_catches_up_from_scratch(self):
-        # No checkpoint at all: bind replays the whole log.
+        # Nothing of the views is stored: bind replays the whole log.
         live_hub = ObservabilityHub()
         store = _store_with(_event_stream(), hub=live_hub)
         cold = ObservabilityHub()
         cold.attach(store.simulate_crash())
         assert _view_dumps(cold) == _view_dumps(live_hub)
 
-    def test_bind_replays_only_the_suffix_after_checkpoint(self):
-        live_hub = ObservabilityHub()
-        store = _store_with(_event_stream(20), hub=live_hub)
-        live_hub.checkpoint()
-        suffix = _event_stream(30)[40:]  # more events after the checkpoint
-        for event in suffix:
-            store.instances.append_event("pi-1", event)
-        survivor = store.simulate_crash()
-        recovered = ObservabilityHub()
-        recovered.attach(survivor)
-        # the recovered views saw checkpoint + suffix; a from-scratch fold
-        # of the full surviving log must agree exactly
-        oracle = ObservabilityHub()
-        scratch = OperaStore()
-        oracle.attach(scratch)
-        scratch.instances.create("pi-1", {})
-        for event in survivor.instances.events("pi-1"):
-            scratch.instances.append_event("pi-1", event)
-        assert _view_dumps(recovered) == _view_dumps(oracle)
-        assert recovered.views.in_sync(survivor, "pi-1")
-
-    def test_checkpoint_cursor_never_exceeds_log(self):
-        hub = ObservabilityHub()
-        store = _store_with(_event_stream(15), hub=hub)
-        hub.checkpoint()
-        for view in hub.views.views:
-            data = store.kv.get(CHECKPOINT_PREFIX + view.name)
-            assert data["cursors"]["pi-1"] <= \
-                store.instances.event_count("pi-1")
-
-    def test_stale_checkpoint_ahead_of_log_is_rejected(self):
-        hub = ObservabilityHub()
-        store = _store_with(_event_stream(10), hub=hub)
-        count = store.instances.event_count("pi-1")
-        store.kv.put(CHECKPOINT_PREFIX + "node_usage", {
-            "cursors": {"pi-1": count + 5}, "state": {},
-        })
-        broken = ObservabilityHub()
-        with pytest.raises(StoreError):
-            broken.attach(store)
-
 
 class TestCrashMidCheckpoint:
-    def test_views_left_at_different_cursors_recover_independently(self):
-        """An injected crash between per-view checkpoint transactions
-        leaves some views durable at the new cursor and the rest at the
-        old one; bind must catch each up independently and idempotently."""
-        events = _event_stream(40)
-        live_hub = ObservabilityHub()
-        store = _store_with(events[:50], hub=live_hub)
-        live_hub.checkpoint()  # all views durable at cursor=50
-        for event in events[50:]:
-            store.instances.append_event("pi-1", event)
-        # crash while the 3rd view checkpoints: views 1-2 are durable at
-        # the new cursor, views 3-6 still at the old one
-        action = FaultAction("obs.view.checkpoint", "crash", at_hit=3)
-        with installed(FaultInjector([action])):
-            with pytest.raises(InjectedCrash):
-                live_hub.checkpoint()
-        survivor = store.simulate_crash()
-        cursors = set()
-        for view in live_hub.views.views:
-            data = survivor.kv.get(CHECKPOINT_PREFIX + view.name)
-            cursors.add(data["cursors"]["pi-1"])
-        assert len(cursors) == 2  # genuinely torn across the views
-        recovered = ObservabilityHub()
-        recovered.attach(survivor)
-        oracle = ObservabilityHub()
-        _store_with(list(survivor.instances.events("pi-1")), hub=oracle)
-        assert _view_dumps(recovered) == _view_dumps(oracle)
-
     def test_replaying_the_same_suffix_twice_is_idempotent(self):
+        """A crash inside the hub's store checkpoint, then two recoveries
+        from the same durable state (the crash-during-recovery path):
+        both fold views identical to the live ones."""
         hub = ObservabilityHub()
         store = _store_with(_event_stream(20), hub=hub)
-        hub.checkpoint()
+        action = FaultAction("store.checkpoint.post-snapshot", "crash")
+        with installed(FaultInjector([action])):
+            with pytest.raises(InjectedCrash):
+                hub.checkpoint()
         survivor = store.simulate_crash()
         first = ObservabilityHub()
         first.attach(survivor)
         once = _view_dumps(first)
-        # a second recovery from the same durable state (the crash-during-
-        # recovery path) must produce identical views
+        assert once == _view_dumps(hub)
         second = ObservabilityHub()
         second.attach(survivor)
         assert _view_dumps(second) == once
@@ -305,18 +239,17 @@ class TestCrashMidCheckpoint:
 
 class TestStoreCompaction:
     def test_hub_checkpoint_compacts_the_kv_log(self):
-        """An observability checkpoint also checkpoints the KV store, so
-        the WAL it covers is truncated — and because the view cursors are
-        keys *inside* the store, the KV checkpoint embeds them: a view
-        checkpoint can never lead the KV checkpoint it recovers with."""
+        """An observability checkpoint checkpoints the KV store, so the
+        WAL it covers is truncated; no view state goes into the store."""
         hub = ObservabilityHub(checkpoint_interval=10_000)
         store = _store_with(_event_stream(20), hub=hub)
         assert store.kv.wal_records > 0
         hub.checkpoint()
         assert store.kv.wal_records == 0
         assert hub.metrics.snapshot()["counters"].get("store_checkpoints") == 1
-        # crash + rebind: cursors recovered from the checkpoint are in
-        # step with the recovered log, views byte-identical
+        assert store.kv.keys("obs/") == []
+        # crash + rebind: the views folded from the recovered log are
+        # byte-identical
         survivor = store.simulate_crash()
         hub2 = ObservabilityHub()
         hub2.attach(survivor)
@@ -329,9 +262,9 @@ class TestStoreCompaction:
         hub = ObservabilityHub(checkpoint_interval=40)
         store = _store_with(_event_stream(60), hub=hub)
         # every 40 appends the hub checkpointed and truncated; the live
-        # log can never exceed one interval's worth of commits (each
-        # append is 1 event record + the view-checkpoint records)
-        assert store.kv.wal_records < 40 * 2 + 20
+        # log can never exceed one interval's worth of commits (one
+        # record per append, plus the instance's creation)
+        assert store.kv.wal_records <= 40
         assert store.kv.wal_position > store.kv.wal_records
 
 
@@ -348,19 +281,6 @@ class TestStoreCompaction:
 
 
 class TestStateHygiene:
-    def test_checkpoint_state_does_not_alias_live_state(self):
-        # The in-memory KVStore returns live references; a view mutating
-        # state it shares with the KV map would corrupt the audit.
-        hub = ObservabilityHub()
-        store = _store_with(_event_stream(20), hub=hub)
-        hub.checkpoint()
-        frozen = encode(store.kv.get(CHECKPOINT_PREFIX + "node_usage"))
-        for event in _event_stream(5)[1:]:
-            store.instances.append_event("pi-1", event)
-        assert encode(store.kv.get(CHECKPOINT_PREFIX + "node_usage")) == \
-            frozen
-        assert store.kv.audit() == []
-
     def test_multi_instance_cursors_are_independent(self):
         hub = ObservabilityHub()
         store = _store_with(_event_stream(10), hub=hub, instance_id="a")

@@ -1,4 +1,4 @@
-"""Provenance view durability: checkpoints, crashes, recovery."""
+"""Provenance view: folded from the lineage log across crashes."""
 
 import pytest
 
@@ -6,7 +6,7 @@ from repro.core.engine import BioOperaServer, InlineEnvironment
 from repro.errors import StoreError
 from repro.faults.plan import FaultAction
 from repro.faults.points import FaultInjector, InjectedCrash, installed
-from repro.prov import CHECKPOINT_KEY, ProvenanceGraph, ProvenanceView
+from repro.prov import ProvenanceGraph
 from repro.store import codec
 
 from .conftest import diamond_registry, diamond_server, run_diamond
@@ -29,63 +29,48 @@ def _recover(server):
 
 
 class TestCheckpointRecovery:
-    def test_recovery_from_checkpoint_replays_only_the_suffix(self):
-        calls = []
-        server, env = diamond_server(calls)
-        run_diamond(server, env, 1, 2)
-        server.obs.checkpoint()
-        run_diamond(server, env, 3, 4)  # after the checkpoint
-        server.crash()
-        recovered, _ = _recover(server)
-        assert _equivalent(recovered.store)
-        assert len(recovered.store.observability.provenance.graph) == 6
+    """The hub's checkpoint compacts the store and stores no graph: a
+    crash anywhere inside it recovers a graph folded from the log."""
 
     def test_crash_mid_checkpoint_recovers_equivalent(self):
         calls = []
         server, env = diamond_server(calls)
         run_diamond(server, env, 1, 2)
-        injector = FaultInjector([FaultAction("prov.checkpoint", "crash")])
+        injector = FaultInjector([
+            FaultAction("store.checkpoint.post-snapshot", "crash")])
         with installed(injector):
             with pytest.raises(InjectedCrash):
                 server.obs.checkpoint()
         server.crash()
         recovered, _ = _recover(server)
+        assert recovered.store.kv.keys("obs/") == []
         assert _equivalent(recovered.store)
 
     def test_chaos_checkpoints_never_diverge(self):
-        """Crash at every prov.checkpoint hit number in turn; each
-        recovery must present an equivalent graph and keep running."""
-        for at_hit in (1, 2):
-            calls = []
-            server, env = diamond_server(calls)
-            run_diamond(server, env, 1, 2)
-            injector = FaultInjector([
-                FaultAction("prov.checkpoint", "crash", at_hit=at_hit)])
-            with installed(injector):
-                try:
-                    server.obs.checkpoint()
-                    run_diamond(server, env, 3, 4)
-                    server.obs.checkpoint()
-                except InjectedCrash:
-                    pass
-            server.crash()
-            recovered, _ = _recover(server)
-            assert _equivalent(recovered.store), f"at_hit={at_hit}"
-
-    def test_cursor_ahead_of_log_is_rejected(self):
-        calls = []
-        server, env = diamond_server(calls)
-        run_diamond(server, env, 1, 2)
-        store = server.store
-        view = store.observability.provenance
-        with store.kv.transaction() as txn:
-            txn.put(CHECKPOINT_KEY, {
-                "cursor": view.cursor + 100,
-                "state": view.graph.dump(),
-            })
-        fresh = ProvenanceView()
-        with pytest.raises(StoreError):
-            fresh.bind(store)
+        """Crash in every store-checkpoint window, on the first and the
+        second checkpoint in turn; each recovery must present an
+        equivalent graph and keep running."""
+        for point in ("store.checkpoint.begin",
+                      "store.checkpoint.post-snapshot",
+                      "store.checkpoint.truncate",
+                      "store.checkpoint.post-truncate"):
+            for at_hit in (1, 2):
+                calls = []
+                server, env = diamond_server(calls)
+                run_diamond(server, env, 1, 2)
+                injector = FaultInjector([
+                    FaultAction(point, "crash", at_hit=at_hit)])
+                with installed(injector):
+                    try:
+                        server.obs.checkpoint()
+                        run_diamond(server, env, 3, 4)
+                        server.obs.checkpoint()
+                    except InjectedCrash:
+                        pass
+                assert injector.fired, (point, at_hit)
+                server.crash()
+                recovered, _ = _recover(server)
+                assert _equivalent(recovered.store), (point, at_hit)
 
 
 class TestLiveApplication:

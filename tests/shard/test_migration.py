@@ -21,6 +21,7 @@ from repro.errors import ActivityFailure, EngineError, UnknownShardError
 from repro.faults import invariants
 from repro.faults.plan import FaultAction
 from repro.faults.points import FaultInjector, InjectedCrash, installed
+from repro.prov.graph import ProvenanceGraph
 from repro.shard import (
     BROKER,
     ShardedConsole,
@@ -28,6 +29,7 @@ from repro.shard import (
     migration_invariants,
     shard_endpoint,
 )
+from repro.store import codec
 
 from .conftest import JOB_OCR, job_registry, make_plane
 
@@ -254,6 +256,44 @@ class TestCrashWindows:
         kernel.run()
         for old_id in victims:
             assert plane.instance(old_id).status == "completed"
+        _assert_plane_clean(plane)
+
+
+class TestNoDerivedStateIsWritten:
+    """Moves rewrite lineage in bulk, behind the provenance view's back:
+    the view re-bases on the log, and nothing derived reaches a store."""
+
+    @staticmethod
+    def _assert_graphs_follow_the_logs(plane):
+        for shard in plane.shards:
+            store = shard.store
+            assert store.kv.keys("obs/") == [], f"shard {shard.index}"
+            rebuilt = ProvenanceGraph.from_records(
+                store.data.lineage_records())
+            graph = store.observability.provenance.graph
+            assert codec.encode(graph.dump()) == codec.encode(
+                rebuilt.dump()), f"shard {shard.index}"
+
+    def test_import_commit_and_rollback_write_no_obs_key(self):
+        kernel, plane = make_plane(shards=2, seed=7)
+        requests = _launch(plane, 6, cost=5.0)
+        kernel.run()
+        first, second = _ids_on(requests, 0)[:2]
+        assert plane.shards[0].store.data.lineage_count() > 0
+        # import on the target, commit on the source
+        plane.migrator.migrate_instance(first, 1)
+        self._assert_graphs_follow_the_logs(plane)
+        # a move that dies before its commit point is rolled back
+        staged_before = plane.shards[1].store.data.lineage_count()
+        with installed(FaultInjector([
+                FaultAction("shard.migrate.commit", "crash")])):
+            with pytest.raises(InjectedCrash):
+                plane.migrator.migrate_instance(second, 1)
+        assert plane.shards[1].store.data.lineage_count() > staged_before
+        plane.crash_shard(0)
+        plane.recover_shard(0)   # resume rolls the staged copy back
+        assert plane.resolve_instance(second)[0] == 0
+        self._assert_graphs_follow_the_logs(plane)
         _assert_plane_clean(plane)
 
 
