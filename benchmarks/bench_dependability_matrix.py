@@ -10,6 +10,7 @@ manual intervention is necessary" — becomes a table.
 
 from repro.bio import DarwinEngine, DatabaseProfile
 from repro.cluster import SimKernel, SimulatedCluster, uniform
+from repro.cluster.failures import DISTURBANCES
 from repro.core.engine import BioOperaServer, work_lost_to_failures
 from repro.processes import install_all_vs_all
 from repro.workloads.reporting import format_table
@@ -44,34 +45,21 @@ def _run(disturb=None, manual=0, seed=21):
     }
 
 
+def _window(category, start_at, end_at, **params):
+    """Disturb with the ``DISTURBANCES`` row ``category`` from
+    ``start_at`` to ``end_at`` (simulated seconds)."""
+    def disturb(kernel, cluster, server, iid):
+        start, stop = DISTURBANCES[category](cluster, params)
+        kernel.schedule(start_at, start)
+        kernel.schedule(end_at, stop)
+
+    return disturb
+
+
 def _scenarios():
-    def node_crash(kernel, cluster, server, iid):
-        kernel.schedule(60.0, cluster.crash_node, "node002")
-        kernel.schedule(1200.0, cluster.restore_node, "node002")
-
-    def mass_failure(kernel, cluster, server, iid):
-        def crash_all():
-            for name in list(cluster.nodes):
-                cluster.crash_node(name)
-
-        def restore_all():
-            for name in list(cluster.nodes):
-                cluster.restore_node(name)
-
-        kernel.schedule(80.0, crash_all)
-        kernel.schedule(2400.0, restore_all)
-
     def server_crash(kernel, cluster, server, iid):
         kernel.schedule(70.0, cluster.crash_server)
         kernel.schedule(900.0, cluster.recover_server)
-
-    def network_outage(kernel, cluster, server, iid):
-        kernel.schedule(60.0, cluster.start_network_outage)
-        kernel.schedule(2000.0, cluster.end_network_outage)
-
-    def disk_full(kernel, cluster, server, iid):
-        kernel.schedule(50.0, cluster.set_storage_full, True)
-        kernel.schedule(1500.0, cluster.set_storage_full, False)
 
     def suspend_resume(kernel, cluster, server, iid):
         kernel.schedule(40.0, server.suspend, iid, "other user")
@@ -81,13 +69,16 @@ def _scenarios():
         cluster.set_job_failure_rate(0.15)
         kernel.schedule(2000.0, cluster.set_job_failure_rate, 0.0)
 
+    nodes = [f"node{index:03d}" for index in range(1, 7)]
     return [
         ("baseline (no failure)", None, 0),
-        ("node crash", node_crash, 0),
-        ("whole-cluster failure", mass_failure, 0),
+        ("node crash", _window("node-crash", 60.0, 1200.0,
+                               node="node002"), 0),
+        ("whole-cluster failure", _window("mass-failure", 80.0, 2400.0,
+                                          nodes=nodes), 0),
         ("BioOpera server crash", server_crash, 0),
-        ("network outage", network_outage, 0),
-        ("disk full", disk_full, 0),
+        ("network outage", _window("network-outage", 60.0, 2000.0), 0),
+        ("disk full", _window("storage-full", 50.0, 1500.0), 0),
         ("operator suspend/resume", suspend_resume, 2),
         ("file-system instability", io_errors, 0),
     ]

@@ -10,9 +10,10 @@ ExecutionEnvironment` interface on top of the simulation kernel:
 * jobs occupy node CPUs for their costed work, slowed by external load
   (nice mode) and heterogeneous node speeds;
 * failures are first-class: node crashes (with a failure-detector delay
-  before the server notices), network outages (reports get lost), shared
-  storage filling up, server crashes with store-based recovery, and
-  mid-run hardware upgrades;
+  before the server notices), partitions between the server and a node
+  subset (reports get lost; a network outage is a partition of every
+  node), shared storage filling up, server crashes with store-based
+  recovery, and mid-run hardware upgrades;
 * an availability/utilization trace is recorded at every change point —
   the raw data behind Figures 5 and 6.
 """
@@ -35,14 +36,18 @@ from .trace import ClusterTrace
 class SimulatedCluster(ExecutionEnvironment):
     """A cluster of simulated nodes driving a BioOpera server."""
 
+    #: node-fabric latency: base seconds plus uniform jitter.
+    BASE_LATENCY = 0.05
+    JITTER = 0.02
+    #: seconds the failure detector takes to declare a silent node down;
+    #: also the retry spacing of lost dispatches and join announcements.
+    DETECTION_DELAY = 120.0
+
     def __init__(
         self,
         kernel: SimKernel,
         specs: Sequence[NodeSpec],
-        base_latency: float = 0.05,
-        jitter: float = 0.02,
         dispatch_overhead: float = 2.0,
-        detection_delay: float = 120.0,
         execution_noise: float = 0.15,
         rng_namespace: str = "",
     ):
@@ -53,10 +58,9 @@ class SimulatedCluster(ExecutionEnvironment):
         #: shard's, so a crashed shard cannot change a healthy shard's
         #: event times. "" preserves existing single-cluster seeds.
         self.rng_namespace = rng_namespace
-        self.network = Network(kernel, base_latency, jitter,
+        self.network = Network(kernel, self.BASE_LATENCY, self.JITTER,
                                rng_namespace=rng_namespace)
         self.dispatch_overhead = dispatch_overhead
-        self.detection_delay = detection_delay
         #: sigma of the mean-1 lognormal execution-time noise. Real runs
         #: never hit the costed time exactly (cache effects, I/O, paging);
         #: this variance is what makes coarse partitions suffer stragglers
@@ -75,7 +79,6 @@ class SimulatedCluster(ExecutionEnvironment):
             self.nodes[spec.name] = node
             self.pecs[spec.name] = PEC(node, self.network, self)
         self.trace = ClusterTrace(self)
-        self._outage_detection = None
         #: partition id -> (node names, direction) for cluster-level cuts.
         self._partitions: Dict[int, tuple] = {}
         #: cancelled job ids whose dispatch message may still be in flight.
@@ -123,7 +126,7 @@ class SimulatedCluster(ExecutionEnvironment):
         # directly (the server's staleness checks make a duplicate report
         # harmless).
         self.kernel.schedule(
-            self.detection_delay, self._dispatch_lost, job, node_name,
+            self.DETECTION_DELAY, self._dispatch_lost, job, node_name,
             label=f"dispatch-lost:{job.job_id}",
         )
 
@@ -249,7 +252,7 @@ class SimulatedCluster(ExecutionEnvironment):
         lost = self.nodes[name].crash()
         self.trace.record()
         self.kernel.schedule(
-            self.detection_delay, self._notify_node_down, name,
+            self.DETECTION_DELAY, self._notify_node_down, name,
             label=f"detect-down:{name}",
         )
         return lost
@@ -274,7 +277,7 @@ class SimulatedCluster(ExecutionEnvironment):
                 self._announce_node_up(name)
 
         def undelivered():
-            self.kernel.schedule(self.detection_delay, retry,
+            self.kernel.schedule(self.DETECTION_DELAY, retry,
                                  label=f"re-announce:{name}")
 
         sent = self.network.send(self._notify_node_up, name,
@@ -302,34 +305,10 @@ class SimulatedCluster(ExecutionEnvironment):
         self.pecs[name].load_changed()
         self.trace.record()
 
-    def start_network_outage(self) -> None:
-        self.network.start_outage()
-        self.trace.record()
-        self._outage_detection = self.kernel.schedule(
-            self.detection_delay, self._notify_outage,
-            label="detect-outage",
-        )
-
-    def _notify_outage(self) -> None:
-        if not self.network.outage:
-            return
-        if self.server is not None and self.server.up:
-            for name in sorted(self.nodes):
-                self.server.on_node_down(name)
-
-    def end_network_outage(self) -> None:
-        self.network.end_outage()
-        if self._outage_detection is not None:
-            self._outage_detection.cancel()
-            self._outage_detection = None
-        self.trace.record()
-        for name, node in sorted(self.nodes.items()):
-            if node.up:
-                self._notify_node_up(name)
-
     def start_partition(self, nodes: Optional[Sequence[str]] = None,
                         direction: str = "both") -> int:
-        """Cut the links between the server and a node subset.
+        """Cut the links between the server and a node subset (every
+        node by default: a network outage).
 
         ``direction`` is ``"both"`` (symmetric cut), ``"to-server"`` (node
         reports vanish, dispatches still arrive — the half-open link that
@@ -356,7 +335,7 @@ class SimulatedCluster(ExecutionEnvironment):
             # detector's delay it declares them down. A "to-nodes" cut is
             # invisible to the detector (reports keep flowing) — only the
             # dispatch-lost timeouts and leases cover it.
-            self.kernel.schedule(self.detection_delay,
+            self.kernel.schedule(self.DETECTION_DELAY,
                                  self._notify_partition, pid,
                                  label="detect-partition")
         return pid
@@ -446,8 +425,6 @@ class SimulatedCluster(ExecutionEnvironment):
     # ------------------------------------------------------------------
 
     def available_cpus(self) -> int:
-        if self.network.outage:
-            return 0
         return sum(
             node.available_cpus() for name, node in self.nodes.items()
             if not (self.network.is_cut(SERVER, name)

@@ -15,8 +15,10 @@ Failure modes the fabric can inject, per directed link:
 * **duplication** — a message occasionally arrives twice
   (:meth:`Network.set_duplication`);
 * **reordering** — a message occasionally dawdles long enough to arrive
-  after its successors (:meth:`Network.set_reordering`);
-* **outages** — the legacy whole-fabric cut (:meth:`Network.start_outage`).
+  after its successors (:meth:`Network.set_reordering`).
+
+A network outage is no mode of its own: it is a partition of every
+node, opened and healed like any other cut.
 
 Link state is re-checked **at delivery time**, so a cut that starts while
 a message is in flight kills it (``inflight_killed``) instead of letting
@@ -51,7 +53,6 @@ class Network:
         self.kernel = kernel
         self.base_latency = base_latency
         self.jitter = jitter
-        self.outage = False
         #: prefix for this fabric's kernel RNG streams. Two fabrics on
         #: one kernel (a sharded control plane) must not share streams:
         #: one shard's traffic would perturb another shard's latency
@@ -100,8 +101,6 @@ class Network:
 
     def is_cut(self, src: str, dst: str) -> bool:
         """Is the directed link ``src -> dst`` unusable right now?"""
-        if self.outage:
-            return True
         for rules in self._partitions.values():
             for srcs, dsts in rules:
                 if ((ANY in srcs or src in srcs)
@@ -213,16 +212,6 @@ class Network:
                 on_dropped()
             return
         fn(*args)
-
-    # ------------------------------------------------------------------
-    # Whole-fabric outage (legacy scenario API)
-    # ------------------------------------------------------------------
-
-    def start_outage(self) -> None:
-        self.outage = True
-
-    def end_outage(self) -> None:
-        self.outage = False
 
     def health(self) -> Dict[str, int]:
         """Counter snapshot for the operator console."""

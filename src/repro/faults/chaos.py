@@ -58,7 +58,8 @@ from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..bio import DarwinEngine, DatabaseProfile
-from ..cluster import SimKernel, SimulatedCluster
+from ..cluster import SimKernel
+from ..cluster.failures import DISTURBANCES, cut
 from ..core.engine import BioOperaServer
 from ..core.engine.library import ProgramRegistry
 from ..errors import EngineError
@@ -213,106 +214,6 @@ STORE_OPTIONS = dict(retain_history=True, segment_records=SEGMENT_RECORDS)
 
 
 # ----------------------------------------------------------------------
-# Scheduled disturbances on one cluster: category -> params -> (start,
-# stop). The vocabulary is ScenarioScript's, but its wrappers schedule
-# both halves themselves and a campaign books a category as executed
-# when its start acts (a booking event of its own would change every
-# run's event count), so these entries supply the halves and the loop
-# schedules them. A plan's disturbances may overlap, hence the checks
-# before a node or the network is taken down or brought back; a start
-# that finds nothing to act on returns False.
-
-def _node_outage(cluster: SimulatedCluster, names: List[str]):
-    """Crash ``names`` / restore them."""
-    def start():
-        """Take down the nodes that are still up; False if none is."""
-        up = [name for name in names if cluster.nodes[name].up]
-        for name in up:
-            cluster.crash_node(name)
-        return bool(up)
-
-    def stop():
-        """Bring back the nodes that are still down."""
-        for name in names:
-            if not cluster.nodes[name].up:
-                cluster.restore_node(name)
-
-    return start, stop
-
-
-def _network_outage(cluster: SimulatedCluster):
-    """Whole-fabric outage."""
-    def start():
-        """Begin the outage; False if one is under way."""
-        if cluster.network.outage:
-            return False
-        cluster.start_network_outage()
-        return True
-
-    def stop():
-        """End the outage unless another disturbance's end already did."""
-        if cluster.network.outage:
-            cluster.end_network_outage()
-
-    return start, stop
-
-
-def _load_burst(cluster: SimulatedCluster, names: List[str],
-                fraction: float):
-    """Other users occupy ``fraction`` of each named node's CPUs."""
-    def start():
-        """Begin the external-load burst."""
-        for name in names:
-            cluster.set_external_load(
-                name, cluster.nodes[name].cpus * fraction)
-
-    def stop():
-        """End the external-load burst."""
-        for name in names:
-            cluster.set_external_load(name, 0.0)
-
-    return start, stop
-
-
-def _partition(cut: Callable[[], int], heal: Callable[[int], None]):
-    """Open a partition with ``cut``; heal the id it returned."""
-    opened: List[int] = []
-
-    def stop():
-        """Heal the partition, if the run got as far as opening it."""
-        if opened:
-            heal(opened.pop())
-
-    return (lambda: opened.append(cut())), stop
-
-
-_CLUSTER_FAULTS: Dict[str, Callable] = {
-    "node-crash": lambda c, p: _node_outage(c, [p["node"]]),
-    "mass-failure": lambda c, p: _node_outage(c, p["nodes"]),
-    "network-outage": lambda c, p: _network_outage(c),
-    "storage-full": lambda c, p: (partial(c.set_storage_full, True),
-                                  partial(c.set_storage_full, False)),
-    "io-error-burst": lambda c, p: (
-        partial(c.set_job_failure_rate, p["rate"]),
-        partial(c.set_job_failure_rate, 0.0)),
-    "load-burst": lambda c, p: _load_burst(c, p["nodes"],
-                                           p["load_fraction"]),
-    "partition": lambda c, p: _partition(
-        partial(c.start_partition, p["nodes"],
-                direction=p.get("direction", "both")),
-        c.heal_partition),
-    "net-loss": lambda c, p: (
-        partial(c.set_link_loss, "*", "*", p["rate"]),
-        partial(c.set_link_loss, "*", "*", 0.0)),
-    "net-duplicate": lambda c, p: (partial(c.set_duplication, p["rate"]),
-                                   partial(c.set_duplication, 0.0)),
-    "net-reorder": lambda c, p: (
-        partial(c.set_reordering, p["rate"], p.get("extra", 1.0)),
-        partial(c.set_reordering, 0.0)),
-}
-
-
-# ----------------------------------------------------------------------
 # The topology: what the campaign loop is handed.
 
 class _Plane:
@@ -431,12 +332,15 @@ class _Plane:
         cannot: a category no profile knows, or a drain with no sibling
         shard to drain into.
 
-        The cluster categories and ``server-crash`` act on shard 0, the
-        ``shard-*`` ones on the shard their ``victim`` fraction names.
-        One booking rule: a start books its category, and its shard as a
-        participant, when it acts. A crash aimed at a server that is
-        down or retired already, a node crash at nodes already down, an
-        outage already under way do not act.
+        The cluster categories are the rows of
+        :data:`~repro.cluster.failures.DISTURBANCES`, the table scenario
+        scripts draw from too; they and ``server-crash`` act on shard 0,
+        the ``shard-*`` ones on the shard their ``victim`` fraction
+        names. One booking rule: a start books its category, and its
+        shard as a participant, when it acts (a booking event of its own
+        would change every run's event count). A crash aimed at a
+        server that is down or retired already, or a node crash at nodes
+        already down, does not act.
         """
         category, params = fault.category, fault.params
         shards = self.shape.shards
@@ -455,19 +359,19 @@ class _Plane:
         if category == "shard-drain" and shards > 1:
             self.drain_victim = index
             return self.drain, None
-        if category in _CLUSTER_FAULTS:
-            act, stop = _CLUSTER_FAULTS[category](cluster, params)
+        if category in DISTURBANCES:
+            act, stop = DISTURBANCES[category](cluster, params)
         elif category in ("server-crash", "shard-crash"):
             act = partial(crash, index)
         elif category == "shard-partition":
-            act, stop = _partition(
+            act, stop = cut(
                 partial(self.plane.partition_shard, index,
                         symmetric=bool(params.get("symmetric", True))),
                 self.plane.heal)
         elif category == "shard-node-crash":
             names = sorted(cluster.nodes)
-            act, stop = _node_outage(cluster, [names[min(
-                len(names) - 1, int(params["node"] * len(names)))]])
+            act, stop = DISTURBANCES["node-crash"](cluster, {"node": names[
+                min(len(names) - 1, int(params["node"] * len(names)))]})
         else:
             return None
 

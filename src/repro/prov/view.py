@@ -94,20 +94,6 @@ class ProvenanceView:
         self._graph.add_raw(record)
         self.cursor = seq + 1
 
-    def resync(self, store) -> None:
-        """Re-base on the durable log after out-of-band lineage writes.
-
-        Shard migration copies lineage records into (and tombstones them
-        out of) the log in bulk transactions that bypass
-        ``append_lineage`` and its observer; the migrator calls this so the
-        incremental graph and cursor describe the log again. The new
-        graph has no kept PROV document, so the next export builds one
-        and the plane, seeing a graph it has not merged, merges again."""
-        self._graph = ProvenanceGraph.from_records(
-            store.data.lineage_records())
-        self.cursor = store.data.lineage_count()
-        self._behind = False
-
     def in_sync(self, store) -> bool:
         """True when the graph, caught up if it was behind, stands at the
         durable lineage count."""

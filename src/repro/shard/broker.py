@@ -14,7 +14,7 @@ Reliability is broker-side redelivery over idempotent shard operations:
 * every request travels the epoch-stamped network fabric and is acked
   by the shard after the operation returns, when every commit it made
   is already durable;
-* an un-acked request is re-sent after ``redeliver_after`` seconds (and
+* an un-acked request is re-sent after ``REDELIVER_AFTER`` seconds (and
   immediately when a crashed shard comes back);
 * acks carry the shard's fencing epoch; the broker tracks the highest
   epoch seen per shard and drops acks from deposed incarnations;
@@ -113,19 +113,19 @@ class Request:
 class ShardBroker:
     """Per-tenant queues drained fairly into per-shard dispatch."""
 
+    #: seconds a shard spends servicing one request. With one request
+    #: in flight per shard this serializes each shard's control work —
+    #: the model of one server process's CPU — so plane throughput
+    #: scales with the shard count.
+    SERVICE_TIME = 0.004
+    #: seconds after which an un-acked request is re-sent.
+    REDELIVER_AFTER = 30.0
+
     def __init__(self, kernel: SimKernel, network: Network, shards: int,
-                 service_time: float = 0.004,
-                 redeliver_after: float = 30.0,
                  takeover_after: float = 60.0):
         self.kernel = kernel
         self.network = network
         self.shards = shards
-        #: seconds a shard spends servicing one request. With one
-        #: request in flight per shard this serializes each shard's
-        #: control work — the model of one server process's CPU — so
-        #: plane throughput scales with the shard count.
-        self.service_time = service_time
-        self.redeliver_after = redeliver_after
         #: seconds of heartbeat silence after which a shard is promoted.
         self.takeover_after = takeover_after
         #: when each shard was last heard from (or came up, or the
@@ -251,15 +251,15 @@ class ShardBroker:
             src=BROKER, dst=shard_endpoint(shard),
         )
         self.kernel.schedule(
-            self.redeliver_after, self._check_redeliver, request,
+            self.REDELIVER_AFTER, self._check_redeliver, request,
             request.attempts, label=f"redeliver:{request.request_id}",
         )
 
     def _deliver(self, request: Request) -> None:
         # The request reached the shard; servicing it occupies the shard
-        # for service_time before the ack can leave.
+        # for SERVICE_TIME before the ack can leave.
         self.kernel.schedule(
-            self.service_time, self._service, request,
+            self.SERVICE_TIME, self._service, request,
             label=f"service:{request.request_id}",
         )
 

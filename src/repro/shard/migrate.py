@@ -92,11 +92,17 @@ def _rewrite_lineage(record: Dict[str, Any], old_id: str,
 
 
 def _resync_provenance(store) -> None:
-    """Re-base an attached hub's live provenance view on the log."""
+    """Leave an attached hub's live provenance view behind the log.
+
+    A migration writes lineage records into (and tombstones them out of)
+    the log in bulk transactions that bypass ``append_lineage`` and its
+    observer. Re-binding drops the graph without folding anything; its
+    first reader folds the log once, as after a failover, so a drain of
+    many moves pays one fold, not one per move."""
     hub = getattr(store, "observability", None)
     view = getattr(hub, "provenance", None)
     if view is not None:
-        view.resync(store)
+        view.bind(store)
 
 
 class ShardMigrator:

@@ -186,8 +186,6 @@ class ShardedControlPlane:
                  nodes_per_shard: int = 2, cpus: int = 2, seed: int = 0,
                  registry: Optional[ProgramRegistry] = None,
                  templates: Sequence[ProcessTemplate] = (),
-                 service_time: float = 0.004,
-                 redeliver_after: float = 30.0,
                  store_options: Optional[Dict[str, Any]] = None,
                  checkpoint_interval: int = 50,
                  leases: Optional[Tuple[float, float]] = None,
@@ -205,8 +203,6 @@ class ShardedControlPlane:
         self.control = Network(kernel, base_latency=0.002,
                                jitter=0.0, rng_namespace="control/")
         self.broker = ShardBroker(kernel, self.control, shards,
-                                  service_time=service_time,
-                                  redeliver_after=redeliver_after,
                                   takeover_after=takeover_after)
         self.broker.promote = self.recover_shard
         self._watching = False

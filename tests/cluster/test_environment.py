@@ -19,7 +19,7 @@ END
 """
 
 
-def build(n_nodes=3, cpus=2, unit_cost=100.0, seed=1, noise=0.0, **cluster_kw):
+def build(n_nodes=3, cpus=2, unit_cost=100.0, seed=1, noise=0.0):
     registry = ProgramRegistry()
     registry.register(
         "w.unit",
@@ -27,7 +27,7 @@ def build(n_nodes=3, cpus=2, unit_cost=100.0, seed=1, noise=0.0, **cluster_kw):
     )
     kernel = SimKernel(seed=seed)
     cluster = SimulatedCluster(kernel, uniform(n_nodes, cpus=cpus),
-                               execution_noise=noise, **cluster_kw)
+                               execution_noise=noise)
     server = BioOperaServer(registry=registry, seed=seed)
     server.attach_environment(cluster)
     server.define_template_ocr(FAN)
@@ -86,7 +86,8 @@ class TestNodeFailure:
         assert len(crash_failures) == 1
 
     def test_crash_detected_after_delay(self):
-        kernel, cluster, server = build(detection_delay=120.0)
+        assert SimulatedCluster.DETECTION_DELAY == 120.0
+        kernel, cluster, server = build()
         iid = server.launch("Fan", {"items": [1]})
         kernel.run(until=10.0)
         cluster.crash_node("node001")
@@ -95,7 +96,7 @@ class TestNodeFailure:
         assert not server.awareness.node("node001").up
 
     def test_fast_recovery_cancels_detection(self):
-        kernel, cluster, server = build(detection_delay=120.0)
+        kernel, cluster, server = build()
         iid = server.launch("Fan", {"items": [1]})
         kernel.run(until=5.0)
         cluster.crash_node("node001")
@@ -115,24 +116,24 @@ class TestNodeFailure:
 
 
 class TestNetworkOutage:
-    def test_long_outage_loses_results_but_run_recovers(self):
-        kernel, cluster, server = build(n_nodes=2, cpus=1,
-                                        detection_delay=60.0)
+    def test_long_outage_loses_results_but_run_recovers(self, monkeypatch):
+        monkeypatch.setattr(SimulatedCluster, "DETECTION_DELAY", 60.0)
+        kernel, cluster, server = build(n_nodes=2, cpus=1)
         iid = server.launch("Fan", {"items": [1, 2]})
         kernel.run(until=50.0)  # jobs running (100s each)
-        cluster.start_network_outage()
+        pid = cluster.start_partition()  # every node: an outage
         # outage longer than PEC retransmission budget
-        kernel.schedule(3000.0, cluster.end_network_outage)
+        kernel.schedule(3000.0, cluster.heal_partition, pid)
         assert cluster.run_until_instance_done(iid) == "completed"
         assert cluster.network.messages_dropped > 0
 
-    def test_short_glitch_recovered_by_retransmission(self):
-        kernel, cluster, server = build(n_nodes=2, cpus=1,
-                                        detection_delay=3600.0)
+    def test_short_glitch_recovered_by_retransmission(self, monkeypatch):
+        monkeypatch.setattr(SimulatedCluster, "DETECTION_DELAY", 3600.0)
+        kernel, cluster, server = build(n_nodes=2, cpus=1)
         iid = server.launch("Fan", {"items": [1, 2]})
         kernel.run(until=99.0)  # just before completion reports
-        cluster.start_network_outage()
-        kernel.schedule(120.0, cluster.end_network_outage)
+        pid = cluster.start_partition()
+        kernel.schedule(120.0, cluster.heal_partition, pid)
         assert cluster.run_until_instance_done(iid) == "completed"
         # no rework: each unit ran once
         assert server.metrics["jobs_dispatched"] == 2

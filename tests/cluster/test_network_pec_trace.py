@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import (
-    Network, NodeSpec, SimKernel, SimulatedCluster, ik_linux, ik_sun,
+    ANY, Network, NodeSpec, SimKernel, SimulatedCluster, ik_linux, ik_sun,
     linneus, uniform,
 )
 
@@ -19,15 +19,16 @@ class TestNetwork:
         assert 0.1 <= kernel.now <= 0.15
 
     def test_outage_drops(self):
+        """A cut of every link is an outage: sends fail until it heals."""
         kernel = SimKernel(seed=1)
         network = Network(kernel)
-        network.start_outage()
+        pid = network.partition({ANY}, {ANY})
         got = []
         assert network.send(got.append, "lost") is False
         kernel.run()
         assert got == []
         assert network.messages_dropped == 1
-        network.end_outage()
+        network.heal(pid)
         assert network.send(got.append, "ok") is True
         kernel.run()
         assert got == ["ok"]
@@ -172,10 +173,10 @@ class TestPecMonitoring:
             "PROCESS P\n  ACTIVITY A\n    PROGRAM w.u\n  END\nEND")
         iid = server.launch("P")
         kernel.run(until=8.0)
-        cluster.start_network_outage()
+        pid = cluster.start_partition()
         kernel.run(until=60.0)  # completion report blocked, retry pending
         pec = cluster.pecs["node001"]
         assert pec.pending_reports
-        cluster.end_network_outage()
+        cluster.heal_partition(pid)
         cluster.run_until_instance_done(iid)
         assert not pec.pending_reports

@@ -11,10 +11,13 @@ the failure detector and chaos harness drive.
 
 from repro.cluster import (
     ANY,
+    SERVER,
+    ScenarioScript,
     SimKernel,
     SimulatedCluster,
     uniform,
 )
+from repro.cluster.failures import DISTURBANCES
 from repro.cluster.network import Network
 from repro.core.engine import BioOperaServer, ProgramRegistry, ProgramResult
 
@@ -156,10 +159,11 @@ class TestLossDuplicationReordering:
             SimKernel(seed=9).rng("network-dup").random()
 
 
-def _cluster_with_job(seed=21, nodes=2, cost=300.0):
+def _cluster_with_job(monkeypatch, seed=21, nodes=2, cost=300.0):
+    monkeypatch.setattr(SimulatedCluster, "DETECTION_DELAY", 30.0)
     kernel = SimKernel(seed=seed)
     cluster = SimulatedCluster(kernel, uniform(nodes, cpus=1),
-                               execution_noise=0.0, detection_delay=30.0)
+                               execution_noise=0.0)
     registry = ProgramRegistry()
     registry.register("w.u", lambda inputs, ctx: ProgramResult({}, cost))
     server = BioOperaServer(registry=registry)
@@ -171,8 +175,9 @@ def _cluster_with_job(seed=21, nodes=2, cost=300.0):
 
 
 class TestClusterPartitionAPI:
-    def test_symmetric_partition_detected_as_node_down_then_heals(self):
-        kernel, cluster, server, instance_id = _cluster_with_job()
+    def test_symmetric_partition_detected_as_node_down_then_heals(
+            self, monkeypatch):
+        kernel, cluster, server, instance_id = _cluster_with_job(monkeypatch)
         kernel.run(until=10.0)  # dispatch has landed
         pid = cluster.start_partition(["node001"], direction="both")
         kernel.run(until=50.0)  # past detection_delay
@@ -183,8 +188,9 @@ class TestClusterPartitionAPI:
         status = cluster.run_until_instance_done(instance_id)
         assert status == "completed"
 
-    def test_to_nodes_cut_is_invisible_to_failure_detector(self):
-        kernel, cluster, server, instance_id = _cluster_with_job()
+    def test_to_nodes_cut_is_invisible_to_failure_detector(
+            self, monkeypatch):
+        kernel, cluster, server, instance_id = _cluster_with_job(monkeypatch)
         kernel.run(until=10.0)
         cluster.start_partition(["node001"], direction="to-nodes")
         kernel.run(until=80.0)
@@ -200,3 +206,66 @@ class TestClusterPartitionAPI:
         assert cluster.available_cpus() == 2
         cluster.heal_partition(pid)
         assert cluster.available_cpus() == 6
+
+
+class TestOneCutMechanism:
+    """A network outage is a partition of every node: it opens and heals
+    through the same fabric rules, so it composes with any other cut."""
+
+    def _cluster(self):
+        kernel = SimKernel(seed=21)
+        cluster = SimulatedCluster(kernel, uniform(2, cpus=1),
+                                   execution_noise=0.0)
+        registry = ProgramRegistry()
+        registry.register("w.u", lambda inputs, ctx: ProgramResult({}, 50.0))
+        server = BioOperaServer(registry=registry)
+        server.attach_environment(cluster)
+        server.define_template_ocr(
+            "PROCESS P\n  ACTIVITY A\n    PROGRAM w.u\n  END\nEND")
+        return kernel, cluster, server
+
+    def test_an_outage_does_not_tunnel_through_a_partition(self):
+        """The end of an outage announces each node over the fabric; a
+        node still behind its own cut stays down at the server until
+        that cut heals, and nothing is dispatched into it."""
+        kernel, cluster, server = self._cluster()
+        pid = cluster.start_partition(["node001"])
+        ScenarioScript(cluster).network_outage(10.0, duration=200.0)
+        kernel.run(until=400.0)  # outage over, node001's cut still open
+        assert server.awareness.node("node001").up is False
+        assert server.awareness.node("node002").up is True
+        iid = server.launch("P")
+        kernel.run(until=600.0)
+        assert not cluster.nodes["node001"].running_jobs()
+        cluster.heal_partition(pid)
+        kernel.run(until=610.0)
+        assert server.awareness.node("node001").up is True
+        assert cluster.run_until_instance_done(iid) == "completed"
+
+    def test_overlapping_cuts_heal_independently(self):
+        kernel, cluster, server = self._cluster()
+        start, stop = DISTURBANCES["network-outage"](cluster, {})
+        start()
+        pid = cluster.start_partition(["node001"])
+        assert cluster.available_cpus() == 0
+        kernel.run(until=200.0)  # past the failure detector
+        assert not any(server.awareness.node(name).up
+                       for name in ("node001", "node002"))
+        stop()  # the outage heals; node001's own cut stays
+        kernel.run(until=210.0)
+        assert cluster.network.is_cut(SERVER, "node001")
+        assert not cluster.network.is_cut(SERVER, "node002")
+        assert cluster.available_cpus() == 1
+        assert server.awareness.node("node001").up is False
+        assert server.awareness.node("node002").up is True
+        cluster.heal_partition(pid)
+        kernel.run(until=220.0)
+        assert cluster.available_cpus() == 2
+        assert server.awareness.node("node001").up is True
+        # the other order: the node's cut heals first, under the outage
+        pid = cluster.start_partition(["node002"])
+        start()
+        cluster.heal_partition(pid)
+        assert cluster.network.is_cut(SERVER, "node002")
+        stop()
+        assert cluster.network.health()["partitions_active"] == 0

@@ -39,13 +39,13 @@ class TestReportRetransmission:
         # job completes (~t=12-14), so the first completion report fails
         # and a retry is scheduled
         kernel.run(until=5.0)
-        cluster.start_network_outage()
+        outage = cluster.start_partition()  # every node
         kernel.run(until=60.0)
         assert pec.pending_reports, "completion report should be pending"
         assert pec.reports_lost == 0
         # outage ends before the retry budget is spent (worst case the
         # first retry fires at ~+75s, well within the remaining budget)
-        cluster.end_network_outage()
+        cluster.heal_partition(outage)
         status = cluster.run_until_instance_done(instance_id)
         assert status == "completed"
         assert pec.pending_reports == set()
@@ -56,7 +56,7 @@ class TestReportRetransmission:
         kernel, cluster, server, instance_id = _launch_single_activity(12)
         pec = cluster.pecs["node001"]
         kernel.run(until=5.0)
-        cluster.start_network_outage()
+        cluster.start_partition()  # every node
         # keep the outage up past the whole worst-case backoff schedule
         horizon = 5.0 + 20.0 + pec.max_retry_span() + 100.0
         kernel.run(until=horizon)
@@ -69,34 +69,37 @@ class TestReportRetransmission:
         kernel, cluster, server, instance_id = _launch_single_activity(13)
         pec = cluster.pecs["node001"]
         kernel.run(until=5.0)
-        cluster.start_network_outage()
+        outage = cluster.start_partition()  # every node
         horizon = 5.0 + 20.0 + pec.max_retry_span() + 100.0
         kernel.run(until=horizon)
         assert pec.reports_lost == 1
-        cluster.end_network_outage()
+        cluster.heal_partition(outage)
         status = cluster.run_until_instance_done(
             cluster.server.instances and instance_id)
         assert status == "completed"
 
 
 class TestInFlightDrops:
-    def test_report_killed_in_flight_feeds_retransmission(self):
+    def test_report_killed_in_flight_feeds_retransmission(
+            self, monkeypatch):
         """A report that the fabric loses AFTER the send (outage starts
         mid-flight) must feed the same retry path as a send-time failure:
         Network.send returned True, so only ``on_dropped`` can tell the
         PEC its report died."""
+        monkeypatch.setattr(SimulatedCluster, "BASE_LATENCY", 5.0)
+        monkeypatch.setattr(SimulatedCluster, "JITTER", 0.0)
         kernel, cluster, server, instance_id = _launch_single_activity(
-            14, base_latency=5.0, jitter=0.0, execution_noise=0.0)
+            14, execution_noise=0.0)
         pec = cluster.pecs["node001"]
         # dispatch lands at t=7, job runs 10s, report sent at t=17 and
         # would arrive at t=22 — the outage opens while it is in flight
         kernel.run(until=19.0)
-        cluster.start_network_outage()
+        outage = cluster.start_partition()  # every node
         kernel.run(until=30.0)
         assert cluster.network.inflight_killed >= 1
         assert pec.pending_reports, "killed report must be pending retry"
         assert pec.reports_lost == 0
-        cluster.end_network_outage()
+        cluster.heal_partition(outage)
         status = cluster.run_until_instance_done(instance_id)
         assert status == "completed"
         assert pec.pending_reports == set()

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import (
     DAY,
     HOUR,
+    SERVER,
     ScenarioScript,
     SimKernel,
     SimulatedCluster,
@@ -54,13 +55,21 @@ class TestScheduling:
         assert not cluster.storage_full
 
     def test_network_outage_window(self):
+        """An outage cuts every node off the server, then heals."""
         kernel, cluster, _server = build()
         script = ScenarioScript(cluster)
         script.network_outage(5.0, duration=10.0)
         kernel.run(until=6.0)
-        assert cluster.network.outage
+        assert all(cluster.network.is_cut(SERVER, name)
+                   and cluster.network.is_cut(name, SERVER)
+                   for name in cluster.nodes)
+        assert cluster.available_cpus() == 0
         kernel.run(until=16.0)
-        assert not cluster.network.outage
+        assert not any(cluster.network.is_cut(SERVER, name)
+                       for name in cluster.nodes)
+        assert cluster.network.health()["partitions_active"] == 0
+        assert cluster.trace.annotations == [
+            (5.0, "network outage"), (15.0, "network outage over")]
 
     def test_server_maintenance(self):
         kernel, cluster, server = build()

@@ -21,6 +21,8 @@ import pathlib
 
 import pytest
 
+from repro.cluster import ScenarioScript
+from repro.cluster.failures import DISTURBANCES
 from repro.faults import chaos, invariants
 from repro.faults.plan import (PROFILES, SCHEDULED_CATEGORIES, FaultAction,
                                FaultPlan, ScheduledFault)
@@ -92,6 +94,57 @@ class TestPlanGeneration:
     def test_unknown_profile_is_rejected(self):
         with pytest.raises(ValueError):
             FaultPlan.generate(1, ["node001"], profile="bogus")
+
+
+class TestOneDisturbanceTable:
+    """A scenario script's wrapper and a plan's category enact the same
+    row of ``cluster.failures.DISTURBANCES``."""
+
+    WRAPPERS = [
+        ("node-crash", {"node": "s00-n001"},
+         lambda script, t, d: script.node_crash(t, "s00-n001", d)),
+        ("mass-failure", {"nodes": ["s00-n001", "s00-n002"]},
+         lambda script, t, d: script.mass_failure(
+             t, ["s00-n001", "s00-n002"], d)),
+        ("network-outage", {},
+         lambda script, t, d: script.network_outage(t, d)),
+        ("storage-full", {},
+         lambda script, t, d: script.storage_full(t, d)),
+        ("load-burst", {"nodes": ["s00-n002"], "load_fraction": 0.5},
+         lambda script, t, d: script.load_burst(t, d, ["s00-n002"], 0.5)),
+    ]
+
+    @pytest.mark.parametrize("category,params,wrapper", WRAPPERS,
+                             ids=[row[0] for row in WRAPPERS])
+    def test_wrapper_and_category_reach_the_same_row(
+            self, darwin, monkeypatch, category, params, wrapper):
+        calls = []
+        real = DISTURBANCES[category]
+
+        def row(cluster, row_params):
+            calls.append((cluster, dict(row_params)))
+            start, stop = real(cluster, row_params)
+            return (lambda: calls.append("start") or start(),
+                    lambda: calls.append("stop") or stop())
+
+        monkeypatch.setitem(DISTURBANCES, category, row)
+        topo = chaos._Plane(darwin, 1, chaos.CampaignConfig(
+            granularity=4, nodes=2))
+        cluster = topo.plane.shards[0].cluster
+        start, stop = topo.disturbance(
+            ScheduledFault(category, 10.0, dict(params, duration=5.0)),
+            crash=None)
+        start()
+        stop()
+        from_plan = calls[:]
+        calls.clear()
+        wrapper(ScenarioScript(cluster), topo.kernel.now + 1.0, 5.0)
+        topo.kernel.run(until=topo.kernel.now + 10.0)
+        assert from_plan[0][0] is cluster and calls[0][0] is cluster
+        assert {key: value for key, value in from_plan[0][1].items()
+                if key != "duration"} == calls[0][1] == params
+        assert from_plan[1:] == calls[1:] == ["start", "stop"]
+        assert topo.executed == {category}
 
 
 class TestCampaigns:

@@ -10,6 +10,7 @@ import pytest
 
 from repro.bio import DarwinEngine, DatabaseProfile
 from repro.cluster import SimKernel, SimulatedCluster, uniform
+from repro.cluster.failures import DISTURBANCES
 from repro.core.engine import BioOperaServer
 from repro.processes import install_all_vs_all
 
@@ -44,6 +45,14 @@ def baseline(darwin):
         "wall": kernel.now,
         "events": server.store.instances.event_count(iid),
     }
+
+
+def outage(kernel, cluster, start_at, end_at):
+    """A network outage (a partition of every node) from ``start_at``
+    to ``end_at``."""
+    start, stop = DISTURBANCES["network-outage"](cluster, {})
+    kernel.schedule(start_at, start)
+    kernel.schedule(end_at, stop)
 
 
 def run_with(darwin, disturb, **kw):
@@ -91,8 +100,7 @@ class TestFailureMatrix:
 
     def test_network_outage(self, darwin, baseline):
         def disturb(kernel, cluster, server, iid):
-            kernel.schedule(200.0, cluster.start_network_outage)
-            kernel.schedule(2500.0, cluster.end_network_outage)
+            outage(kernel, cluster, 200.0, 2500.0)
 
         _k, _c, server, iid, status = run_with(darwin, disturb)
         assert status == "completed"
@@ -151,8 +159,7 @@ class TestFailureMatrix:
         """Everything at once: crash + outage + server loss + disk full."""
         def disturb(kernel, cluster, server, iid):
             kernel.schedule(100.0, cluster.crash_node, "node002")
-            kernel.schedule(220.0, cluster.start_network_outage)
-            kernel.schedule(900.0, cluster.end_network_outage)
+            outage(kernel, cluster, 220.0, 900.0)
             kernel.schedule(1000.0, cluster.crash_server)
             kernel.schedule(1800.0, cluster.recover_server)
             kernel.schedule(2000.0, cluster.set_storage_full, True)
@@ -208,8 +215,7 @@ class TestEventLogInvariants:
 
     def test_no_duplicate_completions_per_attempt(self, darwin):
         def disturb(kernel, cluster, server, iid):
-            kernel.schedule(200.0, cluster.start_network_outage)
-            kernel.schedule(1200.0, cluster.end_network_outage)
+            outage(kernel, cluster, 200.0, 1200.0)
 
         _k, _c, server, iid, _status = run_with(darwin, disturb)
         seen = set()

@@ -10,6 +10,7 @@ behind the entire flood).
 """
 
 from repro.obs.merge import jain_index, percentile
+from repro.shard.broker import ShardBroker
 
 from .conftest import make_plane
 
@@ -20,9 +21,7 @@ NOISY_FLOOD = 4_000
 
 def quiet_latencies(noisy: bool):
     """Run the scenario and return the quiet tenant's ack latencies."""
-    # Slow broker service (250 ms/request) so the noisy backlog outlives
-    # the whole probe window — the quiet tenant is always contending.
-    kernel, plane = make_plane(shards=4, seed=3, service_time=0.25)
+    kernel, plane = make_plane(shards=4, seed=3)
 
     def probe():
         plane.launch("quiet", "job", {"cost": 5.0})
@@ -43,7 +42,11 @@ def quiet_latencies(noisy: bool):
 
 
 class TestNoisyNeighbour:
-    def test_noisy_tenant_cannot_double_quiet_p99(self):
+    def test_noisy_tenant_cannot_double_quiet_p99(self, monkeypatch):
+        # Slow broker service (250 ms/request) so the noisy backlog
+        # outlives the whole probe window — the quiet tenant is always
+        # contending.
+        monkeypatch.setattr(ShardBroker, "SERVICE_TIME", 0.25)
         baseline, _ = quiet_latencies(noisy=False)
         contended, plane = quiet_latencies(noisy=True)
         # the flood really was live for the whole window

@@ -7,6 +7,7 @@ import pytest
 from repro.faults import invariants
 from repro.faults.plan import FaultAction
 from repro.faults.points import FaultInjector, InjectedCrash, installed
+from repro.shard.broker import ShardBroker
 
 from .conftest import make_plane
 
@@ -31,9 +32,12 @@ def signal_events(plane, instance_id):
 
 
 class TestSignalAcrossFailover:
+    @pytest.fixture(autouse=True)
+    def _quick_redelivery(self, monkeypatch):
+        monkeypatch.setattr(ShardBroker, "REDELIVER_AFTER", 5.0)
+
     def run_scenario(self):
-        kernel, plane = make_plane(shards=4, seed=17,
-                                   redeliver_after=5.0)
+        kernel, plane = make_plane(shards=4, seed=17)
         requests = [plane.launch(f"tenant{i % 4}", "job",
                                  {"cost": 10_000.0})
                     for i in range(12)]

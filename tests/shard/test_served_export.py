@@ -9,6 +9,7 @@ nothing.
 
 from unittest import mock
 
+from repro.faults import invariants
 from repro.prov import ProvenanceGraph, merge_prov_documents, \
     provenance_graph
 from repro.shard import ShardedConsole
@@ -74,6 +75,32 @@ class TestServedVsRebuilt:
         instances = {attrs["repro:instance"]
                      for attrs in served["activity"].values()}
         assert new_id in instances and moved not in instances
+
+    def test_a_drain_leaves_the_graph_to_its_first_reader(self):
+        """A drain folds no lineage: each move leaves the live view
+        behind its log, and the first export folds each log once."""
+        kernel, plane = make_plane(2, seed=7)
+        launch_and_run(kernel, plane, 32)
+        lineage = sum(shard.store.data.lineage_count()
+                      for shard in plane.shards)
+        added = []
+        real_add = ProvenanceGraph.add
+
+        def counting(graph, record):
+            added.append(record)
+            real_add(graph, record)
+
+        with mock.patch.object(ProvenanceGraph, "add", counting):
+            moved = plane.drain_shard(0)
+            drained = len(added)
+            served = ShardedConsole(plane).export_prov()
+        assert moved and drained == 0
+        assert codec.encode(served) == codec.encode(rebuilt_document(plane))
+        assert 0 < len(added) <= lineage == 32
+        for shard in plane.shards:
+            if not shard.retired:
+                assert invariants._check_prov_equivalence(
+                    shard.server) == []
 
     def test_shard_failover_builds_a_successor_hub(self):
         kernel, plane = make_plane(3, seed=5)
