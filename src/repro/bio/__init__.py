@@ -3,7 +3,7 @@ Smith-Waterman alignment, PAM-distance estimation, and cost models."""
 
 from .align import Alignment, GAP_EXTEND, GAP_OPEN, sw_align, sw_score
 from .alphabet import AMINO_ACIDS
-from .costmodel import CostModel, DatabaseProfile
+from .costmodel import CostModel, DatabaseProfile, QueueIndex
 from .darwin import (
     DarwinEngine,
     MATCH_THRESHOLD,
@@ -30,6 +30,7 @@ __all__ = [
     "SequenceDatabase",
     "DatabaseProfile",
     "CostModel",
+    "QueueIndex",
     "DarwinEngine",
     "MATCH_THRESHOLD",
     "empty_match_set",

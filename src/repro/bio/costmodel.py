@@ -17,6 +17,7 @@ both cost computation and synthetic match generation, without materializing
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Sequence as Seq
 
@@ -127,6 +128,49 @@ class DatabaseProfile:
         return cls(name, lengths, families)
 
 
+class QueueIndex:
+    """A queue file indexed once, for every TEU that aligns against it.
+
+    Holds the queue's entries sorted (the ``range`` itself when the queue
+    is one), the same entries as an ``int64`` array, and the suffix sums of
+    their lengths: ``suffix[k]`` is the total length of the entries from
+    sorted position ``k`` on, ``suffix[-1]`` is 0. A TEU then costs one
+    ``searchsorted`` of its partition (:meth:`locate`), not a sort of the
+    queue.
+    """
+
+    def __init__(self, profile: DatabaseProfile, queue: Seq[int]):
+        self.key = queue
+        if isinstance(queue, range) and queue.step > 0:
+            self.entries: Seq[int] = queue
+        else:
+            self.entries = tuple(sorted(map(int, queue)))
+        self.array = np.asarray(self.entries, dtype=np.int64)
+        lengths = profile.lengths[self.array - 1].astype(np.float64)
+        self.suffix = np.concatenate([np.cumsum(lengths[::-1])[::-1], [0.0]])
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __contains__(self, entry: int) -> bool:
+        pos = bisect_left(self.entries, entry)
+        return pos < len(self.entries) and self.entries[pos] == entry
+
+    def locate(self, partition: Seq[int]) -> np.ndarray:
+        """Sorted-queue positions of ``partition``'s entries.
+
+        Raises :class:`BioError` naming the first entries the queue does
+        not hold."""
+        wanted = np.asarray(partition)
+        positions = np.searchsorted(self.array, wanted)
+        held = positions < len(self.array)
+        held[held] = self.array[positions[held]] == wanted[held]
+        if not held.all():
+            unknown = [entry for entry, ok in zip(partition, held) if not ok]
+            raise BioError(f"partition entries not in queue: {unknown[:5]}")
+        return positions
+
+
 @dataclass
 class CostModel:
     """CPU-cost model for Darwin-style activities, in seconds.
@@ -157,25 +201,24 @@ class CostModel:
     def refine_pair_cost(self, len_a: int, len_b: int) -> float:
         return len_a * len_b * self.refine_evaluations / self.cell_rate
 
-    def teu_fixed_cost(self, profile: DatabaseProfile,
-                       partition: Seq[int], queue: Seq[int]) -> float:
+    def teu_fixed_cost(self, profile: DatabaseProfile, partition: Seq[int],
+                       positions: np.ndarray, queue: QueueIndex) -> float:
         """Cost of aligning each partition entry against all later queue
-        entries (redundant comparisons ruled out, as in the paper)."""
-        queue_arr = np.asarray(sorted(queue), dtype=np.int64)
-        queue_lengths = profile.lengths[queue_arr - 1].astype(np.float64)
-        suffix = np.concatenate([np.cumsum(queue_lengths[::-1])[::-1], [0.0]])
-        positions = np.searchsorted(queue_arr, np.asarray(partition))
+        entries (redundant comparisons ruled out, as in the paper).
+
+        ``positions`` are the partition's places in the queue
+        (:meth:`QueueIndex.locate`), so the cost is one multiply-add per
+        partition entry, whatever the queue's size."""
+        suffix = queue.suffix
         cells = 0.0
         for pos, entry in zip(positions, partition):
             # entries strictly after `entry` in the queue
             cells += profile.length(entry) * suffix[pos + 1]
         return cells * self.fixed_pam_factor / self.cell_rate
 
-    def teu_pair_count(self, partition: Seq[int], queue: Seq[int]) -> int:
-        queue_arr = np.asarray(sorted(queue), dtype=np.int64)
-        positions = np.searchsorted(queue_arr, np.asarray(partition))
-        total = len(queue_arr)
-        return int(sum(total - pos - 1 for pos in positions))
+    def teu_pair_count(self, positions: np.ndarray, queue_size: int) -> int:
+        """Pairs a TEU aligns: each entry against the queue entries after it."""
+        return int((queue_size - 1 - positions).sum())
 
     def mean_refine_cost(self, profile: DatabaseProfile) -> float:
         mean_len = float(profile.lengths.mean())

@@ -25,10 +25,11 @@ always exact); merging respects both.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from typing import Any, Dict, List, Optional, Sequence as Seq
 
 from ..errors import BioError
-from .costmodel import CostModel, DatabaseProfile
+from .costmodel import CostModel, DatabaseProfile, QueueIndex
 from .matrices import default_family
 from .pam import refine_distance
 from .sequence import SequenceDatabase
@@ -97,6 +98,7 @@ class DarwinEngine:
         self.random_match_rate = random_match_rate
         self.sample_cap = sample_cap
         self.seed = seed
+        self._index: Optional[QueueIndex] = None
 
     def _rng(self, *key: Any) -> random.Random:
         return random.Random(f"{self.seed}/{self.profile.name}/{key!r}")
@@ -109,6 +111,18 @@ class DarwinEngine:
     # Fixed-PAM first pass (one TEU)
     # ------------------------------------------------------------------
 
+    def _queue_index(self, queue: Seq[int]) -> QueueIndex:
+        """The queue's :class:`QueueIndex`, built once per distinct queue.
+
+        One slot, keyed by the queue's value: the TEUs of one all-vs-all
+        share their queue, so each reuses the index the first one built.
+        """
+        if not isinstance(queue, (range, tuple)):
+            queue = tuple(queue)
+        if self._index is None or self._index.key != queue:
+            self._index = QueueIndex(self.profile, queue)
+        return self._index
+
     def align_partition(self, partition: Seq[int],
                         queue: Seq[int]) -> Dict[str, Any]:
         """Align every partition entry against all later queue entries.
@@ -117,29 +131,26 @@ class DarwinEngine:
         cost includes the Darwin initialization for this TEU.
         """
         partition = sorted(int(i) for i in partition)
-        queue = sorted(int(i) for i in queue)
-        queue_set = set(queue)
-        unknown = [i for i in partition if i not in queue_set]
-        if unknown:
-            raise BioError(f"partition entries not in queue: {unknown[:5]}")
+        index = self._queue_index(queue)
+        positions = index.locate(partition)
         if self.mode == "real":
-            match_set, pairs, cost = self._align_real(partition, queue)
+            match_set, pairs, cost = self._align_real(partition, index)
         else:
-            match_set, pairs, cost = self._align_modeled(partition, queue_set, queue)
+            match_set, pairs, cost = self._align_modeled(partition, positions,
+                                                         index)
         cost += self.init_cost()
         cost += match_set["count"] * self.cost_model.match_record_cost
         return {"match_set": match_set, "cost": cost, "pairs": pairs}
 
-    def _align_real(self, partition, queue):
+    def _align_real(self, partition, index):
         matrix = default_family().matrix(100.0)
         matches: List[Dict[str, Any]] = []
         cells = 0
         pairs = 0
+        entries = index.entries
         for i in partition:
             seq_i = self.database.entry(i)
-            for j in queue:
-                if j <= i:
-                    continue
+            for j in entries[bisect_right(entries, i):]:
                 seq_j = self.database.entry(j)
                 score = sw_score(seq_i.residues, seq_j.residues, matrix)
                 cells += len(seq_i) * len(seq_j)
@@ -157,15 +168,16 @@ class DarwinEngine:
         }
         return match_set, pairs, cost
 
-    def _align_modeled(self, partition, queue_set, queue):
-        cost = self.cost_model.teu_fixed_cost(self.profile, partition, queue)
-        pairs = self.cost_model.teu_pair_count(partition, queue)
+    def _align_modeled(self, partition, positions, index):
+        cost = self.cost_model.teu_fixed_cost(self.profile, partition,
+                                              positions, index)
+        pairs = self.cost_model.teu_pair_count(positions, len(index))
         rng = self._rng("teu", partition[0] if partition else 0, len(partition))
         matches: List[Dict[str, Any]] = []
         # Homologous pairs: deterministic from the family structure.
         for i in partition:
             for j in self.profile.family_partners(i):
-                if j > i and j in queue_set:
+                if j > i and j in index:
                     min_len = min(self.profile.length(i), self.profile.length(j))
                     score = max(
                         self.match_threshold,
@@ -176,10 +188,10 @@ class DarwinEngine:
         family_count = len(matches)
         n_random = self._binomial(rng, max(0, pairs - family_count),
                                   self.random_match_rate)
-        queue_list = queue
         for _ in range(min(n_random, self.sample_cap)):
             i = rng.choice(partition)
-            later = [j for j in (rng.choice(queue_list) for _ in range(8)) if j > i]
+            later = [j for j in (rng.choice(index.entries) for _ in range(8))
+                     if j > i]
             if not later:
                 continue
             j = later[0]

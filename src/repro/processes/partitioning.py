@@ -42,17 +42,20 @@ def list_queue(entries: Sequence[int]) -> Dict[str, Any]:
     return {"kind": "list", "entries": entries}
 
 
-def expand(descriptor: Dict[str, Any]) -> List[int]:
-    """Materialize a descriptor into a sorted list of 1-based indexes."""
+def expand(descriptor: Dict[str, Any]) -> Sequence[int]:
+    """The 1-based indexes a descriptor denotes, as an immutable sequence.
+
+    A ``range`` for ``range`` and ``stride`` descriptors (no list of N
+    entries is built), a tuple for ``list`` ones, in descriptor order.
+    """
     kind = descriptor.get("kind")
     if kind == "range":
-        return list(range(int(descriptor["lo"]), int(descriptor["hi"]) + 1))
+        return range(int(descriptor["lo"]), int(descriptor["hi"]) + 1)
     if kind == "stride":
-        return list(range(int(descriptor["start"]),
-                          int(descriptor["hi"]) + 1,
-                          int(descriptor["stride"])))
+        return range(int(descriptor["start"]), int(descriptor["hi"]) + 1,
+                     int(descriptor["stride"]))
     if kind == "list":
-        return [int(e) for e in descriptor["entries"]]
+        return tuple(map(int, descriptor["entries"]))
     raise ReproError(f"unknown queue/partition descriptor kind {kind!r}")
 
 
@@ -102,7 +105,7 @@ def make_partitions(queue: Dict[str, Any], granularity: int,
                 for k in range(granularity)
             ]
         return [
-            {"kind": "list", "entries": entries[k::granularity]}
+            {"kind": "list", "entries": list(entries[k::granularity])}
             for k in range(granularity)
         ]
 
@@ -113,7 +116,7 @@ def make_partitions(queue: Dict[str, Any], granularity: int,
         position = 0
         for k in range(granularity):
             size = base + (1 if k < extra else 0)
-            chunk = entries[position:position + size]
+            chunk = list(entries[position:position + size])
             position += size
             if not chunk:
                 continue

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bio import CostModel, DatabaseProfile
+from repro.bio import CostModel, DatabaseProfile, QueueIndex
 from repro.errors import BioError
 
 
@@ -59,6 +59,17 @@ class TestProfile:
             DatabaseProfile("p", np.array([]), np.array([]))
 
 
+def fixed_cost(model, profile, partition, queue):
+    index = QueueIndex(profile, queue)
+    return model.teu_fixed_cost(profile, partition, index.locate(partition),
+                                index)
+
+
+def pair_count(partition, queue):
+    positions = np.searchsorted(queue, partition)
+    return CostModel().teu_pair_count(positions, len(queue))
+
+
 class TestCostModel:
     def test_init_cost_grows_with_db(self):
         model = CostModel()
@@ -76,17 +87,13 @@ class TestCostModel:
                 > model.fixed_pair_cost(360, 360))
 
     def test_teu_pair_count_triangular(self):
-        model = CostModel()
         queue = list(range(1, 11))
-        total = sum(
-            model.teu_pair_count([entry], queue) for entry in queue
-        )
+        total = sum(pair_count([entry], queue) for entry in queue)
         assert total == 45  # C(10, 2)
 
     def test_teu_pair_count_excludes_earlier_entries(self):
-        model = CostModel()
-        assert model.teu_pair_count([10], list(range(1, 11))) == 0
-        assert model.teu_pair_count([1], list(range(1, 11))) == 9
+        assert pair_count([10], list(range(1, 11))) == 0
+        assert pair_count([1], list(range(1, 11))) == 9
 
     def test_teu_fixed_cost_matches_bruteforce(self):
         model = CostModel()
@@ -97,7 +104,7 @@ class TestCostModel:
             model.fixed_pair_cost(profile.length(i), profile.length(j))
             for i in partition for j in queue if j > i
         )
-        assert model.teu_fixed_cost(profile, partition, queue) == pytest.approx(
+        assert fixed_cost(model, profile, partition, queue) == pytest.approx(
             expected
         )
 
@@ -110,7 +117,7 @@ class TestCostModel:
             model.fixed_pair_cost(profile.length(i), profile.length(j))
             for i in partition for j in queue if j > i
         )
-        assert model.teu_fixed_cost(profile, partition, queue) == pytest.approx(
+        assert fixed_cost(model, profile, partition, queue) == pytest.approx(
             expected
         )
 
@@ -121,9 +128,9 @@ class TestCostModel:
         queue = list(range(1, 41))
         partitions = [queue[k::5] for k in range(5)]
         total = sum(
-            model.teu_fixed_cost(profile, part, queue) for part in partitions
+            fixed_cost(model, profile, part, queue) for part in partitions
         )
-        whole = model.teu_fixed_cost(profile, queue, queue)
+        whole = fixed_cost(model, profile, queue, queue)
         assert total == pytest.approx(whole)
 
     def test_calibrate_sets_positive_rate(self, small_db):

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.bio import DarwinEngine, DatabaseProfile, merge_match_sets
+from repro.bio import (
+    DarwinEngine,
+    DatabaseProfile,
+    QueueIndex,
+    merge_match_sets,
+)
 from repro.bio.darwin import empty_match_set
 from repro.errors import BioError
 
@@ -100,7 +105,9 @@ class TestModeledAlignment:
         queue = list(range(1, len(small_profile) + 1))
         result = darwin_modeled.align_partition(queue, queue)
         model = darwin_modeled.cost_model
-        base = model.teu_fixed_cost(small_profile, queue, queue)
+        index = QueueIndex(small_profile, queue)
+        base = model.teu_fixed_cost(small_profile, queue,
+                                    index.locate(queue), index)
         assert result["cost"] >= base + darwin_modeled.init_cost()
 
     def test_sample_cap_respected(self, small_profile):

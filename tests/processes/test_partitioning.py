@@ -11,12 +11,12 @@ from repro.processes import partitioning as P
 class TestDescriptors:
     def test_range_queue(self):
         queue = P.range_queue(5)
-        assert P.expand(queue) == [1, 2, 3, 4, 5]
+        assert list(P.expand(queue)) == [1, 2, 3, 4, 5]
         assert P.descriptor_size(queue) == 5
 
     def test_list_queue_dedupes_and_sorts(self):
         queue = P.list_queue([3, 1, 3, 2])
-        assert P.expand(queue) == [1, 2, 3]
+        assert list(P.expand(queue)) == [1, 2, 3]
 
     def test_empty_queue_rejected(self):
         with pytest.raises(ReproError):
@@ -26,7 +26,7 @@ class TestDescriptors:
 
     def test_stride_expansion(self):
         descriptor = {"kind": "stride", "start": 2, "stride": 3, "hi": 11}
-        assert P.expand(descriptor) == [2, 5, 8, 11]
+        assert list(P.expand(descriptor)) == [2, 5, 8, 11]
         assert P.descriptor_size(descriptor) == 4
 
     def test_unknown_kind_rejected(self):
@@ -81,8 +81,8 @@ class TestPartitioning:
     def test_interleaved_subset_queue(self):
         queue = P.list_queue([2, 4, 6, 8, 10])
         partitions = P.make_partitions(queue, 2)
-        assert P.expand(partitions[0]) == [2, 6, 10]
-        assert P.expand(partitions[1]) == [4, 8]
+        assert list(P.expand(partitions[0])) == [2, 6, 10]
+        assert list(P.expand(partitions[1])) == [4, 8]
 
     def test_bad_granularity_rejected(self):
         with pytest.raises(ReproError):
@@ -123,13 +123,14 @@ class TestBalance:
         queue = P.range_queue(200)
 
         def cost_spread(partitions):
-            from repro.bio import CostModel
+            from repro.bio import CostModel, QueueIndex
             model = CostModel()
-            expanded_queue = P.expand(queue)
-            costs = [
-                model.teu_fixed_cost(profile, P.expand(part), expanded_queue)
-                for part in partitions
-            ]
+            index = QueueIndex(profile, P.expand(queue))
+            costs = []
+            for part in partitions:
+                entries = P.expand(part)
+                costs.append(model.teu_fixed_cost(
+                    profile, entries, index.locate(entries), index))
             return max(costs) / (sum(costs) / len(costs))
 
         balanced = cost_spread(P.make_partitions(
