@@ -17,7 +17,8 @@ from repro import (
     InlineEnvironment,
     install_tower,
 )
-from repro.store import LineageGraph, LineageRecord
+from repro.prov import lineage_records
+from repro.store import LineageGraph
 
 
 def main():
@@ -46,13 +47,9 @@ def main():
     print(f"  function table: {instance.outputs['functions']}")
 
     # ------------------------------------------------------------------
-    # Lineage: rebuilt from the data space, then queried.
+    # Lineage: read off the completions in the event logs, then queried.
     # ------------------------------------------------------------------
-    records = [
-        LineageRecord.from_dict(r)
-        for r in server.store.data.lineage_records()
-    ]
-    graph = LineageGraph(records)
+    graph = LineageGraph(lineage_records(server.store))
     print(f"\n=== lineage: {len(graph)} derivation records ===")
 
     # Build a task-level dependency view of the tower steps.

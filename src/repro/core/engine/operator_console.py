@@ -225,7 +225,7 @@ class OperatorConsole:
         """W3C PROV-JSON document for one instance (or the whole store).
 
         The store-wide document is served from the one the provenance
-        graph keeps until its next lineage record. Edit the returned
+        graph keeps until it folds its next derivation. Edit the returned
         document and its sections freely, but treat the attribute dicts
         inside the sections as read-only: they are shared with every
         other export of the same graph state."""

@@ -157,7 +157,7 @@ class MemoPolicy:
         self.server = server
         self.args = ()
         #: (instance_id, path, attempt) -> content key of a queued or
-        #: running execution, for its lineage record and its result.
+        #: running execution, for its completion's lineage and its result.
         self.pending: Dict[Tuple[str, str, int], str] = {}
 
     def consult(self, instance_id: str, task_path: str, program: str,

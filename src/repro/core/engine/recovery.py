@@ -15,12 +15,12 @@ in less work lost when failures occur", paper Section 3.3).
 from __future__ import annotations
 
 from itertools import chain
-from typing import Callable, Dict, List, Set
+from typing import Callable, Dict, List
 
 from ...errors import StoreError
 from ...store.spaces import OperaStore
 from . import events as ev
-from .instance import ENDED, ProcessInstance
+from .instance import ProcessInstance
 
 
 class StepClock:
@@ -39,39 +39,34 @@ def newest_event_time(store: OperaStore) -> float:
     times never decrease within a log), at least 0.0."""
     newest = 0.0
     for instance_id in store.instances.instance_ids():
-        count = store.instances.event_count(instance_id)
-        for _seq, event in store.instances.events_from(
-                instance_id, max(0, count - 1)):
-            time = event.get("time")
-            if isinstance(time, (int, float)):
-                newest = max(newest, float(time))
+        time = (store.instances.last_event(instance_id) or {}).get("time")
+        if isinstance(time, (int, float)):
+            newest = max(newest, float(time))
     return newest
 
 
-def staged_imports(store: OperaStore) -> Set[str]:
-    """Instances an interrupted shard-migration import left staged: not
-    this shard's to run until the migrator's resume activates or deletes
-    them, so a recovery and the per-server invariant catalog skip them."""
-    return {
-        name.split("/", 1)[1]
-        for name, record in
-        store.configuration.settings("migrate_in/").items()
-        if isinstance(record, dict) and record.get("phase") == "staged"
-    }
+def staged_import(store: OperaStore, instance_id: str) -> bool:
+    """Did an interrupted shard-migration import leave the instance
+    staged? Then it is not this shard's to run (or fold, or check) until
+    the migrator's resume activates or deletes it. One key read."""
+    record = store.configuration.setting(f"migrate_in/{instance_id}")
+    return isinstance(record, dict) and record.get("phase") == "staged"
 
 
 def ended(store: OperaStore, instance_id: str) -> bool:
-    """Does the durable meta say the instance completed or aborted?
+    """Is the last event of the instance's log ``instance_completed`` or
+    ``instance_aborted``?
 
-    The meta's status is written *after* the terminal event, so ``True``
-    means that event is durable and no failover has work left in the
-    instance: :meth:`BioOperaServer.recover` and the view catalog's
-    ``bind`` leave such an instance to its first reader. ``False`` may be
-    stale (a crash between the event and the meta) and only costs the
-    replay a recovery would have made anyway.
+    The log is the one record of status, so ``True`` means no failover
+    has work left in the instance: :meth:`BioOperaServer.recover` and the
+    view catalog's ``bind`` leave it to its first reader. A task reset
+    reopens an instance by appending after its terminal event, so a
+    reopened one is not ended. One record is read (the lazy replay of
+    the store decodes nothing else).
     """
-    meta = store.instances.meta(instance_id)
-    return meta is not None and meta.get("status") in ENDED
+    last = store.instances.last_event(instance_id)
+    return last is not None and last["type"] in (
+        ev.INSTANCE_COMPLETED, ev.INSTANCE_ABORTED)
 
 
 def replay_instance(store: OperaStore, instance_id: str,
@@ -88,7 +83,7 @@ def replay_instance(store: OperaStore, instance_id: str,
 class InstanceMap(dict):
     """``instance id -> ProcessInstance`` of one server.
 
-    A recovery replays live work only. An id whose durable meta says the
+    A recovery replays live work only. An id whose log says the
     instance has ended is :meth:`defer`-red: known by id, and replayed
     from its event log by the first ``[]``, ``get``, ``values``,
     ``items`` or ``pop`` that would hand the instance out — once, for as

@@ -50,7 +50,7 @@ from .policies import (
 )
 from .recovery import (
     InstanceMap, StepClock, ended, newest_event_time, replay_instance,
-    staged_imports,
+    staged_import,
 )
 from .scheduler import SchedulingPolicy
 
@@ -177,10 +177,11 @@ class BioOperaServer:
                       tags: Tuple[str, ...] = (),
                       persist: bool = True) -> None:
         self.awareness.register(name, cpus, speed, tags)
-        if persist:
-            self.store.configuration.save_node(name, {
-                "cpus": cpus, "speed": speed, "tags": list(tags),
-            })
+        description = {"cpus": cpus, "speed": speed, "tags": list(tags)}
+        # A recovery re-registers every stored node: only a description
+        # the store does not already hold costs a commit.
+        if persist and self.store.configuration.node(name) != description:
+            self.store.configuration.save_node(name, description)
 
     # ------------------------------------------------------------------
     # Templates
@@ -223,18 +224,22 @@ class BioOperaServer:
     # Instance lifecycle
     # ------------------------------------------------------------------
 
-    def _next_instance_id(self) -> str:
+    def _next_instance_id(self, writes: Optional[Dict[str, Any]] = None
+                          ) -> str:
         """Mint the next instance id from a durable O(1) counter.
 
-        The counter lives in the configuration space and is bumped
-        *before* the instance is created: a crash between the two burns a
-        serial (gaps are harmless), but two launches — even across a
-        crash+recovery — can never mint the same id. Shard servers
-        prefix their ids (``s03-pi-000042``), so no two shards' counters
-        can collide either.
+        Committed now, or put into ``writes`` for the caller's (a
+        launch's) transaction: durable before the id is, so no id is
+        minted twice. Stored, not derived from the live ids, because a
+        committed move keeps ``forward/<old id>``. Shard servers prefix
+        their ids (``s03-pi-000042``).
         """
         serial = self.store.configuration.setting("instance_serial", 0) + 1
-        self.store.configuration.set_setting("instance_serial", serial)
+        if writes is None:
+            self.store.configuration.set_setting("instance_serial", serial)
+        else:
+            writes[self.store.configuration.setting_key(
+                "instance_serial")] = serial
         return f"{self.id_prefix}pi-{serial:06d}"
 
     def launch(self, template_name: str,
@@ -243,11 +248,13 @@ class BioOperaServer:
                request_key: Optional[str] = None) -> str:
         """Create, persist, start and navigate a new instance.
 
-        ``request_key`` makes the launch idempotent: a key that already
-        produced an instance returns that instance's id instead of
-        launching again. The key→id marker is written in the same store
-        transaction as the instance itself, so a broker redelivering a
-        launch after a shard failover can never double-launch.
+        One transaction holds the spent serial, the create record, the
+        ``[instance_created, instance_started]`` events and, given a
+        ``request_key``, the key→id marker: a crash leaves all of them or
+        none, so a broker redelivering a launch after a shard failover
+        can never double-launch, and no instance is durable without a
+        log. A key that already produced an instance returns that
+        instance's id instead of launching again.
         """
         if request_key is not None:
             already = self.store.configuration.setting(
@@ -266,28 +273,21 @@ class BioOperaServer:
                 f"launch of {template_name!r} missing required inputs "
                 f"{missing}"
             )
-        instance_id = instance_id or self._next_instance_id()
-        instance = ProcessInstance(instance_id, self._resolver)
-        extra = None
+        writes: Dict[str, Any] = {}
+        instance_id = instance_id or self._next_instance_id(writes)
         if request_key is not None:
-            extra = {
-                self.store.configuration.setting_key(
-                    f"request/{request_key}"): instance_id,
-            }
-        self.store.instances.create(instance_id, {
-            "template_name": template_name,
-            "version": version,
-            "status": "created",
-            "request_key": request_key,
-        }, extra=extra)
-        self.instances[instance_id] = instance
+            writes[self.store.configuration.setting_key(
+                f"request/{request_key}")] = instance_id
+        instance = ProcessInstance(instance_id, self._resolver)
         now = self.clock()
         self.emit_batch(instance, [
             ev.instance_created(
                 template_name, version, dict(inputs or {}), now
             ),
             ev.instance_started(now),
-        ])
+        ], create=({"template_name": template_name, "version": version,
+                    "request_key": request_key}, writes))
+        self.instances[instance_id] = instance
         self.navigator.navigate(instance)
         self.dispatcher.pump()
         return instance_id
@@ -318,30 +318,40 @@ class BioOperaServer:
         self._emit(instance, (event,))
 
     def emit_batch(self, instance: ProcessInstance,
-                   events: List[Dict[str, Any]]) -> None:
-        """Persist ``events`` as one transaction, then apply them."""
-        self._emit(instance, events)
+                   events: List[Dict[str, Any]],
+                   create: Optional[Tuple[Dict[str, Any], Dict[str, Any]]]
+                   = None) -> None:
+        """Persist ``events`` as one transaction, then apply them;
+        ``create`` starts a new instance's log with them."""
+        self._emit(instance, events, create)
 
-    def _emit(self, instance: ProcessInstance, events) -> None:
+    def _emit(self, instance: ProcessInstance, events,
+              create: Optional[Tuple[Dict[str, Any], Dict[str, Any]]] = None
+              ) -> None:
         """The one emit body: record the slice durably, then act on it.
 
         Crash before the append: the slice is lost entirely (the engine
         never acted on any of it, so nothing to repair). Crash after:
         every event is durable but the in-memory state never saw them —
         recovery must pick them up from the log. The single transaction
-        means the log can never hold a prefix of the slice.
+        means the log can never hold a prefix of the slice. ``create``
+        (the create record and the writes that go with it) makes the
+        slice the first of a new instance, in the same transaction.
         """
         if not events:
             return
         for event in events:
             event.setdefault("epoch", self.epoch)
+            if (event["type"] == ev.TASK_COMPLETED
+                    and not event["path"].endswith("#comp")):
+                self._add_lineage(instance, event, events)
         # What a fired action records of its hit, so part of a campaign's
         # digest: a slice of one has no ``batch``.
         context = {"instance": instance.id, "type": events[0]["type"]}
         if len(events) > 1:
             context["batch"] = len(events)
         fire("server.emit.pre-persist", **context)
-        self.store.instances.append_events(instance.id, events)
+        self.store.instances.append_events(instance.id, events, create)
         fire("server.emit.post-persist", **context)
         for event in events:
             self._apply_emitted(instance, event)
@@ -350,16 +360,8 @@ class BioOperaServer:
                        event: Dict[str, Any]) -> None:
         """Apply one already-persisted event to live engine state."""
         instance.apply(event)
-        if event["type"] in (
-            ev.INSTANCE_COMPLETED, ev.INSTANCE_ABORTED, ev.INSTANCE_STARTED,
-            ev.INSTANCE_SUSPENDED, ev.INSTANCE_RESUMED,
-        ):
-            self.store.instances.update_meta(
-                instance.id, status=instance.status
-            )
         if (event["type"] == ev.TASK_COMPLETED
                 and not event["path"].endswith("#comp")):
-            self._record_lineage(instance, event)
             self._raise_task_signals(instance, event["path"])
 
     def _raise_task_signals(self, instance: ProcessInstance,
@@ -437,15 +439,18 @@ class BioOperaServer:
                 self.navigator.navigate(instance)
         self.dispatcher.pump()
 
-    def _record_lineage(self, instance: ProcessInstance,
-                        event: Dict[str, Any]) -> None:
-        """Derive a lineage record from the completed task's data flow.
+    def _add_lineage(self, instance: ProcessInstance,
+                     event: Dict[str, Any], events) -> None:
+        """Record in a task completion the derivation it makes.
 
-        Dataset naming: a task's output structure is
-        ``<instance>/<task path>``; a whiteboard item is
-        ``<instance>/wb:<scope><name>``. Output mappings make the task a
-        producer of the whiteboard items it writes, which links consumers
-        that read those items into the provenance graph.
+        Dataset names are relative to the instance: a task's output
+        structure is ``<task path>``, a whiteboard item
+        ``wb:<scope><name>`` (the provenance fold prefixes the instance
+        id, so a migration's re-based id needs no rewrite). Output
+        mappings make the task a producer of the whiteboard items it
+        writes, which links consumers that read those items into the
+        provenance graph. A dispatch of the task in the same slice (a
+        memo hit) opens the attempt that completes.
         """
         path = event["path"]
         state = instance.find_state(path)
@@ -457,27 +462,28 @@ class BioOperaServer:
         inputs = []
         for _param, binding in sorted(task.inputs.items()):
             if binding.kind == "task":
-                inputs.append(f"{instance.id}/{frame.path}{binding.name}")
+                inputs.append(f"{frame.path}{binding.name}")
             elif binding.kind == "whiteboard":
-                inputs.append(f"{instance.id}/wb:{wb_scope}{binding.name}")
-        outputs = [f"{instance.id}/{path}"]
+                inputs.append(f"wb:{wb_scope}{binding.name}")
+        outputs = [path]
         for _field, wb_name in task.output_mappings:
-            outputs.append(f"{instance.id}/wb:{wb_scope}{wb_name}")
-        self.store.data.append_lineage({
-            "outputs": outputs,
+            outputs.append(f"wb:{wb_scope}{wb_name}")
+        program, attempt = state.program, state.attempts
+        for other in events:
+            if other["type"] == ev.TASK_DISPATCHED and other["path"] == path:
+                program, attempt = other["program"], other["attempt"]
+        event["lineage"] = {
             "inputs": inputs,
-            "program": state.program,
-            "instance_id": instance.id,
-            "task": path,
-            "timestamp": event["time"],
+            "outputs": outputs,
+            "program": program,
             # Joins this derivation to the task span of the attempt that
-            # produced it (state.attempts is the completing attempt).
-            "span": f"{instance.id}:{path}:{state.attempts}",
+            # produced it.
+            "attempt": attempt,
             # Content key of this execution in the memo cache (empty when
             # memoization is off) — smart rerun invalidates through it.
             "memo_key": ("" if self.memo is None else self.memo.pending.get(
-                (instance.id, path, state.attempts), "")),
-        })
+                (instance.id, path, attempt), "")),
+        }
 
     # ------------------------------------------------------------------
     # Dispatcher wiring
@@ -626,7 +632,7 @@ class BioOperaServer:
         self.emit(instance, ev.task_completed(
             job.task_path, outputs, cost, node, self.clock()
         ))
-        if self.memo is not None:  # after the emit: lineage reads the key
+        if self.memo is not None:  # after the emit: its lineage reads the key
             self.memo.complete(job, outputs)
         self.navigator.navigate(instance)
         if self.migration is not None:
@@ -875,9 +881,9 @@ class BioOperaServer:
         in-flight tasks (dispatched but with no recorded outcome) are
         marked failed with reason ``server-recovery`` and re-scheduled,
         exactly as in the paper's event 2: "when the server recovers,
-        [processes] are automatically resumed." An instance whose durable
-        meta says it :func:`~repro.core.engine.recovery.ended` is only
-        entered in :attr:`instances`; whoever reads it first replays it.
+        [processes] are automatically resumed." An instance whose log
+        says it :func:`~repro.core.engine.recovery.ended` is only entered
+        in :attr:`instances`; whoever reads it first replays it.
 
         Everything recovery needs is re-derived from the durable store —
         shard identity, the four policies in :attr:`POLICY_SETTINGS`,
@@ -908,29 +914,17 @@ class BioOperaServer:
                     node, config["cpus"], config.get("speed", 1.0),
                     tuple(config.get("tags", ())),
                 )
-        staged = staged_imports(store)
         for instance_id in store.instances.instance_ids():
-            if instance_id in staged:
+            if staged_import(store, instance_id):
                 continue
             # Crash during recovery replay itself: the next recovery must
             # start over from the same durable log and still succeed.
             fire("recovery.replay", instance=instance_id)
             if ended(store, instance_id):
                 server.instances.defer(instance_id)
-                continue
-            if not store.instances.event_count(instance_id):
-                # The launch died between its instance record and its
-                # first events, so it never ran: forget it, dedup marker
-                # included, and a redelivered launch runs afresh.
-                key = store.instances.meta(instance_id).get("request_key")
-                marker = f"request/{key}"
-                mine = store.configuration.setting(marker) == instance_id
-                store.instances.drop(instance_id, [
-                    store.configuration.setting_key(marker)] if mine else [])
-                continue
-            instance = server._replay(instance_id)
-            if not instance.terminal:  # else stale meta: the event made it
-                server._redrive(instance, "server-recovery")
+            else:
+                server._redrive(server._replay(instance_id),
+                                "server-recovery")
         live = server.instances.loaded()
         server.obs.metrics.inc("recovery.instances_replayed", len(live))
         server.obs.metrics.inc("recovery.instances_deferred",
@@ -943,7 +937,11 @@ class BioOperaServer:
 
     def _redrive(self, instance: ProcessInstance, reason: str) -> None:
         """Fail, in one batch, every dispatched task whose job will never
-        report here (a failover, a shard move), so navigation re-queues it."""
+        report here (a failover, a shard move), so navigation re-queues it.
+        A terminal one (an edit after its end keeps it in recovery's
+        replay) has none."""
+        if instance.terminal:
+            return
         self.emit_batch(instance, [
             ev.task_failed(state.path, reason, state.node, state.attempts,
                            self.clock())
@@ -968,13 +966,15 @@ class BioOperaServer:
         self._drop_jobs(instance_id)
 
     def complete_migration(self, instance_id: str) -> None:
-        """Forget an instance whose migration committed (log tombstoned).
+        """Forget an instance whose migration committed (log tombstoned),
+        its view folds and derivations included.
 
         Replays nothing: a deferred instance leaves as it came.
         """
         self.migrating.discard(instance_id)
         if instance_id in self.instances:
             del self.instances[instance_id]
+        self.obs.views.forget(instance_id)
 
     def abandon_migration(self, instance_id: str) -> None:
         """Roll back a quiesce: the instance stays on this shard.

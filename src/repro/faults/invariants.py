@@ -49,7 +49,7 @@ from typing import Dict, List, Optional
 
 from ..core.engine import events as ev
 from ..core.engine.recovery import (
-    replay_instance, staged_imports, verify_log,
+    replay_instance, staged_import, verify_log,
 )
 from ..errors import StoreError
 from ..store import codec
@@ -63,10 +63,9 @@ def run_catalog(server, baseline_outputs: Optional[Dict] = None,
     mode prints as a pass/fail trace; :func:`check_server` flattens the
     same pairs into the single violation list campaigns record.
     """
-    staged = staged_imports(server.store)
     instance_ids = [
         iid for iid in server.store.instances.instance_ids()
-        if iid not in staged
+        if not staged_import(server.store, iid)
     ]
 
     def each(check):
@@ -289,25 +288,24 @@ def _check_view_equivalence(server, instance_id: str) -> List[str]:
 def _check_prov_equivalence(server) -> List[str]:
     """The incrementally maintained provenance graph must equal — byte for
     byte under the canonical codec — a graph rebuilt from scratch off the
-    durable lineage log (the provenance tentpole's contract, checked
-    after every crash + recovery), and the PROV-JSON document it serves
-    must equal the one the rebuilt graph builds."""
+    ``task_completed`` events of the durable logs (the provenance
+    tentpole's contract, checked after every crash + recovery), and the
+    PROV-JSON document it serves must equal the one the rebuilt graph
+    builds."""
     hub = getattr(server.store, "observability", None)
-    if hub is None or getattr(hub, "provenance", None) is None:
+    if hub is None:
         return []
-    view = hub.provenance
-    if not view.in_sync(server.store):
-        return [
-            f"provenance cursor {view.cursor} != lineage count "
-            f"{server.store.data.lineage_count()}"
-        ]
     from ..prov.graph import ProvenanceGraph
+    from ..prov.view import lineage_records
 
-    rebuilt = ProvenanceGraph.from_records(
-        server.store.data.lineage_records())
-    if codec.encode(view.graph.dump()) != codec.encode(rebuilt.dump()):
-        return ["provenance graph diverges from full lineage rebuild"]
-    if (codec.encode(view.graph.to_prov_json())
+    try:
+        graph = hub.provenance.graph
+        rebuilt = ProvenanceGraph(lineage_records(server.store))
+    except StoreError as exc:
+        return [f"provenance: log unreadable: {exc}"]
+    if codec.encode(graph.dump()) != codec.encode(rebuilt.dump()):
+        return ["provenance graph diverges from a rebuild off the logs"]
+    if (codec.encode(graph.to_prov_json())
             != codec.encode(rebuilt.to_prov_json())):
         return ["served PROV document diverges from a rebuilt one"]
     return []

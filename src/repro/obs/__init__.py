@@ -6,24 +6,24 @@ on every durably appended event flows — in append order, after the
 commit — into:
 
 * the :class:`~repro.obs.views.ViewCatalog` (incremental materialized
-  views behind ``monitor.queries``),
+  views behind ``monitor.queries``, and the provenance graph folded from
+  the lineage the completions carry),
 * the :class:`~repro.obs.tracing.TraceCollector` (dispatch→outcome
   spans),
 * a couple of registry counters.
 
-The views and the provenance graph are folds of the durable logs and
-are never stored: :meth:`ViewCatalog.bind` folds the instances that may
-still run, and ended instances and the provenance graph are brought up
-to their logs by whoever reads them first; the registry counts those
-reads (``views.deferred_catch_ups``, ``prov.deferred_catch_ups``) beside
-what the recovery itself replayed and left
+The views and the provenance graph are folds of the durable event logs
+and are never stored: :meth:`ViewCatalog.bind` folds the instances that
+may still run, and ended instances are brought up to their logs by
+whoever reads them first — the first read of the whole graph folds them
+all; the registry counts those folds (``views.deferred_catch_ups``, one
+per instance) beside what the recovery itself replayed and left
 (``recovery.instances_replayed``, ``recovery.instances_deferred``).
 Every ``checkpoint_interval`` appends the hub compacts the store.
 """
 
 from __future__ import annotations
 
-from ..prov.view import ProvenanceView
 from .metrics import BoundedHistogram, MetricsRegistry
 from .tracing import TaskSpan, TraceCollector
 from .views import View, ViewCatalog
@@ -32,7 +32,6 @@ __all__ = [
     "BoundedHistogram",
     "MetricsRegistry",
     "ObservabilityHub",
-    "ProvenanceView",
     "TaskSpan",
     "TraceCollector",
     "View",
@@ -47,8 +46,8 @@ class ObservabilityHub:
         self.metrics = MetricsRegistry()
         self.views = ViewCatalog()
         self.views.metrics = self.metrics
-        self.provenance = ProvenanceView()
-        self.provenance.metrics = self.metrics
+        #: the catalog's provenance view (``provenance.graph``).
+        self.provenance = self.views.provenance
         self.tracing = TraceCollector()
         self.checkpoint_interval = checkpoint_interval
         self._since_checkpoint = 0
@@ -58,25 +57,20 @@ class ObservabilityHub:
 
     def attach(self, store) -> None:
         """Bind to ``store``: fold the instances that may still run, and
-        become the one observer of its event and lineage appends. A hub
-        already attached to the store is detached first."""
+        become the one observer of its event appends. A hub already
+        attached to the store is detached first."""
         previous = getattr(store, "observability", None)
         if previous is not None and previous is not self:
             previous.detach()
         self._store = store
         store.observability = self
         self.views.bind(store)
-        self.provenance.bind(store)
         store.instances.observer = self._on_events
-        store.data.observer = self.provenance.on_lineage
 
     def detach(self) -> None:
         if self._store is not None:
             self._store.instances.observer = None
-            self._store.data.observer = None
             self._store.observability = None
-            # A view left behind its log has no log to catch up from now.
-            self.provenance._store = None
             self._store = None
 
     def successor(self) -> "ObservabilityHub":

@@ -14,10 +14,12 @@ the event log, and every view is a fold of it.
   skipped — replay is idempotent);
 * :meth:`ViewCatalog.bind` folds every instance that may still run from
   sequence 0, in one walk of its log, then resumes live application. An
-  instance whose durable meta says it has ended waits: the first
-  ``in_sync``, query or append that names it folds its log, so a
-  failover does not pay for finished work and an operator's first read
-  of it does.
+  instance whose log says it has ended waits: the first ``in_sync``,
+  query or append that names it (or the first read of the provenance
+  graph, :class:`~repro.prov.view.ProvenanceView`, the catalog's last
+  view) folds its log, so a failover does not pay for finished work and
+  an operator's first read of it does. A staged migration import waits
+  for its activation.
 
 Every fold is written to be *bit-identical* to the legacy full-rescan
 implementation (kept in ``queries.py`` as the differential-test oracle):
@@ -36,7 +38,7 @@ from ..core.engine.events import (
     TASK_DISPATCHED,
     TASK_FAILED,
 )
-from ..core.engine.recovery import ended
+from ..core.engine.recovery import ended, staged_import
 from ..errors import StoreError
 
 
@@ -63,6 +65,10 @@ class View:
 
     def apply(self, instance_id: str, event: Dict[str, Any]) -> None:
         raise NotImplementedError
+
+    def forget(self, instance_id: str) -> None:
+        """Drop the instance's state (it moved to another shard)."""
+        self.state.pop(instance_id, None)
 
 
 class NodeUsageView(View):
@@ -284,7 +290,13 @@ class ViewCatalog:
     """
 
     def __init__(self):
+        # Imported here: the provenance package imports this module.
+        from ..prov.view import ProvenanceView
+
+        #: the provenance graph's view, last in fold order.
+        self.provenance = ProvenanceView(self)
         self.views: List[View] = [cls() for cls in VIEW_CLASSES]
+        self.views.append(self.provenance)
         self.by_name: Dict[str, View] = {v.name: v for v in self.views}
         #: instance -> next sequence number to apply (all views).
         self.cursors: Dict[str, int] = {}
@@ -333,9 +345,11 @@ class ViewCatalog:
     def catch_up(self, store) -> None:
         """Fold each instance that may still run up to its log head, in
         one walk of its log; an instance that ended waits for its first
-        reader."""
+        reader, a staged import for its activation."""
         self._deferred = {}
         for instance_id in store.instances.instance_ids():
+            if staged_import(store, instance_id):
+                continue
             count = store.instances.event_count(instance_id)
             if (self.cursors.get(instance_id, 0) < count
                     and ended(store, instance_id)):
@@ -369,6 +383,19 @@ class ViewCatalog:
                           self._store.instances.event_count(instance_id))
         if self.metrics is not None:
             self.metrics.inc("views.deferred_catch_ups")
+
+    def fold_deferred(self) -> None:
+        """Fold every instance :meth:`catch_up` deferred (a read of the
+        whole graph asks this first)."""
+        for instance_id in list(self._deferred):
+            self._catch_up_deferred(instance_id)
+
+    def forget(self, instance_id: str) -> None:
+        """Drop an instance whose committed move took its log away."""
+        self._deferred.pop(instance_id, None)
+        self.cursors.pop(instance_id, None)
+        for view in self.views:
+            view.forget(instance_id)
 
     # -- live application (hot path) ----------------------------------------
 

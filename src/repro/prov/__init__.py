@@ -1,16 +1,18 @@
-"""Provenance: the lineage log promoted to a queryable graph.
+"""Provenance: the lineage of the event logs promoted to a queryable graph.
 
-The store has recorded a :class:`~repro.store.lineage.LineageRecord` for
-every completed task since the first PR; this package turns that durable
-stream into the operator-facing surface the paper promises — "all
-dependencies are persistently recorded":
+Every task completion the server records carries its derivation in its
+``task_completed`` event (one :class:`~repro.store.lineage.LineageRecord`
+each); this package turns that durable record into the operator-facing
+surface the paper promises — "all dependencies are persistently
+recorded":
 
 * :mod:`repro.prov.graph` — :class:`ProvenanceGraph`: ancestry,
   descendants, derivation paths, run diffs, and W3C PROV-JSON
   import/export (plus cross-shard document merging);
-* :mod:`repro.prov.view` — :class:`ProvenanceView`: the graph
-  folded incrementally off the lineage log, never stored, equal to a
-  from-scratch rebuild;
+* :mod:`repro.prov.view` — :class:`ProvenanceView`: the graph as one
+  view of the observability catalog, folded incrementally off the event
+  logs, never stored, equal to a from-scratch rescan
+  (:func:`lineage_records`);
 * :mod:`repro.prov.rerun` — smart re-execution: compute the minimal
   invalidated subgraph for changed inputs or forced task reruns, replay
   everything else from the content-keyed memo cache.
@@ -35,6 +37,7 @@ from .rerun import (
 )
 from .view import (
     ProvenanceView,
+    lineage_records,
     live_graph,
     provenance_graph,
 )
@@ -52,6 +55,7 @@ __all__ = [
     "rerun_report",
     "require_instance",
     "ProvenanceView",
+    "lineage_records",
     "live_graph",
     "provenance_graph",
 ]

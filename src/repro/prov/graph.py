@@ -1,7 +1,8 @@
-"""Provenance graph: activities + datasets over the lineage stream.
+"""Provenance graph: activities + datasets over the recorded derivations.
 
-Promotes the flat :class:`~repro.store.lineage.LineageRecord` stream into
-the queryable ancestry/derivation graph the paper's conclusion promises
+Promotes the flat :class:`~repro.store.lineage.LineageRecord` stream (one
+per ``task_completed`` event) into the queryable ancestry/derivation
+graph the paper's conclusion promises
 ("lineage tracking is done automatically and all dependencies are
 persistently recorded"): every record becomes one *activity* node (the
 task attempt that ran, identified by its span) joined to the *entity*
@@ -17,7 +18,7 @@ nodes it used and generated. On top of the dataset-level queries of
 The graph's canonical serialization (:meth:`ProvenanceGraph.dump`) is the
 byte-identity anchor of the ``prov-equivalence`` chaos invariant: the
 incrementally maintained view must dump exactly what a rebuild from the
-durable lineage log dumps.
+durable event logs dumps.
 """
 
 from __future__ import annotations
@@ -69,12 +70,12 @@ def relative_dataset(dataset: str, instance_id: str) -> str:
 
 
 class ProvenanceGraph:
-    """Activity+entity graph folded from lineage records, in order.
+    """Activity+entity graph folded from lineage records.
 
-    Folding is deterministic and order-sensitive in exactly the way
-    :class:`LineageGraph` is (a re-derivation replaces the old record),
-    so any two folds of the same record sequence — incremental or from
-    scratch — produce byte-identical :meth:`dump` output.
+    Folding is deterministic in exactly the way :class:`LineageGraph` is
+    (records grouped by instance id, a re-derivation replacing the old
+    record), so any two folds of the same logs — live, after a failover
+    or a rescan — produce byte-identical :meth:`dump` output.
     """
 
     def __init__(self, records: Iterable[LineageRecord] = ()):
@@ -93,12 +94,6 @@ class ProvenanceGraph:
         for record in records:
             self.add(record)
 
-    @classmethod
-    def from_records(cls, raw_records: Iterable[Dict[str, Any]]
-                     ) -> "ProvenanceGraph":
-        """Build a graph from raw lineage dicts (the rescan path)."""
-        return cls(LineageRecord.from_dict(r) for r in raw_records)
-
     def add(self, record: LineageRecord) -> None:
         """Fold one derivation; a re-derivation replaces the old one."""
         self.lineage.add(record)
@@ -109,12 +104,19 @@ class ProvenanceGraph:
             self._runs.setdefault(record.instance_id, []).append(record.task)
         self.activities[key] = record
 
-    def add_raw(self, record: Dict[str, Any]) -> None:
-        """Fold one raw lineage dict (the incremental-view hot path)."""
-        self.add(LineageRecord.from_dict(record))
+    def drop_instance(self, instance_id: str) -> None:
+        """Forget every record of one instance (it moved away)."""
+        self.lineage.discard_instance(instance_id)
+        self.mutations += 1
+        self._document = None
+        for task in self._runs.pop(instance_id, ()):
+            del self.activities[(instance_id, task)]
 
     def __len__(self) -> int:
         return len(self.lineage)
+
+    def __repr__(self) -> str:
+        return f"ProvenanceGraph({self.lineage.records!r})"
 
     # -- canonical serialization (the equivalence anchor) -----------------
 

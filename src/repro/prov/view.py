@@ -1,125 +1,124 @@
-"""Incremental provenance view: the lineage stream, folded live.
+"""Provenance view: the lineage of the event logs, folded live.
 
-The :class:`ProvenanceView` mirrors the materialized views of
-:mod:`repro.obs.views`, but over the *data space's lineage log* instead
-of the instance-space event logs. The graph is derived from the
-execution record and is never stored:
-
-* live application folds each durable lineage append exactly once,
-  guarded by a single sequence cursor (re-delivered records below the
-  cursor are skipped, a gap raises);
-* :meth:`bind` folds nothing. A view bound behind its log stays
-  *behind* — appends are left in the log — until somebody asks for the
-  graph; the asking (:attr:`graph`, :meth:`in_sync`) folds the lineage
-  log once and live application resumes. A failover therefore pays
-  nothing for lineage, and the first provenance read after it pays the
-  log.
-
-The chaos invariant (``prov-equivalence`` in
-:mod:`repro.faults.invariants`) holds the view's graph byte-identical,
-under the canonical codec, to a graph rebuilt from scratch off the
-durable lineage log — after every crash and recovery.
+The instance event log is the one record of lineage: each task
+completion carries its derivation in its ``task_completed`` event
+(``lineage``: dataset names relative to the instance, the program, the
+attempt and the memo key). The graph is a fold of those events, never
+stored. :class:`ProvenanceView` is one more view of the
+:class:`~repro.obs.views.ViewCatalog`, under its cursors and deferral
+rules; since the graph spans every instance, reading it first folds
+whatever the catalog deferred (O(1) when nothing is). A completion the
+catalog folds is kept as it is until the graph is read, so a graph
+nobody reads costs a list append per completion. Records are
+ordered by instance id, then log order, so a live fold, a fold after a
+failover and :func:`lineage_records`'s rescan agree byte for byte — the
+chaos invariant ``prov-equivalence`` holds them to it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
-from ..errors import StoreError
+from ..core.engine.events import TASK_COMPLETED
+from ..core.engine.recovery import staged_import
+from ..obs.views import View
+from ..store.lineage import LineageRecord
 from .graph import ProvenanceGraph
 
 
-class ProvenanceView:
-    """The provenance graph, maintained incrementally with a cursor."""
+def lineage_record(instance_id: str,
+                   event: Dict[str, Any]) -> LineageRecord:
+    """The derivation one ``task_completed`` event of ``instance_id``'s
+    log records, its dataset names qualified by the instance id."""
+    lineage = event["lineage"]
+    prefix = f"{instance_id}/"
+    path = event["path"]
+    return LineageRecord(
+        outputs=tuple(prefix + name for name in lineage["outputs"]),
+        inputs=tuple(prefix + name for name in lineage["inputs"]),
+        program=lineage["program"],
+        instance_id=instance_id,
+        task=path,
+        timestamp=event["time"],
+        span=f"{instance_id}:{path}:{lineage['attempt']}",
+        memo_key=lineage["memo_key"],
+    )
+
+
+def lineage_records(store) -> Iterator[LineageRecord]:
+    """Every derivation the store's logs record, in canonical order
+    (instance id, then log order); staged imports are not the store's
+    yet and are skipped."""
+    space = store.instances
+    for instance_id in space.instance_ids():
+        if staged_import(store, instance_id):
+            continue
+        for _seq, event in space.events_from(instance_id, 0):
+            if event["type"] == TASK_COMPLETED and "lineage" in event:
+                yield lineage_record(instance_id, event)
+
+
+class ProvenanceView(View):
+    """The provenance graph, one view of the catalog that folds it."""
 
     name = "provenance"
+    interests = (TASK_COMPLETED,)
 
-    def __init__(self):
+    def __init__(self, catalog):
+        #: the :class:`~repro.obs.views.ViewCatalog` folding this view.
+        self.catalog = catalog
         self._graph = ProvenanceGraph()
-        #: next lineage sequence number to fold.
-        self.cursor = 0
-        #: bound with the cursor short of the log head and not read since.
-        self._behind = False
-        #: the owning hub's registry, if a hub owns the view.
-        self.metrics = None
-        self._store = None
+        #: instance id -> the completions folded but not yet added to
+        #: the graph, in log order.
+        self._unread: Dict[str, List[Dict[str, Any]]] = {}
 
     @property
     def graph(self) -> ProvenanceGraph:
-        """The graph, brought up to the lineage log head if it is behind."""
-        if self._behind:
-            self._first_use()
+        """The graph, with every instance the catalog deferred folded."""
+        self.catalog.fold_deferred()
+        return self.state
+
+    @property
+    def state(self) -> ProvenanceGraph:
+        """The graph of what the catalog has folded so far."""
+        for instance_id, events in self._unread.items():
+            for event in events:
+                self._graph.add(lineage_record(instance_id, event))
+        self._unread = {}
         return self._graph
 
-    def _first_use(self) -> None:
-        """Catch up a view that was bound behind its log (a detached one
-        has no log to catch up from and serves what it has)."""
-        if self._store is not None:
-            self.catch_up(self._store)
-            if self.metrics is not None:
-                self.metrics.inc("prov.deferred_catch_ups")
+    def apply(self, instance_id: str, event: Dict[str, Any]) -> None:
+        """Take the derivation a completion carries (a compensation
+        task's carries none)."""
+        if "lineage" in event:
+            self._unread.setdefault(instance_id, []).append(event)
 
-    # -- binding & recovery -------------------------------------------------
+    def forget(self, instance_id: str) -> None:
+        """Drop the instance's derivations (it moved to another shard)."""
+        self._unread.pop(instance_id, None)
+        self._graph.drop_instance(instance_id)
 
-    def bind(self, store) -> None:
-        """Follow ``store`` from an empty graph, behind its lineage log
-        if the log holds records (the hub that owns the view is the
-        observer of the lineage appends)."""
-        self._store = store
-        self.cursor = 0
-        self._graph = ProvenanceGraph()
-        self._behind = store.data.lineage_count() > 0
-
-    def catch_up(self, store) -> None:
-        """Fold the lineage suffix ``[cursor, count)`` from the log."""
-        count = store.data.lineage_count()
-        for _seq, record in store.data.lineage_records_from(self.cursor):
-            self._graph.add_raw(record)
-        # Sequences tombstoned by shard migration yield nothing but still
-        # count: the cursor lands on the log head, not the last record.
-        self.cursor = count
-        self._behind = False
-
-    # -- live application (hot path) ----------------------------------------
+    # Names only, for the benchmark ledger's patch table: the catalog
+    # binds, catches up and folds this view.
 
     def on_lineage(self, seq: int, record: Dict[str, Any]) -> None:
-        """Fold one durable lineage append (idempotent re-delivery)."""
-        if self._behind or seq < self.cursor:
-            return  # in the log the catch-up reads, or folded already
-        if seq > self.cursor:
-            raise StoreError(
-                f"provenance view missed lineage records: got seq {seq}, "
-                f"expected {self.cursor}"
-            )
-        self._graph.add_raw(record)
-        self.cursor = seq + 1
+        """Nothing: a ledger-only name."""
 
-    def in_sync(self, store) -> bool:
-        """True when the graph, caught up if it was behind, stands at the
-        durable lineage count."""
-        if self._behind:
-            self._first_use()
-        return self.cursor == store.data.lineage_count()
+    def bind(self, store) -> None:
+        """Nothing: a ledger-only name."""
+
+    def catch_up(self, store) -> None:
+        """Nothing: a ledger-only name."""
 
     def checkpoint(self, store=None) -> None:
-        """Do nothing: the graph is a fold of the durable lineage log and
-        is never stored. A name only, for the benchmark ledger's patch
-        table."""
+        """Nothing: a ledger-only name."""
 
 
 def live_graph(store) -> Optional[ProvenanceGraph]:
-    """The hub's in-sync provenance graph, or ``None`` to force a rescan.
-
-    Mirrors ``queries._live_views``: the incremental graph answers only
-    when it is attached *and* — after the catch-up a view bound behind
-    its log owes its first reader — level with the durable lineage log;
-    otherwise the caller builds the graph from the records directly.
-    """
+    """The attached hub's provenance graph, or ``None`` (no hub follows
+    ``store``) to force a rescan of the logs."""
     hub = getattr(store, "observability", None)
-    view = getattr(hub, "provenance", None)
-    if view is None or not view.in_sync(store):
-        return None
-    return view.graph
+    return None if hub is None else hub.provenance.graph
 
 
 def provenance_graph(store) -> ProvenanceGraph:
@@ -127,4 +126,4 @@ def provenance_graph(store) -> ProvenanceGraph:
     graph = live_graph(store)
     if graph is not None:
         return graph
-    return ProvenanceGraph.from_records(store.data.lineage_records())
+    return ProvenanceGraph(lineage_records(store))

@@ -115,8 +115,8 @@ class ShardedConsole:
     def _rebase(dataset: str, requested: str, final: str) -> str:
         """Swap a fully-qualified dataset's prefix onto the final id.
 
-        A migrated instance's lineage was rewritten to the new id, so a
-        query phrased against the old id (``old/wb:x``) must chase the
+        The shard a migrated instance moved to qualifies its datasets by
+        the new id, so a query phrased against the old id (``old/wb:x``) must chase the
         same forward the instance-scoped routing does."""
         if final != requested and (dataset == requested
                                    or dataset.startswith(requested + "/")):

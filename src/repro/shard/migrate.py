@@ -3,13 +3,14 @@
 The paper's headline dependability claim — long-lived experiments
 survive infrastructure change because everything that matters is in the
 log — applied to *topology* change: an instance is moved by copying its
-durable state (event log, metadata, lineage records, request-dedup
-marker, pinned template version) into a sibling shard's store under a
-freshly minted id, and re-driving its in-flight work there through the
-same kill-and-restart path recovery uses. Nothing in the event log
-names the instance id (events carry task paths and whiteboard keys), so
-the log copies byte-for-byte; only lineage records — whose dataset
-names embed the id — are rewritten.
+durable state (event log, create record, request-dedup marker, pinned
+template version) into a sibling shard's store under a freshly minted
+id, and re-driving its in-flight work there through the same
+kill-and-restart path recovery uses. Nothing in the event log names the
+instance id (events carry task paths, whiteboard keys and the lineage
+of each completion in instance-relative dataset names), so the log
+copies byte-for-byte and nothing is rewritten: each shard's provenance
+graph folds the copy under whatever id it holds it by.
 
 The move is a five-phase journaled protocol. Each phase opens with a
 ``shard.migrate.*`` fault point, and a crash in any window leaves
@@ -59,50 +60,6 @@ def _canon(value: Any) -> str:
 def _digest(events: List[Dict[str, Any]]) -> str:
     """Stable digest of an event-log slice (the migration invariant)."""
     return hashlib.sha256(_canon(events).encode("utf-8")).hexdigest()
-
-
-def _rewrite_lineage(record: Dict[str, Any], old_id: str,
-                     new_id: str) -> Dict[str, Any]:
-    """Re-prefix a lineage record's dataset names onto the new id.
-
-    Dataset names are ``<instance>/<path>`` or ``<instance>/wb:<key>``;
-    spans are ``<instance>:<path>:<attempt>``. Everything else in the
-    record is id-free and copies verbatim.
-    """
-    def swap(name: str) -> str:
-        """Re-prefix one qualified dataset name, if it carries the id."""
-        if name == old_id or name.startswith(old_id + "/"):
-            return new_id + name[len(old_id):]
-        return name
-
-    rewritten = dict(record)
-    if rewritten.get("instance_id") == old_id:
-        rewritten["instance_id"] = new_id
-    span = rewritten.get("span")
-    if isinstance(span, str) and span.startswith(old_id + ":"):
-        rewritten["span"] = new_id + span[len(old_id):]
-    for field in ("inputs", "outputs"):
-        values = rewritten.get(field)
-        if isinstance(values, list):
-            rewritten[field] = [
-                swap(value) if isinstance(value, str) else value
-                for value in values
-            ]
-    return rewritten
-
-
-def _resync_provenance(store) -> None:
-    """Leave an attached hub's live provenance view behind the log.
-
-    A migration writes lineage records into (and tombstones them out of)
-    the log in bulk transactions that bypass ``append_lineage`` and its
-    observer. Re-binding drops the graph without folding anything; its
-    first reader folds the log once, as after a failover, so a drain of
-    many moves pays one fold, not one per move."""
-    hub = getattr(store, "observability", None)
-    view = getattr(hub, "provenance", None)
-    if view is not None:
-        view.bind(store)
 
 
 class ShardMigrator:
@@ -209,12 +166,6 @@ class ShardMigrator:
         space = source.store.instances
         meta = dict(space.meta(instance_id))
         events = [dict(event) for event in space.events(instance_id)]
-        lineage_items = [
-            (seq, record)
-            for seq, record in source.store.data.lineage_records_from(0)
-            if isinstance(record, dict)
-            and record.get("instance_id") == instance_id
-        ]
         epochs = [event["epoch"] for event in events
                   if isinstance(event.get("epoch"), int)]
         name = meta["template_name"]
@@ -223,8 +174,6 @@ class ShardMigrator:
             "meta": meta,
             "events": events,
             "next_seq": space.event_count(instance_id),
-            "lineage_seqs": [seq for seq, _record in lineage_items],
-            "lineage": [record for _seq, record in lineage_items],
             "max_epoch": max(epochs, default=0),
             "request_key": meta.get("request_key"),
             "template": (name, version,
@@ -252,13 +201,9 @@ class ShardMigrator:
         meta = dict(export["meta"])
         meta["migrated_from"] = old_id
         instance_prefix = f"{InstanceSpace.PREFIX}{new_id}/"
-        lineage_base = target.store.data.lineage_count()
-        rewritten = [_rewrite_lineage(record, old_id, new_id)
-                     for record in export["lineage"]]
         journal = {
             "old_id": old_id, "source": source_index, "phase": "staged",
             "request_key": export["request_key"],
-            "lineage_base": lineage_base, "lineage_count": len(rewritten),
         }
         configuration = target.store.configuration
         with target.store.kv.transaction() as txn:
@@ -266,19 +211,11 @@ class ShardMigrator:
             txn.put(f"{instance_prefix}next_seq", export["next_seq"])
             for seq, event in enumerate(export["events"]):
                 txn.put(_seq_key(f"{instance_prefix}event/", seq), event)
-            for offset, record in enumerate(rewritten):
-                txn.put(target.store.data.lineage_key(lineage_base + offset),
-                        record)
-            if rewritten:
-                txn.put(target.store.data.LINEAGE_SEQ_KEY,
-                        lineage_base + len(rewritten))
             if export["request_key"]:
                 txn.put(configuration.setting_key(
                     f"request/{export['request_key']}"), new_id)
             txn.put(configuration.setting_key(f"migrate_in/{new_id}"),
                     journal)
-        if rewritten:
-            _resync_provenance(target.store)
 
     def _verify_copy(self, target: "Shard", old_id: str, new_id: str,
                      export: Dict[str, Any]) -> None:
@@ -295,7 +232,8 @@ class ShardMigrator:
 
         After this transaction the instance exists exactly once (on the
         target, still staged); before it, exactly once (on the source).
-        There is no durable state in which it runs on both.
+        There is no durable state in which it runs on both. The source
+        server then forgets it, its view folds and derivations included.
         """
         configuration = source.store.configuration
         instance_prefix = f"{InstanceSpace.PREFIX}{old_id}/"
@@ -311,11 +249,7 @@ class ShardMigrator:
             txn.delete(f"{instance_prefix}next_seq")
             for seq in range(export["next_seq"]):
                 txn.delete(_seq_key(f"{instance_prefix}event/", seq))
-            for seq in export["lineage_seqs"]:
-                txn.delete(source.store.data.lineage_key(seq))
             txn.delete(configuration.setting_key(f"migrate_out/{old_id}"))
-        if export["lineage_seqs"]:
-            _resync_provenance(source.store)
         source.server.complete_migration(old_id)
 
     def _activate(self, target: "Shard", new_id: str) -> None:
@@ -331,11 +265,10 @@ class ShardMigrator:
              if isinstance(event.get("epoch"), int)),
             default=0,
         ))
-        # Imported events bypassed the instance space's observer; fold them
-        # into the views BEFORE adoption emits (apply requires
-        # seq == cursor). apply_events, not catch_up: catch_up walks
-        # every instance of the store, and apply_events is idempotent
-        # when a target recovery already caught this instance up.
+        # Imported events bypassed the instance space's observer, and a
+        # bind skips a staged import: fold them into the views and the
+        # graph BEFORE adoption emits (apply requires seq == cursor).
+        # apply_events, not catch_up: catch_up walks every instance.
         target.server.obs.views.apply_events(new_id, 0, events)
         target.server.adopt_instance(new_id)
 
@@ -413,24 +346,17 @@ class ShardMigrator:
         configuration = target.store.configuration
         instance_prefix = f"{InstanceSpace.PREFIX}{new_id}/"
         count = target.store.instances.event_count(new_id)
-        base = int(journal.get("lineage_base", 0))
-        lineage_count = int(journal.get("lineage_count", 0))
         request_key = journal.get("request_key")
-        staged = range(base, base + lineage_count)
         with target.store.kv.transaction() as txn:
             txn.delete(f"{instance_prefix}meta")
             txn.delete(f"{instance_prefix}next_seq")
             for seq in range(count):
                 txn.delete(_seq_key(f"{instance_prefix}event/", seq))
-            for seq in staged:
-                txn.delete(target.store.data.lineage_key(seq))
             if (request_key and configuration.setting(
                     f"request/{request_key}") == new_id):
                 txn.delete(configuration.setting_key(
                     f"request/{request_key}"))
             txn.delete(configuration.setting_key(f"migrate_in/{new_id}"))
-        if lineage_count:
-            _resync_provenance(target.store)
 
     def _release_source(self, source: "Shard", old_id: str) -> None:
         """Clear the source journal and give the instance back.

@@ -15,7 +15,9 @@ datasets must be recomputed, in dependency order.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Dict, Iterable, List, Set, Tuple
 
 from ..errors import StoreError
@@ -73,8 +75,17 @@ class LineageRecord:
         )
 
 
+_instance_of = attrgetter("instance_id")
+
+
 class LineageGraph:
-    """Dependency graph over datasets built from lineage records."""
+    """Dependency graph over datasets built from lineage records.
+
+    :attr:`records` is kept grouped by instance id, in add order within
+    one instance: records of different instances never replace each
+    other (dataset names are instance-scoped), so any interleaving of
+    the same per-instance sequences gives the same graph.
+    """
 
     def __init__(self, records: Iterable[LineageRecord] = ()):
         self.records: List[LineageRecord] = []
@@ -97,9 +108,22 @@ class LineageGraph:
                 for inp in existing.inputs:
                     self._consumers[inp].remove(existing)
             self._producers[output] = record
-        self.records.append(record)
+        insort(self.records, record, key=_instance_of)
         for inp in record.inputs:
             self._consumers.setdefault(inp, []).append(record)
+
+    def discard_instance(self, instance_id: str) -> None:
+        """Remove every record of one instance (a moved instance's old
+        shard forgets it)."""
+        low = bisect_left(self.records, instance_id, key=_instance_of)
+        high = bisect_right(self.records, instance_id, key=_instance_of)
+        for record in self.records[low:high]:
+            for output in record.outputs:
+                if self._producers.get(output) is record:
+                    del self._producers[output]
+            for inp in record.inputs:
+                self._consumers[inp].remove(record)
+        del self.records[low:high]
 
     # -- queries ------------------------------------------------------------
 

@@ -3,11 +3,12 @@
 The paper (Section 3.2) organizes persistent information into:
 
 * **template space** — processes as defined by the user;
-* **instance space** — processes currently executing (meta + event log);
+* **instance space** — processes currently executing (a write-once
+  create record + the event log, the one record of status and lineage);
 * **configuration space** — the hardware/software description of the
   cluster used for placement and what-if planning;
-* **data space** — historical information about completed processes and
-  lineage records referencing the datasets they produced.
+* **data space** — historical information about completed processes
+  (run summaries) and the memo cache of content-keyed results.
 
 Each space is a thin, typed veneer over key prefixes of one
 :class:`~repro.store.kvstore.KVStore`, so a single WAL covers all of them
@@ -16,7 +17,7 @@ and cross-space updates can share a transaction.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import StoreError, UnknownTemplateError
 from .kvstore import KVStore, MEMORY
@@ -83,7 +84,7 @@ class TemplateSpace:
 
 
 class InstanceSpace:
-    """Durable per-instance metadata and append-only event logs."""
+    """Per-instance create records and append-only event logs."""
 
     PREFIX = "instance/"
 
@@ -97,44 +98,19 @@ class InstanceSpace:
     # -- metadata ---------------------------------------------------------
 
     def create(self, instance_id: str, meta: Dict[str, Any],
+               events: Sequence[Dict[str, Any]] = (),
                extra: Optional[Dict[str, Any]] = None) -> None:
-        """Register a new instance with an empty event log.
-
-        ``extra`` maps full KV keys to values written in the *same*
-        transaction as the instance metadata — the sharded broker uses it
-        for request-dedup markers, so "the instance exists" and "this
-        request id produced it" become durable atomically (a crash leaves
-        both or neither).
-        """
-        key = f"{self.PREFIX}{instance_id}/meta"
-        if key in self._kv:
-            raise StoreError(f"instance {instance_id!r} already exists")
-        with self._kv.transaction() as txn:
-            txn.put(key, meta)
-            txn.put(f"{self.PREFIX}{instance_id}/next_seq", 0)
-            for extra_key, value in (extra or {}).items():
-                txn.put(extra_key, value)
-
-    def drop(self, instance_id: str, extra: Sequence[str] = ()) -> None:
-        """Delete an instance whose log is empty, and the ``extra`` keys
-        :meth:`create` wrote with it, in one transaction."""
-        with self._kv.transaction() as txn:
-            txn.delete(f"{self.PREFIX}{instance_id}/meta")
-            txn.delete(f"{self.PREFIX}{instance_id}/next_seq")
-            for key in extra:
-                txn.delete(key)
+        """Register a new instance with its first ``events``: an
+        :meth:`append_events` that starts the log."""
+        self._append(instance_id, events, create=(meta, extra or {}))
 
     def meta(self, instance_id: str) -> Optional[Dict[str, Any]]:
-        """The instance's metadata dict, or ``None`` if unknown."""
+        """The instance's create record, or ``None`` if unknown."""
         return self._kv.get(f"{self.PREFIX}{instance_id}/meta")
 
     def update_meta(self, instance_id: str, **fields: Any) -> None:
-        """Merge ``fields`` into the instance's metadata."""
-        meta = self.meta(instance_id)
-        if meta is None:
-            raise StoreError(f"unknown instance {instance_id!r}")
-        meta.update(fields)
-        self._kv.put(f"{self.PREFIX}{instance_id}/meta", meta)
+        """Nothing: a ledger-only name (the create record is written
+        once, status is read from the log)."""
 
     def instance_ids(self) -> List[str]:
         """Sorted ids of every known instance."""
@@ -150,30 +126,54 @@ class InstanceSpace:
         return self._append(instance_id, (event,))
 
     def append_events(self, instance_id: str,
-                      events: List[Dict[str, Any]]) -> int:
+                      events: List[Dict[str, Any]],
+                      create: Optional[Tuple[Dict[str, Any],
+                                             Dict[str, Any]]] = None) -> int:
         """Append a slice of events in ONE transaction (one WAL record);
-        returns the first sequence number of the slice."""
-        return self._append(instance_id, events)
+        returns the first sequence number of the slice. ``create`` makes
+        it the first slice of a new instance (see :meth:`_append`)."""
+        return self._append(instance_id, events, create)
 
-    def _append(self, instance_id: str, events) -> int:
+    def _append(self, instance_id: str, events,
+                create: Optional[Tuple[Dict[str, Any],
+                                       Dict[str, Any]]] = None) -> int:
         """Commit ``events`` atomically at consecutive sequence numbers,
         then hand the slice to the observer.
+
+        ``create`` is ``(meta, extra)`` for a new instance's first slice:
+        the log starts at 0, and the same transaction holds the
+        write-once create record (request key, template pin, where a
+        migrated copy came from) and ``extra``, full KV keys to values
+        (the instance serial, the broker's request-dedup marker), so "the
+        instance exists", "its id is spent" and "this request produced
+        it" are durable together or not at all.
 
         The slice is durable when the observer runs: what it raises
         reaches the caller, who must not take it for a failed append.
         """
         seq_key = f"{self.PREFIX}{instance_id}/next_seq"
-        start = self._kv.get(seq_key)
-        if start is None:
-            raise StoreError(f"unknown instance {instance_id!r}")
-        if not events:
-            return start
+        meta_key = f"{self.PREFIX}{instance_id}/meta"
+        if create is None:
+            start = self._kv.get(seq_key)
+            if start is None:
+                raise StoreError(f"unknown instance {instance_id!r}")
+            if not events:
+                return start
+            meta, extra = None, {}
+        elif meta_key in self._kv:
+            raise StoreError(f"instance {instance_id!r} already exists")
+        else:
+            start, (meta, extra) = 0, create
         prefix = f"{self.PREFIX}{instance_id}/event/"
         with self._kv.transaction() as txn:
+            if meta is not None:
+                txn.put(meta_key, meta)
             for offset, event in enumerate(events):
                 txn.put(_seq_key(prefix, start + offset), event)
             txn.put(seq_key, start + len(events))
-        if self.observer is not None:
+            for extra_key, value in extra.items():
+                txn.put(extra_key, value)
+        if self.observer is not None and events:
             self.observer(instance_id, start, events)
         return start
 
@@ -201,6 +201,15 @@ class InstanceSpace:
                     f"{instance_id!r}"
                 )
             yield seq, event
+
+    def last_event(self, instance_id: str) -> Optional[Dict[str, Any]]:
+        """The newest event of the instance's log (``None`` if empty):
+        one record read, by its sequence key."""
+        count = self.event_count(instance_id)
+        if not count:
+            return None
+        return self._kv.get(
+            _seq_key(f"{self.PREFIX}{instance_id}/event/", count - 1))
 
     def event_count(self, instance_id: str) -> int:
         """Number of events durably appended for the instance."""
@@ -256,17 +265,13 @@ class ConfigurationSpace:
 
 
 class DataSpace:
-    """Historical run records, lineage entries, and the memo cache."""
+    """Historical run records and the memo cache. Lineage is not kept
+    here: it rides on the ``task_completed`` events of the instance logs."""
 
     PREFIX = "data/"
-    LINEAGE_SEQ_KEY = "data/lineage_seq"
 
     def __init__(self, kv: KVStore):
         self._kv = kv
-        #: the post-commit observer ``fn(seq, record)`` or ``None``,
-        #: mirroring :attr:`InstanceSpace.observer`: the attached hub's
-        #: provenance view folds each durable lineage append.
-        self.observer = None
 
     def record_run(self, run_id: str, summary: Dict[str, Any]) -> None:
         """Store the summary of a completed run."""
@@ -283,42 +288,17 @@ class DataSpace:
             key[len(prefix):]: value for key, value in self._kv.items(prefix)
         }
 
-    def append_lineage(self, record: Dict[str, Any]) -> int:
-        """Durably append one lineage record; returns its sequence. The
-        observer runs after the commit (the record is already durable)."""
-        seq = int(self._kv.get(self.LINEAGE_SEQ_KEY, 0))
-        with self._kv.transaction() as txn:
-            txn.put(self.lineage_key(seq), record)
-            txn.put(self.LINEAGE_SEQ_KEY, seq + 1)
-        if self.observer is not None:
-            self.observer(seq, record)
-        return seq
+    # Names only, for the benchmark ledger's patch table: lineage is read
+    # from the event logs (``repro.prov.view.lineage_records``).
 
-    def lineage_records(self) -> List[Dict[str, Any]]:
-        """Every lineage record, in append order."""
-        return [record for _seq, record in self.lineage_records_from(0)]
+    def append_lineage(self, record: Dict[str, Any]) -> None:
+        """Nothing: a ledger-only name."""
 
-    def lineage_count(self) -> int:
-        """Number of lineage records durably appended."""
-        return int(self._kv.get(self.LINEAGE_SEQ_KEY, 0))
+    def lineage_records(self) -> None:
+        """Nothing: a ledger-only name."""
 
-    def lineage_key(self, seq: int) -> str:
-        """Full KV key of lineage record ``seq`` (cross-space transactions)."""
-        return _seq_key(f"{self.PREFIX}lineage/", seq)
-
-    def lineage_records_from(self, start: int) -> Iterator[Any]:
-        """Yield ``(seq, record)`` for the lineage suffix from ``start``.
-
-        Reads by direct sequence key so catching the provenance view up
-        replays only the suffix. Missing sequences are skipped, not an
-        error: shard migration tombstones a moved instance's lineage
-        records in place (the sequence counter never rewinds)."""
-        prefix = f"{self.PREFIX}lineage/"
-        count = self.lineage_count()
-        for seq in range(start, count):
-            record = self._kv.get(_seq_key(prefix, seq))
-            if record is not None:
-                yield seq, record
+    def lineage_records_from(self, start: int) -> None:
+        """Nothing: a ledger-only name."""
 
     # -- memo cache (content-keyed results for smart re-execution) ----------
 

@@ -106,6 +106,27 @@ class TestCrashRecovery:
         assert recovered.instance(iid).status == "completed"
         assert recovered.store.instances.event_count(iid) == events_before
 
+    def test_restart_after_completion_survives_a_crash(self):
+        """A task reset reopens a completed instance. Recovery reads that
+        from the log, not from a status stored beside it: B's second
+        attempt, dispatched when the server died, is re-driven and the
+        instance completes instead of waiting on B forever."""
+        log = []
+        server, env = make_inline_server(chain_programs(log))
+        server.define_template_ocr(CHAIN)
+        iid = server.launch("Chain")
+        env.run_instance(iid)
+        server.restart_task(iid, "B")
+        assert server.instance(iid).find_state("B").status == "dispatched"
+        server.crash()
+        env2 = InlineEnvironment()
+        recovered = BioOperaServer.recover(server.store, server.registry,
+                                           environment=env2)
+        env2.run_until_idle()
+        instance = recovered.instance(iid)
+        assert instance.status == "completed"
+        assert log.count("b") == 2
+
     def test_double_crash_recovery(self):
         server, env, iid = self.crash_at(1)
         env.step()

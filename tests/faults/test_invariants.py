@@ -11,6 +11,7 @@ from repro.core.engine import (
     BioOperaServer, ProgramRegistry, ProgramResult, events as ev,
 )
 from repro.faults import invariants
+from repro.store import LineageRecord
 
 OCR = "PROCESS P\n  ACTIVITY A\n    PROGRAM w.u\n  END\nEND"
 
@@ -119,6 +120,20 @@ class TestPlantedViolations:
         problems = dict(invariants.run_catalog(server))["prov-equivalence"]
         assert problems == ["served PROV document diverges from a rebuilt "
                             "one"]
+
+    def test_lineage_edge_with_no_completed_task_is_caught(self):
+        """A derivation in the served graph that no ``task_completed``
+        event of any log records: the rebuild off the logs lacks it."""
+        server, instance_id = _completed_server()
+        graph = server.store.observability.provenance.graph
+        graph.add(LineageRecord(
+            outputs=(f"{instance_id}/P/ghost",),
+            inputs=(f"{instance_id}/A",), program="w.u",
+            instance_id=instance_id, task="P/ghost",
+            span=f"{instance_id}:P/ghost:1"))
+        problems = dict(invariants.run_catalog(server))["prov-equivalence"]
+        assert problems == ["provenance graph diverges from a rebuild off "
+                            "the logs"]
 
     def _contiguity(self, server):
         return dict(invariants.run_catalog(server))["contiguous-log"]

@@ -1,7 +1,8 @@
-"""A recovery replays live work only (ISSUE 23).
+"""A recovery replays live work only.
 
-What has ended — an instance, its view folds, the provenance graph — is
-brought up to its log by whoever reads it first. Three contracts:
+What has ended — an instance, its view folds and its derivations in the
+provenance graph — is brought up to its log by whoever reads it first.
+Three contracts:
 
 * **cost shape**, in counts: a recovery costs the live instances; each
   piece skipped is paid for once, by its first reader, and never again;
@@ -35,7 +36,8 @@ from repro.faults.plan import FaultAction
 from repro.faults.points import FaultInjector, InjectedCrash, installed
 from repro.obs import ObservabilityHub
 from repro.obs.views import EventHistogramView, ViewCatalog
-from repro.prov import plan_rerun
+from repro.prov import lineage_records, live_graph, plan_rerun, \
+    provenance_graph
 from repro.prov.graph import ProvenanceGraph
 from repro.store import OperaStore, codec
 from repro.store.spaces import InstanceSpace
@@ -195,7 +197,10 @@ def _answers(server):
 
 
 def _state(view) -> str:
-    """A view's state: instances in id order, each in fold order."""
+    """A view's state: instances in id order, each in fold order (the
+    graph keeps that order itself)."""
+    if isinstance(view.state, ProvenanceGraph):
+        return repr(view.state)
     return repr(sorted(view.state.items()))
 
 
@@ -223,8 +228,7 @@ def _assert_oracles(server) -> None:
             == codec.encode([live.outputs, live.progress()])
     for view in server.obs.views.views:
         assert _state(view) == _state(rebuilt.by_name[view.name]), view.name
-    graph = ProvenanceGraph.from_records(store.data.lineage_records())
-    assert server.obs.provenance.in_sync(store)
+    graph = ProvenanceGraph(lineage_records(store))
     assert codec.encode(server.obs.provenance.graph.dump()) \
         == codec.encode(graph.dump())
     assert codec.encode(OperatorConsole(server).export_prov()) \
@@ -247,10 +251,10 @@ class _Counts:
         self.replays = Counter()     # instance id -> replay() calls
         self.folded = Counter()      # instance id -> log events folded
         self.walks = Counter()       # instance id -> events_from() calls
-        self.add_raw = 0             # lineage records folded
+        self.derivations = 0         # lineage records folded
         replay = ProcessInstance.replay
         fold = EventHistogramView.apply   # sees every event of a log
-        add_raw = ProvenanceGraph.add_raw
+        add = ProvenanceGraph.add
         events_from = InstanceSpace.events_from
 
         def counted_replay(instance, events):
@@ -261,9 +265,9 @@ class _Counts:
             self.folded[instance_id] += 1
             return fold(view, instance_id, event)
 
-        def counted_add_raw(graph, record):
-            self.add_raw += 1
-            return add_raw(graph, record)
+        def counted_add(graph, record):
+            self.derivations += 1
+            return add(graph, record)
 
         def counted_events_from(space, instance_id, start):
             self.walks[instance_id] += 1
@@ -271,14 +275,20 @@ class _Counts:
 
         monkeypatch.setattr(ProcessInstance, "replay", counted_replay)
         monkeypatch.setattr(EventHistogramView, "apply", counted_fold)
-        monkeypatch.setattr(ProvenanceGraph, "add_raw", counted_add_raw)
+        monkeypatch.setattr(ProvenanceGraph, "add", counted_add)
         monkeypatch.setattr(InstanceSpace, "events_from",
                             counted_events_from)
 
 
 def _snapshot(counts):
     return (sum(counts.replays.values()), sum(counts.folded.values()),
-            counts.add_raw)
+            counts.derivations)
+
+
+def _derivations(store, ids):
+    """How many derivations the logs of ``ids`` record."""
+    return sum(1 for record in lineage_records(store)
+               if record.instance_id in ids)
 
 
 @pytest.fixture()
@@ -302,15 +312,14 @@ class TestCostShape:
         assert sorted(counts.replays) == live
         assert set(counts.replays.values()) == {1}
         assert not any(counts.folded[iid] for iid in ended)
-        assert counts.add_raw == 0
-        # every ended instance waits, and so does the lineage log
+        # the graph adds nothing until it is read; every ended instance
+        # waits, its derivations with it
+        assert counts.derivations == 0
         assert list(server.obs.views._deferred) == ended
-        assert server.obs.provenance._behind
         counters = server.obs.metrics.counters
         assert counters["recovery.instances_replayed"] == len(live)
         assert counters["recovery.instances_deferred"] == len(ended)
         assert "views.deferred_catch_ups" not in counters
-        assert "prov.deferred_catch_ups" not in counters
 
     def test_the_first_read_of_one_ended_instance_pays_for_it_alone(
             self, crashed, monkeypatch):
@@ -325,7 +334,7 @@ class TestCostShape:
             == queries.event_histogram_rescan(store, target)
         assert dict(counts.folded) == {
             target: store.instances.event_count(target)}
-        assert counts.add_raw == 0
+        assert counts.derivations == 0
         before = _snapshot(counts)
         server.instance(target)
         server.instances[target]
@@ -336,25 +345,23 @@ class TestCostShape:
 
     def test_reading_everything_costs_what_was_skipped_then_nothing(
             self, crashed, monkeypatch):
-        make_store, ended, _live = crashed
+        make_store, ended, live = crashed
         server = _recover(make_store())
         store = server.store
-        lineage_behind = (store.data.lineage_count()
-                          - server.obs.provenance.cursor)
-        assert lineage_behind > 0
+        recorded = _derivations(store, ended + live)
+        assert _derivations(store, ended) > 0
         counts = _Counts(monkeypatch)
         _force(server)
         assert dict(counts.replays) == {iid: 1 for iid in ended}
         assert {iid: counts.folded[iid] for iid in ended} == {
             iid: store.instances.event_count(iid) for iid in ended}
-        assert counts.add_raw == lineage_behind
+        assert counts.derivations == recorded
         before = _snapshot(counts)
         _force(server)
         _answers(server)
         assert _snapshot(counts) == before
         counters = server.obs.metrics.counters
         assert counters["views.deferred_catch_ups"] == len(ended)
-        assert counters["prov.deferred_catch_ups"] == 1
 
     def test_catch_up_walks_a_log_once_not_once_per_view(self, crashed,
                                                          monkeypatch):
@@ -370,14 +377,13 @@ class TestCostShape:
             assert catalog.in_sync(store, iid)
         assert [counts.walks[iid] for iid in ended] == [1] * len(ended)
 
-    def test_an_on_disk_failover_decodes_two_records_per_ended_instance(
+    def test_an_on_disk_failover_decodes_one_record_per_ended_instance(
             self, tmp_path, monkeypatch):
         """Opening the store decodes keys only; recovery then decodes
-        what it reads. Of an ended instance that is its meta and its
-        ``next_seq`` (the view catalog reads its event count), so two
-        records, whatever the length of its log: the only events
-        decoded are the last slice, which shares its record with
-        ``next_seq``. Its log is decoded by its first reader."""
+        what it reads. Of an ended instance that is its ``next_seq`` and
+        its last event (``ended`` reads it), which share the record of
+        the last slice: one record, whatever the length of its log. Its
+        log is decoded by its first reader."""
         path = str(tmp_path / "db")
         kernel = SimKernel(seed=5)
         cluster = SimulatedCluster(kernel, uniform(2, cpus=2))
@@ -413,8 +419,7 @@ class TestCostShape:
                     if any(key.startswith(prefix) for key in heads[1::2])]
 
         for iid in ended:
-            meta, last = sorted(records_of(iid), key=len)
-            assert meta == [f"instance/{iid}/meta"]
+            [last] = records_of(iid)
             assert last[-1] == f"instance/{iid}/next_seq"
             assert store.instances.event_count(iid) > 2 * len(last)
         for iid in live:   # replayed: every record of its log
@@ -563,7 +568,6 @@ class TestDeferredVersusForced:
         assert waiting == ended
         first.obs.checkpoint()
         assert list(first.obs.views._deferred) == waiting
-        assert first.obs.provenance._behind
         # read one of the deferred, run a live one on, then tear
         assert first.obs.views.in_sync(first.store, waiting[0])
         first.environment.run_instance(live[0])
@@ -576,10 +580,11 @@ class TestDeferredVersusForced:
         _force(forced)
         _assert_twins_agree(_recover(first.store.simulate_crash()), forced)
 
-    def test_stale_meta_is_replayed_eagerly_with_the_same_answers(self):
-        """Crash between the terminal event and the meta that records
-        it: the meta still says running, so recovery replays the
-        instance as it always did — and finds it ended."""
+    def test_a_crash_right_after_the_terminal_event_defers_the_instance(
+            self):
+        """Crash right after the terminal event is durable, before the
+        server acted on it: the log says the instance ended, so recovery
+        leaves it to its first reader, who finds it completed."""
         def run_last(injector):
             server, env, _ended, live = _populated()
             last = server.launch("diamond", {"a": 30, "b": 40})
@@ -595,59 +600,59 @@ class TestDeferredVersusForced:
         server, live, last = run_last(FaultInjector([FaultAction(
             "server.emit.post-persist", "crash",
             at_hit=dry.hits["server.emit.post-persist"])]))
-        assert server.store.instances.meta(last)["status"] == "running"
+        assert server.instances[last].status == "running"
         events = list(server.store.instances.events(last))
         assert events[-1]["type"] == "instance_completed"
         server.crash()
         deferred = _recover(server.store.simulate_crash())
         # (running ``last`` to its end drained the inline queue, so the
-        # live instances ended on the way and their metas say so)
-        assert [i.id for i in deferred.instances.loaded()] == [last]
-        assert deferred.instances[last].status == "completed"
+        # live instances ended on the way)
+        assert deferred.instances.loaded() == []
         counters = deferred.obs.metrics.counters
-        assert counters["recovery.instances_replayed"] == 1
+        assert counters["recovery.instances_replayed"] == 0
         assert counters["recovery.instances_deferred"] \
-            == len(ENDED) + len(live)
+            == len(ENDED) + len(live) + 1
+        assert deferred.instances[last].status == "completed"
         assert deferred.store.instances.event_count(last) == len(events)
         forced = _recover(server.store.simulate_crash())
         _force(forced)
         _assert_twins_agree(deferred, forced)
 
 
-class TestBehindProvenanceView:
-    def test_behind_view_folds_nothing_until_asked(self, crashed,
-                                                   monkeypatch):
-        make_store, _ended, live = crashed
+class TestTheGraphFoldsWithTheViews:
+    def test_a_graph_read_folds_what_is_deferred_then_nothing(
+            self, crashed, monkeypatch):
+        make_store, ended, live = crashed
         server = _recover(make_store())
-        view = server.obs.provenance
-        loaded = view.cursor
+        store = server.store
         counts = _Counts(monkeypatch)
-        server.environment.run_instance(live[0])   # appends lineage
-        assert counts.add_raw == 0 and view.cursor == loaded
+        server.environment.run_instance(live[0])   # appends completions
         server.obs.checkpoint()                    # compacts, folds nothing
-        assert view.cursor == loaded and view._behind
-        assert counts.add_raw == 0
-        assert view.in_sync(server.store)
-        assert counts.add_raw == server.store.data.lineage_count() - loaded
-        folded = counts.add_raw
+        assert counts.derivations == 0
+        assert list(server.obs.views._deferred) == ended
+        assert live_graph(store) is server.obs.provenance.graph
+        assert counts.derivations == _derivations(store, ended + live)
+        assert not server.obs.views._deferred
+        folded = counts.derivations
         server.environment.run_instance(live[1])   # live again
-        assert counts.add_raw > folded and view.in_sync(server.store)
-        assert counts.add_raw \
-            == server.store.data.lineage_count() - loaded
+        provenance_graph(store)
+        assert counts.derivations == _derivations(store, ended + live)
+        assert counts.derivations > folded
 
-    def test_detached_view_serves_what_it_has(self, crashed):
+    def test_a_detached_hub_is_not_served(self, crashed):
         make_store, _ended, _live = crashed
         server = _recover(make_store())
-        view = server.obs.provenance
         server.obs.detach()
-        # bound behind the log and never read: it has folded nothing
-        assert len(view.graph) == 0 and view._behind
+        assert live_graph(server.store) is None
+        assert codec.encode(provenance_graph(server.store).dump()) \
+            == codec.encode(ProvenanceGraph(
+                lineage_records(server.store)).dump())
 
     def test_fresh_store_is_in_sync_and_folds_live(self):
         server, _env, _ended, _live = _populated()
-        view = server.obs.provenance
-        assert not view._behind and view.in_sync(server.store)
-        assert "prov.deferred_catch_ups" not in server.obs.metrics.counters
+        assert live_graph(server.store) is server.obs.provenance.graph
+        assert not server.obs.views._deferred
+        assert "views.deferred_catch_ups" not in server.obs.metrics.counters
 
 
 class TestMigrationOfADeferredInstance:
@@ -670,15 +675,11 @@ class TestMigrationOfADeferredInstance:
         assert sorted(moved) == victims
         assert not counts.replays            # neither side replayed one
         assert len(source.instances) == 0
-        # the moves left the source's graph behind its log, folding
-        # nothing; its first reader folds the tombstoned log to nothing
+        # the source forgot each moved instance, folds, deferral and
+        # derivations alike
         view = plane.shards[0].store.observability.provenance
-        assert view._behind and len(view._graph) == 0
-        assert view.in_sync(plane.shards[0].store)
-        assert not view._behind and len(view.graph) == 0
+        assert not source.obs.views._deferred and len(view.graph) == 0
         target = plane.shards[1].server
-        assert plane.shards[1].store.observability.provenance.in_sync(
-            plane.shards[1].store)
         for old_id, new_id in moved.items():
             assert new_id in target.instances
             assert plane.instance(old_id).outputs == outputs[old_id]

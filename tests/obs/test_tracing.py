@@ -10,6 +10,7 @@ from repro.core.engine import BioOperaServer, ProgramRegistry, ProgramResult
 from repro.core.engine import events as ev
 from repro.core.engine.operator_console import OperatorConsole
 from repro.obs import TraceCollector
+from repro.prov import lineage_records
 from repro.store import codec
 
 OCR = """
@@ -77,13 +78,13 @@ class TestSpanLifecycle:
 
     def test_spans_join_lineage_records(self, traced_run):
         server, instance_id = traced_run
-        records = server.store.data.lineage_records()
+        records = list(lineage_records(server.store))
         assert records
         span_ids = {s.span_id for s in server.obs.tracing.spans_for()}
         for record in records:
-            assert record["span"] in span_ids
-            span = server.obs.tracing.find(record["span"])
-            assert span.path == record["task"]
+            assert record.span in span_ids
+            span = server.obs.tracing.find(record.span)
+            assert span.path == record.task
 
 
 class TestCollectorStandalone:

@@ -76,7 +76,9 @@ def _store_with(events, hub=None, instance_id="pi-1"):
 
 
 def _view_dumps(hub):
-    """Each view's state, in fold order (``repr`` keeps dict order)."""
+    """Each view's state, in fold order (``repr`` keeps dict order), once
+    every instance a bind deferred is folded."""
+    hub.views.fold_deferred()
     return {v.name: repr(v.state) for v in hub.views.views}
 
 

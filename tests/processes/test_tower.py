@@ -5,7 +5,8 @@ import pytest
 from repro.core.engine import BioOperaServer, InlineEnvironment
 from repro.core.model import SubprocessTask
 from repro.processes import build_tower_template, install_tower
-from repro.store import LineageGraph, LineageRecord
+from repro.prov import lineage_records
+from repro.store import LineageGraph
 
 
 @pytest.fixture()
@@ -89,10 +90,7 @@ class TestExecution:
     def test_lineage_records_every_activity(self, tower_server):
         server, env = tower_server
         iid = self.launch(server, env)
-        records = [
-            LineageRecord.from_dict(r)
-            for r in server.store.data.lineage_records()
-        ]
+        records = list(lineage_records(server.store))
         graph = LineageGraph(records)
         produced = {r.task for r in records if r.instance_id == iid}
         assert "GeneLocation" in produced

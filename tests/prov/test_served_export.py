@@ -2,7 +2,7 @@
 
 Differential: whatever happened to the graph between two exports, the
 served document is byte-identical (canonical codec) to one built from
-scratch off the durable lineage log. Cost shape, in counts: an export
+scratch off the durable event logs. Cost shape, in counts: an export
 of an unchanged graph builds nothing, the first one after an append
 builds once. Aliasing: a caller may edit the document and its sections
 without the next export seeing it.
@@ -11,8 +11,8 @@ without the next export seeing it.
 from unittest import mock
 
 from repro.core.engine.operator_console import OperatorConsole
-from repro.prov import ProvenanceGraph
-from repro.store import codec
+from repro.prov import ProvenanceGraph, lineage_records
+from repro.store import LineageRecord, codec
 
 from .conftest import diamond_server, run_diamond
 
@@ -20,8 +20,7 @@ from .conftest import diamond_server, run_diamond
 def rebuilt_document(server):
     """The export as it was before it was served: graph and document
     both built from the durable records, nothing kept."""
-    return ProvenanceGraph.from_records(
-        server.store.data.lineage_records()).to_prov_json()
+    return ProvenanceGraph(lineage_records(server.store)).to_prov_json()
 
 
 def assert_served_equals_rebuilt(server):
@@ -119,11 +118,12 @@ class TestAliasing:
         graph = ProvenanceGraph()
         record = {"outputs": ["i1/x"], "inputs": ["i2/y"], "program": "p",
                   "instance_id": "i1", "task": "A", "span": "i1:A:1"}
-        graph.add_raw(record)
+        graph.add(LineageRecord.from_dict(record))
         first = graph.to_prov_json()
         held = codec.encode(first)
-        graph.add_raw({**record, "outputs": ["i2/y"], "inputs": [],
-                       "instance_id": "i2", "task": "B", "span": "i2:B:1"})
+        graph.add(LineageRecord.from_dict({
+            **record, "outputs": ["i2/y"], "inputs": [],
+            "instance_id": "i2", "task": "B", "span": "i2:B:1"}))
         second = graph.to_prov_json()
         assert second["entity"]["repro:i2/y"] == {"repro:instance": "i2"}
         assert codec.encode(first) == held

@@ -1,4 +1,4 @@
-"""Provenance view: folded from the lineage log across crashes."""
+"""Provenance view: folded from the event logs across crashes."""
 
 import pytest
 
@@ -6,7 +6,7 @@ from repro.core.engine import BioOperaServer, InlineEnvironment
 from repro.errors import StoreError
 from repro.faults.plan import FaultAction
 from repro.faults.points import FaultInjector, InjectedCrash, installed
-from repro.prov import ProvenanceGraph
+from repro.prov import ProvenanceGraph, lineage_records
 from repro.store import codec
 
 from .conftest import diamond_registry, diamond_server, run_diamond
@@ -14,10 +14,8 @@ from .conftest import diamond_registry, diamond_server, run_diamond
 
 def _equivalent(store) -> bool:
     view = store.observability.provenance
-    rebuilt = ProvenanceGraph.from_records(store.data.lineage_records())
-    return (view.in_sync(store)
-            and codec.encode(view.graph.dump())
-            == codec.encode(rebuilt.dump()))
+    rebuilt = ProvenanceGraph(lineage_records(store))
+    return codec.encode(view.graph.dump()) == codec.encode(rebuilt.dump())
 
 
 def _recover(server):
@@ -74,22 +72,40 @@ class TestCheckpointRecovery:
 
 
 class TestLiveApplication:
-    def test_redelivered_records_are_skipped(self):
+    def test_redelivered_completions_are_skipped(self):
         calls = []
         server, env = diamond_server(calls)
         iid = run_diamond(server, env, 1, 2)
         view = server.store.observability.provenance
         before = codec.encode(view.graph.dump())
-        # Redeliver an already-folded record: idempotent, not a fork.
-        view.on_lineage(0, server.store.data.lineage_records()[0])
+        # Redeliver the whole folded log: idempotent, not a fork.
+        events = list(server.store.instances.events(iid))
+        server.obs.views.apply_events(iid, 0, events)
         assert codec.encode(view.graph.dump()) == before
         assert iid in view.graph.instance_ids()
 
     def test_gap_in_the_stream_raises(self):
         calls = []
         server, env = diamond_server(calls)
-        run_diamond(server, env, 1, 2)
-        view = server.store.observability.provenance
+        iid = run_diamond(server, env, 1, 2)
+        cursor = server.obs.views.cursors[iid]
+        completion = [event for event in server.store.instances.events(iid)
+                      if event["type"] == "task_completed"][-1]
         with pytest.raises(StoreError):
-            view.on_lineage(view.cursor + 5,
-                            server.store.data.lineage_records()[0])
+            server.obs.views.apply_events(iid, cursor + 5, [completion])
+
+    def test_a_completion_carries_its_derivation_relative_to_the_instance(
+            self):
+        calls = []
+        server, env = diamond_server(calls)
+        iid = run_diamond(server, env, 1, 2)
+        for event in server.store.instances.events(iid):
+            if event["type"] == "task_completed":
+                lineage = event["lineage"]
+                assert lineage["outputs"][0] == event["path"]
+                assert not any(name.startswith(iid) for name in
+                               lineage["inputs"] + lineage["outputs"])
+        [join] = [record for record in lineage_records(server.store)
+                  if record.task == "Join"]
+        assert join.span == f"{iid}:Join:1"
+        assert all(name.startswith(f"{iid}/") for name in join.inputs)

@@ -137,10 +137,10 @@ class TestBlastRadius:
 
 class TestLaunchKilledBeforeItsFirstEvents:
     def test_redelivered_launch_runs_afresh(self):
-        """A shard that dies between a launch's instance record and its
-        first events never ran that launch: the promotion forgets the
-        empty instance and its dedup marker, so the broker's redelivery
-        launches afresh, exactly once."""
+        """A launch is one commit: a shard that dies before it leaves no
+        instance, no spent serial and no dedup marker behind, so the
+        broker's redelivery after the promotion launches exactly once,
+        under the id the dead attempt never made durable."""
         kernel, plane = make_plane(shards=1, seed=5)
         crash = FaultAction("server.emit.pre-persist", "crash")
         with installed(FaultInjector([crash])):
@@ -148,14 +148,15 @@ class TestLaunchKilledBeforeItsFirstEvents:
             with pytest.raises(InjectedCrash):
                 plane.drain_requests()
         shard = plane.shards[0]
-        [stranded] = shard.store.instances.instance_ids()
-        assert shard.store.instances.event_count(stranded) == 0
+        assert shard.store.instances.instance_ids() == []
+        assert shard.store.configuration.setting("instance_serial") is None
+        assert shard.store.configuration.settings("request/") == {}
         plane.crash_shard(0)
         plane.run_until(lambda: request.status == "done"
                         and plane.instance(request.result).terminal)
         assert plane.broker.takeovers == 1
         server = shard.server
         assert server.store.instances.instance_ids() == [request.result]
-        assert request.result != stranded
+        assert request.result == "s00-pi-000001"
         assert plane.instance(request.result).status == "completed"
         assert invariants.check_server(server) == []

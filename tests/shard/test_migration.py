@@ -21,6 +21,7 @@ from repro.errors import ActivityFailure, EngineError, UnknownShardError
 from repro.faults import invariants
 from repro.faults.plan import FaultAction
 from repro.faults.points import FaultInjector, InjectedCrash, installed
+from repro.prov import lineage_records
 from repro.prov.graph import ProvenanceGraph
 from repro.shard import (
     BROKER,
@@ -259,41 +260,81 @@ class TestCrashWindows:
         _assert_plane_clean(plane)
 
 
-class TestNoDerivedStateIsWritten:
-    """Moves rewrite lineage in bulk, behind the provenance view's back:
-    the view re-bases on the log, and nothing derived reaches a store."""
+def _assert_graphs_follow_the_logs(plane):
+    for shard in plane.shards:
+        store = shard.store
+        assert store.kv.keys("obs/") == [], f"shard {shard.index}"
+        assert store.kv.keys("data/lineage") == [], f"shard {shard.index}"
+        rebuilt = ProvenanceGraph(lineage_records(store))
+        graph = store.observability.provenance.graph
+        assert codec.encode(graph.dump()) == codec.encode(
+            rebuilt.dump()), f"shard {shard.index}"
 
-    @staticmethod
-    def _assert_graphs_follow_the_logs(plane):
-        for shard in plane.shards:
-            store = shard.store
-            assert store.kv.keys("obs/") == [], f"shard {shard.index}"
-            rebuilt = ProvenanceGraph.from_records(
-                store.data.lineage_records())
-            graph = store.observability.provenance.graph
-            assert codec.encode(graph.dump()) == codec.encode(
-                rebuilt.dump()), f"shard {shard.index}"
+
+class TestNoDerivedStateIsWritten:
+    """A move copies the log and rewrites nothing: each shard's graph
+    folds the copy it holds, and nothing derived reaches a store."""
 
     def test_import_commit_and_rollback_write_no_obs_key(self):
         kernel, plane = make_plane(shards=2, seed=7)
         requests = _launch(plane, 6, cost=5.0)
         kernel.run()
         first, second = _ids_on(requests, 0)[:2]
-        assert plane.shards[0].store.data.lineage_count() > 0
+        assert list(lineage_records(plane.shards[0].store))
         # import on the target, commit on the source
         plane.migrator.migrate_instance(first, 1)
-        self._assert_graphs_follow_the_logs(plane)
-        # a move that dies before its commit point is rolled back
-        staged_before = plane.shards[1].store.data.lineage_count()
+        _assert_graphs_follow_the_logs(plane)
+        # a move that dies before its commit point is rolled back; the
+        # staged copy is folded by neither the view nor the rescan
         with installed(FaultInjector([
                 FaultAction("shard.migrate.commit", "crash")])):
             with pytest.raises(InjectedCrash):
                 plane.migrator.migrate_instance(second, 1)
-        assert plane.shards[1].store.data.lineage_count() > staged_before
+        _assert_graphs_follow_the_logs(plane)
         plane.crash_shard(0)
         plane.recover_shard(0)   # resume rolls the staged copy back
         assert plane.resolve_instance(second)[0] == 0
-        self._assert_graphs_follow_the_logs(plane)
+        _assert_graphs_follow_the_logs(plane)
+        _assert_plane_clean(plane)
+
+    @pytest.mark.parametrize("point,side", [
+        ("shard.migrate.import", "target"),
+        ("shard.migrate.commit", "source"),
+    ])
+    def test_a_resumed_move_leaves_one_copy_of_its_derivations(
+            self, point, side):
+        """Crash inside the move, recover the side that died (its resume
+        rolls the move back or forward), move again: the instance's
+        derivations are in exactly one shard's graph, and once in the
+        plane's merged export."""
+        kernel, plane = make_plane(shards=2, seed=7)
+        requests = _launch(plane, 6, cost=5.0)
+        kernel.run()
+        victim = _ids_on(requests, 0)[0]
+        with installed(FaultInjector([FaultAction(point, "crash")])):
+            with pytest.raises(InjectedCrash):
+                plane.migrator.migrate_instance(victim, 1)
+        crashed = plane.migrator.current[side]
+        plane.crash_shard(crashed)
+        plane.recover_shard(crashed)   # resume rolls the move back
+
+        def holders(*ids):
+            return [(shard.index, instance_id) for shard in plane.shards
+                    for instance_id in shard.server.obs.provenance.graph
+                    .instance_ids() if instance_id in ids]
+
+        _assert_graphs_follow_the_logs(plane)
+        assert holders(victim) == [(0, victim)]
+        owner, final_id = plane.resolve_instance(
+            plane.migrator.migrate_instance(victim, 1))
+        assert owner == 1
+        _assert_graphs_follow_the_logs(plane)
+        assert holders(victim, final_id) == [(1, final_id)]
+        served = ShardedConsole(plane).export_prov()
+        instances = [attrs["repro:instance"]
+                     for attrs in served["activity"].values()]
+        assert instances.count(final_id) == 1
+        assert victim not in instances
         _assert_plane_clean(plane)
 
 

@@ -3,15 +3,15 @@
 Differential: after anything that changes a shard's lineage or the shard
 set, ``ShardedConsole.export_prov()`` is byte-identical (canonical
 codec) to a merge of documents built from scratch off every live shard's
-durable lineage log. Cost shape, in counts: an unchanged plane re-merges
+durable event logs. Cost shape, in counts: an unchanged plane re-merges
 nothing.
 """
 
 from unittest import mock
 
 from repro.faults import invariants
-from repro.prov import ProvenanceGraph, merge_prov_documents, \
-    provenance_graph
+from repro.prov import ProvenanceGraph, lineage_records, \
+    merge_prov_documents, provenance_graph
 from repro.shard import ShardedConsole
 from repro.shard import plane as plane_module
 from repro.store import codec
@@ -23,8 +23,7 @@ def rebuilt_document(plane):
     """The export as it was before it was served: every live shard's
     graph and document built from its durable records, merged anew."""
     return merge_prov_documents(
-        ProvenanceGraph.from_records(
-            shard.store.data.lineage_records()).to_prov_json()
+        ProvenanceGraph(lineage_records(shard.store)).to_prov_json()
         for shard in plane.shards if not shard.retired)
 
 
@@ -77,11 +76,13 @@ class TestServedVsRebuilt:
         assert new_id in instances and moved not in instances
 
     def test_a_drain_leaves_the_graph_to_its_first_reader(self):
-        """A drain folds no lineage: each move leaves the live view
-        behind its log, and the first export folds each log once."""
+        """A drain rewrites and adds nothing: the target keeps each
+        copied completion for its graph's first reader, the source
+        forgets the instance, and the first export adds each derivation
+        once."""
         kernel, plane = make_plane(2, seed=7)
         launch_and_run(kernel, plane, 32)
-        lineage = sum(shard.store.data.lineage_count()
+        lineage = sum(len(list(lineage_records(shard.store)))
                       for shard in plane.shards)
         added = []
         real_add = ProvenanceGraph.add
@@ -96,7 +97,8 @@ class TestServedVsRebuilt:
             served = ShardedConsole(plane).export_prov()
         assert moved and drained == 0
         assert codec.encode(served) == codec.encode(rebuilt_document(plane))
-        assert 0 < len(added) <= lineage == 32
+        assert len(added) == lineage == 32
+        assert len(plane.shards[0].server.obs.provenance.graph) == 0
         for shard in plane.shards:
             if not shard.retired:
                 assert invariants._check_prov_equivalence(

@@ -42,22 +42,37 @@ class TestTemplateSpace:
 
 class TestInstanceSpace:
     def test_create_and_meta(self, store):
-        store.instances.create("i1", {"status": "created"})
-        assert store.instances.meta("i1") == {"status": "created"}
+        store.instances.create("i1", {"request_key": None})
+        assert store.instances.meta("i1") == {"request_key": None}
 
     def test_duplicate_create_rejected(self, store):
         store.instances.create("i1", {})
         with pytest.raises(StoreError):
             store.instances.create("i1", {})
 
-    def test_update_meta(self, store):
-        store.instances.create("i1", {"status": "created"})
-        store.instances.update_meta("i1", status="running")
-        assert store.instances.meta("i1")["status"] == "running"
+    def test_create_commits_record_first_events_and_extra_at_once(
+            self, store):
+        """One WAL record holds the create record, the first events and
+        the extra keys, and the observer sees the events as a slice."""
+        seen = []
+        store.instances.observer = (
+            lambda iid, start, events: seen.append((iid, start, events)))
+        records = store.kv._wal.position()
+        store.instances.create("i1", {"request_key": "k"},
+                               [{"type": "a"}, {"type": "b"}],
+                               {"config/setting/request/k": "i1"})
+        assert store.kv._wal.position() == records + 1
+        assert seen == [("i1", 0, [{"type": "a"}, {"type": "b"}])]
+        survivor = store.simulate_crash()
+        assert survivor.instances.meta("i1") == {"request_key": "k"}
+        assert survivor.instances.event_count("i1") == 2
+        assert survivor.configuration.setting("request/k") == "i1"
 
-    def test_update_meta_unknown_raises(self, store):
-        with pytest.raises(StoreError):
-            store.instances.update_meta("nope", status="x")
+    def test_last_event_reads_the_newest_record(self, store):
+        store.instances.create("i1", {})
+        assert store.instances.last_event("i1") is None
+        store.instances.append_events("i1", [{"n": 0}, {"n": 1}])
+        assert store.instances.last_event("i1") == {"n": 1}
 
     def test_event_log_order_and_seq(self, store):
         store.instances.create("i1", {})
@@ -152,37 +167,25 @@ class TestDataSpace:
         assert store.data.run("r1") == {"wall": 10}
         assert store.data.runs() == {"r1": {"wall": 10}}
 
-    def test_lineage_appends_in_order(self, store):
-        for index in range(3):
-            store.data.append_lineage({"n": index})
-        assert [r["n"] for r in store.data.lineage_records()] == [0, 1, 2]
-
-    def test_lineage_observer_runs_after_the_commit(self, store):
-        """What the observer raises reaches the caller; the record is
-        durable all the same."""
-        def broken(seq, record):
-            assert store.data.lineage_count() == seq + 1
-            raise RuntimeError("observer bug")
-
-        store.data.observer = broken
-        with pytest.raises(RuntimeError, match="observer bug"):
-            store.data.append_lineage({"n": 0})
-        assert store.simulate_crash().data.lineage_records() == [{"n": 0}]
+    def test_memo_cache(self, store):
+        store.data.memo_put("k", {"v": 1})
+        assert store.data.memo_get("k") == {"v": 1}
+        store.data.memo_delete("k")
+        assert store.data.memo_get("k") is None
 
 
 class TestOneLogReader:
-    """``events``/``lineage_records`` read by sequence key through
-    ``events_from``/``lineage_records_from``: no whole-store prefix scan
-    per call, and a hole is an error on every read."""
+    """``events`` reads by sequence key through ``events_from``: no
+    whole-store prefix scan per call, and a hole is an error on every
+    read."""
 
     @pytest.fixture()
     def populated(self, store):
         for index in range(50):
             instance_id = f"pi-{index:03d}"
-            store.instances.create(instance_id, {"status": "running"})
+            store.instances.create(instance_id, {})
             store.instances.append_events(
                 instance_id, [{"type": "a"}, {"type": "b"}, {"type": "c"}])
-            store.data.append_lineage({"instance_id": instance_id})
         return store
 
     def test_full_reads_make_no_prefix_scan(self, populated, monkeypatch):
@@ -195,9 +198,7 @@ class TestOneLogReader:
 
         monkeypatch.setattr(type(populated.kv), "keys", counting_keys)
         events = list(populated.instances.events("pi-025"))
-        records = populated.data.lineage_records()
         assert [event["type"] for event in events] == ["a", "b", "c"]
-        assert len(records) == 50
         assert scans == []
 
     def test_hole_in_an_event_log_raises_on_a_full_read(self, populated):

@@ -59,3 +59,27 @@ def test_no_two_entry_points_wrap_the_same_attribute():
             twice.append(f"{owner_path}.{attr} is {seen[key]}.{attr}")
         seen.setdefault(key, owner_path)
     assert twice == []
+
+
+NEVER_CALLED = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "tools", "never_called.txt")
+
+
+def test_every_ledger_only_stub_names_a_row_still_in_the_table():
+    """A definition accepted as never called because the ledger patches
+    it must still be patched: when the ledger drops the row, the stub
+    has no reason left and must go with it."""
+    rows = {(owner_path, attr) for owner_path, attr, _span, _value
+            in _repro_rows()}
+    stubs = []
+    with open(NEVER_CALLED) as listing:
+        for line in listing:
+            entry, _, reason = line.partition("#")
+            if "::" not in entry or "ledger" not in reason:
+                continue
+            path, qualname = entry.strip().split("::")
+            module = path[len("src/"):-len(".py")].replace("/", ".")
+            owner, _, attr = qualname.rpartition(".")
+            stubs.append((f"{module}:{owner}" if owner else module, attr))
+    assert stubs
+    assert [stub for stub in stubs if stub not in rows] == []
