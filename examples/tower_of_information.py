@@ -73,7 +73,10 @@ def main():
     for dataset in sorted(stale):
         print(f"  {dataset.split('/', 1)[1]}")
 
-    # Operator-driven re-run of one step after a parameter change.
+    # Operator-driven re-run of one step after a parameter change. An
+    # ended instance takes no edits: restarting the step reopens it, the
+    # edit lands, and restarting it again re-runs it with the new size.
+    server.restart_task(instance_id, "GeneLocation")
     server.change_parameter(instance_id, "genome_size", 300_000)
     server.restart_task(instance_id, "GeneLocation")
     environment.run_instance(instance_id)

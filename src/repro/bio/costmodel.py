@@ -19,7 +19,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Sequence as Seq
+from typing import Any, Dict, List, Sequence as Seq
 
 import numpy as np
 
@@ -139,8 +139,11 @@ class QueueIndex:
     queue.
     """
 
-    def __init__(self, profile: DatabaseProfile, queue: Seq[int]):
-        self.key = queue
+    def __init__(self, profile: DatabaseProfile, queue: Seq[int],
+                 key: Any = None):
+        #: what :class:`~repro.bio.darwin.DarwinEngine` matches a TEU's
+        #: queue against: the entries themselves unless ``key`` is given.
+        self.key = queue if key is None else key
         if isinstance(queue, range) and queue.step > 0:
             self.entries: Seq[int] = queue
         else:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from typing import Any, Dict, List, Optional, Sequence as Seq
+from typing import Any, Callable, Dict, List, Optional, Sequence as Seq
 
 from ..errors import BioError
 from .costmodel import CostModel, DatabaseProfile, QueueIndex
@@ -111,27 +111,37 @@ class DarwinEngine:
     # Fixed-PAM first pass (one TEU)
     # ------------------------------------------------------------------
 
-    def _queue_index(self, queue: Seq[int]) -> QueueIndex:
+    def _queue_index(self, queue: Any,
+                     expand: Optional[Callable[[Any], Seq[int]]] = None
+                     ) -> QueueIndex:
         """The queue's :class:`QueueIndex`, built once per distinct queue.
 
-        One slot, keyed by the queue's value: the TEUs of one all-vs-all
+        One slot, keyed by the queue as given (its entries, or the
+        descriptor ``expand`` turns into them): the TEUs of one all-vs-all
         share their queue, so each reuses the index the first one built.
+        The key is matched by identity, then by equality; the queue is
+        expanded only on a miss.
         """
-        if not isinstance(queue, (range, tuple)):
+        if expand is None and not isinstance(queue, (range, tuple)):
             queue = tuple(queue)
-        if self._index is None or self._index.key != queue:
-            self._index = QueueIndex(self.profile, queue)
-        return self._index
+        index = self._index
+        if index is None or (index.key is not queue and index.key != queue):
+            entries = queue if expand is None else expand(queue)
+            self._index = index = QueueIndex(self.profile, entries, key=queue)
+        return index
 
-    def align_partition(self, partition: Seq[int],
-                        queue: Seq[int]) -> Dict[str, Any]:
+    def align_partition(self, partition: Seq[int], queue: Any,
+                        expand: Optional[Callable[[Any], Seq[int]]] = None
+                        ) -> Dict[str, Any]:
         """Align every partition entry against all later queue entries.
 
-        Returns ``{"match_set": ..., "cost": seconds, "pairs": int}`` where
-        cost includes the Darwin initialization for this TEU.
+        ``queue`` is the queue's entries or, with ``expand``, a descriptor
+        ``expand(queue)`` turns into them. Returns ``{"match_set": ...,
+        "cost": seconds, "pairs": int}`` where cost includes the Darwin
+        initialization for this TEU.
         """
         partition = sorted(int(i) for i in partition)
-        index = self._queue_index(queue)
+        index = self._queue_index(queue, expand)
         positions = index.locate(partition)
         if self.mode == "real":
             match_set, pairs, cost = self._align_real(partition, index)

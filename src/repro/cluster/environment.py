@@ -143,6 +143,7 @@ class SimulatedCluster(ExecutionEnvironment):
             self._cancelled_jobs.discard(job.job_id)
             return
         self.pecs[node_name].receive_job(job)
+        self.trace.touch(node_name)
         self.trace.record()
 
     def execution_noise_factor(self) -> float:
@@ -160,6 +161,7 @@ class SimulatedCluster(ExecutionEnvironment):
     def cancel(self, job_id: str) -> None:
         for node in self.nodes.values():
             if node.kill_job(job_id):
+                self.trace.touch(node.name)
                 self.trace.record()
                 return
         # Not running anywhere yet: the dispatch message is still in
@@ -213,14 +215,14 @@ class SimulatedCluster(ExecutionEnvironment):
 
     def deliver_completion(self, job: JobRequest, outputs: Dict[str, Any],
                            cost: float, node_name: str) -> None:
-        self.trace.record()
+        # No trace record: a report changes no node (the job left its
+        # node, and was recorded, when it finished there).
         if self.server is not None and self.server.up:
             self.server.on_job_completed(job.job_id, outputs, cost,
                                          node_name, epoch=job.epoch or None)
 
     def deliver_failure(self, job: JobRequest, reason: str, node_name: str,
                         detail: str) -> None:
-        self.trace.record()
         if self.server is not None and self.server.up:
             self.server.on_job_failed(job.job_id, reason, node_name,
                                       detail=detail,
@@ -233,6 +235,7 @@ class SimulatedCluster(ExecutionEnvironment):
     def _node_job_done(self, node: SimNode, job_id: str,
                        payload: Dict[str, Any], cpu_consumed: float) -> None:
         self.pecs[node.name].job_finished(job_id, payload, cpu_consumed)
+        self.trace.touch(node.name)
         self.trace.record()
 
     def note_job_finished(self, job_id: str) -> None:
@@ -250,6 +253,7 @@ class SimulatedCluster(ExecutionEnvironment):
     def crash_node(self, name: str) -> List[str]:
         """Take a node down hard; lost jobs are detected after a delay."""
         lost = self.nodes[name].crash()
+        self.trace.touch(name)
         self.trace.record()
         self.kernel.schedule(
             self.DETECTION_DELAY, self._notify_node_down, name,
@@ -266,6 +270,7 @@ class SimulatedCluster(ExecutionEnvironment):
     def restore_node(self, name: str) -> None:
         node = self.nodes[name]
         node.restore()
+        self.trace.touch(name)
         self.trace.record()
         self._announce_node_up(name)
 
@@ -296,6 +301,7 @@ class SimulatedCluster(ExecutionEnvironment):
     def upgrade_node(self, name: str, cpus: Optional[int] = None,
                      speed: Optional[float] = None) -> None:
         self.nodes[name].upgrade(cpus=cpus, speed=speed)
+        self.trace.touch(name)
         self.trace.record()
         if self.server is not None and self.server.up:
             self.server.on_node_reconfigured(name, cpus=cpus, speed=speed)
@@ -303,6 +309,7 @@ class SimulatedCluster(ExecutionEnvironment):
     def set_external_load(self, name: str, load: float) -> None:
         self.nodes[name].set_external_load(load)
         self.pecs[name].load_changed()
+        self.trace.touch(name)
         self.trace.record()
 
     def start_partition(self, nodes: Optional[Sequence[str]] = None,
@@ -329,6 +336,7 @@ class SimulatedCluster(ExecutionEnvironment):
         else:
             raise ClusterError(f"unknown partition direction {direction!r}")
         self._partitions[pid] = (names, direction)
+        self.trace.touch()
         self.trace.record()
         if direction in ("both", "to-server"):
             # The server stops hearing from these nodes; after the failure
@@ -354,6 +362,7 @@ class SimulatedCluster(ExecutionEnvironment):
         if entry is None:
             return
         self.network.heal(pid)
+        self.trace.touch()
         self.trace.record()
         names, direction = entry
         if direction in ("both", "to-server"):

@@ -194,12 +194,13 @@ def verify_log(store: OperaStore, instance_id: str, resolver) -> List[str]:
 def recovery_report(store: OperaStore) -> Dict[str, object]:
     """Summarize what the last store recovery actually cost.
 
-    Combines the KV store's bounded-recovery accounting (checkpoint
-    position, records replayed past it, live segments, repairs made on
-    open) with the per-instance event counts the engine replay walks.
-    With checkpointing enabled ``records_replayed`` stays bounded by the
-    checkpoint interval regardless of how long the run has been going —
-    the number an operator checks when recovery feels slow (see
+    Combines the KV store's recovery accounting (checkpoint position,
+    records replayed — the checkpoint chain and the suffix past it, heads
+    only —, live segments, repairs made on open) with the per-instance
+    event counts the engine replay walks. The chain stays within twice
+    the live state however long the run has been going (a checkpoint
+    rewrites it when mostly superseded), so ``records_replayed`` is the
+    number an operator checks when recovery feels slow (see
     docs/recovery.md).
     """
     info = dict(store.kv.last_recovery)

@@ -829,8 +829,16 @@ class BioOperaServer:
 
     def change_parameter(self, instance_id: str, name: str, value: Any,
                          scope: str = "") -> None:
-        """Operator edit of a whiteboard item (paper, Section 3.4)."""
+        """Operator edit of a whiteboard item (paper, Section 3.4).
+
+        Only a live instance is edited: an edit after the terminal event
+        would make the log read as live again. Restart a task to reopen
+        an ended one first."""
         instance = self.instance(instance_id)
+        if instance.terminal:
+            raise InvalidStateError(
+                f"instance {instance_id!r} has ended ({instance.status}); "
+                "restart a task to reopen it")
         self.metrics["manual_interventions"] += 1
         self.emit(instance, ev.whiteboard_set(scope, name, value, self.clock()))
         self.navigator.navigate(instance)

@@ -23,15 +23,15 @@ against a live :class:`~repro.core.engine.server.BioOperaServer`:
   healed-partition double-apply);
 * **no lease double-grant** — at most one live lease per task occurrence,
   every live lease backed by an in-flight job;
-* **WAL integrity** — the KV store's checkpoint snapshot + WAL suffix
+* **WAL integrity** — the KV store's checkpoint chain + WAL suffix
   replays to exactly the live state
   (:meth:`~repro.store.kvstore.KVStore.audit`);
-* **bounded-recovery equivalence** — when the store retains truncated
-  segments (chaos campaigns run with ``retain_history=True``), the
-  snapshot + suffix reconstruction must be byte-identical, under the
-  canonical codec, to replaying the entire log from record zero — proof
-  that checkpoint-triggered truncation never changes recovery semantics
-  (also inside :meth:`~repro.store.kvstore.KVStore.audit`).
+* **bounded-recovery equivalence** — when the store retains the
+  segments a rewrite replaces (chaos campaigns run with
+  ``retain_history=True``), the chain + suffix reconstruction must be
+  byte-identical, under the canonical codec, to replaying the entire log
+  from record zero — proof that a chain rewrite never changes recovery
+  semantics (also inside :meth:`~repro.store.kvstore.KVStore.audit`).
 * **no work for an ended instance** — no job is queued, held or in
   flight for an instance that has completed or aborted;
 * **one terminal event** — an instance log holds one terminal event per

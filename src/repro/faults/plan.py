@@ -323,9 +323,10 @@ class FaultPlan:
             # events), so hit numbers stay small.
             maybe(0.3, "store.rotate", "crash", (1, 8))
             maybe(0.25, "store.checkpoint.begin", "crash", (1, 4))
-            maybe(0.25, "store.checkpoint.post-snapshot", "crash", (1, 4))
-            maybe(0.25, "store.checkpoint.truncate", "crash", (1, 4))
-            maybe(0.25, "store.checkpoint.post-truncate", "crash", (1, 4))
+            maybe(0.25, "store.checkpoint.chain-extended", "crash", (1, 4))
+            maybe(0.25, "store.checkpoint.rewrite-written", "crash", (1, 4))
+            maybe(0.25, "store.checkpoint.manifest-switched", "crash",
+                  (1, 4))
         maybe(0.4, "pec.report", "duplicate", (1, 15))
         maybe(0.4, "pec.report", "delay", (1, 15),
               delay=round(rng.uniform(10.0, 400.0), 3))

@@ -43,9 +43,9 @@ CATALOG: Dict[str, tuple] = {
     "kvstore.commit.post-sync": ("crash",),
     "store.rotate": ("crash",),
     "store.checkpoint.begin": ("crash",),
-    "store.checkpoint.post-snapshot": ("crash",),
-    "store.checkpoint.truncate": ("crash",),
-    "store.checkpoint.post-truncate": ("crash",),
+    "store.checkpoint.chain-extended": ("crash",),
+    "store.checkpoint.rewrite-written": ("crash",),
+    "store.checkpoint.manifest-switched": ("crash",),
     # engine layer
     "server.emit.pre-persist": ("crash",),
     "server.emit.post-persist": ("crash",),

@@ -77,8 +77,8 @@ def register_all_vs_all_programs(registry: ProgramRegistry,
     def align_fixed_pam(inputs: Dict[str, Any],
                         ctx: ProgramContext) -> ProgramResult:
         partition = partitioning.expand(inputs["partition"])
-        queue = partitioning.expand(inputs["queue"])
-        result = darwin.align_partition(partition, queue)
+        result = darwin.align_partition(partition, inputs["queue"],
+                                        expand=partitioning.expand)
         return ProgramResult(
             {"match_set": result["match_set"], "pairs": result["pairs"]},
             cost=result["cost"],

@@ -1,4 +1,4 @@
-"""Crash-recoverable key-value store: WAL + snapshot + bounded replay.
+"""Crash-recoverable key-value store: WAL + checkpoint chain.
 
 This is the "database" under BioOpera's data spaces. Guarantees:
 
@@ -7,14 +7,15 @@ This is the "database" under BioOpera's data spaces. Guarantees:
   :meth:`Transaction.commit`) returns: it is durable when it returns.
 * **Atomicity** — a transaction's operations are framed as one WAL record
   and applied all-or-nothing on replay.
-* **Recovery** — opening a store rebuilds state as the latest checkpoint
-  snapshot plus replay of only the log *suffix* past the snapshot's
-  position. There is one snapshot format (the positioned checkpoint
-  :meth:`KVStore.checkpoint` writes); a snapshot file of any other shape
-  is a :class:`~repro.errors.CorruptLogError`. :meth:`checkpoint` cuts a
-  snapshot and truncates every WAL segment it covers, so recovery time
-  and disk footprint stay flat in run length instead of growing with it
-  (ARIES-style log truncation).
+* **Recovery** — opening a store replays the *checkpoint chain* and the
+  log suffix past it, heads only. The chain is a sequence of records in
+  the WAL's shape: the base a rewrite wrote (if any), then the sealed
+  segments up to the checkpoint position. :meth:`KVStore.checkpoint`
+  extends the chain by the records committed since the last one — the
+  bytes the WAL already wrote, kept in place, never re-encoded — and
+  rewrites it only when its superseded bytes exceed its live bytes, so
+  what an open reads stays within twice the live state while a log that
+  only appends never pays a rewrite.
 
 A WAL record encodes ``[heads, values]``: ``heads`` is the flat list
 ``[op1, key1, op2, key2, ...]`` (``"put"``/``"del"``), ``values`` one
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import copy
 import os
-from typing import Any, Dict, Iterable, Iterator, List, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import CodecError, CorruptLogError, ReproError, StoreError
 from ..faults.points import fire
@@ -42,20 +43,62 @@ from .wal import DEFAULT_SEGMENT_RECORDS, SegmentedWAL
 
 MEMORY = ":memory:"
 
-#: marker key of the one snapshot format: a positioned checkpoint.
-_CHECKPOINT_MAGIC = "__kv_checkpoint__"
 
+class _Liveness:
+    """Which records of the chain still hold a live value.
 
-def _is_positioned_snapshot(snapshot: Any) -> bool:
-    """True only for the exact shape :meth:`KVStore.checkpoint` writes:
-    the three expected top-level keys, an integer position, a dict state."""
-    return (
-        isinstance(snapshot, dict)
-        and set(snapshot) == {_CHECKPOINT_MAGIC, "position", "state"}
-        and isinstance(snapshot["position"], int)
-        and not isinstance(snapshot["position"], bool)
-        and isinstance(snapshot["state"], dict)
-    )
+    A record is live while some key's value is the one it put; once every
+    such key has been put again or deleted, its bytes are superseded. A
+    record of deletes alone is superseded at once. Records are weighed in
+    log order, from their heads, when a checkpoint asks: nothing is kept
+    per commit, and a store that never checkpoints keeps nothing.
+    """
+
+    __slots__ = ("position", "holder", "held", "total", "superseded",
+                 "_next")
+
+    def __init__(self, position: int):
+        #: global position of the first record not weighed yet.
+        self.position = position
+        #: key -> id of the record holding its live value.
+        self.holder: Dict[str, int] = {}
+        #: live record id -> [keys it holds, its bytes].
+        self.held: Dict[int, List[int]] = {}
+        self.total = 0
+        self.superseded = 0
+        self._next = 0
+
+    def weigh(self, payloads: Iterable[bytes]) -> None:
+        """Account for the records ``payloads``, next in log order."""
+        holder, held = self.holder, self.held
+        for payload in payloads:
+            heads = codec.decode_head(payload)
+            rid = self._next
+            self._next += 1
+            self.total += len(payload)
+            holds = 0
+            for index in range(0, len(heads), 2):
+                key = heads[index + 1]
+                old = holder.pop(key, None)
+                if old == rid:
+                    holds -= 1
+                elif old is not None:
+                    entry = held[old]
+                    entry[0] -= 1
+                    if not entry[0]:
+                        self.superseded += entry[1]
+                        del held[old]
+                if heads[index] == "put":
+                    holder[key] = rid
+                    holds += 1
+            if holds:
+                held[rid] = [holds, len(payload)]
+            else:
+                self.superseded += len(payload)
+
+    def needs_rewrite(self) -> bool:
+        """True when the superseded bytes exceed the live ones."""
+        return 2 * self.superseded > self.total
 
 
 class Transaction:
@@ -112,8 +155,8 @@ class KVStore:
     Parameters
     ----------
     path:
-        Directory for the segmented WAL (``wal/``) and ``store.snapshot``,
-        or :data:`MEMORY` for the same files on a private
+        Directory for the segmented WAL and the chain (``wal/``), or
+        :data:`MEMORY` for the same files on a private
         :class:`~repro.store.disk.MemoryDisk` (durability simulated by
         its crash model).
     segment_records:
@@ -122,10 +165,10 @@ class KVStore:
         :data:`~repro.store.wal.DEFAULT_SEGMENT_BYTES` bytes, for stores
         of unusually large records).
     retain_history:
-        Keep truncated segments on disk (retired in the manifest) so
-        :meth:`audit` can verify that checkpoint+suffix recovery is
-        byte-identical to a full-log replay. Costs the disk the
-        truncation would have reclaimed; meant for chaos campaigns and
+        Keep the segments a rewrite replaces on disk (retired in the
+        manifest) so :meth:`audit` can verify that chain+suffix recovery
+        is byte-identical to a full-log replay. Costs the disk the
+        rewrite would have reclaimed; meant for chaos campaigns and
         tests, not production stores.
     """
 
@@ -140,17 +183,17 @@ class KVStore:
         self._open(MemoryDisk() if path == MEMORY else OS_DISK)
 
     def _open(self, disk: Disk) -> None:
-        """Open the WAL and the snapshot on ``disk`` and recover from
-        them: the one open, of a new store and of a crash survivor."""
+        """Open the WAL on ``disk`` and recover from its chain and
+        suffix: the one open, of a new store and of a crash survivor."""
         self._disk = disk
         self._wal = SegmentedWAL(
             os.path.join(self.path, "wal"), disk=disk,
             max_segment_records=self._options["segment_records"],
             retain_truncated=self._options["retain_history"],
         )
-        self._snapshot = FileSnapshot(
-            os.path.join(self.path, "store.snapshot"), disk=disk)
         self._state: Dict[str, Any] = {}
+        #: the chain's byte accounting, once a checkpoint has weighed it.
+        self._live: Optional[_Liveness] = None
         #: summary of the last recovery (set by every open/replay):
         #: checkpoint position, records replayed, live segments, repairs.
         self.last_recovery: Dict[str, Any] = {}
@@ -158,23 +201,25 @@ class KVStore:
 
     # -- recovery -------------------------------------------------------------
 
-    def _load_snapshot_state(self) -> Tuple[Dict[str, Any], int]:
-        """Return ``(state, position)`` from the checkpoint snapshot."""
-        snapshot = self._snapshot.load()
-        if snapshot is None:
-            return {}, 0
-        if not _is_positioned_snapshot(snapshot):
-            raise CorruptLogError(
-                f"{self.path}: snapshot is not a positioned checkpoint"
-            )
-        return dict(snapshot["state"]), int(snapshot["position"])
+    def _chain_base(self) -> List[bytes]:
+        """The records of the chain's base: none before the first
+        rewrite, when the chain must start at position zero."""
+        path = self._wal.base_path()
+        records = None if path is None else FileSnapshot(
+            path, disk=self._disk).load()
+        if records is None:
+            if path is not None or self._wal.base_position():
+                raise CorruptLogError(
+                    f"{self.path}: the chain's base is missing")
+            return []
+        return records
 
     def _replay(self) -> None:
-        state, position = self._load_snapshot_state()
-        self._state = state
-        replayed = self._replay_into(state, self._wal.records_from(position))
+        state = self._state
+        replayed = self._replay_into(state, self._chain_base())
+        replayed += self._replay_into(state, self._wal.records())
         self.last_recovery = {
-            "checkpoint_position": position,
+            "checkpoint_position": self._wal.checkpoint_position(),
             "records_replayed": replayed,
             "wal_position": self._wal.position(),
             "segments": self._wal.segment_count(),
@@ -289,50 +334,71 @@ class KVStore:
         return Transaction(self)
 
     def checkpoint(self) -> None:
-        """Snapshot current state and truncate the log it covers.
+        """Extend the checkpoint chain by what was committed since the
+        last checkpoint; rewrite the chain when it is mostly superseded.
 
-        Sequence (each step durable before the next): sync the WAL, write
-        a positioned snapshot via atomic rename, then truncate every
-        segment wholly below the snapshot's position. A crash between
-        snapshot and truncation is benign — recovery uses the new
-        snapshot and the not-yet-truncated records below its position are
-        skipped (and re-truncated by the next checkpoint). The
-        ``store.checkpoint.*`` fault points let chaos campaigns crash in
-        each window.
+        Extending keeps the WAL's own records: the active segment is
+        sealed and the manifest names the chain through the log head
+        (:meth:`~repro.store.wal.SegmentedWAL.extend_chain`); no value
+        is decoded or encoded. The records new to the chain are weighed
+        from their heads (the whole chain at the first checkpoint after
+        an open), and only when the chain's superseded bytes exceed its
+        live bytes does it rewrite: every live value is encoded into
+        a new base (:meth:`~repro.store.snapshot.FileSnapshot.save`), the
+        manifest switches to it, and the segments it replaces are
+        unlinked (retired with ``retain_history``). Each step is durable
+        before the next, and the ``store.checkpoint.*`` fault points let
+        chaos campaigns crash in each window: before anything
+        (``begin``), sealed but not yet named the chain
+        (``chain-extended``), base written but not yet named
+        (``rewrite-written``), manifest switched but the replaced files
+        not yet unlinked (``manifest-switched``). Every window reopens to
+        the same state: the manifest names either the old chain or the
+        new one, and a reopen removes the files it does not name.
         """
         fire("store.checkpoint.begin")
         self._wal.sync()
         position = self._wal.position()
+        self._wal.extend_chain(position)
+        live = self._live
+        if live is None:   # first checkpoint since the open: the chain
+            live = self._live = _Liveness(self._wal.base_position())
+            live.weigh(self._chain_base())
+        live.weigh(self._wal.records_from(live.position))
+        live.position = position
+        if live.needs_rewrite():
+            self._rewrite(position)
+
+    def _rewrite(self, position: int) -> None:
+        """Replace the chain through ``position`` (the log head) by a base
+        holding the live state, re-encoded."""
         self._resolve_all(self._state)
-        self._snapshot.save({
-            _CHECKPOINT_MAGIC: 1,
-            "position": position,
-            "state": self._state,
-        })
-        # Crash here: snapshot durable, log not yet truncated — bounded
-        # recovery must skip the covered prefix rather than re-apply it.
-        fire("store.checkpoint.post-snapshot", position=position)
-        self._wal.truncate_through(position)
-        fire("store.checkpoint.post-truncate", position=position)
+        base = FileSnapshot(self._wal.new_base_path(), disk=self._disk)
+        payloads = base.save(self._state)
+        fire("store.checkpoint.rewrite-written", position=position)
+        self._wal.truncate_through(position, base=base.path)
+        self._live = _Liveness(position)
+        self._live.weigh(payloads)
 
     def audit(self) -> List[str]:
         """Recovery-integrity check against the durable state.
 
-        Rebuilds state as checkpoint snapshot + suffix replay and diffs it
-        against the live in-memory state; when the WAL retains full
-        history (``retain_history=True`` or nothing truncated yet), also
-        replays the entire log from position zero and requires the result
-        to be byte-identical (canonical encoding) to the bounded
+        Rebuilds state as chain + suffix replay and diffs it against the
+        live in-memory state; when a rewrite replaced part of the log and
+        the WAL retained it (``retain_history=True``), also replays the
+        entire log from position zero and requires the result to be
+        byte-identical (canonical encoding) to the chain + suffix
         reconstruction — the checkpoint invariant the chaos campaigns
-        assert. Every value is decoded first, the live state's included.
+        assert. Before any rewrite the chain + suffix is the full log. Every value is decoded first, the live state's included.
         Returns problem descriptions (ideally []). Only meaningful
         while the store is quiescent — a batch appended but not yet
         applied would show as a false diff.
         """
         problems: List[str] = []
         try:
-            replayed, position = self._load_snapshot_state()
-            self._replay_into(replayed, self._wal.records_from(position))
+            replayed: Dict[str, Any] = {}
+            self._replay_into(replayed, self._chain_base())
+            self._replay_into(replayed, self._wal.records())
             self._resolve_all(replayed)
             self._resolve_all(self._state)
         except ReproError as exc:
@@ -348,7 +414,9 @@ class KVStore:
                 "replayed state diverges from live state "
                 f"(missing={missing} extra={extra} changed={changed})"
             )
-        if self._wal.history_complete():
+        # Without a base the chain + suffix is the full log already.
+        if self._wal.base_path() is not None \
+                and self._wal.history_complete():
             try:
                 full: Dict[str, Any] = {}
                 self._replay_into(full, self._wal.full_records())
@@ -362,7 +430,7 @@ class KVStore:
                     missing = sorted(set(full) - set(replayed))[:5]
                     extra = sorted(set(replayed) - set(full))[:5]
                     problems.append(
-                        "snapshot+suffix replay is not byte-identical to "
+                        "chain+suffix replay is not byte-identical to "
                         f"full-log replay (missing={missing} extra={extra})"
                     )
         return problems
@@ -397,8 +465,9 @@ class KVStore:
 
     @property
     def wal_records(self) -> int:
-        """Number of live (non-truncated) WAL records; shrinks at checkpoint."""
-        return len(self._wal)
+        """Number of WAL records past the checkpoint chain; drops to zero
+        at a checkpoint."""
+        return self._wal.position() - self._wal.checkpoint_position()
 
     @property
     def wal_position(self) -> int:

@@ -5,17 +5,21 @@ A WAL is an ordered sequence of byte records, each framed as
 ``MANIFEST`` on a :class:`~repro.store.disk.Disk` — the operating
 system's for an on-disk store, a memory disk for an in-memory one: one
 code path. The log rotates to a fresh segment at a size/record
-threshold, and checkpoints truncate every segment wholly covered by a
-snapshot, so footprint and replay cost stay bounded in run length.
+threshold.
+
+The manifest also names the store's *checkpoint chain*: an optional
+*base* file (records in the same framing, written by a rewrite) followed
+by the sealed segments below the checkpoint position. A checkpoint
+extends the chain by sealing the active segment and moving the position
+(:meth:`SegmentedWAL.extend_chain`); only a rewrite replaces segments,
+by a new base (:meth:`SegmentedWAL.truncate_through`).
 
 Records have *global positions*: the position of a record never changes
-when earlier segments are truncated, so a snapshot taken at position ``P``
-always pairs with the suffix ``records_from(P)`` regardless of how much
-log was compacted since. The engine appends every state transition through
-a WAL *before* acting on it; this is the mechanism behind the paper's
-claim that computations resume after failures without losing completed
-work — and segment truncation is what keeps that resume *fast* after a
-month of appends.
+when earlier segments are truncated, so a base written at position ``P``
+always pairs with ``records_from(P)`` regardless of how much log was
+compacted since. The engine appends every state transition through a WAL
+*before* acting on it; this is the mechanism behind the paper's claim
+that computations resume after failures without losing completed work.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Optional
 
 from ..errors import CorruptLogError
 from . import codec
@@ -41,7 +45,12 @@ DEFAULT_SEGMENT_RECORDS = 256
 DEFAULT_SEGMENT_BYTES = 1 << 20
 
 
-def _scan(data: bytes):
+def frame(payload: bytes) -> bytes:
+    """``payload`` framed as one record: length, crc32, bytes."""
+    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+def scan(data: bytes):
     """Scan a segment byte buffer into ``(records, valid_end, corrupt)``.
 
     ``records`` is the list of valid payloads, ``valid_end`` the byte
@@ -75,16 +84,17 @@ class SegmentedWAL:
     Layout::
 
         <directory>/
-            MANIFEST          # codec JSON: segment list + next serial
+            MANIFEST          # codec JSON: segments, chain, next serial
+            base-00000003.wal # the chain's base, once a rewrite wrote one
             seg-00000001.wal  # length | crc32 | payload records
             seg-00000002.wal
             ...
 
-    The manifest is the source of truth: segment files not listed in it are
-    leftovers from a crash mid-rotation or mid-truncation and are removed
-    on open. The manifest itself is replaced by
-    :meth:`~repro.store.disk.Disk.write_atomic`, so every crash window
-    leaves either the old or the new manifest — never a mix.
+    The manifest is the source of truth: segment and base files not
+    listed in it are leftovers from a crash mid-rotation, mid-rewrite or
+    mid-truncation and are removed on open. The manifest itself is
+    replaced by :meth:`~repro.store.disk.Disk.write_atomic`, so every
+    crash window leaves either the old or the new manifest — never a mix.
 
     Each manifest entry records the segment's ``base`` (the global position
     of its first record) and, once sealed, its record ``count``. The last
@@ -119,6 +129,10 @@ class SegmentedWAL:
         self._entries: List[Dict] = []   # live segments, active last
         self._retired: List[Dict] = []   # truncated-but-retained segments
         self._next_serial = 1
+        #: the chain: its base file (None before the first rewrite) and
+        #: the position it runs through.
+        self._base = None
+        self._checkpoint = 0
         self._active_records = 0
         self._active_bytes = 0
         #: payloads of the scan made at open, by segment file: the first
@@ -134,19 +148,21 @@ class SegmentedWAL:
     def _segment_path(self, entry: Dict) -> str:
         return os.path.join(self.directory, entry["file"])
 
-    def _new_entry(self, base: int) -> Dict:
-        entry = {
-            "file": f"seg-{self._next_serial:08d}.wal",
-            "base": int(base),
-            "count": None,
-        }
+    def _new_name(self, kind: str) -> str:
+        name = f"{kind}-{self._next_serial:08d}.wal"
         self._next_serial += 1
-        return entry
+        return name
+
+    def _new_entry(self, base: int) -> Dict:
+        return {"file": self._new_name("seg"), "base": int(base),
+                "count": None}
 
     def _write_manifest(self) -> None:
         payload = codec.encode({
-            "format": 1,
+            "format": 2,
             "next_serial": self._next_serial,
+            "base": self._base,
+            "checkpoint": self._checkpoint,
             "segments": (
                 [dict(e, retired=True) for e in self._retired]
                 + self._entries
@@ -171,11 +187,13 @@ class SegmentedWAL:
             raise CorruptLogError(
                 f"{self._manifest_path}: undecodable manifest ({exc})"
             )
-        if not isinstance(manifest, dict) or manifest.get("format") != 1:
+        if not isinstance(manifest, dict) or manifest.get("format") != 2:
             raise CorruptLogError(
                 f"{self._manifest_path}: unknown manifest format"
             )
         self._next_serial = int(manifest.get("next_serial", 1))
+        self._base = manifest.get("base")
+        self._checkpoint = int(manifest.get("checkpoint", 0))
         for entry in manifest.get("segments", ()):
             record = {
                 "file": entry["file"],
@@ -212,7 +230,7 @@ class SegmentedWAL:
             if not disk.exists(path):
                 raise CorruptLogError(f"{path}: sealed segment missing")
             data = disk.read(path)
-            records, valid_end, corrupt = _scan(data)
+            records, valid_end, corrupt = scan(data)
             if corrupt or valid_end != len(data) \
                     or len(records) != entry["count"]:
                 raise CorruptLogError(
@@ -230,7 +248,7 @@ class SegmentedWAL:
             disk.fsync_dir(self.directory)
             return
         data = disk.read(path)
-        records, valid_end, corrupt = _scan(data)
+        records, valid_end, corrupt = scan(data)
         if corrupt:
             self.repairs.append(
                 f"{active['file']}: corruption at offset {valid_end}; "
@@ -243,20 +261,23 @@ class SegmentedWAL:
         self._active_bytes = valid_end
 
     def _cleanup_orphans(self) -> None:
-        """Remove crash leftovers: unmanifested segments and tmp files.
+        """Remove crash leftovers: unmanifested segments, bases and tmp
+        files.
 
         Only files matching the names this WAL itself creates
-        (``seg-*.wal`` and ``*.tmp``) are touched — anything else in the
-        directory (an operator's backup copy, a tool's scratch file) is
-        left alone. Removals are recorded in :attr:`repairs`.
+        (``seg-*.wal``, ``base-*.wal`` and ``*.tmp``) are touched —
+        anything else in the directory (an operator's backup copy, a
+        tool's scratch file) is left alone. Removals are recorded in
+        :attr:`repairs`.
         """
         known = {e["file"] for e in self._entries}
         known.update(e["file"] for e in self._retired)
+        known.add(self._base)
         for name in self._disk.listdir(self.directory):
             if name == MANIFEST_NAME or name in known:
                 continue
-            ours = (name.startswith("seg-") and name.endswith(".wal")) \
-                or name.endswith(".tmp")
+            ours = (name.startswith(("seg-", "base-"))
+                    and name.endswith(".wal")) or name.endswith(".tmp")
             if not ours:
                 continue
             self._disk.unlink(os.path.join(self.directory, name))
@@ -274,6 +295,22 @@ class SegmentedWAL:
     def base_position(self) -> int:
         """Global position of the oldest live (non-truncated) record."""
         return self._entries[0]["base"]
+
+    def checkpoint_position(self) -> int:
+        """Global position the checkpoint chain runs through."""
+        return self._checkpoint
+
+    def base_path(self) -> Optional[str]:
+        """Path of the chain's base file, or None before the first
+        rewrite (the chain then starts at position zero)."""
+        if self._base is None:
+            return None
+        return os.path.join(self.directory, self._base)
+
+    def new_base_path(self) -> str:
+        """A path for the next base: a fresh name, so the manifest keeps
+        naming the old base until :meth:`truncate_through` switches it."""
+        return os.path.join(self.directory, self._new_name("base"))
 
     def segment_count(self) -> int:
         """Number of live segments (sealed plus the active one)."""
@@ -308,8 +345,7 @@ class SegmentedWAL:
         """
         frames: List[bytes] = []
         for payload in payloads:
-            record = (_HEADER.pack(len(payload), zlib.crc32(payload))
-                      + payload)
+            record = frame(payload)
             try:
                 fire("wal.append", nbytes=len(payload))
             except InjectedCrash as crash:
@@ -362,7 +398,7 @@ class SegmentedWAL:
 
     def _segment_records(self, entry: Dict, sealed: bool) -> List[bytes]:
         path = self._segment_path(entry)
-        records, _, _ = _scan(self._disk.read(path))
+        records, _, _ = scan(self._disk.read(path))
         if sealed and len(records) != entry["count"]:
             raise CorruptLogError(
                 f"{path}: sealed segment lost records at read time "
@@ -420,16 +456,35 @@ class SegmentedWAL:
         for payload in self.records():
             yield payload
 
-    # -- truncation -----------------------------------------------------------
+    # -- the chain and truncation ---------------------------------------------
 
-    def truncate_through(self, position: int) -> int:
-        """Drop (or retire) every segment wholly covered by ``position``.
+    def extend_chain(self, position: int) -> None:
+        """Make the chain run through ``position``, keeping the segments.
 
-        Called after a checkpoint made records below ``position``
-        redundant. The active segment is first rotated if the position
-        covers it, so a checkpoint taken at the log head compacts the live
-        log to zero records. Returns the number of segments removed from
-        the live set.
+        The active segment is first sealed if ``position`` covers it, so
+        the chain is always whole sealed segments; then the manifest names
+        the new position. A crash between the two leaves the sealed
+        records past the chain, where a reopen replays them all the same.
+        """
+        if position >= self.position() and self._active_records:
+            self._rotate()
+        # Crash here: the records are sealed, the manifest does not name
+        # them part of the chain yet.
+        fire("store.checkpoint.chain-extended", position=position)
+        self._checkpoint = position
+        self._write_manifest()
+
+    def truncate_through(self, position: int, base: Optional[str] = None
+                         ) -> int:
+        """Drop (or retire) every segment wholly covered by ``position``,
+        and make ``base`` (a file in this directory holding the state at
+        ``position``) the chain's base when given.
+
+        The active segment is first rotated if the position covers it, so
+        truncating at the log head leaves zero live records. Returns the
+        number of segments removed from the live set. The old base is
+        unlinked with the covered segments (retained history keeps only
+        segments: a full replay never reads a base).
 
         Crash windows: the manifest is rewritten *before* covered files
         are unlinked, so a crash in between leaves orphan files that the
@@ -441,20 +496,30 @@ class SegmentedWAL:
             entry for entry in self._entries[:-1]
             if entry["base"] + entry["count"] <= position
         ]
-        if not covered:
+        old_base = self.base_path()
+        if base is not None:
+            self._base = os.path.basename(base)
+            self._checkpoint = max(self._checkpoint, position)
+        elif not covered:
             return 0
         self._entries = [e for e in self._entries if e not in covered]
         if self.retain_truncated:
             self._retired.extend(covered)
         self._write_manifest()
-        fire("store.checkpoint.truncate", segments=len(covered),
+        # Crash here: the manifest names the new chain; the files it
+        # replaced are orphans until the next open removes them.
+        fire("store.checkpoint.manifest-switched", segments=len(covered),
              position=position)
-        if not self.retain_truncated:
-            for entry in covered:
-                try:
-                    self._disk.unlink(self._segment_path(entry))
-                except FileNotFoundError:
-                    pass
+        doomed = [] if self.retain_truncated else [
+            self._segment_path(entry) for entry in covered]
+        if base is not None and old_base is not None:
+            doomed.append(old_base)
+        for path in doomed:
+            try:
+                self._disk.unlink(path)
+            except FileNotFoundError:
+                pass
+        if doomed:
             self._disk.fsync_dir(self.directory)
         return len(covered)
 

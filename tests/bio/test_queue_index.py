@@ -13,9 +13,14 @@ import pytest
 
 from repro.bio import DarwinEngine, DatabaseProfile, QueueIndex
 from repro.bio import darwin as darwin_module
-from repro.core.engine import BioOperaServer, InlineEnvironment
+from repro.core.engine import (
+    BioOperaServer,
+    InlineEnvironment,
+    ProgramRegistry,
+)
 from repro.errors import BioError
 from repro.processes import install_all_vs_all
+from repro.processes.activities import register_all_vs_all_programs
 from repro.processes import partitioning as P
 from repro.store import codec
 
@@ -123,6 +128,41 @@ class TestWarmEqualsCold:
         assert list(darwin._index.entries) == list(range(1, 401))
 
 
+class TestDescriptorQueue:
+    """``align_fixed_pam`` hands the engine the queue descriptor: the kept
+    index is matched by identity, then by equality, and the descriptor is
+    expanded only on a miss."""
+
+    def test_one_index_build_across_the_teus_of_a_list_queue(
+            self, modeled_profile, monkeypatch):
+        queue = queues(400)[2]
+        parts = list(teus(queue, modeled_profile))
+        expected = [
+            DarwinEngine(modeled_profile, mode="modeled", seed=4)
+            .align_partition(P.expand(part), P.expand(queue))
+            for part in parts]
+        darwin = DarwinEngine(modeled_profile, mode="modeled", seed=4)
+        registry = ProgramRegistry()
+        register_all_vs_all_programs(registry, darwin)
+        align = registry.program("darwin.align_fixed_pam")
+        builds, expansions = [], []
+        monkeypatch.setattr(darwin_module, "QueueIndex", lambda *a, **k: (
+            builds.append(a), QueueIndex(*a, **k))[1])
+        expand = P.expand
+        monkeypatch.setattr(P, "expand", lambda d: (
+            expansions.append(d["kind"]), expand(d))[1])
+        for part, cold in zip(parts, expected):
+            # the same descriptor, then an equal copy (as decoded inputs)
+            for given in (queue, codec.decode(codec.encode(queue))):
+                result = align({"partition": part, "queue": given}, None)
+                assert result.cost == cold["cost"]
+                assert result.outputs["pairs"] == cold["pairs"]
+        assert len(builds) == 1
+        # the queue once, then each partition twice
+        assert expansions.count("list") == 1 + 2 * len(parts)
+        assert darwin._index.key == queue
+
+
 class TestOutsideTheQueue:
     @pytest.mark.parametrize("partition,unknown", [
         ([6, 401], [401]),     # past the queue's end
@@ -164,16 +204,16 @@ class TestIndexedOncePerProcess:
         built, aligned = [], []
 
         class CountingIndex(QueueIndex):
-            def __init__(self, profile, queue):
+            def __init__(self, profile, queue, key=None):
                 built.append(len(queue))
-                super().__init__(profile, queue)
+                super().__init__(profile, queue, key)
 
         monkeypatch.setattr(darwin_module, "QueueIndex", CountingIndex)
         align = DarwinEngine.align_partition
 
-        def counting_align(self, partition, queue):
+        def counting_align(self, partition, queue, expand=None):
             aligned.append(len(partition))
-            return align(self, partition, queue)
+            return align(self, partition, queue, expand)
 
         monkeypatch.setattr(DarwinEngine, "align_partition", counting_align)
         profile = DatabaseProfile.synthetic("big", 20_000, seed=1)

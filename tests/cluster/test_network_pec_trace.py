@@ -180,3 +180,53 @@ class TestPecMonitoring:
         cluster.heal_partition(pid)
         cluster.run_until_instance_done(iid)
         assert not pec.pending_reports
+
+
+class TestTraceKeepsTotals:
+    """The trace refreshes only the nodes a transition touched; at every
+    record its sample must equal a walk of every node."""
+
+    @pytest.fixture(scope="class")
+    def darwin(self):
+        from repro.bio import DarwinEngine
+        from repro.workloads import datasets
+        # big enough that a day=DAY/50 run spans its whole event schedule
+        profile = datasets.scaled_profile(12_000, seed=3, name="SP38")
+        return DarwinEngine(profile, mode="modeled", random_match_rate=5e-4,
+                            sample_cap=50, seed=1)
+
+    @pytest.mark.parametrize("run, transitions", [
+        ("shared_run", ("set_external_load", "crash_node", "restore_node",
+                        "start_partition", "heal_partition", "crash_server")),
+        ("nonshared_run", ("upgrade_node", "start_partition")),
+    ])
+    def test_every_sample_equals_the_brute_force_totals(
+            self, darwin, run, transitions, monkeypatch):
+        """``shared_run`` changes load, crashes nodes and the server and
+        cuts the network; ``nonshared_run`` upgrades every node."""
+        from repro.cluster import DAY
+        from repro.cluster.trace import ClusterTrace
+        from repro.workloads import scenarios
+
+        record = ClusterTrace.record
+        checked = []
+
+        def checking(trace, force=False):
+            record(trace, force)
+            cluster = trace.cluster
+            assert trace.samples[-1][1:] == (
+                float(cluster.available_cpus()), float(cluster.busy_cpus()))
+            checked.append(trace.samples[-1][0])
+
+        monkeypatch.setattr(ClusterTrace, "record", checking)
+        seen = set()
+        for name in transitions:
+            method = getattr(SimulatedCluster, name)
+            monkeypatch.setattr(SimulatedCluster, name, (
+                lambda method, name: lambda *a, **k: (
+                    seen.add(name), method(*a, **k))[1])(method, name))
+        report = getattr(scenarios, run)(
+            darwin=darwin, granularity=24, day=DAY / 50, seed=1)
+        assert report.status == "completed"
+        assert seen == set(transitions)
+        assert len(checked) > 100

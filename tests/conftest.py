@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Optional, Tuple
 
 import pytest
+from hypothesis import settings
 
 from repro.bio import DarwinEngine, DatabaseProfile, SequenceDatabase
 from repro.core.engine import (
@@ -13,6 +14,11 @@ from repro.core.engine import (
     ProgramRegistry,
     ProgramResult,
 )
+
+
+#: the store's dict-model state machine at depth: CI's chaos job runs
+#: ``tests/store/test_kvstore_model.py --hypothesis-profile deep``.
+settings.register_profile("deep", max_examples=600)
 
 
 @pytest.fixture(scope="session")

@@ -175,10 +175,11 @@ class TestCrashRecovery:
         store.checkpoint()
         reopened = store.reopen()
         report = recovery_report(reopened)
-        # checkpointed just before the reopen: nothing to replay, however
-        # long the run was
-        assert report["records_replayed"] == 0
+        # checkpointed just before the reopen: the chain is all there is
+        # to replay, and an event log never supersedes enough to rewrite
         assert report["checkpoint_position"] > 0
+        assert report["records_replayed"] == report["checkpoint_position"]
+        assert reopened.kv.wal_records == 0
         assert report["repairs"] == []
         assert report["instances"] == 1
         assert report["events_by_instance"][iid] \
@@ -323,6 +324,23 @@ class TestOperatorRestart:
         assert instance.whiteboards[""].get("tuning") == 42
         events = [e["type"] for e in server.store.instances.events(iid)]
         assert "whiteboard_set" in events
+
+    def test_change_parameter_on_an_ended_instance_is_refused(self):
+        """An edit after the terminal event would read the instance as
+        live again; restarting a task reopens it, then it may be edited."""
+        server, env = make_inline_server(chain_programs())
+        server.define_template_ocr(CHAIN)
+        iid = server.launch("Chain")
+        env.run_instance(iid)
+        before = list(server.store.instances.events(iid))
+        with pytest.raises(InvalidStateError, match="has ended"):
+            server.change_parameter(iid, "tuning", 42)
+        assert list(server.store.instances.events(iid)) == before
+        server.restart_task(iid, "C")
+        server.change_parameter(iid, "tuning", 42)
+        assert list(server.store.instances.events(iid))[-1]["type"] \
+            == "whiteboard_set"
+        assert env.run_instance(iid) == "completed"
 
 
 class TestWorkLossAccounting:

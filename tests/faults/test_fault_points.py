@@ -103,9 +103,9 @@ ENGINE_CRASH_POINTS = [
     and point not in ("recovery.replay",
                       "store.rotate",
                       "store.checkpoint.begin",
-                      "store.checkpoint.post-snapshot",
-                      "store.checkpoint.truncate",
-                      "store.checkpoint.post-truncate",
+                      "store.checkpoint.chain-extended",
+                      "store.checkpoint.rewrite-written",
+                      "store.checkpoint.manifest-switched",
                       # shard.migrate.* only fires inside a live
                       # migration; covered in tests/shard/test_migration
                       "shard.migrate.prepare",
@@ -264,32 +264,34 @@ class TestCrashWindows:
 
     @pytest.mark.parametrize("point", [
         "store.checkpoint.begin",
-        "store.checkpoint.post-snapshot",
-        "store.checkpoint.truncate",
-        "store.checkpoint.post-truncate",
+        "store.checkpoint.chain-extended",
+        "store.checkpoint.rewrite-written",
+        "store.checkpoint.manifest-switched",
     ])
     def test_store_checkpoint_crash_windows_preserve_state(self, point):
         """A crash in any checkpoint window never loses committed state:
-        recovery sees either the old snapshot + full log or the new
-        snapshot + suffix, both reconstructing the same store."""
+        recovery sees either the old chain + its suffix or the new chain,
+        both reconstructing the same store. The overwrites supersede
+        enough of the chain that this checkpoint rewrites it."""
         kv = KVStore(retain_history=True)
         for i in range(6):
-            kv.put(f"k{i}", i)
+            kv.put(f"k{i % 2}", i)
         with installed(FaultInjector([FaultAction(point, "crash")])):
             with pytest.raises(InjectedCrash) as err:
                 kv.checkpoint()
         assert err.value.point == point
         survivor = kv.simulate_crash()
         assert {k: survivor.get(k) for k in survivor.keys()} \
-            == {f"k{i}": i for i in range(6)}
+            == {"k0": 4, "k1": 5}
         assert survivor.audit() == []
-        # windows at or past the snapshot write leave the log truncated
-        # or truncatable; windows before it leave the full log live
-        if point in ("store.checkpoint.begin",
-                     "store.checkpoint.post-snapshot"):
-            assert survivor.wal_records == 6
-        else:
-            assert survivor.wal_records == 0
+        # before the chain is named the records lie past it; a crash
+        # before the switch replays the old chain, after it the new base
+        named = point in ("store.checkpoint.rewrite-written",
+                          "store.checkpoint.manifest-switched")
+        switched = point == "store.checkpoint.manifest-switched"
+        assert survivor.wal_records == (0 if named else 6)
+        assert survivor.last_recovery["records_replayed"] \
+            == (1 if switched else 6)
 
 
 class TestMessageFaults:

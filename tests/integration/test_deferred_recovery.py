@@ -541,7 +541,7 @@ class TestDeferredVersusForced:
         deferred, forced = _recover(make_store()), _recover(make_store())
         _force(forced)
         for server in (deferred, forced):
-            server.change_parameter(ended[2], "note", "post-mortem")
+            server.restart_task(ended[2], "Join", reason="post-mortem")
         assert ended[2] not in deferred.obs.views._deferred
         assert ended[3] in deferred.obs.views._deferred
         _assert_twins_agree(deferred, forced)
@@ -572,7 +572,7 @@ class TestDeferredVersusForced:
         assert first.obs.views.in_sync(first.store, waiting[0])
         first.environment.run_instance(live[0])
         with installed(FaultInjector([FaultAction(
-                "store.checkpoint.post-snapshot", "crash")])):
+                "store.checkpoint.chain-extended", "crash")])):
             with pytest.raises(InjectedCrash):
                 first.obs.checkpoint()
         first.crash()

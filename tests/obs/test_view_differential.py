@@ -78,7 +78,7 @@ class TestChaosDifferential:
         plan = FaultPlan(seed=4242, scheduled=[
             ScheduledFault("server-crash", round(horizon * 0.3, 3)),
         ], actions=[
-            FaultAction("store.checkpoint.post-snapshot", "crash"),
+            FaultAction("store.checkpoint.chain-extended", "crash"),
         ])
         result = chaos.run_campaign(4242, darwin, baseline=baseline,
                                     plan=plan)
@@ -92,7 +92,7 @@ class TestChaosDifferential:
         nodes = ["node001", "node002", "node003", "node004"]
         seeds = [
             seed for seed in range(60)
-            if "point:store.checkpoint.post-snapshot"
+            if "point:store.checkpoint.chain-extended"
             in FaultPlan.generate(seed, nodes).categories()
         ][:2]
         assert seeds, "no generated plan arms a store checkpoint window"

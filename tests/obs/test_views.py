@@ -225,7 +225,7 @@ class TestCrashMidCheckpoint:
         both fold views identical to the live ones."""
         hub = ObservabilityHub()
         store = _store_with(_event_stream(20), hub=hub)
-        action = FaultAction("store.checkpoint.post-snapshot", "crash")
+        action = FaultAction("store.checkpoint.chain-extended", "crash")
         with installed(FaultInjector([action])):
             with pytest.raises(InjectedCrash):
                 hub.checkpoint()

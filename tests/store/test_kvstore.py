@@ -198,88 +198,150 @@ def _active_segment(path):
     return os.path.join(path, "wal", live[-1]["file"])
 
 
+def _overwritten(store, keys=4, rounds=3):
+    """Put ``keys`` keys ``rounds`` times: the chain is then mostly
+    superseded, so the next checkpoint rewrites it."""
+    for round_no in range(rounds):
+        for i in range(keys):
+            store.put(f"k{i}", [round_no, i])
+    return {f"k{i}": [rounds - 1, i] for i in range(keys)}
+
+
 class TestBoundedRecovery:
-    def test_reopen_replays_only_the_suffix(self, tmp_path):
+    def test_reopen_replays_the_chain_and_the_suffix(self, tmp_path):
         path = str(tmp_path / "db")
         store = KVStore(path)
         for i in range(10):
             store.put(f"k{i}", i)
         store.checkpoint()
+        assert sorted(os.listdir(os.path.join(path, "wal"))) == [
+            MANIFEST_NAME, "seg-00000001.wal", "seg-00000002.wal"]
         for i in range(4):
             store.put(f"after{i}", i)
         store.close()
         recovered = KVStore(path)
         assert recovered.last_recovery["checkpoint_position"] == 10
-        assert recovered.last_recovery["records_replayed"] == 4
+        assert recovered.last_recovery["records_replayed"] == 14
         assert recovered.last_recovery["wal_position"] == 14
+        assert recovered.wal_records == 4
         assert dict(recovered.items()) == {
             **{f"k{i}": i for i in range(10)},
             **{f"after{i}": i for i in range(4)},
         }
         recovered.close()
 
-    def test_replay_cost_flat_across_checkpoints(self, tmp_path):
-        """However long the run, recovery replays at most the records
-        appended since the last checkpoint."""
+    def test_a_checkpoint_encodes_nothing_until_a_rewrite(
+            self, monkeypatch):
+        """Extending the chain keeps the WAL's bytes: no encode, no
+        decode, no snapshot; an append-only log never rewrites."""
+        store = KVStore()
+        for i in range(30):
+            store.put(f"event/{i}", {"n": i})
+            store.put("next", i + 1)        # superseded, but its records
+            if i % 10 == 9:                 # stay live with their events
+                encoded, decoded = [], []
+                before = store._wal.checkpoint_position()
+                encode, decode = codec.encode, codec.decode
+                monkeypatch.setattr(codec, "encode", lambda value: (
+                    encoded.append(value), encode(value))[1])
+                monkeypatch.setattr(codec, "decode", lambda data: (
+                    decoded.append(data), decode(data))[1])
+                store.checkpoint()
+                monkeypatch.undo()
+                assert decoded == [] and store.wal_records == 0
+                # the manifest only: the sealing, then the chain's
+                assert [value["checkpoint"] for value in encoded] == [
+                    before, store.wal_position]
+        assert store._wal.base_path() is None
+        assert store.simulate_crash().get("event/7") == {"n": 7}
+
+    def test_replay_cost_flat_across_rewrites(self, tmp_path):
+        """However long a run overwrites the same keys, a reopen replays
+        a chain within twice the live state."""
         path = str(tmp_path / "db")
         store = KVStore(path, segment_records=8)
-        for round_no in range(5):
+        replayed = []
+        for round_no in range(12):
             for i in range(20):
                 store.put(f"k{i}", [round_no, i])
             store.checkpoint()
-        store.put("tail", 1)
+            assert 2 * store._live.superseded <= store._live.total
+            reopened = KVStore(path, segment_records=8)
+            replayed.append(reopened.last_recovery["records_replayed"])
+            assert reopened.get("k19") == [round_no, 19]
+            assert reopened.audit() == []
+            reopened.close()
+        assert max(replayed) <= 41   # base + at most two rounds' records
+        assert replayed[-4:] == replayed[-8:-4]
         store.close()
-        recovered = KVStore(path, segment_records=8)
-        assert recovered.last_recovery["records_replayed"] == 1
-        assert recovered.last_recovery["checkpoint_position"] == 100
-        assert recovered.get("k19") == [4, 19]
-        assert recovered.audit() == []
-        recovered.close()
 
-    def test_crash_after_snapshot_before_truncation(self, tmp_path):
-        """Window one of the satellite requirement: the checkpoint is
-        durable but the covered segments were never truncated. Recovery
-        must skip (not re-apply) the covered prefix, and the next
-        checkpoint reclaims it."""
+    def test_crash_with_the_chain_extended_but_not_named(self, tmp_path):
+        """Window one: the records are sealed, the manifest still names
+        the old chain. The reopen replays them past it; the next
+        checkpoint finishes the job."""
         path = str(tmp_path / "db")
         store = KVStore(path, segment_records=4)
         for i in range(10):
             store.put(f"k{i}", i)
-        action = FaultAction("store.checkpoint.post-snapshot", "crash")
+        action = FaultAction("store.checkpoint.chain-extended", "crash")
         with installed(FaultInjector([action])):
             with pytest.raises(InjectedCrash):
                 store.checkpoint()
         store.close()
         recovered = KVStore(path, segment_records=4)
-        assert recovered.last_recovery["checkpoint_position"] == 10
-        assert recovered.last_recovery["records_replayed"] == 0
+        assert recovered.last_recovery["checkpoint_position"] == 0
+        assert recovered.last_recovery["records_replayed"] == 10
         assert dict(recovered.items()) == {f"k{i}": i for i in range(10)}
         assert recovered.audit() == []
         recovered.checkpoint()  # completes what the crash interrupted
         assert recovered.wal_records == 0
         recovered.close()
 
-    def test_crash_mid_truncation_leaves_orphans_not_holes(self, tmp_path):
-        """Window two: the manifest no longer references the covered
-        segments but their files were never unlinked. Reopen cleans the
-        orphans; recovery state is identical."""
+    def test_crash_with_the_rewrite_written_but_not_named(self, tmp_path):
+        """Window two: the new base is durable under a name the manifest
+        does not hold. The reopen removes it and replays the old chain."""
         path = str(tmp_path / "db")
         store = KVStore(path, segment_records=4)
-        for i in range(10):
-            store.put(f"k{i}", i)
-        action = FaultAction("store.checkpoint.truncate", "crash")
+        expected = _overwritten(store)
+        action = FaultAction("store.checkpoint.rewrite-written", "crash")
         with installed(FaultInjector([action])):
             with pytest.raises(InjectedCrash):
                 store.checkpoint()
         store.close()
-        # the covered segment files are still on disk (crash pre-unlink)
+        wal_dir = os.path.join(path, "wal")
+        assert any(n.startswith("base-") for n in os.listdir(wal_dir))
+        recovered = KVStore(path, segment_records=4)
+        assert not any(n.startswith("base-") for n in os.listdir(wal_dir))
+        assert recovered.last_recovery["records_replayed"] == 12
+        assert dict(recovered.items()) == expected
+        assert recovered.audit() == []
+        recovered.checkpoint()
+        assert recovered.last_recovery["records_replayed"] == 12
+        assert recovered._wal.base_path() is not None
+        recovered.close()
+
+    def test_crash_mid_truncation_leaves_orphans_not_holes(self, tmp_path):
+        """Window three: the manifest names the new base but the files it
+        replaced were never unlinked. Reopen cleans the orphans; recovery
+        state is identical."""
+        path = str(tmp_path / "db")
+        store = KVStore(path, segment_records=4)
+        expected = _overwritten(store)
+        action = FaultAction("store.checkpoint.manifest-switched", "crash")
+        with installed(FaultInjector([action])):
+            with pytest.raises(InjectedCrash):
+                store.checkpoint()
+        store.close()
+        # the replaced segment files are still on disk (crash pre-unlink)
         wal_dir = os.path.join(path, "wal")
         before = {n for n in os.listdir(wal_dir) if n != MANIFEST_NAME}
         recovered = KVStore(path, segment_records=4)
         after = {n for n in os.listdir(wal_dir) if n != MANIFEST_NAME}
         assert after < before  # orphans removed on open
-        assert dict(recovered.items()) == {f"k{i}": i for i in range(10)}
-        assert recovered.wal_records == 0  # truncation effectively done
+        assert sorted(n[:5] for n in after) == ["base-", "seg-0"]
+        assert dict(recovered.items()) == expected
+        assert recovered.last_recovery["records_replayed"] == 1
+        assert recovered.wal_records == 0  # the rewrite effectively done
         assert recovered.audit() == []
         recovered.close()
 
@@ -319,22 +381,34 @@ class TestBoundedRecovery:
         assert recovered.audit() == []
         recovered.close()
 
-    @pytest.mark.parametrize("snapshot", [
-        {"from-snap": 2},                                  # raw state
-        {},                                                # empty raw state
-        {"__kv_checkpoint__": "user data", "other": 7},    # magic key only
-        {"__kv_checkpoint__": 1, "position": "3", "state": {}},
-        {"__kv_checkpoint__": 1, "position": 0, "state": []},
-    ])
-    def test_snapshot_that_is_not_a_checkpoint_is_a_typed_error(
-            self, tmp_path, snapshot):
-        """There is one snapshot format. A snapshot file of any other
-        shape is corruption — never "raw state at position zero", which
-        would silently replay the whole log over foreign data."""
+    @pytest.mark.parametrize("damage", ["unlink", "truncate"])
+    def test_a_missing_or_damaged_base_is_a_typed_error(
+            self, tmp_path, damage):
+        """The manifest names the chain's base: without it (or with a
+        torn one) the chain has a hole, never an empty prefix."""
         path = str(tmp_path / "db")
-        os.makedirs(path)
-        FileSnapshot(os.path.join(path, "store.snapshot")).save(snapshot)
-        with pytest.raises(CorruptLogError, match="positioned checkpoint"):
+        store = KVStore(path)
+        _overwritten(store)
+        store.checkpoint()
+        base = store._wal.base_path()
+        store.close()
+        if damage == "unlink":
+            os.unlink(base)
+        else:
+            os.truncate(base, os.path.getsize(base) - 1)
+        with pytest.raises(CorruptLogError, match="base is missing|damaged"):
+            KVStore(path)
+
+    def test_a_store_of_the_old_format_has_no_reader(self, tmp_path):
+        path = str(tmp_path / "db")
+        KVStore(path).close()
+        manifest = os.path.join(path, "wal", MANIFEST_NAME)
+        with open(manifest, "rb") as fh:
+            content = codec.decode(fh.read())
+        content["format"] = 1
+        with open(manifest, "wb") as fh:
+            fh.write(codec.encode(content))
+        with pytest.raises(CorruptLogError, match="unknown manifest format"):
             KVStore(path)
 
     @pytest.mark.parametrize("option", [
@@ -361,34 +435,55 @@ class TestBoundedRecovery:
         with pytest.raises(StoreError, match="frobnicate"):
             store.simulate_crash()
 
-    def test_audit_reports_a_snapshot_damaged_under_a_live_store(
+    def test_audit_reports_a_base_damaged_under_a_live_store(
             self, tmp_path):
         path = str(tmp_path / "db")
         store = KVStore(path)
-        store.put("a", 1)
+        _overwritten(store)
         store.checkpoint()
-        FileSnapshot(os.path.join(path, "store.snapshot")).save({"a": 1})
+        os.truncate(store._wal.base_path(), 3)
         problems = store.audit()
         assert any("CorruptLogError" in problem for problem in problems)
         store.close()
 
     def test_retained_history_audit_checks_byte_equivalence(self):
         store = KVStore(retain_history=True)
-        store.put("a", 1)
-        store.put("b", 2)
+        _overwritten(store, keys=1)
         store.checkpoint()
+        assert store._wal.base_path() is not None
         assert store.audit() == []
         # tamper with retained history: the full-log replay now disagrees
-        # with the snapshot+suffix reconstruction
+        # with the chain+suffix reconstruction
         retired = os.path.join(store._wal.directory,
                                store._wal._retired[0]["file"])
         frames = b"".join(
             struct.pack("<II", len(p), zlib.crc32(p)) + p
             for p in (codec.encode([["put", "evil"], [9]]),
-                      codec.encode([["put", "b"], [2]])))
+                      codec.encode([["put", "k0"], [[1, 0]]]),
+                      codec.encode([["put", "k0"], [[2, 0]]])))
         with store._disk.open(retired, "wb") as fh:
             fh.write(frames)
         problems = store.audit()
+        assert any("byte-identical" in problem for problem in problems)
+
+    def test_audit_catches_a_rewrite_that_drops_a_live_key(
+            self, monkeypatch):
+        """A planted violation: the rewrite loses ``k2``. The live state
+        still holds it, so chain + suffix replay no longer equals it, nor
+        the retained full log."""
+        store = KVStore(retain_history=True)
+        expected = _overwritten(store)
+        save = FileSnapshot.save
+
+        def lossy(snapshot, state):
+            return save(snapshot, {k: v for k, v in state.items()
+                                   if k != "k2"})
+
+        monkeypatch.setattr(FileSnapshot, "save", lossy)
+        store.checkpoint()
+        assert dict(store.items()) == expected
+        problems = store.audit()
+        assert any("missing=['k2']" in problem for problem in problems)
         assert any("byte-identical" in problem for problem in problems)
 
 
@@ -517,7 +612,7 @@ class TestRecordShape:
             store.put(f"k{i}", i)
         store.close()
         scans, reads = [], []
-        scan = wal_module._scan
+        scan = wal_module.scan
 
         def counted_scan(data):
             scans.append(len(data))
@@ -530,7 +625,7 @@ class TestRecordShape:
                 reads.append(os.path.basename(file))
             return read(disk, file)
 
-        monkeypatch.setattr(wal_module, "_scan", counted_scan)
+        monkeypatch.setattr(wal_module, "scan", counted_scan)
         monkeypatch.setattr(OSDisk, "read", counted_read)
         reopened = KVStore(path, segment_records=4)
         segments = reopened.last_recovery["segments"]
@@ -586,8 +681,10 @@ class TestTypedRecordErrors:
         problems = survivor.audit()
         assert len(problems) == 1
         assert problems[0].startswith("WAL replay failed: CodecError")
-        with pytest.raises(CodecError):
-            survivor.checkpoint()
+        # a checkpoint keeps the record as written, decoding nothing
+        survivor.checkpoint()
+        with pytest.raises(CodecError, match="holding 'b'"):
+            survivor.simulate_crash().get("b")
 
 
 class TestProperties:

@@ -3,11 +3,15 @@
 Every rule mutates or recovers the store and the model alike; after every
 step each read the store offers (``get``, ``items(prefix)``, ``keys``,
 ``len``, ``in``) must equal the model, ``audit()`` must find nothing, and
-repeated ``get``s must hand out the same object. A checkpoint's snapshot
-must be the canonical encoding of the model state. Every commit is
-durable when it returns, so after every step the store a crash would
-leave (``simulate_crash`` in memory, a fresh open of the directory on
-disk) must equal the model too.
+repeated ``get``s must hand out the same object. After a checkpoint the
+chain + suffix on disk must replay to the model, and the chain must be
+within twice its live bytes. A crash in any checkpoint window, then a
+reopen, loses nothing. Every commit is durable when it returns, so after
+every step the store a crash would leave (``simulate_crash`` in memory, a
+fresh open of the directory on disk) must equal the model too.
+
+Tier-1 runs 60 examples; ``--hypothesis-profile deep`` (registered in
+``tests/conftest.py``) runs the profile's 600.
 """
 
 import os
@@ -23,7 +27,9 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.store import KVStore, codec
+from repro.faults.plan import FaultAction
+from repro.faults.points import FaultInjector, InjectedCrash, installed
+from repro.store import KVStore
 from repro.store.kvstore import MEMORY
 
 KEYS = st.sampled_from(["a/1", "a/2", "a/3", "b/1", "b/2", "c"])
@@ -36,6 +42,12 @@ VALUES = st.recursive(
 )
 OPS = st.lists(
     st.tuples(st.sampled_from(["put", "del"]), KEYS, VALUES), max_size=4)
+WINDOWS = st.sampled_from([
+    "store.checkpoint.begin",
+    "store.checkpoint.chain-extended",
+    "store.checkpoint.rewrite-written",
+    "store.checkpoint.manifest-switched",
+])
 
 
 class KVStoreMachine(RuleBasedStateMachine):
@@ -101,14 +113,36 @@ class KVStoreMachine(RuleBasedStateMachine):
 
     @rule()
     def checkpoint(self):
-        self.store.checkpoint()
-        expected = codec.encode({"__kv_checkpoint__": 1,
-                                 "position": self.store.wal_position,
-                                 "state": self.model})
-        assert self._snapshot_bytes() == expected
+        store = self.store
+        store.checkpoint()
+        assert store.wal_records == 0
+        assert not store._live.needs_rewrite()
+        replayed = {}
+        store._replay_into(replayed, store._chain_base())
+        store._replay_into(replayed, store._wal.records())
+        store._resolve_all(replayed)
+        assert replayed == self.model
 
-    def _snapshot_bytes(self):
-        return self.store._disk.read(self.store._snapshot.path)
+    @rule(key=KEYS, values=st.lists(VALUES, min_size=2, max_size=6))
+    def overwrite_then_checkpoint(self, key, values):
+        """Put one key again and again: the chain fills with superseded
+        records until a checkpoint rewrites it."""
+        for value in values:
+            self.put(key, value)
+        self.checkpoint()
+
+    @rule(point=WINDOWS, overwrites=st.integers(0, 4))
+    def crash_mid_checkpoint_then_reopen(self, point, overwrites):
+        """Crash in a checkpoint window (the rewrite windows are reached
+        when the overwrites supersede enough), then recover."""
+        for round_no in range(overwrites):
+            self.put("c", round_no)
+        with installed(FaultInjector([FaultAction(point, "crash")])):
+            try:
+                self.store.checkpoint()
+            except InjectedCrash:
+                pass
+        self._recover()
 
     # -- recovery --------------------------------------------------------------
 
@@ -123,14 +157,17 @@ class KVStoreMachine(RuleBasedStateMachine):
         self.store.close()
         self.store = KVStore(self._path(), **self.options)
 
-    @rule(ops=OPS, then_checkpoint=st.booleans())
-    def recover_then_write_before_reading(self, ops, then_checkpoint):
-        """The reads in the invariant decode everything; this writes over
-        (and checkpoints) values that are still waiting to be decoded."""
+    def _recover(self):
         if self.directory is None:
             self.crash()
         else:
             self.reopen()
+
+    @rule(ops=OPS, then_checkpoint=st.booleans())
+    def recover_then_write_before_reading(self, ops, then_checkpoint):
+        """The reads in the invariant decode everything; this writes over
+        (and checkpoints) values that are still waiting to be decoded."""
+        self._recover()
         self.transaction(ops)
         if then_checkpoint:
             self.checkpoint()
@@ -188,5 +225,7 @@ class KVStoreMachine(RuleBasedStateMachine):
 
 
 KVStoreMachine.TestCase.settings = settings(
-    max_examples=60, stateful_step_count=25, deadline=None)
+    max_examples=(settings.default.max_examples
+                  if settings.get_current_profile_name() == "deep" else 60),
+    stateful_step_count=25, deadline=None)
 TestKVStoreAgainstADict = KVStoreMachine.TestCase

@@ -5,8 +5,23 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import CorruptLogError
+from repro.store import codec
 from repro.store.disk import MemoryDisk, OSDisk
-from repro.store.snapshot import FileSnapshot
+from repro.store.snapshot import RECORD_KEYS, FileSnapshot
+
+
+def _loaded(snapshot):
+    """The state a snapshot's records put, decoded (None: no snapshot)."""
+    records = snapshot.load()
+    if records is None:
+        return None
+    state = {}
+    for payload in records:
+        heads, values = codec.decode(payload)
+        assert heads[::2] == ["put"] * len(values)
+        state.update(zip(heads[1::2], values))
+    return state
 
 
 @pytest.fixture()
@@ -24,7 +39,28 @@ class TestFileSnapshot:
     def test_round_trip(self, tmp_path, disk):
         snapshot = FileSnapshot(str(tmp_path / "snap"), disk=disk)
         snapshot.save({"a": 1, "b": [2, 3]})
-        assert snapshot.load() == {"a": 1, "b": [2, 3]}
+        assert _loaded(snapshot) == {"a": 1, "b": [2, 3]}
+
+    def test_records_are_wal_records_of_sorted_keys(self, tmp_path, disk):
+        """A snapshot is the state as ``[heads, values]`` records of at
+        most RECORD_KEYS puts, in key order: what a WAL replay reads."""
+        snapshot = FileSnapshot(str(tmp_path / "snap"), disk=disk)
+        state = {f"k{i:03d}": i for i in range(RECORD_KEYS + 1)}
+        payloads = snapshot.save(state)
+        assert snapshot.load() == payloads
+        keys = sorted(state)
+        assert payloads == [
+            codec.encode([[w for k in chunk for w in ("put", k)],
+                          [state[k] for k in chunk]])
+            for chunk in (keys[:RECORD_KEYS], keys[RECORD_KEYS:])]
+        assert snapshot.save({}) == [] and snapshot.load() == []
+
+    def test_damaged_file_is_a_typed_error(self, tmp_path, disk):
+        snapshot = FileSnapshot(str(tmp_path / "snap"), disk=disk)
+        snapshot.save({"a": 1})
+        disk.truncate(snapshot.path, 5)
+        with pytest.raises(CorruptLogError, match="damaged"):
+            snapshot.load()
 
     def test_missing_file_loads_none(self, tmp_path, disk):
         assert FileSnapshot(str(tmp_path / "nope"), disk=disk).load() is None
@@ -34,7 +70,7 @@ class TestFileSnapshot:
         snapshot = FileSnapshot(path, disk=disk)
         snapshot.save({"v": 1})
         snapshot.save({"v": 2})
-        assert snapshot.load() == {"v": 2}
+        assert _loaded(snapshot) == {"v": 2}
         # no stray temp file left behind
         assert disk.listdir(str(tmp_path)) == ["snap"]
 
@@ -46,7 +82,7 @@ class TestFileSnapshot:
         snapshot.save({"good": True})
         with disk.open(path + ".tmp", "wb") as fh:
             fh.write(b'{"half-writ')   # simulated torn temp file
-        assert snapshot.load() == {"good": True}
+        assert _loaded(snapshot) == {"good": True}
 
     def test_save_fsyncs_directory_after_rename(self, tmp_path, disk,
                                                 monkeypatch):
@@ -82,11 +118,11 @@ class TestFileSnapshotOnMemoryDisk(TestFileSnapshot):
         FileSnapshot(path, disk=disk).save({"v": 1})
         FileSnapshot(path, disk=disk).save({"v": 2})
         survivor = FileSnapshot(path, disk=disk.crashed())
-        assert survivor.load() == {"v": 2}
+        assert _loaded(survivor) == {"v": 2}
         monkeypatch.setattr(disk, "fsync_dir", lambda directory: None)
         FileSnapshot(path, disk=disk).save({"v": 3})
         # without the directory fsync the rename is lost in a crash
-        assert FileSnapshot(path, disk=disk.crashed()).load() == {"v": 2}
+        assert _loaded(FileSnapshot(path, disk=disk.crashed())) == {"v": 2}
 
 
 class TestMemorySnapshot:
@@ -99,18 +135,18 @@ class TestMemorySnapshot:
         snapshot = FileSnapshot("db/snap", disk=disk)
         assert snapshot.load() is None
         snapshot.save({"x": [1]})
-        assert snapshot.load() == {"x": [1]}
+        assert _loaded(snapshot) == {"x": [1]}
         survivor = FileSnapshot("db/snap", disk=disk.crashed())
-        assert survivor.load() == {"x": [1]}
+        assert _loaded(survivor) == {"x": [1]}
 
     def test_load_returns_fresh_copy(self):
         disk = MemoryDisk()
         disk.makedirs("db")
         snapshot = FileSnapshot("db/snap", disk=disk)
         snapshot.save({"x": [1]})
-        first = snapshot.load()
+        first = _loaded(snapshot)
         first["x"].append(99)
-        assert snapshot.load() == {"x": [1]}
+        assert _loaded(snapshot) == {"x": [1]}
 
 
 class TestReplayPrefixProperty:
