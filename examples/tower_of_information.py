@@ -17,8 +17,7 @@ from repro import (
     InlineEnvironment,
     install_tower,
 )
-from repro.prov import lineage_records
-from repro.store import LineageGraph
+from repro.prov import ProvenanceGraph, lineage_records, plan_rerun
 
 
 def main():
@@ -49,28 +48,30 @@ def main():
     # ------------------------------------------------------------------
     # Lineage: read off the completions in the event logs, then queried.
     # ------------------------------------------------------------------
-    graph = LineageGraph(lineage_records(server.store))
+    graph = ProvenanceGraph(lineage_records(server.store))
     print(f"\n=== lineage: {len(graph)} derivation records ===")
 
-    # Build a task-level dependency view of the tower steps.
+    # The tower steps and the program that produced each one.
+    records = {record.task: record
+               for record in graph.run_records(instance_id)}
     step_order = [
         "GeneLocation", "Translation", "PairwiseAlignments", "Distances",
         "MultipleAlignment", "PhylogeneticTree", "AncestralSequences",
         "SecondaryStructure", "FunctionPrediction",
     ]
     for step in step_order:
-        dataset = f"{instance_id}/{step}"
-        if graph.is_derived(dataset):
-            producer = graph.producer(dataset)
-            print(f"  {step:<22} <- {producer.program}")
+        if step in records:
+            print(f"  {step:<22} <- {records[step].program}")
 
     # "It is possible for the system to recompute processes as data inputs
-    # or algorithms change": ask what a new phylogeny algorithm touches.
-    # (Task-level lineage here; dataset-level lineage works identically.)
-    stale = graph.invalidated_by_program("tower.phylo_tree")
+    # or algorithms change": ask what a new phylogeny algorithm touches,
+    # i.e. what a rerun of every task that ran it would recompute.
+    plan = plan_rerun(server.store, instance_id, graph=graph, task_ids=[
+        task for task, record in records.items()
+        if record.program == "tower.phylo_tree"])
     print(f"\nif the tree algorithm changes, recompute "
-          f"{len(stale)} dataset(s):")
-    for dataset in sorted(stale):
+          f"{len(plan.invalidated)} dataset(s):")
+    for dataset in plan.invalidated:
         print(f"  {dataset.split('/', 1)[1]}")
 
     # Operator-driven re-run of one step after a parameter change. An

@@ -64,7 +64,8 @@ from .core.planning import drain_plan, outage_impact
 from .errors import ReproError
 from .obs import ObservabilityHub, TaskSpan, TraceCollector
 from .processes import install_all_vs_all, install_tower
-from .store import LineageGraph, LineageRecord, OperaStore
+from .prov import LineageRecord
+from .store import OperaStore
 
 __version__ = "1.0.0"
 
@@ -96,10 +97,9 @@ __all__ = [
     "TraceCollector",
     "outage_impact",
     "drain_plan",
-    # store
+    # store & provenance
     "OperaStore",
     "LineageRecord",
-    "LineageGraph",
     # cluster
     "SimKernel",
     "SimulatedCluster",

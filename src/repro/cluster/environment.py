@@ -426,6 +426,10 @@ class SimulatedCluster(ExecutionEnvironment):
             policy=old.dispatcher.policy, seed=old.seed,
             observability=hub,
         )
+        # The predecessor is garbage, but only the cyclic collector would
+        # free it; drop the two references it holds to its store, so the
+        # store (and every payload a lazy replay left in it) goes now.
+        old.store = old.obs.views._store = None
         self.trace.record()
         return self.server
 

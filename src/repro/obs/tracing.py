@@ -13,7 +13,7 @@ the timings an operator asks about when a run looks slow:
 Spans are process-local (a ring buffer, not durable state): they describe
 attempts *this server process* witnessed. The span id
 ``<instance>:<path>:<attempt>`` also lands in lineage records, joining
-traces to the LineageGraph.
+traces to the provenance graph (:class:`~repro.prov.ProvenanceGraph`).
 
 Export is Chrome-trace JSON ("X" complete events, microsecond units) —
 loadable in ``chrome://tracing`` / Perfetto, one row per node.

@@ -1,12 +1,13 @@
 """Provenance: the lineage of the event logs promoted to a queryable graph.
 
 Every task completion the server records carries its derivation in its
-``task_completed`` event (one :class:`~repro.store.lineage.LineageRecord`
+``task_completed`` event (one :class:`~repro.prov.graph.LineageRecord`
 each); this package turns that durable record into the operator-facing
 surface the paper promises — "all dependencies are persistently
 recorded":
 
-* :mod:`repro.prov.graph` — :class:`ProvenanceGraph`: ancestry,
+* :mod:`repro.prov.graph` — :class:`LineageRecord` (one derivation)
+  and :class:`ProvenanceGraph`, the one lineage class: ancestry,
   descendants, derivation paths, run diffs, and W3C PROV-JSON
   import/export (plus cross-shard document merging);
 * :mod:`repro.prov.view` — :class:`ProvenanceView`: the graph as one
@@ -23,6 +24,7 @@ See ``docs/provenance.md`` for the operator runbook.
 from .graph import (
     PROV_PREFIX,
     PROV_URI,
+    LineageRecord,
     ProvenanceGraph,
     merge_prov_documents,
     relative_dataset,
@@ -45,6 +47,7 @@ from .view import (
 __all__ = [
     "PROV_PREFIX",
     "PROV_URI",
+    "LineageRecord",
     "ProvenanceGraph",
     "merge_prov_documents",
     "relative_dataset",

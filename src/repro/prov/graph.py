@@ -1,14 +1,18 @@
 """Provenance graph: activities + datasets over the recorded derivations.
 
-Promotes the flat :class:`~repro.store.lineage.LineageRecord` stream (one
-per ``task_completed`` event) into the queryable ancestry/derivation
-graph the paper's conclusion promises
-("lineage tracking is done automatically and all dependencies are
-persistently recorded"): every record becomes one *activity* node (the
-task attempt that ran, identified by its span) joined to the *entity*
-nodes it used and generated. On top of the dataset-level queries of
-:class:`~repro.store.lineage.LineageGraph` this adds:
+The paper's conclusion: "lineage tracking is done automatically and all
+dependencies are persistently recorded. This makes it possible for the
+system to recompute processes as data inputs or algorithms change." A
+:class:`LineageRecord` is one derivation (one per ``task_completed``
+event): the datasets read, the dataset(s) produced, the program that
+ran. :class:`ProvenanceGraph` promotes that stream into the queryable
+graph: every record becomes one *activity* node (the task attempt that
+ran, identified by its span) joined to the *entity* nodes it used and
+generated, and the graph answers
 
+* where a dataset came from (ancestry) and what depends on it
+  (descendants) — what to recompute when an input or an algorithm
+  changes (:func:`~repro.prov.rerun.plan_rerun`);
 * derivation paths (the chain of records connecting two datasets);
 * a structural diff between two runs of the same template (instance
   prefixes are stripped, so homologous tasks line up);
@@ -23,10 +27,10 @@ durable event logs dumps.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..errors import StoreError
-from ..store.lineage import LineageGraph, LineageRecord
 
 #: PROV-JSON namespace prefix for every identifier this module mints.
 PROV_PREFIX = "repro"
@@ -69,21 +73,69 @@ def relative_dataset(dataset: str, instance_id: str) -> str:
     return dataset
 
 
+@dataclass(frozen=True)
+class LineageRecord:
+    """One derivation step: ``inputs --program(params)--> outputs``."""
+
+    outputs: Tuple[str, ...]
+    inputs: Tuple[str, ...]
+    program: str
+    program_version: str = "1"
+    parameters: Tuple[Tuple[str, Any], ...] = ()
+    instance_id: str = ""
+    task: str = ""
+    timestamp: float = 0.0
+    #: task-span id (``instance:path:attempt``) joining this derivation to
+    #: the trace of the attempt that produced it.
+    span: str = ""
+    #: content key of the producing execution in the store's memo cache
+    #: (empty when the server ran without memoization) — smart rerun uses
+    #: it to invalidate cached results for operator-forced task reruns.
+    memo_key: str = ""
+
+    def to_dict(self) -> Dict[str, Any]:
+        """Serialize to a codec-friendly plain dict."""
+        return {
+            "outputs": list(self.outputs),
+            "inputs": list(self.inputs),
+            "program": self.program,
+            "program_version": self.program_version,
+            "parameters": [[k, v] for k, v in self.parameters],
+            "instance_id": self.instance_id,
+            "task": self.task,
+            "timestamp": self.timestamp,
+            "span": self.span,
+            "memo_key": self.memo_key,
+        }
+
+
 class ProvenanceGraph:
     """Activity+entity graph folded from lineage records.
 
-    Folding is deterministic in exactly the way :class:`LineageGraph` is
-    (records grouped by instance id, a re-derivation replacing the old
-    record), so any two folds of the same logs — live, after a failover
-    or a rescan — produce byte-identical :meth:`dump` output.
+    A record replaces every record that produced one of its outputs (a
+    re-derivation: the graph answers "how was this dataset produced",
+    not "how was it ever produced"), whichever instance that record
+    belongs to. The replaced record leaves the graph's records, hence
+    :meth:`dump` and the export, and the consumer index, but it still
+    answers as the producer of any output no later record wrote: the
+    all-vs-all's ``UserInput`` writes ``wb:queue_file``, which
+    ``QueueGeneration`` rewrites, and stays the producer of
+    ``wb:output_file``. Records are kept per instance in add order and
+    read in instance id order, so any interleaving of the same
+    per-instance sequences — a live fold, a fold after a failover, a
+    rescan — gives byte-identical :meth:`dump` output.
     """
 
     def __init__(self, records: Iterable[LineageRecord] = ()):
-        self.lineage = LineageGraph()
-        #: (instance_id, task path) -> latest record for that task.
-        self.activities: Dict[Tuple[str, str], LineageRecord] = {}
-        #: instance_id -> task paths recorded, in first-recorded order.
-        self._runs: Dict[str, List[str]] = {}
+        #: instance id -> its records not replaced, in add order.
+        self._records: Dict[str, List[LineageRecord]] = {}
+        #: instance id -> task path -> latest record of that task, tasks
+        #: in first-recorded order.
+        self._runs: Dict[str, Dict[str, LineageRecord]] = {}
+        #: dataset -> the last record that wrote it.
+        self._producers: Dict[str, LineageRecord] = {}
+        #: dataset -> the records not replaced that read it.
+        self._consumers: Dict[str, List[LineageRecord]] = {}
         #: bumped by every :meth:`add`: with the graph object itself it
         #: names one state of the graph (the plane's merged export is
         #: kept per such state).
@@ -96,33 +148,58 @@ class ProvenanceGraph:
 
     def add(self, record: LineageRecord) -> None:
         """Fold one derivation; a re-derivation replaces the old one."""
-        self.lineage.add(record)
         self.mutations += 1
         self._document = None
-        key = (record.instance_id, record.task)
-        if key not in self.activities:
-            self._runs.setdefault(record.instance_id, []).append(record.task)
-        self.activities[key] = record
+        for output in record.outputs:
+            existing = self._producers.get(output)
+            self._producers[output] = record
+            if existing is None or existing == record:
+                continue
+            siblings = self._records.get(existing.instance_id, ())
+            # A record sharing several outputs is replaced once, and a
+            # producer replaced before stays out.
+            if existing in siblings:
+                siblings.remove(existing)
+                for inp in existing.inputs:
+                    self._consumers[inp].remove(existing)
+        self._records.setdefault(record.instance_id, []).append(record)
+        for inp in record.inputs:
+            self._consumers.setdefault(inp, []).append(record)
+        self._runs.setdefault(record.instance_id, {})[record.task] = record
 
     def drop_instance(self, instance_id: str) -> None:
         """Forget every record of one instance (it moved away)."""
-        self.lineage.discard_instance(instance_id)
         self.mutations += 1
         self._document = None
-        for task in self._runs.pop(instance_id, ()):
-            del self.activities[(instance_id, task)]
+        records = self._records.pop(instance_id, [])
+        for record in records:
+            for inp in record.inputs:
+                self._consumers[inp].remove(record)
+        # A replaced record still producing an output is its task's
+        # latest (a task's records all write the same outputs).
+        records += self._runs.pop(instance_id, {}).values()
+        for record in records:
+            for output in record.outputs:
+                if self._producers.get(output) is record:
+                    del self._producers[output]
+
+    def _ordered(self) -> Iterator[LineageRecord]:
+        """The records not replaced, in graph order (instance id, then
+        add order)."""
+        for instance_id in sorted(self._records):
+            yield from self._records[instance_id]
 
     def __len__(self) -> int:
-        return len(self.lineage)
+        return sum(map(len, self._records.values()))
 
     def __repr__(self) -> str:
-        return f"ProvenanceGraph({self.lineage.records!r})"
+        return f"ProvenanceGraph({list(self._ordered())!r})"
 
     # -- canonical serialization (the equivalence anchor) -----------------
 
     def dump(self) -> Dict[str, Any]:
         """Canonical codec-safe snapshot: the records in graph order."""
-        return {"records": [r.to_dict() for r in self.lineage.records]}
+        return {"records": [r.to_dict() for r in self._ordered()]}
 
     # -- queries ------------------------------------------------------------
 
@@ -132,10 +209,7 @@ class ProvenanceGraph:
 
     def run_records(self, instance_id: str) -> List[LineageRecord]:
         """The instance's task records in first-recorded order."""
-        return [
-            self.activities[(instance_id, task)]
-            for task in self._runs.get(instance_id, ())
-        ]
+        return list(self._runs.get(instance_id, {}).values())
 
     def run_steps(self, instance_id: str) -> List[Dict[str, Any]]:
         """The instance's derivation steps as operator-facing rows."""
@@ -147,35 +221,42 @@ class ProvenanceGraph:
         Rows are emitted in dependency order (furthest ancestor first)
         and include the queried dataset's own producer, if derived.
         """
-        order: List[str] = []
-        seen = set()
+        rows: List[Dict[str, Any]] = []
+        seen: Set[str] = set()
+        emitted: Set[int] = set()
 
         def visit(current: str) -> None:
             """Post-order walk: ancestors land before their consumers."""
             if current in seen:
                 return
             seen.add(current)
-            record = self.lineage._producers.get(current)
+            record = self._producers.get(current)
             if record is None:
                 return
             for inp in record.inputs:
                 visit(inp)
-            order.append(current)
+            if id(record) not in emitted:
+                emitted.add(id(record))
+                rows.append(self._step(record))
 
         visit(dataset)
-        rows = []
-        emitted = set()
-        for produced in order:
-            record = self.lineage.producer(produced)
-            if id(record) in emitted:
-                continue
-            emitted.add(id(record))
-            rows.append(self._step(record))
         return rows
+
+    def derived_from(self, datasets: Iterable[str]) -> Set[str]:
+        """Every dataset (transitively) derived from any of ``datasets``."""
+        seen: Set[str] = set()
+        frontier = list(datasets)
+        while frontier:
+            for record in self._consumers.get(frontier.pop(), ()):
+                for output in record.outputs:
+                    if output not in seen:
+                        seen.add(output)
+                        frontier.append(output)
+        return seen
 
     def descendants(self, dataset: str) -> List[str]:
         """Sorted datasets that (transitively) depend on this one."""
-        return sorted(self.lineage.descendants(dataset))
+        return sorted(self.derived_from((dataset,)))
 
     def derivation_path(self, source: str,
                         target: str) -> List[Dict[str, Any]]:
@@ -194,7 +275,7 @@ class ProvenanceGraph:
         while frontier and not found:
             nxt: List[str] = []
             for current in frontier:
-                record = self.lineage._producers.get(current)
+                record = self._producers.get(current)
                 if record is None:
                     continue
                 for inp in record.inputs:
@@ -297,12 +378,10 @@ class ProvenanceGraph:
         attribute dicts inside the sections are shared with every other
         export of the same graph state and must be treated as read-only.
         """
-        records = self.lineage.records
         if instance_id is not None:
-            return self._build_document(
-                r for r in records if r.instance_id == instance_id)
+            return self._build_document(self._records.get(instance_id, ()))
         if self._document is None:
-            self._document = self._build_document(records)
+            self._document = self._build_document(self._ordered())
         return fresh_sections(self._document)
 
     @staticmethod

@@ -128,9 +128,10 @@ def plan_rerun(store, instance_id: str,
     seeds: List[str] = [
         f"{instance_id}/wb:{name}" for name in sorted(changed_inputs)
     ]
+    records = {r.task: r for r in graph.run_records(instance_id)}
     invalidated: set = set()
     for task in task_ids:
-        record = graph.activities.get((instance_id, task))
+        record = records.get(task)
         if record is None:
             raise StoreError(
                 f"no provenance recorded for task {task!r} of "
@@ -140,18 +141,10 @@ def plan_rerun(store, instance_id: str,
         # derived from them.
         invalidated.update(record.outputs)
         seeds.extend(record.outputs)
-    for seed in seeds:
-        invalidated.update(graph.lineage.descendants(seed))
-    stale_tasks = sorted({
-        record.task
-        for record in graph.run_records(instance_id)
-        if invalidated.intersection(record.outputs)
-    })
-    memo_tasks = sorted(
-        record.task
-        for record in graph.run_records(instance_id)
-        if record.task not in stale_tasks
-    )
+    invalidated |= graph.derived_from(seeds)
+    stale_tasks = sorted(task for task, record in records.items()
+                         if invalidated.intersection(record.outputs))
+    memo_tasks = sorted(set(records) - set(stale_tasks))
     return RerunPlan(
         original_id=instance_id,
         template_name=launch["template_name"],
@@ -183,9 +176,10 @@ def execute_rerun(server, instance_id: str,
                       graph=provenance_graph(store))
     if server.memo is None:
         server.enable_memoization()
-    graph = provenance_graph(store)
+    records = {r.task: r for r in provenance_graph(store).run_records(
+        instance_id)}
     for task in plan.stale_tasks:
-        record = graph.activities.get((instance_id, task))
+        record = records.get(task)
         if record is not None and record.memo_key:
             store.data.memo_delete(record.memo_key)
     inputs = dict(plan.inputs)

@@ -22,8 +22,7 @@ from typing import Any, Dict, Iterator, List, Optional
 from ..core.engine.events import TASK_COMPLETED
 from ..core.engine.recovery import staged_import
 from ..obs.views import View
-from ..store.lineage import LineageRecord
-from .graph import ProvenanceGraph
+from .graph import LineageRecord, ProvenanceGraph
 
 
 def lineage_record(instance_id: str,

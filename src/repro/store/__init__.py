@@ -1,14 +1,13 @@
-"""Persistence substrate: WAL-backed KV store, BioOpera data spaces, lineage.
+"""Persistence substrate: WAL-backed KV store and the BioOpera data spaces.
 
 Public surface: :class:`KVStore` (checkpoint-bounded recovery over a
 segmented WAL), the BioOpera data spaces (:class:`OperaStore` and the four
-space classes), the WAL (:class:`SegmentedWAL`) and the :class:`MemoryDisk`
-an in-memory store runs it on, and the lineage graph.
+space classes), the WAL (:class:`SegmentedWAL`), and the
+:class:`MemoryDisk` an in-memory store runs it on.
 """
 
 from .disk import MemoryDisk
 from .kvstore import KVStore, MEMORY, Transaction
-from .lineage import LineageGraph, LineageRecord
 from .spaces import (
     ConfigurationSpace,
     DataSpace,
@@ -29,6 +28,4 @@ __all__ = [
     "InstanceSpace",
     "ConfigurationSpace",
     "DataSpace",
-    "LineageRecord",
-    "LineageGraph",
 ]

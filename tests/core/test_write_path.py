@@ -97,7 +97,7 @@ def test_a_recovery_commits_no_node_description(monkeypatch):
     commits = _record_commits(monkeypatch)
     recovered = cluster.recover_server()
     assert recovered.awareness.has_node(
-        next(iter(server.store.configuration.nodes())))
+        next(iter(recovered.store.configuration.nodes())))
     assert commits, "the recovery bumps the epoch, at least"
     assert not any(key.startswith("config/node/") for keys in commits
                    for key in keys)

@@ -26,7 +26,7 @@ from repro.cluster.failures import DISTURBANCES
 from repro.faults import chaos, invariants
 from repro.faults.plan import (PROFILES, SCHEDULED_CATEGORIES, FaultAction,
                                FaultPlan, ScheduledFault)
-from repro.faults.points import CATALOG
+from repro.faults.points import CATALOG, CRASH_KINDS
 
 
 @pytest.fixture(scope="module")
@@ -317,12 +317,14 @@ class TestCampaignDigestsTool:
 
     def test_out_then_compare(self, tool, tmp_path, capsys):
         first, second = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-        assert tool.main(["--out", first, "--seeds", "1"]) == 0
-        assert tool.main(["--out", second, "--seeds", "1"]) == 0
+        code = tool.main(["--out", first, "--seeds", "1"])
+        assert tool.main(["--out", second, "--seeds", "1"]) == code
         report = json.loads(pathlib.Path(first).read_text())
         assert sorted(report["cells"]) == [
             "mixed/0", "partition/0", "rebalance/0", "shard/0"]
         assert report["not_ok"] == 0
+        # one seed need not reach every crash window
+        assert code == (1 if tool.uncovered(report["fired"]) else 0)
         assert tool.main(["--compare", first, second]) == 0
         out = capsys.readouterr().out
         assert "4 of 4 cells identical" in out
@@ -348,7 +350,45 @@ class TestCampaignDigestsTool:
                 violations=["planted"] if bad else [])
 
         monkeypatch.setattr(chaos, "run_campaign", planted)
+        monkeypatch.setattr(tool, "uncovered", lambda fired: [])
         out = tmp_path / "planted.json"
         assert tool.main(["--out", str(out), "--seeds", "2"]) == 1
         assert "8 cells, 2 not ok" in capsys.readouterr().out
         assert json.loads(out.read_text())["not_ok"] == 2
+
+    def test_every_crash_window_fires_or_is_named(self, tool):
+        """``uncovered`` over fired sets: a crash window that fires in no
+        run must be in ``UNREACHED``, and an entry there must not fire;
+        message-only and error-only points are not crash windows."""
+        windows = {point for point, kinds in CATALOG.items()
+                   if set(kinds) & set(CRASH_KINDS)}
+        reached = windows - set(tool.UNREACHED)
+        assert set(tool.UNREACHED) <= windows
+        assert tool.uncovered(reached) == []
+        assert tool.uncovered(reached | {"pec.report", "pec.program"}) == []
+        missing = sorted(reached)[0]
+        assert tool.uncovered(reached - {missing}) == [
+            f"crash window {missing} fired in no run"]
+        named = sorted(tool.UNREACHED)[0]
+        assert tool.uncovered(reached | {named}) == [
+            f"{named} fired, but UNREACHED says: {tool.UNREACHED[named]}"]
+        assert "pec.report" not in windows and "pec.program" not in windows
+
+    def test_out_fails_on_an_unreached_window(self, tool, tmp_path,
+                                              monkeypatch, capsys):
+        """Runs that all survive still fail ``--out`` when a crash window
+        fired in none of them."""
+        def planted(seed, darwin, config=None):
+            return chaos.CampaignResult(
+                seed=seed, status="completed",
+                fired=[{"point": "wal.append"}])
+
+        monkeypatch.setattr(chaos, "run_campaign", planted)
+        out = tmp_path / "planted.json"
+        assert tool.main(["--out", str(out), "--seeds", "1"]) == 1
+        printed = capsys.readouterr().out
+        assert "4 cells, 0 not ok" in printed
+        assert "COVERAGE crash window store.rotate fired in no run" \
+            in printed
+        assert "wal.append" not in printed
+        assert json.loads(out.read_text())["fired"] == ["wal.append"]

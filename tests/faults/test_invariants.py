@@ -11,7 +11,7 @@ from repro.core.engine import (
     BioOperaServer, ProgramRegistry, ProgramResult, events as ev,
 )
 from repro.faults import invariants
-from repro.store import LineageRecord
+from repro.prov import LineageRecord
 
 OCR = "PROCESS P\n  ACTIVITY A\n    PROGRAM w.u\n  END\nEND"
 

@@ -7,6 +7,8 @@ counters) and what it re-derives from the store (identity, epoch,
 policies) cannot drift apart between them.
 """
 
+import gc
+import weakref
 
 import pytest
 
@@ -19,6 +21,7 @@ from repro.faults import chaos
 from repro.faults.plan import FaultAction, FaultPlan, ScheduledFault
 from repro.faults.points import FaultInjector, InjectedCrash, installed
 from repro.obs import ObservabilityHub
+from repro.store import OperaStore
 
 from ..shard.conftest import JOB_OCR, job_registry, make_plane
 
@@ -146,6 +149,37 @@ def test_recovery_killed_midway_keeps_the_run_counters():
     assert run_counters(recovered) \
         == run_counters(twin_cluster.recover_server())
     assert recovered.metrics["jobs_dispatched"] > before["jobs_dispatched"]
+
+
+@pytest.mark.parametrize("on_disk", [False, True])
+def test_a_crashed_servers_store_is_freed_at_failover(tmp_path, on_disk):
+    """The crashed server is garbage after a failover, held only by its
+    own cycles, and so would its store be until the cyclic collector
+    ran; the failover drops the predecessor's references to its store,
+    so reference counting frees the store the moment it returns."""
+    path = str(tmp_path / "store")
+    kernel = SimKernel(seed=5)
+    cluster = SimulatedCluster(kernel, uniform(2))
+    server = BioOperaServer(OperaStore(path) if on_disk else None,
+                            registry=job_registry())
+    server.attach_environment(cluster)
+    server.define_template_ocr(JOB_OCR)
+    server.launch("job", {"cost": 30.0})
+    kernel.run(until=10.0)
+    gc.disable()
+    try:
+        crashed = weakref.ref(server.store)
+        cluster.crash_server()
+        recovered = cluster.recover_server(
+            store=OperaStore(path) if on_disk else
+            server.store.simulate_crash())
+        assert crashed() is None
+    finally:
+        gc.enable()
+    assert recovered.store is not None and server.store is None
+    kernel.run()
+    assert recovered.instance(next(iter(recovered.instances))).status \
+        == "completed"
 
 
 def test_shard_names_the_half_built_server_a_killed_recovery_leaves():

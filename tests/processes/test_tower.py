@@ -5,8 +5,7 @@ import pytest
 from repro.core.engine import BioOperaServer, InlineEnvironment
 from repro.core.model import SubprocessTask
 from repro.processes import build_tower_template, install_tower
-from repro.prov import lineage_records
-from repro.store import LineageGraph
+from repro.prov import ProvenanceGraph, lineage_records
 
 
 @pytest.fixture()
@@ -90,9 +89,8 @@ class TestExecution:
     def test_lineage_records_every_activity(self, tower_server):
         server, env = tower_server
         iid = self.launch(server, env)
-        records = list(lineage_records(server.store))
-        graph = LineageGraph(records)
-        produced = {r.task for r in records if r.instance_id == iid}
+        graph = ProvenanceGraph(lineage_records(server.store))
+        produced = {r.task for r in graph.run_records(iid)}
         assert "GeneLocation" in produced
         assert "FunctionPrediction" in produced
         assert any("Chunk" in task for task in produced)  # nested TEUs

@@ -11,8 +11,8 @@ without the next export seeing it.
 from unittest import mock
 
 from repro.core.engine.operator_console import OperatorConsole
-from repro.prov import ProvenanceGraph, lineage_records
-from repro.store import LineageRecord, codec
+from repro.prov import LineageRecord, ProvenanceGraph, lineage_records
+from repro.store import codec
 
 from .conftest import diamond_server, run_diamond
 
@@ -116,14 +116,14 @@ class TestAliasing:
         the record that generates it must not write into the attribute
         dict the earlier export handed out."""
         graph = ProvenanceGraph()
-        record = {"outputs": ["i1/x"], "inputs": ["i2/y"], "program": "p",
-                  "instance_id": "i1", "task": "A", "span": "i1:A:1"}
-        graph.add(LineageRecord.from_dict(record))
+        graph.add(LineageRecord(
+            outputs=("i1/x",), inputs=("i2/y",), program="p",
+            instance_id="i1", task="A", span="i1:A:1"))
         first = graph.to_prov_json()
         held = codec.encode(first)
-        graph.add(LineageRecord.from_dict({
-            **record, "outputs": ["i2/y"], "inputs": [],
-            "instance_id": "i2", "task": "B", "span": "i2:B:1"}))
+        graph.add(LineageRecord(
+            outputs=("i2/y",), inputs=(), program="p",
+            instance_id="i2", task="B", span="i2:B:1"))
         second = graph.to_prov_json()
         assert second["entity"]["repro:i2/y"] == {"repro:instance": "i2"}
         assert codec.encode(first) == held
