@@ -55,17 +55,13 @@ class OperatorConsole:
 
     def list_instances(self) -> List[Dict[str, Any]]:
         """One row per instance, ended ones included: the first listing
-        after a failover replays the instances the recovery deferred."""
-        rows = []
-        for instance_id in sorted(self.server.instances):
-            instance = self.server.instances[instance_id]
-            rows.append({
-                "instance_id": instance_id,
-                "template": instance.template.name if instance.template else "",
-                "status": instance.status,
-                "progress": instance.progress(),
-            })
-        return rows
+        after a failover replays the instances the recovery deferred.
+
+        Served from the rows the server's instance map keeps
+        (:meth:`~repro.core.engine.recovery.InstanceMap.listing`): the
+        list is the caller's to edit, but treat the rows in it as
+        read-only — they are shared with every other listing."""
+        return list(self.server.instances.listing())
 
     def instance_detail(self, instance_id: str) -> Dict[str, Any]:
         instance = self.server.instance(instance_id)

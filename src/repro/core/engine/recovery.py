@@ -4,7 +4,8 @@ The server's crash-recovery entry point is
 :meth:`~repro.core.engine.server.BioOperaServer.recover`; this module holds
 the pieces it is built from — whether an instance has :func:`ended`,
 replaying a single instance from the instance space, the
-:class:`InstanceMap` a recovery fills, the :class:`StepClock` a server
+:class:`InstanceMap` a recovery fills (which also keeps the monitor's
+instance listing), the :class:`StepClock` a server
 without a timed environment runs on — and beside them: verifying that a
 log replays cleanly, and quantifying how much work a failure cost — the
 measurement behind the checkpoint-granularity ablation ("since
@@ -14,8 +15,9 @@ in less work lost when failures occur", paper Section 3.3).
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from itertools import chain
-from typing import Callable, Dict, List
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from ...errors import StoreError
 from ...store.spaces import OperaStore
@@ -91,17 +93,41 @@ class InstanceMap(dict):
     over ids (instances in memory first, then deferred ids) replay
     nothing; :meth:`loaded` is the instances in memory, which every live
     one is. A hit on an instance in memory is the plain ``dict``'s.
+
+    The map also keeps the monitor's :meth:`listing`: one row per id,
+    rebuilt only for the ids in :attr:`changed`.
     """
 
-    def __init__(self, replay: Callable[[str], ProcessInstance]):
+    def __init__(self, replay: Callable[[str], ProcessInstance],
+                 shard: Optional[int] = None):
         super().__init__()
         #: enters the replayed instance under its id and returns it.
         self._replay = replay
         #: ended instances not replayed yet (ids only, in entry order).
         self._deferred: Dict[str, None] = {}
+        #: ids whose listing row is stale: entered, removed, or logged to
+        #: (the server's emit marks every committed slice) since the last
+        #: :meth:`listing`.
+        self.changed: Set[str] = set()
+        #: the shard index every row carries (``None``: no ``"shard"``).
+        self._shard = shard
+        self._ids: List[str] = []  # every id, sorted
+        self._rows: Dict[str, Dict[str, Any]] = {}
+        self._listing: List[Dict[str, Any]] = []
+
+    def _enter(self, instance_id: str) -> None:
+        if instance_id not in self:
+            insort(self._ids, instance_id)
+        self.changed.add(instance_id)
+
+    def __setitem__(self, instance_id: str,
+                    instance: ProcessInstance) -> None:
+        self._enter(instance_id)
+        dict.__setitem__(self, instance_id, instance)
 
     def defer(self, instance_id: str) -> None:
         """Enter an ended instance by id only; its first reader replays."""
+        self._enter(instance_id)
         self._deferred[instance_id] = None
 
     def loaded(self) -> List[ProcessInstance]:
@@ -136,6 +162,8 @@ class InstanceMap(dict):
             del self._deferred[instance_id]
         else:
             dict.__delitem__(self, instance_id)
+        del self._ids[bisect_left(self._ids, instance_id)]
+        self.changed.add(instance_id)
 
     def _replay_deferred(self) -> None:
         for instance_id in list(self._deferred):
@@ -150,8 +178,47 @@ class InstanceMap(dict):
         return dict.items(self)
 
     def pop(self, instance_id: str, *default):
-        self.get(instance_id)
-        return dict.pop(self, instance_id, *default)
+        if instance_id not in self:
+            return dict.pop(self, instance_id, *default)
+        instance = self[instance_id]
+        del self[instance_id]
+        return instance
+
+    def listing(self) -> List[Dict[str, Any]]:
+        """One row per instance, in id order, ended ones included.
+
+        Kept between calls: only the rows of :attr:`changed` ids are
+        rebuilt (a deferred one is replayed here, once) or dropped, and
+        a rebuilt row replaces the old one, never edits it. The list
+        and its rows are shared with every caller and are read-only;
+        the list is the same object until something changed.
+        """
+        if self.changed:
+            # In id order, so deferred instances replay in the same order
+            # whatever the hash seed.
+            for instance_id in sorted(self.changed):
+                if instance_id in self:
+                    self._rows[instance_id] = self._row(
+                        instance_id, self[instance_id])
+                else:
+                    self._rows.pop(instance_id, None)
+            self.changed.clear()
+            self._listing = [self._rows[instance_id]
+                             for instance_id in self._ids]
+        return self._listing
+
+    def _row(self, instance_id: str,
+             instance: ProcessInstance) -> Dict[str, Any]:
+        """The listing row of one instance, built from its kept state."""
+        row = {
+            "instance_id": instance_id,
+            "template": instance.template.name if instance.template else "",
+            "status": instance.status,
+            "progress": instance.progress(),
+        }
+        if self._shard is not None:
+            row["shard"] = self._shard
+        return row
 
 
 def verify_log(store: OperaStore, instance_id: str, resolver) -> List[str]:

@@ -149,7 +149,7 @@ class BioOperaServer:
         self.quarantine: Optional[QuarantinePolicy] = None
         self.memo: Optional[MemoPolicy] = None
         self.migration: Optional[RebalancePolicy] = None
-        self.instances = InstanceMap(self._replay)
+        self.instances = InstanceMap(self._replay, self.shard_index)
         #: instance ids quiesced for shard migration: dispatch is gated
         #: off and instance-scoped requests are deferred (the broker's
         #: redelivery retries them) until the move commits or rolls back.
@@ -352,6 +352,7 @@ class BioOperaServer:
             context["batch"] = len(events)
         fire("server.emit.pre-persist", **context)
         self.store.instances.append_events(instance.id, events, create)
+        self.instances.changed.add(instance.id)
         fire("server.emit.post-persist", **context)
         for event in events:
             self._apply_emitted(instance, event)

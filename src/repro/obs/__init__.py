@@ -68,6 +68,7 @@ class ObservabilityHub:
         store.instances.observer = self._on_events
 
     def detach(self) -> None:
+        """Stop following the store (a no-op when not attached)."""
         if self._store is not None:
             self._store.instances.observer = None
             self._store.observability = None

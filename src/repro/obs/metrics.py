@@ -45,6 +45,7 @@ class BoundedHistogram:
         self.max: Optional[float] = None
 
     def observe(self, value: float) -> None:
+        """Count one value into its bucket and the running totals."""
         self.buckets[bisect.bisect_left(self.bounds, value)] += 1
         self.count += 1
         self.total += value
@@ -55,6 +56,7 @@ class BoundedHistogram:
 
     @property
     def mean(self) -> float:
+        """Mean of the observed values (0.0 before the first)."""
         return self.total / self.count if self.count else 0.0
 
     def quantile(self, q: float) -> float:
@@ -72,6 +74,7 @@ class BoundedHistogram:
         return self.max if self.max is not None else 0.0
 
     def summary(self) -> Dict[str, Any]:
+        """Count, sum, min, max, mean, p50, p95 and the bucket rows."""
         return {
             "count": self.count,
             "sum": self.total,
@@ -103,13 +106,16 @@ class MetricsRegistry:
     # -- writers (hot path) -------------------------------------------------
 
     def inc(self, name: str, amount: int = 1) -> None:
+        """Add ``amount`` to a counter (created at 0)."""
         self.counters[name] = self.counters.get(name, 0) + amount
 
     def set_gauge(self, name: str, value: float) -> None:
+        """Set a gauge to its latest value."""
         self.gauges[name] = value
 
     def observe(self, name: str, value: float,
                 bounds: Optional[Iterable[float]] = None) -> None:
+        """Record one value in a histogram (created with ``bounds``)."""
         histogram = self.histograms.get(name)
         if histogram is None:
             histogram = self.histograms[name] = BoundedHistogram(bounds)
@@ -118,15 +124,19 @@ class MetricsRegistry:
     # -- readers ------------------------------------------------------------
 
     def counter(self, name: str) -> int:
+        """A counter's value (0 when never incremented)."""
         return self.counters.get(name, 0)
 
     def gauge(self, name: str, default: float = 0.0) -> float:
+        """A gauge's value, or ``default`` when never set."""
         return self.gauges.get(name, default)
 
     def histogram(self, name: str) -> Optional[BoundedHistogram]:
+        """A histogram by name, or ``None``."""
         return self.histograms.get(name)
 
     def snapshot(self) -> Dict[str, Any]:
+        """A copy of every counter, gauge and histogram summary."""
         return {
             "counters": dict(self.counters),
             "gauges": dict(self.gauges),

@@ -50,12 +50,14 @@ class TaskSpan:
 
     @property
     def queue_wait(self) -> Optional[float]:
+        """Seconds from enqueue to dispatch (``None``: enqueue unknown)."""
         if self.enqueued_at is None:
             return None
         return max(0.0, self.dispatched_at - self.enqueued_at)
 
     @property
     def run_time(self) -> Optional[float]:
+        """Seconds from dispatch to the node-local finish (else the close)."""
         end = self.finished_at if self.finished_at is not None else self.closed_at
         if end is None:
             return None
@@ -63,6 +65,7 @@ class TaskSpan:
 
     @property
     def report_delay(self) -> Optional[float]:
+        """Seconds from the node-local finish to the outcome event."""
         if self.finished_at is None or self.closed_at is None:
             return None
         return max(0.0, self.closed_at - self.finished_at)
@@ -93,6 +96,7 @@ class TraceCollector:
     def open_span(self, instance_id: str, path: str, node: str, program: str,
                   attempt: int, enqueued_at: Optional[float],
                   dispatched_at: float) -> TaskSpan:
+        """Open (and return) the span of one dispatched attempt."""
         span = TaskSpan(
             span_id=f"{instance_id}:{path}:{attempt}",
             instance_id=instance_id,
@@ -109,6 +113,7 @@ class TraceCollector:
         return span
 
     def on_event(self, instance_id: str, event: Dict[str, Any]) -> None:
+        """Open a span for an unseen dispatch; close one on its outcome."""
         kind = event["type"]
         if kind == TASK_DISPATCHED:
             # Span not opened by the server (e.g. replay of a foreign log):
@@ -142,12 +147,14 @@ class TraceCollector:
     # -- reads ---------------------------------------------------------------
 
     def find(self, span_id: str) -> Optional[TaskSpan]:
+        """The span with this id, or ``None``."""
         for span in self.spans:
             if span.span_id == span_id:
                 return span
         return None
 
     def spans_for(self, instance_id: Optional[str] = None) -> List[TaskSpan]:
+        """Every kept span, or one instance's, in the order opened."""
         if instance_id is None:
             return list(self.spans)
         return [s for s in self.spans if s.instance_id == instance_id]
@@ -241,6 +248,7 @@ class TraceCollector:
 
     def export_chrome_trace(self, path: str,
                             instance_id: Optional[str] = None) -> str:
+        """Write :meth:`chrome_trace` as JSON to ``path``; returns it."""
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(self.chrome_trace(instance_id), handle, indent=1)
         return path

@@ -64,6 +64,7 @@ class View:
     interests: Optional[Tuple[str, ...]] = None
 
     def apply(self, instance_id: str, event: Dict[str, Any]) -> None:
+        """Fold one event of the instance into the state."""
         raise NotImplementedError
 
     def forget(self, instance_id: str) -> None:
@@ -82,6 +83,7 @@ class NodeUsageView(View):
         self.state: Dict[str, Dict[str, List]] = {}
 
     def apply(self, instance_id: str, event: Dict[str, Any]) -> None:
+        """Count a completion (and its CPU) or a failure on its node."""
         node = event.get("node")
         if not node:
             return
@@ -113,6 +115,7 @@ class EventHistogramView(View):
         self.state: Dict[str, Dict[str, int]] = {}
 
     def apply(self, instance_id: str, event: Dict[str, Any]) -> None:
+        """Count the event under its type."""
         per = self.state.get(instance_id)
         if per is None:
             per = self.state[instance_id] = {}
@@ -120,6 +123,7 @@ class EventHistogramView(View):
         per[kind] = per.get(kind, 0) + 1
 
     def read(self, instance_id: str) -> Dict[str, int]:
+        """The instance's event counts by type (a copy)."""
         return dict(self.state.get(instance_id, {}))
 
 
@@ -139,6 +143,7 @@ class CompletionsView(View):
         self.state: Dict[str, List[List]] = {}
 
     def apply(self, instance_id: str, event: Dict[str, Any]) -> None:
+        """Record an activity completion at its time."""
         if not event.get("node"):
             return  # structural (frame) completion, not an activity
         pairs = self.state.get(instance_id)
@@ -151,6 +156,7 @@ class CompletionsView(View):
             pairs.append([time, 1])
 
     def read(self, instance_id: str, bucket: float) -> List[Tuple[float, int]]:
+        """Completions per ``bucket`` seconds, as ``(start, count)`` pairs."""
         buckets: Dict[int, int] = {}
         for time, count in self.state.get(instance_id, ()):
             index = int(time // bucket)
@@ -169,6 +175,7 @@ class PathCostView(View):
         self.state: Dict[str, Dict[str, float]] = {}
 
     def apply(self, instance_id: str, event: Dict[str, Any]) -> None:
+        """Add an activity completion's cost to its path."""
         if not event.get("node"):
             return
         per = self.state.get(instance_id)
@@ -178,6 +185,7 @@ class PathCostView(View):
         per[path] = per.get(path, 0.0) + event.get("cost", 0.0)
 
     def read(self, instance_id: str) -> Dict[str, float]:
+        """The instance's CPU cost per task path (a copy)."""
         return dict(self.state.get(instance_id, {}))
 
 
@@ -199,6 +207,7 @@ class RetryHotspotsView(View):
         self.state: Dict[str, Dict[str, Dict]] = {}
 
     def apply(self, instance_id: str, event: Dict[str, Any]) -> None:
+        """Count a dispatch, or a failure by class with its reason."""
         per = self.state.get(instance_id)
         if per is None:
             per = self.state[instance_id] = {"counts": {}, "reasons": {}}
@@ -219,6 +228,7 @@ class RetryHotspotsView(View):
 
     def read(self, instance_id: str) -> Tuple[Dict[str, List],
                                               Dict[str, List[str]]]:
+        """The instance's ``(counts, reasons)`` by task path."""
         per = self.state.get(instance_id)
         if per is None:
             return {}, {}
@@ -242,6 +252,7 @@ class WallTimeView(View):
         self.state: Dict[str, List] = {}
 
     def apply(self, instance_id: str, event: Dict[str, Any]) -> None:
+        """Move the last event time; open or close a suspension."""
         time = event["time"]
         per = self.state.get(instance_id)
         if per is None:
@@ -258,6 +269,7 @@ class WallTimeView(View):
             per[3] = None
 
     def read(self, instance_id: str) -> Dict[str, float]:
+        """Running, suspended and total seconds of the instance."""
         per = self.state.get(instance_id)
         if per is None:
             return {"running": 0.0, "suspended": 0.0, "total": 0.0}
@@ -312,26 +324,32 @@ class ViewCatalog:
 
     @property
     def node_usage(self) -> NodeUsageView:
+        """The node-usage view."""
         return self.by_name["node_usage"]
 
     @property
     def event_histogram(self) -> EventHistogramView:
+        """The event-histogram view."""
         return self.by_name["event_histogram"]
 
     @property
     def completions(self) -> CompletionsView:
+        """The completions-over-time view."""
         return self.by_name["completions_over_time"]
 
     @property
     def path_cost(self) -> PathCostView:
+        """The path-cost view."""
         return self.by_name["path_cost"]
 
     @property
     def retry_hotspots(self) -> RetryHotspotsView:
+        """The retry-hotspots view."""
         return self.by_name["retry_hotspots"]
 
     @property
     def wall_time(self) -> WallTimeView:
+        """The wall-time-breakdown view."""
         return self.by_name["wall_time_breakdown"]
 
     # -- binding & recovery -------------------------------------------------
@@ -486,6 +504,7 @@ def merge_node_usage_chunks(chunks: Iterable[List[List]]) -> List[List]:
 
 def rank_path_costs(costs: Dict[str, float],
                     top: int) -> List[Tuple[str, float]]:
+    """The ``top`` costliest paths, costliest first (ties by path)."""
     ranked = sorted(costs.items(), key=lambda kv: (-kv[1], kv[0]))
     return ranked[:top]
 
@@ -494,6 +513,7 @@ def rank_retry_hotspots(counts: Dict[str, List],
                         reasons: Dict[str, List[str]],
                         minimum: int) -> List[Tuple[str, Dict[str, int],
                                                     List[str]]]:
+    """Paths dispatched at least ``minimum`` times, worst first."""
     hotspots = [
         (
             path,

@@ -7,8 +7,11 @@ servers. :class:`ShardedConsole` keeps the
 vocabulary but answers it plane-wide: instance-scoped calls route to
 the owning shard — chasing forwarding records when the instance was
 migrated, so a stale id keeps working — plane-scoped calls fan out to
-every live shard's console and merge the rows (ids are globally unique
-by shard prefix, so merging is concatenation, never reconciliation).
+every live shard's console and merge the answers (ids are globally
+unique by shard prefix, so a merge never reconciles two rows). The
+instance listing is not fanned out per call: each shard keeps its rows
+and the plane keeps their merge, redone only when a live shard's
+listing changed (:meth:`ShardedControlPlane.list_instances`).
 Topology operations (:meth:`drain_shard`, :meth:`grow`) pass through to
 the plane; ``docs/sharding.md`` is the runbook.
 """
@@ -36,9 +39,10 @@ class ShardedConsole:
         owner, final_id = self.plane.resolve_instance(instance_id)
         return OperatorConsole(self.plane.shards[owner].server), final_id
 
-    def _consoles(self) -> List[OperatorConsole]:
-        return [OperatorConsole(shard.server)
-                for shard in self.plane.shards if not shard.retired]
+    def _consoles(self) -> Dict[str, OperatorConsole]:
+        """Each live shard's console, keyed ``shardNN``, in index order."""
+        return {shard_endpoint(shard.index): OperatorConsole(shard.server)
+                for shard in self.plane.shards if not shard.retired}
 
     # ------------------------------------------------------------------
     # Control (routed to the owning shard)
@@ -221,36 +225,27 @@ class ShardedConsole:
     def list_instances(self) -> List[Dict[str, Any]]:
         """Every live shard's instances, tagged with their shard index
         (replays what a shard's recovery deferred, as the shard's own
-        console's listing does)."""
-        rows: List[Dict[str, Any]] = []
-        for shard in self.plane.shards:
-            if shard.retired:
-                continue
-            console = OperatorConsole(shard.server)
-            for row in console.list_instances():
-                row["shard"] = shard.index
-                rows.append(row)
-        return sorted(rows, key=lambda r: r["instance_id"])
+        console's listing does).
+
+        Served from the merge the plane keeps
+        (:meth:`ShardedControlPlane.list_instances`): the list is the
+        caller's to edit, but treat the rows in it as read-only — they
+        are shared with every other listing."""
+        return self.plane.list_instances()
 
     def cluster_state(self) -> List[Dict[str, Any]]:
         """Node rows from every live shard's private pool, shard-tagged."""
         rows: List[Dict[str, Any]] = []
-        for shard in self.plane.shards:
-            if shard.retired:
-                continue
-            console = OperatorConsole(shard.server)
+        for console in self._consoles().values():
             for row in console.cluster_state():
-                row["shard"] = shard.index
+                row["shard"] = console.server.shard_index
                 rows.append(row)
         return sorted(rows, key=lambda r: r["node"])
 
     def queue_depth(self) -> Dict[str, int]:
         """Broker backlog plus each live shard's dispatcher queue."""
-        depths = {
-            f"shard{shard.index:02d}":
-                OperatorConsole(shard.server).queue_depth()
-            for shard in self.plane.shards if not shard.retired
-        }
+        depths = {name: console.queue_depth()
+                  for name, console in self._consoles().items()}
         depths["broker"] = self.plane.broker.pending()
         return depths
 
@@ -270,20 +265,14 @@ class ShardedConsole:
             "control": dict(self.plane.control.health()),
             "broker": self.plane.broker.health(),
             "broker_queues": self._broker_queues(),
-            "shards": {
-                f"shard{shard.index:02d}":
-                    OperatorConsole(shard.server).network_health()
-                for shard in self.plane.shards if not shard.retired
-            },
+            "shards": {name: console.network_health()
+                       for name, console in self._consoles().items()},
         }
 
     def metrics_snapshot(self) -> Dict[str, Any]:
         """Plane-wide counters (summed) plus the per-shard snapshots."""
-        per_shard = {
-            f"shard{shard.index:02d}":
-                OperatorConsole(shard.server).metrics_snapshot()
-            for shard in self.plane.shards if not shard.retired
-        }
+        per_shard = {name: console.metrics_snapshot()
+                     for name, console in self._consoles().items()}
         return {
             "total_counters": merge_counter_snapshots(
                 snapshot.get("counters", {})
@@ -301,4 +290,4 @@ class ShardedConsole:
             console, final_id = self._locate(instance_id)
             return console.trace_summary(final_id)
         return merge_trace_summaries(
-            console.trace_summary() for console in self._consoles())
+            console.trace_summary() for console in self._consoles().values())

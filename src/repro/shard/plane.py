@@ -37,6 +37,8 @@ byte-identical to a fault-free twin run.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..cluster import SimKernel, SimulatedCluster, uniform
@@ -224,6 +226,10 @@ class ShardedControlPlane:
         #: a dead one's ``id()`` from being reused by its successor.
         self._prov_merged: Dict[str, Any] = {}
         self._prov_sources: Optional[List[Tuple[Any, int]]] = None
+        #: the merged instance listing and the kept listing of every live
+        #: shard it was merged from.
+        self._listing: List[Dict[str, Any]] = []
+        self._listing_runs: List[List[Dict[str, Any]]] = []
         self.migrator = ShardMigrator(self)
         self.broker.reroute = self._reroute
 
@@ -364,6 +370,27 @@ class ShardedControlPlane:
                 graph.to_prov_json() for graph in graphs)
             self._prov_sources = sources
         return fresh_sections(self._prov_merged)
+
+    def list_instances(self) -> List[Dict[str, Any]]:
+        """Every live shard's instance rows (each carries its
+        ``"shard"``), merged in id order.
+
+        A shard's kept listing is a new list whenever one of its rows
+        changed, and a new server (failover) or shard (grow, drain)
+        brings a list of its own, so the merge is redone only when some
+        live shard's list is not the one last merged. The returned list
+        is the caller's; the rows in it are shared between listings and
+        are read-only.
+        """
+        runs = [shard.server.instances.listing() for shard in self.shards
+                if not shard.retired]
+        if (len(runs) != len(self._listing_runs)
+                or any(run is not merged for run, merged
+                       in zip(runs, self._listing_runs))):
+            self._listing = sorted(chain.from_iterable(runs),
+                                   key=itemgetter("instance_id"))
+            self._listing_runs = runs
+        return list(self._listing)
 
     # ------------------------------------------------------------------
     # Failure & failover (one shard at a time, others undisturbed)

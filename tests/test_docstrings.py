@@ -1,7 +1,7 @@
 """Docstring coverage of the documented packages, with the stdlib only.
 
 CI runs ``ruff check --select D100,D101,D102,D103,D104`` on
-``src/repro/{store,faults,shard,prov}``; this test applies the same five
+``src/repro/{store,faults,shard,prov,obs}``; this test applies the same five
 rules with :mod:`ast`, so a missing docstring fails tier-1 too:
 
 * D100/D104 — a public module / a package ``__init__`` without one;
@@ -21,7 +21,7 @@ import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
-PACKAGES = ("store", "faults", "shard", "prov")
+PACKAGES = ("store", "faults", "shard", "prov", "obs")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
